@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark map integration: one 50k-point semantic cloud into a map
-preloaded with one million cells.
+"""Benchmark the voxel map: loading a one-million-cell prior, then
+integrating one 50k-point semantic cloud into that map.
 
-The 100 ms budget is a real-time target (one cloud per sensor per
-second, four sensors, with headroom); exceeding it prints a warning but
-does not fail, since wall time depends on the host.
+Each is timed best of --repeat.  The 100 ms integration budget is a
+real-time target (one cloud per sensor per second, four sensors, with
+headroom); the 0.5 s prior budget keeps start-up short.  Exceeding
+either prints a warning but does not fail, since wall time depends on
+the host.
 """
 
 import argparse
@@ -19,18 +21,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from semgrid.cloud import SemanticCloud  # noqa: E402
 from semgrid.geometry import CameraCalib  # noqa: E402
 from semgrid.semantics import NUM_CLASSES  # noqa: E402
-from semgrid.voxmap import VoxelMap  # noqa: E402
+from semgrid.voxmap import MAP_RESOLUTION, VoxelMap  # noqa: E402
 
-BUDGET_MS = 100.0
+BUDGET_MS = {"load_prior": 500.0, "integrate_cloud": 100.0}
 
 
 def build_inputs(seed: int, n_points: int, n_cells: int):
+    """Prior points, cloud and camera; the prior fills a cube of
+    n_cells voxels (100x100x100 = 1M cells in a 10 m cube)."""
     rng = np.random.default_rng(seed)
-    vmap = VoxelMap()
-    # 100x100x100 voxel block = 1M prior cells in a 10 m cube
     side = round(n_cells ** (1 / 3))
-    grid = (np.mgrid[0:side, 0:side, 0:side].reshape(3, -1).T + 0.5) * vmap.resolution
-    vmap.load_prior(grid)
+    prior = (np.mgrid[0:side, 0:side, 0:side].reshape(3, -1).T + 0.5) * MAP_RESOLUTION
 
     calib = CameraCalib(0, 160, 120, 130.0, 130.0, 80.0, 60.0,
                         np.eye(3), np.array([5.0, 5.0, 0.5]), 0.0)
@@ -42,7 +43,19 @@ def build_inputs(seed: int, n_points: int, n_cells: int):
     logits[:, 0] -= 10.0  # keep points off the skipped person class
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     cloud = SemanticCloud(0, 0, positions, log_probs)
-    return vmap, cloud, calib
+    return prior, cloud, calib
+
+
+def report(name: str, times: list[float]) -> None:
+    best = min(times)
+    print(f"{name}: best {best:.1f} ms over {len(times)} runs "
+          f"(all: {', '.join(f'{t:.1f}' for t in times)})")
+    budget = BUDGET_MS[name]
+    if best > budget:
+        print(f"WARNING: {name} best time {best:.1f} ms exceeds the "
+              f"{budget:.0f} ms budget on this host")
+    else:
+        print(f"{name}: within the {budget:.0f} ms budget")
 
 
 def main() -> int:
@@ -53,24 +66,25 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    vmap, cloud, calib = build_inputs(args.seed, args.points, args.cells)
+    prior, cloud, calib = build_inputs(args.seed, args.points, args.cells)
+
+    times = []
+    for _ in range(args.repeat):
+        vmap = VoxelMap()
+        t0 = time.perf_counter()
+        vmap.load_prior(prior)
+        times.append((time.perf_counter() - t0) * 1e3)
     print(f"map: {len(vmap)} cells, cloud: {len(cloud)} points")
+    report("load_prior", times)
 
     times = []
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         stats = vmap.integrate_cloud(cloud, calib)
         times.append((time.perf_counter() - t0) * 1e3)
-    best = min(times)
-    print(f"integrate_cloud: best {best:.1f} ms over {args.repeat} runs "
-          f"(all: {', '.join(f'{t:.1f}' for t in times)})")
+    report("integrate_cloud", times)
     print(f"last run: {stats.occupied_updates} occupied updates, "
           f"{stats.freed} freed, {stats.semantic_fused} fused")
-    if best > BUDGET_MS:
-        print(f"WARNING: best time {best:.1f} ms exceeds the "
-              f"{BUDGET_MS:.0f} ms real-time budget on this host")
-    else:
-        print(f"within the {BUDGET_MS:.0f} ms budget")
     return 0
 
 

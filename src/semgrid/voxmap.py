@@ -1,9 +1,11 @@
-"""Allocentric sparse voxel-hashed semantic occupancy map.
+"""Allocentric sparse semantic occupancy map.
 
 Cells are addressed by packed integer voxel keys and stored columnar
 (log-odds, class log-probabilities, bookkeeping) so whole clouds can be
-integrated with array arithmetic.  Occupancy follows the additive
-log-odds model; semantics fuse multiplicatively per Bayes' rule.
+integrated with array arithmetic.  A sorted key column with the row of
+each key indexes the cells, so lookups are binary searches and new cells
+are merged in one batch.  Occupancy follows the additive log-odds model;
+semantics fuse multiplicatively per Bayes' rule.
 Single-writer / multi-reader: integrate_cloud requires exclusive access.
 """
 
@@ -17,7 +19,6 @@ from . import ply, semantics
 from .geometry import (
     CameraCalib,
     VoxelIndex,
-    bresenham3d,
     bresenham3d_keys,
     pack_voxel_keys,
     unpack_voxel_keys,
@@ -58,7 +59,6 @@ class VoxelMap:
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         self._resolution = float(resolution)
-        self._index: dict[int, int] = {}
         cap = 1024
         self._keys = np.zeros(cap, dtype=np.int64)
         self._log_odds = np.zeros(cap)
@@ -66,8 +66,12 @@ class VoxelMap:
         self._last_update = np.zeros(cap, dtype=np.int64)
         self._source = np.zeros(cap, dtype=np.uint8)
         self._n = 0
-        # sorted keys of occupied cells, rebuilt lazily after writes
-        self._occ_keys_sorted: np.ndarray | None = None
+        # index: every key in increasing order, and the row holding it
+        self._sorted_keys = np.zeros(0, dtype=np.int64)
+        self._sorted_rows = np.zeros(0, dtype=np.int64)
+        # the occupied keys of the index, which occlusion queries search:
+        # far fewer than all cells, so the search stays in cache
+        self._occ_keys = np.zeros(0, dtype=np.int64)
 
     @property
     def resolution(self) -> float:
@@ -87,33 +91,44 @@ class VoxelMap:
         self._last_update = np.resize(self._last_update, new_cap)
         self._source = np.resize(self._source, new_cap)
 
-    def _rows_for(self, keys: np.ndarray, create: bool) -> np.ndarray:
-        """Rows for packed keys; missing cells are allocated (uniform,
-        log-odds 0) when create is set, otherwise marked -1."""
-        get = self._index.get
-        rows = np.fromiter((get(int(k), -1) for k in keys), dtype=np.int64, count=len(keys))
-        if create:
-            missing = np.nonzero(rows < 0)[0]
-            if len(missing):
-                self._grow(len(missing))
-                uni = -np.log(NUM_CLASSES)
-                for i in missing:
-                    row = self._n
-                    self._n += 1
-                    k = int(keys[i])
-                    self._index[k] = row
-                    self._keys[row] = k
-                    self._log_odds[row] = 0.0
-                    self._log_p[row] = uni
-                    self._last_update[row] = 0
-                    self._source[row] = SOURCE_OBSERVED
-                    rows[i] = row
+    def _locate(self, keys: np.ndarray):
+        """Index positions of packed keys, and their rows (-1 where the
+        map has no cell)."""
+        pos = np.searchsorted(self._sorted_keys, keys)
+        rows = np.full(len(keys), -1, dtype=np.int64)
+        if len(self._sorted_keys):
+            at = np.minimum(pos, len(self._sorted_keys) - 1)
+            hit = self._sorted_keys[at] == keys
+            rows[hit] = self._sorted_rows[at[hit]]
+        return pos, rows
+
+    def _rows_for(self, keys: np.ndarray) -> np.ndarray:
+        """Rows for sorted, distinct packed keys; missing cells are
+        appended (uniform, log-odds 0) and merged into the index."""
+        pos, rows = self._locate(keys)
+        new = rows < 0
+        m = int(new.sum())
+        if m:
+            self._grow(m)
+            fresh = slice(self._n, self._n + m)
+            rows[new] = np.arange(self._n, self._n + m)
+            self._keys[fresh] = keys[new]
+            self._log_odds[fresh] = 0.0
+            self._log_p[fresh] = -np.log(NUM_CLASSES)
+            self._last_update[fresh] = 0
+            self._source[fresh] = SOURCE_OBSERVED
+            self._sorted_keys = np.insert(self._sorted_keys, pos[new], keys[new])
+            self._sorted_rows = np.insert(self._sorted_rows, pos[new], rows[new])
+            self._n += m
         return rows
 
+    def _index_occupied(self) -> None:
+        """Refresh the occupied keys after a write."""
+        self._occ_keys = self._sorted_keys[self._log_odds[self._sorted_rows] > 0]
+
     def cell(self, idx: VoxelIndex) -> VoxelCell | None:
-        key = int(pack_voxel_keys(np.array([idx.as_tuple()]))[0])
-        row = self._index.get(key)
-        if row is None:
+        row = self._locate(pack_voxel_keys(np.array([idx.as_tuple()])))[1][0]
+        if row < 0:
             return None
         return VoxelCell(
             occupancy_log_odds=float(self._log_odds[row]),
@@ -130,11 +145,11 @@ class VoxelMap:
         pts = np.asarray(prior_points, dtype=np.float64).reshape(-1, 3)
         if len(pts) == 0:
             return 0
-        keys = np.unique(pack_voxel_keys(voxel_indices_of(pts, self._resolution)))
-        rows = self._rows_for(keys, create=True)
+        keys = _sorted_unique(pack_voxel_keys(voxel_indices_of(pts, self._resolution)))
+        rows = self._rows_for(keys)
         self._log_odds[rows] = L_PRIOR_OCC
         self._source[rows] = SOURCE_PRIOR
-        self._occ_keys_sorted = None
+        self._index_occupied()
         return len(keys)
 
     def load_prior_ply(self, path) -> int:
@@ -163,63 +178,43 @@ class VoxelMap:
         uniq_end, inv = np.unique(end_keys, return_inverse=True)
         origin_idx = np.array(voxel_index_of(calib.center, self._resolution).as_tuple())
         ray_keys, _ = bresenham3d_keys(origin_idx, unpack_voxel_keys(uniq_end))
-        free_keys = np.setdiff1d(ray_keys, uniq_end, assume_unique=False)
+        # walks include their endpoints, so these are all touched cells
+        cells = _sorted_unique(ray_keys)
+        rows = self._rows_for(cells)
+        is_end = np.zeros(len(cells), dtype=bool)
+        is_end[np.searchsorted(cells, uniq_end)] = True
 
         ts = int(cloud.timestamp_us)
-        if len(free_keys):
-            rows = self._rows_for(free_keys, create=True)
-            before = self._log_odds[rows]
+        free = rows[~is_end]
+        if len(free):
+            before = self._log_odds[free]
             after = np.clip(before + L_FREE, L_MIN, L_MAX)
             crossed = (before > 0) & (after <= 0)
-            self._log_odds[rows] = after
+            self._log_odds[free] = after
             if crossed.any():
-                self._log_p[rows[crossed]] = -np.log(NUM_CLASSES)
+                self._log_p[free[crossed]] = -np.log(NUM_CLASSES)
                 stats.freed = int(crossed.sum())
-            self._last_update[rows] = ts
-            self._source[rows] = SOURCE_OBSERVED
+            self._last_update[free] = ts
+            self._source[free] = SOURCE_OBSERVED
 
-        rows = self._rows_for(uniq_end, create=True)
-        self._log_odds[rows] = np.clip(self._log_odds[rows] + L_OCC, L_MIN, L_MAX)
-        sums = np.zeros((len(uniq_end), NUM_CLASSES))
-        np.add.at(sums, inv, log_p_pts)
-        self._log_p[rows] = semantics.fuse_rows(self._log_p[rows], sums)
-        self._last_update[rows] = ts
-        self._source[rows] = SOURCE_OBSERVED
+        end = rows[is_end]
+        self._log_odds[end] = np.clip(self._log_odds[end] + L_OCC, L_MIN, L_MAX)
+        # bincount adds each voxel's points in input order, so the sums
+        # are those of a sequential loop to the last bit
+        sums = np.stack([np.bincount(inv, weights=log_p_pts[:, c], minlength=len(uniq_end))
+                         for c in range(NUM_CLASSES)], axis=1)
+        self._log_p[end] = semantics.fuse_rows(self._log_p[end], sums)
+        self._last_update[end] = ts
+        self._source[end] = SOURCE_OBSERVED
         stats.occupied_updates = len(uniq_end)
         stats.semantic_fused = int(keep.sum())
-        self._occ_keys_sorted = None
+        self._index_occupied()
         return stats
 
-    def _occupied_lookup(self, keys: np.ndarray) -> np.ndarray:
-        if self._occ_keys_sorted is None:
-            occ = self._log_odds[: self._n] > 0
-            self._occ_keys_sorted = np.sort(self._keys[: self._n][occ])
-        sorted_keys = self._occ_keys_sorted
-        pos = np.searchsorted(sorted_keys, keys)
-        pos = np.minimum(pos, max(len(sorted_keys) - 1, 0))
-        if len(sorted_keys) == 0:
-            return np.zeros(len(keys), dtype=bool)
-        return sorted_keys[pos] == keys
-
-    def is_occluded(self, from_world, to_world, k: int = OCCLUSION_K) -> bool:
-        """True when the ray strictly between the endpoint voxels crosses
-        at least k occupied cells.  Endpoint voxels never count."""
-        a = voxel_index_of(from_world, self._resolution)
-        b = voxel_index_of(to_world, self._resolution)
-        cells = bresenham3d(a, b)[1:-1]
-        if len(cells) < k:
-            return False
-        hits = 0
-        for c in cells:
-            row = self._index.get(int(pack_voxel_keys(np.array([c.as_tuple()]))[0]), -1)
-            if row >= 0 and self._log_odds[row] > 0:
-                hits += 1
-                if hits >= k:
-                    return True
-        return False
-
     def is_occluded_many(self, from_world, targets_world: np.ndarray, k: int = OCCLUSION_K) -> np.ndarray:
-        """Vectorized is_occluded for many targets from one origin."""
+        """True for each target whose ray from the origin crosses at least
+        k occupied cells strictly between the endpoint voxels.  Endpoint
+        voxels never count."""
         targets = np.asarray(targets_world, dtype=np.float64).reshape(-1, 3)
         n = len(targets)
         if n == 0:
@@ -233,40 +228,19 @@ class VoxelMap:
         interior = (all_keys != end_keys[0]) & (all_keys != end_keys[1:][ray_id])
         if not interior.any():
             return np.zeros(n, dtype=bool)
-        occ = self._occupied_lookup(all_keys[interior])
+        occ_keys = self._occ_keys
+        if len(occ_keys) == 0:
+            return np.zeros(n, dtype=bool)
+        keys = all_keys[interior]
+        occ = occ_keys[np.minimum(np.searchsorted(occ_keys, keys), len(occ_keys) - 1)] == keys
         counts = np.bincount(ray_id[interior], weights=occ.astype(np.float64), minlength=n)
         return counts >= k
 
-    def snapshot(self) -> list[tuple[VoxelIndex, float, int, float]]:
-        """Occupied cells in lexicographic index order:
-        (index, occupancy log-odds, argmax class, max probability)."""
-        if self._n == 0:
-            return []
-        occ = np.nonzero(self._log_odds[: self._n] > 0)[0]
-        if len(occ) == 0:
-            return []
-        idx = unpack_voxel_keys(self._keys[occ])
-        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-        occ = occ[order]
-        idx = idx[order]
-        classes = np.argmax(self._log_p[occ], axis=1)
-        probs = np.exp(self._log_p[occ, classes])
-        return [
-            (VoxelIndex(*idx[i]), float(self._log_odds[occ[i]]), int(classes[i]), float(probs[i]))
-            for i in range(len(occ))
-        ]
-
     def occupied_arrays(self):
         """(indices (N,3), log_odds, classes, probs, source) of occupied
-        cells in lexicographic order; columnar variant of snapshot."""
-        if self._n == 0:
-            z = np.empty(0)
-            return np.empty((0, 3), dtype=np.int64), z, z.astype(np.int64), z, z.astype(np.uint8)
-        occ = np.nonzero(self._log_odds[: self._n] > 0)[0]
+        cells in lexicographic index order, which is packed key order."""
+        occ = self._sorted_rows[self._log_odds[self._sorted_rows] > 0]
         idx = unpack_voxel_keys(self._keys[occ])
-        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-        occ = occ[order]
-        idx = idx[order]
         classes = np.argmax(self._log_p[occ], axis=1)
         probs = np.exp(self._log_p[occ, classes])
         return idx, self._log_odds[occ], classes, probs, self._source[occ]
@@ -288,3 +262,12 @@ class VoxelMap:
                 "prob": probs.astype(np.float32),
             },
         )
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of int64 keys by sort and neighbour difference, which is
+    much faster than the hash path np.unique takes for large inputs."""
+    s = np.sort(keys)
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]

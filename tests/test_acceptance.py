@@ -229,10 +229,10 @@ class TestMapBehaviors:
         target = [1.55, 0.05, 0.05]
         one = VoxelMap()
         one.load_prior(np.array([[0.55, 0.05, 0.05]]))
-        assert not one.is_occluded(origin, target)
+        assert not one.is_occluded_many(origin, [target])[0]
         two = VoxelMap()
         two.load_prior(np.array([[0.55, 0.05, 0.05], [0.95, 0.05, 0.05]]))
-        assert two.is_occluded(origin, target)
+        assert two.is_occluded_many(origin, [target])[0]
 
 
 class TestOcclusionFeedback:

@@ -237,4 +237,4 @@ class TestSnapshot:
         wire = protocol.encode(snap)
         out = protocol.decode(wire)
         assert np.array_equal(out.voxel_indices, snap.voxel_indices)
-        assert len(snap.voxel_indices) == len(b.vmap.snapshot())
+        assert len(snap.voxel_indices) == len(b.vmap.occupied_arrays()[0])

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from semgrid.cloud import SemanticCloud
-from semgrid.geometry import CameraCalib, VoxelIndex, voxel_indices_of
+from semgrid.geometry import (
+    CameraCalib,
+    VoxelIndex,
+    bresenham3d,
+    pack_voxel_keys,
+    unpack_voxel_keys,
+    voxel_index_of,
+    voxel_indices_of,
+)
 from semgrid.ply import read_ply
 from semgrid.semantics import (
     NUM_CLASSES,
     PERSON_CLASS,
+    fuse_rows,
     log_softmax_rows,
 )
 from semgrid.voxmap import (
@@ -16,6 +25,8 @@ from semgrid.voxmap import (
     L_OCC,
     L_PRIOR_OCC,
     OCCLUSION_K,
+    SOURCE_OBSERVED,
+    SOURCE_PRIOR,
     VoxelMap,
 )
 
@@ -42,12 +53,97 @@ def full_state(vmap: VoxelMap):
             vmap._log_p[:n].copy())
 
 
+def is_occluded(vmap: VoxelMap, from_world, to_world, k: int = OCCLUSION_K) -> bool:
+    """Reference for is_occluded_many: walk the scalar Bresenham line and
+    count occupied cells strictly between the endpoint voxels."""
+    a = voxel_index_of(from_world, vmap.resolution)
+    b = voxel_index_of(to_world, vmap.resolution)
+    hits = 0
+    for c in bresenham3d(a, b)[1:-1]:
+        cell = vmap.cell(c)
+        hits += cell is not None and cell.occupancy_log_odds > 0
+    return hits >= k
+
+
+def occluded(vmap: VoxelMap, from_world, to_world, k: int = OCCLUSION_K) -> bool:
+    """is_occluded_many for one target, checked against the reference."""
+    got = bool(vmap.is_occluded_many(from_world, [to_world], k=k)[0])
+    assert got == is_occluded(vmap, from_world, to_world, k)
+    return got
+
+
+class DictVoxelMap:
+    """Reference map: cells in a dict keyed by packed voxel key, updated
+    one cell at a time along scalar Bresenham rays."""
+
+    def __init__(self, resolution: float = RES):
+        self.resolution = resolution
+        self.cells = {}  # key -> [log_odds, log_p, last_update, source]
+
+    def _cell(self, key: int) -> list:
+        if key not in self.cells:
+            self.cells[key] = [0.0, np.full(NUM_CLASSES, -np.log(NUM_CLASSES)),
+                               0, SOURCE_OBSERVED]
+        return self.cells[key]
+
+    def load_prior(self, points) -> None:
+        for key in pack_voxel_keys(voxel_indices_of(points, self.resolution)).tolist():
+            cell = self._cell(key)
+            cell[0], cell[3] = L_PRIOR_OCC, SOURCE_PRIOR
+
+    def integrate_cloud(self, cloud, calib) -> int:
+        """Returns the number of cells freed to uniform."""
+        pts = cloud.positions @ calib.rotation.T + calib.translation
+        keep = cloud.argmax_classes() != PERSON_CLASS
+        sums = {}
+        keys = pack_voxel_keys(voxel_indices_of(pts[keep], self.resolution))
+        for key, log_p in zip(keys.tolist(), cloud.log_probs[keep]):
+            sums[key] = sums.get(key, 0.0) + log_p
+        origin = voxel_index_of(calib.center, self.resolution)
+        crossed = set()
+        for key in sums:
+            end = VoxelIndex(*unpack_voxel_keys(np.array([key]))[0])
+            crossed.update(pack_voxel_keys(np.array(
+                [c.as_tuple() for c in bresenham3d(origin, end)])).tolist())
+        ts = int(cloud.timestamp_us)
+        freed = 0
+        for key in crossed - sums.keys():
+            cell = self._cell(key)
+            before = cell[0]
+            cell[0] = min(max(before + L_FREE, L_MIN), L_MAX)
+            if before > 0 and cell[0] <= 0:
+                cell[1] = np.full(NUM_CLASSES, -np.log(NUM_CLASSES))
+                freed += 1
+            cell[2], cell[3] = ts, SOURCE_OBSERVED
+        for key, log_p in sums.items():
+            cell = self._cell(key)
+            cell[0] = min(max(cell[0] + L_OCC, L_MIN), L_MAX)
+            cell[1] = fuse_rows(cell[1][None], log_p[None])[0]
+            cell[2], cell[3] = ts, SOURCE_OBSERVED
+        return freed
+
+    def state(self):
+        keys = sorted(self.cells)
+        cols = list(zip(*(self.cells[k] for k in keys)))
+        return (np.array(keys, dtype=np.int64), np.array(cols[0]),
+                np.array(cols[1]), np.array(cols[2], dtype=np.int64),
+                np.array(cols[3], dtype=np.uint8))
+
+
+def sorted_state(vmap: VoxelMap):
+    n = vmap._n
+    order = np.argsort(vmap._keys[:n])
+    return (vmap._keys[:n][order], vmap._log_odds[:n][order],
+            vmap._log_p[:n][order], vmap._last_update[:n][order],
+            vmap._source[:n][order])
+
+
 class TestBasics:
     def test_empty(self):
         vmap = VoxelMap()
         assert len(vmap) == 0
         assert vmap.cell(VoxelIndex(0, 0, 0)) is None
-        assert vmap.snapshot() == []
+        assert len(vmap.occupied_arrays()[0]) == 0
 
     def test_prior_cells_occupied_and_uniform(self):
         vmap = VoxelMap()
@@ -175,22 +271,22 @@ class TestOcclusion:
         target = [1.55, 0.05, 0.05]
         assert OCCLUSION_K == 2
         vmap = self._map_with_blockers([0.5])
-        assert not vmap.is_occluded(origin, target)
+        assert not occluded(vmap, origin, target)
         vmap = self._map_with_blockers([0.5, 0.9])
-        assert vmap.is_occluded(origin, target)
+        assert occluded(vmap, origin, target)
 
     def test_endpoints_never_count(self):
         origin = [0.05, 0.05, 0.05]
         target = [1.55, 0.05, 0.05]
         vmap = self._map_with_blockers([0.0, 1.5])  # both endpoint voxels
-        assert not vmap.is_occluded(origin, target)
+        assert not occluded(vmap, origin, target)
 
     def test_k_parameter(self):
         origin = [0.05, 0.05, 0.05]
         target = [1.55, 0.05, 0.05]
         vmap = self._map_with_blockers([0.3])
-        assert vmap.is_occluded(origin, target, k=1)
-        assert not vmap.is_occluded(origin, target, k=2)
+        assert occluded(vmap, origin, target, k=1)
+        assert not occluded(vmap, origin, target, k=2)
 
     def test_many_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -200,7 +296,7 @@ class TestOcclusion:
         targets = rng.uniform(0, 2, size=(60, 3))
         batch = vmap.is_occluded_many(origin, targets)
         for i, t in enumerate(targets):
-            assert batch[i] == vmap.is_occluded(origin, t)
+            assert batch[i] == is_occluded(vmap, origin, t)
 
     def test_free_cells_do_not_block(self):
         vmap = VoxelMap()
@@ -208,7 +304,7 @@ class TestOcclusion:
         # integrating a far wall leaves a tube of freed cells; freed
         # cells must not count as blockers
         vmap.integrate_cloud(cloud_of([[0.05, 0.05, 3.05]], 6, calib), calib)
-        assert not vmap.is_occluded([0.05, 0.05, 0.05], [0.05, 0.05, 2.55])
+        assert not occluded(vmap, [0.05, 0.05, 0.05], [0.05, 0.05, 2.55])
 
 
 class TestSnapshotAndExport:
@@ -220,10 +316,10 @@ class TestSnapshotAndExport:
         for _ in range(10):
             vmap.integrate_cloud(
                 cloud_of([[0.35, 0.05, 1.05]], 6, calib), calib)
-        snap = vmap.snapshot()
-        indices = [entry[0].as_tuple() for entry in snap]
+        idx, log_odds, _, _, _ = vmap.occupied_arrays()
+        indices = [tuple(i) for i in idx.tolist()]
         assert indices == sorted(indices)
-        assert all(entry[1] > 0 for entry in snap)
+        assert (log_odds > 0).all()
         assert (0, 0, 0) in indices
 
     def test_export_ply_fields(self, tmp_path):
@@ -238,3 +334,72 @@ class TestSnapshotAndExport:
         expected_occ = 1.0 / (1.0 + np.exp(-L_PRIOR_OCC))
         assert abs(fields["occupancy"][0] - expected_occ) <= 1e-6
         assert abs(fields["prob"][0] - 1.0 / NUM_CLASSES) <= 1e-6
+
+
+class TestMatchesDictReference:
+    """VoxelMap against DictVoxelMap on random cloud sequences that reach
+    every branch of integrate_cloud; full state, free cells included."""
+
+    @staticmethod
+    def _sequence(rng):
+        center = rng.uniform(-0.5, 0.5, size=3)
+        calib = forward_calib(center)
+        lo, hi = center + [-1.0, -1.0, 0.3], center + [1.0, 1.0, 2.5]
+        # prior cells between the camera and the surfaces, so rays cross them
+        prior = rng.uniform(lo, hi, size=(int(rng.integers(50, 300)), 3))
+        surface = rng.uniform(lo + [0, 0, 0.5], hi + [0, 0, 1.0],
+                              size=(int(rng.integers(10, 60)), 3))
+        clouds = []
+        for t in range(14):
+            if t == 7:  # the scene moves: old surfaces get freed
+                surface = center + (surface - center) * 1.3
+            seen = surface[rng.random(len(surface)) < 0.8]
+            # several points in one endpoint voxel
+            pts = np.repeat(seen, rng.integers(1, 5, size=len(seen)), axis=0)
+            pts = pts + rng.uniform(-0.004, 0.004, size=pts.shape)
+            scores = rng.normal(scale=3.0, size=(len(pts), NUM_CLASSES))
+            if t == 4:
+                scores[:, PERSON_CLASS] += 50.0  # person points only
+            pts_cam = (pts - calib.translation) @ calib.rotation
+            clouds.append(SemanticCloud(0, 1000 * (t + 1), pts_cam,
+                                        log_softmax_rows(scores)))
+        return prior, calib, clouds
+
+    @staticmethod
+    def _assert_index_invariant(vmap):
+        keys, rows = vmap._sorted_keys, vmap._sorted_rows
+        assert len(keys) == len(rows) == len(vmap)
+        assert (np.diff(keys) > 0).all()
+        assert np.array_equal(vmap._keys[rows], keys)
+        assert np.array_equal(vmap._occ_keys, keys[vmap._log_odds[rows] > 0])
+
+    def test_random_sequences(self):
+        reached = dict(crossed_zero=0, prior_freed=0, person_only=0,
+                       shared_voxel=0, l_min=0, l_max=0)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            prior, calib, clouds = self._sequence(rng)
+            vmap, ref = VoxelMap(), DictVoxelMap()
+            vmap.load_prior(prior)
+            ref.load_prior(prior)
+            self._assert_index_invariant(vmap)
+            prior_keys = vmap._sorted_keys.copy()
+            for cloud in clouds:
+                stats = vmap.integrate_cloud(cloud, calib)
+                assert stats.freed == ref.integrate_cloud(cloud, calib)
+                reached["crossed_zero"] += stats.freed
+                self._assert_index_invariant(vmap)
+                targets = cloud.positions[:20] @ calib.rotation.T + calib.translation
+                occluded = vmap.is_occluded_many(calib.center, targets)
+                assert [is_occluded(vmap, calib.center, t) for t in targets] == occluded.tolist()
+                keep = cloud.argmax_classes() != PERSON_CLASS
+                reached["person_only"] += not keep.any() and len(cloud) > 0
+                reached["shared_voxel"] += stats.semantic_fused > stats.occupied_updates
+            for got, want in zip(sorted_state(vmap), ref.state()):
+                assert np.array_equal(got, want)
+            keys, log_odds = sorted_state(vmap)[:2]
+            was_prior = np.isin(keys, prior_keys)
+            reached["prior_freed"] += int((log_odds[was_prior] <= 0).any())
+            reached["l_min"] += int((log_odds == L_MIN).any())
+            reached["l_max"] += int((log_odds == L_MAX).any())
+        assert all(reached.values()), reached
