@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Benchmark the sensor's cloud pipeline stage by stage.
+
+Runs one seed-1 unit of the default loop (4 sensors, 2 persons, 2 s,
+clouds at 1 Hz: 8 clouds), keeps the inputs of every
+`SensorNode.build_semantic_cloud` call, then times each stage of that
+pipeline on each cloud, best of --repeat in process CPU time.  It prints
+the median over the clouds per stage and the outlier filter's time per
+cloud.  The filter's 50 ms budget is a real-time target; exceeding it
+prints a warning but does not fail, since the time depends on the host.
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from semgrid import cloud, synthworld  # noqa: E402
+from semgrid.sensor_node import SensorNode  # noqa: E402
+from semgrid.sim import SimConfig, simulate  # noqa: E402
+
+SEED = 1
+FILTER_BUDGET_MS = 50.0
+
+
+def capture_inputs() -> list[tuple]:
+    """(calib, depth, mask, dets) of every cloud a seed-1 default unit builds."""
+    inputs = []
+    real = SensorNode.build_semantic_cloud
+
+    def build(node, depth, mask, dets, timestamp_us):
+        inputs.append((node.config.calib, depth, mask, dets))
+        return real(node, depth, mask, dets, timestamp_us)
+
+    SensorNode.build_semantic_cloud = build
+    try:
+        scene = synthworld.make_default_scene(seed=SEED, n_persons=2)
+        simulate(scene, synthworld.make_camera_rig(scene), SimConfig(duration_s=2.0))
+    finally:
+        SensorNode.build_semantic_cloud = real
+    return inputs
+
+
+def best_ms(fn, repeat: int):
+    """Result of fn() and its best process CPU time in ms over repeat runs."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.process_time()
+        out = fn()
+        times.append((time.process_time() - t0) * 1e3)
+    return out, min(times)
+
+
+def time_stages(calib, depth, mask, dets, repeat: int) -> dict[str, float]:
+    """Best time of each stage of build_semantic_cloud on one cloud."""
+    ms = {}
+    pts, ms["depth_to_points"] = best_ms(lambda: cloud.depth_to_points(depth, calib), repeat)
+    pts, ms["voxel_downsample"] = best_ms(lambda: cloud.voxel_downsample(pts), repeat)
+    ms["points"] = len(pts)
+    pts, ms["statistical_outlier_filter"] = best_ms(
+        lambda: cloud.statistical_outlier_filter(pts), repeat)
+    world = pts @ calib.rotation.T + calib.translation
+    clusters, ms["remove_ground_and_cluster"] = best_ms(
+        lambda: cloud.remove_ground_and_cluster(world), repeat)
+    _, ms["fuse_semantics"] = best_ms(
+        lambda: cloud.fuse_semantics(pts, calib, mask, dets, clusters), repeat)
+    return ms
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+
+    inputs = capture_inputs()
+    per_cloud = [time_stages(*inp, repeat=args.repeat) for inp in inputs]
+    stages = [name for name in per_cloud[0] if name != "points"]
+    sizes = [c["points"] for c in per_cloud]
+    print(f"{len(per_cloud)} clouds of seed {SEED}, {min(sizes)}-{max(sizes)} points "
+          f"after downsampling; per cloud best of {args.repeat}, process CPU time")
+    for name in stages:
+        times = [c[name] for c in per_cloud]
+        print(f"{name:28s} median {np.median(times):7.1f} ms  "
+              f"(range {min(times):.1f}-{max(times):.1f})")
+    total = [sum(c[name] for name in stages) for c in per_cloud]
+    print(f"{'all stages':28s} median {np.median(total):7.1f} ms")
+
+    filt = [c["statistical_outlier_filter"] for c in per_cloud]
+    print("statistical_outlier_filter per cloud: "
+          + ", ".join(f"{t:.1f}" for t in filt) + " ms")
+    med = float(np.median(filt))
+    if med > FILTER_BUDGET_MS:
+        print(f"WARNING: statistical_outlier_filter median {med:.1f} ms exceeds the "
+              f"{FILTER_BUDGET_MS:.0f} ms budget on this host")
+    else:
+        print(f"statistical_outlier_filter: median {med:.1f} ms, within the "
+              f"{FILTER_BUDGET_MS:.0f} ms budget")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import socketserver
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -244,9 +245,10 @@ def serve(backend: Backend, host: str, port: int, clock_us,
 
     clock_us: zero-argument callable returning the current time in us.
     Feedback frames are pushed to each connected sensor every tick.
+    Ticks start on a monotonic deadline every tick_sleep_s; a tick that
+    overruns its period is followed at once by the next, and the missed
+    deadlines are dropped rather than run in a burst.
     """
-    import time
-
     if tick_sleep_s is None:
         tick_sleep_s = 1.0 / backend.tick_rate_hz
     server = socketserver.ThreadingTCPServer((host, port), _SensorConnection,
@@ -259,6 +261,7 @@ def serve(backend: Backend, host: str, port: int, clock_us,
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
+        deadline = time.monotonic()
         while stop_event is None or not stop_event.is_set():
             now = clock_us()
             with server.lock:  # type: ignore[attr-defined]
@@ -271,7 +274,9 @@ def serve(backend: Backend, host: str, port: int, clock_us,
                     conn.sendall(protocol.encode(msg))
                 except OSError:
                     server.connections.pop(sid, None)  # type: ignore[attr-defined]
-            time.sleep(tick_sleep_s)
+            t = time.monotonic()
+            deadline = max(deadline + tick_sleep_s, t)
+            time.sleep(deadline - t)
     finally:
         server.shutdown()
         server.server_close()

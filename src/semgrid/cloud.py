@@ -8,16 +8,18 @@ overlapping detections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from . import ply, semantics
 from .geometry import CameraCalib, pack_voxel_keys, project_many, voxel_indices_of
-from .semantics import NUM_CLASSES, ClassDistribution
+from .semantics import NUM_CLASSES
 
 CLOUD_VOXEL_RES = 0.05
 OUTLIER_K = 50
@@ -26,6 +28,10 @@ CLUSTER_DIST = 0.25
 MIN_CLUSTER = 10
 FLOOR_Z = 0.10
 NMS_IOU = 0.5
+# the largest distance block the outlier filter's k-NN holds at once (8 MB)
+_KNN_BLOCK = 1 << 20
+# (dx, dy) of the 9 columns of 3 tiles around a tile
+_RUN_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
 @dataclass
@@ -39,12 +45,6 @@ class DepthImage:
         self.depth = np.asarray(self.depth, dtype=np.float64).reshape(self.height, self.width)
         if not np.all(np.isfinite(self.depth)) or np.any(self.depth < 0):
             raise ValueError("depth entries must be finite and non-negative")
-
-
-@dataclass
-class SemanticPoint:
-    position: np.ndarray
-    dist: ClassDistribution
 
 
 @dataclass
@@ -69,11 +69,6 @@ class SemanticCloud:
 
     def __len__(self):
         return len(self.positions)
-
-    def point(self, i: int) -> SemanticPoint:
-        return SemanticPoint(
-            self.positions[i], ClassDistribution(self.log_probs[i].copy(), _trusted=True)
-        )
 
     def argmax_classes(self) -> np.ndarray:
         if len(self) == 0:
@@ -161,11 +156,81 @@ def statistical_outlier_filter(
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) <= k:
         return pts
-    tree = cKDTree(pts)
-    dists, _ = tree.query(pts, k=k + 1)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    dists = _knn_distances(pts, k + 1)
     mean_d = dists[:, 1:].mean(axis=1)
     thresh = mean_d.mean() + stddev_mult * mean_d.std()
     return pts[mean_d <= thresh]
+
+
+def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
+    """Sorted distances from every point to its kk nearest points, itself
+    included: the distances of cKDTree(pts).query(pts, kk), bit for bit.
+
+    Points are sorted into cubic tiles of edge s = CLOUD_VOXEL_RES *
+    sqrt(kk), which hold about kk points of a downsampled surface.  A
+    point's candidates are the points of the 27 tiles around its own; every
+    other point is farther than s plus the point's distance to its own
+    tile's faces.  So the kk smallest candidate distances are the true ones
+    when the largest of them is below that bound; the bound carries a slack
+    for rounding, which can only send a row to the cKDTree fallback, never
+    accept a wrong one.  Rows that fail (sparse regions, tile corners) are
+    asked of a cKDTree.  cdist sums squared differences in x, y, z order
+    and takes the root, as cKDTree does, so both give the same bits.
+    """
+    n = len(pts)
+    s = CLOUD_VOXEL_RES * math.sqrt(kk)
+    cell = np.floor(pts / s)
+    lo = cell.min(axis=0)
+    # one empty tile of margin on each side; a grid whose keys could
+    # overflow int64 takes the tree path
+    dims = cell.max(axis=0) - lo + 3
+    if not np.prod(dims) < 2.0**62:
+        return cKDTree(pts).query(pts, k=kk)[0]
+    idx = (cell - lo).astype(np.int64) + 1
+    dims = dims.astype(np.int64)
+    keys = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    spts = pts[order]
+    first = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
+    # the 27 tiles around a tile are 9 runs of 3 consecutive keys: one
+    # contiguous slice of the sorted points per run, joined in a CSR index
+    runs = skeys[first, None] + (_RUN_OFFSETS[:, 0] * dims[1] + _RUN_OFFSETS[:, 1]) * dims[2]
+    run_lo = np.searchsorted(skeys, runs - 1, "left").ravel()
+    run_len = np.searchsorted(skeys, runs + 1, "right").ravel() - run_lo
+    run_end = np.cumsum(run_len)
+    cand = np.arange(run_end[-1]) + np.repeat(run_lo - (run_end - run_len), run_len)
+    cand_ptr = np.r_[0, run_end[8::9]]
+    n_cand = np.diff(cand_ptr)
+
+    out = np.full((n, kk), np.inf)
+    busy = np.flatnonzero((n_cand >= kk) & (n_cand <= _KNN_BLOCK))
+    starts = first.tolist() + [n]
+    for t, c0, c1 in zip(busy.tolist(), cand_ptr[busy].tolist(), cand_ptr[busy + 1].tolist()):
+        cpts = spts.take(cand[c0:c1], axis=0)
+        step = _KNN_BLOCK // (c1 - c0)
+        for r0 in range(starts[t], starts[t + 1], step):
+            r1 = min(r0 + step, starts[t + 1])
+            d2 = cdist(spts[r0:r1], cpts, "sqeuclidean")
+            d2.partition(kk - 1, axis=1)
+            d2 = d2[:, :kk]
+            d2.sort(axis=1)
+            np.sqrt(d2, out=out[r0:r1])
+
+    scell = cell[order]
+    face = np.minimum(spts - scell * s, (scell + 1) * s - spts).min(axis=1)
+    # covers the rounding of tile indices and distances, which grows with
+    # the coordinates; it rejects every row beyond ~1.5e9 tiles from the
+    # origin, so accepted rows always have exact tile indices
+    slack = 1e-9 * (s + np.abs(pts).max())
+    redo = np.flatnonzero(~(out[:, -1] < s + face - slack))
+    if len(redo):
+        out[redo] = cKDTree(pts).query(spts[redo], k=kk)[0]
+    dists = np.empty_like(out)
+    dists[order] = out
+    return dists
 
 
 def remove_ground_and_cluster(
@@ -191,12 +256,11 @@ def remove_ground_and_cluster(
         _, labels = connected_components(adj, directed=False)
     else:
         labels = np.arange(n)
-    clusters = []
-    for lbl in np.unique(labels):
-        members = above[labels == lbl]
-        if len(members) >= min_cluster:
-            clusters.append(members)
-    return clusters
+    # members of each label, in label order, each in ascending index order
+    members = above[np.argsort(labels, kind="stable")]
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes)
+    return [members[e - z:e] for e, z in zip(ends.tolist(), sizes.tolist()) if z >= min_cluster]
 
 
 def _bilinear_rows(scores: np.ndarray, uv: np.ndarray) -> np.ndarray:

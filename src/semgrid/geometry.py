@@ -57,21 +57,6 @@ class CameraCalib:
         return p @ self.rotation.T + self.translation
 
 
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-
 @dataclass(frozen=True, order=True)
 class VoxelIndex:
     ix: int

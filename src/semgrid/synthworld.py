@@ -783,24 +783,6 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
     return observations
 
 
-@dataclass
-class GroundTruth:
-    joints: np.ndarray  # (P, 17, 3)
-    occupied_keys: np.ndarray  # packed voxel keys of static structure
-
-
-def ground_truth(scene: GroundTruthScene, t_s: float,
-                 resolution: float = 0.10) -> GroundTruth:
-    """Exact joint positions and the voxelized static structure."""
-    joints = (
-        np.stack([p.joints_at(t_s) for p in scene.persons])
-        if scene.persons
-        else np.empty((0, NUM_JOINTS, 3))
-    )
-    keys = structure_voxel_keys(scene, t_s, resolution)
-    return GroundTruth(joints, keys)
-
-
 def box_shell_keys(bmin, bmax, resolution: float) -> np.ndarray:
     """Packed keys of the voxels on the surface shell of an AABB."""
     lo = np.floor(np.asarray(bmin) / resolution + 1e-9).astype(np.int64)

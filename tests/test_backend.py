@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from semgrid import backend as backend_mod
 from semgrid import protocol
 from semgrid.backend import (
     ABLATIONS,
@@ -238,3 +241,49 @@ class TestSnapshot:
         out = protocol.decode(wire)
         assert np.array_equal(out.voxel_indices, snap.voxel_indices)
         assert len(snap.voxel_indices) == len(b.vmap.occupied_arrays()[0])
+
+
+class FakeClock:
+    """Stands in for the `time` module: monotonic time moves only when a
+    tick does work or the loop sleeps."""
+
+    def __init__(self):
+        self.t = 100.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.t
+
+    def sleep(self, dt: float) -> None:
+        assert dt >= 0
+        self.sleeps.append(dt)
+        self.t += dt
+
+
+class TestServeSchedule:
+    def test_sleeps_fill_the_period_and_skip_missed_deadlines(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(backend_mod, "time", clock)
+        period = 1.0 / 30
+        works = [0.010, 0.005, 0.050, 0.020, 0.0]
+        b = backend_with_sensors(0)
+        stop = threading.Event()
+        ticks = []
+
+        def tick(now_us):
+            clock.t += works[len(ticks)]
+            ticks.append(now_us)
+            if len(ticks) == len(works):
+                stop.set()
+            return {}
+
+        b.tick = tick
+        backend_mod.serve(b, "127.0.0.1", 0, lambda: int(clock.t * 1e6), stop,
+                          tick_sleep_s=period)
+        # the overrun tick (50 ms) is followed at once by the next, which
+        # starts a new deadline grid: no burst of catch-up ticks
+        expected = [period - 0.010, period - 0.005, 0.0, period - 0.020, period]
+        assert clock.sleeps == pytest.approx(expected, abs=1e-12)
+        starts = np.array(ticks) / 1e6
+        assert np.diff(starts) == pytest.approx(
+            [period, period, 0.050, period], abs=1e-6)

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
+from semgrid import cloud as cloud_mod
+from semgrid import synthworld
 from semgrid.cloud import (
     CLOUD_VOXEL_RES,
+    FLOOR_Z,
+    OUTLIER_K,
+    OUTLIER_STDDEV_MULT,
     DepthImage,
     Detection,
     DetectionSet,
@@ -21,7 +29,44 @@ from semgrid.cloud import (
 from semgrid.geometry import pack_voxel_keys, voxel_indices_of
 from semgrid.ply import read_ply
 from semgrid.semantics import NUM_CLASSES, PERSON_CLASS, uniform_rows
+from semgrid.sim import SimConfig, simulate
 from tests.conftest import make_ring_calibs
+
+
+def reference_outlier_filter(points, k=OUTLIER_K, stddev_mult=OUTLIER_STDDEV_MULT):
+    """The outlier filter with one cKDTree k-NN query per point: the
+    reference the tiled k-NN must match bit for bit."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(pts) <= k:
+        return pts
+    dists, _ = cKDTree(pts).query(pts, k=k + 1)
+    mean_d = dists[:, 1:].mean(axis=1)
+    thresh = mean_d.mean() + stddev_mult * mean_d.std()
+    return pts[mean_d <= thresh]
+
+
+def reference_clusters(points_world, floor_z=FLOOR_Z, cluster_dist=0.25, min_cluster=10):
+    """Clustering with one scan of all points per label: the reference
+    for the sorted-label grouping of remove_ground_and_cluster."""
+    pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
+    above = np.nonzero(pts[:, 2] > floor_z)[0]
+    if len(above) == 0:
+        return []
+    pairs = cKDTree(pts[above]).query_pairs(cluster_dist, output_type="ndarray")
+    n = len(above)
+    if len(pairs):
+        adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        _, labels = connected_components(adj, directed=False)
+    else:
+        labels = np.arange(n)
+    clusters = []
+    for lbl in np.unique(labels):
+        members = above[labels == lbl]
+        if len(members) >= min_cluster:
+            clusters.append(members)
+    return clusters
 
 
 def flat_depth(calib, value: float) -> DepthImage:
@@ -95,6 +140,159 @@ class TestOutlierFilter:
         pts = np.array([[0, 0, 0], [1, 1, 1.0]])
         assert np.array_equal(statistical_outlier_filter(pts, k=10), pts)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        pts = np.random.default_rng(0).normal(size=(60, 3))
+        pts[17, 1] = bad
+        with pytest.raises(ValueError):
+            statistical_outlier_filter(pts, k=10)
+
+
+class RowCounter:
+    """Counts the rows the filter's k-NN answers from tiles (cdist) and
+    from its cKDTree fallback."""
+
+    def __init__(self, monkeypatch):
+        self.tile_rows = 0
+        self.tree_rows = 0
+        counter = self
+        real_cdist = cloud_mod.cdist
+
+        def cdist(a, b, metric):
+            counter.tile_rows += len(a)
+            return real_cdist(a, b, metric)
+
+        class Tree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                counter.tree_rows += len(x)
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(cloud_mod, "cdist", cdist)
+        monkeypatch.setattr(cloud_mod, "cKDTree", Tree)
+
+    def reset(self):
+        self.tile_rows = self.tree_rows = 0
+
+
+@pytest.fixture(scope="module")
+def sim_clouds():
+    """The voxel-downsampled clouds of a short seeded simulate, as the
+    outlier filter receives them."""
+    clouds = []
+    real = cloud_mod.statistical_outlier_filter
+
+    def capture(points, *args, **kwargs):
+        clouds.append(np.array(points))
+        return real(points, *args, **kwargs)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(cloud_mod, "statistical_outlier_filter", capture)
+    try:
+        scene = synthworld.make_default_scene(seed=3, n_persons=2)
+        simulate(scene, synthworld.make_camera_rig(scene),
+                 SimConfig(duration_s=2 / 30, cloud_rate_hz=30.0))
+    finally:
+        mp.undo()
+    return clouds
+
+
+class TestOutlierFilterMatchesReference:
+    """The tiled k-NN keeps exactly the points the cKDTree filter keeps."""
+
+    def check(self, pts, k):
+        got = statistical_outlier_filter(pts, k=k)
+        want = reference_outlier_filter(pts, k=k)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        if len(pts) > k:
+            # the distance rows themselves, so that the mean sums in the same order
+            dists = cloud_mod._knn_distances(pts, k + 1)
+            assert np.array_equal(dists, cKDTree(pts).query(pts, k=k + 1)[0])
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_random_clouds(self, monkeypatch, k):
+        rows = RowCounter(monkeypatch)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for scale in (0.05, 0.3, 1.0, 4.0, 1e3):
+                pts = rng.normal(size=(1500, 3)) * scale + rng.uniform(-50, 50, 3)
+                self.check(pts, k)
+        assert rows.tile_rows > 0 and rows.tree_rows > 0
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_lattice_ties(self, monkeypatch, k):
+        # points on a 5 cm lattice give many equal distances, and lattice
+        # steps of a tile edge put points exactly on tile faces
+        rows = RowCounter(monkeypatch)
+        s = CLOUD_VOXEL_RES * np.sqrt(k + 1)
+        for step in (CLOUD_VOXEL_RES, s / 2, s):
+            grid = np.mgrid[0:11, 0:11, 0:11].reshape(3, -1).T * step
+            self.check(grid, k)
+            self.check(grid - 5 * step, k)
+        assert rows.tile_rows > 0
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_planes_and_lines(self, monkeypatch, k):
+        rows = RowCounter(monkeypatch)
+        rng = np.random.default_rng(7)
+        plane = np.column_stack([rng.uniform(0, 3, 4000), rng.uniform(0, 3, 4000),
+                                 np.full(4000, 1.25)])
+        tilted = plane @ np.array([[1, 0, 0], [0, 0.6, 0.8], [0, -0.8, 0.6]])
+        line = np.outer(np.arange(800) * CLOUD_VOXEL_RES, [0.6, 0.0, 0.8])
+        for pts in (plane, tilted, line, line + rng.normal(scale=0.01, size=line.shape)):
+            self.check(pts, k)
+        assert rows.tile_rows > 0
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_sparse_clouds_take_the_fallback(self, monkeypatch, k):
+        rows = RowCounter(monkeypatch)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0, 40, size=(400, 3))
+        self.check(pts, k)
+        assert rows.tile_rows == 0 and rows.tree_rows > 0
+        # a dense blob next to sparse outliers: both paths in one call
+        rows.reset()
+        mixed = np.vstack([rng.normal(scale=0.2, size=(2000, 3)), pts])
+        self.check(mixed, k)
+        assert rows.tile_rows > 0 and rows.tree_rows >= len(pts)
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_sizes_around_k(self, k):
+        rng = np.random.default_rng(k)
+        for n in (1, k, k + 1, k + 2):
+            pts = rng.normal(scale=0.1, size=(n, 3))
+            self.check(pts, k)
+        assert np.array_equal(statistical_outlier_filter(np.empty((0, 3)), k=k),
+                              np.empty((0, 3)))
+
+    def test_grid_too_large_for_tile_keys(self, monkeypatch):
+        rows = RowCounter(monkeypatch)
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(300, 3))
+        pts[:100] += 1e16
+        pts[100:200, 1] -= 1e16
+        self.check(pts, 10)
+        assert rows.tile_rows == 0 and rows.tree_rows > 0
+
+    def test_row_blocks(self, monkeypatch):
+        # a tiny block bound splits tiles into row blocks and sends tiles
+        # with more candidates than one block holds to the fallback
+        rows = RowCounter(monkeypatch)
+        rng = np.random.default_rng(2)
+        pts = rng.normal(scale=0.3, size=(3000, 3))
+        for block in (4000, 400):
+            monkeypatch.setattr(cloud_mod, "_KNN_BLOCK", block)
+            self.check(pts, 10)
+        assert rows.tile_rows > 0 and rows.tree_rows > 0
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_sim_clouds(self, monkeypatch, sim_clouds, k):
+        assert len(sim_clouds) == 8 and all(len(c) > 1000 for c in sim_clouds)
+        rows = RowCounter(monkeypatch)
+        for pts in sim_clouds:
+            self.check(pts, k)
+        assert rows.tile_rows > 0 and rows.tree_rows > 0
+
 
 class TestClustering:
     def test_two_blobs(self):
@@ -114,6 +312,23 @@ class TestClustering:
     def test_small_clusters_dropped(self):
         pts = np.array([[0, 0, 1.0], [0.01, 0, 1.0]])
         assert remove_ground_and_cluster(pts) == []
+
+    @pytest.mark.parametrize("min_cluster", [1, 2, 10])
+    def test_matches_per_label_reference(self, min_cluster):
+        # many singletons and small groups beside a few blobs
+        rng = np.random.default_rng(4)
+        scattered = rng.uniform([-8, -8, 0], [8, 8, 3], size=(1500, 3))
+        blobs = [rng.normal(loc=c, scale=0.08, size=(40, 3))
+                 for c in ((0, 0, 1.0), (2, 1, 0.5), (-3, 2, 1.5))]
+        pts = np.vstack([scattered] + blobs)
+        pts = pts[rng.permutation(len(pts))]
+        got = remove_ground_and_cluster(pts, min_cluster=min_cluster)
+        want = reference_clusters(pts, min_cluster=min_cluster)
+        assert len(got) == len(want) >= 3
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if min_cluster == 1:
+            assert sum(len(c) == 1 for c in want) > 300
 
 
 class TestFuseSemantics:
