@@ -9,6 +9,7 @@ semantic feedback.  Driven by an external clock (simulated or wall).
 
 from __future__ import annotations
 
+import logging
 import socketserver
 import threading
 import time
@@ -36,6 +37,8 @@ STALE_S = 2.0
 SNAPSHOT_PERIOD_S = 1.0
 
 ABLATIONS = ("none", "fb", "fb-occ", "fb-occ-depth")
+
+log = logging.getLogger(__name__)
 
 
 class HandshakeError(Exception):
@@ -214,25 +217,36 @@ class Backend:
 
 
 class _SensorConnection(socketserver.BaseRequestHandler):
+    """One sensor's TCP stream.  Every refusal (a failed handshake or a
+    protocol violation) and every disconnect is logged with the peer and
+    the sensor id, the one the sensor claimed if it never got in."""
+
     def handle(self):
         backend: Backend = self.server.backend  # type: ignore[attr-defined]
         lock: threading.Lock = self.server.lock  # type: ignore[attr-defined]
         decoder = protocol.StreamDecoder()
-        sensor_id = None
+        sensor_id = claimed = None
         try:
             while True:
                 chunk = self.request.recv(65536)
                 if not chunk:
+                    log.info("sensor %s at %s disconnected", claimed, self.client_address)
                     return
                 for msg in decoder.feed(chunk):
                     now_us = self.server.clock_us()  # type: ignore[attr-defined]
+                    if isinstance(msg, protocol.Hello):
+                        claimed = msg.sensor_id
                     with lock:
                         backend.on_message(msg, now_us)
                     if isinstance(msg, protocol.Hello):
                         sensor_id = msg.sensor_id
                         self.server.connections[sensor_id] = self.request  # type: ignore[attr-defined]
-        except (HandshakeError, protocol.ProtocolError):
+        except (HandshakeError, protocol.ProtocolError) as exc:
+            log.warning("refused sensor %s at %s: %s: %s", claimed, self.client_address,
+                        type(exc).__name__, exc)
             self.request.close()
+        except OSError as exc:
+            log.info("sensor %s at %s disconnected: %s", claimed, self.client_address, exc)
         finally:
             if sensor_id is not None:
                 self.server.connections.pop(sensor_id, None)  # type: ignore[attr-defined]

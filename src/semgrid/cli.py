@@ -463,9 +463,9 @@ def _run_sensor_node(cfg, scene, addr, duration_s, class_set) -> None:
             plan = node.plan_frame(obs, now_us)
             depth = None
             if cfg.has_depth:
-                depth = synthworld.render_depth_sparse(
-                    scene, calib, t_s, synthworld.patch_pixels(plan.uv),
-                    frame_idx=i)
+                depth = synthworld.render_depth_sparse_many(
+                    scene, [(calib, synthworld.patch_pixels(plan.uv))], t_s,
+                    frame_idx=i)[0]
             node.pose_tick(obs, depth, now_us, plan=plan)
 
             if cfg.has_depth and i % cloud_every == 0:

@@ -9,7 +9,6 @@ coordinates.  Pinhole model, no lens distortion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,19 +87,6 @@ def voxel_indices_of(points: np.ndarray, resolution: float) -> np.ndarray:
     return np.floor(pts / resolution + _BIN_SNAP).astype(np.int64)
 
 
-def project(calib: CameraCalib, p_world):
-    """Project a world point; None when behind the camera or off-image."""
-    pc = calib.world_to_cam(np.asarray(p_world, dtype=np.float64).reshape(3))
-    z = pc[2]
-    if z <= _EPS_Z:
-        return None
-    u = calib.cx + calib.fx * pc[0] / z
-    v = calib.cy + calib.fy * pc[1] / z
-    if not (0 <= u < calib.width and 0 <= v < calib.height):
-        return None
-    return (u, v, z)
-
-
 def project_many(calib: CameraCalib, pts_world: np.ndarray):
     """Project (N,3) world points.
 
@@ -134,154 +120,21 @@ def backproject(calib: CameraCalib, u: float, v: float, depth: float) -> np.ndar
     return calib.cam_to_world(pc)
 
 
-def backproject_many(calib: CameraCalib, uv: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Back-project (N,2) pixels with (N,) depths to (N,3) world points."""
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    d = np.asarray(depth, dtype=np.float64).reshape(-1)
-    pc = np.empty((len(d), 3))
-    pc[:, 0] = (uv[:, 0] - calib.cx) / calib.fx * d
-    pc[:, 1] = (uv[:, 1] - calib.cy) / calib.fy * d
-    pc[:, 2] = d
-    return pc @ calib.rotation.T + calib.translation
-
-
-def _hproject(calib: CameraCalib, p_world: np.ndarray) -> np.ndarray:
-    """Homogeneous pixel coordinates of a world point (no frustum test)."""
-    pc = calib.world_to_cam(p_world)
-    return np.array(
-        [
-            calib.fx * pc[0] + calib.cx * pc[2],
-            calib.fy * pc[1] + calib.cy * pc[2],
-            pc[2],
-        ]
-    )
-
-
-def epipolar_line(calib_a: CameraCalib, calib_b: CameraCalib, kp_a) -> np.ndarray:
-    """Epipolar line (a,b,c) in image b of pixel kp_a from image a.
-
-    Normalized so a^2 + b^2 = 1; signed distance of pixel (u,v) is
-    a*u + b*v + c.  The line is obtained by projecting two points of the
-    back-projected ray of kp_a (the camera center and the point at unit
-    depth) homogeneously into image b.
-    """
-    if np.linalg.norm(calib_a.center - calib_b.center) < 1e-9:
-        raise ValueError("coincident camera centers: epipolar geometry degenerate")
-    u, v = float(kp_a[0]), float(kp_a[1])
-    x1 = _hproject(calib_b, calib_a.center)
-    x2 = _hproject(calib_b, backproject(calib_a, u, v, 1.0))
-    line = np.cross(x1, x2)
-    n = math.hypot(line[0], line[1])
-    if n < 1e-12:
-        raise ValueError("degenerate epipolar line")
-    return line / n
-
-
-def epipolar_segment(calib_a: CameraCalib, calib_b: CameraCalib, kp_a, depth_interval):
-    """Projection into image b of kp_a's ray restricted to a depth interval.
-
-    Returns (e0, e1) pixel endpoints (possibly outside image bounds), or
-    None when the whole segment lies behind camera b.
-    """
-    d_min, d_max = float(depth_interval[0]), float(depth_interval[1])
-    if not (0 < d_min <= d_max):
-        raise ValueError("need 0 < d_min <= d_max")
-    u, v = float(kp_a[0]), float(kp_a[1])
-    p0 = calib_b.world_to_cam(backproject(calib_a, u, v, d_min))
-    p1 = calib_b.world_to_cam(backproject(calib_a, u, v, d_max))
-    z0, z1 = p0[2], p1[2]
-    if z0 <= _EPS_Z and z1 <= _EPS_Z:
-        return None
-    # clip the 3D segment to the z > eps half-space of camera b
-    if z0 <= _EPS_Z:
-        s = (2 * _EPS_Z - z0) / (z1 - z0)
-        p0 = p0 + s * (p1 - p0)
-    elif z1 <= _EPS_Z:
-        s = (2 * _EPS_Z - z1) / (z0 - z1)
-        p1 = p1 + s * (p0 - p1)
-    e0 = np.array([calib_b.cx + calib_b.fx * p0[0] / p0[2], calib_b.cy + calib_b.fy * p0[1] / p0[2]])
-    e1 = np.array([calib_b.cx + calib_b.fx * p1[0] / p1[2], calib_b.cy + calib_b.fy * p1[1] / p1[2]])
-    return e0, e1
-
-
-def point_line_distance(line, pt) -> float:
-    return abs(line[0] * pt[0] + line[1] * pt[1] + line[2])
-
-
-def point_segment_distance(pt, e0, e1) -> float:
-    p = np.asarray(pt, dtype=np.float64)
-    a = np.asarray(e0, dtype=np.float64)
-    b = np.asarray(e1, dtype=np.float64)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        return float(np.linalg.norm(p - a))
-    s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * ab)))
-
-
-def _bres_core(start, delta_perm, sign_perm):
-    """Bresenham walk in permuted axis order (dominant axis first).
-
-    Tie rule: an error term of exactly zero does not trigger a side step,
-    so exact midpoints advance the dominant axis only.
-    """
-    d0, d1, d2 = delta_perm
-    s0, s1, s2 = sign_perm
-    c0, c1, c2 = start
-    p1 = 2 * d1 - d0
-    p2 = 2 * d2 - d0
-    cells = [(c0, c1, c2)]
-    for _ in range(d0):
-        if p1 > 0:
-            c1 += s1
-            p1 -= 2 * d0
-        if p2 > 0:
-            c2 += s2
-            p2 -= 2 * d0
-        p1 += 2 * d1
-        p2 += 2 * d2
-        c0 += s0
-        cells.append((c0, c1, c2))
-    return cells
-
-
-def bresenham3d(frm: VoxelIndex, to: VoxelIndex) -> list[VoxelIndex]:
-    """26-connected integer line from frm to to, inclusive.
-
-    Cell count is max(|dx|,|dy|,|dz|) + 1 and the walk is monotone along
-    every axis.
-    """
-    a = frm.as_tuple()
-    b = to.as_tuple()
-    delta = [b[i] - a[i] for i in range(3)]
-    d = [abs(x) for x in delta]
-    s = [(0 if x == 0 else (1 if x > 0 else -1)) for x in delta]
-    # dominant axis: lowest index among maxima; remaining axes keep order
-    dom = max(range(3), key=lambda i: (d[i], -i))
-    rest = [i for i in range(3) if i != dom]
-    perm = [dom, rest[0], rest[1]]
-    cells = _bres_core(
-        [a[perm[0]], a[perm[1]], a[perm[2]]],
-        [d[perm[0]], d[perm[1]], d[perm[2]]],
-        [s[perm[0]], s[perm[1]], s[perm[2]]],
-    )
-    out = []
-    for c in cells:
-        w = [0, 0, 0]
-        w[perm[0]], w[perm[1]], w[perm[2]] = c
-        out.append(VoxelIndex(*w))
-    return out
-
-
 def _bres_walk(origin: np.ndarray, tg: np.ndarray):
-    """Shared core of the vectorized multi-ray walk: per-cell dominant
-    step count and side-axis advances, plus the per-ray axis layout."""
+    """Bresenham walk of rays from one origin voxel to many targets: per
+    cell its ray, dominant step count and side-axis advances, plus the
+    per-ray axis layout.
+
+    Each ray is the 26-connected line of max(|dx|,|dy|,|dz|) + 1 cells,
+    origin first, target last, stepping along the dominant axis (the
+    lowest index among equal maxima); an error term of exactly zero does
+    not trigger a side step, so exact midpoints advance the dominant axis
+    only."""
     n = len(tg)
     delta = tg - origin
     d = np.abs(delta)
     s = np.sign(delta)
-    # dominant axis = lowest index among maxima (matches scalar rule)
+    # dominant axis = lowest index among maxima
     dom = np.where(
         (d[:, 0] >= d[:, 1]) & (d[:, 0] >= d[:, 2]),
         0,
@@ -312,35 +165,10 @@ def _bres_walk(origin: np.ndarray, tg: np.ndarray):
     return ray_id, k, adv1, adv2, dom, s0, s1, s2
 
 
-def bresenham3d_many(origin: np.ndarray, targets: np.ndarray):
-    """Bresenham rays from one origin voxel to many target voxels.
-
-    origin: (3,) int; targets: (N,3) int.  Returns (cells (M,3) int64,
-    ray_id (M,) intp) with every ray's cells contiguous, origin first,
-    target last.  Matches bresenham3d cell-for-cell.
-    """
-    origin = np.asarray(origin, dtype=np.int64).reshape(3)
-    tg = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
-    if len(tg) == 0:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.intp)
-    ray_id, k, adv1, adv2, dom, s0, s1, s2 = _bres_walk(origin, tg)
-    cells = np.empty((len(ray_id), 3), dtype=np.int64)
-    # scatter per dominant axis so the column index is a scalar (a full
-    # per-row fancy index over both dimensions is several times slower)
-    dom_r = dom[ray_id]
-    for axis, (r0, r1) in enumerate(((1, 2), (0, 2), (0, 1))):
-        m = dom_r == axis
-        if not m.any():
-            continue
-        rid = ray_id[m]
-        cells[m, axis] = origin[axis] + s0[rid] * k[m]
-        cells[m, r0] = origin[r0] + s1[rid] * adv1[m]
-        cells[m, r1] = origin[r1] + s2[rid] * adv2[m]
-    return cells, ray_id
-
-
 def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
-    """bresenham3d_many, but emitting packed voxel keys directly.
+    """Bresenham rays (see _bres_walk) from one origin voxel to many target
+    voxels, as packed voxel keys with the ray of each (every ray's keys
+    contiguous, origin first, target last).
 
     The packed key is linear in the three components, so each cell's key
     is origin's key plus the axis advances times fixed per-axis weights —
@@ -369,6 +197,12 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
 _KEY_BIAS = 1 << 20
 _KEY_BITS = 21
 _KEY_MASK = (1 << _KEY_BITS) - 1
+
+
+def row_norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each rounded as np.linalg.norm
+    rounds a single vector."""
+    return np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None])[..., 0, 0])
 
 
 def pack_voxel_keys(indices: np.ndarray) -> np.ndarray:

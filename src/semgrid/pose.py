@@ -4,17 +4,34 @@ Cross-view greedy association on epipolar distances (optionally gated by
 local depth segments), confidence-weighted linear triangulation, temporal
 smoothing with bone-length gating as a lightweight skeleton refinement,
 constant-velocity prediction and occlusion-annotated feedback.
+
+Every pose container holds per-person arrays over the 17 COCO joints and
+boolean masks, from the sensor over the wire to the backend and back:
+
+- PoseSet2p5D, one sensor frame of P persons: person_ids (P,), keypoints
+  (P,17,5) float64 with the columns u, v, confidence, depth and depth
+  sigma, and the masks present and from_feedback (P,17).
+- FeedbackPose, one fused person as one sensor should see it: uvc (17,3)
+  with u, v and confidence, and the masks present and occluded (17,).
+- Skeleton3D, one fused person: pos (17,3), conf (17,), n_views (17,)
+  int and vel (17,3), with the masks present and has_vel (17,); has_vel
+  is set only where present is.
+
+An absent entry holds 0 in u, v, confidence and n_views and NaN in depth,
+sigma, pos and vel; a present keypoint without a depth estimate has NaN
+depth and sigma.  Readers select entries by the masks, never by these
+fill values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraCalib, backproject
+from .geometry import CameraCalib, backproject, row_norms
 
 NUM_JOINTS = 17
 
@@ -48,122 +65,89 @@ ALPHA_VEL = 0.3  # EMA factor for per-joint velocity smoothing
 TRACK_GATE = 0.8  # m, cross-frame nearest-centroid identity gate
 
 
-@dataclass
-class Keypoint2p5D:
-    joint_idx: int
-    u: float
-    v: float
-    confidence: float
-    depth: float | None = None
-    depth_sigma: float | None = None
-    occluded_by_feedback: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0,1]")
-        if self.depth is not None and (self.depth <= 0 or not self.depth_sigma or self.depth_sigma <= 0):
-            raise ValueError("depth requires depth > 0 and depth_sigma > 0")
-
-
-@dataclass
-class PersonPose:
-    local_person_id: int
-    joints: list[Keypoint2p5D | None]  # length NUM_JOINTS
-
-    def __post_init__(self):
-        if len(self.joints) != NUM_JOINTS:
-            raise ValueError(f"expected {NUM_JOINTS} joint slots")
+def _check_shapes(obj, **shapes) -> None:
+    for name, shape in shapes.items():
+        if np.shape(getattr(obj, name)) != shape:
+            raise ValueError(f"{name} must have shape {shape}")
 
 
 @dataclass
 class PoseSet2p5D:
+    """One sensor frame's 2.5D keypoints of P persons (layout above)."""
+
     sensor_id: int
     timestamp_us: int
-    persons: list[PersonPose] = field(default_factory=list)
+    person_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    keypoints: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS, 5)))
+    present: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=bool))
+    from_feedback: np.ndarray = field(
+        default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=bool))
 
+    def __post_init__(self):
+        n = len(self.person_ids)
+        _check_shapes(self, keypoints=(n, NUM_JOINTS, 5), present=(n, NUM_JOINTS),
+                      from_feedback=(n, NUM_JOINTS))
 
-@dataclass
-class Joint3D:
-    position: np.ndarray
-    confidence: float
-    n_views: int
+    def row_of(self, person_id: int) -> int | None:
+        """Row of the first person with this id; None when there is none."""
+        hit = np.flatnonzero(self.person_ids == person_id)
+        return int(hit[0]) if len(hit) else None
 
 
 @dataclass
 class Skeleton3D:
+    """One fused 3D person (layout above)."""
+
     person_id: int
     timestamp_us: int
-    joints: list[Joint3D | None]
-    velocities: list[np.ndarray | None] = None
+    pos: np.ndarray
+    conf: np.ndarray
+    n_views: np.ndarray
+    present: np.ndarray
+    vel: np.ndarray = field(default_factory=lambda: np.full((NUM_JOINTS, 3), np.nan))
+    has_vel: np.ndarray = field(default_factory=lambda: np.zeros(NUM_JOINTS, dtype=bool))
 
     def __post_init__(self):
-        if len(self.joints) != NUM_JOINTS:
-            raise ValueError(f"expected {NUM_JOINTS} joint slots")
-        if self.velocities is None:
-            self.velocities = [None] * NUM_JOINTS
+        _check_shapes(self, pos=(NUM_JOINTS, 3), conf=(NUM_JOINTS,), n_views=(NUM_JOINTS,),
+                      present=(NUM_JOINTS,), vel=(NUM_JOINTS, 3), has_vel=(NUM_JOINTS,))
 
     def centroid(self) -> np.ndarray | None:
-        pts = [j.position for j in self.joints if j is not None]
-        if not pts:
-            return None
-        return np.mean(pts, axis=0)
-
-
-@dataclass
-class FeedbackJoint:
-    u: float
-    v: float
-    confidence: float
-    occluded: bool
+        return self.pos[self.present].mean(axis=0) if self.present.any() else None
 
 
 @dataclass
 class FeedbackPose:
+    """One fused person reprojected for one sensor (layout above)."""
+
     sensor_id: int
     person_id: int
     timestamp_us: int
-    joints: list[FeedbackJoint | None]
+    uvc: np.ndarray
+    present: np.ndarray
+    occluded: np.ndarray
 
     def __post_init__(self):
-        if len(self.joints) != NUM_JOINTS:
-            raise ValueError(f"expected {NUM_JOINTS} joint slots")
+        _check_shapes(self, uvc=(NUM_JOINTS, 3), present=(NUM_JOINTS,),
+                      occluded=(NUM_JOINTS,))
 
 
 # -- association ---------------------------------------------------------------
-
-
-_ABSENT = (0.0, 0.0, 0.0, math.nan, math.nan, 0.0, 0.0)
-
-
-def _joint_columns(persons: list[PersonPose]) -> np.ndarray:
-    """(P,17,7) float array per joint slot: u, v, confidence, depth (NaN
-    when none), depth sigma, occluded_by_feedback, present."""
-    rows = [
-        _ABSENT if kp is None else (
-            kp.u, kp.v, kp.confidence,
-            math.nan if kp.depth is None else kp.depth,
-            math.nan if kp.depth_sigma is None else kp.depth_sigma,
-            float(kp.occluded_by_feedback), 1.0,
-        )
-        for person in persons
-        for kp in person.joints
-    ]
-    return np.array(rows, dtype=np.float64).reshape(len(persons), NUM_JOINTS, 7)
 
 
 def _view_arrays(views: list[PoseSet2p5D], conf_min: float):
     """Keypoints of V views padded to the most persons P of any view:
     uv (V,P,17,2), depth and sigma (V,P,17) NaN where none, and usable
     (V,P,17), the confident keypoints not sourced from feedback."""
-    n_p = max(len(v.persons) for v in views)
-    cols = np.full((len(views), n_p, NUM_JOINTS, 7), np.nan)
-    cols[..., 6] = 0.0
+    n_p = max(len(v.person_ids) for v in views)
+    kp = np.full((len(views), n_p, NUM_JOINTS, 5), np.nan)
+    usable = np.zeros((len(views), n_p, NUM_JOINTS), dtype=bool)
     for i, v in enumerate(views):
-        if v.persons:
-            cols[i, : len(v.persons)] = _joint_columns(v.persons)
-    usable = (cols[..., 6] > 0) & (cols[..., 2] >= conf_min) & (cols[..., 5] == 0)
-    uv = np.where(cols[..., 6:7] > 0, cols[..., 0:2], 0.0)
-    return uv, cols[..., 3], cols[..., 4], usable
+        n = len(v.person_ids)
+        kp[i, :n] = v.keypoints
+        usable[i, :n] = v.present & ~v.from_feedback
+    usable &= kp[..., 2] >= conf_min
+    uv = np.where(usable[..., None], kp[..., :2], 0.0)
+    return uv, kp[..., 3], kp[..., 4], usable
 
 
 def _camera_matrices(calibs: list[CameraCalib]):
@@ -294,7 +278,7 @@ def associate(
     # groups: list of dict view index -> person row
     groups: list[dict[int, int]] = []
     for ib, v in enumerate(ordered):
-        nb = len(v.persons)
+        nb = len(v.person_ids)
         if nb == 0:
             continue
         candidates = []  # (cost, group_idx, person_row)
@@ -319,7 +303,7 @@ def associate(
                 groups.append({ib: q})
     return [
         sorted(
-            (ordered[ia].sensor_id, ordered[ia].persons[row].local_person_id)
+            (ordered[ia].sensor_id, int(ordered[ia].person_ids[row]))
             for ia, row in group.items()
         )
         for group in groups
@@ -396,31 +380,6 @@ def triangulate_points(
     return x, res, ok
 
 
-def triangulate_joint(
-    observations: list[tuple[CameraCalib, float, float, float]],
-    tau_tri: float = TAU_TRI,
-    min_angle_deg: float = MIN_RAY_ANGLE_DEG,
-):
-    """triangulate_points for a single joint.
-
-    observations: (calib, u, v, confidence) per view.  Returns (position,
-    mean reprojection residual px) or None when triangulate_points
-    rejects the joint.
-    """
-    if len(observations) < 2:
-        return None
-    calibs = [o[0] for o in observations]
-    uv = np.array([(o[1], o[2]) for o in observations], dtype=np.float64)
-    conf = np.array([o[3] for o in observations], dtype=np.float64)
-    pos, res, ok = triangulate_points(
-        calibs, uv[:, None, :], conf[:, None], np.ones((len(calibs), 1), dtype=bool),
-        tau_tri, min_angle_deg,
-    )
-    if not ok[0]:
-        return None
-    return pos[0], float(res[0])
-
-
 def triangulate_group(
     pose_sets: dict[int, PoseSet2p5D],
     group: list[tuple[int, int]],
@@ -436,132 +395,38 @@ def triangulate_group(
     depth-capable view falls back to back-projecting the local depth
     (n_views = 1).
     """
-    sids = []
-    persons = []
+    sids, keypoints, seen = [], [], []
     for sid, local_id in group:
-        for person in pose_sets[sid].persons:
-            if person.local_person_id == local_id:
-                sids.append(sid)
-                persons.append(person)
-                break
-    if not persons:
+        ps = pose_sets[sid]
+        row = ps.row_of(local_id)
+        if row is not None:
+            sids.append(sid)
+            keypoints.append(ps.keypoints[row])
+            seen.append(ps.present[row] & ~ps.from_feedback[row])
+    if not sids:
         return None
-    cols = _joint_columns(persons)  # (V,17,7)
-    conf = cols[:, :, 2]
-    seen = (cols[:, :, 6] > 0) & (conf >= conf_min) & (cols[:, :, 5] == 0)
+    kp = np.stack(keypoints)  # (V,17,5)
+    conf = kp[:, :, 2]
+    seen = np.stack(seen) & (conf >= conf_min)
     n_seen = seen.sum(axis=0)
-    joints: list[Joint3D | None] = [None] * NUM_JOINTS
+    skel = Skeleton3D(-1, timestamp_us, np.full((NUM_JOINTS, 3), np.nan), np.zeros(NUM_JOINTS),
+                      np.zeros(NUM_JOINTS, dtype=np.int64), np.zeros(NUM_JOINTS, dtype=bool))
     if (n_seen >= 2).any():
-        pos, _, ok = triangulate_points([calibs[sid] for sid in sids], cols[:, :, :2], conf, seen)
-        mean_conf = np.where(seen, conf, 0.0).sum(axis=0) / np.maximum(n_seen, 1)
-        for j in np.nonzero(ok)[0].tolist():
-            joints[j] = Joint3D(pos[j], float(mean_conf[j]), int(n_seen[j]))
-    for j in np.nonzero(n_seen == 1)[0].tolist():
+        pos, _, ok = triangulate_points([calibs[sid] for sid in sids], kp[:, :, :2], conf, seen)
+        skel.pos[ok] = pos[ok]
+        skel.conf[ok] = (np.where(seen, conf, 0.0).sum(axis=0) / np.maximum(n_seen, 1))[ok]
+        skel.n_views[ok] = n_seen[ok]
+        skel.present[ok] = True
+    for j in np.flatnonzero(n_seen == 1).tolist():
         i = int(np.argmax(seen[:, j]))
-        u, v, c, depth = cols[i, j, :4].tolist()
+        u, v, c, depth = kp[i, j, :4].tolist()
         if depth == depth:  # not NaN
-            joints[j] = Joint3D(backproject(calibs[sids[i]], u, v, depth), c * 0.5, 1)
-    if all(jt is None for jt in joints):
-        return None
-    return Skeleton3D(person_id=-1, timestamp_us=timestamp_us, joints=joints)
+            skel.pos[j] = backproject(calibs[sids[i]], u, v, depth)
+            skel.conf[j], skel.n_views[j], skel.present[j] = c * 0.5, 1, True
+    return skel if skel.present.any() else None
 
 
 # -- temporal refinement, prediction, feedback ---------------------------------
-
-
-_NAN3 = np.full(3, np.nan)
-
-
-def _norms(vecs: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, each rounded as np.linalg.norm
-    rounds a single vector."""
-    return np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None])[..., 0, 0])
-
-
-class _SkeletonColumns(NamedTuple):
-    """Columnar form of one Skeleton3D, or of S stacked ones (a leading S
-    axis on every field); absent entries are NaN / 0."""
-
-    pos: np.ndarray  # (17,3)
-    conf: np.ndarray  # (17,)
-    n_views: np.ndarray  # (17,) int
-    present: np.ndarray  # (17,) bool
-    vel: np.ndarray  # (17,3)
-    has_vel: np.ndarray  # (17,) bool, only where present
-
-    def centroid(self) -> np.ndarray | None:
-        return self.pos[self.present].mean(axis=0) if self.present.any() else None
-
-
-def _skeleton_columns(skels: list[Skeleton3D]) -> _SkeletonColumns:
-    """Stacked columns of S skeletons, shapes (S,17,...)."""
-    joints = [jt for skel in skels for jt in skel.joints]
-    vels = [v for skel in skels for v in skel.velocities]
-    shape = (len(skels), NUM_JOINTS)
-    present = np.array([jt is not None for jt in joints], dtype=bool).reshape(shape)
-    return _SkeletonColumns(
-        np.array([_NAN3 if jt is None else jt.position for jt in joints],
-                 dtype=np.float64).reshape(*shape, 3),
-        np.array([0.0 if jt is None else jt.confidence for jt in joints],
-                 dtype=np.float64).reshape(shape),
-        np.array([0 if jt is None else jt.n_views for jt in joints],
-                 dtype=np.int64).reshape(shape),
-        present,
-        np.array([_NAN3 if v is None else v for v in vels], dtype=np.float64).reshape(*shape, 3),
-        np.array([v is not None for v in vels], dtype=bool).reshape(shape) & present,
-    )
-
-
-def _skeleton_arrays(skel: Skeleton3D) -> _SkeletonColumns:
-    """Columns of one skeleton."""
-    return _SkeletonColumns(*(field[0] for field in _skeleton_columns([skel])))
-
-
-def _skeleton_from_arrays(person_id: int, timestamp_us: int,
-                          cols: _SkeletonColumns) -> Skeleton3D:
-    conf = cols.conf.tolist()
-    n_views = cols.n_views.tolist()
-    joints = [
-        Joint3D(cols.pos[j], conf[j], n_views[j]) if ok else None
-        for j, ok in enumerate(cols.present.tolist())
-    ]
-    velocities = [cols.vel[j] if ok else None for j, ok in enumerate(cols.has_vel.tolist())]
-    return Skeleton3D(person_id, timestamp_us, joints, velocities)
-
-
-def _refine(raw: _SkeletonColumns, prev: _SkeletonColumns | None, dt_s: float,
-            bone_ref: np.ndarray | None, alpha_pos: float) -> _SkeletonColumns:
-    """refine_skeleton on columns."""
-    present = raw.present
-    pos = raw.pos.copy()
-    vel = np.zeros((NUM_JOINTS, 3))  # a joint seen for the first time starts at rest
-    if prev is not None:
-        both = present & prev.present
-        smooth = alpha_pos * raw.pos + (1 - alpha_pos) * prev.pos
-        pos[both] = smooth[both]
-        step = (smooth - prev.pos) / max(dt_s, 1e-9)
-        speed = _norms(step)
-        # a finite-difference spike beyond plausible human motion is
-        # triangulation noise, not movement
-        fast = both & (speed > VEL_MAX)
-        step[fast] *= (VEL_MAX / speed[fast])[:, None]
-        blend = both & prev.has_vel
-        step[blend] = ALPHA_VEL * step[blend] + (1 - ALPHA_VEL) * prev.vel[blend]
-        vel[both] = step[both]
-    conf = raw.conf
-    if bone_ref is not None:
-        lengths = _norms(pos[_BONE_J0] - pos[_BONE_J1])
-        with np.errstate(invalid="ignore"):
-            bad = (
-                np.isfinite(bone_ref) & (bone_ref > 0) & present[_BONE_J0] & present[_BONE_J1]
-                & (np.abs(lengths - bone_ref) > BONE_DEV_MAX * bone_ref)
-            )
-        # demote the outer joint of the bone (larger joint index is
-        # further from the torso in the COCO ordering)
-        demote = np.zeros(NUM_JOINTS, dtype=bool)
-        demote[np.maximum(_BONE_J0, _BONE_J1)[bad]] = True
-        conf = np.where(demote, conf * 0.1, conf)
-    return _SkeletonColumns(pos, conf, raw.n_views, present, vel, present)
 
 
 def refine_skeleton(
@@ -577,33 +442,57 @@ def refine_skeleton(
     (running median) length are demoted to low confidence; velocities are
     finite differences against prev.
     """
-    cols = _skeleton_arrays(raw)
-    if not cols.present.any():
+    present = raw.present
+    if not present.any():
         raise ValueError("skeleton must have at least one joint")
-    prev_cols = _skeleton_arrays(prev) if prev is not None else None
-    return _skeleton_from_arrays(
-        raw.person_id, raw.timestamp_us, _refine(cols, prev_cols, dt_s, bone_ref, alpha_pos)
-    )
+    pos = raw.pos.copy()
+    vel = np.zeros((NUM_JOINTS, 3))  # a joint seen for the first time starts at rest
+    if prev is not None:
+        both = present & prev.present
+        smooth = alpha_pos * raw.pos + (1 - alpha_pos) * prev.pos
+        pos[both] = smooth[both]
+        step = (smooth - prev.pos) / max(dt_s, 1e-9)
+        speed = row_norms(step)
+        # a finite-difference spike beyond plausible human motion is
+        # triangulation noise, not movement
+        fast = both & (speed > VEL_MAX)
+        step[fast] *= (VEL_MAX / speed[fast])[:, None]
+        blend = both & prev.has_vel
+        step[blend] = ALPHA_VEL * step[blend] + (1 - ALPHA_VEL) * prev.vel[blend]
+        vel[both] = step[both]
+    conf = raw.conf
+    if bone_ref is not None:
+        lengths = row_norms(pos[_BONE_J0] - pos[_BONE_J1])
+        with np.errstate(invalid="ignore"):
+            bad = (
+                np.isfinite(bone_ref) & (bone_ref > 0) & present[_BONE_J0] & present[_BONE_J1]
+                & (np.abs(lengths - bone_ref) > BONE_DEV_MAX * bone_ref)
+            )
+        # demote the outer joint of the bone (larger joint index is
+        # further from the torso in the COCO ordering)
+        demote = np.zeros(NUM_JOINTS, dtype=bool)
+        demote[np.maximum(_BONE_J0, _BONE_J1)[bad]] = True
+        conf = np.where(demote, conf * 0.1, conf)
+    return Skeleton3D(raw.person_id, raw.timestamp_us, pos, conf, raw.n_views, present,
+                      vel, present.copy())
 
 
-def _predicted(cols: _SkeletonColumns, dt_s: float, tau_conf: float) -> _SkeletonColumns:
-    """Constant-velocity positions and decayed confidences after dt_s."""
+def _predicted(pos, conf, vel, has_vel, dt_s: float, tau_conf: float):
+    """Constant-velocity positions and decayed confidences after dt_s, for
+    one skeleton's arrays or stacked ones."""
     if dt_s <= 0:
-        return cols
-    return cols._replace(
-        pos=cols.pos + np.where(cols.has_vel[..., None], cols.vel * dt_s, 0.0),
-        conf=cols.conf * math.exp(-dt_s / tau_conf),
-    )
+        return pos, conf
+    return (pos + np.where(has_vel[..., None], vel * dt_s, 0.0),
+            conf * math.exp(-dt_s / tau_conf))
 
 
 def predict(skel: Skeleton3D, dt_s: float, tau_conf: float = TAU_CONF) -> Skeleton3D:
     """Constant-velocity extrapolation with confidence decay."""
     if dt_s < 0:
         raise ValueError("dt must be non-negative")
-    return _skeleton_from_arrays(
-        skel.person_id, skel.timestamp_us + int(round(dt_s * 1e6)),
-        _predicted(_skeleton_arrays(skel), dt_s, tau_conf),
-    )
+    pos, conf = _predicted(skel.pos, skel.conf, skel.vel, skel.has_vel, dt_s, tau_conf)
+    return dataclasses.replace(skel, timestamp_us=skel.timestamp_us + int(round(dt_s * 1e6)),
+                               pos=pos, conf=conf)
 
 
 def make_feedback(
@@ -622,8 +511,9 @@ def make_feedback(
     """
     if not skels:
         return []
-    pred = _predicted(_skeleton_columns(skels), delay_s, TAU_CONF)
-    pos, conf, present = pred.pos, pred.conf, pred.present  # (S,17,...)
+    pos, conf = _predicted(*(np.stack([getattr(s, name) for s in skels])
+                             for name in ("pos", "conf", "vel", "has_vel")), delay_s, TAU_CONF)
+    present = np.stack([s.present for s in skels])  # (S,17)
     pc = (pos - calib.translation) @ calib.rotation
     front = pc[..., 2] > 1e-6
     z = np.where(front, pc[..., 2], 1.0)
@@ -634,18 +524,12 @@ def make_feedback(
     if compute_occlusion and vmap is not None and ok.any():
         # one occlusion query for the joints of all persons at once
         occluded[ok] = vmap.is_occluded_many(calib.center, pos[ok], k=k)
-    out = []
-    for skel, ok_s, u_s, v_s, c_s, occ_s in zip(
-        skels, ok.tolist(), us.tolist(), vs.tolist(), conf.tolist(), occluded.tolist()
-    ):
-        if not any(ok_s):
-            continue
-        fj = [
-            FeedbackJoint(u_s[j], v_s[j], c_s[j], occ_s[j]) if ok_s[j] else None
-            for j in range(NUM_JOINTS)
-        ]
-        out.append(FeedbackPose(calib.sensor_id, skel.person_id, skel.timestamp_us, fj))
-    return out
+    uvc = np.where(ok[..., None], np.stack([us, vs, conf], axis=-1), 0.0)
+    return [
+        FeedbackPose(calib.sensor_id, skel.person_id, skel.timestamp_us, uvc_s, ok_s, occ_s)
+        for skel, uvc_s, ok_s, occ_s in zip(skels, uvc, ok, occluded)
+        if ok_s.any()
+    ]
 
 
 def update_delay(current: float | None, measured: float, alpha: float = ALPHA_DELAY) -> float:
@@ -664,15 +548,15 @@ class SkeletonTracker:
     """Stable person ids by nearest-centroid matching, plus per-person
     smoothing state and running median bone lengths.
 
-    The tracker keeps its own columnar copy of each person's last refined
-    skeleton, and a (bones, window) ring buffer of bone lengths with one
-    write position and fill count per bone."""
+    The tracker keeps each person's last refined skeleton, and a (bones,
+    window) ring buffer of bone lengths with one write position and fill
+    count per bone."""
 
     def __init__(self, gate_m: float = TRACK_GATE, bone_window: int = 15):
         self._gate = gate_m
         self._bone_window = bone_window
         self._next_id = 0
-        self._prev: dict[int, _SkeletonColumns] = {}
+        self._prev: dict[int, Skeleton3D] = {}
         self._centroids: dict[int, np.ndarray] = {}  # of the _prev entries
         self._bones: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -681,31 +565,30 @@ class SkeletonTracker:
         prev_cent = np.array(list(self._centroids.values())).reshape(-1, 3)
         candidates = []
         for skel in raw_skeletons:
-            cols = _skeleton_arrays(skel)
-            c = cols.centroid()
+            c = skel.centroid()
             if c is None:
                 continue
             best_id, best_d = None, self._gate
             if prev_ids:
-                dists = _norms(c - prev_cent)
+                dists = row_norms(c - prev_cent)
                 i = int(np.argmin(dists))  # first of equal minima, as dict order
                 if dists[i] < best_d:
                     best_id, best_d = prev_ids[i], float(dists[i])
-            candidates.append((skel, cols, best_id, best_d))
-        candidates.sort(key=lambda x: x[3])
+            candidates.append((skel, best_id, best_d))
+        candidates.sort(key=lambda x: x[2])
         assigned: set[int] = set()
         refined = []
-        for skel, cols, pid, _ in candidates:
+        for skel, pid, _ in candidates:
             if pid is None or pid in assigned:
                 pid = self._next_id
                 self._next_id += 1
             assigned.add(pid)
             skel.person_id = pid
-            out = _refine(cols, self._prev.get(pid), dt_s, self._bone_reference(pid), ALPHA_POS)
+            out = refine_skeleton(skel, self._prev.get(pid), dt_s, self._bone_reference(pid))
             self._record_bones(pid, out)
             self._prev[pid] = out
             self._centroids[pid] = out.centroid()
-            refined.append(_skeleton_from_arrays(pid, skel.timestamp_us, out))
+            refined.append(out)
         return refined
 
     def _bone_reference(self, pid: int) -> np.ndarray | None:
@@ -720,7 +603,7 @@ class SkeletonTracker:
         med = 0.5 * (svals[rows, (c - 1) // 2] + svals[rows, c // 2])
         return np.where(count >= 3, med, np.nan)
 
-    def _record_bones(self, pid: int, cols: _SkeletonColumns) -> None:
+    def _record_bones(self, pid: int, skel: Skeleton3D) -> None:
         hist = self._bones.get(pid)
         if hist is None:
             hist = (np.full((len(BONES), self._bone_window), np.nan),
@@ -728,8 +611,8 @@ class SkeletonTracker:
                     np.zeros(len(BONES), dtype=np.int64))
             self._bones[pid] = hist
         values, head, count = hist
-        have = np.nonzero(cols.present[_BONE_J0] & cols.present[_BONE_J1])[0]
-        values[have, head[have]] = _norms(cols.pos[_BONE_J0[have]] - cols.pos[_BONE_J1[have]])
+        have = np.nonzero(skel.present[_BONE_J0] & skel.present[_BONE_J1])[0]
+        values[have, head[have]] = row_norms(skel.pos[_BONE_J0[have]] - skel.pos[_BONE_J1[have]])
         head[have] = (head[have] + 1) % self._bone_window
         count[have] = np.minimum(count[have] + 1, self._bone_window)
 
@@ -738,12 +621,11 @@ def format_skeleton_log(skels: list[Skeleton3D]) -> str:
     """Newline-delimited `timestamp person_id joint x y z conf n_views`."""
     lines = []
     for skel in skels:
-        for j, jt in enumerate(skel.joints):
-            if jt is None:
-                continue
-            p = jt.position
+        pos, conf, n_views = skel.pos.tolist(), skel.conf.tolist(), skel.n_views.tolist()
+        for j in np.flatnonzero(skel.present).tolist():
+            x, y, z = pos[j]
             lines.append(
                 f"{skel.timestamp_us} {skel.person_id} {j} "
-                f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {jt.confidence:.4f} {jt.n_views}"
+                f"{x:.6f} {y:.6f} {z:.6f} {conf[j]:.4f} {n_views[j]}"
             )
     return "\n".join(lines) + ("\n" if lines else "")

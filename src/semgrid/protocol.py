@@ -17,16 +17,7 @@ import numpy as np
 
 from .cloud import SemanticCloud
 from .geometry import CameraCalib
-from .pose import (
-    NUM_JOINTS,
-    FeedbackJoint,
-    FeedbackPose,
-    Joint3D,
-    Keypoint2p5D,
-    PersonPose,
-    PoseSet2p5D,
-    Skeleton3D,
-)
+from .pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, Skeleton3D
 from .semantics import NUM_CLASSES, PROB_FLOOR
 
 MAGIC = b"SES1"
@@ -194,115 +185,109 @@ def _decode_cloud(sensor_id: int, ts: int, payload: bytes) -> CloudMessage:
 
 
 _PERSON = struct.Struct("<II")
-_KP_FMT = "5fB"  # u v conf depth sigma (f32) | occluded_by_feedback (u8)
-_FBJ_FMT = "3fB"  # u v conf (f32) | occluded (u8)
-_NAN = float("nan")
+_JOINT_BITS = 1 << np.arange(NUM_JOINTS, dtype=np.int64)
+# joint records, packed: f32 values and a u8
+_KP = np.dtype([("f", "<f4", (5,)), ("b", "u1")])  # <5fB: u v conf depth sigma | from feedback
+_FBJ = np.dtype([("f", "<f4", (3,)), ("b", "u1")])  # <3fB: u v conf | occluded
+_SKJ = np.dtype([("f", "<f4", (4,)), ("b", "u1")])  # <4fB: x y z conf | n_views
 
 
-def _encode_pose_like(persons, joint_fmt: str, joint_fields) -> bytes:
-    """persons: (person_id, 17 joint slots); joint_fields(joint) gives a
-    record's values.  Each person is one struct call: its (id, joint
-    mask) header and the records of its present joints in index order."""
-    if len(persons) > 255:
+def _encode_persons(ids, present: np.ndarray, values: np.ndarray, flags: np.ndarray,
+                    dtype: np.dtype) -> bytes:
+    """u8 person count, then per person its (id, joint mask) header and
+    the records of its present joints in joint order, one tobytes call
+    per person.  present (P,17); values (P,17,k) and flags (P,17) fill
+    the records."""
+    if len(ids) > 255:
         raise ValueError("at most 255 persons per message")
-    parts = [struct.pack("<B", len(persons))]
-    for person_id, joints in persons:
-        mask = 0
-        values = []
-        for j in range(NUM_JOINTS):
-            if joints[j] is not None:
-                mask |= 1 << j
-                values.extend(joint_fields(joints[j]))
-        n = mask.bit_count()
-        parts.append(struct.pack("<II" + joint_fmt * n, person_id, mask, *values))
+    rec = np.empty(present.shape, dtype=dtype)
+    rec["f"] = values
+    rec["b"] = flags
+    masks = (present * _JOINT_BITS).sum(axis=1).tolist()
+    parts = [struct.pack("<B", len(ids))]
+    for pid, mask, r, p in zip(ids, masks, rec, present):
+        parts += [_PERSON.pack(pid, mask), r[p].tobytes()]
     return b"".join(parts)
 
 
-def _encode_pose(msg: PoseMessage) -> bytes:
-    def fields(kp: Keypoint2p5D) -> tuple:
-        return (
-            kp.u, kp.v, kp.confidence,
-            _NAN if kp.depth is None else kp.depth,
-            _NAN if kp.depth_sigma is None else kp.depth_sigma,
-            1 if kp.occluded_by_feedback else 0,
-        )
-
-    return _encode_pose_like(
-        [(p.local_person_id, p.joints) for p in msg.pose_set.persons], _KP_FMT, fields
-    )
-
-
-def _decode_pose_like(payload: bytes, joint_fmt: str):
-    """Inverse of _encode_pose_like: (person_id, [(joint index, record
-    values)]) per person."""
-    if len(payload) < 1:
-        raise MalformedPayloadError("empty pose payload")
-    width = int(joint_fmt[0]) + 1  # values per record: the floats and the flag
-    size = struct.calcsize("<" + joint_fmt)
-    count = payload[0]
-    off = 1
-    persons = []
-    for _ in range(count):
-        if off + 8 > len(payload):
+def _decode_persons(payload: bytes, off: int, dtype: np.dtype):
+    """Inverse of _encode_persons from payload[off] to the payload's end:
+    ids (P,) int64, present (P,17) and records (P,17) of dtype, zero
+    where a joint is absent."""
+    if off >= len(payload):
+        raise MalformedPayloadError("payload ends before the person count")
+    count = payload[off]
+    off += 1
+    ids = np.empty(count, dtype=np.int64)
+    present = np.zeros((count, NUM_JOINTS), dtype=bool)
+    rec = np.zeros((count, NUM_JOINTS), dtype=dtype)
+    for p in range(count):
+        if off + _PERSON.size > len(payload):
             raise MalformedPayloadError("truncated person header")
-        person_id, mask = _PERSON.unpack_from(payload, off)
-        off += 8
+        ids[p], mask = _PERSON.unpack_from(payload, off)
+        off += _PERSON.size
         if mask >> NUM_JOINTS:
             raise MalformedPayloadError("joint mask has bits beyond joint count")
-        slots = [j for j in range(NUM_JOINTS) if mask & (1 << j)]
-        if off + len(slots) * size > len(payload):
+        n = mask.bit_count()
+        if off + n * dtype.itemsize > len(payload):
             raise MalformedPayloadError("truncated joint record")
-        flat = struct.unpack_from("<" + joint_fmt * len(slots), payload, off)
-        off += len(slots) * size
-        persons.append((person_id, [
-            (j, flat[k * width : (k + 1) * width]) for k, j in enumerate(slots)
-        ]))
+        present[p] = (mask & _JOINT_BITS) != 0
+        rec[p, present[p]] = np.frombuffer(payload, dtype=dtype, count=n, offset=off)
+        off += n * dtype.itemsize
     if off != len(payload):
         raise MalformedPayloadError("trailing bytes after last person")
-    return persons
+    return ids, present, rec
+
+
+def _encode_pose(msg: PoseMessage) -> bytes:
+    ps = msg.pose_set
+    return _encode_persons(ps.person_ids.tolist(), ps.present, ps.keypoints,
+                           ps.from_feedback, _KP)
 
 
 def _decode_pose(sensor_id: int, ts: int, payload: bytes) -> PoseMessage:
-    out = []
-    try:
-        for person_id, records in _decode_pose_like(payload, _KP_FMT):
-            joints = [None] * NUM_JOINTS
-            for j, (u, v, conf, d, s, flags) in records:
-                if flags not in (0, 1):
-                    raise MalformedPayloadError("keypoint flags must be 0 or 1")
-                if d == d:  # not NaN: the keypoint has a depth
-                    joints[j] = Keypoint2p5D(j, u, v, conf, d, s, bool(flags))
-                else:
-                    joints[j] = Keypoint2p5D(j, u, v, conf, None, None, bool(flags))
-            out.append(PersonPose(person_id, joints))
-    except ValueError as e:
-        raise MalformedPayloadError(f"invalid keypoint: {e}") from None
-    return PoseMessage(PoseSet2p5D(sensor_id, ts, out))
+    ids, present, rec = _decode_persons(payload, 0, _KP)
+    if (rec["b"] > 1).any():
+        raise MalformedPayloadError("keypoint flags must be 0 or 1")
+    kp = rec["f"].astype(np.float64)
+    vals = kp[present]
+    if not np.isfinite(vals[:, :3]).all() or ((vals[:, 2] < 0) | (vals[:, 2] > 1)).any():
+        raise MalformedPayloadError("keypoint u, v, confidence must be finite, confidence in [0, 1]")
+    depth_sigma = vals[~np.isnan(vals[:, 3]), 3:]
+    if not (np.isfinite(depth_sigma) & (depth_sigma > 0)).all():
+        raise MalformedPayloadError("a depth needs finite depth > 0 and finite sigma > 0")
+    kp[..., 3:] = np.where(np.isnan(kp[..., 3:4]) | ~present[..., None], np.nan, kp[..., 3:])
+    return PoseMessage(PoseSet2p5D(sensor_id, ts, ids, kp, present, rec["b"] == 1))
 
 
 def _encode_feedback(msg: FeedbackMessage) -> bytes:
-    def fields(fj: FeedbackJoint) -> tuple:
-        return (fj.u, fj.v, fj.confidence, 1 if fj.occluded else 0)
-
-    return _encode_pose_like([(p.person_id, p.joints) for p in msg.poses], _FBJ_FMT, fields)
+    poses = msg.poses
+    return _encode_persons(
+        [p.person_id for p in poses],
+        np.array([p.present for p in poses], dtype=bool).reshape(-1, NUM_JOINTS),
+        np.array([p.uvc for p in poses]).reshape(-1, NUM_JOINTS, 3),
+        np.array([p.occluded for p in poses], dtype=bool).reshape(-1, NUM_JOINTS),
+        _FBJ,
+    )
 
 
 def _decode_feedback(sensor_id: int, ts: int, payload: bytes) -> FeedbackMessage:
-    poses = []
-    for person_id, records in _decode_pose_like(payload, _FBJ_FMT):
-        joints = [None] * NUM_JOINTS
-        for j, (u, v, conf, occ) in records:
-            if occ not in (0, 1):
-                raise MalformedPayloadError("occluded flag must be 0 or 1")
-            joints[j] = FeedbackJoint(u, v, conf, bool(occ))
-        poses.append(FeedbackPose(sensor_id, person_id, ts, joints))
-    return FeedbackMessage(sensor_id, ts, poses)
+    ids, present, rec = _decode_persons(payload, 0, _FBJ)
+    if (rec["b"] > 1).any():
+        raise MalformedPayloadError("occluded flag must be 0 or 1")
+    uvc = rec["f"].astype(np.float64)
+    if not np.isfinite(uvc).all():
+        raise MalformedPayloadError("feedback u, v, confidence must be finite")
+    occluded = rec["b"] == 1
+    return FeedbackMessage(sensor_id, ts, [
+        FeedbackPose(sensor_id, pid, ts, uvc[p], present[p], occluded[p])
+        for p, pid in enumerate(ids.tolist())
+    ])
 
 
 _voxel_dtype = np.dtype(
     [("ixyz", "<i4", (3,)), ("occ", "<f4"), ("cls", "u1"), ("prob", "<f4")]
 )
-_SKJ = struct.Struct("<4fB")
 
 
 def _encode_snapshot(msg: SnapshotMessage) -> bytes:
@@ -312,23 +297,14 @@ def _encode_snapshot(msg: SnapshotMessage) -> bytes:
     rec["occ"] = np.asarray(msg.voxel_occupancy, dtype=np.float32)
     rec["cls"] = np.asarray(msg.voxel_classes, dtype=np.uint8)
     rec["prob"] = np.asarray(msg.voxel_probs, dtype=np.float32)
-    parts = [struct.pack("<I", n), rec.tobytes()]
-    if len(msg.skeletons) > 255:
-        raise ValueError("at most 255 skeletons per snapshot")
-    parts.append(struct.pack("<B", len(msg.skeletons)))
-    for skel in msg.skeletons:
-        mask = 0
-        for j in range(NUM_JOINTS):
-            if skel.joints[j] is not None:
-                mask |= 1 << j
-        parts.append(struct.pack("<II", skel.person_id, mask))
-        for j in range(NUM_JOINTS):
-            jt = skel.joints[j]
-            if jt is not None:
-                parts.append(
-                    _SKJ.pack(*jt.position.astype(np.float32), jt.confidence, jt.n_views)
-                )
-    return b"".join(parts)
+    skels = msg.skeletons
+    return struct.pack("<I", n) + rec.tobytes() + _encode_persons(
+        [s.person_id for s in skels],
+        np.array([s.present for s in skels], dtype=bool).reshape(-1, NUM_JOINTS),
+        np.array([np.column_stack([s.pos, s.conf]) for s in skels]).reshape(-1, NUM_JOINTS, 4),
+        np.array([s.n_views for s in skels]).reshape(-1, NUM_JOINTS),
+        _SKJ,
+    )
 
 
 def _decode_snapshot(sensor_id: int, ts: int, payload: bytes) -> SnapshotMessage:
@@ -339,34 +315,20 @@ def _decode_snapshot(sensor_id: int, ts: int, payload: bytes) -> SnapshotMessage
     if len(payload) < off + 1:
         raise MalformedPayloadError("truncated snapshot voxel block")
     rec = np.frombuffer(payload, dtype=_voxel_dtype, count=n, offset=4)
-    skel_count = payload[off]
-    off += 1
-    skeletons = []
-    for _ in range(skel_count):
-        if off + 8 > len(payload):
-            raise MalformedPayloadError("truncated skeleton header")
-        person_id, mask = struct.unpack_from("<II", payload, off)
-        off += 8
-        if mask >> NUM_JOINTS:
-            raise MalformedPayloadError("joint mask has bits beyond joint count")
-        joints = [None] * NUM_JOINTS
-        for j in range(NUM_JOINTS):
-            if mask & (1 << j):
-                if off + _SKJ.size > len(payload):
-                    raise MalformedPayloadError("truncated skeleton joint")
-                x, y, z, conf, n_views = _SKJ.unpack_from(payload, off)
-                off += _SKJ.size
-                joints[j] = Joint3D(np.array([x, y, z], dtype=np.float64), conf, n_views)
-        skeletons.append(Skeleton3D(person_id, ts, joints))
-    if off != len(payload):
-        raise MalformedPayloadError("trailing bytes after last skeleton")
+    ids, present, joints = _decode_persons(payload, off, _SKJ)
+    vals = joints["f"].astype(np.float64)
+    if not np.isfinite(vals).all():
+        raise MalformedPayloadError("skeleton positions and confidences must be finite")
+    pos = np.where(present[..., None], vals[..., :3], np.nan)
+    n_views = joints["b"].astype(np.int64)
     return SnapshotMessage(
         ts,
         rec["ixyz"].astype(np.int32).reshape(n, 3),
         rec["occ"].copy(),
         rec["cls"].copy(),
         rec["prob"].copy(),
-        skeletons,
+        [Skeleton3D(pid, ts, pos[p], vals[p, :, 3], n_views[p], present[p])
+         for p, pid in enumerate(ids.tolist())],
     )
 
 

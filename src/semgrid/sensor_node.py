@@ -9,9 +9,10 @@ pose model, and emits wire-protocol frames.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +20,7 @@ from . import cloud as cloudmod
 from . import protocol
 from .cloud import DepthImage, DetectionSet, SegmentationMask, SemanticCloud
 from .geometry import CameraCalib, load_calibs
-from .pose import (
-    NUM_JOINTS,
-    FeedbackPose,
-    Keypoint2p5D,
-    PersonPose,
-    PoseSet2p5D,
-    update_delay,
-)
+from .pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, update_delay
 
 KAPPA_FB = 0.35  # confidence of feedback-sourced joints, below the
 # backend's triangulation gate so they never feed back into fusion
@@ -118,35 +112,35 @@ def estimate_keypoint_depths(depth: DepthImage, uvs: np.ndarray,
     return med, np.maximum(mad, sigma_floor)
 
 
-def estimate_keypoint_depth(depth: DepthImage, u: float, v: float,
-                            sigma_floor: float = 0.0) -> tuple[float, float] | None:
-    """Single-keypoint convenience wrapper around estimate_keypoint_depths."""
-    med, sigma = estimate_keypoint_depths(depth, [(u, v)], sigma_floor)
-    if np.isnan(med[0]):
-        return None
-    return float(med[0]), float(sigma[0])
-
-
 @dataclass
 class FramePlan:
-    """What process_frame builds for one frame before depth is known.
-
-    slots: one (output person row, joint, u, v, confidence,
-    from_feedback) per joint the frame will carry; its depth is read in
-    the patch around (u, v)."""
+    """What process_frame builds for one frame before depth is known: the
+    frame's pose set with depth and sigma still NaN.  The depth of every
+    present joint is read in the patch around its (u, v)."""
 
     persons: list
-    timestamp_us: int
     feedback_version: int
     live_feedback: dict[int, FeedbackPose]
-    person_ids: list[int]
-    slots: list[tuple[int, int, float, float, float, bool]]
+    pose_set: PoseSet2p5D
 
     @property
     def uv(self) -> np.ndarray:
-        """(K,2) pixel of every slot, in slot order."""
-        return np.array([(u, v) for _, _, u, v, _, _ in self.slots],
-                        dtype=np.float64).reshape(-1, 2)
+        """(K,2) pixel of every present joint, person by person."""
+        ps = self.pose_set
+        return ps.keypoints[ps.present][:, :2]
+
+
+def _observed(obs) -> tuple[np.ndarray, np.ndarray]:
+    """An observation's 17 keypoint slots as present (17,) and u, v,
+    confidence (17,3), zero where absent."""
+    return (np.array([kp is not None for kp in obs.keypoints]),
+            np.array([(0.0, 0.0, 0.0) if kp is None else kp for kp in obs.keypoints],
+                     dtype=np.float64))
+
+
+def _feedback_keypoints(fp: FeedbackPose, kappa_fb: float) -> np.ndarray:
+    """(17,3) u, v and confidence of keypoints taken from feedback."""
+    return np.column_stack([fp.uvc[:, :2], np.full(NUM_JOINTS, kappa_fb)])
 
 
 class SensorNode:
@@ -206,25 +200,23 @@ class SensorNode:
     # -- pose path ---------------------------------------------------------
 
     @staticmethod
-    def _match_feedback(persons: list, feedback: dict[int, FeedbackPose]
+    def _match_feedback(persons: list, observed: list, feedback: dict[int, FeedbackPose]
                         ) -> dict[int, FeedbackPose]:
         """Associate feedback poses to local detections by mean pixel
         distance over shared joints; returns local_id -> feedback."""
         matches: dict[int, FeedbackPose] = {}
         used: set[int] = set()
-        for obs in persons:
+        for obs, (have, uvc) in zip(persons, observed):
             best = None
             best_d = FEEDBACK_MATCH_PX
             for pid, fp in feedback.items():
                 if pid in used:
                     continue
-                ds = [
-                    math.hypot(kp[0] - fj.u, kp[1] - fj.v)
-                    for kp, fj in zip(obs.keypoints, fp.joints)
-                    if kp is not None and fj is not None
-                ]
-                if len(ds) >= 3:
-                    mean_d = sum(ds) / len(ds)
+                shared = have & fp.present
+                n = int(np.count_nonzero(shared))
+                if n >= 3:
+                    d = uvc[shared, :2] - fp.uvc[shared, :2]
+                    mean_d = sum(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())) / n
                     if mean_d < best_d:
                         best_d = mean_d
                         best = pid
@@ -243,7 +235,7 @@ class SensorNode:
         reprojections; with occlusion handling, occlusion-flagged local
         detections are discarded and replaced as well, and persons seen
         only in feedback are appended.  Feedback-sourced joints always
-        carry confidence kappa_fb and occluded_by_feedback=True.
+        carry confidence kappa_fb and from_feedback set.
         """
         cfg = self.config
         # feedback that has gone stale (no refresh for half a second) is dropped
@@ -252,38 +244,35 @@ class SensorNode:
             for pid, fp in self.latest_feedback.items()
             if timestamp_us - fp.timestamp_us <= 500_000
         }
-        matches = self._match_feedback(persons, live) if cfg.use_feedback else {}
-        person_ids: list[int] = []
-        slots: list[tuple[int, int, float, float, float, bool]] = []
-        for obs in persons:
-            row = len(person_ids)
-            person_ids.append(obs.local_id)
+        observed = [_observed(obs) for obs in persons]
+        matches = self._match_feedback(persons, observed, live) if cfg.use_feedback else {}
+        rows = []  # (person id, present, u v conf, from feedback) per output person
+        for obs, (have, uvc) in zip(persons, observed):
             fp = matches.get(obs.local_id)
-            fjs = fp.joints if fp is not None else (None,) * NUM_JOINTS
-            for j, (kp, fj) in enumerate(zip(obs.keypoints, fjs)):
-                if kp is not None:
-                    if cfg.use_occlusion and fj is not None and fj.occluded:
-                        slots.append((row, j, fj.u, fj.v, cfg.kappa_fb, True))
-                    else:
-                        slots.append((row, j, kp[0], kp[1], kp[2], False))
-                elif fj is not None:
-                    slots.append((row, j, fj.u, fj.v, cfg.kappa_fb, True))
+            if fp is None:
+                rows.append((obs.local_id, have, uvc, np.zeros(NUM_JOINTS, dtype=bool)))
+                continue
+            fb = fp.present & (~have | (cfg.use_occlusion & fp.occluded))
+            rows.append((obs.local_id, have | fb,
+                         np.where(fb[:, None], _feedback_keypoints(fp, cfg.kappa_fb), uvc), fb))
         if cfg.use_occlusion:
             # persons present only in feedback (fully occluded locally) are
             # added back; without occlusion information the sensor cannot
             # distinguish an absent person from an occluded one
             matched = {id(fp) for fp in matches.values()}
             for pid, fp in live.items():
-                if id(fp) in matched:
-                    continue
-                row = len(person_ids)
-                added = [(row, j, fj.u, fj.v, cfg.kappa_fb, True)
-                         for j, fj in enumerate(fp.joints) if fj is not None]
-                if added:
-                    person_ids.append(FEEDBACK_PERSON_ID_BASE + pid)
-                    slots.extend(added)
-        return FramePlan(persons, timestamp_us, self._feedback_version, live,
-                         person_ids, slots)
+                if id(fp) not in matched and fp.present.any():
+                    rows.append((FEEDBACK_PERSON_ID_BASE + pid, fp.present,
+                                 _feedback_keypoints(fp, cfg.kappa_fb), fp.present))
+        ids, present, uvc, fb = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
+        present = np.array(present, dtype=bool).reshape(-1, NUM_JOINTS)
+        keypoints = np.full((len(ids), NUM_JOINTS, 5), np.nan)
+        keypoints[..., :3] = np.where(present[..., None],
+                                      np.array(uvc).reshape(-1, NUM_JOINTS, 3), 0.0)
+        pose_set = PoseSet2p5D(cfg.sensor_id, timestamp_us, np.array(ids, dtype=np.int64),
+                               keypoints, present,
+                               np.array(fb, dtype=bool).reshape(-1, NUM_JOINTS))
+        return FramePlan(persons, self._feedback_version, live, pose_set)
 
     def process_frame(self, persons: list, depth: DepthImage | None,
                       timestamp_us: int, plan: FramePlan | None = None) -> PoseSet2p5D:
@@ -296,26 +285,18 @@ class SensorNode:
             raise ValueError("observation timestamps must be monotonic")
         if plan is None:
             plan = self.plan_frame(persons, timestamp_us)
-        elif (plan.persons is not persons or plan.timestamp_us != timestamp_us
+        elif (plan.persons is not persons or plan.pose_set.timestamp_us != timestamp_us
               or plan.feedback_version != self._feedback_version):
             raise ValueError("frame plan was made for another frame or feedback state")
         self._last_pose_ts = timestamp_us
         self.latest_feedback = plan.live_feedback
-        joints = [[None] * NUM_JOINTS for _ in plan.person_ids]
-        ds = sigmas = None
-        if plan.slots and self.config.has_depth and depth is not None:
-            ds, sigmas = estimate_keypoint_depths(
-                depth, plan.uv, self.config.calib.depth_noise_sigma
-            )
-            ds = ds.tolist()
-            sigmas = sigmas.tolist()
-        for i, (row, j, u, v, conf, from_feedback) in enumerate(plan.slots):
-            if ds is not None and ds[i] == ds[i]:  # NaN: no valid depth in patch
-                joints[row][j] = Keypoint2p5D(j, u, v, conf, ds[i], sigmas[i], from_feedback)
-            else:
-                joints[row][j] = Keypoint2p5D(j, u, v, conf, None, None, from_feedback)
-        persons_out = [PersonPose(pid, js) for pid, js in zip(plan.person_ids, joints)]
-        return PoseSet2p5D(self.config.sensor_id, timestamp_us, persons_out)
+        ps = plan.pose_set
+        keypoints = ps.keypoints.copy()
+        if self.config.has_depth and depth is not None and ps.present.any():
+            # NaN depth and sigma where a patch has no valid pixel
+            keypoints[ps.present, 3:] = np.column_stack(estimate_keypoint_depths(
+                depth, plan.uv, self.config.calib.depth_noise_sigma))
+        return dataclasses.replace(ps, keypoints=keypoints)
 
     def pose_tick(self, persons: list, depth: DepthImage | None,
                   timestamp_us: int, plan: FramePlan | None = None) -> PoseSet2p5D:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, AblationFlags, Backend
-from .geometry import CameraCalib, save_calibs
+from .geometry import CameraCalib, row_norms, save_calibs
 from .pose import NUM_JOINTS, format_skeleton_log
 from .semantics import ClassSet
 from .sensor_node import SensorConfig, SensorNode
@@ -110,9 +110,6 @@ class SimResult:
         return out
 
 
-_ORIGIN = np.zeros(3)
-
-
 def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
     """Distance between each sensor's emitted 2D joints and the
     reprojection of the fused skeleton they were associated with."""
@@ -121,35 +118,26 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
         group = backend.last_associations.get(skel.person_id)
         if group is None:
             continue
-        fused = [jt is not None for jt in skel.joints]
-        positions = np.array([jt.position if jt is not None else _ORIGIN for jt in skel.joints])
         for sid, local_pid in group:
             view = backend.last_views.get(sid)
-            if view is None:
+            row = None if view is None else view.row_of(local_pid)
+            if row is None:
                 continue
-            person = next(
-                (p for p in view.persons if p.local_person_id == local_pid), None
-            )
-            if person is None:
+            slots = np.flatnonzero(skel.present & view.present[row])
+            if not len(slots):
                 continue
             calib = backend.sensors[sid].calib
-            slots = [
-                j for j in range(NUM_JOINTS)
-                if fused[j] and person.joints[j] is not None
-            ]
-            if not slots:
-                continue
-            pc = (positions[slots] - calib.translation) @ calib.rotation
+            pc = (skel.pos[slots] - calib.translation) @ calib.rotation
             front = pc[:, 2] > 1e-6
             z = np.where(front, pc[:, 2], 1.0)
             us = calib.cx + calib.fx * pc[:, 0] / z
             vs = calib.cy + calib.fy * pc[:, 1] / z
-            kps = [person.joints[j] for j in slots]
-            errs = np.hypot(np.array([kp.u for kp in kps]) - us,
-                            np.array([kp.v for kp in kps]) - vs)
+            kps = view.keypoints[row, slots]
+            errs = np.hypot(kps[:, 0] - us, kps[:, 1] - vs)
             records.extend(
-                ReprojRecord(now_us, sid, skel.person_id, j, err, kp.occluded_by_feedback)
-                for j, kp, err, ok in zip(slots, kps, errs.tolist(), front.tolist())
+                ReprojRecord(now_us, sid, skel.person_id, j, err, fb)
+                for j, err, fb, ok in zip(slots.tolist(), errs.tolist(),
+                                          view.from_feedback[row, slots].tolist(), front.tolist())
                 if ok
             )
     return records
@@ -168,9 +156,7 @@ def _pose3d_errors(backend: Backend, scene, t_s: float) -> list[float]:
         if c is None:
             continue
         pi = int(np.argmin(np.linalg.norm(gt_cent - c, axis=1)))
-        for j in range(NUM_JOINTS):
-            if skel.joints[j] is not None:
-                errs.append(float(np.linalg.norm(skel.joints[j].position - gt[pi, j])))
+        errs.extend(row_norms(skel.pos[skel.present] - gt[pi, skel.present]).tolist())
     return errs
 
 

@@ -563,13 +563,6 @@ def render_depth_sparse_many(scene: GroundTruthScene, requests, t_s: float,
     return images
 
 
-def render_depth_sparse(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
-                        pixels: np.ndarray, frame_idx: int = 0,
-                        noise: bool = True) -> DepthImage:
-    """render_depth_sparse_many for one camera."""
-    return render_depth_sparse_many(scene, [(calib, pixels)], t_s, frame_idx, noise)[0]
-
-
 def _patch_offsets(half: int) -> np.ndarray:
     span = np.arange(-half, half + 1)
     du, dv = np.meshgrid(span, span)
@@ -721,11 +714,6 @@ def visible_joints_many(scene: GroundTruthScene, calibs: list[CameraCalib],
     return (in_img & (t.reshape(n_c, n_rays) > 0.98)).reshape(n_c, n_p, NUM_JOINTS)
 
 
-def visible_joints(scene: GroundTruthScene, calib: CameraCalib, t_s: float) -> np.ndarray:
-    """Ground-truth per-person, per-joint visibility from one camera."""
-    return visible_joints_many(scene, [calib], t_s)[0]
-
-
 @dataclass
 class PersonObservation:
     local_id: int
@@ -749,7 +737,7 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
         raise ValueError("noise_px must be non-negative")
     rng = scene_rng(scene, calib.sensor_id, frame_idx, _STREAM_KEYPOINTS)
     if vis is None:
-        vis = visible_joints(scene, calib, t_s)
+        vis = visible_joints_many(scene, [calib], t_s)[0]
     observations = []
     for pi, person in enumerate(scene.persons):
         joints = person.joints_at(t_s)

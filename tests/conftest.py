@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from semgrid.geometry import CameraCalib
+from semgrid.pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, Skeleton3D
 
 settings.register_profile(
     "suite",
@@ -34,3 +35,43 @@ def make_ring_calibs(n: int = 4, radius: float = 4.0, height: float = 2.0,
                                   width / 2, height_px / 2, R, pos,
                                   depth_noise_sigma))
     return calibs
+
+
+def pose_set(sensor_id: int, ts: int, persons=()):
+    """PoseSet2p5D from (person id, {joint: keypoint}) pairs, a keypoint
+    being (u, v, conf), (u, v, conf, depth, sigma) or (u, v, conf, depth,
+    sigma, from_feedback); a depth of None means none."""
+    kp = np.zeros((len(persons), NUM_JOINTS, 5))
+    kp[..., 3:] = np.nan
+    present = np.zeros((len(persons), NUM_JOINTS), dtype=bool)
+    from_feedback = np.zeros_like(present)
+    for i, (_, joints) in enumerate(persons):
+        for j, vals in joints.items():
+            u, v, conf, depth, sigma, fb = (*vals, None, None, False)[:6]
+            kp[i, j, :3] = u, v, conf
+            if depth is not None:
+                kp[i, j, 3:] = depth, sigma
+            present[i, j], from_feedback[i, j] = True, fb
+    ids = np.array([pid for pid, _ in persons], dtype=np.int64)
+    return PoseSet2p5D(sensor_id, ts, ids, kp, present, from_feedback)
+
+
+def feedback_pose(sensor_id: int, person_id: int, ts: int, joints: dict):
+    """FeedbackPose from {joint: (u, v, conf, occluded)}."""
+    uvc = np.zeros((NUM_JOINTS, 3))
+    present = np.zeros(NUM_JOINTS, dtype=bool)
+    occluded = np.zeros(NUM_JOINTS, dtype=bool)
+    for j, (u, v, conf, occ) in joints.items():
+        uvc[j], present[j], occluded[j] = (u, v, conf), True, occ
+    return FeedbackPose(sensor_id, person_id, ts, uvc, present, occluded)
+
+
+def skeleton(person_id: int, ts: int, joints: dict):
+    """Skeleton3D from {joint: (position, conf, n_views)}, no velocities."""
+    pos = np.full((NUM_JOINTS, 3), np.nan)
+    conf = np.zeros(NUM_JOINTS)
+    n_views = np.zeros(NUM_JOINTS, dtype=np.int64)
+    present = np.zeros(NUM_JOINTS, dtype=bool)
+    for j, (p, c, n) in joints.items():
+        pos[j], conf[j], n_views[j], present[j] = p, c, n, True
+    return Skeleton3D(person_id, ts, pos, conf, n_views, present)

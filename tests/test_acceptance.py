@@ -16,14 +16,8 @@ import pytest
 from semgrid import protocol, synthworld
 from semgrid.backend import ABLATIONS, Backend
 from semgrid.cloud import SemanticCloud
-from semgrid.geometry import CameraCalib, VoxelIndex, project, voxel_indices_of
-from semgrid.pose import (
-    NUM_JOINTS,
-    Keypoint2p5D,
-    PersonPose,
-    PoseSet2p5D,
-    triangulate_joint,
-)
+from semgrid.geometry import CameraCalib, VoxelIndex, voxel_indices_of
+from semgrid.pose import NUM_JOINTS, PoseSet2p5D
 from semgrid.semantics import (
     NUM_CLASSES,
     PERSON_CLASS,
@@ -36,7 +30,8 @@ from semgrid.semantics import (
 from semgrid.sensor_node import SensorConfig, SensorNode
 from semgrid.sim import ObservationCache, SimConfig, simulate
 from semgrid.voxmap import L_FREE, L_OCC, OCCLUSION_K, VoxelMap
-from tests.conftest import make_ring_calibs
+from tests.conftest import feedback_pose, make_ring_calibs, pose_set
+from tests.oracles import project, triangulate_joint
 from tests.test_protocol import corrupt_cases
 
 RIG = make_ring_calibs()
@@ -257,11 +252,11 @@ class TestOcclusionFeedback:
 
     def _pose_set(self, sensor_id, joints, ts):
         calib = RIG[sensor_id]
-        slots = []
+        slots = {}
         for j in range(NUM_JOINTS):
             uvd = project(calib, joints[j])
-            slots.append(Keypoint2p5D(j, uvd[0], uvd[1], 0.9))
-        return PoseSet2p5D(sensor_id, ts, [PersonPose(0, slots)])
+            slots[j] = (uvd[0], uvd[1], 0.9)
+        return pose_set(sensor_id, ts, [(0, slots)])
 
     def test_hidden_person_added_back_within_three_ticks(self):
         vmap = VoxelMap()
@@ -291,8 +286,8 @@ class TestOcclusionFeedback:
             ]
             ps0 = node0.process_frame(
                 [o.as_observation() for o in obs0], None, now)
-            backend.on_message(protocol.PoseMessage(
-                PoseSet2p5D(0, now, ps0.persons)), now)
+            backend.on_message(protocol.PoseMessage(PoseSet2p5D(
+                0, now, ps0.person_ids, ps0.keypoints, ps0.present, ps0.from_feedback)), now)
             for sid in (1, 2, 3):
                 backend.on_message(
                     protocol.PoseMessage(self._pose_set(sid, joints, now)), now)
@@ -300,18 +295,15 @@ class TestOcclusionFeedback:
             pending_fb = feedback.get(0)
 
             if occluded0 and reappeared_at is None:
-                for person in ps0.persons:
-                    present = [kp for kp in person.joints if kp is not None]
-                    if (len(present) >= 10
-                            and all(kp.occluded_by_feedback for kp in present)):
+                for present, from_feedback in zip(ps0.present, ps0.from_feedback):
+                    if present.sum() >= 10 and from_feedback[present].all():
                         reappeared_at = tick
         assert reappeared_at is not None
         assert reappeared_at - self.ONSET <= 3
 
         # and the feedback itself carries the occlusion flags for camera 0
         assert pending_fb is not None
-        flags = [fj.occluded for fp in pending_fb.poses
-                 for fj in fp.joints if fj is not None]
+        flags = [occ for fp in pending_fb.poses for occ in fp.occluded[fp.present].tolist()]
         assert flags and all(flags)
 
 
@@ -323,9 +315,10 @@ class _KeypointObs:
         self.pose_set = pose_set
 
     def as_observation(self):
+        ps = self.pose_set
         kps = [
-            None if kp is None else (kp.u, kp.v, kp.confidence)
-            for kp in self.pose_set.persons[0].joints
+            tuple(ps.keypoints[0, j, :3].tolist()) if ps.present[0, j] else None
+            for j in range(NUM_JOINTS)
         ]
         return synthworld.PersonObservation(
             self.local_id, kps, np.ones(NUM_JOINTS, dtype=bool))
@@ -339,34 +332,33 @@ class TestProtocolRobustness:
             if kind == "pose":
                 persons = []
                 for pid in range(rng.integers(0, 3)):
-                    joints = [None] * NUM_JOINTS
+                    joints = {}
                     for j in rng.choice(NUM_JOINTS, size=rng.integers(0, 5),
                                         replace=False):
                         depth = (float(rng.uniform(0.5, 8.0))
                                  if rng.random() < 0.5 else None)
-                        joints[j] = Keypoint2p5D(
-                            int(j), float(rng.uniform(0, 640)),
+                        joints[int(j)] = (
+                            float(rng.uniform(0, 640)),
                             float(rng.uniform(0, 480)),
                             float(rng.uniform(0, 1)), depth,
                             None if depth is None else float(rng.uniform(0.01, 1)),
                             bool(rng.random() < 0.5))
-                    persons.append(PersonPose(pid, joints))
+                    persons.append((pid, joints))
                 yield protocol.PoseMessage(
-                    PoseSet2p5D(int(rng.integers(0, 16)),
-                                int(rng.integers(0, 2**40)), persons))
+                    pose_set(int(rng.integers(0, 16)),
+                             int(rng.integers(0, 2**40)), persons))
             elif kind == "feedback":
-                from semgrid.pose import FeedbackJoint, FeedbackPose
                 poses = []
                 for pid in range(rng.integers(0, 3)):
-                    joints = [None] * NUM_JOINTS
+                    joints = {}
                     for j in rng.choice(NUM_JOINTS, size=rng.integers(0, 5),
                                         replace=False):
-                        joints[j] = FeedbackJoint(
+                        joints[int(j)] = (
                             float(rng.uniform(0, 640)),
                             float(rng.uniform(0, 480)),
                             float(rng.uniform(0, 1)),
                             bool(rng.random() < 0.5))
-                    poses.append(FeedbackPose(0, pid, 0, joints))
+                    poses.append(feedback_pose(0, pid, 0, joints))
                 yield protocol.FeedbackMessage(
                     int(rng.integers(0, 16)), int(rng.integers(0, 2**40)), poses)
             elif kind == "cloud":

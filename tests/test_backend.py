@@ -1,3 +1,5 @@
+import logging
+import socket
 import threading
 
 import numpy as np
@@ -13,15 +15,10 @@ from semgrid.backend import (
     HandshakeError,
 )
 from semgrid.cloud import SemanticCloud
-from semgrid.pose import (
-    NUM_JOINTS,
-    Keypoint2p5D,
-    PersonPose,
-    PoseSet2p5D,
-)
+from semgrid.pose import PoseSet2p5D
 from semgrid.semantics import NUM_CLASSES, log_softmax_rows
-from semgrid.geometry import project
-from tests.conftest import make_ring_calibs
+from tests.conftest import make_ring_calibs, pose_set
+from tests.oracles import project
 
 CALIBS = make_ring_calibs(4)
 FP = 0xC0FFEE
@@ -44,11 +41,11 @@ def backend_with_sensors(n=4, **kw) -> Backend:
 def pose_set_for_point(point, sensor_id, ts, local_id=0) -> PoseSet2p5D:
     """One person whose first three joints observe `point` exactly."""
     calib = CALIBS[sensor_id]
-    joints = [None] * NUM_JOINTS
+    joints = {}
     for j in range(3):
         uvd = project(calib, np.asarray(point) + [0.0, 0.0, 0.05 * j])
-        joints[j] = Keypoint2p5D(j, uvd[0], uvd[1], 0.9)
-    return PoseSet2p5D(sensor_id, ts, [PersonPose(local_id, joints)])
+        joints[j] = (uvd[0], uvd[1], 0.9)
+    return pose_set(sensor_id, ts, [(local_id, joints)])
 
 
 class TestAblationFlags:
@@ -86,7 +83,7 @@ class TestHandshake:
 
     def test_message_before_handshake_refused(self):
         b = Backend(FP)
-        msg = protocol.PoseMessage(PoseSet2p5D(0, 0, []))
+        msg = protocol.PoseMessage(PoseSet2p5D(0, 0))
         with pytest.raises(HandshakeError):
             b.on_message(msg, now_us=0)
         cloud = SemanticCloud(1, 0, np.zeros((0, 3)), np.zeros((0, NUM_CLASSES)))
@@ -105,17 +102,17 @@ class TestHandshake:
 class TestIngest:
     def test_pose_buffered_and_counted(self):
         b = backend_with_sensors(1)
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, 100, [])), now_us=200)
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, 100)), now_us=200)
         assert b.stats["poses_received"] == 1
         assert len(b.sensors[0].pose_buffer) == 1
         assert b.sensors[0].last_seen_us == 200
 
     def test_delay_ema(self):
         b = backend_with_sensors(1)
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, 0, [])),
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, 0)),
                      now_us=200_000)
         assert b.sensors[0].delay_s == pytest.approx(0.2)
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, 100_000, [])),
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, 100_000)),
                      now_us=200_000)
         assert b.sensors[0].delay_s == pytest.approx(0.9 * 0.2 + 0.1 * 0.1)
 
@@ -136,29 +133,29 @@ class TestSyncWindow:
     def test_within_window_selected(self):
         b = backend_with_sensors(2)
         t = 1_000_000
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, t - 20_000, [])), t)
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(1, t + 10_000, [])), t)
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, t - 20_000)), t)
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(1, t + 10_000)), t)
         selected = b.sync_window_select(t)
         assert set(selected) == {0, 1}
 
     def test_outside_window_absent(self):
         b = backend_with_sensors(1)
         t = 1_000_000
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, t - 40_000, [])), t)
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, t - 40_000)), t)
         assert b.sync_window_select(t) == {}
 
     def test_nearest_of_several(self):
         b = backend_with_sensors(1)
         t = 1_000_000
         for ts in (t - 24_000, t - 3_000, t + 15_000):
-            b.on_message(protocol.PoseMessage(PoseSet2p5D(0, ts, [])), t)
+            b.on_message(protocol.PoseMessage(PoseSet2p5D(0, ts)), t)
         selected = b.sync_window_select(t)
         assert selected[0].timestamp_us == t - 3_000
 
     def test_stale_sensor_excluded(self):
         b = backend_with_sensors(1)
         t = 1_000_000
-        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, t, [])), t)
+        b.on_message(protocol.PoseMessage(PoseSet2p5D(0, t)), t)
         later = t + int((STALE_S + 1) * 1e6)
         assert b.sync_window_select(later) == {}
 
@@ -185,13 +182,15 @@ class TestTick:
         out = b.tick(now_us=t)
         assert len(b.skeletons) == 1
         skel = b.skeletons[0]
-        assert np.abs(skel.joints[0].position - point).max() <= 1e-6
+        assert skel.present[0]
+        assert np.abs(skel.pos[0] - point).max() <= 1e-6
         assert skel.person_id in b.last_associations
         assert len(b.last_associations[skel.person_id]) == 4
         fb = out[0].poses
         assert len(fb) == 1
         uvd = project(CALIBS[0], point)
-        assert abs(fb[0].joints[0].u - uvd[0]) <= 1.0
+        assert fb[0].present[0]
+        assert abs(fb[0].uvc[0, 0] - uvd[0]) <= 1.0
 
     def test_occlusion_flags_cleared_for_fb_ablation(self):
         b = backend_with_sensors(4, ablation="fb")
@@ -203,8 +202,7 @@ class TestTick:
         out = b.tick(now_us=t)
         for msg in out.values():
             for fp in msg.poses:
-                for fj in fp.joints:
-                    assert fj is None or fj.occluded is False
+                assert not fp.occluded[fp.present].any()
 
     def test_track_id_stable_across_ticks(self):
         b = backend_with_sensors(4)
@@ -287,3 +285,66 @@ class TestServeSchedule:
         starts = np.array(ticks) / 1e6
         assert np.diff(starts) == pytest.approx(
             [period, period, 0.050, period], abs=1e-6)
+
+
+class _Server:
+    """What _SensorConnection reads from its socketserver."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.lock = threading.Lock()
+        self.clock_us = lambda: 1_000_000
+        self.connections = {}
+
+
+def serve_frames(backend, frames, caplog):
+    """Run one connection handler over a socket pair: the sensor side
+    sends frames and closes.  Returns the server and the backend's log
+    records."""
+    server = _Server(backend)
+    ours, theirs = socket.socketpair()
+    with theirs:
+        theirs.sendall(b"".join(frames))
+    with caplog.at_level(logging.INFO, logger="semgrid.backend"):
+        backend_mod._SensorConnection(ours, ("10.0.0.7", 4242), server)
+    ours.close()
+    return server, [r for r in caplog.records if r.name == "semgrid.backend"]
+
+
+class TestConnectionLogging:
+    def test_clean_disconnect_logged(self, caplog):
+        b = Backend(FP)
+        server, records = serve_frames(b, [protocol.encode(hello(2))], caplog)
+        assert b.stats["handshakes"] == 1
+        assert server.connections == {}
+        (rec,) = records
+        assert rec.levelno == logging.INFO
+        assert "sensor 2" in rec.getMessage() and "10.0.0.7" in rec.getMessage()
+        assert "disconnected" in rec.getMessage()
+
+    def test_handshake_refusal_logged(self, caplog):
+        b = Backend(FP)
+        frame = protocol.encode(protocol.Hello(3, 0, CALIBS[3], FP + 1))
+        _, records = serve_frames(b, [frame], caplog)
+        assert 3 not in b.sensors
+        (rec,) = records
+        assert rec.levelno == logging.WARNING
+        msg = rec.getMessage()
+        assert "refused sensor 3" in msg and "10.0.0.7" in msg
+        assert "HandshakeError" in msg and "fingerprint" in msg
+
+    def test_protocol_error_logged(self, caplog):
+        b = Backend(FP)
+        _, records = serve_frames(b, [b"NOPE" + b"\0" * 30], caplog)
+        (rec,) = records
+        assert rec.levelno == logging.WARNING
+        msg = rec.getMessage()
+        assert "10.0.0.7" in msg and "BadMagicError" in msg
+
+    def test_message_before_handshake_logged(self, caplog):
+        b = Backend(FP)
+        frame = protocol.encode(protocol.PoseMessage(PoseSet2p5D(0, 0)))
+        _, records = serve_frames(b, [frame], caplog)
+        (rec,) = records
+        assert "refused sensor None at ('10.0.0.7', 4242)" in rec.getMessage()
+        assert "has not completed handshake" in rec.getMessage()

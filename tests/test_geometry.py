@@ -7,15 +7,9 @@ from semgrid.geometry import (
     CameraCalib,
     VoxelIndex,
     backproject,
-    backproject_many,
-    bresenham3d,
     bresenham3d_keys,
-    bresenham3d_many,
-    epipolar_line,
     load_calibs,
     pack_voxel_keys,
-    point_line_distance,
-    project,
     project_many,
     save_calibs,
     unpack_voxel_keys,
@@ -23,6 +17,14 @@ from semgrid.geometry import (
     voxel_indices_of,
 )
 from tests.conftest import make_ring_calibs
+from tests.oracles import (
+    backproject_many,
+    bresenham3d,
+    bresenham3d_many,
+    epipolar_line,
+    point_line_distance,
+    project,
+)
 
 coords = st.integers(min_value=-60, max_value=60)
 cells3 = st.tuples(coords, coords, coords)

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semgrid.geometry import (
-    CameraCalib,
-    backproject,
-    epipolar_line,
-    epipolar_segment,
-    point_line_distance,
-    point_segment_distance,
-    project,
-)
+from semgrid import protocol
+from semgrid.geometry import CameraCalib, backproject
 from semgrid.pose import (
     ALPHA_POS,
     ALPHA_VEL,
@@ -25,9 +18,6 @@ from semgrid.pose import (
     TAU_TRI,
     VEL_MAX,
     FeedbackPose,
-    Joint3D,
-    Keypoint2p5D,
-    PersonPose,
     PoseSet2p5D,
     Skeleton3D,
     SkeletonTracker,
@@ -37,13 +27,20 @@ from semgrid.pose import (
     predict,
     refine_skeleton,
     triangulate_group,
-    triangulate_joint,
     triangulate_points,
     update_delay,
     _pair_costs,
 )
 from semgrid.voxmap import VoxelMap
-from tests.conftest import make_ring_calibs
+from tests.conftest import make_ring_calibs, pose_set, skeleton
+from tests.oracles import (
+    epipolar_line,
+    epipolar_segment,
+    point_line_distance,
+    point_segment_distance,
+    project,
+    triangulate_joint,
+)
 
 
 def observations_of(point, calibs, conf=0.9, noise=None, rng=None):
@@ -62,10 +59,12 @@ def observations_of(point, calibs, conf=0.9, noise=None, rng=None):
 
 def skeleton_with(joint_positions: dict[int, np.ndarray], ts=0,
                   conf=0.9) -> Skeleton3D:
-    joints = [None] * NUM_JOINTS
-    for j, p in joint_positions.items():
-        joints[j] = Joint3D(np.asarray(p, dtype=np.float64), conf, 2)
-    return Skeleton3D(0, ts, joints)
+    return skeleton(0, ts, {j: (p, conf, 2) for j, p in joint_positions.items()})
+
+
+def with_velocity(skel: Skeleton3D, j: int, vel) -> Skeleton3D:
+    skel.vel[j], skel.has_vel[j] = vel, True
+    return skel
 
 
 class TestTriangulateJoint:
@@ -122,28 +121,31 @@ def reference_pair_cost(pose_a, calib_a, pose_b, calib_b, use_depth, gate=TAU_EP
     with depth uses the segment of its depth interval +- 2 sigma instead,
     and a b keypoint farther than gate from it is no correspondence."""
 
-    def usable(kp):
-        return kp is not None and kp.confidence >= CONF_MIN and not kp.occluded_by_feedback
+    def usable(ps, i, j):
+        return bool(ps.present[i, j] and ps.keypoints[i, j, 2] >= CONF_MIN
+                    and not ps.from_feedback[i, j])
 
-    cost = np.full((len(pose_a.persons), len(pose_b.persons)), np.inf)
-    for i, pa in enumerate(pose_a.persons):
-        for q, pb in enumerate(pose_b.persons):
+    cost = np.full((len(pose_a.person_ids), len(pose_b.person_ids)), np.inf)
+    for i in range(len(pose_a.person_ids)):
+        for q in range(len(pose_b.person_ids)):
             dists = []
-            for ka, kb in zip(pa.joints, pb.joints):
-                if not (usable(ka) and usable(kb)):
+            for j in range(NUM_JOINTS):
+                if not (usable(pose_a, i, j) and usable(pose_b, q, j)):
                     continue
+                ua, va, _, depth, sigma = pose_a.keypoints[i, j].tolist()
+                ub, vb = pose_b.keypoints[q, j, :2].tolist()
                 seg = None
-                if use_depth and ka.depth is not None:
-                    lo = max(ka.depth - 2 * ka.depth_sigma, 1e-3)
-                    hi = max(ka.depth + 2 * ka.depth_sigma, lo)
-                    seg = epipolar_segment(calib_a, calib_b, (ka.u, ka.v), (lo, hi))
+                if use_depth and not math.isnan(depth):
+                    lo = max(depth - 2 * sigma, 1e-3)
+                    hi = max(depth + 2 * sigma, lo)
+                    seg = epipolar_segment(calib_a, calib_b, (ua, va), (lo, hi))
                 if seg is not None:
-                    dist = point_segment_distance((kb.u, kb.v), *seg)
+                    dist = point_segment_distance((ub, vb), *seg)
                     if dist <= gate:
                         dists.append(dist)
                 else:
-                    line = epipolar_line(calib_a, calib_b, (ka.u, ka.v))
-                    dists.append(point_line_distance(line, (kb.u, kb.v)))
+                    line = epipolar_line(calib_a, calib_b, (ua, va))
+                    dists.append(point_line_distance(line, (ub, vb)))
             if dists:
                 cost[i, q] = np.mean(dists)
     return cost
@@ -155,14 +157,13 @@ class TestAssociate:
         for calib in calibs:
             persons = []
             for pid, center in enumerate(people):
-                joints = [None] * NUM_JOINTS
+                joints = {}
                 uvd = project(calib, center)
                 if uvd is not None:
-                    joints[0] = Keypoint2p5D(0, uvd[0], uvd[1], conf)
-                    joints[5] = Keypoint2p5D(
-                        5, uvd[0] + 5, uvd[1] + 5, conf)
-                persons.append(PersonPose(pid, joints))
-            views.append(PoseSet2p5D(calib.sensor_id, 0, persons))
+                    joints[0] = (uvd[0], uvd[1], conf)
+                    joints[5] = (uvd[0] + 5, uvd[1] + 5, conf)
+                persons.append((pid, joints))
+            views.append(pose_set(calib.sensor_id, 0, persons))
         return views
 
     def test_two_people_grouped_across_views(self):
@@ -197,18 +198,18 @@ class TestAssociate:
                 persons = []
                 for pid in range(int(rng.integers(0, 4))):
                     center = rng.uniform([-1.0, -1.0, 0.8], [1.0, 1.0, 1.6])
-                    joints = [None] * NUM_JOINTS
+                    joints = {}
                     for j in rng.choice(NUM_JOINTS, size=10, replace=False):
                         u, v, z = project(calib, center + rng.normal(scale=0.2, size=3))
                         depth = z + rng.normal(scale=0.1) if rng.random() < 0.6 else None
-                        joints[j] = Keypoint2p5D(
-                            int(j), u + rng.normal(scale=3.0), v + rng.normal(scale=3.0),
+                        joints[int(j)] = (
+                            u + rng.normal(scale=3.0), v + rng.normal(scale=3.0),
                             float(rng.uniform(0.2, 1.0)), depth,
                             None if depth is None else float(rng.uniform(0.02, 0.3)),
                             bool(rng.random() < 0.1))
-                    persons.append(PersonPose(pid, joints))
-                views.append(PoseSet2p5D(calib.sensor_id, 0, persons))
-            if not any(v.persons for v in views):
+                    persons.append((pid, joints))
+                views.append(pose_set(calib.sensor_id, 0, persons))
+            if not any(len(v.person_ids) for v in views):
                 continue
             cost = _pair_costs(views, calibs, use_depth, TAU_EPI, CONF_MIN)
             for a, (va, ca) in enumerate(zip(views, calibs)):
@@ -216,7 +217,7 @@ class TestAssociate:
                     if a == b:
                         continue
                     ref = reference_pair_cost(va, ca, vb, cb, use_depth)
-                    got = cost[a, b, : len(va.persons), : len(vb.persons)]
+                    got = cost[a, b, : len(va.person_ids), : len(vb.person_ids)]
                     assert np.array_equal(np.isinf(got), np.isinf(ref))
                     fin = np.isfinite(ref)
                     assert np.allclose(got[fin], ref[fin], rtol=1e-7, atol=1e-7)
@@ -231,27 +232,24 @@ class TestTriangulateGroup:
         persons = {}
         for calib in calibs[:2]:
             u, v, _ = project(calib, p)
-            joints = [None] * NUM_JOINTS
-            joints[7] = Keypoint2p5D(7, u, v, 0.8)
-            persons[calib.sensor_id] = PoseSet2p5D(
-                calib.sensor_id, 0, [PersonPose(0, joints)])
+            persons[calib.sensor_id] = pose_set(calib.sensor_id, 0, [(0, {7: (u, v, 0.8)})])
         skel = triangulate_group(persons, [(0, 0), (1, 0)],
                                  {c.sensor_id: c for c in calibs}, 123)
         assert skel is not None
-        assert np.linalg.norm(skel.joints[7].position - p) <= 1e-6
-        assert skel.joints[7].n_views == 2
+        assert skel.present[7]
+        assert np.linalg.norm(skel.pos[7] - p) <= 1e-6
+        assert skel.n_views[7] == 2
 
     def test_single_depth_view_backprojects(self):
         calib = make_ring_calibs()[0]
         p = np.array([0.1, -0.2, 1.4])
         u, v, depth = project(calib, p)
-        joints = [None] * NUM_JOINTS
-        joints[0] = Keypoint2p5D(0, u, v, 0.8, depth=depth, depth_sigma=0.05)
-        persons = {0: PoseSet2p5D(0, 0, [PersonPose(0, joints)])}
+        persons = {0: pose_set(0, 0, [(0, {0: (u, v, 0.8, depth, 0.05)})])}
         skel = triangulate_group(persons, [(0, 0)], {0: calib}, 0)
         assert skel is not None
-        assert np.linalg.norm(skel.joints[0].position - p) <= 1e-9
-        assert skel.joints[0].n_views == 1
+        assert skel.present[0]
+        assert np.linalg.norm(skel.pos[0] - p) <= 1e-9
+        assert skel.n_views[0] == 1
 
     def test_feedback_joints_excluded(self):
         calibs = make_ring_calibs()
@@ -259,10 +257,8 @@ class TestTriangulateGroup:
         persons = {}
         for calib in calibs[:2]:
             u, v, _ = project(calib, p)
-            joints = [None] * NUM_JOINTS
-            joints[7] = Keypoint2p5D(7, u, v, 0.8, occluded_by_feedback=True)
-            persons[calib.sensor_id] = PoseSet2p5D(
-                calib.sensor_id, 0, [PersonPose(0, joints)])
+            persons[calib.sensor_id] = pose_set(
+                calib.sensor_id, 0, [(0, {7: (u, v, 0.8, None, None, True)})])
         skel = triangulate_group(persons, [(0, 0), (1, 0)],
                                  {c.sensor_id: c for c in calibs}, 0)
         assert skel is None
@@ -315,21 +311,20 @@ def reference_triangulate_joint(observations, tau_tri=TAU_TRI,
 def reference_triangulate_group(persons, calibs):
     """Per joint: reference triangulation of the confident, non-feedback
     keypoints; a joint seen so by one depth view back-projects its depth.
-    persons: sensor id -> PersonPose.  Returns (17 x (position, n_views)
-    or None, 17 x reason)."""
+    persons: sensor id -> {joint: (u, v, conf, depth, sigma, from
+    feedback)}.  Returns (17 x (position, n_views) or None, 17 x reason)."""
     out, reasons = [None] * NUM_JOINTS, [None] * NUM_JOINTS
     for j in range(NUM_JOINTS):
-        seen = [(sid, kp) for sid, person in persons.items()
-                if (kp := person.joints[j]) is not None
-                and kp.confidence >= CONF_MIN and not kp.occluded_by_feedback]
+        seen = [(sid, kp) for sid, joints in persons.items()
+                if (kp := joints.get(j)) is not None and kp[2] >= CONF_MIN and not kp[5]]
         if len(seen) == 1:
-            sid, kp = seen[0]
+            sid, (u, v, _, depth, _, _) = seen[0]
             reasons[j] = "single"
-            if kp.depth is not None:
-                out[j] = (backproject(calibs[sid], kp.u, kp.v, kp.depth), 1)
+            if depth is not None:
+                out[j] = (backproject(calibs[sid], u, v, depth), 1)
             continue
         pos, _, reasons[j] = reference_triangulate_joint(
-            [(calibs[sid], kp.u, kp.v, kp.confidence) for sid, kp in seen])
+            [(calibs[sid], kp[0], kp[1], kp[2]) for sid, kp in seen])
         if pos is not None:
             out[j] = (pos, len(seen))
     return out, reasons
@@ -345,7 +340,7 @@ def _random_group(rng, calibs, n_views):
     persons = {}
     for sid in sids:
         calib = calibs[sid]
-        joints = [None] * NUM_JOINTS
+        joints = {}
         for j in range(NUM_JOINTS):
             if rng.random() < 0.2:
                 continue
@@ -357,10 +352,9 @@ def _random_group(rng, calibs, n_views):
                 u, v = u + rng.normal(scale=2.0), v + rng.normal(scale=2.0)
             conf = float(rng.uniform(0.2, 1.0))
             depth = float(z) if rng.random() < 0.5 else None
-            joints[j] = Keypoint2p5D(j, float(u), float(v), conf, depth,
-                                     None if depth is None else 0.05,
-                                     bool(rng.random() < 0.1))
-        persons[sid] = PersonPose(0, joints)
+            joints[j] = (float(u), float(v), conf, depth, None if depth is None else 0.05,
+                         bool(rng.random() < 0.1))
+        persons[sid] = joints
     return persons
 
 
@@ -386,17 +380,17 @@ class TestBatchedTriangulation:
             persons = _random_group(rng, calibs, int(rng.integers(1, 5)))
             ref, reasons = reference_triangulate_group(persons, by_id)
             reasons_seen.update(reasons)
-            pose_sets = {sid: PoseSet2p5D(sid, 0, [p]) for sid, p in persons.items()}
+            pose_sets = {sid: pose_set(sid, 0, [(0, joints)]) for sid, joints in persons.items()}
             skel = triangulate_group(pose_sets, [(sid, 0) for sid in persons], by_id, 0)
-            got = [None] * NUM_JOINTS if skel is None else skel.joints
+            got = np.zeros(NUM_JOINTS, dtype=bool) if skel is None else skel.present
             for j in range(NUM_JOINTS):
                 if ref[j] is None:
-                    assert got[j] is None, (j, reasons[j])
+                    assert not got[j], (j, reasons[j])
                     continue
-                assert got[j] is not None, j
+                assert got[j], j
                 pos, n_views = ref[j]
-                assert got[j].n_views == n_views
-                assert np.abs(got[j].position - pos).max() <= 1e-9
+                assert skel.n_views[j] == n_views
+                assert np.abs(skel.pos[j] - pos).max() <= 1e-9
         # every gate was exercised
         assert {"single", "views", "parallel", "behind", "residual", None} <= reasons_seen
 
@@ -446,27 +440,25 @@ class TestBatchedTriangulation:
 
 class TestRefineAndPredict:
     def test_position_ema(self):
-        prev = skeleton_with({0: [0.0, 0.0, 1.0]})
-        prev.velocities[0] = np.zeros(3)
+        prev = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, np.zeros(3))
         raw = skeleton_with({0: [0.1, 0.0, 1.0]})
         out = refine_skeleton(raw, prev, dt_s=0.1)
         expected = ALPHA_POS * 0.1
-        assert abs(out.joints[0].position[0] - expected) <= 1e-12
+        assert abs(out.pos[0, 0] - expected) <= 1e-12
 
     def test_velocity_capped(self):
         prev = skeleton_with({0: [0.0, 0.0, 1.0]})
-        prev.velocities[0] = None
+        assert not prev.has_vel[0]
         raw = skeleton_with({0: [5.0, 0.0, 1.0]})  # 17 m in one frame
         out = refine_skeleton(raw, prev, dt_s=0.1)
-        assert np.linalg.norm(out.velocities[0]) <= VEL_MAX + 1e-9
+        assert np.linalg.norm(out.vel[0]) <= VEL_MAX + 1e-9
 
     def test_velocity_ema(self):
-        prev = skeleton_with({0: [0.0, 0.0, 1.0]})
-        prev.velocities[0] = np.array([1.0, 0.0, 0.0])
+        prev = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, [1.0, 0.0, 0.0])
         raw = skeleton_with({0: [0.0, 0.0, 1.0]})  # EMA pulls toward zero
         out = refine_skeleton(raw, prev, dt_s=0.1)
         expected = (1 - ALPHA_VEL) * 1.0
-        assert abs(out.velocities[0][0] - expected) <= 1e-9
+        assert abs(out.vel[0, 0] - expected) <= 1e-9
 
     def test_bone_outlier_demoted(self):
         j0, j1 = BONES[0]
@@ -474,14 +466,13 @@ class TestRefineAndPredict:
         ref = np.full(len(BONES), np.nan)
         ref[0] = 0.25  # observed length 1.0 deviates far beyond 50%
         out = refine_skeleton(raw, None, bone_ref=ref)
-        assert out.joints[max(j0, j1)].confidence < 0.2
+        assert out.conf[max(j0, j1)] < 0.2
 
     def test_predict_advances_and_decays(self):
-        skel = skeleton_with({0: [1.0, 2.0, 1.0]}, conf=0.8)
-        skel.velocities[0] = np.array([0.5, 0.0, 0.0])
+        skel = with_velocity(skeleton_with({0: [1.0, 2.0, 1.0]}, conf=0.8), 0, [0.5, 0.0, 0.0])
         out = predict(skel, 0.2)
-        assert np.abs(out.joints[0].position - [1.1, 2.0, 1.0]).max() <= 1e-12
-        assert out.joints[0].confidence < 0.8
+        assert np.abs(out.pos[0] - [1.1, 2.0, 1.0]).max() <= 1e-12
+        assert out.conf[0] < 0.8
 
     def test_predict_rejects_negative_dt(self):
         with pytest.raises(ValueError):
@@ -494,10 +485,11 @@ class TestFeedback:
         p = np.array([0.0, 0.0, 1.0])
         fps = make_feedback([skeleton_with({0: p})], calib, VoxelMap(), 0.0)
         assert len(fps) == 1
-        fj = fps[0].joints[0]
+        assert fps[0].present[0]
+        fu, fv, _ = fps[0].uvc[0]
         u, v, _ = project(calib, p)
-        assert abs(fj.u - u) <= 1e-9 and abs(fj.v - v) <= 1e-9
-        assert not fj.occluded
+        assert abs(fu - u) <= 1e-9 and abs(fv - v) <= 1e-9
+        assert not fps[0].occluded[0]
 
     def test_occlusion_flag_behind_wall(self):
         calib = make_ring_calibs()[0]  # at (4, 0, 2) looking at origin
@@ -510,7 +502,7 @@ class TestFeedback:
         wall = np.vstack([wall, wall + [0.1, 0, 0]])  # two voxels thick (k=2)
         vmap.load_prior(wall)
         fps = make_feedback([skeleton_with({0: p})], calib, vmap, 0.0)
-        assert fps[0].joints[0].occluded
+        assert fps[0].present[0] and fps[0].occluded[0]
 
     def test_behind_camera_dropped(self):
         calib = make_ring_calibs()[0]  # looks towards origin from (4,0,2)
@@ -520,11 +512,10 @@ class TestFeedback:
 
     def test_delay_prediction_applied(self):
         calib = make_ring_calibs()[0]
-        skel = skeleton_with({0: [0.0, 0.0, 1.0]})
-        skel.velocities[0] = np.array([0.0, 1.0, 0.0])
-        still = make_feedback([skel], calib, VoxelMap(), 0.0)[0].joints[0]
-        moved = make_feedback([skel], calib, VoxelMap(), 0.2)[0].joints[0]
-        assert abs(moved.u - still.u) > 1.0  # the sideways motion shows up
+        skel = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, [0.0, 1.0, 0.0])
+        still = make_feedback([skel], calib, VoxelMap(), 0.0)[0].uvc[0]
+        moved = make_feedback([skel], calib, VoxelMap(), 0.2)[0].uvc[0]
+        assert abs(moved[0] - still[0]) > 1.0  # the sideways motion shows up
 
 
 class TestTrackerAndLog:
@@ -533,13 +524,13 @@ class TestTrackerAndLog:
         a0 = skeleton_with({0: [0.0, 0.0, 1.0]})
         b0 = skeleton_with({0: [2.0, 0.0, 1.0]})
         first = tracker.update([a0, b0], 1 / 30)
-        ids = {tuple(np.round(s.joints[0].position, 1))[0]: s.person_id
+        ids = {tuple(np.round(s.pos[0], 1))[0]: s.person_id
                for s in first}
         a1 = skeleton_with({0: [0.05, 0.0, 1.0]})
         b1 = skeleton_with({0: [2.05, 0.0, 1.0]})
         second = tracker.update([b1, a1], 1 / 30)
         for s in second:
-            x = s.joints[0].position[0]
+            x = s.pos[0, 0]
             assert s.person_id == ids[0.0 if x < 1 else 2.0]
 
     def test_new_id_outside_gate(self):
@@ -563,11 +554,19 @@ class TestTrackerAndLog:
         assert format_skeleton_log([]) == ""
 
     def test_skeleton_slot_validation(self):
+        short = NUM_JOINTS - 1
         with pytest.raises(ValueError):
-            Skeleton3D(0, 0, [None] * (NUM_JOINTS - 1))
+            Skeleton3D(0, 0, np.zeros((short, 3)), np.zeros(short),
+                       np.zeros(short, dtype=int), np.ones(short, dtype=bool))
         with pytest.raises(ValueError):
-            FeedbackPose(0, 0, 0, [None] * 3)
+            FeedbackPose(0, 0, 0, np.zeros((3, 3)), np.ones(3, dtype=bool),
+                         np.zeros(3, dtype=bool))
         with pytest.raises(ValueError):
-            Keypoint2p5D(0, 1.0, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            Keypoint2p5D(0, 1.0, 1.0, 0.5, depth=1.0)  # depth without sigma
+            PoseSet2p5D(0, 0, np.zeros(1, dtype=np.int64), np.zeros((1, short, 5)),
+                        np.ones((1, short), dtype=bool), np.zeros((1, short), dtype=bool))
+        # keypoint values are checked where they enter the backend, in the
+        # POSE decoder
+        for kp in ((1.0, 1.0, 1.5), (1.0, 1.0, 0.5, 1.0, None)):  # depth without sigma
+            wire = protocol.encode(protocol.PoseMessage(pose_set(0, 0, [(0, {0: kp})])))
+            with pytest.raises(protocol.MalformedPayloadError):
+                protocol.decode(wire)

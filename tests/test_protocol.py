@@ -1,4 +1,7 @@
+import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,20 +10,12 @@ from hypothesis import strategies as st
 
 from semgrid import protocol
 from semgrid.cloud import SemanticCloud
-from semgrid.pose import (
-    NUM_JOINTS,
-    FeedbackJoint,
-    FeedbackPose,
-    Joint3D,
-    Keypoint2p5D,
-    PersonPose,
-    PoseSet2p5D,
-    Skeleton3D,
-)
+from semgrid.pose import NUM_JOINTS, PoseSet2p5D
 from semgrid.protocol import (
     MAGIC,
     MSG_POSE,
     CloudMessage,
+    MalformedPayloadError,
     FeedbackMessage,
     Hello,
     PoseMessage,
@@ -33,7 +28,7 @@ from semgrid.protocol import (
     quantize_probs,
 )
 from semgrid.semantics import NUM_CLASSES
-from tests.conftest import make_ring_calibs
+from tests.conftest import feedback_pose, make_ring_calibs, pose_set, skeleton
 
 CALIBS = make_ring_calibs()
 
@@ -44,45 +39,39 @@ uint = st.integers(0, 2**32 - 1)
 
 @st.composite
 def keypoints(draw):
+    """(u, v, conf, depth, sigma, from_feedback), depth and sigma None
+    for a keypoint without depth."""
     if draw(st.booleans()):
         depth = float(np.float32(draw(st.floats(0.125, 50.0, width=32))))
         sigma = float(np.float32(draw(st.floats(0.015625, 5.0, width=32))))
     else:
         depth = sigma = None
-    return Keypoint2p5D(
-        joint_idx=0,
-        u=draw(f32), v=draw(f32), confidence=draw(conf32),
-        depth=depth, depth_sigma=sigma,
-        occluded_by_feedback=draw(st.booleans()),
-    )
+    return (draw(f32), draw(f32), draw(conf32), depth, sigma, draw(st.booleans()))
 
 
 @st.composite
 def joint_slots(draw, element):
-    joints = [None] * NUM_JOINTS
-    for j in draw(st.sets(st.integers(0, NUM_JOINTS - 1), max_size=6)):
-        joints[j] = draw(element)
-    return joints
+    """{joint: record} for up to 6 joints."""
+    return {j: draw(element) for j in draw(st.sets(st.integers(0, NUM_JOINTS - 1), max_size=6))}
 
 
 @st.composite
 def pose_messages(draw):
     persons = [
-        PersonPose(draw(uint), draw(joint_slots(keypoints())))
+        (draw(uint), draw(joint_slots(keypoints())))
         for _ in range(draw(st.integers(0, 3)))
     ]
-    return PoseMessage(PoseSet2p5D(draw(st.integers(0, 65535)),
-                                   draw(st.integers(0, 2**63 - 1)), persons))
+    return PoseMessage(pose_set(draw(st.integers(0, 65535)),
+                                draw(st.integers(0, 2**63 - 1)), persons))
 
 
 @st.composite
 def feedback_messages(draw):
     sid = draw(st.integers(0, 65535))
     ts = draw(st.integers(0, 2**63 - 1))
-    joints = st.builds(FeedbackJoint, u=f32, v=f32, confidence=conf32,
-                       occluded=st.booleans())
+    joints = st.tuples(f32, f32, conf32, st.booleans())  # u, v, conf, occluded
     poses = [
-        FeedbackPose(sid, draw(uint), ts, draw(joint_slots(joints)))
+        feedback_pose(sid, draw(uint), ts, draw(joint_slots(joints)))
         for _ in range(draw(st.integers(0, 3)))
     ]
     return FeedbackMessage(sid, ts, poses)
@@ -114,16 +103,15 @@ def hello_messages(draw):
 def snapshot_messages(draw):
     n = draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    joints3d = st.builds(
-        Joint3D,
-        position=st.tuples(f32, f32, f32).map(
+    joints3d = st.tuples(  # position, conf, n_views
+        st.tuples(f32, f32, f32).map(
             lambda t: np.array(t, dtype=np.float32).astype(np.float64)),
-        confidence=conf32,
-        n_views=st.integers(0, 255),
+        conf32,
+        st.integers(0, 255),
     )
     ts = draw(st.integers(0, 2**63 - 1))
     skels = [
-        Skeleton3D(draw(uint), ts, draw(joint_slots(joints3d)))
+        skeleton(draw(uint), ts, draw(joint_slots(joints3d)))
         for _ in range(draw(st.integers(0, 2)))
     ]
     return SnapshotMessage(
@@ -148,17 +136,15 @@ class TestRoundTrip:
 
     @given(pose_messages())
     def test_pose_fields_survive(self, msg):
-        out = decode(encode(msg))
-        assert out.pose_set.sensor_id == msg.pose_set.sensor_id
-        assert out.pose_set.timestamp_us == msg.pose_set.timestamp_us
-        for a, b in zip(msg.pose_set.persons, out.pose_set.persons):
-            assert a.local_person_id == b.local_person_id
-            for ka, kb in zip(a.joints, b.joints):
-                assert (ka is None) == (kb is None)
-                if ka is not None:
-                    assert kb.u == np.float32(ka.u)
-                    assert kb.occluded_by_feedback == ka.occluded_by_feedback
-                    assert (kb.depth is None) == (ka.depth is None)
+        a, b = msg.pose_set, decode(encode(msg)).pose_set
+        assert b.sensor_id == a.sensor_id
+        assert b.timestamp_us == a.timestamp_us
+        assert np.array_equal(b.person_ids, a.person_ids)
+        assert np.array_equal(b.present, a.present)
+        assert np.array_equal(b.keypoints[b.present, 0],
+                              a.keypoints[a.present, 0].astype(np.float32))
+        assert np.array_equal(b.from_feedback[b.present], a.from_feedback[a.present])
+        assert np.array_equal(np.isnan(b.keypoints[..., 3]), np.isnan(a.keypoints[..., 3]))
 
     @given(cloud_messages())
     def test_cloud_probs_within_quantization_step(self, msg):
@@ -212,7 +198,7 @@ class TestStreamDecoder:
             assert encode(a) == encode(b)
 
     def test_partial_frame_pends(self):
-        wire = encode(PoseMessage(PoseSet2p5D(1, 2, [])))
+        wire = encode(PoseMessage(PoseSet2p5D(1, 2)))
         dec = StreamDecoder()
         assert dec.feed(wire[:5]) == []
         assert dec.pending_bytes == 5
@@ -221,8 +207,7 @@ class TestStreamDecoder:
 
 
 def corrupt_cases():
-    good = encode(PoseMessage(PoseSet2p5D(1, 2, [PersonPose(0, [
-        Keypoint2p5D(0, 1.0, 2.0, 0.5)] + [None] * (NUM_JOINTS - 1))])))
+    good = encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5)})])))
     hello = encode(Hello(0, 0, CALIBS[0], 1234))
     cases = {
         "bad magic": b"XXXX" + good[4:],
@@ -277,9 +262,7 @@ class TestMalformedInput:
     @settings(max_examples=60)
     def test_mutated_valid_frame(self, junk, seed):
         rng = np.random.default_rng(seed)
-        wire = bytearray(encode(PoseMessage(PoseSet2p5D(1, 2, [
-            PersonPose(0, [Keypoint2p5D(0, 1.0, 2.0, 0.5)]
-                       + [None] * (NUM_JOINTS - 1))]))))
+        wire = bytearray(encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5)})]))))
         for _ in range(rng.integers(1, 6)):
             wire[rng.integers(0, len(wire))] = rng.integers(0, 256)
         data = bytes(wire) + junk
@@ -292,3 +275,131 @@ class TestMalformedInput:
         dec = StreamDecoder()
         with pytest.raises(ProtocolError):
             dec.feed(b"NOPE" + b"\x00" * 30)
+
+
+def hostile_frames() -> dict[str, bytes]:
+    """Well-framed POSE, FEEDBACK and SNAPSHOT messages whose joint
+    records carry values no sensor or backend produces."""
+    nan, inf = math.nan, math.inf
+
+    def pose(kp):
+        return encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5), 3: kp})])))
+
+    def snapshot(pos, conf):
+        empty = np.zeros((0, 3), np.int32), np.zeros(0, np.float32), \
+            np.zeros(0, np.uint8), np.zeros(0, np.float32)
+        return encode(SnapshotMessage(3, *empty, [skeleton(4, 3, {2: (pos, conf, 2)})]))
+
+    return {
+        "pose nan u": pose((nan, 2.0, 0.5)),
+        "pose +inf u": pose((inf, 2.0, 0.5)),
+        "pose -inf u": pose((-inf, 2.0, 0.5)),
+        "pose inf v": pose((1.0, inf, 0.5)),
+        "pose nan conf": pose((1.0, 2.0, nan)),
+        "pose conf above 1": pose((1.0, 2.0, 1.5)),
+        "pose negative conf": pose((1.0, 2.0, -0.25)),
+        "pose depth nan sigma": pose((1.0, 2.0, 0.5, 2.0, nan)),
+        "pose depth inf sigma": pose((1.0, 2.0, 0.5, 2.0, inf)),
+        "pose depth zero sigma": pose((1.0, 2.0, 0.5, 2.0, 0.0)),
+        "pose inf depth": pose((1.0, 2.0, 0.5, inf, 0.1)),
+        "pose negative depth": pose((1.0, 2.0, 0.5, -2.0, 0.1)),
+        "feedback nan u, conf 7": encode(FeedbackMessage(1, 2, [
+            feedback_pose(1, 5, 2, {4: (nan, 2.0, 7.0, False)})])),
+        "feedback inf v": encode(FeedbackMessage(1, 2, [
+            feedback_pose(1, 5, 2, {4: (1.0, -inf, 0.5, True)})])),
+        "snapshot nan position": snapshot([nan, 0.0, 1.0], 0.5),
+        "snapshot inf conf": snapshot([0.0, 0.0, 1.0], inf),
+    }
+
+
+class TestHostileRecords:
+    @pytest.mark.parametrize("name", sorted(hostile_frames()))
+    def test_rejected_with_malformed_payload(self, name):
+        frame = hostile_frames()[name]
+        with pytest.raises(MalformedPayloadError):
+            decode(frame)
+        with pytest.raises(MalformedPayloadError):
+            StreamDecoder().feed(frame)
+
+    def test_valid_edges_accepted(self):
+        # confidence 0 and 1, and a keypoint without depth, are valid
+        ps = pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.0), 1: (1.0, 2.0, 1.0, 0.5, 0.01),
+                                  2: (3.0, 4.0, 0.5, None, None, True)})])
+        out = decode(encode(PoseMessage(ps))).pose_set
+        assert np.array_equal(out.present, ps.present)
+        assert np.isnan(out.keypoints[0, 2, 3:]).all()
+
+
+PROTOCOL_MD = Path(__file__).resolve().parent.parent / "PROTOCOL.md"
+
+
+def golden_frames() -> dict[str, bytes]:
+    """The hex dump under each message-type heading of PROTOCOL.md."""
+    frames = {}
+    for section in re.split(r"^## ", PROTOCOL_MD.read_text(), flags=re.M):
+        name = section.split(" ", 1)[0]
+        rows = re.findall(r"^[0-9a-f]{8}  (.{47})", section, flags=re.M)
+        if rows:
+            frames[name] = bytes.fromhex("".join(rows))
+    return frames
+
+
+class TestGoldenFrames:
+    """The hex dumps of PROTOCOL.md decode to the values its prose states
+    and re-encode to the same bytes."""
+
+    def test_all_five_present_and_reencode_bit_exact(self):
+        frames = golden_frames()
+        assert set(frames) == {"HELLO", "CLOUD", "POSE", "FEEDBACK", "SNAPSHOT"}
+        for name, frame in frames.items():
+            assert encode(decode(frame)) == frame, name
+
+    def test_hello(self):
+        msg = decode(golden_frames()["HELLO"])
+        c = msg.calib
+        assert isinstance(msg, Hello)
+        assert (msg.sensor_id, msg.timestamp_us, msg.protocol_version) == (2, 0, 1)
+        assert msg.class_set_fingerprint == 0x1122334455667788
+        assert (c.width, c.height, c.fx, c.fy, c.cx, c.cy) == (160, 120, 130.0, 130.0, 80.0, 60.0)
+        assert np.array_equal(c.rotation, np.eye(3))
+        assert np.array_equal(c.translation, [4.0, 0.0, 2.5])
+        assert c.depth_noise_sigma == 0.02
+
+    def test_cloud(self):
+        cloud = decode(golden_frames()["CLOUD"]).cloud
+        assert (cloud.sensor_id, cloud.timestamp_us, len(cloud)) == (1, 2_000_000, 1)
+        assert np.array_equal(cloud.positions, [[1.5, -0.25, 3.0]])
+        q = quantize_probs(np.exp(cloud.log_probs))[0]
+        assert (q[2], q[6], q.sum()) == (49151, 16384, 65535)
+
+    def test_pose(self):
+        ps = decode(golden_frames()["POSE"]).pose_set
+        assert (ps.sensor_id, ps.timestamp_us) == (3, 1_700_000)
+        assert ps.person_ids.tolist() == [7]
+        assert np.flatnonzero(ps.present[0]).tolist() == [0, 5]
+        assert ps.keypoints[0, 0].tolist() == [101.5, 52.25, 0.875, 2.5, 0.0625]
+        assert ps.keypoints[0, 5, :3].tolist() == [98.0, 80.5, 0.5]
+        assert np.isnan(ps.keypoints[0, 5, 3:]).all()
+        assert ps.from_feedback[0].tolist() == [j == 5 for j in range(NUM_JOINTS)]
+
+    def test_feedback(self):
+        msg = decode(golden_frames()["FEEDBACK"])
+        assert (msg.sensor_id, msg.timestamp_us, len(msg.poses)) == (3, 1_733_333, 1)
+        fp = msg.poses[0]
+        assert fp.person_id == 12
+        assert np.flatnonzero(fp.present).tolist() == [0]
+        assert fp.uvc[0].tolist() == [101.0, 52.0, 0.875]
+        assert fp.occluded[0]
+
+    def test_snapshot(self):
+        msg = decode(golden_frames()["SNAPSHOT"])
+        assert msg.timestamp_us == 3_000_000
+        assert msg.voxel_indices.tolist() == [[10, -4, 7]]
+        assert msg.voxel_occupancy.tolist() == [1.25]
+        assert msg.voxel_classes.tolist() == [2]
+        assert msg.voxel_probs.tolist() == [0.75]
+        (skel,) = msg.skeletons
+        assert skel.person_id == 12
+        assert np.flatnonzero(skel.present).tolist() == [0]
+        assert skel.pos[0].tolist() == [1.0, 2.0, 1.5]
+        assert (skel.conf[0], skel.n_views[0]) == (0.875, 3)

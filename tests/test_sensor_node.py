@@ -4,19 +4,20 @@ import pytest
 from semgrid import protocol, synthworld
 from semgrid.cloud import DepthImage
 from semgrid.geometry import save_calibs
-from semgrid.pose import NUM_JOINTS, CONF_MIN, FeedbackJoint, FeedbackPose
+from semgrid.pose import NUM_JOINTS, CONF_MIN, FeedbackPose
 from semgrid.sensor_node import (
     FEEDBACK_PERSON_ID_BASE,
     KAPPA_FB,
     SEND_QUEUE_LIMIT,
     SensorConfig,
     SensorNode,
-    estimate_keypoint_depth,
     estimate_keypoint_depths,
     load_sensor_config,
 )
 from semgrid.synthworld import PersonObservation
+from tests import conftest
 from tests.conftest import make_ring_calibs
+from tests.oracles import estimate_keypoint_depth, render_depth_sparse
 
 CALIB = make_ring_calibs(1, width=64, height_px=48, f_px=40.0,
                          depth_noise_sigma=0.02)[0]
@@ -34,10 +35,9 @@ def obs_of(local_id, joints: dict) -> PersonObservation:
 
 
 def feedback_pose(person_id, joints: dict, ts=0) -> FeedbackPose:
-    slots = [None] * NUM_JOINTS
-    for j, (u, v, occ) in joints.items():
-        slots[j] = FeedbackJoint(u, v, 0.8, occ)
-    return FeedbackPose(CALIB.sensor_id, person_id, ts, slots)
+    """Feedback to CALIB's sensor from {joint: (u, v, occluded)}."""
+    return conftest.feedback_pose(CALIB.sensor_id, person_id, ts,
+                                  {j: (u, v, 0.8, occ) for j, (u, v, occ) in joints.items()})
 
 
 def node(**overrides) -> SensorNode:
@@ -157,15 +157,15 @@ class TestFeedbackMerge:
         obs = obs_of(0, {0: (10.5, 10.2, 0.9), 1: (12.1, 9.8, 0.9),
                          2: (13.9, 10.1, 0.9)})
         ps = n.process_frame([obs], None, 1000)
-        kp = ps.persons[0].joints[3]
-        assert kp is not None
-        assert kp.u == 30.0 and kp.v == 30.0
-        assert kp.confidence == KAPPA_FB
+        assert ps.present[0, 3]
+        u, v, conf = ps.keypoints[0, 3, :3]
+        assert u == 30.0 and v == 30.0
+        assert conf == KAPPA_FB
         assert KAPPA_FB < CONF_MIN  # never re-enters triangulation
-        assert kp.occluded_by_feedback is True
+        assert ps.from_feedback[0, 3]
         # locally observed joints keep their own measurement
-        assert ps.persons[0].joints[0].u == 10.5
-        assert ps.persons[0].joints[0].occluded_by_feedback is False
+        assert ps.keypoints[0, 0, 0] == 10.5
+        assert not ps.from_feedback[0, 0]
 
     def test_occlusion_flag_overrides_local(self):
         n = node()
@@ -175,9 +175,9 @@ class TestFeedbackMerge:
         obs = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
                          2: (14.0, 10.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
-        kp = ps.persons[0].joints[0]
-        assert kp.u == 10.0 and kp.confidence == KAPPA_FB
-        assert kp.occluded_by_feedback is True
+        assert ps.present[0, 0]
+        assert ps.keypoints[0, 0, 0] == 10.0 and ps.keypoints[0, 0, 2] == KAPPA_FB
+        assert ps.from_feedback[0, 0]
 
     def test_occlusion_replacement_gated(self):
         n = node(use_occlusion=False)
@@ -187,38 +187,37 @@ class TestFeedbackMerge:
         obs = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
                          2: (14.0, 10.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
-        assert ps.persons[0].joints[0].u == 35.0
+        assert ps.present[0, 0] and ps.keypoints[0, 0, 0] == 35.0
 
     def test_feedback_disabled(self):
         n = node(use_feedback=False)
         n.latest_feedback[7] = feedback_pose(7, {3: (30.0, 30.0, False)})
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
-        assert ps.persons[0].joints[3] is None
+        assert not ps.present[0, 3]
 
     def test_hidden_person_appended(self):
         n = node()
         n.latest_feedback[9] = feedback_pose(
             9, {j: (20.0 + j, 20.0, True) for j in range(5)})
         ps = n.process_frame([], None, 1000)
-        assert len(ps.persons) == 1
-        person = ps.persons[0]
-        assert person.local_person_id == FEEDBACK_PERSON_ID_BASE + 9
+        assert ps.person_ids.tolist() == [FEEDBACK_PERSON_ID_BASE + 9]
         for j in range(5):
-            assert person.joints[j].confidence == KAPPA_FB
-            assert person.joints[j].occluded_by_feedback is True
+            assert ps.present[0, j]
+            assert ps.keypoints[0, j, 2] == KAPPA_FB
+            assert ps.from_feedback[0, j]
 
     def test_hidden_person_gated_on_occlusion(self):
         n = node(use_occlusion=False)
         n.latest_feedback[9] = feedback_pose(9, {0: (20.0, 20.0, True)})
         ps = n.process_frame([], None, 1000)
-        assert ps.persons == []
+        assert len(ps.person_ids) == 0
 
     def test_stale_feedback_dropped(self):
         n = node()
         n.latest_feedback[9] = feedback_pose(9, {0: (20.0, 20.0, True)}, ts=0)
         ps = n.process_frame([], None, 600_000)
-        assert ps.persons == []
+        assert len(ps.person_ids) == 0
         assert n.latest_feedback == {}
 
     def test_far_feedback_not_matched(self):
@@ -230,7 +229,7 @@ class TestFeedbackMerge:
         obs = obs_of(0, {0: (50.0, 45.0, 0.9), 1: (52.0, 45.0, 0.9),
                          2: (54.0, 45.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
-        assert ps.persons[0].joints[3] is None
+        assert not ps.present[0, 3]
 
     def test_monotonic_timestamps_enforced(self):
         n = node()
@@ -243,16 +242,16 @@ class TestFeedbackMerge:
         img = np.full((CALIB.height, CALIB.width), 2.0)
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
         ps = n.process_frame([obs], depth_image(img), 1000)
-        kp = ps.persons[0].joints[0]
-        assert kp.depth == 2.0
-        assert kp.depth_sigma == CALIB.depth_noise_sigma
+        assert ps.present[0, 0]
+        assert ps.keypoints[0, 0, 3] == 2.0
+        assert ps.keypoints[0, 0, 4] == CALIB.depth_noise_sigma
 
     def test_no_depth_sensor(self):
         n = node(has_depth=False)
         img = np.full((CALIB.height, CALIB.width), 2.0)
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
         ps = n.process_frame([obs], depth_image(img), 1000)
-        assert ps.persons[0].joints[0].depth is None
+        assert ps.present[0, 0] and np.isnan(ps.keypoints[0, 0, 3:]).all()
 
 
 class TestFramePlan:
@@ -262,13 +261,12 @@ class TestFramePlan:
     def _feedback(self, obs, sensor_id, ts):
         poses = []
         for o in obs:
-            joints = [None if kp is None else FeedbackJoint(kp[0] + 3.0, kp[1] - 2.0, 0.5,
-                                                            j % 3 == 0)
-                      for j, kp in enumerate(o.keypoints)]
-            joints[0] = joints[0] or FeedbackJoint(50.0, 50.0, 0.5, False)
-            poses.append(FeedbackPose(sensor_id, 10 + o.local_id, ts, joints))
-        hidden = [FeedbackJoint(20.0 + j, 30.0, 0.5, True) for j in range(NUM_JOINTS)]
-        poses.append(FeedbackPose(sensor_id, 99, ts, hidden))
+            joints = {j: (kp[0] + 3.0, kp[1] - 2.0, 0.5, j % 3 == 0)
+                      for j, kp in enumerate(o.keypoints) if kp is not None}
+            joints.setdefault(0, (50.0, 50.0, 0.5, False))
+            poses.append(conftest.feedback_pose(sensor_id, 10 + o.local_id, ts, joints))
+        hidden = {j: (20.0 + j, 30.0, 0.5, True) for j in range(NUM_JOINTS)}
+        poses.append(conftest.feedback_pose(sensor_id, 99, ts, hidden))
         return protocol.FeedbackMessage(sensor_id, ts, poses)
 
     @pytest.mark.parametrize("flags", [{}, {"use_occlusion": False},
@@ -285,7 +283,7 @@ class TestFramePlan:
         for n in nodes:
             n.handle_feedback(self._feedback(obs, calib.sensor_id, now - 100_000), now)
         plan = nodes[1].plan_frame(obs, now)
-        sparse = synthworld.render_depth_sparse(
+        sparse = render_depth_sparse(
             scene, calib, t_s, synthworld.patch_pixels(plan.uv), frame_idx=frame)
         assert np.count_nonzero(sparse.depth) < np.count_nonzero(full.depth)
         expected = nodes[0].process_frame(obs, full, now)

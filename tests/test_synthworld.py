@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from semgrid import synthworld
-from semgrid.geometry import project, unpack_voxel_keys
+from semgrid.geometry import unpack_voxel_keys
 from semgrid.pose import BONES, NUM_JOINTS
 from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS
 from semgrid.voxmap import VoxelMap
+from tests.oracles import project, render_depth_sparse, visible_joints
 
 
 def small_scene(seed=1, n_persons=2):
@@ -83,7 +84,7 @@ class TestKeypointNoise:
         errs = []
         for i in range(120):
             t = i / 6.0
-            vis = synthworld.visible_joints(scene, calib, t)
+            vis = visible_joints(scene, calib, t)
             obs = synthworld.render_keypoints(scene, calib, t, frame_idx=i,
                                               vis=vis)
             for o in obs:
@@ -106,7 +107,7 @@ class TestKeypointNoise:
     def test_noiseless_exact(self):
         scene = small_scene(5)
         calib = rig(scene)[0]
-        vis = synthworld.visible_joints(scene, calib, 1.0)
+        vis = visible_joints(scene, calib, 1.0)
         obs = synthworld.render_keypoints(scene, calib, 1.0, noise_px=0.0,
                                           miss_rate=0.0, p_occ_fail=0.0,
                                           frame_idx=0, vis=vis)
@@ -126,7 +127,7 @@ class TestKeypointNoise:
         vis_confs, occ_confs = [], []
         for i in range(60):
             t = i / 6.0
-            vis = synthworld.visible_joints(scene, calib, t)
+            vis = visible_joints(scene, calib, t)
             for o in synthworld.render_keypoints(scene, calib, t, frame_idx=i,
                                                  vis=vis):
                 for j, kp in enumerate(o.keypoints):
@@ -218,7 +219,7 @@ class TestDepthRendering:
             rng.integers(0, calib.width, 200),
             rng.integers(0, calib.height, 200),
         ])
-        sparse = synthworld.render_depth_sparse(scene, calib, 2.0, pixels,
+        sparse = render_depth_sparse(scene, calib, 2.0, pixels,
                                                 frame_idx=4)
         for u, v in pixels:
             assert sparse.depth[v, u] == full.depth[v, u]
@@ -230,7 +231,7 @@ class TestDepthRendering:
         many = synthworld.render_depth_sparse_many(
             scene, [(c, pixels) for c in calibs], 2.0, frame_idx=4)
         for calib, got in zip(calibs, many):
-            single = synthworld.render_depth_sparse(scene, calib, 2.0, pixels,
+            single = render_depth_sparse(scene, calib, 2.0, pixels,
                                                     frame_idx=4)
             assert np.array_equal(got.depth, single.depth)
 

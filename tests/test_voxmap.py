@@ -5,7 +5,6 @@ from semgrid.cloud import SemanticCloud
 from semgrid.geometry import (
     CameraCalib,
     VoxelIndex,
-    bresenham3d,
     pack_voxel_keys,
     unpack_voxel_keys,
     voxel_index_of,
@@ -29,6 +28,7 @@ from semgrid.voxmap import (
     SOURCE_PRIOR,
     VoxelMap,
 )
+from tests.oracles import bresenham3d
 
 RES = 0.10
 
