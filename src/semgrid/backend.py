@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import protocol
-from .geometry import CameraCalib
+from .geometry import CameraCalib, VoxelRangeError
 from .pose import (
     PoseSet2p5D,
     Skeleton3D,
@@ -217,9 +217,10 @@ class Backend:
 
 
 class _SensorConnection(socketserver.BaseRequestHandler):
-    """One sensor's TCP stream.  Every refusal (a failed handshake or a
-    protocol violation) and every disconnect is logged with the peer and
-    the sensor id, the one the sensor claimed if it never got in."""
+    """One sensor's TCP stream.  Every refusal (a failed handshake, a
+    protocol violation or a cloud the map cannot index) and every
+    disconnect is logged with the peer and the sensor id, the one the
+    sensor claimed if it never got in."""
 
     def handle(self):
         backend: Backend = self.server.backend  # type: ignore[attr-defined]
@@ -232,16 +233,20 @@ class _SensorConnection(socketserver.BaseRequestHandler):
                 if not chunk:
                     log.info("sensor %s at %s disconnected", claimed, self.client_address)
                     return
-                for msg in decoder.feed(chunk):
-                    now_us = self.server.clock_us()  # type: ignore[attr-defined]
-                    if isinstance(msg, protocol.Hello):
-                        claimed = msg.sensor_id
-                    with lock:
-                        backend.on_message(msg, now_us)
-                    if isinstance(msg, protocol.Hello):
-                        sensor_id = msg.sensor_id
-                        self.server.connections[sensor_id] = self.request  # type: ignore[attr-defined]
-        except (HandshakeError, protocol.ProtocolError) as exc:
+                msgs = decoder.feed(chunk)
+                while msgs:
+                    for msg in msgs:
+                        hello = isinstance(msg, protocol.Hello)
+                        if hello:
+                            claimed = msg.sensor_id
+                        with lock:
+                            backend.on_message(msg, self.server.clock_us())  # type: ignore[attr-defined]
+                        if hello:
+                            sensor_id = claimed
+                            self.server.connections[sensor_id] = self.request  # type: ignore[attr-defined]
+                    # a malformed frame after these raises now, not on the next recv
+                    msgs = decoder.feed(b"")
+        except (HandshakeError, protocol.ProtocolError, VoxelRangeError) as exc:
             log.warning("refused sensor %s at %s: %s: %s", claimed, self.client_address,
                         type(exc).__name__, exc)
             self.request.close()
@@ -274,6 +279,7 @@ def serve(backend: Backend, host: str, port: int, clock_us,
     server.connections = {}  # type: ignore[attr-defined]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    log.info("backend listening on %s:%d", *server.server_address[:2])
     try:
         deadline = time.monotonic()
         while stop_event is None or not stop_event.is_set():

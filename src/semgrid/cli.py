@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import json
+import select
 import socket
 import sys
 import threading
@@ -25,7 +27,7 @@ import numpy as np
 from . import protocol, synthworld
 from .backend import ABLATIONS, Backend, serve
 from .geometry import load_calibs, pack_voxel_keys
-from .ply import read_ply, write_ply
+from .ply import read_ply, read_xyz, write_ply
 from .semantics import NUM_CLASSES, ClassSet
 from .sensor_node import SensorNode, load_sensor_config
 from .sim import (
@@ -34,6 +36,7 @@ from .sim import (
     SimConfig,
     load_run_config,
     reproj_table,
+    sensor_frames,
     simulate,
     write_run_dir,
 )
@@ -422,65 +425,36 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _run_sensor_node(cfg, scene, addr, duration_s, class_set) -> None:
+def _run_sensor_node(cfg, scene, addr, duration_s, class_set) -> SensorNode:
+    """Render the scene for one sensor at its pose rate and stream the
+    node's frames to the backend, with the simulator's harness settings."""
     node = SensorNode(cfg, class_set.fingerprint())
+    config = SimConfig(pose_rate_hz=cfg.pose_rate_hz, cloud_rate_hz=cfg.cloud_rate_hz)
     decoder = protocol.StreamDecoder()
     period = 1.0 / cfg.pose_rate_hz
-    cloud_every = max(int(round(cfg.pose_rate_hz / cfg.cloud_rate_hz)), 1)
-    calib = cfg.calib
 
     with socket.create_connection(addr) as sock:
-        sock.setblocking(False)
         start = time.monotonic()
-        now_us = int(time.time() * 1e6)
-        sock.sendall(node.hello(now_us))
+        sock.sendall(node.hello(int(time.time() * 1e6)))
         i = 0
         while duration_s is None or i * period < duration_s:
-            target = start + i * period
-            delay = target - time.monotonic()
+            delay = start + i * period - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            t_s = i * period
             now_us = int(time.time() * 1e6)
-
             # drain pending feedback before rendering so the occlusion
             # hints apply to this frame
-            try:
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        raise ConnectionError("backend closed the connection")
-                    for msg in decoder.feed(chunk):
-                        if isinstance(msg, protocol.FeedbackMessage):
-                            node.handle_feedback(msg, now_us)
-            except BlockingIOError:
-                pass
-
-            vis = synthworld.visible_joints_many(scene, [calib], t_s)
-            obs = synthworld.render_keypoints(scene, calib, t_s, frame_idx=i,
-                                              vis=vis[0])
-            # render depth only in the patches the sensor will read
-            plan = node.plan_frame(obs, now_us)
-            depth = None
-            if cfg.has_depth:
-                depth = synthworld.render_depth_sparse_many(
-                    scene, [(calib, synthworld.patch_pixels(plan.uv))], t_s,
-                    frame_idx=i)[0]
-            node.pose_tick(obs, depth, now_us, plan=plan)
-
-            if cfg.has_depth and i % cloud_every == 0:
-                depth_full, class_img = synthworld.render_frame(scene, calib, t_s)
-                noisy = synthworld.render_depth(scene, calib, t_s, frame_idx=i,
-                                                depth_image=depth_full)
-                mask = synthworld.render_segmentation(scene, calib, t_s,
-                                                      frame_idx=i,
-                                                      class_image=class_img)
-                dets = synthworld.render_detections(scene, calib, t_s,
-                                                    frame_idx=i)
-                node.cloud_tick(noisy, mask, dets, now_us)
-
-            sock.sendall(b"".join(node.pop_frames()))
+            while select.select([sock], [], [], 0)[0]:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    raise ConnectionError("backend closed the connection")
+                for msg in decoder.feed(chunk):
+                    if isinstance(msg, protocol.FeedbackMessage):
+                        node.handle_feedback(msg, now_us)
+            for _, payload in sensor_frames(scene, [node], config, i, now_us):
+                sock.sendall(payload)
             i += 1
+    return node
 
 
 def sensor_node_main(argv=None) -> int:
@@ -500,19 +474,15 @@ def sensor_node_main(argv=None) -> int:
     try:
         addr = _parse_addr(args.backend)
         cfg = load_sensor_config(args.config)
-        scene_path = args.scene
+        cp = configparser.ConfigParser()
+        cp.read(args.config)
+        scene_path = args.scene or cp["sensor"].get("scene_file")
         if scene_path is None:
-            import configparser
-
-            cp = configparser.ConfigParser()
-            cp.read(args.config)
-            scene_path = cp["sensor"].get("scene_file")
-            if scene_path is None:
-                raise DataError("no --scene given and no scene_file in "
-                                f"{args.config}")
+            raise DataError(f"no --scene given and no scene_file in {args.config}")
         scene = synthworld.load_scene(scene_path)
         class_set = ClassSet.load(args.classes) if args.classes else ClassSet()
-        _run_sensor_node(cfg, scene, addr, args.duration, class_set)
+        node = _run_sensor_node(cfg, scene, addr, args.duration, class_set)
+        print(f"sensor {cfg.sensor_id}: {json.dumps(node.stats)}")
     except KeyboardInterrupt:
         return EXIT_OK
     except (DataError, OSError, ValueError, protocol.ProtocolError) as e:
@@ -544,12 +514,7 @@ def backend_main(argv=None) -> int:
         class_set = ClassSet.load(args.classes) if args.classes else ClassSet()
         vmap = VoxelMap()
         if args.prior:
-            fields = read_ply(args.prior)
-            for name in ("x", "y", "z"):
-                if name not in fields:
-                    raise DataError(f"{args.prior}: missing '{name}' field")
-            vmap.load_prior(np.stack(
-                [fields["x"], fields["y"], fields["z"]], axis=1))
+            vmap.load_prior(read_xyz(args.prior))
         backend = Backend(class_set.fingerprint(), args.ablation, vmap,
                           tick_rate_hz=args.tick_rate)
 

@@ -80,11 +80,16 @@ def voxel_index_of(p, resolution: float) -> VoxelIndex:
 
 
 def voxel_indices_of(points: np.ndarray, resolution: float) -> np.ndarray:
-    """Vectorized binning of an (N,3) point array to (N,3) int64 indices."""
+    """Vectorized binning of an (N,3) point array to (N,3) int64 indices;
+    raises VoxelRangeError for a point outside the packable range."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return np.floor(pts / resolution + _BIN_SNAP).astype(np.int64)
+    idx = np.floor(pts / resolution + _BIN_SNAP)
+    # checked before the cast: NaN and huge values have no int64 index
+    if not (np.abs(idx) < _KEY_BIAS).all():
+        raise VoxelRangeError("point outside the packable voxel range")
+    return idx.astype(np.int64)
 
 
 def project_many(calib: CameraCalib, pts_world: np.ndarray):
@@ -179,7 +184,7 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
     if len(tg) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
     if max(np.abs(origin).max(), np.abs(tg).max()) >= _KEY_BIAS:
-        raise ValueError("voxel index out of packable range")
+        raise VoxelRangeError("voxel index out of packable range")
     ray_id, k, adv1, adv2, dom, s0, s1, s2 = _bres_walk(origin, tg)
     weights = np.array([1 << (2 * _KEY_BITS), 1 << _KEY_BITS, 1],
                        dtype=np.int64)
@@ -199,6 +204,10 @@ _KEY_BITS = 21
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
 
+class VoxelRangeError(ValueError):
+    """A point or voxel index beyond what a packed voxel key can hold."""
+
+
 def row_norms(vecs: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, each rounded as np.linalg.norm
     rounds a single vector."""
@@ -208,7 +217,7 @@ def row_norms(vecs: np.ndarray) -> np.ndarray:
 def pack_voxel_keys(indices: np.ndarray) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
     if np.abs(idx).max(initial=0) >= _KEY_BIAS:
-        raise ValueError("voxel index out of packable range")
+        raise VoxelRangeError("voxel index out of packable range")
     return (
         ((idx[:, 0] + _KEY_BIAS) << (2 * _KEY_BITS))
         | ((idx[:, 1] + _KEY_BIAS) << _KEY_BITS)

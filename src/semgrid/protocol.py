@@ -180,6 +180,8 @@ def _decode_cloud(sensor_id: int, ts: int, payload: bytes) -> CloudMessage:
         )
     rec = np.frombuffer(payload, dtype=_cloud_point_dtype, count=n, offset=4)
     positions = rec["xyz"].astype(np.float64)
+    if not np.isfinite(positions).all():
+        raise MalformedPayloadError("cloud positions must be finite")
     log_p = dequantize_probs(rec["q"]) if n else np.empty((0, NUM_CLASSES))
     return CloudMessage(SemanticCloud(sensor_id, ts, positions, log_p))
 
@@ -375,6 +377,12 @@ def _parse_header(data: bytes):
     return mt, sid, ts, plen
 
 
+def _decode_payload(mt: int, sid: int, ts: int, payload: bytes):
+    # a float32 signalling NaN warns when cast; the decoders reject NaN
+    with np.errstate(invalid="ignore"):
+        return _DECODERS[mt](sid, ts, payload)
+
+
 def decode(data: bytes):
     """Decode exactly one frame; trailing bytes are a length mismatch."""
     mt, sid, ts, plen = _parse_header(data)
@@ -382,7 +390,7 @@ def decode(data: bytes):
         raise TruncatedFrameError("frame shorter than declared payload length")
     if len(data) != _HEADER.size + plen:
         raise LengthMismatchError("frame longer than declared payload length")
-    return _DECODERS[mt](sid, ts, data[_HEADER.size :])
+    return _decode_payload(mt, sid, ts, data[_HEADER.size :])
 
 
 class StreamDecoder:
@@ -392,18 +400,27 @@ class StreamDecoder:
         self._buf = bytearray()
 
     def feed(self, chunk: bytes) -> list:
+        """Append chunk and decode every complete frame, in order.
+
+        A malformed frame raises a ProtocolError, but not before the
+        frames ahead of it are returned: it stays at the head of the
+        buffer and raises on the next call, `feed(b"")` included."""
         self._buf.extend(chunk)
         out = []
-        while True:
-            if len(self._buf) < _HEADER.size:
-                break
-            mt, sid, ts, plen = _parse_header(bytes(self._buf[: _HEADER.size]))
-            total = _HEADER.size + plen
-            if len(self._buf) < total:
-                break
-            payload = bytes(self._buf[_HEADER.size : total])
-            del self._buf[:total]
-            out.append(_DECODERS[mt](sid, ts, payload))
+        off = 0
+        try:
+            while len(self._buf) - off >= _HEADER.size:
+                mt, sid, ts, plen = _parse_header(bytes(self._buf[off : off + _HEADER.size]))
+                end = off + _HEADER.size + plen
+                if len(self._buf) < end:
+                    break
+                out.append(_decode_payload(mt, sid, ts, bytes(self._buf[off + _HEADER.size : end])))
+                off = end
+        except ProtocolError:
+            if not out:
+                raise
+        finally:
+            del self._buf[:off]
         return out
 
     @property

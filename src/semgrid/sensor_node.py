@@ -130,14 +130,6 @@ class FramePlan:
         return ps.keypoints[ps.present][:, :2]
 
 
-def _observed(obs) -> tuple[np.ndarray, np.ndarray]:
-    """An observation's 17 keypoint slots as present (17,) and u, v,
-    confidence (17,3), zero where absent."""
-    return (np.array([kp is not None for kp in obs.keypoints]),
-            np.array([(0.0, 0.0, 0.0) if kp is None else kp for kp in obs.keypoints],
-                     dtype=np.float64))
-
-
 def _feedback_keypoints(fp: FeedbackPose, kappa_fb: float) -> np.ndarray:
     """(17,3) u, v and confidence of keypoints taken from feedback."""
     return np.column_stack([fp.uvc[:, :2], np.full(NUM_JOINTS, kappa_fb)])
@@ -200,22 +192,21 @@ class SensorNode:
     # -- pose path ---------------------------------------------------------
 
     @staticmethod
-    def _match_feedback(persons: list, observed: list, feedback: dict[int, FeedbackPose]
-                        ) -> dict[int, FeedbackPose]:
+    def _match_feedback(persons: list, feedback: dict[int, FeedbackPose]) -> dict[int, FeedbackPose]:
         """Associate feedback poses to local detections by mean pixel
         distance over shared joints; returns local_id -> feedback."""
         matches: dict[int, FeedbackPose] = {}
         used: set[int] = set()
-        for obs, (have, uvc) in zip(persons, observed):
+        for obs in persons:
             best = None
             best_d = FEEDBACK_MATCH_PX
             for pid, fp in feedback.items():
                 if pid in used:
                     continue
-                shared = have & fp.present
+                shared = obs.present & fp.present
                 n = int(np.count_nonzero(shared))
                 if n >= 3:
-                    d = uvc[shared, :2] - fp.uvc[shared, :2]
+                    d = obs.uvc[shared, :2] - fp.uvc[shared, :2]
                     mean_d = sum(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())) / n
                     if mean_d < best_d:
                         best_d = mean_d
@@ -229,8 +220,8 @@ class SensorNode:
         """Decide, without changing any state, which keypoint every output
         joint slot of this frame takes and where its depth is read.
 
-        persons: keypoint observations (objects with local_id and a
-        17-slot keypoints list of (u, v, conf) or None).  With feedback
+        persons: keypoint observations (objects with local_id, a (17,3)
+        u, v, conf array uvc and a (17,) present mask).  With feedback
         enabled, missing joints are completed from the backend's
         reprojections; with occlusion handling, occlusion-flagged local
         detections are discarded and replaced as well, and persons seen
@@ -244,17 +235,17 @@ class SensorNode:
             for pid, fp in self.latest_feedback.items()
             if timestamp_us - fp.timestamp_us <= 500_000
         }
-        observed = [_observed(obs) for obs in persons]
-        matches = self._match_feedback(persons, observed, live) if cfg.use_feedback else {}
+        matches = self._match_feedback(persons, live) if cfg.use_feedback else {}
         rows = []  # (person id, present, u v conf, from feedback) per output person
-        for obs, (have, uvc) in zip(persons, observed):
+        for obs in persons:
             fp = matches.get(obs.local_id)
             if fp is None:
-                rows.append((obs.local_id, have, uvc, np.zeros(NUM_JOINTS, dtype=bool)))
+                rows.append((obs.local_id, obs.present, obs.uvc, np.zeros(NUM_JOINTS, dtype=bool)))
                 continue
-            fb = fp.present & (~have | (cfg.use_occlusion & fp.occluded))
-            rows.append((obs.local_id, have | fb,
-                         np.where(fb[:, None], _feedback_keypoints(fp, cfg.kappa_fb), uvc), fb))
+            fb = fp.present & (~obs.present | (cfg.use_occlusion & fp.occluded))
+            rows.append((obs.local_id, obs.present | fb,
+                         np.where(fb[:, None], _feedback_keypoints(fp, cfg.kappa_fb), obs.uvc),
+                         fb))
         if cfg.use_occlusion:
             # persons present only in feedback (fully occluded locally) are
             # added back; without occlusion information the sensor cannot

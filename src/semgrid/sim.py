@@ -17,7 +17,7 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, AblationFlags, Backend
-from .geometry import CameraCalib, row_norms, save_calibs
+from .geometry import CameraCalib, row_norms, save_calibs, unpack_voxel_keys
 from .pose import NUM_JOINTS, format_skeleton_log
 from .semantics import ClassSet
 from .sensor_node import SensorConfig, SensorNode
@@ -239,6 +239,44 @@ def _cached_depth_images(cache: ObservationCache, scene, requests, t_s: float,
     return images
 
 
+def sensor_frames(scene, nodes: list[SensorNode], config: SimConfig, frame_idx: int,
+                  now_us: int, obs_cache: ObservationCache | None = None):
+    """Run frame `frame_idx` of the synthetic scene through every node.
+
+    The scene is rendered at the frame's simulated time, the messages are
+    stamped now_us.  Yields (node, the node's wire bytes of this frame)
+    node by node, as soon as each is ready, so a caller can deliver one
+    node's frames before the next node builds its cloud."""
+    t_s = int(round(frame_idx * (1e6 / config.pose_rate_hz))) / 1e6
+    calibs = [node.config.calib for node in nodes]
+    all_obs = _observe_keypoints(scene, calibs, config, frame_idx, t_s, obs_cache)
+    # depth is rendered only in the patches the sensors will read
+    plans = [node.plan_frame(obs, now_us) for node, obs in zip(nodes, all_obs)]
+    depth_requests = [
+        (calib, synthworld.patch_pixels(plan.uv) if node.config.has_depth else [])
+        for node, calib, plan in zip(nodes, calibs, plans)
+    ]
+    if obs_cache is not None:
+        depth_images = _cached_depth_images(obs_cache, scene, depth_requests, t_s, frame_idx)
+    else:
+        depth_images = synthworld.render_depth_sparse_many(
+            scene, depth_requests, t_s, frame_idx=frame_idx)
+    for node, calib, obs, depth, plan in zip(nodes, calibs, all_obs, depth_images, plans):
+        cfg = node.config
+        node.pose_tick(obs, depth if cfg.has_depth else None, now_us, plan=plan)
+        cloud_every = max(int(round(cfg.pose_rate_hz / cfg.cloud_rate_hz)), 1)
+        if config.integrate_clouds and cfg.has_depth and frame_idx % cloud_every == 0:
+            depth_full, class_img = synthworld.render_frame(scene, calib, t_s)
+            noisy = synthworld.render_depth(
+                scene, calib, t_s, frame_idx=frame_idx, depth_image=depth_full)
+            mask = synthworld.render_segmentation(
+                scene, calib, t_s, label_noise=config.label_noise,
+                frame_idx=frame_idx, class_image=class_img)
+            dets = synthworld.render_detections(scene, calib, t_s, frame_idx=frame_idx)
+            node.cloud_tick(noisy, mask, dets, now_us)
+        yield node, b"".join(node.pop_frames())
+
+
 def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
              config: SimConfig, class_set: ClassSet | None = None,
              collect_3d: bool = False,
@@ -253,24 +291,15 @@ def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
     if config.map_source == "prior":
         vmap.load_prior(synthworld.prior_map_points(scene))
     elif config.map_source == "structure":
-        from .geometry import unpack_voxel_keys
-
         keys = synthworld.structure_voxel_keys(scene, 0.0, vmap.resolution)
         vmap.load_prior((unpack_voxel_keys(keys) + 0.5) * vmap.resolution)
     backend = Backend(fingerprint, config.ablation, vmap,
                       tick_rate_hz=config.pose_rate_hz)
 
-    nodes = []
-    for calib in calibs:
-        cfg = SensorConfig(
-            sensor_id=calib.sensor_id,
-            calib=calib,
-            pose_rate_hz=config.pose_rate_hz,
-            cloud_rate_hz=config.cloud_rate_hz,
-            use_feedback=flags.send_feedback,
-            use_occlusion=flags.occlusion_flags,
-        )
-        nodes.append(SensorNode(cfg, fingerprint))
+    nodes = [SensorNode(SensorConfig(calib.sensor_id, calib, config.pose_rate_hz,
+                                     config.cloud_rate_hz, use_feedback=flags.send_feedback,
+                                     use_occlusion=flags.occlusion_flags), fingerprint)
+             for calib in calibs]
 
     uplink = {n.config.sensor_id: protocol.StreamDecoder() for n in nodes}
     downlink = {n.config.sensor_id: protocol.StreamDecoder() for n in nodes}
@@ -279,8 +308,8 @@ def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
     result = SimResult(config, scene, backend, nodes)
 
     n_ticks = int(round(config.duration_s * config.pose_rate_hz))
-    cloud_every = max(int(round(config.pose_rate_hz / config.cloud_rate_hz)), 1)
     tick_us = 1e6 / config.pose_rate_hz
+    node_of = {n.config.sensor_id: n for n in nodes}
 
     # handshakes at t=0
     for node in nodes:
@@ -289,63 +318,24 @@ def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
 
     for i in range(n_ticks):
         now_us = int(round(i * tick_us))
-        t_s = now_us / 1e6
 
         # deliver feedback produced by the previous tick (1-tick transport)
         for sid, frame in pending_feedback:
             for msg in downlink[sid].feed(frame):
-                node = nodes[[n.config.sensor_id for n in nodes].index(sid)]
-                node.handle_feedback(msg, now_us)
-        pending_feedback = []
+                node_of[sid].handle_feedback(msg, now_us)
 
-        all_obs = _observe_keypoints(scene, calibs, config, i, t_s, obs_cache)
-        # depth is rendered only in the patches the sensors will read
-        plans = [node.plan_frame(obs, now_us) for node, obs in zip(nodes, all_obs)]
-        depth_requests = [
-            (node.config.calib,
-             synthworld.patch_pixels(plan.uv) if node.config.has_depth else [])
-            for node, plan in zip(nodes, plans)
-        ]
-        if obs_cache is not None:
-            depth_images = _cached_depth_images(
-                obs_cache, scene, depth_requests, t_s, i
-            )
-        else:
-            depth_images = synthworld.render_depth_sparse_many(
-                scene, depth_requests, t_s, frame_idx=i
-            )
-        for node, obs, depth, plan in zip(nodes, all_obs, depth_images, plans):
-            calib = node.config.calib
-            sid = calib.sensor_id
-            if not node.config.has_depth:
-                depth = None
-            node.pose_tick(obs, depth, now_us, plan=plan)
-
-            if config.integrate_clouds and i % cloud_every == 0:
-                depth_full, class_img = synthworld.render_frame(scene, calib, t_s)
-                noisy = synthworld.render_depth(
-                    scene, calib, t_s, frame_idx=i, depth_image=depth_full
-                )
-                mask = synthworld.render_segmentation(
-                    scene, calib, t_s, label_noise=config.label_noise,
-                    frame_idx=i, class_image=class_img,
-                )
-                dets = synthworld.render_detections(scene, calib, t_s, frame_idx=i)
-                node.cloud_tick(noisy, mask, dets, now_us)
-
-            payload = b"".join(node.pop_frames())
-            for msg in uplink[sid].feed(payload):
+        for node, payload in sensor_frames(scene, nodes, config, i, now_us, obs_cache):
+            for msg in uplink[node.config.sensor_id].feed(payload):
                 backend.on_message(msg, now_us)
 
         feedback = backend.tick(now_us)
-        for sid, msg in feedback.items():
-            pending_feedback.append((sid, protocol.encode(msg)))
+        pending_feedback = [(sid, protocol.encode(msg)) for sid, msg in feedback.items()]
 
         if backend.skeletons:
             result.skeleton_log.append(format_skeleton_log(backend.skeletons))
             result.reproj_records.extend(_reproj_errors(backend, now_us))
             if collect_3d:
-                result.pose3d_errors_m.extend(_pose3d_errors(backend, scene, t_s))
+                result.pose3d_errors_m.extend(_pose3d_errors(backend, scene, now_us / 1e6))
 
     result.wall_time_s = time.perf_counter() - t_start
     return result

@@ -717,7 +717,8 @@ def visible_joints_many(scene: GroundTruthScene, calibs: list[CameraCalib],
 @dataclass
 class PersonObservation:
     local_id: int
-    keypoints: list[tuple[float, float, float] | None]  # (u, v, conf) per joint
+    uvc: np.ndarray  # (17,3) u, v, confidence; zero where absent
+    present: np.ndarray  # (17,) bool
     gt_visible: np.ndarray  # (17,) bool
 
 
@@ -762,12 +763,9 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
         # occluded estimates score low, as a pose CNN's would; the top of
         # the range still leaks past downstream gates
         conf = np.where(visible, 0.55 + 0.4 * draws[:, 1], 0.15 + 0.3 * draws[:, 1] * draws[:, 0])
-        kps: list[tuple[float, float, float] | None] = [
-            (uj, vj, cj) if ok else None
-            for ok, uj, vj, cj in zip(keep.tolist(), u.tolist(), v.tolist(), conf.tolist())
-        ]
         if keep.any():
-            observations.append(PersonObservation(pi, kps, vis[pi]))
+            uvc = np.where(keep[:, None], np.column_stack([u, v, conf]), 0.0)
+            observations.append(PersonObservation(pi, uvc, keep, vis[pi]))
     return observations
 
 

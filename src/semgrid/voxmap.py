@@ -152,9 +152,6 @@ class VoxelMap:
         self._index_occupied()
         return len(keys)
 
-    def load_prior_ply(self, path) -> int:
-        return self.load_prior(ply.read_xyz(path))
-
     def integrate_cloud(self, cloud, calib: CameraCalib) -> IntegrationStats:
         """Ray-traced occupancy update plus per-voxel semantic fusion.
 

@@ -316,12 +316,9 @@ class _KeypointObs:
 
     def as_observation(self):
         ps = self.pose_set
-        kps = [
-            tuple(ps.keypoints[0, j, :3].tolist()) if ps.present[0, j] else None
-            for j in range(NUM_JOINTS)
-        ]
         return synthworld.PersonObservation(
-            self.local_id, kps, np.ones(NUM_JOINTS, dtype=bool))
+            self.local_id, np.where(ps.present[0, :, None], ps.keypoints[0, :, :3], 0.0),
+            ps.present[0].copy(), np.ones(NUM_JOINTS, dtype=bool))
 
 
 class TestProtocolRobustness:

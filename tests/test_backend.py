@@ -333,6 +333,30 @@ class TestConnectionLogging:
         assert "refused sensor 3" in msg and "10.0.0.7" in msg
         assert "HandshakeError" in msg and "fingerprint" in msg
 
+    def test_hello_then_garbage_in_one_chunk(self, caplog):
+        b = Backend(FP)
+        server, records = serve_frames(b, [protocol.encode(hello(2)), b"NOPE" + b"\0" * 30],
+                                       caplog)
+        assert b.stats["handshakes"] == 1
+        assert server.connections == {}
+        (rec,) = records
+        assert rec.levelno == logging.WARNING
+        msg = rec.getMessage()
+        assert "refused sensor 2 at ('10.0.0.7', 4242)" in msg and "BadMagicError" in msg
+
+    def test_cloud_beyond_the_map_logged(self, caplog):
+        b = Backend(FP)
+        scores = np.zeros((1, NUM_CLASSES))
+        scores[0, 2] = 5.0  # not a person point, which the map would skip
+        far = SemanticCloud(2, 0, np.array([[2e5, 0.0, 1.0]]), log_softmax_rows(scores))
+        _, records = serve_frames(
+            b, [protocol.encode(hello(2)), protocol.encode(protocol.CloudMessage(far))], caplog)
+        assert b.stats["clouds_received"] == 0
+        (rec,) = records
+        assert rec.levelno == logging.WARNING
+        assert "refused sensor 2" in rec.getMessage()
+        assert "VoxelRangeError" in rec.getMessage()
+
     def test_protocol_error_logged(self, caplog):
         b = Backend(FP)
         _, records = serve_frames(b, [b"NOPE" + b"\0" * 30], caplog)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semgrid import protocol
+from semgrid.backend import Backend
 from semgrid.cloud import SemanticCloud
+from semgrid.geometry import VoxelRangeError
 from semgrid.pose import NUM_JOINTS, PoseSet2p5D
 from semgrid.protocol import (
     MAGIC,
@@ -178,6 +180,17 @@ class TestQuantization:
         assert abs(np.exp(log_p).sum() - 1.0) <= 1e-9
 
 
+# malformed frames a stream can detect (a truncated one only pends)
+MALFORMED_TAILS = {
+    "bad magic": lambda: b"NOPE" + b"\0" * 30,
+    "unknown type": lambda: (lambda good: good[:4] + b"\x2a" + good[5:])(
+        encode(PoseMessage(PoseSet2p5D(1, 2)))),
+    "oversized length": lambda: protocol._HEADER.pack(MAGIC, MSG_POSE, 0, 0, 1 << 31),
+    "pose nan u": lambda: hostile_frames()["pose nan u"],
+    "cloud nan position": lambda: hostile_frames()["cloud nan position"],
+}
+
+
 class TestStreamDecoder:
     @given(st.lists(any_message, min_size=1, max_size=6),
            st.integers(0, 2**32 - 1))
@@ -196,6 +209,24 @@ class TestStreamDecoder:
         assert len(out) == len(msgs)
         for a, b in zip(msgs, out):
             assert encode(a) == encode(b)
+
+    @given(st.lists(any_message, max_size=4), st.sampled_from(sorted(MALFORMED_TAILS)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_malformed_frame_after_valid_ones(self, msgs, tail, seed):
+        # every split yields the valid frames, then the error
+        stream = b"".join(encode(m) for m in msgs) + MALFORMED_TAILS[tail]()
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, len(stream) + 1, size=rng.integers(0, 12)))
+        dec = StreamDecoder()
+        out = []
+        with pytest.raises(ProtocolError):
+            for piece in np.split(np.frombuffer(stream, dtype=np.uint8), cuts):
+                out.extend(dec.feed(piece.tobytes()))
+            dec.feed(b"")
+        assert [encode(m) for m in out] == [encode(m) for m in msgs]
+        with pytest.raises(ProtocolError):
+            dec.feed(b"")
 
     def test_partial_frame_pends(self):
         wire = encode(PoseMessage(PoseSet2p5D(1, 2)))
@@ -244,6 +275,7 @@ def corrupt_cases():
     return cases
 
 
+@pytest.mark.filterwarnings("error")
 class TestMalformedInput:
     @pytest.mark.parametrize("name", sorted(corrupt_cases()))
     def test_typed_errors_never_panics(self, name):
@@ -277,8 +309,17 @@ class TestMalformedInput:
             dec.feed(b"NOPE" + b"\x00" * 30)
 
 
+def cloud_frame(position) -> bytes:
+    """A one-point CLOUD frame, the point at `position` (camera frame)
+    and most likely of class 2."""
+    p = np.full((1, NUM_CLASSES), 0.01)
+    p[0, 2] += 1 - p.sum()
+    return encode(CloudMessage(SemanticCloud(1, 2, np.array([position], dtype=np.float64),
+                                             np.log(p))))
+
+
 def hostile_frames() -> dict[str, bytes]:
-    """Well-framed POSE, FEEDBACK and SNAPSHOT messages whose joint
+    """Well-framed POSE, FEEDBACK, SNAPSHOT and CLOUD messages whose
     records carry values no sensor or backend produces."""
     nan, inf = math.nan, math.inf
 
@@ -309,9 +350,12 @@ def hostile_frames() -> dict[str, bytes]:
             feedback_pose(1, 5, 2, {4: (1.0, -inf, 0.5, True)})])),
         "snapshot nan position": snapshot([nan, 0.0, 1.0], 0.5),
         "snapshot inf conf": snapshot([0.0, 0.0, 1.0], inf),
+        "cloud nan position": cloud_frame([nan, 0.0, 1.0]),
+        "cloud -inf position": cloud_frame([0.0, -inf, 1.0]),
     }
 
 
+@pytest.mark.filterwarnings("error")
 class TestHostileRecords:
     @pytest.mark.parametrize("name", sorted(hostile_frames()))
     def test_rejected_with_malformed_payload(self, name):
@@ -320,6 +364,16 @@ class TestHostileRecords:
             decode(frame)
         with pytest.raises(MalformedPayloadError):
             StreamDecoder().feed(frame)
+
+    @pytest.mark.parametrize("x", [2e5, 3.4e38])
+    def test_cloud_beyond_the_map_refused(self, x):
+        # finite, so it decodes, but the map has no voxel for it
+        b = Backend(1234)
+        b.on_message(Hello(1, 0, CALIBS[1], 1234), 0)
+        msg = decode(cloud_frame([x, 0.0, 1.0]))
+        with pytest.raises(VoxelRangeError):
+            b.on_message(msg, 0)
+        assert len(b.vmap) == 0 and b.stats["clouds_received"] == 0
 
     def test_valid_edges_accepted(self):
         # confidence 0 and 1, and a keypoint without depth, are valid

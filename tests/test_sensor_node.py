@@ -28,10 +28,12 @@ def depth_image(values: np.ndarray) -> DepthImage:
 
 
 def obs_of(local_id, joints: dict) -> PersonObservation:
-    kps = [None] * NUM_JOINTS
-    for j, uvc in joints.items():
-        kps[j] = uvc
-    return PersonObservation(local_id, kps, np.zeros(NUM_JOINTS, dtype=bool))
+    uvc = np.zeros((NUM_JOINTS, 3))
+    present = np.zeros(NUM_JOINTS, dtype=bool)
+    for j, kp in joints.items():
+        uvc[j] = kp
+        present[j] = True
+    return PersonObservation(local_id, uvc, present, np.zeros(NUM_JOINTS, dtype=bool))
 
 
 def feedback_pose(person_id, joints: dict, ts=0) -> FeedbackPose:
@@ -262,7 +264,7 @@ class TestFramePlan:
         poses = []
         for o in obs:
             joints = {j: (kp[0] + 3.0, kp[1] - 2.0, 0.5, j % 3 == 0)
-                      for j, kp in enumerate(o.keypoints) if kp is not None}
+                      for j, kp in enumerate(o.uvc.tolist()) if o.present[j]}
             joints.setdefault(0, (50.0, 50.0, 0.5, False))
             poses.append(conftest.feedback_pose(sensor_id, 10 + o.local_id, ts, joints))
         hidden = {j: (20.0 + j, 30.0, 0.5, True) for j in range(NUM_JOINTS)}

@@ -45,7 +45,8 @@ class TestDeterminism:
         b = synthworld.render_keypoints(small_scene(4), calib, 2.0, frame_idx=3)
         assert len(a) == len(b)
         for oa, ob in zip(a, b):
-            assert oa.keypoints == ob.keypoints
+            assert np.array_equal(oa.present, ob.present)
+            assert np.array_equal(oa.uvc, ob.uvc)
 
 
 class TestPersonAnimator:
@@ -89,8 +90,8 @@ class TestKeypointNoise:
                                               vis=vis)
             for o in obs:
                 joints = scene.persons[o.local_id].joints_at(t)
-                for j, kp in enumerate(o.keypoints):
-                    if kp is None or not o.gt_visible[j]:
+                for j, kp in enumerate(o.uvc):
+                    if not o.present[j] or not o.gt_visible[j]:
                         continue
                     uvd = project(calib, joints[j])
                     if uvd is None:
@@ -113,8 +114,8 @@ class TestKeypointNoise:
                                           frame_idx=0, vis=vis)
         for o in obs:
             joints = scene.persons[o.local_id].joints_at(1.0)
-            for j, kp in enumerate(o.keypoints):
-                if kp is None or not o.gt_visible[j]:
+            for j, kp in enumerate(o.uvc):
+                if not o.present[j] or not o.gt_visible[j]:
                     continue
                 uvd = project(calib, joints[j])
                 if 1 < uvd[0] < calib.width - 1 and 1 < uvd[1] < calib.height - 1:
@@ -130,8 +131,8 @@ class TestKeypointNoise:
             vis = visible_joints(scene, calib, t)
             for o in synthworld.render_keypoints(scene, calib, t, frame_idx=i,
                                                  vis=vis):
-                for j, kp in enumerate(o.keypoints):
-                    if kp is None:
+                for j, kp in enumerate(o.uvc):
+                    if not o.present[j]:
                         continue
                     (occ_confs, vis_confs)[int(o.gt_visible[j])].append(kp[2])
         assert vis_confs and occ_confs
