@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Benchmark the backend's fusion tick stage by stage at 8 persons.
+
+Runs seed 1-3 units shaped like the benchmark's `crowd-8p` workload (8
+persons, 4 sensors, poses only, 20 ticks at 30 Hz) and keeps, per tick,
+the views `Backend.sync_window_select` picked and each sensor's feedback
+horizon.  It then replays each unit's ticks through the functions the
+backend calls: association, triangulation, the tracker and feedback,
+timing each stage of each tick, best of --repeat in process CPU time
+(each repeat replays the unit from a fresh tracker).  It prints the
+median over the ticks per stage and of the whole tick.  The 33 ms tick
+budget is a real-time target (30 Hz); exceeding it prints a warning but
+does not fail, since the time depends on the host.
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from semgrid import backend, synthworld  # noqa: E402
+from semgrid.pose import SkeletonTracker  # noqa: E402
+from semgrid.sim import SimConfig, simulate  # noqa: E402
+
+SEEDS = (1, 2, 3)
+PERSONS = 8
+TICKS = 20
+TICK_BUDGET_MS = 33.0
+STAGES = ("associate", "triangulate_group", "tracker_update", "make_feedback")
+
+
+def capture_unit(seed: int) -> tuple[backend.Backend, list[tuple]]:
+    """The backend of one unit and, per tick, (now_us, selected views,
+    feedback horizon per sensor)."""
+    ticks = []
+    real = backend.Backend.tick
+
+    def tick(be, now_us):
+        horizon = {sid: (st.delay_s or 0.0) + 1.0 / be.tick_rate_hz
+                   for sid, st in be.sensors.items()}
+        ticks.append((now_us, be.sync_window_select(now_us), horizon))
+        return real(be, now_us)
+
+    backend.Backend.tick = tick
+    try:
+        scene = synthworld.make_default_scene(seed=seed, n_persons=PERSONS)
+        result = simulate(scene, synthworld.make_camera_rig(scene), SimConfig(
+            duration_s=TICKS / 30, integrate_clouds=False, map_source="structure"))
+    finally:
+        backend.Backend.tick = real
+    return result.backend, ticks
+
+
+def replay_unit(be: backend.Backend, ticks: list[tuple]) -> np.ndarray:
+    """Process CPU ms of each stage of each tick, (ticks, stages)."""
+    tracker = SkeletonTracker()
+    calibs = {sid: st.calib for sid, st in be.sensors.items()}
+    ms = np.zeros((len(ticks), len(STAGES)))
+    clock = time.process_time
+    for k, (now_us, selected, horizon) in enumerate(ticks):
+        views = [selected[sid] for sid in sorted(selected)]
+        t0 = clock()
+        groups = backend.associate(views, calibs, use_depth=be.flags.depth_association)
+        t1 = clock()
+        skels = backend.triangulate_group(selected, groups, calibs, now_us)
+        t2 = clock()
+        fused = tracker.update([s for s in skels if s is not None], 1.0 / be.tick_rate_hz)
+        t3 = clock()
+        for sid, st in be.sensors.items():
+            backend.make_feedback(fused, st.calib, be.vmap, horizon[sid],
+                                  compute_occlusion=be.flags.occlusion_flags)
+        t4 = clock()
+        ms[k] = np.diff([t0, t1, t2, t3, t4]) * 1e3
+    return ms
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+
+    units = [capture_unit(seed) for seed in SEEDS]
+    per_tick = np.concatenate([
+        np.min([replay_unit(be, ticks) for _ in range(args.repeat)], axis=0)
+        for be, ticks in units])
+    views = [len(sel) for _, ticks in units for _, sel, _ in ticks]
+    persons = [len(ps.person_ids) for _, ticks in units for _, sel, _ in ticks
+               for ps in sel.values()]
+    print(f"{len(per_tick)} ticks of seeds {', '.join(map(str, SEEDS))} ({PERSONS} persons, "
+          f"{np.mean(views):.1f} views of {np.mean(persons):.1f} persons each); "
+          f"per tick best of {args.repeat}, process CPU time")
+    for name, times in zip(STAGES, per_tick.T):
+        print(f"{name:20s} median {np.median(times):6.2f} ms  "
+              f"(range {times.min():.2f}-{times.max():.2f})")
+    total = per_tick.sum(axis=1)
+    print(f"{'tick':20s} median {np.median(total):6.2f} ms  mean {total.mean():.2f}  "
+          f"p90 {np.percentile(total, 90):.2f}")
+    worst = float(total.max())
+    if worst > TICK_BUDGET_MS:
+        print(f"WARNING: the slowest tick took {worst:.1f} ms, over the "
+              f"{TICK_BUDGET_MS:.0f} ms budget on this host")
+    else:
+        print(f"tick: slowest {worst:.1f} ms, within the {TICK_BUDGET_MS:.0f} ms budget")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,9 @@ semantic feedback.  Driven by an external clock (simulated or wall).
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import socket
 import socketserver
 import threading
 import time
@@ -78,7 +80,6 @@ class Backend:
                  delta_sync_s: float = DELTA_SYNC_S):
         self.class_fingerprint = class_fingerprint
         self.flags = AblationFlags.parse(ablation)
-        self.ablation = ablation
         self.vmap = vmap if vmap is not None else VoxelMap()
         self.tick_rate_hz = tick_rate_hz
         self.delta_sync_s = delta_sync_s
@@ -146,13 +147,9 @@ class Backend:
         for sid, state in self.sensors.items():
             if state.last_seen_us and t_tick_us - state.last_seen_us > stale_us:
                 continue
-            best = None
-            best_d = window_us + 1
-            for ps in state.pose_buffer:
-                d = abs(ps.timestamp_us - t_tick_us)
-                if d < best_d:
-                    best, best_d = ps, d
-            if best is not None:
+            best = min(state.pose_buffer, key=lambda ps: abs(ps.timestamp_us - t_tick_us),
+                       default=None)
+            if best is not None and abs(best.timestamp_us - t_tick_us) <= window_us:
                 selected[sid] = best
         return selected
 
@@ -161,25 +158,18 @@ class Backend:
         then build per-sensor feedback (empty dict when feedback is off)."""
         self.stats["ticks"] += 1
         selected = self.sync_window_select(now_us)
-        views = [selected[sid] for sid in sorted(selected)]
         calibs = {sid: st.calib for sid, st in self.sensors.items()}
-        raw: list[Skeleton3D] = []
-        raw_groups: list[list[tuple[int, int]]] = []
-        if views:
-            groups = associate(views, calibs, use_depth=self.flags.depth_association)
-            pose_by_sensor = {ps.sensor_id: ps for ps in views}
-            for group in groups:
-                skel = triangulate_group(pose_by_sensor, group, calibs, now_us)
-                if skel is not None:
-                    raw.append(skel)
-                    raw_groups.append(group)
-        self.skeletons = self.tracker.update(raw, 1.0 / self.tick_rate_hz)
+        fused: list[tuple[Skeleton3D, list[tuple[int, int]]]] = []  # (raw skeleton, group)
+        if selected:
+            groups = associate(list(selected.values()), calibs,
+                               use_depth=self.flags.depth_association)
+            skels = triangulate_group(selected, groups, calibs, now_us)
+            fused = [(skel, group) for skel, group in zip(skels, groups) if skel is not None]
+        self.skeletons = self.tracker.update([skel for skel, _ in fused], 1.0 / self.tick_rate_hz)
         # the tracker stamps final person ids onto the raw skeletons, so
         # the 2D-observation groups can be tied to fused identities
         self.last_views = selected
-        self.last_associations = {
-            skel.person_id: grp for skel, grp in zip(raw, raw_groups)
-        }
+        self.last_associations = {skel.person_id: group for skel, group in fused}
         if not self.flags.send_feedback:
             return {}
         out: dict[int, protocol.FeedbackMessage] = {}
@@ -188,11 +178,9 @@ class Backend:
             # cycle — feedback produced now is consumed with the sensor's
             # next frame at the earliest
             delay = (state.delay_s or 0.0) + 1.0 / self.tick_rate_hz
-            poses = make_feedback(
+            out[sid] = protocol.FeedbackMessage(sid, now_us, make_feedback(
                 self.skeletons, state.calib, self.vmap, delay,
-                compute_occlusion=self.flags.occlusion_flags,
-            )
-            out[sid] = protocol.FeedbackMessage(sid, now_us, poses)
+                compute_occlusion=self.flags.occlusion_flags))
         return out
 
     def maybe_snapshot(self, now_us: int) -> protocol.SnapshotMessage | None:
@@ -223,8 +211,11 @@ class _SensorConnection(socketserver.BaseRequestHandler):
     sensor claimed if it never got in."""
 
     def handle(self):
-        backend: Backend = self.server.backend  # type: ignore[attr-defined]
-        lock: threading.Lock = self.server.lock  # type: ignore[attr-defined]
+        server = self.server
+        with server.lock:  # type: ignore[attr-defined]
+            if server.closed:  # type: ignore[attr-defined]
+                return
+            server.sockets.add(self.request)  # type: ignore[attr-defined]
         decoder = protocol.StreamDecoder()
         sensor_id = claimed = None
         try:
@@ -239,11 +230,13 @@ class _SensorConnection(socketserver.BaseRequestHandler):
                         hello = isinstance(msg, protocol.Hello)
                         if hello:
                             claimed = msg.sensor_id
-                        with lock:
-                            backend.on_message(msg, self.server.clock_us())  # type: ignore[attr-defined]
+                        with server.lock:  # type: ignore[attr-defined]
+                            if server.closed:  # type: ignore[attr-defined]
+                                return
+                            server.backend.on_message(msg, server.clock_us())  # type: ignore[attr-defined]
                         if hello:
                             sensor_id = claimed
-                            self.server.connections[sensor_id] = self.request  # type: ignore[attr-defined]
+                            server.connections[sensor_id] = self.request  # type: ignore[attr-defined]
                     # a malformed frame after these raises now, not on the next recv
                     msgs = decoder.feed(b"")
         except (HandshakeError, protocol.ProtocolError, VoxelRangeError) as exc:
@@ -253,8 +246,9 @@ class _SensorConnection(socketserver.BaseRequestHandler):
         except OSError as exc:
             log.info("sensor %s at %s disconnected: %s", claimed, self.client_address, exc)
         finally:
+            server.sockets.discard(self.request)  # type: ignore[attr-defined]
             if sensor_id is not None:
-                self.server.connections.pop(sensor_id, None)  # type: ignore[attr-defined]
+                server.connections.pop(sensor_id, None)  # type: ignore[attr-defined]
 
 
 def serve(backend: Backend, host: str, port: int, clock_us,
@@ -266,7 +260,8 @@ def serve(backend: Backend, host: str, port: int, clock_us,
     Feedback frames are pushed to each connected sensor every tick.
     Ticks start on a monotonic deadline every tick_sleep_s; a tick that
     overruns its period is followed at once by the next, and the missed
-    deadlines are dropped rather than run in a burst.
+    deadlines are dropped rather than run in a burst.  On return no frame
+    reaches the backend any more and every sensor connection is shut down.
     """
     if tick_sleep_s is None:
         tick_sleep_s = 1.0 / backend.tick_rate_hz
@@ -276,7 +271,9 @@ def serve(backend: Backend, host: str, port: int, clock_us,
     server.backend = backend  # type: ignore[attr-defined]
     server.lock = threading.Lock()  # type: ignore[attr-defined]
     server.clock_us = clock_us  # type: ignore[attr-defined]
-    server.connections = {}  # type: ignore[attr-defined]
+    server.connections = {}  # type: ignore[attr-defined]  # handshaken sensor id -> socket
+    server.sockets = set()  # type: ignore[attr-defined]  # every accepted socket
+    server.closed = False  # type: ignore[attr-defined]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     log.info("backend listening on %s:%d", *server.server_address[:2])
@@ -299,4 +296,9 @@ def serve(backend: Backend, host: str, port: int, clock_us,
             time.sleep(deadline - t)
     finally:
         server.shutdown()
+        with server.lock:  # type: ignore[attr-defined]
+            server.closed = True  # type: ignore[attr-defined]
+            for sock in list(server.sockets):  # type: ignore[attr-defined]
+                with contextlib.suppress(OSError):  # a peer that is gone already
+                    sock.shutdown(socket.SHUT_RDWR)
         server.server_close()

@@ -454,6 +454,12 @@ def _run_sensor_node(cfg, scene, addr, duration_s, class_set) -> SensorNode:
             for _, payload in sensor_frames(scene, [node], config, i, now_us):
                 sock.sendall(payload)
             i += 1
+        # a close with feedback unread would reset the connection and drop
+        # the frames not yet sent: close once the backend has read them all
+        sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(5.0)
+        while sock.recv(65536):
+            pass
     return node
 
 
@@ -476,15 +482,18 @@ def sensor_node_main(argv=None) -> int:
         cfg = load_sensor_config(args.config)
         cp = configparser.ConfigParser()
         cp.read(args.config)
-        scene_path = args.scene or cp["sensor"].get("scene_file")
-        if scene_path is None:
+        scene_file = cp["sensor"].get("scene_file")
+        if args.scene is None and scene_file is None:
             raise DataError(f"no --scene given and no scene_file in {args.config}")
-        scene = synthworld.load_scene(scene_path)
+        scene = synthworld.load_scene(args.scene or Path(args.config).parent / scene_file)
         class_set = ClassSet.load(args.classes) if args.classes else ClassSet()
         node = _run_sensor_node(cfg, scene, addr, args.duration, class_set)
         print(f"sensor {cfg.sensor_id}: {json.dumps(node.stats)}")
     except KeyboardInterrupt:
         return EXIT_OK
+    except (BrokenPipeError, ConnectionResetError):
+        print("sensor-node: error: backend closed the connection", file=sys.stderr)
+        return EXIT_DATA
     except (DataError, OSError, ValueError, protocol.ProtocolError) as e:
         print(f"sensor-node: error: {e}", file=sys.stderr)
         return EXIT_DATA

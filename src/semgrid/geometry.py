@@ -116,15 +116,6 @@ def project_many(calib: CameraCalib, pts_world: np.ndarray):
     return uv, z, in_image
 
 
-def backproject(calib: CameraCalib, u: float, v: float, depth: float) -> np.ndarray:
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    pc = np.array(
-        [(u - calib.cx) / calib.fx * depth, (v - calib.cy) / calib.fy * depth, depth]
-    )
-    return calib.cam_to_world(pc)
-
-
 def _bres_walk(origin: np.ndarray, tg: np.ndarray):
     """Bresenham walk of rays from one origin voxel to many targets: per
     cell its ray, dominant step count and side-axis advances, plus the

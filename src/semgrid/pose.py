@@ -25,13 +25,12 @@ fill values.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraCalib, backproject, row_norms
+from .geometry import CameraCalib, row_norms
 
 NUM_JOINTS = 17
 
@@ -135,10 +134,11 @@ class FeedbackPose:
 
 
 def _view_arrays(views: list[PoseSet2p5D], conf_min: float):
-    """Keypoints of V views padded to the most persons P of any view:
-    uv (V,P,17,2), depth and sigma (V,P,17) NaN where none, and usable
-    (V,P,17), the confident keypoints not sourced from feedback."""
-    n_p = max(len(v.person_ids) for v in views)
+    """Keypoints of V views padded with NaN to the most persons P of any
+    view and at least one, (V,P,17,5), and usable (V,P,17): the confident
+    keypoints not sourced from feedback, which association and
+    triangulation read."""
+    n_p = max([1] + [len(v.person_ids) for v in views])
     kp = np.full((len(views), n_p, NUM_JOINTS, 5), np.nan)
     usable = np.zeros((len(views), n_p, NUM_JOINTS), dtype=bool)
     for i, v in enumerate(views):
@@ -146,8 +146,7 @@ def _view_arrays(views: list[PoseSet2p5D], conf_min: float):
         kp[i, :n] = v.keypoints
         usable[i, :n] = v.present & ~v.from_feedback
     usable &= kp[..., 2] >= conf_min
-    uv = np.where(usable[..., None], kp[..., :2], 0.0)
-    return uv, kp[..., 3], kp[..., 4], usable
+    return kp, usable
 
 
 def _camera_matrices(calibs: list[CameraCalib]):
@@ -196,58 +195,61 @@ def _pt_seg_dists(pts, a, b) -> np.ndarray:
 
 def _pair_costs(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: bool,
                 gate: float, conf_min: float) -> np.ndarray:
-    """Cost of every person pair of every ordered view pair, (V,V,P,P):
-    entry [a, b, i, q] is the mean distance of person q's usable keypoints
-    in view b to the epipolar lines of person i's same joints in view a,
-    over the joints both have; inf when they share none (and for pads).
+    """Cost of every person pair of every view pair a < b, stacked over
+    the upper triangle in np.triu_indices order, (E,P,P) with E = V(V-1)/2:
+    entry [e, i, q] of the pair (a, b) is the mean distance of person q's
+    usable keypoints in view b to the epipolar lines of person i's same
+    joints in view a, over the joints both have; inf when they share none
+    (and for pads).
 
     With use_depth, a keypoint of a that has a local depth restricts its
     epipolar line to the projection of the depth interval +- 2 sigma: a
     b keypoint farther than gate from that segment is no correspondence,
     and one within it costs its distance to the segment."""
-    uv, depth, sigma, usable = _view_arrays(views, conf_min)
+    kp, usable = _view_arrays(views, conf_min)
+    uv = np.where(usable[..., None], kp[..., :2], 0.0)
     K, K_inv, R, t = _camera_matrices(calibs)
-    # fundamental matrices F[a, b]: the image in b of pixel x of a's ray
-    # at unit depth is M x, and its line joins the epipole e = (a's
-    # centre seen from b), so the line is [e]x M x
-    to_b = K @ R.transpose(0, 2, 1)  # world (relative to b's centre) -> b pixels
-    rel = t[:, None] - t[None, :]  # (a, b, 3): a's centre relative to b's
-    e = (to_b[None] @ rel[..., None])[..., 0]
-    ray = np.broadcast_to((R @ K_inv)[:, None], rel.shape + (3,)).copy()
+    ia, ib = np.triu_indices(len(views), 1)
+    # fundamental matrices F of the pairs: the image in b of pixel x of
+    # a's ray at unit depth is M x, and its line joins the epipole e =
+    # (a's centre seen from b), so the line is [e]x M x
+    to_b = (K @ R.transpose(0, 2, 1))[ib]  # world (relative to b's centre) -> b pixels
+    rel = t[ia] - t[ib]  # (E,3): a's centre relative to b's
+    e = (to_b @ rel[..., None])[..., 0]
+    ray = (R @ K_inv)[ia]
     ray[..., 2] += rel
-    m = to_b[None] @ ray
+    m = to_b @ ray
     e_cross = np.zeros(e.shape + (3,))
     e_cross[..., 0, 1], e_cross[..., 0, 2] = -e[..., 2], e[..., 1]
     e_cross[..., 1, 0], e_cross[..., 1, 2] = e[..., 2], -e[..., 0]
     e_cross[..., 2, 0], e_cross[..., 2, 1] = -e[..., 1], e[..., 0]
-    f = e_cross @ m  # (V,V,3,3)
+    f = e_cross @ m  # (E,3,3)
     n_v, n_p = uv.shape[:2]
     uvh = np.concatenate([uv, np.ones((n_v, n_p, NUM_JOINTS, 1))], axis=-1)
-    lines = (uvh.reshape(n_v, 1, -1, 3) @ f.transpose(0, 1, 3, 2)).reshape(
-        n_v, n_v, n_p, NUM_JOINTS, 3)
+    lines = (uvh.reshape(n_v, -1, 3)[ia] @ f.transpose(0, 2, 1)).reshape(
+        len(ia), n_p, NUM_JOINTS, 3)
     norms = np.hypot(lines[..., 0], lines[..., 1])
     lines /= np.where(norms < 1e-12, 1.0, norms)[..., None]
     # distance of every b keypoint to every a epipolar line, same joint:
-    # (a, b, person of a, person of b, joint)
-    line = lines[:, :, :, None]
-    ub = uv[None, :, None]
+    # (pair, person of a, person of b, joint)
+    line = lines[:, :, None]
+    ub = uv[ib][:, None]
     d = np.abs(line[..., 0] * ub[..., 0] + line[..., 1] * ub[..., 1] + line[..., 2])
-    shared = usable[:, None, :, None] & usable[None, :, None]
+    shared = usable[ia][:, :, None] & usable[ib][:, None]
     if use_depth:
+        depth, sigma = kp[..., 3], kp[..., 4]
         have_d = usable & np.isfinite(depth)
         with np.errstate(invalid="ignore"):
             lo = np.maximum(depth - 2 * sigma, 1e-3)
             hi = np.maximum(depth + 2 * sigma, lo)
         # world direction of each keypoint's ray at unit depth, (V,P,J,3)
         world = uvh @ (R @ K_inv)[:, None].transpose(0, 1, 3, 2)
-        # both segment endpoints in every camera b: (a, b, P, J, 3)
-        ends = [
-            ((dist[..., None] * world)[:, None] + rel[:, :, None, None]) @ R[None, :, None]
-            for dist in (lo, hi)
-        ]
-        seg0, seg1, front = _clip_project_segments(K[None, :, None, None], *ends)
-        ds = _pt_seg_dists(ub, seg0[:, :, :, None], seg1[:, :, :, None])
-        checked = shared & (have_d[:, None] & front)[:, :, :, None]
+        # both segment endpoints in camera b: (pair, P, J, 3)
+        ends = [((dist[..., None] * world)[ia] + rel[:, None, None]) @ R[ib][:, None]
+                for dist in (lo, hi)]
+        seg0, seg1, front = _clip_project_segments(K[ib][:, None, None], *ends)
+        ds = _pt_seg_dists(ub, seg0[:, :, None], seg1[:, :, None])
+        checked = shared & (have_d[ia] & front)[:, :, None]
         # correspondences outside the interval are dropped
         shared &= ~(checked & (ds > gate))
         d = np.where(checked, ds, d)
@@ -263,50 +265,48 @@ def associate(
     tau_epi: float = TAU_EPI,
     conf_min: float = CONF_MIN,
 ) -> list[list[tuple[int, int]]]:
-    """Greedy iterative cross-view grouping of person detections.
+    """Greedy iterative cross-view grouping of person detections, one
+    view per sensor.
 
     Views are visited in sensor-id order; each person of the incoming
     view joins the cheapest existing group with cost <= tau_epi (one
-    person per group per view), otherwise starts a new group.  Returns
-    groups of (sensor_id, local_person_id).
+    person per group per view; ties go to the lower group, then the
+    lower person), otherwise starts a new group.  A group's cost to a
+    person is the least pair cost over the group's members.  Returns
+    groups of (sensor_id, local_person_id) in sensor-id order.
     """
     if not views:
         return []
     ordered = sorted(views, key=lambda v: v.sensor_id)
     cost = _pair_costs(ordered, [calibs[v.sensor_id] for v in ordered], use_depth,
                        tau_epi, conf_min)
-    # groups: list of dict view index -> person row
-    groups: list[dict[int, int]] = []
-    for ib, v in enumerate(ordered):
-        nb = len(v.person_ids)
-        if nb == 0:
-            continue
-        candidates = []  # (cost, group_idx, person_row)
-        for gi, group in enumerate(groups):
-            best = np.full(nb, np.inf)
-            for ia, row in group.items():
-                best = np.minimum(best, cost[ia, ib, row, :nb])
-            for q in range(nb):
-                if best[q] <= tau_epi:
-                    candidates.append((float(best[q]), gi, q))
-        candidates.sort()
-        taken_groups: set[int] = set()
-        taken_persons: set[int] = set()
-        for _, gi, q in candidates:
-            if gi in taken_groups or q in taken_persons:
-                continue
-            groups[gi][ib] = q
-            taken_groups.add(gi)
-            taken_persons.add(q)
-        for q in range(nb):
-            if q not in taken_persons:
-                groups.append({ib: q})
+    n_v = len(ordered)
+    pair = np.zeros((n_v, n_v), dtype=np.intp)
+    pair[np.triu_indices(n_v, 1)] = np.arange(len(cost))
+    counts = [len(v.person_ids) for v in ordered]
+    # person row of each group in each view, -1 where it has none
+    members = np.full((sum(counts), n_v), -1)
+    n_g = 0
+    for ib, nb in enumerate(counts):
+        joined = [False] * nb
+        if n_g and nb:
+            rows = members[:n_g, :ib]
+            best = np.where((rows >= 0)[..., None],
+                            cost[pair[:ib, ib], np.maximum(rows, 0), :nb], np.inf).min(axis=1)
+            gi, q = np.nonzero(best <= tau_epi)
+            order = np.argsort(best[gi, q], kind="stable")
+            taken = [False] * n_g
+            for g, p in zip(gi[order].tolist(), q[order].tolist()):
+                if not (taken[g] or joined[p]):
+                    members[g, ib] = p
+                    taken[g] = joined[p] = True
+        new = [p for p in range(nb) if not joined[p]]
+        members[n_g:n_g + len(new), ib] = new
+        n_g += len(new)
+    ids = [(v.sensor_id, v.person_ids.tolist()) for v in ordered]
     return [
-        sorted(
-            (ordered[ia].sensor_id, int(ordered[ia].person_ids[row]))
-            for ia, row in group.items()
-        )
-        for group in groups
+        [(ids[ia][0], ids[ia][1][row]) for ia, row in enumerate(group) if row >= 0]
+        for group in members[:n_g].tolist()
     ]
 
 
@@ -382,48 +382,74 @@ def triangulate_points(
 
 def triangulate_group(
     pose_sets: dict[int, PoseSet2p5D],
-    group: list[tuple[int, int]],
+    groups: list[list[tuple[int, int]]],
     calibs: dict[int, CameraCalib],
     timestamp_us: int,
     conf_min: float = CONF_MIN,
-) -> Skeleton3D | None:
-    """Skeleton from one association group.
+) -> list[Skeleton3D | None]:
+    """Skeletons of one tick's association groups, one per group; None
+    for a group of which no joint can be placed.
 
-    All joints are triangulated in one triangulate_points call over the
-    group's views, from the keypoints seen with confidence >= conf_min
-    and not sourced from feedback; a joint seen so by exactly one
-    depth-capable view falls back to back-projecting the local depth
-    (n_views = 1).
+    A joint's keypoints are the group's confident ones not sourced from
+    feedback; groups with none are dropped first.  Joints seen so by two
+    or more views are triangulated in one triangulate_points call per set
+    of member views (padding a group with other views would change the
+    rounding of the BLAS product that forms the normal equations), one
+    seen so by a single depth-capable view is back-projected from its
+    local depth (n_views = 1, half the confidence).  A member whose person
+    id its view lacks is skipped; of repeated ids the first row counts.
     """
-    sids, keypoints, seen = [], [], []
-    for sid, local_id in group:
-        ps = pose_sets[sid]
-        row = ps.row_of(local_id)
-        if row is not None:
-            sids.append(sid)
-            keypoints.append(ps.keypoints[row])
-            seen.append(ps.present[row] & ~ps.from_feedback[row])
-    if not sids:
-        return None
-    kp = np.stack(keypoints)  # (V,17,5)
-    conf = kp[:, :, 2]
-    seen = np.stack(seen) & (conf >= conf_min)
-    n_seen = seen.sum(axis=0)
-    skel = Skeleton3D(-1, timestamp_us, np.full((NUM_JOINTS, 3), np.nan), np.zeros(NUM_JOINTS),
-                      np.zeros(NUM_JOINTS, dtype=np.int64), np.zeros(NUM_JOINTS, dtype=bool))
-    if (n_seen >= 2).any():
-        pos, _, ok = triangulate_points([calibs[sid] for sid in sids], kp[:, :, :2], conf, seen)
-        skel.pos[ok] = pos[ok]
-        skel.conf[ok] = (np.where(seen, conf, 0.0).sum(axis=0) / np.maximum(n_seen, 1))[ok]
-        skel.n_views[ok] = n_seen[ok]
-        skel.present[ok] = True
-    for j in np.flatnonzero(n_seen == 1).tolist():
-        i = int(np.argmax(seen[:, j]))
-        u, v, c, depth = kp[i, j, :4].tolist()
-        if depth == depth:  # not NaN
-            skel.pos[j] = backproject(calibs[sids[i]], u, v, depth)
-            skel.conf[j], skel.n_views[j], skel.present[j] = c * 0.5, 1, True
-    return skel if skel.present.any() else None
+    if not groups:
+        return []
+    sids = sorted(pose_sets)
+    views = [pose_sets[sid] for sid in sids]
+    first_row = [{pid: row for row, pid in reversed(list(enumerate(v.person_ids.tolist())))}
+                 for v in views]
+    rows = np.full((len(groups), len(views)), -1)
+    for g, group in enumerate(groups):
+        for sid, pid in group:
+            i = sids.index(sid)
+            rows[g, i] = first_row[i].get(pid, -1)
+    kp, usable = _view_arrays(views, conf_min)
+    member = rows >= 0
+    at = (np.arange(len(views)), np.maximum(rows, 0))
+    seen = usable[at] & member[..., None]  # (G,V,17)
+    keep = np.flatnonzero(seen.any(axis=(1, 2)))
+    member, seen, kp = member[keep], seen[keep], kp[at[0], at[1][keep]]  # kp (G,V,17,5)
+    conf = kp[..., 2]
+    n_seen = seen.sum(axis=1)  # (G,17)
+    pos = np.full(n_seen.shape + (3,), np.nan)
+    n_views = np.zeros(n_seen.shape, dtype=np.int64)
+    tick_calibs = [calibs[sid] for sid in sids]
+    multi = n_seen >= 2
+    by_views: dict[bytes, list[int]] = {}
+    for k in np.flatnonzero(multi.any(axis=1)).tolist():
+        by_views.setdefault(member[k].tobytes(), []).append(k)
+    for ks in by_views.values():
+        vi = np.flatnonzero(member[ks[0]])
+        g, j = np.nonzero(multi[ks])
+        g, j = np.array(ks)[g, None], j[:, None]
+        x, _, ok = triangulate_points([tick_calibs[i] for i in vi], kp[g, vi, j, :2].swapaxes(0, 1),
+                                      conf[g, vi, j].T, seen[g, vi, j].T)
+        g, j = g[ok, 0], j[ok, 0]
+        pos[g, j], n_views[g, j] = x[ok], n_seen[g, j]
+    joint_conf = np.where(n_views > 0, np.where(seen, conf, 0.0).sum(axis=1)
+                          / np.maximum(n_seen, 1), 0.0)
+    g, j = np.nonzero(n_seen == 1)
+    i = seen[g, :, j].argmax(axis=1)
+    u, v, c, depth = kp[g, i, j, :4].T
+    has = ~np.isnan(depth)
+    g, j, i, u, v, c, depth = (a[has] for a in (g, j, i, u, v, c, depth))
+    K, _, R, t = (a[i] for a in _camera_matrices(tick_calibs))
+    pc = np.stack([(u - K[:, 0, 2]) / K[:, 0, 0] * depth,
+                   (v - K[:, 1, 2]) / K[:, 1, 1] * depth, depth], axis=-1)
+    pos[g, j] = (pc[:, None] @ R.transpose(0, 2, 1))[:, 0] + t
+    joint_conf[g, j], n_views[g, j] = c * 0.5, 1
+    out: list[Skeleton3D | None] = [None] * len(groups)
+    for k in np.flatnonzero(n_views.any(axis=1)).tolist():
+        out[keep[k]] = Skeleton3D(-1, timestamp_us, pos[k], joint_conf[k], n_views[k],
+                                  n_views[k] > 0)
+    return out
 
 
 # -- temporal refinement, prediction, feedback ---------------------------------
@@ -484,15 +510,6 @@ def _predicted(pos, conf, vel, has_vel, dt_s: float, tau_conf: float):
         return pos, conf
     return (pos + np.where(has_vel[..., None], vel * dt_s, 0.0),
             conf * math.exp(-dt_s / tau_conf))
-
-
-def predict(skel: Skeleton3D, dt_s: float, tau_conf: float = TAU_CONF) -> Skeleton3D:
-    """Constant-velocity extrapolation with confidence decay."""
-    if dt_s < 0:
-        raise ValueError("dt must be non-negative")
-    pos, conf = _predicted(skel.pos, skel.conf, skel.vel, skel.has_vel, dt_s, tau_conf)
-    return dataclasses.replace(skel, timestamp_us=skel.timestamp_us + int(round(dt_s * 1e6)),
-                               pos=pos, conf=conf)
 
 
 def make_feedback(

@@ -13,6 +13,7 @@ import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +51,9 @@ class SensorConfig:
 
 def load_sensor_config(path) -> SensorConfig:
     """INI-style sensor config with a [sensor] section; the calibration
-    file is referenced via calib_file (see geometry.load_calibs format)."""
+    file is referenced via calib_file (see geometry.load_calibs format).
+    A relative calib_file or scene_file is read relative to the INI
+    file's directory, not to the working directory."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError(f"cannot read sensor config {path}")
@@ -58,7 +61,7 @@ def load_sensor_config(path) -> SensorConfig:
         raise ValueError(f"{path}: missing [sensor] section")
     s = cp["sensor"]
     sensor_id = s.getint("sensor_id")
-    calibs = load_calibs(s["calib_file"])
+    calibs = load_calibs(Path(path).parent / s["calib_file"])
     if sensor_id not in calibs:
         raise ValueError(f"{path}: sensor {sensor_id} not in calibration file")
     return SensorConfig(

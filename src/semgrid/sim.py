@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -349,20 +349,9 @@ def write_run_dir(out_dir, result: SimResult, scene_path=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     synthworld.save_scene(out / "scene.ini", result.scene)
     save_calibs(out / "calibs.txt", [n.config.calib for n in result.nodes])
-    meta = {
-        "seed": result.scene.rng_seed,
-        "ablation": result.config.ablation,
-        "duration_s": result.config.duration_s,
-        "pose_rate_hz": result.config.pose_rate_hz,
-        "cloud_rate_hz": result.config.cloud_rate_hz,
-        "keypoint_noise_px": result.config.keypoint_noise_px,
-        "miss_rate": result.config.miss_rate,
-        "p_occ_fail": result.config.p_occ_fail,
-        "label_noise": result.config.label_noise,
-        "integrate_clouds": result.config.integrate_clouds,
-        "map_source": result.config.map_source,
-        "n_sensors": len(result.nodes),
-    }
+    # keys in the order seed, ablation, the other config fields, n_sensors
+    meta = {"seed": result.scene.rng_seed, "ablation": result.config.ablation,
+            **asdict(result.config), "n_sensors": len(result.nodes)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     (out / "stats.json").write_text(json.dumps(result.stats(), indent=2) + "\n")
     (out / "skeletons.log").write_text("".join(result.skeleton_log))
@@ -384,18 +373,7 @@ def load_run_config(run_dir) -> tuple[synthworld.GroundTruthScene, list[CameraCa
     meta = json.loads((run / "meta.json").read_text())
     scene = synthworld.load_scene(run / "scene.ini")
     calibs = [c for _, c in sorted(load_calibs(run / "calibs.txt").items())]
-    config = SimConfig(
-        duration_s=meta["duration_s"],
-        ablation=meta["ablation"],
-        pose_rate_hz=meta["pose_rate_hz"],
-        cloud_rate_hz=meta["cloud_rate_hz"],
-        keypoint_noise_px=meta["keypoint_noise_px"],
-        miss_rate=meta["miss_rate"],
-        p_occ_fail=meta["p_occ_fail"],
-        label_noise=meta["label_noise"],
-        integrate_clouds=meta["integrate_clouds"],
-        map_source=meta["map_source"],
-    )
+    config = SimConfig(**{f.name: meta[f.name] for f in fields(SimConfig)})
     return scene, calibs, config
 
 

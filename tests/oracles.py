@@ -1,9 +1,12 @@
-"""Scalar reference implementations that the tests check the batched
-functions of semgrid against: one point, keypoint, ray or camera at a
-time, written for clarity rather than speed."""
+"""Reference implementations that the tests check the batched functions
+of semgrid against: scalar ones, one point, keypoint, ray or camera at a
+time, written for clarity rather than speed, and per-group forms of
+association and triangulation (one candidate loop per group and member,
+one solve per group), which the batched ones must match bit for bit."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +16,23 @@ from semgrid.geometry import (
     CameraCalib,
     VoxelIndex,
     _bres_walk,
-    backproject,
 )
-from semgrid.pose import MIN_RAY_ANGLE_DEG, TAU_TRI, triangulate_points
+from semgrid.pose import (
+    CONF_MIN,
+    MIN_RAY_ANGLE_DEG,
+    NUM_JOINTS,
+    TAU_EPI,
+    TAU_CONF,
+    TAU_TRI,
+    PoseSet2p5D,
+    Skeleton3D,
+    _camera_matrices,
+    _clip_project_segments,
+    _predicted,
+    _pt_seg_dists,
+    _view_arrays,
+    triangulate_points,
+)
 from semgrid.sensor_node import estimate_keypoint_depths
 
 _EPS_Z = 1e-6
@@ -35,6 +52,16 @@ def project(calib: CameraCalib, p_world):
     if not (0 <= u < calib.width and 0 <= v < calib.height):
         return None
     return (u, v, z)
+
+
+def backproject(calib: CameraCalib, u: float, v: float, depth: float) -> np.ndarray:
+    """Back-project one pixel with its depth to a world point."""
+    if depth <= 0:
+        raise ValueError("depth must be positive")
+    pc = np.array(
+        [(u - calib.cx) / calib.fx * depth, (v - calib.cy) / calib.fy * depth, depth]
+    )
+    return calib.cam_to_world(pc)
 
 
 def backproject_many(calib: CameraCalib, uv: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -232,6 +259,152 @@ def triangulate_joint(
     if not ok[0]:
         return None
     return pos[0], float(res[0])
+
+
+def predict(skel: Skeleton3D, dt_s: float, tau_conf: float = TAU_CONF) -> Skeleton3D:
+    """The prediction make_feedback applies, for one skeleton."""
+    if dt_s < 0:
+        raise ValueError("dt must be non-negative")
+    pos, conf = _predicted(skel.pos, skel.conf, skel.vel, skel.has_vel, dt_s, tau_conf)
+    return dataclasses.replace(skel, timestamp_us=skel.timestamp_us + int(round(dt_s * 1e6)),
+                               pos=pos, conf=conf)
+
+
+def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: bool,
+                    gate: float, conf_min: float) -> np.ndarray:
+    """pose._pair_costs over every ordered view pair, a == b included:
+    (V,V,P,P), entry [a, b, i, q] the cost of person i of view a and
+    person q of view b."""
+    kp, usable = _view_arrays(views, conf_min)
+    uv = np.where(usable[..., None], kp[..., :2], 0.0)
+    depth, sigma = kp[..., 3], kp[..., 4]
+    K, K_inv, R, t = _camera_matrices(calibs)
+    to_b = K @ R.transpose(0, 2, 1)
+    rel = t[:, None] - t[None, :]  # (a, b, 3): a's centre relative to b's
+    e = (to_b[None] @ rel[..., None])[..., 0]
+    ray = np.broadcast_to((R @ K_inv)[:, None], rel.shape + (3,)).copy()
+    ray[..., 2] += rel
+    m = to_b[None] @ ray
+    e_cross = np.zeros(e.shape + (3,))
+    e_cross[..., 0, 1], e_cross[..., 0, 2] = -e[..., 2], e[..., 1]
+    e_cross[..., 1, 0], e_cross[..., 1, 2] = e[..., 2], -e[..., 0]
+    e_cross[..., 2, 0], e_cross[..., 2, 1] = -e[..., 1], e[..., 0]
+    f = e_cross @ m  # (V,V,3,3)
+    n_v, n_p = uv.shape[:2]
+    uvh = np.concatenate([uv, np.ones((n_v, n_p, NUM_JOINTS, 1))], axis=-1)
+    lines = (uvh.reshape(n_v, 1, -1, 3) @ f.transpose(0, 1, 3, 2)).reshape(
+        n_v, n_v, n_p, NUM_JOINTS, 3)
+    norms = np.hypot(lines[..., 0], lines[..., 1])
+    lines /= np.where(norms < 1e-12, 1.0, norms)[..., None]
+    line = lines[:, :, :, None]
+    ub = uv[None, :, None]
+    d = np.abs(line[..., 0] * ub[..., 0] + line[..., 1] * ub[..., 1] + line[..., 2])
+    shared = usable[:, None, :, None] & usable[None, :, None]
+    if use_depth:
+        have_d = usable & np.isfinite(depth)
+        with np.errstate(invalid="ignore"):
+            lo = np.maximum(depth - 2 * sigma, 1e-3)
+            hi = np.maximum(depth + 2 * sigma, lo)
+        world = uvh @ (R @ K_inv)[:, None].transpose(0, 1, 3, 2)
+        ends = [
+            ((dist[..., None] * world)[:, None] + rel[:, :, None, None]) @ R[None, :, None]
+            for dist in (lo, hi)
+        ]
+        seg0, seg1, front = _clip_project_segments(K[None, :, None, None], *ends)
+        ds = _pt_seg_dists(ub, seg0[:, :, :, None], seg1[:, :, :, None])
+        checked = shared & (have_d[:, None] & front)[:, :, :, None]
+        shared &= ~(checked & (ds > gate))
+        d = np.where(checked, ds, d)
+    counts = shared.sum(axis=-1)
+    sums = np.where(shared, d, 0.0).sum(axis=-1)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
+
+
+def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
+              use_depth: bool = False, tau_epi: float = TAU_EPI,
+              conf_min: float = CONF_MIN) -> list[list[tuple[int, int]]]:
+    """pose.associate with one candidate list per view, built group by
+    group, member by member and person by person."""
+    if not views:
+        return []
+    ordered = sorted(views, key=lambda v: v.sensor_id)
+    cost = pair_costs_full(ordered, [calibs[v.sensor_id] for v in ordered], use_depth,
+                           tau_epi, conf_min)
+    groups: list[dict[int, int]] = []  # view index -> person row
+    for ib, v in enumerate(ordered):
+        nb = len(v.person_ids)
+        if nb == 0:
+            continue
+        candidates = []  # (cost, group index, person row)
+        for gi, group in enumerate(groups):
+            best = np.full(nb, np.inf)
+            for ia, row in group.items():
+                best = np.minimum(best, cost[ia, ib, row, :nb])
+            for q in range(nb):
+                if best[q] <= tau_epi:
+                    candidates.append((float(best[q]), gi, q))
+        candidates.sort()
+        taken_groups: set[int] = set()
+        taken_persons: set[int] = set()
+        for _, gi, q in candidates:
+            if gi in taken_groups or q in taken_persons:
+                continue
+            groups[gi][ib] = q
+            taken_groups.add(gi)
+            taken_persons.add(q)
+        for q in range(nb):
+            if q not in taken_persons:
+                groups.append({ib: q})
+    return [
+        sorted((ordered[ia].sensor_id, int(ordered[ia].person_ids[row]))
+               for ia, row in group.items())
+        for group in groups
+    ]
+
+
+def triangulate_one_group(pose_sets: dict[int, PoseSet2p5D], group: list[tuple[int, int]],
+                          calibs: dict[int, CameraCalib], timestamp_us: int,
+                          conf_min: float = CONF_MIN) -> Skeleton3D | None:
+    """pose.triangulate_group for one group: one triangulate_points call
+    over the group's own views, one back-projection per single-view
+    joint."""
+    sids, keypoints, seen = [], [], []
+    for sid, local_id in group:
+        ps = pose_sets[sid]
+        row = ps.row_of(local_id)
+        if row is not None:
+            sids.append(sid)
+            keypoints.append(ps.keypoints[row])
+            seen.append(ps.present[row] & ~ps.from_feedback[row])
+    if not sids:
+        return None
+    kp = np.stack(keypoints)  # (V,17,5)
+    conf = kp[:, :, 2]
+    seen = np.stack(seen) & (conf >= conf_min)
+    n_seen = seen.sum(axis=0)
+    skel = Skeleton3D(-1, timestamp_us, np.full((NUM_JOINTS, 3), np.nan), np.zeros(NUM_JOINTS),
+                      np.zeros(NUM_JOINTS, dtype=np.int64), np.zeros(NUM_JOINTS, dtype=bool))
+    if (n_seen >= 2).any():
+        pos, _, ok = triangulate_points([calibs[sid] for sid in sids], kp[:, :, :2], conf, seen)
+        skel.pos[ok] = pos[ok]
+        skel.conf[ok] = (np.where(seen, conf, 0.0).sum(axis=0) / np.maximum(n_seen, 1))[ok]
+        skel.n_views[ok] = n_seen[ok]
+        skel.present[ok] = True
+    for j in np.flatnonzero(n_seen == 1).tolist():
+        i = int(np.argmax(seen[:, j]))
+        u, v, c, depth = kp[i, j, :4].tolist()
+        if depth == depth:  # not NaN
+            skel.pos[j] = backproject(calibs[sids[i]], u, v, depth)
+            skel.conf[j], skel.n_views[j], skel.present[j] = c * 0.5, 1, True
+    return skel if skel.present.any() else None
+
+
+def triangulate_group(pose_sets: dict[int, PoseSet2p5D], groups: list[list[tuple[int, int]]],
+                      calibs: dict[int, CameraCalib], timestamp_us: int,
+                      conf_min: float = CONF_MIN) -> list[Skeleton3D | None]:
+    """pose.triangulate_group one group at a time."""
+    return [triangulate_one_group(pose_sets, group, calibs, timestamp_us, conf_min)
+            for group in groups]
 
 
 # -- synthetic world -----------------------------------------------------------

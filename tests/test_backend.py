@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semgrid import backend as backend_mod
-from semgrid import protocol
+from semgrid import protocol, synthworld
 from semgrid.backend import (
     ABLATIONS,
     STALE_S,
@@ -17,6 +17,8 @@ from semgrid.backend import (
 from semgrid.cloud import SemanticCloud
 from semgrid.pose import PoseSet2p5D
 from semgrid.semantics import NUM_CLASSES, log_softmax_rows
+from semgrid.sim import SimConfig, simulate
+from tests import oracles
 from tests.conftest import make_ring_calibs, pose_set
 from tests.oracles import project
 
@@ -295,6 +297,8 @@ class _Server:
         self.lock = threading.Lock()
         self.clock_us = lambda: 1_000_000
         self.connections = {}
+        self.sockets = set()
+        self.closed = False
 
 
 def serve_frames(backend, frames, caplog):
@@ -372,3 +376,34 @@ class TestConnectionLogging:
         (rec,) = records
         assert "refused sensor None at ('10.0.0.7', 4242)" in rec.getMessage()
         assert "has not completed handshake" in rec.getMessage()
+
+
+class TestTickMatchesOracles:
+    def test_eight_person_sim_matches_per_group_fusion(self, monkeypatch):
+        """A seed-1 8-person 20-tick simulate gives the same skeleton log
+        and feedback bytes with the batched fusion as with the
+        per-group association and triangulation of tests/oracles.py."""
+        encode = protocol.encode
+
+        def run():
+            feedback = []
+
+            def spy(msg):
+                frame = encode(msg)
+                if isinstance(msg, protocol.FeedbackMessage):
+                    feedback.append(frame)
+                return frame
+
+            monkeypatch.setattr(protocol, "encode", spy)
+            scene = synthworld.make_default_scene(seed=1, n_persons=8)
+            result = simulate(scene, synthworld.make_camera_rig(scene), SimConfig(
+                duration_s=20 / 30, integrate_clouds=False, map_source="structure"))
+            return result.skeleton_log, feedback
+
+        log, feedback = run()
+        monkeypatch.setattr(backend_mod, "associate", oracles.associate)
+        monkeypatch.setattr(backend_mod, "triangulate_group", oracles.triangulate_group)
+        ref_log, ref_feedback = run()
+        assert len(log) == 20 and len(feedback) == 4 * 20
+        assert log == ref_log
+        assert feedback == ref_feedback

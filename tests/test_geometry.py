@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from semgrid.geometry import (
     CameraCalib,
     VoxelIndex,
-    backproject,
     bresenham3d_keys,
     load_calibs,
     pack_voxel_keys,
@@ -18,6 +17,7 @@ from semgrid.geometry import (
 )
 from tests.conftest import make_ring_calibs
 from tests.oracles import (
+    backproject,
     backproject_many,
     bresenham3d,
     bresenham3d_many,

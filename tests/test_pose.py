@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semgrid import protocol
-from semgrid.geometry import CameraCalib, backproject
+from semgrid.geometry import CameraCalib
 from semgrid.pose import (
     ALPHA_POS,
     ALPHA_VEL,
@@ -24,7 +24,6 @@ from semgrid.pose import (
     associate,
     format_skeleton_log,
     make_feedback,
-    predict,
     refine_skeleton,
     triangulate_group,
     triangulate_points,
@@ -32,12 +31,15 @@ from semgrid.pose import (
     _pair_costs,
 )
 from semgrid.voxmap import VoxelMap
+from tests import oracles
 from tests.conftest import make_ring_calibs, pose_set, skeleton
 from tests.oracles import (
+    backproject,
     epipolar_line,
     epipolar_segment,
     point_line_distance,
     point_segment_distance,
+    predict,
     project,
     triangulate_joint,
 )
@@ -212,16 +214,17 @@ class TestAssociate:
             if not any(len(v.person_ids) for v in views):
                 continue
             cost = _pair_costs(views, calibs, use_depth, TAU_EPI, CONF_MIN)
-            for a, (va, ca) in enumerate(zip(views, calibs)):
-                for b, (vb, cb) in enumerate(zip(views, calibs)):
-                    if a == b:
-                        continue
-                    ref = reference_pair_cost(va, ca, vb, cb, use_depth)
-                    got = cost[a, b, : len(va.person_ids), : len(vb.person_ids)]
-                    assert np.array_equal(np.isinf(got), np.isinf(ref))
-                    fin = np.isfinite(ref)
-                    assert np.allclose(got[fin], ref[fin], rtol=1e-7, atol=1e-7)
-                    checked += int(fin.sum())
+            # the pairs a < b that association reads, in np.triu_indices order
+            pairs = list(zip(*np.triu_indices(len(views), 1)))
+            assert len(cost) == len(pairs)
+            for got, (a, b) in zip(cost, pairs):
+                va, ca, vb, cb = views[a], calibs[a], views[b], calibs[b]
+                ref = reference_pair_cost(va, ca, vb, cb, use_depth)
+                got = got[: len(va.person_ids), : len(vb.person_ids)]
+                assert np.array_equal(np.isinf(got), np.isinf(ref))
+                fin = np.isfinite(ref)
+                assert np.allclose(got[fin], ref[fin], rtol=1e-7, atol=1e-7)
+                checked += int(fin.sum())
         assert checked > 100
 
 
@@ -233,8 +236,8 @@ class TestTriangulateGroup:
         for calib in calibs[:2]:
             u, v, _ = project(calib, p)
             persons[calib.sensor_id] = pose_set(calib.sensor_id, 0, [(0, {7: (u, v, 0.8)})])
-        skel = triangulate_group(persons, [(0, 0), (1, 0)],
-                                 {c.sensor_id: c for c in calibs}, 123)
+        skel, = triangulate_group(persons, [[(0, 0), (1, 0)]],
+                                  {c.sensor_id: c for c in calibs}, 123)
         assert skel is not None
         assert skel.present[7]
         assert np.linalg.norm(skel.pos[7] - p) <= 1e-6
@@ -245,7 +248,7 @@ class TestTriangulateGroup:
         p = np.array([0.1, -0.2, 1.4])
         u, v, depth = project(calib, p)
         persons = {0: pose_set(0, 0, [(0, {0: (u, v, 0.8, depth, 0.05)})])}
-        skel = triangulate_group(persons, [(0, 0)], {0: calib}, 0)
+        skel, = triangulate_group(persons, [[(0, 0)]], {0: calib}, 0)
         assert skel is not None
         assert skel.present[0]
         assert np.linalg.norm(skel.pos[0] - p) <= 1e-9
@@ -259,9 +262,8 @@ class TestTriangulateGroup:
             u, v, _ = project(calib, p)
             persons[calib.sensor_id] = pose_set(
                 calib.sensor_id, 0, [(0, {7: (u, v, 0.8, None, None, True)})])
-        skel = triangulate_group(persons, [(0, 0), (1, 0)],
-                                 {c.sensor_id: c for c in calibs}, 0)
-        assert skel is None
+        assert triangulate_group(persons, [[(0, 0), (1, 0)]],
+                                 {c.sensor_id: c for c in calibs}, 0) == [None]
 
 
 def reference_triangulate_joint(observations, tau_tri=TAU_TRI,
@@ -381,7 +383,7 @@ class TestBatchedTriangulation:
             ref, reasons = reference_triangulate_group(persons, by_id)
             reasons_seen.update(reasons)
             pose_sets = {sid: pose_set(sid, 0, [(0, joints)]) for sid, joints in persons.items()}
-            skel = triangulate_group(pose_sets, [(sid, 0) for sid in persons], by_id, 0)
+            skel, = triangulate_group(pose_sets, [[(sid, 0) for sid in persons]], by_id, 0)
             got = np.zeros(NUM_JOINTS, dtype=bool) if skel is None else skel.present
             for j in range(NUM_JOINTS):
                 if ref[j] is None:
@@ -436,6 +438,83 @@ class TestBatchedTriangulation:
             assert (single is None) == (ref_pos is None)
             if single is not None:
                 assert np.abs(single[0] - ref_pos).max() <= 1e-9
+
+
+@st.composite
+def fusion_ticks(draw):
+    """The views of one tick, in shuffled sensor order, with their
+    cameras: up to 5 views of 0-12 persons each.  A person is one of six
+    bodies near the rig centre (so that association groups it across
+    views), a ghost made only of feedback keypoints, or clutter seen in
+    no other view; depth is on or off per view, so a single-view group
+    has depth or not.  Some joints are unconfident or from feedback, and
+    person ids may repeat within a view."""
+    n_views = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(0, 12), min_size=n_views, max_size=n_views))
+    with_depth = draw(st.lists(st.booleans(), min_size=n_views, max_size=n_views))
+    repeat_ids = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    calibs = make_ring_calibs(n_views)
+    bodies = (rng.uniform([-1.5, -1.5, 0.9], [1.5, 1.5, 1.1], size=(6, 1, 3))
+              + rng.normal(scale=0.3, size=(6, NUM_JOINTS, 3)))
+    views = []
+    for calib, n, depth_on in zip(calibs, counts, with_depth):
+        ids = rng.choice(3 * n if repeat_ids else 1000, size=n, replace=repeat_ids)
+        persons = []
+        for pid in ids.tolist():
+            kind = rng.random()
+            ghost = kind < 0.2
+            points = (bodies[rng.integers(6)] if kind < 0.8
+                      else rng.uniform([-2.0, -2.0, 0.0], [2.0, 2.0, 2.0], size=(NUM_JOINTS, 3)))
+            joints = {}
+            for j in range(NUM_JOINTS):
+                uvd = project(calib, points[j])
+                if uvd is None or rng.random() < 0.15:
+                    continue
+                u, v, z = uvd
+                depth = z + rng.normal(scale=0.05) if depth_on and rng.random() < 0.7 else None
+                joints[j] = (u + rng.normal(scale=2.0), v + rng.normal(scale=2.0),
+                             float(rng.uniform(0.2, 1.0)), depth,
+                             None if depth is None else float(rng.uniform(0.02, 0.3)),
+                             ghost or bool(rng.random() < 0.1))
+            persons.append((pid, joints))
+        views.append(pose_set(calib.sensor_id, 0, persons))
+    order = rng.permutation(n_views)
+    return [views[i] for i in order], calibs
+
+
+class TestBatchedFusionMatchesOracles:
+    """_pair_costs, associate and triangulate_group against the full-matrix
+    and per-group forms in tests/oracles.py, bit for bit."""
+
+    @given(tick=fusion_ticks(), use_depth=st.booleans())
+    @settings(max_examples=150)
+    def test_bit_for_bit(self, tick, use_depth):
+        views, calibs = tick
+        by_id = {c.sensor_id: c for c in calibs}
+        ordered = sorted(views, key=lambda v: v.sensor_id)
+        cost = _pair_costs(ordered, calibs, use_depth, TAU_EPI, CONF_MIN)
+        full = oracles.pair_costs_full(ordered, calibs, use_depth, TAU_EPI, CONF_MIN)
+        a, b = np.triu_indices(len(views), 1)
+        assert cost.tobytes() == full[a, b].tobytes()
+
+        groups = associate(views, by_id, use_depth)
+        assert groups == oracles.associate(views, by_id, use_depth)
+        # plus a member missing from its view, alone and beside a real one
+        groups += [[(ordered[0].sensor_id, -1)]] + [g + [(-1, -1)] for g in groups[:1]]
+        by_id[-1] = calibs[0]
+        pose_sets = {v.sensor_id: v for v in views}
+        pose_sets[-1] = pose_set(-1, 0)
+        got = triangulate_group(pose_sets, groups, by_id, 7)
+        want = oracles.triangulate_group(pose_sets, groups, by_id, 7)
+        assert len(got) == len(want) == len(groups)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                for name in ("pos", "conf", "n_views", "present", "vel", "has_vel"):
+                    x, y = getattr(g, name), getattr(w, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                assert (g.person_id, g.timestamp_us) == (w.person_id, w.timestamp_us)
 
 
 class TestRefineAndPredict:

@@ -109,7 +109,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SensorConfig(0, CALIB, cloud_rate_hz=40.0, pose_rate_hz=30.0)
 
-    def test_load_roundtrip(self, tmp_path):
+    def test_load_roundtrip(self, tmp_path, monkeypatch):
         save_calibs(tmp_path / "calibs.ini", [CALIB])
         (tmp_path / "sensor.ini").write_text(
             "[sensor]\n"
@@ -120,13 +120,10 @@ class TestConfig:
             "has_depth = false\n"
             "kappa_fb = 0.2\n"
         )
-        import os
-        cwd = os.getcwd()
-        os.chdir(tmp_path)
-        try:
-            cfg = load_sensor_config("sensor.ini")
-        finally:
-            os.chdir(cwd)
+        # calib_file is relative to the INI file, not the working directory
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        cfg = load_sensor_config(tmp_path / "sensor.ini")
         assert cfg.pose_rate_hz == 15.0
         assert cfg.cloud_rate_hz == 0.5
         assert cfg.has_depth is False

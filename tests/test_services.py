@@ -125,6 +125,42 @@ class TestLoopback:
         assert np.array_equal(fields["x"], ((idx[:, 0] + 0.5) * ref.resolution).astype(np.float32))
 
 
+class TestShutdown:
+    def test_no_frame_reaches_the_backend_after_it_returns(self, tmp_path, monkeypatch,
+                                                           caplog, capsys):
+        write_inputs(tmp_path, {})
+        # paths relative to the INI file, read from another working directory
+        (tmp_path / "sensor0.ini").write_text(
+            "[sensor]\nsensor_id = 0\ncalib_file = calibs.txt\nscene_file = scene.ini\n")
+        monkeypatch.chdir(tmp_path / "..")
+        backends = []
+        init = Backend.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            backends.append(self)
+
+        monkeypatch.setattr(Backend, "__init__", spy)
+        with caplog.at_level(logging.INFO, logger="semgrid.backend"):
+            backend, backend_result = start(cli.backend_main, [
+                "--listen", "127.0.0.1:0", "--duration", "1.5"])
+            port = logged_port(caplog)
+            sensor, sensor_result = start(cli.sensor_node_main, [
+                "--config", str(tmp_path / "sensor0.ini"),
+                "--backend", f"127.0.0.1:{port}", "--duration", "30"])
+            backend.join(timeout=60)
+            assert not backend.is_alive()
+            (be,) = backends
+            stats = dict(be.stats)
+            sensor.join(timeout=60)
+        assert not sensor.is_alive()
+        assert backend_result["code"] == cli.EXIT_OK
+        assert stats["handshakes"] == 1 and stats["poses_received"] > 0
+        assert be.stats == stats
+        assert sensor_result["code"] == cli.EXIT_DATA
+        assert "sensor-node: error: backend closed the connection" in capsys.readouterr().err
+
+
 class FakeTime:
     """Stands in for the `time` module of `semgrid.cli`: time moves only
     when the sensor loop sleeps."""
