@@ -63,7 +63,7 @@ def time_stages(calib, depth, mask, dets, repeat: int) -> dict[str, float]:
     ms["points"] = len(pts)
     pts, ms["statistical_outlier_filter"] = best_ms(
         lambda: cloud.statistical_outlier_filter(pts), repeat)
-    world = pts @ calib.rotation.T + calib.translation
+    world = calib.cam_to_world(pts)
     clusters, ms["remove_ground_and_cluster"] = best_ms(
         lambda: cloud.remove_ground_and_cluster(world), repeat)
     _, ms["fuse_semantics"] = best_ms(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, Backend, serve
-from .geometry import load_calibs, pack_voxel_keys
+from .geometry import VoxelRangeError, load_calibs, pack_voxel_keys, voxel_indices_of
 from .ply import read_ply, read_xyz, write_ply
 from .semantics import NUM_CLASSES, ClassSet
 from .sensor_node import SensorNode, load_sensor_config
@@ -34,6 +34,7 @@ from .sim import (
     JOINT_CLASSES,
     ReprojRecord,
     SimConfig,
+    format_reproj_log,
     load_run_config,
     reproj_table,
     sensor_frames,
@@ -191,8 +192,10 @@ def _load_map_keys(run: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if name not in fields:
             raise DataError(f"{path}: missing '{name}' field")
     centers = np.stack([fields["x"], fields["y"], fields["z"]], axis=1)
-    idx = np.floor(centers / MAP_RESOLUTION).astype(np.int64)
-    keys = pack_voxel_keys(idx)
+    try:
+        keys = pack_voxel_keys(voxel_indices_of(centers, MAP_RESOLUTION))
+    except VoxelRangeError as e:
+        raise DataError(f"{path}: a voxel centre is not a finite, packable point") from e
     if "prob" in fields:
         labeled = fields["prob"] > 1.5 / NUM_CLASSES
     else:
@@ -304,12 +307,7 @@ def cmd_replay(args) -> int:
     recorded = (run / "skeletons.log").read_text()
     if "".join(result.skeleton_log) != recorded:
         mismatches.append("skeletons.log")
-    replay_reproj = "".join(
-        f"{r.timestamp_us} {r.sensor_id} {r.person_id} {r.joint} "
-        f"{r.error_px:.6f} {int(r.from_feedback)}\n"
-        for r in result.reproj_records
-    )
-    if replay_reproj != (run / "reproj.log").read_text():
+    if format_reproj_log(result.reproj_records) != (run / "reproj.log").read_text():
         mismatches.append("reproj.log")
     recorded_stats = json.loads((run / "stats.json").read_text())
     stats = result.stats()

@@ -17,8 +17,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import ply, semantics
-from .geometry import CameraCalib, pack_voxel_keys, project_many, voxel_indices_of
+from . import semantics
+from .geometry import CameraCalib, pack_voxel_keys, project, voxel_indices_of
 from .semantics import NUM_CLASSES
 
 CLOUD_VOXEL_RES = 0.05
@@ -104,6 +104,8 @@ class Detection:
     modality: str = "rgb"
 
     def __post_init__(self):
+        if not 0 <= self.class_idx < NUM_CLASSES:
+            raise ValueError("detection class index out of range")
         if not 0.0 < self.score < 1.0:
             raise ValueError("detection score must lie in (0, 1)")
         if self.modality not in ("rgb", "thermal"):
@@ -282,23 +284,6 @@ def _bilinear_rows(scores: np.ndarray, uv: np.ndarray) -> np.ndarray:
     )
 
 
-def _project_cam_frame(points_cam: np.ndarray, calib: CameraCalib):
-    z = points_cam[:, 2]
-    front = z > 1e-6
-    zs = np.where(front, z, 1.0)
-    uv = np.empty((len(points_cam), 2))
-    uv[:, 0] = calib.cx + calib.fx * points_cam[:, 0] / zs
-    uv[:, 1] = calib.cy + calib.fy * points_cam[:, 1] / zs
-    inside = (
-        front
-        & (uv[:, 0] >= 0)
-        & (uv[:, 0] < calib.width)
-        & (uv[:, 1] >= 0)
-        & (uv[:, 1] < calib.height)
-    )
-    return uv, inside
-
-
 def _box_iou(a, b) -> float:
     iw = min(a[2], b[2]) - max(a[0], b[0])
     ih = min(a[3], b[3]) - max(a[1], b[1])
@@ -327,11 +312,11 @@ def _point_in_detection(points_cam, uv_color, det: Detection, dets: DetectionSet
         )
     if dets.thermal_calib is None:
         raise ValueError("thermal detection without thermal calibration")
-    pts_world = points_cam @ calib.rotation.T + calib.translation
-    uv_t, _, front = project_many(dets.thermal_calib, pts_world)
+    tc = dets.thermal_calib
+    uv_t, _, in_image = project(tc, tc.world_to_cam(calib.cam_to_world(points_cam)))
     u0, v0, u1, v1 = det.box
     return (
-        front
+        in_image
         & (uv_t[:, 0] >= u0)
         & (uv_t[:, 0] <= u1)
         & (uv_t[:, 1] >= v0)
@@ -351,11 +336,11 @@ def map_thermal_box(det: Detection, dets: DetectionSet, calib: CameraCalib, dept
         pw = tc.cam_to_world(
             np.array([(u - tc.cx) / tc.fx * depth, (v - tc.cy) / tc.fy * depth, depth])
         )
-        pc = calib.world_to_cam(pw)
-        if pc[2] <= 1e-6:
+        uv, front, _ = project(calib, calib.world_to_cam(pw))
+        if not front:
             return None
-        us.append(calib.cx + calib.fx * pc[0] / pc[2])
-        vs.append(calib.cy + calib.fy * pc[1] / pc[2])
+        us.append(uv[0])
+        vs.append(uv[1])
     return (min(us), min(vs), max(us), max(vs))
 
 
@@ -425,7 +410,7 @@ def fuse_semantics(
     log_p = semantics.uniform_rows(n)
     if n == 0:
         return SemanticCloud(sensor_id, timestamp_us, pts, log_p)
-    uv, inside = _project_cam_frame(pts, calib)
+    uv, _, inside = project(calib, pts)
     if inside.any():
         raw = _bilinear_rows(mask.scores, uv[inside])
         log_p[inside] = semantics.log_softmax_rows(raw)
@@ -438,27 +423,7 @@ def fuse_semantics(
         sel = in_box & clustered & inside
         if not sel.any():
             continue
-        det_dist = semantics.max_entropy_detection(
-            det.class_idx, semantics.clamp_score(det.score)
-        )
-        log_p[sel] = semantics.fuse_rows(log_p[sel], det_dist.log_p[None, :])
+        det_row = semantics.detection_row(det.class_idx, det.score)
+        log_p[sel] = semantics.fuse_rows(log_p[sel], det_row[None, :])
     return SemanticCloud(sensor_id, timestamp_us, pts, log_p)
 
-
-def export_cloud_ply(path, cloud: SemanticCloud) -> None:
-    """Binary PLY dump: x,y,z float32, argmax class uint8, max prob float32."""
-    classes = cloud.argmax_classes()
-    if len(cloud):
-        probs = np.exp(cloud.log_probs[np.arange(len(cloud)), classes])
-    else:
-        probs = np.empty(0)
-    ply.write_ply(
-        path,
-        {
-            "x": cloud.positions[:, 0].astype(np.float32),
-            "y": cloud.positions[:, 1].astype(np.float32),
-            "z": cloud.positions[:, 2].astype(np.float32),
-            "class": classes.astype(np.uint8),
-            "prob": probs.astype(np.float32),
-        },
-    )

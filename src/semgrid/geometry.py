@@ -1,10 +1,12 @@
-"""Camera models, epipolar geometry and integer 3D ray traversal.
+"""The one camera model (pinhole projection, camera/world transforms),
+voxel binning and packed voxel keys, and integer 3D ray traversal.
 
 Conventions: world frame is right-handed with z up; camera frame has
 x right, y down, z along the optical axis (computer-vision standard).
-``pose_world_from_cam`` maps camera-frame points to world:
-p_world = R @ p_cam + t, so ``t`` is the camera center in world
-coordinates.  Pinhole model, no lens distortion.
+``CameraCalib`` maps camera-frame points to world as
+p_world = R @ p_cam + t (``cam_to_world``; ``world_to_cam`` inverts it),
+so ``t`` is the camera center in world coordinates.  Pinhole model, no
+lens distortion.
 """
 
 from __future__ import annotations
@@ -56,27 +58,9 @@ class CameraCalib:
         return p @ self.rotation.T + self.translation
 
 
-@dataclass(frozen=True, order=True)
-class VoxelIndex:
-    ix: int
-    iy: int
-    iz: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.ix, self.iy, self.iz)
-
-
 # Snap applied before floor so points computed to lie exactly on a cell
 # boundary (up to float rounding) bin into the upper cell.
 _BIN_SNAP = 1e-9
-
-
-def voxel_index_of(p, resolution: float) -> VoxelIndex:
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    i = np.floor(p / resolution + _BIN_SNAP).astype(np.int64)
-    return VoxelIndex(int(i[0]), int(i[1]), int(i[2]))
 
 
 def voxel_indices_of(points: np.ndarray, resolution: float) -> np.ndarray:
@@ -92,28 +76,28 @@ def voxel_indices_of(points: np.ndarray, resolution: float) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def project_many(calib: CameraCalib, pts_world: np.ndarray):
-    """Project (N,3) world points.
+def project(calib: CameraCalib, pc: np.ndarray):
+    """Pinhole projection of camera-frame points of any leading shape.
 
-    Returns (uv (N,2), z (N,), in_image (N,) bool).  uv/z are valid only
-    where z > 0; in_image additionally requires the pixel inside bounds.
+    Returns (uv (...,2), front (...), in_image (...)): uv is valid only
+    where front (z > 1e-6); in_image also requires the pixel inside the
+    image bounds.
     """
-    pts = np.asarray(pts_world, dtype=np.float64).reshape(-1, 3)
-    pc = (pts - calib.translation) @ calib.rotation
-    z = pc[:, 2]
+    pc = np.asarray(pc, dtype=np.float64)
+    z = pc[..., 2]
     front = z > _EPS_Z
-    zsafe = np.where(front, z, 1.0)
-    uv = np.empty((len(pts), 2))
-    uv[:, 0] = calib.cx + calib.fx * pc[:, 0] / zsafe
-    uv[:, 1] = calib.cy + calib.fy * pc[:, 1] / zsafe
+    zs = np.where(front, z, 1.0)
+    uv = np.empty(pc.shape[:-1] + (2,))
+    uv[..., 0] = calib.cx + calib.fx * pc[..., 0] / zs
+    uv[..., 1] = calib.cy + calib.fy * pc[..., 1] / zs
     in_image = (
         front
-        & (uv[:, 0] >= 0)
-        & (uv[:, 0] < calib.width)
-        & (uv[:, 1] >= 0)
-        & (uv[:, 1] < calib.height)
+        & (uv[..., 0] >= 0)
+        & (uv[..., 0] < calib.width)
+        & (uv[..., 1] >= 0)
+        & (uv[..., 1] < calib.height)
     )
-    return uv, z, in_image
+    return uv, front, in_image
 
 
 def _bres_walk(origin: np.ndarray, tg: np.ndarray):
@@ -174,8 +158,8 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
     tg = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
     if len(tg) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
-    if max(np.abs(origin).max(), np.abs(tg).max()) >= _KEY_BIAS:
-        raise VoxelRangeError("voxel index out of packable range")
+    _check_packable(origin)
+    _check_packable(tg)
     ray_id, k, adv1, adv2, dom, s0, s1, s2 = _bres_walk(origin, tg)
     weights = np.array([1 << (2 * _KEY_BITS), 1 << _KEY_BITS, 1],
                        dtype=np.int64)
@@ -189,7 +173,7 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
 
 
 # Voxel indices are packed into a single int64 key (21 bits per signed
-# component) for hashing and uniqueness operations.
+# component) for sorting, searching and uniqueness operations.
 _KEY_BIAS = 1 << 20
 _KEY_BITS = 21
 _KEY_MASK = (1 << _KEY_BITS) - 1
@@ -197,6 +181,12 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 
 class VoxelRangeError(ValueError):
     """A point or voxel index beyond what a packed voxel key can hold."""
+
+
+def _check_packable(idx: np.ndarray) -> None:
+    # both bounds, not abs: abs(INT64_MIN) overflows to INT64_MIN
+    if idx.size and (idx.min() <= -_KEY_BIAS or idx.max() >= _KEY_BIAS):
+        raise VoxelRangeError("voxel index out of packable range")
 
 
 def row_norms(vecs: np.ndarray) -> np.ndarray:
@@ -207,8 +197,7 @@ def row_norms(vecs: np.ndarray) -> np.ndarray:
 
 def pack_voxel_keys(indices: np.ndarray) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-    if np.abs(idx).max(initial=0) >= _KEY_BIAS:
-        raise VoxelRangeError("voxel index out of packable range")
+    _check_packable(idx)
     return (
         ((idx[:, 0] + _KEY_BIAS) << (2 * _KEY_BITS))
         | ((idx[:, 1] + _KEY_BIAS) << _KEY_BITS)

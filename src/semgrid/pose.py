@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraCalib, row_norms
+from .geometry import CameraCalib, project, row_norms
 
 NUM_JOINTS = 17
 
@@ -531,17 +531,13 @@ def make_feedback(
     pos, conf = _predicted(*(np.stack([getattr(s, name) for s in skels])
                              for name in ("pos", "conf", "vel", "has_vel")), delay_s, TAU_CONF)
     present = np.stack([s.present for s in skels])  # (S,17)
-    pc = (pos - calib.translation) @ calib.rotation
-    front = pc[..., 2] > 1e-6
-    z = np.where(front, pc[..., 2], 1.0)
-    us = calib.cx + calib.fx * pc[..., 0] / z
-    vs = calib.cy + calib.fy * pc[..., 1] / z
-    ok = present & front & (us >= 0) & (us < calib.width) & (vs >= 0) & (vs < calib.height)
+    uv, _, in_image = project(calib, calib.world_to_cam(pos))
+    ok = present & in_image
     occluded = np.zeros(ok.shape, dtype=bool)
     if compute_occlusion and vmap is not None and ok.any():
         # one occlusion query for the joints of all persons at once
         occluded[ok] = vmap.is_occluded_many(calib.center, pos[ok], k=k)
-    uvc = np.where(ok[..., None], np.stack([us, vs, conf], axis=-1), 0.0)
+    uvc = np.where(ok[..., None], np.concatenate([uv, conf[..., None]], axis=-1), 0.0)
     return [
         FeedbackPose(calib.sensor_id, skel.person_id, skel.timestamp_us, uvc_s, ok_s, occ_s)
         for skel, uvc_s, ok_s, occ_s in zip(skels, uvc, ok, occluded)

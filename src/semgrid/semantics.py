@@ -1,4 +1,9 @@
-"""Semantic class set and probability arithmetic in the log domain."""
+"""Semantic class set and class distributions in the log domain.
+
+A class distribution is a row of NUM_CLASSES natural-log probabilities:
+(C,) for one, (N,C) for many.  The per-sensor cloud and the voxel map
+carry whole matrices of them, so every operation here works on rows.
+"""
 
 from __future__ import annotations
 
@@ -112,91 +117,17 @@ class ClassSet:
         return cls(names=tuple(names), colors=tuple(colors))
 
 
-class ClassDistribution:
-    """Probability vector over the class set, stored as natural logs."""
-
-    __slots__ = ("log_p",)
-
-    def __init__(self, log_p: np.ndarray, _trusted: bool = False):
-        log_p = np.asarray(log_p, dtype=np.float64)
-        if log_p.shape != (NUM_CLASSES,):
-            raise ValueError(f"expected {NUM_CLASSES} log-probabilities")
-        if not _trusted:
-            if not np.all(np.isfinite(log_p)):
-                raise ValueError("log-probabilities must be finite")
-            if abs(np.exp(log_p).sum() - 1.0) > 1e-9:
-                raise ValueError("probabilities must sum to 1")
-        self.log_p = log_p
-
-    @classmethod
-    def from_probs(cls, p) -> "ClassDistribution":
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (NUM_CLASSES,):
-            raise ValueError(f"expected {NUM_CLASSES} probabilities")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite and non-negative")
-        s = p.sum()
-        if s <= 0:
-            raise ValueError("probabilities must not all be zero")
-        p = np.maximum(p / s, PROB_FLOOR)
-        return cls(np.log(p / p.sum()), _trusted=True)
-
-    @classmethod
-    def uniform(cls) -> "ClassDistribution":
-        return cls(np.full(NUM_CLASSES, -np.log(NUM_CLASSES)), _trusted=True)
-
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_p)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassDistribution) and np.array_equal(
-            self.log_p, other.log_p
-        )
-
-    def __repr__(self):
-        top, p = argmax_class(self)
-        return f"ClassDistribution(argmax={top}, p={p:.4f})"
-
-
-def softmax(scores) -> ClassDistribution:
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (NUM_CLASSES,):
-        raise ValueError(f"expected {NUM_CLASSES} scores")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return ClassDistribution(_floor_and_norm(scores.copy()), _trusted=True)
-
-
-def max_entropy_detection(class_idx: int, score: float) -> ClassDistribution:
-    """Detection score on the detected class, remainder spread uniformly."""
-    if not 0 <= class_idx < NUM_CLASSES:
-        raise ValueError("class index out of range")
-    if not 0.0 < score < 1.0:
-        raise ValueError("detector score must lie strictly inside (0, 1)")
-    p = np.full(NUM_CLASSES, (1.0 - score) / (NUM_CLASSES - 1))
-    p[class_idx] = score
-    return ClassDistribution.from_probs(p)
-
-
-def clamp_score(score: float) -> float:
-    """Clamp a detector score into the open interval fusion requires."""
+def detection_row(class_idx: int, score: float) -> np.ndarray:
+    """Log-probability row of one detection: its score, clamped into the
+    open interval fusion requires, on the detected class and the
+    remainder spread uniformly over the others."""
     lo = PROB_FLOOR * (NUM_CLASSES - 1)
     hi = 1.0 - (NUM_CLASSES - 1) * PROB_FLOOR
-    return min(max(score, lo), hi)
-
-
-def bayes_fuse(a: ClassDistribution, b: ClassDistribution) -> ClassDistribution:
-    return ClassDistribution(_floor_and_norm(a.log_p + b.log_p), _trusted=True)
-
-
-def argmax_class(d: ClassDistribution) -> tuple[int, float]:
-    i = int(np.argmax(d.log_p))
-    return i, float(np.exp(d.log_p[i]))
-
-
-# -- batch helpers over (N, C) log-probability matrices -----------------------
-# The per-sensor cloud pipeline and the voxel map carry thousands of
-# distributions; these operate on whole matrices without object overhead.
+    score = min(max(score, lo), hi)
+    p = np.full(NUM_CLASSES, (1.0 - score) / (NUM_CLASSES - 1))
+    p[class_idx] = score
+    p = np.maximum(p / p.sum(), PROB_FLOOR)
+    return np.log(p / p.sum())
 
 
 def log_softmax_rows(scores: np.ndarray) -> np.ndarray:

@@ -312,8 +312,7 @@ class SensorNode:
         points = cloudmod.depth_to_points(depth, calib)
         points = cloudmod.voxel_downsample(points)
         points = cloudmod.statistical_outlier_filter(points)
-        points_world = points @ calib.rotation.T + calib.translation
-        clusters = cloudmod.remove_ground_and_cluster(points_world)
+        clusters = cloudmod.remove_ground_and_cluster(calib.cam_to_world(points))
         return cloudmod.fuse_semantics(
             points, calib, mask, dets, clusters,
             sensor_id=self.config.sensor_id, timestamp_us=timestamp_us,

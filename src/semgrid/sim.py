@@ -17,7 +17,7 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, AblationFlags, Backend
-from .geometry import CameraCalib, row_norms, save_calibs, unpack_voxel_keys
+from .geometry import CameraCalib, project, row_norms, save_calibs, unpack_voxel_keys
 from .pose import NUM_JOINTS, format_skeleton_log
 from .semantics import ClassSet
 from .sensor_node import SensorConfig, SensorNode
@@ -127,13 +127,9 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
             if not len(slots):
                 continue
             calib = backend.sensors[sid].calib
-            pc = (skel.pos[slots] - calib.translation) @ calib.rotation
-            front = pc[:, 2] > 1e-6
-            z = np.where(front, pc[:, 2], 1.0)
-            us = calib.cx + calib.fx * pc[:, 0] / z
-            vs = calib.cy + calib.fy * pc[:, 1] / z
+            uv, front, _ = project(calib, calib.world_to_cam(skel.pos[slots]))
             kps = view.keypoints[row, slots]
-            errs = np.hypot(kps[:, 0] - us, kps[:, 1] - vs)
+            errs = np.hypot(kps[:, 0] - uv[:, 0], kps[:, 1] - uv[:, 1])
             records.extend(
                 ReprojRecord(now_us, sid, skel.person_id, j, err, fb)
                 for j, err, fb, ok in zip(slots.tolist(), errs.tolist(),
@@ -355,14 +351,15 @@ def write_run_dir(out_dir, result: SimResult, scene_path=None) -> Path:
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     (out / "stats.json").write_text(json.dumps(result.stats(), indent=2) + "\n")
     (out / "skeletons.log").write_text("".join(result.skeleton_log))
-    with open(out / "reproj.log", "w") as f:
-        for r in result.reproj_records:
-            f.write(
-                f"{r.timestamp_us} {r.sensor_id} {r.person_id} {r.joint} "
-                f"{r.error_px:.6f} {int(r.from_feedback)}\n"
-            )
+    (out / "reproj.log").write_text(format_reproj_log(result.reproj_records))
     result.backend.vmap.export_ply(out / "map.ply")
     return out
+
+
+def format_reproj_log(records: list[ReprojRecord]) -> str:
+    """The text of reproj.log: one line per record."""
+    return "".join(f"{r.timestamp_us} {r.sensor_id} {r.person_id} {r.joint} "
+                   f"{r.error_px:.6f} {int(r.from_feedback)}\n" for r in records)
 
 
 def load_run_config(run_dir) -> tuple[synthworld.GroundTruthScene, list[CameraCalib], SimConfig]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import DepthImage, Detection, DetectionSet, SegmentationMask
-from .geometry import CameraCalib, pack_voxel_keys
+from .geometry import CameraCalib, pack_voxel_keys, project
 from .semantics import FLOOR_CLASS, NUM_CLASSES, PERSON_CLASS
 from .pose import NUM_JOINTS
 
@@ -608,13 +608,10 @@ def _project_box_to_image(calib: CameraCalib, bmin, bmax):
     corners = np.array(
         [[x, y, z] for x in (bmin[0], bmax[0]) for y in (bmin[1], bmax[1]) for z in (bmin[2], bmax[2])]
     )
-    pc = (corners - calib.translation) @ calib.rotation
-    front = pc[:, 2] > 1e-6
+    uv, front, _ = project(calib, calib.world_to_cam(corners))
     if front.sum() < 2:
         return None
-    pc = pc[front]
-    us = calib.cx + calib.fx * pc[:, 0] / pc[:, 2]
-    vs = calib.cy + calib.fy * pc[:, 1] / pc[:, 2]
+    us, vs = uv[front, 0], uv[front, 1]
     u0, u1 = np.clip([us.min(), us.max()], 0, calib.width - 1)
     v0, v1 = np.clip([vs.min(), vs.max()], 0, calib.height - 1)
     if u1 - u0 < 2 or v1 - v0 < 2:
@@ -653,12 +650,10 @@ def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
         dets.append(Detection(b.class_idx, float(rng.uniform(0.6, 0.95)), box2d))
     for pi, person in enumerate(scene.persons):
         joints = person.joints_at(t_s)
-        pc = (joints - calib.translation) @ calib.rotation
-        front = pc[:, 2] > 1e-6
+        uv, front, _ = project(calib, calib.world_to_cam(joints))
         if front.sum() < 4:
             continue
-        us = calib.cx + calib.fx * pc[front, 0] / pc[front, 2]
-        vs = calib.cy + calib.fy * pc[front, 1] / pc[front, 2]
+        us, vs = uv[front, 0], uv[front, 1]
         u0, u1 = np.clip([us.min() - 3, us.max() + 3], 0, calib.width - 1)
         v0, v1 = np.clip([vs.min() - 3, vs.max() + 8], 0, calib.height - 1)
         if u1 - u0 < 2 or v1 - v0 < 2:
@@ -702,15 +697,7 @@ def visible_joints_many(scene: GroundTruthScene, calibs: list[CameraCalib],
     t, cls = _cast_static(scene, t_s, origins, dirs)
     _cast_persons(_scene_capsules(scene, t_s), [(c.center, n_rays) for c in calibs],
                   dirs, t, cls, np.tile(_self_blocked(n_p), (n_c, 1)))
-    in_img = np.empty((n_c, n_rays), dtype=bool)
-    for ci_cam, c in enumerate(calibs):
-        pc = (flat - c.translation) @ c.rotation
-        z = pc[:, 2]
-        front = z > 1e-6
-        zs = np.where(front, z, 1.0)
-        us = c.cx + c.fx * pc[:, 0] / zs
-        vs = c.cy + c.fy * pc[:, 1] / zs
-        in_img[ci_cam] = front & (us >= 0) & (us < c.width) & (vs >= 0) & (vs < c.height)
+    in_img = np.stack([project(c, c.world_to_cam(flat))[2] for c in calibs])
     return (in_img & (t.reshape(n_c, n_rays) > 0.98)).reshape(n_c, n_p, NUM_JOINTS)
 
 
@@ -742,13 +729,7 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
     observations = []
     for pi, person in enumerate(scene.persons):
         joints = person.joints_at(t_s)
-        pc = (joints - calib.translation) @ calib.rotation
-        z = pc[:, 2]
-        front = z > 1e-6
-        zs = np.where(front, z, 1.0)
-        us = calib.cx + calib.fx * pc[:, 0] / zs
-        vs = calib.cy + calib.fy * pc[:, 1] / zs
-        in_img = front & (us >= 0) & (us < calib.width) & (vs >= 0) & (vs < calib.height)
+        uv, _, in_img = project(calib, calib.world_to_cam(joints))
         # fixed-shape draws keep the rng stream aligned across configs
         draws = rng.random((NUM_JOINTS, 2))
         nudge = rng.standard_normal((NUM_JOINTS, 2))
@@ -758,8 +739,8 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
         fail = ~visible & (draws[:, 0] < p_occ_fail)
         keep = in_img & np.where(visible, draws[:, 0] >= miss_rate, ~fail | (draws[:, 1] >= 0.5))
         err = np.where(fail, OCC_ERROR_PX, noise_px)
-        u = np.clip(us + err * nudge[:, 0], 0, calib.width - 1e-3)
-        v = np.clip(vs + err * nudge[:, 1], 0, calib.height - 1e-3)
+        u = np.clip(uv[:, 0] + err * nudge[:, 0], 0, calib.width - 1e-3)
+        v = np.clip(uv[:, 1] + err * nudge[:, 1], 0, calib.height - 1e-3)
         # occluded estimates score low, as a pose CNN's would; the top of
         # the range still leaks past downstream gates
         conf = np.where(visible, 0.55 + 0.4 * draws[:, 1], 0.15 + 0.3 * draws[:, 1] * draws[:, 0])

@@ -18,14 +18,12 @@ import numpy as np
 from . import ply, semantics
 from .geometry import (
     CameraCalib,
-    VoxelIndex,
     bresenham3d_keys,
     pack_voxel_keys,
     unpack_voxel_keys,
-    voxel_index_of,
     voxel_indices_of,
 )
-from .semantics import NUM_CLASSES, PERSON_CLASS, ClassDistribution
+from .semantics import NUM_CLASSES, PERSON_CLASS
 
 MAP_RESOLUTION = 0.10
 L_OCC = 0.85
@@ -37,14 +35,6 @@ OCCLUSION_K = 2
 
 SOURCE_PRIOR = 0
 SOURCE_OBSERVED = 1
-
-
-@dataclass
-class VoxelCell:
-    occupancy_log_odds: float
-    dist: ClassDistribution
-    last_update_us: int
-    source: str  # "prior" | "observed"
 
 
 @dataclass
@@ -126,17 +116,6 @@ class VoxelMap:
         """Refresh the occupied keys after a write."""
         self._occ_keys = self._sorted_keys[self._log_odds[self._sorted_rows] > 0]
 
-    def cell(self, idx: VoxelIndex) -> VoxelCell | None:
-        row = self._locate(pack_voxel_keys(np.array([idx.as_tuple()])))[1][0]
-        if row < 0:
-            return None
-        return VoxelCell(
-            occupancy_log_odds=float(self._log_odds[row]),
-            dist=ClassDistribution(self._log_p[row].copy(), _trusted=True),
-            last_update_us=int(self._last_update[row]),
-            source="prior" if self._source[row] == SOURCE_PRIOR else "observed",
-        )
-
     def load_prior(self, prior_points: np.ndarray) -> int:
         """Seed an empty map: one occupied, uniformly-classed cell per
         distinct voxel touched by the prior points."""
@@ -164,7 +143,7 @@ class VoxelMap:
         stats = IntegrationStats()
         if len(cloud) == 0:
             return stats
-        pts_world = cloud.positions @ calib.rotation.T + calib.translation
+        pts_world = calib.cam_to_world(cloud.positions)
         keep = cloud.argmax_classes() != PERSON_CLASS
         if not keep.any():
             return stats
@@ -173,7 +152,7 @@ class VoxelMap:
         end_idx = voxel_indices_of(pts, self._resolution)
         end_keys = pack_voxel_keys(end_idx)
         uniq_end, inv = np.unique(end_keys, return_inverse=True)
-        origin_idx = np.array(voxel_index_of(calib.center, self._resolution).as_tuple())
+        origin_idx = voxel_indices_of(calib.center[None], self._resolution)[0]
         ray_keys, _ = bresenham3d_keys(origin_idx, unpack_voxel_keys(uniq_end))
         # walks include their endpoints, so these are all touched cells
         cells = _sorted_unique(ray_keys)

@@ -2,7 +2,8 @@
 of semgrid against: scalar ones, one point, keypoint, ray or camera at a
 time, written for clarity rather than speed, and per-group forms of
 association and triangulation (one candidate loop per group and member,
-one solve per group), which the batched ones must match bit for bit."""
+one solve per group), which the batched ones must match bit for bit.
+Also the readers tests use to look at one voxel-map cell."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import numpy as np
 from semgrid import synthworld
 from semgrid.geometry import (
     CameraCalib,
-    VoxelIndex,
     _bres_walk,
+    pack_voxel_keys,
 )
 from semgrid.pose import (
     CONF_MIN,
@@ -33,7 +34,9 @@ from semgrid.pose import (
     _view_arrays,
     triangulate_points,
 )
+from semgrid.semantics import PROB_FLOOR
 from semgrid.sensor_node import estimate_keypoint_depths
+from semgrid.voxmap import VoxelMap
 
 _EPS_Z = 1e-6
 
@@ -176,14 +179,12 @@ def _bres_core(start, delta_perm, sign_perm):
     return cells
 
 
-def bresenham3d(frm: VoxelIndex, to: VoxelIndex) -> list[VoxelIndex]:
-    """26-connected integer line from frm to to, inclusive.
+def bresenham3d(a: tuple[int, int, int], b: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """26-connected integer line of voxel tuples from a to b, inclusive.
 
     Cell count is max(|dx|,|dy|,|dz|) + 1 and the walk is monotone along
     every axis.
     """
-    a = frm.as_tuple()
-    b = to.as_tuple()
     delta = [b[i] - a[i] for i in range(3)]
     d = [abs(x) for x in delta]
     s = [(0 if x == 0 else (1 if x > 0 else -1)) for x in delta]
@@ -200,7 +201,7 @@ def bresenham3d(frm: VoxelIndex, to: VoxelIndex) -> list[VoxelIndex]:
     for c in cells:
         w = [0, 0, 0]
         w[perm[0]], w[perm[1]], w[perm[2]] = c
-        out.append(VoxelIndex(*w))
+        out.append(tuple(w))
     return out
 
 
@@ -222,6 +223,46 @@ def bresenham3d_many(origin: np.ndarray, targets: np.ndarray):
         cells[m, r0] = origin[r0] + s1[rid] * adv1[m]
         cells[m, r1] = origin[r1] + s2[rid] * adv2[m]
     return cells, ray_id
+
+
+# -- semantics, voxel map -----------------------------------------------------
+
+
+def from_probs(p) -> np.ndarray:
+    """Log-probability row of a probability vector: normalized, floored at
+    PROB_FLOOR and normalized again, as semantics.detection_row does."""
+    p = np.asarray(p, dtype=np.float64)
+    p = np.maximum(p / p.sum(), PROB_FLOOR)
+    return np.log(p / p.sum())
+
+
+def bayes_fuse(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """semantics.fuse_rows for one pair of rows, in the probability
+    domain: product, normalized, floored, normalized again."""
+    p = np.exp(log_a) * np.exp(log_b)
+    p = np.maximum(p / p.sum(), PROB_FLOOR)
+    return np.log(p / p.sum())
+
+
+def sorted_state(vmap: VoxelMap):
+    """The map's cells as columns in packed-key order: (keys, log_odds,
+    log_p (N,C), last_update, source)."""
+    n = vmap._n
+    order = np.argsort(vmap._keys[:n])
+    return (vmap._keys[:n][order], vmap._log_odds[:n][order],
+            vmap._log_p[:n][order], vmap._last_update[:n][order],
+            vmap._source[:n][order])
+
+
+def map_cell(vmap: VoxelMap, idx):
+    """(log_odds, log_p, last_update, source) of the cell at voxel index
+    idx, read from sorted_state; None when the map has no such cell."""
+    keys, *cols = sorted_state(vmap)
+    key = pack_voxel_keys(np.array([idx]))[0]
+    i = int(np.searchsorted(keys, key))
+    if i == len(keys) or keys[i] != key:
+        return None
+    return tuple(col[i] for col in cols)
 
 
 # -- sensor, pose --------------------------------------------------------------

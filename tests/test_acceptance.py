@@ -16,22 +16,14 @@ import pytest
 from semgrid import protocol, synthworld
 from semgrid.backend import ABLATIONS, Backend
 from semgrid.cloud import SemanticCloud
-from semgrid.geometry import CameraCalib, VoxelIndex, voxel_indices_of
+from semgrid.geometry import CameraCalib, voxel_indices_of
 from semgrid.pose import NUM_JOINTS, PoseSet2p5D
-from semgrid.semantics import (
-    NUM_CLASSES,
-    PERSON_CLASS,
-    ClassDistribution,
-    bayes_fuse,
-    fuse_rows,
-    log_softmax_rows,
-    softmax,
-)
+from semgrid.semantics import NUM_CLASSES, PERSON_CLASS, fuse_rows, log_softmax_rows
 from semgrid.sensor_node import SensorConfig, SensorNode
 from semgrid.sim import ObservationCache, SimConfig, simulate
 from semgrid.voxmap import L_FREE, L_OCC, OCCLUSION_K, VoxelMap
 from tests.conftest import feedback_pose, make_ring_calibs, pose_set
-from tests.oracles import project, triangulate_joint
+from tests.oracles import from_probs, map_cell, project, triangulate_joint
 from tests.test_protocol import corrupt_cases
 
 RIG = make_ring_calibs()
@@ -82,33 +74,32 @@ class TestFusionAlgebra:
 
     def test_normalization_and_identity(self):
         rng = np.random.default_rng(0)
-        uniform = ClassDistribution.from_probs(
-            np.full(NUM_CLASSES, 1.0 / NUM_CLASSES))
+        uniform = from_probs(np.full(NUM_CLASSES, 1.0 / NUM_CLASSES))[None]
         for _ in range(200):
-            a = ClassDistribution.from_probs(self._random_rows(rng, 1)[0])
-            b = ClassDistribution.from_probs(self._random_rows(rng, 1)[0])
-            fused = bayes_fuse(a, b)
-            assert abs(fused.probs().sum() - 1.0) <= 1e-9
-            with_uniform = bayes_fuse(a, uniform)
-            assert np.abs(with_uniform.probs() - a.probs()).max() <= 1e-9
+            a = from_probs(self._random_rows(rng, 1)[0])[None]
+            b = from_probs(self._random_rows(rng, 1)[0])[None]
+            fused = fuse_rows(a, b)
+            assert abs(np.exp(fused).sum() - 1.0) <= 1e-9
+            with_uniform = fuse_rows(a, uniform)
+            assert np.abs(np.exp(with_uniform) - np.exp(a)).max() <= 1e-9
 
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            a, b, c = (ClassDistribution.from_probs(self._random_rows(rng, 1)[0])
+            a, b, c = (from_probs(self._random_rows(rng, 1)[0])[None]
                        for _ in range(3))
-            assert np.abs(bayes_fuse(a, b).probs()
-                          - bayes_fuse(b, a).probs()).max() <= 1e-9
-            ab_c = bayes_fuse(bayes_fuse(a, b), c).probs()
-            a_bc = bayes_fuse(a, bayes_fuse(b, c)).probs()
+            assert np.abs(np.exp(fuse_rows(a, b))
+                          - np.exp(fuse_rows(b, a))).max() <= 1e-9
+            ab_c = np.exp(fuse_rows(fuse_rows(a, b), c))
+            a_bc = np.exp(fuse_rows(a, fuse_rows(b, c)))
             assert np.abs(ab_c - a_bc).max() <= 1e-9
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            logits = rng.normal(scale=5.0, size=NUM_CLASSES)
-            shifted = softmax(logits + 123.4).probs()
-            assert np.abs(softmax(logits).probs() - shifted).max() <= 1e-9
+            logits = rng.normal(scale=5.0, size=NUM_CLASSES)[None]
+            shifted = np.exp(log_softmax_rows(logits + 123.4))
+            assert np.abs(np.exp(log_softmax_rows(logits)) - shifted).max() <= 1e-9
 
     def test_two_class_hand_computed(self):
         # [0.6, 0.4] fused with itself: [0.36, 0.16] / 0.52 = [9/13, 4/13]
@@ -165,7 +156,7 @@ def _forward_calib(center=(0.0, 0.0, 0.0)) -> CameraCalib:
 
 def _cloud_of(points_world, class_idx, calib, ts=0) -> SemanticCloud:
     pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
-    pts_cam = (pts - calib.translation) @ calib.rotation
+    pts_cam = calib.world_to_cam(pts)
     scores = np.zeros((len(pts), NUM_CLASSES))
     scores[:, class_idx] = 12.0
     return SemanticCloud(0, ts, pts_cam, log_softmax_rows(scores))
@@ -199,8 +190,7 @@ class TestMapBehaviors:
         for t in range(3):
             vmap.integrate_cloud(_cloud_of(old, 5, calib, ts=t), calib)
         old_idx = np.unique(voxel_indices_of(old, vmap.resolution), axis=0)
-        assert all(vmap.cell(VoxelIndex(*i)).occupancy_log_odds > 0
-                   for i in old_idx)
+        assert all(map_cell(vmap, i)[0] > 0 for i in old_idx)
         # the object moves away; the sensor now sees the wall behind it
         # along the same rays
         scale = (old[:, 2:3] + 2.0) / old[:, 2:3]
@@ -210,10 +200,10 @@ class TestMapBehaviors:
             vmap.integrate_cloud(_cloud_of(wall, 6, calib, ts=10 + t), calib)
         freed = uniform = 0
         for i in old_idx:
-            cell = vmap.cell(VoxelIndex(*i))
-            if cell.occupancy_log_odds <= 0:
+            log_odds, log_p, _, _ = map_cell(vmap, i)
+            if log_odds <= 0:
                 freed += 1
-                if np.allclose(cell.dist.probs(), 1.0 / NUM_CLASSES):
+                if np.allclose(np.exp(log_p), 1.0 / NUM_CLASSES):
                     uniform += 1
         assert freed >= 0.9 * len(old_idx)
         assert uniform == freed  # class distribution reset on free

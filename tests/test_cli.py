@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from semgrid.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from semgrid.ply import read_ply
+from semgrid.geometry import pack_voxel_keys
+from semgrid.ply import read_ply, write_ply
 
 
 def run_cli(capsys, *argv):
@@ -105,7 +106,7 @@ class TestEvalMap:
         assert "occupancy IoU" in stdout
         # with zero integration the exported map is exactly the prior
         # voxelization of walls and floor
-        from semgrid.cli import MAP_RESOLUTION, pack_voxel_keys
+        from semgrid.cli import MAP_RESOLUTION
         from semgrid.synthworld import load_scene, prior_map_points
         fields = read_ply(out / "map.ply")
         centers = np.stack([fields["x"], fields["y"], fields["z"]], axis=1)
@@ -122,6 +123,33 @@ class TestEvalMap:
         code, stdout, _ = run_cli(capsys, "eval-map", str(short_run))
         assert code == EXIT_OK
         assert "semantic accuracy" in stdout
+
+    def test_iou_of_floor_binned_centres(self, short_run, capsys):
+        from semgrid.cli import MAP_RESOLUTION
+        from semgrid.synthworld import load_scene, structure_voxel_keys
+        code, stdout, _ = run_cli(capsys, "eval-map", str(short_run))
+        assert code == EXIT_OK
+        fields = read_ply(short_run / "map.ply")
+        centers = np.stack([fields["x"], fields["y"], fields["z"]], axis=1)
+        map_keys = pack_voxel_keys(np.floor(centers / MAP_RESOLUTION).astype(np.int64))
+        duration = json.loads((short_run / "meta.json").read_text())["duration_s"]
+        gt = structure_voxel_keys(load_scene(short_run / "scene.ini"), duration,
+                                  MAP_RESOLUTION)
+        iou = len(np.intersect1d(map_keys, gt)) / len(np.union1d(map_keys, gt))
+        assert f"occupancy IoU:        {iou:.4f}" in stdout
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e30])
+    def test_unbinnable_centre_is_data_error(self, short_run, tmp_path, capsys, bad):
+        run = tmp_path / "bad_map"
+        run.mkdir()
+        for name in ("meta.json", "scene.ini"):
+            (run / name).write_bytes((short_run / name).read_bytes())
+        fields = read_ply(short_run / "map.ply")
+        fields["x"][0] = bad
+        write_ply(run / "map.ply", fields)
+        code, _, err = run_cli(capsys, "eval-map", str(run))
+        assert code == EXIT_DATA
+        assert "map.ply" in err and "voxel centre" in err
 
 
 class TestExportMap:

@@ -19,7 +19,6 @@ from semgrid.cloud import (
     SegmentationMask,
     SemanticCloud,
     depth_to_points,
-    export_cloud_ply,
     fuse_semantics,
     nms_detections,
     remove_ground_and_cluster,
@@ -27,7 +26,6 @@ from semgrid.cloud import (
     voxel_downsample,
 )
 from semgrid.geometry import pack_voxel_keys, voxel_indices_of
-from semgrid.ply import read_ply
 from semgrid.semantics import NUM_CLASSES, PERSON_CLASS, uniform_rows
 from semgrid.sim import SimConfig, simulate
 from tests.conftest import make_ring_calibs
@@ -384,11 +382,14 @@ class TestCloudContainer:
         with pytest.raises(ValueError):
             SemanticCloud(0, 0, np.zeros((2, 3)), uniform_rows(3))
 
-    def test_export_ply_roundtrip(self, tmp_path):
-        cloud = SemanticCloud(0, 0, np.array([[1.0, 2.0, 3.0]]),
-                              uniform_rows(1))
-        export_cloud_ply(tmp_path / "c.ply", cloud)
-        fields = read_ply(tmp_path / "c.ply")
-        assert fields["x"][0] == np.float32(1.0)
-        assert fields["class"][0] == 0
-        assert abs(fields["prob"][0] - 1.0 / NUM_CLASSES) <= 1e-6
+
+class TestDetection:
+    def test_rejects_bad_class_and_score(self):
+        with pytest.raises(ValueError):
+            Detection(NUM_CLASSES, 0.5, (0, 0, 1, 1))
+        with pytest.raises(ValueError):
+            Detection(-1, 0.5, (0, 0, 1, 1))
+        with pytest.raises(ValueError):
+            Detection(0, 1.0, (0, 0, 1, 1))
+        with pytest.raises(ValueError):
+            Detection(0, 0.0, (0, 0, 1, 1))

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semgrid import geometry
 from semgrid.geometry import (
     CameraCalib,
-    VoxelIndex,
+    VoxelRangeError,
     bresenham3d_keys,
     load_calibs,
     pack_voxel_keys,
-    project_many,
     save_calibs,
     unpack_voxel_keys,
-    voxel_index_of,
     voxel_indices_of,
 )
 from tests.conftest import make_ring_calibs
@@ -52,23 +51,33 @@ def naive_bresenham(a, b):
     return cells
 
 
+def voxel_of(p, resolution=0.1) -> tuple:
+    """voxel_indices_of for one point, as a tuple."""
+    return tuple(voxel_indices_of(np.array([p]), resolution)[0].tolist())
+
+
 class TestVoxelIndexing:
     def test_examples(self):
-        assert voxel_index_of((0.05, 0.05, 0.05), 0.1) == VoxelIndex(0, 0, 0)
-        assert voxel_index_of((0.15, 0.25, 0.35), 0.1) == VoxelIndex(1, 2, 3)
-        assert voxel_index_of((-0.05, 0.0, 0.0), 0.1) == VoxelIndex(-1, 0, 0)
+        assert voxel_of((0.05, 0.05, 0.05)) == (0, 0, 0)
+        assert voxel_of((0.15, 0.25, 0.35)) == (1, 2, 3)
+        assert voxel_of((-0.05, 0.0, 0.0)) == (-1, 0, 0)
 
     def test_boundary_snaps_up(self):
         # a point computed to land on a cell face (within float noise)
         # must bin deterministically into the upper cell
-        assert voxel_index_of((0.3 - 1e-12, 0.0, 0.0), 0.1).ix == 3
+        assert voxel_of((0.3 - 1e-12, 0.0, 0.0))[0] == 3
 
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50),
                               st.floats(-50, 50)), min_size=1, max_size=20))
     def test_batch_matches_scalar(self, pts):
         batch = voxel_indices_of(np.array(pts), 0.1)
         for p, row in zip(pts, batch):
-            assert voxel_index_of(p, 0.1).as_tuple() == tuple(row)
+            assert voxel_of(p) == tuple(row)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30, -1e30])
+    def test_unbinnable_point_rejected(self, bad):
+        with pytest.raises(VoxelRangeError):
+            voxel_indices_of(np.array([[0.0, bad, 0.0]]), 0.1)
 
 
 class TestKeyPacking:
@@ -87,16 +96,31 @@ class TestKeyPacking:
         with pytest.raises(ValueError):
             pack_voxel_keys(np.array([[1 << 20, 0, 0]]))
 
+    @pytest.mark.parametrize("bad", [np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                     -(1 << 20), 1 << 20])
+    def test_range_checked_at_both_ends(self, bad):
+        # abs(INT64_MIN) overflows to INT64_MIN, so the check must not
+        # take the absolute value
+        for axis in range(3):
+            idx = np.zeros((2, 3), dtype=np.int64)
+            idx[1, axis] = bad
+            with pytest.raises(VoxelRangeError):
+                pack_voxel_keys(idx)
+            with pytest.raises(VoxelRangeError):
+                bresenham3d_keys(np.zeros(3, dtype=np.int64), idx)
+        edge = np.array([[-(1 << 20) + 1, (1 << 20) - 1, 0]])
+        assert np.array_equal(unpack_voxel_keys(pack_voxel_keys(edge)), edge)
+
 
 class TestBresenham:
     @given(cells3, cells3)
     def test_matches_reference(self, a, b):
-        got = [c.as_tuple() for c in bresenham3d(VoxelIndex(*a), VoxelIndex(*b))]
+        got = bresenham3d(a, b)
         assert got == naive_bresenham(a, b)
 
     @given(cells3, cells3)
     def test_line_properties(self, a, b):
-        cells = [c.as_tuple() for c in bresenham3d(VoxelIndex(*a), VoxelIndex(*b))]
+        cells = bresenham3d(a, b)
         dmax = max(abs(b[i] - a[i]) for i in range(3))
         assert len(cells) == dmax + 1
         assert cells[0] == a and cells[-1] == b
@@ -112,9 +136,7 @@ class TestBresenham:
     def test_vectorized_matches_scalar(self, origin, targets):
         cells, ray_id = bresenham3d_many(np.array(origin), np.array(targets))
         for i, t in enumerate(targets):
-            ref = [c.as_tuple()
-                   for c in bresenham3d(VoxelIndex(*origin), VoxelIndex(*t))]
-            assert [tuple(r) for r in cells[ray_id == i]] == ref
+            assert [tuple(r) for r in cells[ray_id == i].tolist()] == bresenham3d(origin, t)
 
     @given(cells3, st.lists(cells3, min_size=1, max_size=30))
     def test_keys_variant_matches_cells(self, origin, targets):
@@ -153,7 +175,9 @@ class TestProjection:
         calib = make_ring_calibs()[1]
         rng = np.random.default_rng(7)
         pts = rng.uniform([-1, -1, 0.3], [1, 1, 2.0], size=(40, 3))
-        uv, depth, valid = project_many(calib, pts)
+        pc = calib.world_to_cam(pts)
+        uv, _, valid = geometry.project(calib, pc)
+        depth = pc[:, 2]
         for i, p in enumerate(pts):
             ref = project(calib, p)
             assert valid[i] == (ref is not None)
@@ -162,6 +186,28 @@ class TestProjection:
                 assert abs(depth[i] - ref[2]) <= 1e-9
         back = backproject_many(calib, uv[valid], depth[valid])
         assert np.abs(back - pts[valid]).max() <= 1e-9
+
+    @given(st.lists(st.integers(1, 3), max_size=3), st.integers(0, 3), st.data())
+    def test_project_matches_oracle(self, lead, cam, data):
+        # any leading shape; points in front of, behind and beside the
+        # camera.  Camera-frame points come from the same one-point
+        # world_to_cam the oracle applies, so results agree bit for bit.
+        calib = make_ring_calibs()[cam]
+        n = int(np.prod(lead))
+        coord = st.floats(-4.0, 4.0, allow_nan=False)
+        pts = np.array(data.draw(st.lists(st.tuples(coord, coord, coord),
+                                          min_size=n, max_size=n)),
+                       dtype=np.float64).reshape(n, 3)
+        pc = np.array([calib.world_to_cam(p) for p in pts]).reshape(n, 3)
+        uv, front, in_image = geometry.project(calib, pc.reshape(*lead, 3))
+        assert uv.shape == (*lead, 2) and front.shape == in_image.shape == tuple(lead)
+        uv, front, in_image = uv.reshape(n, 2), front.reshape(n), in_image.reshape(n)
+        for i, p in enumerate(pts):
+            ref = project(calib, p)
+            assert front[i] == (pc[i, 2] > 1e-6)
+            assert in_image[i] == (ref is not None)
+            if ref is not None:
+                assert (uv[i, 0], uv[i, 1]) == ref[:2]
 
     @given(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(0.4, 1.8))
     def test_epipolar_constraint(self, x, y, z):

@@ -8,67 +8,55 @@ from semgrid.semantics import (
     NUM_CLASSES,
     PERSON_CLASS,
     PROB_FLOOR,
-    ClassDistribution,
     ClassSet,
-    argmax_class,
-    bayes_fuse,
-    clamp_score,
+    detection_row,
     fuse_rows,
     log_softmax_rows,
-    max_entropy_detection,
-    softmax,
     uniform_rows,
 )
+from tests.oracles import bayes_fuse, from_probs
 
 probs_strategy = st.lists(
     st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),
     min_size=NUM_CLASSES, max_size=NUM_CLASSES,
-).map(ClassDistribution.from_probs)
+).map(from_probs)
+
+
+def fuse(a, b):
+    """fuse_rows of two (C,) rows."""
+    return fuse_rows(a[None], b[None])[0]
 
 
 class TestClassDistribution:
+    """A class distribution is a (C,) row of natural-log probabilities."""
+
     def test_from_probs_normalizes(self):
-        d = ClassDistribution.from_probs(np.full(NUM_CLASSES, 3.0))
-        assert np.allclose(d.probs(), 1.0 / NUM_CLASSES)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            ClassDistribution.from_probs(np.ones(NUM_CLASSES - 1))
-
-    def test_rejects_negative_and_nonfinite(self):
-        bad = np.ones(NUM_CLASSES)
-        bad[0] = -0.1
-        with pytest.raises(ValueError):
-            ClassDistribution.from_probs(bad)
-        bad[0] = np.nan
-        with pytest.raises(ValueError):
-            ClassDistribution.from_probs(bad)
-        with pytest.raises(ValueError):
-            ClassDistribution.from_probs(np.zeros(NUM_CLASSES))
-
-    def test_rejects_unnormalized_log_probs(self):
-        with pytest.raises(ValueError):
-            ClassDistribution(np.zeros(NUM_CLASSES))
+        # detection_row ends in the normalize-floor-normalize of a
+        # probability vector (oracles.from_probs)
+        for class_idx in range(NUM_CLASSES):
+            for score in (1e-6, 0.3, 0.8, 1 - 1e-6):
+                p = np.exp(detection_row(class_idx, score))
+                assert abs(p.sum() - 1.0) <= 1e-12
+                assert p.min() >= PROB_FLOOR * 0.5
 
     def test_uniform(self):
-        d = ClassDistribution.uniform()
-        assert np.allclose(d.probs(), 1.0 / NUM_CLASSES)
+        assert np.allclose(np.exp(uniform_rows(1)[0]), 1.0 / NUM_CLASSES)
 
 
 class TestBayesFuse:
     @given(probs_strategy, probs_strategy)
     def test_sums_to_one(self, a, b):
-        assert abs(bayes_fuse(a, b).probs().sum() - 1.0) <= 1e-9
+        assert abs(np.exp(fuse(a, b)).sum() - 1.0) <= 1e-9
 
     @given(probs_strategy)
     def test_uniform_is_identity(self, a):
-        fused = bayes_fuse(a, ClassDistribution.uniform())
-        assert np.abs(fused.probs() - a.probs()).max() <= 1e-9
+        fused = fuse(a, uniform_rows(1)[0])
+        assert np.abs(np.exp(fused) - np.exp(a)).max() <= 1e-9
 
     @given(probs_strategy, probs_strategy)
     def test_commutative(self, a, b):
-        ab = bayes_fuse(a, b).probs()
-        ba = bayes_fuse(b, a).probs()
+        ab = np.exp(fuse(a, b))
+        ba = np.exp(fuse(b, a))
         assert np.abs(ab - ba).max() <= 1e-9
 
     # entries stay well above the probability floor, so the clamp in
@@ -76,14 +64,14 @@ class TestBayesFuse:
     # rounding; with near-zero entries the floor re-injects mass and
     # intentionally breaks it
     @given(st.lists(st.floats(0.2, 1.0), min_size=NUM_CLASSES,
-                    max_size=NUM_CLASSES).map(ClassDistribution.from_probs),
+                    max_size=NUM_CLASSES).map(from_probs),
            st.lists(st.floats(0.2, 1.0), min_size=NUM_CLASSES,
-                    max_size=NUM_CLASSES).map(ClassDistribution.from_probs),
+                    max_size=NUM_CLASSES).map(from_probs),
            st.lists(st.floats(0.2, 1.0), min_size=NUM_CLASSES,
-                    max_size=NUM_CLASSES).map(ClassDistribution.from_probs))
+                    max_size=NUM_CLASSES).map(from_probs))
     def test_associative(self, a, b, c):
-        left = bayes_fuse(bayes_fuse(a, b), c).probs()
-        right = bayes_fuse(a, bayes_fuse(b, c)).probs()
+        left = np.exp(fuse(fuse(a, b), c))
+        right = np.exp(fuse(a, fuse(b, c)))
         assert np.abs(left - right).max() <= 1e-9
 
     def test_two_class_example(self):
@@ -98,49 +86,48 @@ class TestBayesFuse:
 
     @given(probs_strategy, probs_strategy)
     def test_floor_respected(self, a, b):
-        assert bayes_fuse(a, b).probs().min() >= PROB_FLOOR * 0.5
+        assert np.exp(fuse(a, b)).min() >= PROB_FLOOR * 0.5
 
 
 class TestSoftmaxAndDetections:
     @given(st.lists(st.floats(-30, 30), min_size=NUM_CLASSES,
                     max_size=NUM_CLASSES))
     def test_softmax_normalized(self, scores):
-        d = softmax(scores)
-        assert abs(d.probs().sum() - 1.0) <= 1e-9
+        row = log_softmax_rows(np.array([scores]))[0]
+        assert abs(np.exp(row).sum() - 1.0) <= 1e-9
 
     @given(st.lists(st.floats(-30, 30), min_size=NUM_CLASSES,
                     max_size=NUM_CLASSES),
            st.floats(-5, 5))
     def test_softmax_shift_invariant(self, scores, shift):
-        a = softmax(scores).probs()
-        b = softmax(np.asarray(scores) + shift).probs()
+        a = np.exp(log_softmax_rows(np.array([scores])))
+        b = np.exp(log_softmax_rows(np.array([scores]) + shift))
         assert np.abs(a - b).max() <= 1e-9
 
-    def test_softmax_rejects_nonfinite(self):
-        scores = np.zeros(NUM_CLASSES)
-        scores[3] = np.inf
-        with pytest.raises(ValueError):
-            softmax(scores)
-
     def test_max_entropy_detection(self):
-        d = max_entropy_detection(5, 0.8)
-        p = d.probs()
-        assert argmax_class(d)[0] == 5
+        row = detection_row(5, 0.8)
+        p = np.exp(row)
+        assert int(np.argmax(row)) == 5
         assert abs(p[5] - 0.8) <= 1e-9
         others = np.delete(p, 5)
         assert np.abs(others - others[0]).max() <= 1e-12
 
-    def test_max_entropy_detection_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            max_entropy_detection(NUM_CLASSES, 0.5)
-        with pytest.raises(ValueError):
-            max_entropy_detection(0, 1.0)
-        with pytest.raises(ValueError):
-            max_entropy_detection(0, 0.0)
+    @given(st.integers(0, NUM_CLASSES - 1), st.floats(1e-6, 1 - 1e-6))
+    def test_detection_row_is_from_probs(self, class_idx, score):
+        # the row is the normalize-floor-normalize of the max-entropy
+        # probability vector, bit for bit
+        p = np.full(NUM_CLASSES, (1.0 - score) / (NUM_CLASSES - 1))
+        p[class_idx] = score
+        assert np.array_equal(detection_row(class_idx, score), from_probs(p))
 
     def test_clamp_score_admissible(self):
+        # scores at or past the ends of (0, 1) are clamped to rows with
+        # no absorbing zero
         for raw in (0.0, 1.0, -3.0, 0.5, 2.0):
-            max_entropy_detection(2, clamp_score(raw))
+            p = np.exp(detection_row(2, raw))
+            assert np.all(np.isfinite(p))
+            assert abs(p.sum() - 1.0) <= 1e-12
+            assert p.min() >= PROB_FLOOR * 0.5
 
 
 class TestRowHelpers:
@@ -151,8 +138,8 @@ class TestRowHelpers:
         b = log_softmax_rows(rng.normal(size=(n, NUM_CLASSES)))
         fused = fuse_rows(a, b)
         for i in range(n):
-            ref = bayes_fuse(ClassDistribution(a[i]), ClassDistribution(b[i]))
-            assert np.abs(np.exp(fused[i]) - ref.probs()).max() <= 1e-12
+            ref = bayes_fuse(a[i], b[i])
+            assert np.abs(np.exp(fused[i]) - np.exp(ref)).max() <= 1e-12
 
     def test_uniform_rows(self):
         rows = uniform_rows(5)

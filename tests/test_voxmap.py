@@ -4,10 +4,8 @@ import pytest
 from semgrid.cloud import SemanticCloud
 from semgrid.geometry import (
     CameraCalib,
-    VoxelIndex,
     pack_voxel_keys,
     unpack_voxel_keys,
-    voxel_index_of,
     voxel_indices_of,
 )
 from semgrid.ply import read_ply
@@ -28,7 +26,7 @@ from semgrid.voxmap import (
     SOURCE_PRIOR,
     VoxelMap,
 )
-from tests.oracles import bresenham3d
+from tests.oracles import bresenham3d, map_cell, sorted_state
 
 RES = 0.10
 
@@ -41,7 +39,7 @@ def forward_calib(center=(0.0, 0.0, 0.0)) -> CameraCalib:
 
 def cloud_of(points_world, class_idx, calib, ts=0) -> SemanticCloud:
     pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
-    pts_cam = (pts - calib.translation) @ calib.rotation
+    pts_cam = calib.world_to_cam(pts)
     scores = np.zeros((len(pts), NUM_CLASSES))
     scores[:, class_idx] = 12.0
     return SemanticCloud(0, ts, pts_cam, log_softmax_rows(scores))
@@ -56,12 +54,11 @@ def full_state(vmap: VoxelMap):
 def is_occluded(vmap: VoxelMap, from_world, to_world, k: int = OCCLUSION_K) -> bool:
     """Reference for is_occluded_many: walk the scalar Bresenham line and
     count occupied cells strictly between the endpoint voxels."""
-    a = voxel_index_of(from_world, vmap.resolution)
-    b = voxel_index_of(to_world, vmap.resolution)
+    a, b = voxel_indices_of(np.array([from_world, to_world]), vmap.resolution).tolist()
     hits = 0
     for c in bresenham3d(a, b)[1:-1]:
-        cell = vmap.cell(c)
-        hits += cell is not None and cell.occupancy_log_odds > 0
+        cell = map_cell(vmap, c)
+        hits += cell is not None and cell[0] > 0
     return hits >= k
 
 
@@ -93,18 +90,17 @@ class DictVoxelMap:
 
     def integrate_cloud(self, cloud, calib) -> int:
         """Returns the number of cells freed to uniform."""
-        pts = cloud.positions @ calib.rotation.T + calib.translation
+        pts = calib.cam_to_world(cloud.positions)
         keep = cloud.argmax_classes() != PERSON_CLASS
         sums = {}
         keys = pack_voxel_keys(voxel_indices_of(pts[keep], self.resolution))
         for key, log_p in zip(keys.tolist(), cloud.log_probs[keep]):
             sums[key] = sums.get(key, 0.0) + log_p
-        origin = voxel_index_of(calib.center, self.resolution)
+        origin = voxel_indices_of(calib.center[None], self.resolution)[0].tolist()
         crossed = set()
         for key in sums:
-            end = VoxelIndex(*unpack_voxel_keys(np.array([key]))[0])
-            crossed.update(pack_voxel_keys(np.array(
-                [c.as_tuple() for c in bresenham3d(origin, end)])).tolist())
+            end = unpack_voxel_keys(np.array([key]))[0].tolist()
+            crossed.update(pack_voxel_keys(np.array(bresenham3d(origin, end))).tolist())
         ts = int(cloud.timestamp_us)
         freed = 0
         for key in crossed - sums.keys():
@@ -130,29 +126,21 @@ class DictVoxelMap:
                 np.array(cols[3], dtype=np.uint8))
 
 
-def sorted_state(vmap: VoxelMap):
-    n = vmap._n
-    order = np.argsort(vmap._keys[:n])
-    return (vmap._keys[:n][order], vmap._log_odds[:n][order],
-            vmap._log_p[:n][order], vmap._last_update[:n][order],
-            vmap._source[:n][order])
-
-
 class TestBasics:
     def test_empty(self):
         vmap = VoxelMap()
         assert len(vmap) == 0
-        assert vmap.cell(VoxelIndex(0, 0, 0)) is None
+        assert map_cell(vmap, (0, 0, 0)) is None
         assert len(vmap.occupied_arrays()[0]) == 0
 
     def test_prior_cells_occupied_and_uniform(self):
         vmap = VoxelMap()
         n = vmap.load_prior(np.array([[0.05, 0.05, 0.05], [0.35, 0.05, 0.05]]))
         assert n == 2 and len(vmap) == 2
-        cell = vmap.cell(VoxelIndex(0, 0, 0))
-        assert cell.occupancy_log_odds == L_PRIOR_OCC
-        assert cell.source == "prior"
-        assert np.allclose(cell.dist.probs(), 1.0 / NUM_CLASSES)
+        log_odds, log_p, _, source = map_cell(vmap, (0, 0, 0))
+        assert log_odds == L_PRIOR_OCC
+        assert source == SOURCE_PRIOR
+        assert np.allclose(np.exp(log_p), 1.0 / NUM_CLASSES)
 
     def test_prior_requires_empty_map(self):
         vmap = VoxelMap()
@@ -165,19 +153,18 @@ class TestBasics:
         calib = forward_calib()
         target = [0.05, 0.05, 2.05]
         vmap.integrate_cloud(cloud_of([target], 4, calib), calib)
-        cell = vmap.cell(VoxelIndex(0, 0, 20))
+        cell = map_cell(vmap, (0, 0, 20))
         assert cell is not None
-        assert abs(cell.occupancy_log_odds - L_OCC) <= 1e-12
-        top = int(np.argmax(cell.dist.probs()))
-        assert top == 4
+        assert abs(cell[0] - L_OCC) <= 1e-12
+        assert int(np.argmax(cell[1])) == 4
 
     def test_crossed_cells_freed(self):
         vmap = VoxelMap()
         calib = forward_calib()
         vmap.integrate_cloud(cloud_of([[0.05, 0.05, 2.05]], 4, calib), calib)
-        crossed = vmap.cell(VoxelIndex(0, 0, 10))
+        crossed = map_cell(vmap, (0, 0, 10))
         assert crossed is not None
-        assert abs(crossed.occupancy_log_odds - L_FREE) <= 1e-12
+        assert abs(crossed[0] - L_FREE) <= 1e-12
 
     def test_log_odds_clamped(self):
         vmap = VoxelMap()
@@ -185,10 +172,8 @@ class TestBasics:
         cloud = cloud_of([[0.05, 0.05, 1.05]], 4, calib)
         for _ in range(20):
             vmap.integrate_cloud(cloud, calib)
-        cell = vmap.cell(VoxelIndex(0, 0, 10))
-        assert cell.occupancy_log_odds == L_MAX
-        near = vmap.cell(VoxelIndex(0, 0, 5))
-        assert near.occupancy_log_odds == L_MIN
+        assert map_cell(vmap, (0, 0, 10))[0] == L_MAX
+        assert map_cell(vmap, (0, 0, 5))[0] == L_MIN
 
 
 class TestPersonPointsSkipped:
@@ -218,8 +203,8 @@ class TestPersonPointsSkipped:
         )
         stats = vmap.integrate_cloud(mixed, calib)
         assert stats.occupied_updates == 1
-        assert vmap.cell(VoxelIndex(0, 0, 20)) is None
-        assert vmap.cell(VoxelIndex(10, 0, 20)) is not None
+        assert map_cell(vmap, (0, 0, 20)) is None
+        assert map_cell(vmap, (10, 0, 20)) is not None
 
 
 class TestMovingObject:
@@ -235,8 +220,7 @@ class TestMovingObject:
         for t in range(3):
             vmap.integrate_cloud(cloud_of(old, 5, calib, ts=t), calib)
         old_idx = np.unique(voxel_indices_of(old, RES), axis=0)
-        assert all(vmap.cell(VoxelIndex(*i)).occupancy_log_odds > 0
-                   for i in old_idx)
+        assert all(map_cell(vmap, i)[0] > 0 for i in old_idx)
 
         # object moves away; the sensor now sees the wall behind it, so
         # every frame casts rays straight through the vacated cells (the
@@ -249,10 +233,10 @@ class TestMovingObject:
 
         freed = uniform = 0
         for i in old_idx:
-            cell = vmap.cell(VoxelIndex(*i))
-            if cell.occupancy_log_odds <= 0:
+            log_odds, log_p, _, _ = map_cell(vmap, i)
+            if log_odds <= 0:
                 freed += 1
-                if np.allclose(cell.dist.probs(), 1.0 / NUM_CLASSES):
+                if np.allclose(np.exp(log_p), 1.0 / NUM_CLASSES):
                     uniform += 1
         assert freed >= 0.9 * len(old_idx)
         assert uniform == freed
@@ -360,7 +344,7 @@ class TestMatchesDictReference:
             scores = rng.normal(scale=3.0, size=(len(pts), NUM_CLASSES))
             if t == 4:
                 scores[:, PERSON_CLASS] += 50.0  # person points only
-            pts_cam = (pts - calib.translation) @ calib.rotation
+            pts_cam = calib.world_to_cam(pts)
             clouds.append(SemanticCloud(0, 1000 * (t + 1), pts_cam,
                                         log_softmax_rows(scores)))
         return prior, calib, clouds
