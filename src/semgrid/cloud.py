@@ -4,6 +4,14 @@ Back-projects a depth image, downsamples on a 5 cm grid, removes sparse
 outliers, clusters the above-ground points and attaches a class
 distribution to every point by sampling the segmentation mask and fusing
 overlapping detections.
+
+The outlier filter's k-NN and the clustering run on one cell grid
+(`_cell_grid`): points sorted by packed cell key, with the runs of
+occupied cells around each cell.  The filter takes its candidates from
+the 27 tiles around a point's tile and checks them against a bound.  The
+clustering is exact grid DBSCAN with minPts = 1: its cells are small
+enough to be cliques, so only neighbour cells still in different
+components need their point pairs tested.
 """
 
 from __future__ import annotations
@@ -18,7 +26,13 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from . import semantics
-from .geometry import CameraCalib, pack_voxel_keys, project, voxel_indices_of
+from .geometry import (
+    CameraCalib,
+    VoxelRangeError,
+    pack_voxel_keys,
+    project,
+    voxel_indices_of,
+)
 from .semantics import NUM_CLASSES
 
 CLOUD_VOXEL_RES = 0.05
@@ -30,8 +44,8 @@ FLOOR_Z = 0.10
 NMS_IOU = 0.5
 # the largest distance block the outlier filter's k-NN holds at once (8 MB)
 _KNN_BLOCK = 1 << 20
-# (dx, dy) of the 9 columns of 3 tiles around a tile
-_RUN_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+# the most point pairs clustering tests at once
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -166,42 +180,67 @@ def statistical_outlier_filter(
     return pts[mean_d <= thresh]
 
 
+def _cell_grid(keys: np.ndarray, reach: int, forward: bool = False):
+    """Points sorted by packed cell key, and the occupied cells around
+    every occupied cell.
+
+    Returns (order, starts, run_lo, run_hi).  `order` sorts the keys,
+    stably, so the points of a cell keep their index order;
+    starts[c]:starts[c + 1] are the sorted positions of occupied cell c.
+    The cells within +-reach of c on every axis lie in (2*reach + 1)**2
+    x-y columns, each a run of 2*reach + 1 consecutive keys: occupied
+    cells run_lo[c, j]:run_hi[c, j] are the j-th column's, columns in
+    (dx, dy) order.  With forward, only the cells after c: keys sort like
+    cells, so those are c's own column after c and the columns after it.
+    A run is a key range, so at the edge of the packable range it may
+    take in cells that are not neighbours; callers test real distances,
+    so such cells cost time only.
+    """
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    first = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
+    ckeys = skeys[first]
+    off = range(-reach, reach + 1)
+    cols = np.array([(dx, dy, 0) for dx in off for dy in off])
+    if forward:
+        cols = cols[len(cols) // 2:]
+    # one column's keys at a time are sorted, which searchsorted is fastest on
+    mid = (pack_voxel_keys(cols) - pack_voxel_keys(np.zeros((1, 3))))[:, None] + ckeys
+    run_lo = np.searchsorted(ckeys, mid - reach, "left").T
+    run_hi = np.searchsorted(ckeys, mid + reach, "right").T
+    if forward:
+        run_lo[:, 0] = np.arange(1, len(ckeys) + 1)
+    return order, np.r_[first, len(keys)], run_lo, run_hi
+
+
 def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
     """Sorted distances from every point to its kk nearest points, itself
     included: the distances of cKDTree(pts).query(pts, kk), bit for bit.
 
-    Points are sorted into cubic tiles of edge s = CLOUD_VOXEL_RES *
+    Points are binned into cubic tiles of edge s = CLOUD_VOXEL_RES *
     sqrt(kk), which hold about kk points of a downsampled surface.  A
     point's candidates are the points of the 27 tiles around its own; every
     other point is farther than s plus the point's distance to its own
     tile's faces.  So the kk smallest candidate distances are the true ones
     when the largest of them is below that bound; the bound carries a slack
     for rounding, which can only send a row to the cKDTree fallback, never
-    accept a wrong one.  Rows that fail (sparse regions, tile corners) are
-    asked of a cKDTree.  cdist sums squared differences in x, y, z order
-    and takes the root, as cKDTree does, so both give the same bits.
+    accept a wrong one.  Rows that fail (sparse regions, tile corners) and
+    clouds beyond the packable tile range are asked of a cKDTree.  cdist
+    sums squared differences in x, y, z order and takes the root, as
+    cKDTree does, so both give the same bits.
     """
     n = len(pts)
     s = CLOUD_VOXEL_RES * math.sqrt(kk)
-    cell = np.floor(pts / s)
-    lo = cell.min(axis=0)
-    # one empty tile of margin on each side; a grid whose keys could
-    # overflow int64 takes the tree path
-    dims = cell.max(axis=0) - lo + 3
-    if not np.prod(dims) < 2.0**62:
+    try:
+        idx = voxel_indices_of(pts, s)
+    except VoxelRangeError:
         return cKDTree(pts).query(pts, k=kk)[0]
-    idx = (cell - lo).astype(np.int64) + 1
-    dims = dims.astype(np.int64)
-    keys = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
+    order, starts, run_lo, run_hi = _cell_grid(pack_voxel_keys(idx), 1)
     spts = pts[order]
-    first = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
-    # the 27 tiles around a tile are 9 runs of 3 consecutive keys: one
-    # contiguous slice of the sorted points per run, joined in a CSR index
-    runs = skeys[first, None] + (_RUN_OFFSETS[:, 0] * dims[1] + _RUN_OFFSETS[:, 1]) * dims[2]
-    run_lo = np.searchsorted(skeys, runs - 1, "left").ravel()
-    run_len = np.searchsorted(skeys, runs + 1, "right").ravel() - run_lo
+    # the 27 tiles around a tile are 9 runs of consecutive sorted points,
+    # joined in a CSR index of candidates per tile
+    run_lo = starts[run_lo].ravel()
+    run_len = starts[run_hi].ravel() - run_lo
     run_end = np.cumsum(run_len)
     cand = np.arange(run_end[-1]) + np.repeat(run_lo - (run_end - run_len), run_len)
     cand_ptr = np.r_[0, run_end[8::9]]
@@ -209,7 +248,7 @@ def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
 
     out = np.full((n, kk), np.inf)
     busy = np.flatnonzero((n_cand >= kk) & (n_cand <= _KNN_BLOCK))
-    starts = first.tolist() + [n]
+    starts = starts.tolist()
     for t, c0, c1 in zip(busy.tolist(), cand_ptr[busy].tolist(), cand_ptr[busy + 1].tolist()):
         cpts = spts.take(cand[c0:c1], axis=0)
         step = _KNN_BLOCK // (c1 - c0)
@@ -221,12 +260,11 @@ def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
             d2.sort(axis=1)
             np.sqrt(d2, out=out[r0:r1])
 
-    scell = cell[order]
-    face = np.minimum(spts - scell * s, (scell + 1) * s - spts).min(axis=1)
-    # covers the rounding of tile indices and distances, which grows with
-    # the coordinates; it rejects every row beyond ~1.5e9 tiles from the
-    # origin, so accepted rows always have exact tile indices
-    slack = 1e-9 * (s + np.abs(pts).max())
+    # covers the rounding of distances, which grows with the coordinates,
+    # and the binning's snap, which moves tile faces by 1e-9 of an edge
+    slack = 2e-9 * (s + np.abs(pts).max())
+    scell = idx[order] * s
+    face = np.minimum(spts - scell, scell + s - spts).min(axis=1)
     redo = np.flatnonzero(~(out[:, -1] < s + face - slack))
     if len(redo):
         out[redo] = cKDTree(pts).query(spts[redo], k=kk)[0]
@@ -241,23 +279,66 @@ def remove_ground_and_cluster(
     cluster_dist: float = CLUSTER_DIST,
     min_cluster: int = MIN_CLUSTER,
 ) -> list[np.ndarray]:
-    """Euclidean clusters of above-ground points, as original-index arrays."""
+    """Euclidean clusters of above-ground points, as original-index arrays:
+    the connected components of the graph that joins every two points at
+    most cluster_dist apart, in the order of their lowest index, each in
+    ascending index order, without those smaller than min_cluster.
+
+    The components come from a grid (DBSCAN with minPts = 1).  Cells of
+    edge 0.55 * cluster_dist have a diagonal shorter than cluster_dist, so
+    every cell is a clique; cells more than 2 apart on an axis are more
+    than cluster_dist apart, so a cell can join only the cells within +-2.
+    Neighbour cells are joined in three steps: one representative point
+    pair per cell pair, the components of that cell graph, then every
+    point pair of the cell pairs still in different components.  Two
+    points join when their squared coordinate differences, summed in x,
+    y, z order, are at most cluster_dist**2, as in cKDTree.query_pairs.
+    Raises VoxelRangeError for a point beyond the packable cell range.
+    """
     if cluster_dist <= 0:
         raise ValueError("cluster_dist must be positive")
     pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
     above = np.nonzero(pts[:, 2] > floor_z)[0]
     if len(above) == 0:
         return []
-    tree = cKDTree(pts[above])
-    pairs = tree.query_pairs(cluster_dist, output_type="ndarray")
-    n = len(above)
-    if len(pairs):
-        adj = coo_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-        )
-        _, labels = connected_components(adj, directed=False)
-    else:
-        labels = np.arange(n)
+    order, starts, run_lo, run_hi = _cell_grid(
+        pack_voxel_keys(voxel_indices_of(pts[above], 0.55 * cluster_dist)), 2, forward=True)
+    # the sorted points' coordinates, one row per axis
+    xyz = pts[above[order]].T.copy()
+    n_cell = len(starts) - 1
+    size = np.diff(starts)
+    # every neighbour cell pair once, as a < b
+    run_len = run_hi - run_lo
+    a = np.repeat(np.arange(n_cell), run_len.sum(axis=1))
+    run_len = run_len.ravel()
+    run_end = np.cumsum(run_len)
+    b = np.arange(run_end[-1]) + np.repeat(run_lo.ravel() - (run_end - run_len), run_len)
+    r2 = cluster_dist * cluster_dist
+    # a cell's first point stands for it
+    hit = _sq_dist(xyz, starts[a], starts[b]) <= r2
+    edges = [(a[hit], b[hit])]
+    _, comp = _components(n_cell, edges)
+    open_pairs = comp[a] != comp[b]
+    a, b = a[open_pairs], b[open_pairs]
+    # every point pair of those, in blocks of about _PAIR_BLOCK pairs
+    work = size[a] * size[b]
+    cuts = np.searchsorted(np.cumsum(work), np.arange(0, work.sum(), _PAIR_BLOCK), "right")
+    for i0, i1 in zip(cuts.tolist(), cuts[1:].tolist() + [len(a)]):
+        w = work[i0:i1]
+        pair = np.repeat(np.arange(i0, i1), w)
+        t = np.arange(len(pair)) - np.repeat(np.cumsum(w) - w, w)
+        nb = size[b[pair]]
+        near = _sq_dist(xyz, starts[a[pair]] + t // nb, starts[b[pair]] + t % nb) <= r2
+        edges.append((a[pair[near]], b[pair[near]]))
+    n_comp, comp = _components(n_cell, edges)
+    # number the components by their lowest member; a cell's first sorted
+    # point is its lowest
+    low = np.full(n_comp, len(above))
+    np.minimum.at(low, comp, order[starts[:-1]])
+    rank = np.empty(n_comp, dtype=np.intp)
+    rank[np.argsort(low)] = np.arange(n_comp)
+    labels = np.empty(len(above), dtype=np.intp)
+    labels[order] = np.repeat(rank[comp], size)
     # members of each label, in label order, each in ascending index order
     members = above[np.argsort(labels, kind="stable")]
     sizes = np.bincount(labels)
@@ -265,9 +346,31 @@ def remove_ground_and_cluster(
     return [members[e - z:e] for e, z in zip(ends.tolist(), sizes.tolist()) if z >= min_cluster]
 
 
+def _sq_dist(xyz: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances between points i and j of (3, N) coordinates,
+    summed in x, y, z order."""
+    out = np.zeros(len(i))
+    for axis in xyz:
+        d = axis.take(i)
+        d -= axis.take(j)
+        d *= d
+        out += d
+    return out
+
+
+def _components(n: int, edges: list[tuple[np.ndarray, np.ndarray]]):
+    """(count, labels) of the connected components of n nodes joined by
+    the (a, b) edge arrays."""
+    a = np.concatenate([e[0] for e in edges])
+    b = np.concatenate([e[1] for e in edges])
+    return connected_components(coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)),
+                                directed=False)
+
+
 def _bilinear_rows(scores: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """Bilinear sample of an (H,W,C) score image at (N,2) pixel locations."""
     h, w = scores.shape[:2]
+    flat = scores.reshape(h * w, -1)
     u = np.clip(uv[:, 0], 0.0, w - 1.0)
     v = np.clip(uv[:, 1], 0.0, h - 1.0)
     u0 = np.floor(u).astype(np.intp)
@@ -276,12 +379,18 @@ def _bilinear_rows(scores: np.ndarray, uv: np.ndarray) -> np.ndarray:
     v1 = np.minimum(v0 + 1, h - 1)
     fu = (u - u0)[:, None]
     fv = (v - v0)[:, None]
-    return (
-        scores[v0, u0] * (1 - fu) * (1 - fv)
-        + scores[v0, u1] * fu * (1 - fv)
-        + scores[v1, u0] * (1 - fu) * fv
-        + scores[v1, u1] * fu * fv
-    )
+    gu = 1 - fu
+    gv = 1 - fv
+    # ((s * wu) * wv) per corner, summed left to right
+    out = flat.take(v0 * w + u0, axis=0)
+    out *= gu
+    out *= gv
+    for row, wu, wv in ((v0 * w + u1, fu, gv), (v1 * w + u0, gu, fv), (v1 * w + u1, fu, fv)):
+        term = flat.take(row, axis=0)
+        term *= wu
+        term *= wv
+        out += term
+    return out
 
 
 def _box_iou(a, b) -> float:

@@ -135,13 +135,20 @@ def _bres_walk(origin: np.ndarray, tg: np.ndarray):
     k = np.arange(total, dtype=np.int64) - offsets[ray_id]
     # closed form of the error-accumulation walk: after k dominant steps
     # the side axis has advanced floor((2*d*k + d0 - 1) / (2*d0)) cells,
-    # which reproduces the strict "error > 0" tie rule exactly
-    d0_r = d0[ray_id]
-    d0_safe = np.maximum(d0_r, 1)
-    adv1 = (2 * d1[ray_id] * k + d0_r - 1) // (2 * d0_safe)
-    adv2 = (2 * d2[ray_id] * k + d0_r - 1) // (2 * d0_safe)
-    adv1[d0_r == 0] = 0
-    adv2[d0_r == 0] = 0
+    # which reproduces the strict "error > 0" tie rule exactly; a ray of
+    # one cell (d0 = 0) advances 0.  Computed in place, one temporary per
+    # side axis
+    bias = np.maximum(d0 - 1, 0)[ray_id]
+    den = (2 * np.maximum(d0, 1))[ray_id]
+
+    def advance(d_side):
+        num = (2 * d_side)[ray_id]
+        num *= k
+        num += bias
+        num //= den
+        return num
+
+    adv1, adv2 = advance(d1), advance(d2)
     return ray_id, k, adv1, adv2, dom, s0, s1, s2
 
 
@@ -164,12 +171,15 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
     weights = np.array([1 << (2 * _KEY_BITS), 1 << _KEY_BITS, 1],
                        dtype=np.int64)
     rest = np.array([[1, 2], [0, 2], [0, 1]])[dom]
-    # per-ray key increments of one step along each walk axis
-    step0 = (s0 * weights[dom])[ray_id]
-    step1 = (s1 * weights[rest[:, 0]])[ray_id]
-    step2 = (s2 * weights[rest[:, 1]])[ray_id]
-    base = int(pack_voxel_keys(origin[None, :])[0])
-    return base + step0 * k + step1 * adv1 + step2 * adv2, ray_id
+    # key = origin's key + the steps along each walk axis times that
+    # axis's per-ray key increment, summed in place
+    keys = (s0 * weights[dom])[ray_id]
+    keys *= k
+    keys += pack_voxel_keys(origin[None, :])[0]
+    for steps, axis_sign, axis in ((adv1, s1, rest[:, 0]), (adv2, s2, rest[:, 1])):
+        steps *= (axis_sign * weights[axis])[ray_id]
+        keys += steps
+    return keys, ray_id
 
 
 # Voxel indices are packed into a single int64 key (21 bits per signed

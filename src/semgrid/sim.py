@@ -112,31 +112,34 @@ class SimResult:
 
 def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
     """Distance between each sensor's emitted 2D joints and the
-    reprojection of the fused skeleton they were associated with."""
-    records = []
+    reprojection of the fused skeleton they were associated with, one
+    projection per sensor; records in skeleton order, then view order."""
+    pairs = []  # (sensor, skeleton, view, view row) per associated view
     for skel in backend.skeletons:
-        group = backend.last_associations.get(skel.person_id)
-        if group is None:
-            continue
-        for sid, local_pid in group:
+        for sid, local_pid in backend.last_associations.get(skel.person_id, ()):
             view = backend.last_views.get(sid)
             row = None if view is None else view.row_of(local_pid)
-            if row is None:
-                continue
-            slots = np.flatnonzero(skel.present & view.present[row])
-            if not len(slots):
-                continue
-            calib = backend.sensors[sid].calib
-            uv, front, _ = project(calib, calib.world_to_cam(skel.pos[slots]))
-            kps = view.keypoints[row, slots]
-            errs = np.hypot(kps[:, 0] - uv[:, 0], kps[:, 1] - uv[:, 1])
-            records.extend(
-                ReprojRecord(now_us, sid, skel.person_id, j, err, fb)
-                for j, err, fb, ok in zip(slots.tolist(), errs.tolist(),
-                                          view.from_feedback[row, slots].tolist(), front.tolist())
-                if ok
-            )
-    return records
+            if row is not None:
+                pairs.append((sid, skel, view, row))
+    if not pairs:
+        return []
+    both = np.stack([skel.present & view.present[row] for _, skel, view, row in pairs])
+    pair, joint = np.nonzero(both)
+    pos = np.stack([skel.pos for _, skel, _, _ in pairs])[pair, joint]
+    kps = np.stack([view.keypoints[row] for _, _, view, row in pairs])[pair, joint]
+    fb = np.stack([view.from_feedback[row] for _, _, view, row in pairs])[pair, joint]
+    sid_of = np.array([sid for sid, _, _, _ in pairs])[pair]
+    uv = np.empty((len(pos), 2))
+    front = np.empty(len(pos), dtype=bool)
+    for sid in np.unique(sid_of).tolist():
+        at = sid_of == sid
+        calib = backend.sensors[sid].calib
+        uv[at], front[at], _ = project(calib, calib.world_to_cam(pos[at]))
+    errs = np.hypot(kps[:, 0] - uv[:, 0], kps[:, 1] - uv[:, 1])
+    pid_of = np.array([skel.person_id for _, skel, _, _ in pairs])[pair]
+    return [ReprojRecord(now_us, s, p, j, e, f) for s, p, j, e, f in zip(
+        sid_of[front].tolist(), pid_of[front].tolist(), joint[front].tolist(),
+        errs[front].tolist(), fb[front].tolist())]
 
 
 def _pose3d_errors(backend: Backend, scene, t_s: float) -> list[float]:

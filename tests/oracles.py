@@ -15,7 +15,6 @@ import numpy as np
 from semgrid import synthworld
 from semgrid.geometry import (
     CameraCalib,
-    _bres_walk,
     pack_voxel_keys,
 )
 from semgrid.pose import (
@@ -206,23 +205,33 @@ def bresenham3d(a: tuple[int, int, int], b: tuple[int, int, int]) -> list[tuple[
 
 
 def bresenham3d_many(origin: np.ndarray, targets: np.ndarray):
-    """The walk behind geometry.bresenham3d_keys as voxel cells: (cells
-    (M,3) int64, ray_id (M,)), every ray's cells contiguous, origin first,
-    target last."""
+    """The walk of bresenham3d from one origin to many targets, as voxel
+    cells: (cells (M,3) int64, ray_id (M,)), every ray's cells contiguous,
+    origin first, target last.  Side-axis advances come from the closed
+    form of the error-accumulation walk in exact int64 floor division."""
     origin = np.asarray(origin, dtype=np.int64).reshape(3)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
     if len(tg) == 0:
         return np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.intp)
-    ray_id, k, adv1, adv2, dom, s0, s1, s2 = _bres_walk(origin, tg)
-    cells = np.empty((len(ray_id), 3), dtype=np.int64)
-    dom_r = dom[ray_id]
-    for axis, (r0, r1) in enumerate(((1, 2), (0, 2), (0, 1))):
-        m = dom_r == axis
-        rid = ray_id[m]
-        cells[m, axis] = origin[axis] + s0[rid] * k[m]
-        cells[m, r0] = origin[r0] + s1[rid] * adv1[m]
-        cells[m, r1] = origin[r1] + s2[rid] * adv2[m]
-    return cells, ray_id
+    delta = tg - origin
+    d = np.abs(delta)
+    s = np.sign(delta)
+    cells, ray_ids = [], []
+    for i in range(len(tg)):
+        dom = max(range(3), key=lambda a: (d[i, a], -a))
+        r1, r2 = [a for a in range(3) if a != dom]
+        d0 = d[i, dom]
+        k = np.arange(d0 + 1, dtype=np.int64)
+        c = np.empty((d0 + 1, 3), dtype=np.int64)
+        c[:, dom] = origin[dom] + s[i, dom] * k
+        for axis in (r1, r2):
+            # after k dominant steps the side axis has advanced
+            # floor((2*d*k + d0 - 1) / (2*d0)) cells
+            adv = (2 * d[i, axis] * k + d0 - 1) // (2 * max(d0, 1)) if d0 else 0 * k
+            c[:, axis] = origin[axis] + s[i, axis] * adv
+        cells.append(c)
+        ray_ids.append(np.full(d0 + 1, i, dtype=np.intp))
+    return np.concatenate(cells), np.concatenate(ray_ids)
 
 
 # -- semantics, voxel map -----------------------------------------------------

@@ -10,6 +10,7 @@ from semgrid import cloud as cloud_mod
 from semgrid import synthworld
 from semgrid.cloud import (
     CLOUD_VOXEL_RES,
+    CLUSTER_DIST,
     FLOOR_Z,
     OUTLIER_K,
     OUTLIER_STDDEV_MULT,
@@ -46,8 +47,9 @@ def reference_outlier_filter(points, k=OUTLIER_K, stddev_mult=OUTLIER_STDDEV_MUL
 
 
 def reference_clusters(points_world, floor_z=FLOOR_Z, cluster_dist=0.25, min_cluster=10):
-    """Clustering with one scan of all points per label: the reference
-    for the sorted-label grouping of remove_ground_and_cluster."""
+    """Clustering with cKDTree.query_pairs and one scan of all points per
+    label: the reference for the grid clustering and the sorted-label
+    grouping of remove_ground_and_cluster."""
     pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
     above = np.nonzero(pts[:, 2] > floor_z)[0]
     if len(above) == 0:
@@ -173,25 +175,31 @@ class RowCounter:
 
 
 @pytest.fixture(scope="module")
-def sim_clouds():
-    """The voxel-downsampled clouds of a short seeded simulate, as the
-    outlier filter receives them."""
-    clouds = []
-    real = cloud_mod.statistical_outlier_filter
-
-    def capture(points, *args, **kwargs):
-        clouds.append(np.array(points))
-        return real(points, *args, **kwargs)
-
+def sim_captures():
+    """The inputs of the outlier filter (voxel-downsampled sensor-frame
+    clouds) and of clustering (filtered world-frame clouds) in a short
+    seeded simulate."""
+    captured = {"filter": [], "cluster": []}
     mp = pytest.MonkeyPatch()
-    mp.setattr(cloud_mod, "statistical_outlier_filter", capture)
+    for name, key in (("statistical_outlier_filter", "filter"),
+                      ("remove_ground_and_cluster", "cluster")):
+        def capture(points, *args, _real=getattr(cloud_mod, name), _key=key, **kwargs):
+            captured[_key].append(np.array(points))
+            return _real(points, *args, **kwargs)
+
+        mp.setattr(cloud_mod, name, capture)
     try:
         scene = synthworld.make_default_scene(seed=3, n_persons=2)
         simulate(scene, synthworld.make_camera_rig(scene),
                  SimConfig(duration_s=2 / 30, cloud_rate_hz=30.0))
     finally:
         mp.undo()
-    return clouds
+    return captured
+
+
+@pytest.fixture(scope="module")
+def sim_clouds(sim_captures):
+    return sim_captures["filter"]
 
 
 class TestOutlierFilterMatchesReference:
@@ -327,6 +335,72 @@ class TestClustering:
             assert np.array_equal(g, w)
         if min_cluster == 1:
             assert sum(len(c) == 1 for c in want) > 300
+
+
+def assert_same_clusters(pts, **kwargs):
+    got = remove_ground_and_cluster(pts, **kwargs)
+    want = reference_clusters(pts, **kwargs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+class TestGridClusteringMatchesReference:
+    """The grid clustering gives the cKDTree query_pairs clusters, list for
+    list and member for member."""
+
+    @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-0.5, 2)),
+                    min_size=1, max_size=200),
+           st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.7]),
+           st.integers(1, 4))
+    def test_random_clouds(self, raw, cluster_dist, min_cluster):
+        assert_same_clusters(np.array(raw), cluster_dist=cluster_dist, min_cluster=min_cluster)
+
+    @pytest.mark.parametrize("cluster_dist", [0.25, 0.1, 0.3])
+    @pytest.mark.parametrize("spacing", [1.0, 0.5, 0.55])
+    def test_lattices(self, cluster_dist, spacing):
+        # spacing cluster_dist puts every neighbour pair exactly at the
+        # join distance; cluster_dist / 2 and the cell edge put points on
+        # cell faces
+        step = spacing * cluster_dist
+        grid = np.mgrid[0:9, 0:9, 0:9].reshape(3, -1).T * step + [0.0, 0.0, 0.5]
+        for pts in (grid, grid - [4 * step, 4 * step, 0.0], grid[::3], grid[::7]):
+            got = assert_same_clusters(pts, cluster_dist=cluster_dist, min_cluster=1)
+            if cluster_dist == 0.25 and spacing in (0.5, 1.0) and len(pts) == len(grid):
+                # dyadic coordinates: the pairs at exactly cluster_dist join
+                assert len(got) == 1
+
+    def test_pairs_just_beyond_the_distance_stay_apart(self):
+        # isolated point pairs along cube diagonals, a little farther apart
+        # than cluster_dist: a grid cell holding both would join them
+        rng = np.random.default_rng(10)
+        base = np.mgrid[0:30, 0:30, 0:30].reshape(3, -1).T * 2.0 + rng.uniform(0, 1, (27000, 3))
+        step = rng.uniform(1.0 + 1e-9, 1.05, (27000, 1)) * CLUSTER_DIST / np.sqrt(3)
+        pts = np.vstack([base, base + step]) + [0.0, 0.0, 1.0]
+        assert len(assert_same_clusters(pts, min_cluster=1)) == len(pts)
+
+    def test_far_offsets(self):
+        rng = np.random.default_rng(8)
+        pts = rng.normal(scale=0.4, size=(2000, 3)) + [1e4, -1e4, 1e4]
+        assert_same_clusters(pts, min_cluster=1)
+        assert_same_clusters(pts)
+
+    def test_all_below_the_floor_and_single_points(self):
+        rng = np.random.default_rng(9)
+        flat = np.column_stack([rng.uniform(-3, 3, (300, 2)), np.full(300, FLOOR_Z)])
+        assert remove_ground_and_cluster(flat) == reference_clusters(flat) == []
+        for p in ([0.0, 0.0, 1.0], [-5.0, 7.0, FLOOR_Z + 1e-9]):
+            got = assert_same_clusters(np.array([p]), min_cluster=1)
+            assert [c.tolist() for c in got] == [[0]]
+            assert remove_ground_and_cluster(np.array([p])) == []
+
+    def test_sim_clouds(self, sim_captures):
+        clouds = sim_captures["cluster"]
+        assert len(clouds) == 8 and all(len(c) > 1000 for c in clouds)
+        for pts in clouds:
+            assert len(assert_same_clusters(pts)) > 0
+            assert_same_clusters(pts, min_cluster=1)
 
 
 class TestFuseSemantics:

@@ -145,6 +145,22 @@ class TestBresenham:
         assert np.array_equal(rid_a, rid_b)
         assert np.array_equal(keys, pack_voxel_keys(cells))
 
+    def test_keys_at_index_extremes(self):
+        # rays across the whole packable range give the largest numerators
+        # of the walk's closed form (about 2**43); short rays at the edges
+        m = (1 << 20) - 1
+        origin = np.array([-m, m, -m])
+        targets = np.array([[m, -m, m], [m, -m + 1, 3], [-m + 7, -m, m - 1],
+                            [-m, m, -m], [-m + 2, m - 5, -m + 1], [-m, m - 9, -m + 4]])
+        cells, rid_a = bresenham3d_many(origin, targets)
+        keys, rid_b = bresenham3d_keys(origin, targets)
+        assert np.array_equal(rid_a, rid_b)
+        assert np.array_equal(keys, pack_voxel_keys(cells))
+        # the oracle's closed form against the scalar walk, at the edge
+        a, b = (m, -m, m), (m - (1 << 17), 5 - m, m - 54321)
+        cells, _ = bresenham3d_many(np.array(a), np.array([b]))
+        assert [tuple(c) for c in cells.tolist()] == bresenham3d(a, b)
+
 
 class TestProjection:
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.2, 2.2),
