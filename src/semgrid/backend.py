@@ -18,8 +18,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import protocol
 from .geometry import CameraCalib, VoxelRangeError
 from .pose import (
@@ -36,7 +34,6 @@ from .voxmap import VoxelMap
 TICK_RATE_HZ = 30.0
 DELTA_SYNC_S = 0.025
 STALE_S = 2.0
-SNAPSHOT_PERIOD_S = 1.0
 
 ABLATIONS = ("none", "fb", "fb-occ", "fb-occ-depth")
 
@@ -76,19 +73,16 @@ class _SensorState:
 
 class Backend:
     def __init__(self, class_fingerprint: int, ablation: str = "fb-occ-depth",
-                 vmap: VoxelMap | None = None, tick_rate_hz: float = TICK_RATE_HZ,
-                 delta_sync_s: float = DELTA_SYNC_S):
+                 vmap: VoxelMap | None = None, tick_rate_hz: float = TICK_RATE_HZ):
         self.class_fingerprint = class_fingerprint
         self.flags = AblationFlags.parse(ablation)
         self.vmap = vmap if vmap is not None else VoxelMap()
         self.tick_rate_hz = tick_rate_hz
-        self.delta_sync_s = delta_sync_s
         self.sensors: dict[int, _SensorState] = {}
         self.tracker = SkeletonTracker()
         self.skeletons: list[Skeleton3D] = []
         self.last_views: dict[int, PoseSet2p5D] = {}
         self.last_associations: dict[int, list[tuple[int, int]]] = {}
-        self._last_snapshot_us = -10**18
         self.stats = {"poses_received": 0, "clouds_received": 0, "ticks": 0,
                       "handshakes": 0}
 
@@ -141,7 +135,7 @@ class Backend:
     def sync_window_select(self, t_tick_us: int) -> dict[int, PoseSet2p5D]:
         """Per sensor, the buffered pose set nearest the tick time if it
         falls within the sync window; stale sensors are excluded."""
-        window_us = int(self.delta_sync_s * 1e6)
+        window_us = int(DELTA_SYNC_S * 1e6)
         stale_us = int(STALE_S * 1e6)
         selected: dict[int, PoseSet2p5D] = {}
         for sid, state in self.sensors.items():
@@ -182,23 +176,6 @@ class Backend:
                 self.skeletons, state.calib, self.vmap, delay,
                 compute_occlusion=self.flags.occlusion_flags))
         return out
-
-    def maybe_snapshot(self, now_us: int) -> protocol.SnapshotMessage | None:
-        if now_us - self._last_snapshot_us < SNAPSHOT_PERIOD_S * 1e6:
-            return None
-        self._last_snapshot_us = now_us
-        return self.snapshot(now_us)
-
-    def snapshot(self, now_us: int) -> protocol.SnapshotMessage:
-        idx, log_odds, classes, probs, _ = self.vmap.occupied_arrays()
-        return protocol.SnapshotMessage(
-            timestamp_us=now_us,
-            voxel_indices=idx.astype(np.int32),
-            voxel_occupancy=log_odds.astype(np.float32),
-            voxel_classes=classes.astype(np.uint8),
-            voxel_probs=probs.astype(np.float32),
-            skeletons=list(self.skeletons),
-        )
 
 
 # -- standalone TCP service -----------------------------------------------------

@@ -31,7 +31,6 @@ from .ply import read_ply, read_xyz, write_ply
 from .semantics import NUM_CLASSES, ClassSet
 from .sensor_node import SensorNode, load_sensor_config
 from .sim import (
-    JOINT_CLASSES,
     ReprojRecord,
     SimConfig,
     format_reproj_log,
@@ -129,14 +128,21 @@ def _load_reproj_records(run: Path) -> list[ReprojRecord]:
     return records
 
 
-def _load_meta(run: Path) -> dict:
+def _load_meta(run: Path, *keys: str) -> dict:
+    """The run's meta.json, a JSON object holding at least `keys`."""
     meta = run / "meta.json"
     if not meta.is_file():
         raise DataError(f"{run}: missing meta.json")
     try:
-        return json.loads(meta.read_text())
+        out = json.loads(meta.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"{meta}: {e}") from e
+    if not isinstance(out, dict):
+        raise DataError(f"{meta}: not a JSON object")
+    missing = [key for key in keys if key not in out]
+    if missing:
+        raise DataError(f"{meta}: missing {', '.join(missing)}")
+    return out
 
 
 def _format_cell(value: float) -> str:
@@ -148,7 +154,7 @@ def cmd_eval_reproj(args) -> int:
     seeds = set()
     for run_dir in args.run_dirs:
         run = Path(run_dir)
-        meta = _load_meta(run)
+        meta = _load_meta(run, "seed", "ablation")
         seeds.add(meta["seed"])
         table = reproj_table(_load_reproj_records(run))
         rows.append((meta["ablation"], table))
@@ -212,7 +218,7 @@ def _iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_eval_map(args) -> int:
     run = Path(args.run_dir)
-    meta = _load_meta(run)
+    meta = _load_meta(run, "duration_s")
     scene_path = run / "scene.ini"
     if not scene_path.is_file():
         raise DataError(f"{run}: missing scene.ini")

@@ -1,4 +1,7 @@
-"""Minimal PLY read/write for the point-cloud and map export formats."""
+"""Minimal PLY read/write for the point-cloud and map export formats.
+
+The writer writes binary files; the reader also reads ASCII ones, which
+other tools produce."""
 
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ _DTYPES = {
 }
 
 
-def write_ply(path, fields: dict[str, np.ndarray], binary: bool = True) -> None:
-    """Write one 'vertex' element with the given named property columns."""
+def write_ply(path, fields: dict[str, np.ndarray]) -> None:
+    """Write one binary little-endian 'vertex' element with the given
+    named property columns."""
     names = list(fields)
     n = len(fields[names[0]]) if names else 0
     cols = []
@@ -26,22 +30,17 @@ def write_ply(path, fields: dict[str, np.ndarray], binary: bool = True) -> None:
         if len(col) != n:
             raise ValueError("all PLY columns must have equal length")
         cols.append(col)
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
     type_names = {np.float32: "float", np.float64: "double", np.uint8: "uchar", np.int32: "int"}
     for name, col in zip(names, cols):
         header.append(f"property {type_names[col.dtype.type]} {name}")
     header.append("end_header")
+    rec = np.empty(n, dtype=[(name, col.dtype) for name, col in zip(names, cols)])
+    for name, col in zip(names, cols):
+        rec[name] = col
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode())
-        if binary:
-            rec = np.empty(n, dtype=[(name, col.dtype) for name, col in zip(names, cols)])
-            for name, col in zip(names, cols):
-                rec[name] = col
-            f.write(rec.tobytes())
-        else:
-            for i in range(n):
-                f.write((" ".join(str(col[i]) for col in cols) + "\n").encode())
+        f.write(rec.tobytes())
 
 
 def read_ply(path) -> dict[str, np.ndarray]:
@@ -75,8 +74,10 @@ def read_ply(path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}: only vertex elements supported")
             n = int(parts[2])
         elif parts[0] == "property":
-            if parts[1] == "list":
+            if parts[1:2] == ["list"]:
                 raise ValueError(f"{path}: list properties not supported")
+            if len(parts) != 3 or parts[1] not in _DTYPES:
+                raise ValueError(f"{path}: unsupported PLY property {line.strip()!r}")
             props.append((parts[2], _DTYPES[parts[1]]))
     if binary is None or n is None:
         raise ValueError(f"{path}: incomplete PLY header")

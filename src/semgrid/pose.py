@@ -62,6 +62,7 @@ BONE_DEV_MAX = 0.5
 VEL_MAX = 4.0  # m/s, cap on per-joint velocity estimates
 ALPHA_VEL = 0.3  # EMA factor for per-joint velocity smoothing
 TRACK_GATE = 0.8  # m, cross-frame nearest-centroid identity gate
+BONE_WINDOW = 15  # bone-length samples behind each running median
 
 
 def _check_shapes(obj, **shapes) -> None:
@@ -460,7 +461,6 @@ def refine_skeleton(
     prev: Skeleton3D | None,
     dt_s: float = 1.0 / 30.0,
     bone_ref: np.ndarray | None = None,
-    alpha_pos: float = ALPHA_POS,
 ) -> Skeleton3D:
     """Exponential smoothing against prev plus bone-length outlier gating.
 
@@ -475,7 +475,7 @@ def refine_skeleton(
     vel = np.zeros((NUM_JOINTS, 3))  # a joint seen for the first time starts at rest
     if prev is not None:
         both = present & prev.present
-        smooth = alpha_pos * raw.pos + (1 - alpha_pos) * prev.pos
+        smooth = ALPHA_POS * raw.pos + (1 - ALPHA_POS) * prev.pos
         pos[both] = smooth[both]
         step = (smooth - prev.pos) / max(dt_s, 1e-9)
         speed = row_norms(step)
@@ -565,9 +565,7 @@ class SkeletonTracker:
     window) ring buffer of bone lengths with one write position and fill
     count per bone."""
 
-    def __init__(self, gate_m: float = TRACK_GATE, bone_window: int = 15):
-        self._gate = gate_m
-        self._bone_window = bone_window
+    def __init__(self):
         self._next_id = 0
         self._prev: dict[int, Skeleton3D] = {}
         self._centroids: dict[int, np.ndarray] = {}  # of the _prev entries
@@ -581,7 +579,7 @@ class SkeletonTracker:
             c = skel.centroid()
             if c is None:
                 continue
-            best_id, best_d = None, self._gate
+            best_id, best_d = None, TRACK_GATE
             if prev_ids:
                 dists = row_norms(c - prev_cent)
                 i = int(np.argmin(dists))  # first of equal minima, as dict order
@@ -619,15 +617,15 @@ class SkeletonTracker:
     def _record_bones(self, pid: int, skel: Skeleton3D) -> None:
         hist = self._bones.get(pid)
         if hist is None:
-            hist = (np.full((len(BONES), self._bone_window), np.nan),
+            hist = (np.full((len(BONES), BONE_WINDOW), np.nan),
                     np.zeros(len(BONES), dtype=np.int64),
                     np.zeros(len(BONES), dtype=np.int64))
             self._bones[pid] = hist
         values, head, count = hist
         have = np.nonzero(skel.present[_BONE_J0] & skel.present[_BONE_J1])[0]
         values[have, head[have]] = row_norms(skel.pos[_BONE_J0[have]] - skel.pos[_BONE_J1[have]])
-        head[have] = (head[have] + 1) % self._bone_window
-        count[have] = np.minimum(count[have] + 1, self._bone_window)
+        head[have] = (head[have] + 1) % BONE_WINDOW
+        count[have] = np.minimum(count[have] + 1, BONE_WINDOW)
 
 
 def format_skeleton_log(skels: list[Skeleton3D]) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cloud import SemanticCloud
 from .geometry import CameraCalib
-from .pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, Skeleton3D
+from .pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D
 from .semantics import NUM_CLASSES, PROB_FLOOR
 
 MAGIC = b"SES1"
@@ -28,7 +28,6 @@ MSG_HELLO = 1
 MSG_CLOUD = 2
 MSG_POSE = 3
 MSG_FEEDBACK = 4
-MSG_SNAPSHOT = 5
 
 _HEADER = struct.Struct("<4sBHQI")
 
@@ -81,16 +80,6 @@ class FeedbackMessage:
     sensor_id: int
     timestamp_us: int
     poses: list[FeedbackPose] = field(default_factory=list)
-
-
-@dataclass
-class SnapshotMessage:
-    timestamp_us: int
-    voxel_indices: np.ndarray  # (N,3) int32
-    voxel_occupancy: np.ndarray  # (N,) f32 log-odds
-    voxel_classes: np.ndarray  # (N,) u8
-    voxel_probs: np.ndarray  # (N,) f32
-    skeletons: list[Skeleton3D] = field(default_factory=list)
 
 
 def quantize_probs(probs: np.ndarray) -> np.ndarray:
@@ -191,7 +180,6 @@ _JOINT_BITS = 1 << np.arange(NUM_JOINTS, dtype=np.int64)
 # joint records, packed: f32 values and a u8
 _KP = np.dtype([("f", "<f4", (5,)), ("b", "u1")])  # <5fB: u v conf depth sigma | from feedback
 _FBJ = np.dtype([("f", "<f4", (3,)), ("b", "u1")])  # <3fB: u v conf | occluded
-_SKJ = np.dtype([("f", "<f4", (4,)), ("b", "u1")])  # <4fB: x y z conf | n_views
 
 
 def _encode_persons(ids, present: np.ndarray, values: np.ndarray, flags: np.ndarray,
@@ -212,14 +200,13 @@ def _encode_persons(ids, present: np.ndarray, values: np.ndarray, flags: np.ndar
     return b"".join(parts)
 
 
-def _decode_persons(payload: bytes, off: int, dtype: np.dtype):
-    """Inverse of _encode_persons from payload[off] to the payload's end:
-    ids (P,) int64, present (P,17) and records (P,17) of dtype, zero
-    where a joint is absent."""
-    if off >= len(payload):
+def _decode_persons(payload: bytes, dtype: np.dtype):
+    """Inverse of _encode_persons: ids (P,) int64, present (P,17) and
+    records (P,17) of dtype, zero where a joint is absent."""
+    if not payload:
         raise MalformedPayloadError("payload ends before the person count")
-    count = payload[off]
-    off += 1
+    count = payload[0]
+    off = 1
     ids = np.empty(count, dtype=np.int64)
     present = np.zeros((count, NUM_JOINTS), dtype=bool)
     rec = np.zeros((count, NUM_JOINTS), dtype=dtype)
@@ -248,7 +235,7 @@ def _encode_pose(msg: PoseMessage) -> bytes:
 
 
 def _decode_pose(sensor_id: int, ts: int, payload: bytes) -> PoseMessage:
-    ids, present, rec = _decode_persons(payload, 0, _KP)
+    ids, present, rec = _decode_persons(payload, _KP)
     if (rec["b"] > 1).any():
         raise MalformedPayloadError("keypoint flags must be 0 or 1")
     kp = rec["f"].astype(np.float64)
@@ -274,7 +261,7 @@ def _encode_feedback(msg: FeedbackMessage) -> bytes:
 
 
 def _decode_feedback(sensor_id: int, ts: int, payload: bytes) -> FeedbackMessage:
-    ids, present, rec = _decode_persons(payload, 0, _FBJ)
+    ids, present, rec = _decode_persons(payload, _FBJ)
     if (rec["b"] > 1).any():
         raise MalformedPayloadError("occluded flag must be 0 or 1")
     uvc = rec["f"].astype(np.float64)
@@ -285,53 +272,6 @@ def _decode_feedback(sensor_id: int, ts: int, payload: bytes) -> FeedbackMessage
         FeedbackPose(sensor_id, pid, ts, uvc[p], present[p], occluded[p])
         for p, pid in enumerate(ids.tolist())
     ])
-
-
-_voxel_dtype = np.dtype(
-    [("ixyz", "<i4", (3,)), ("occ", "<f4"), ("cls", "u1"), ("prob", "<f4")]
-)
-
-
-def _encode_snapshot(msg: SnapshotMessage) -> bytes:
-    n = len(msg.voxel_indices)
-    rec = np.empty(n, dtype=_voxel_dtype)
-    rec["ixyz"] = np.asarray(msg.voxel_indices, dtype=np.int32).reshape(n, 3)
-    rec["occ"] = np.asarray(msg.voxel_occupancy, dtype=np.float32)
-    rec["cls"] = np.asarray(msg.voxel_classes, dtype=np.uint8)
-    rec["prob"] = np.asarray(msg.voxel_probs, dtype=np.float32)
-    skels = msg.skeletons
-    return struct.pack("<I", n) + rec.tobytes() + _encode_persons(
-        [s.person_id for s in skels],
-        np.array([s.present for s in skels], dtype=bool).reshape(-1, NUM_JOINTS),
-        np.array([np.column_stack([s.pos, s.conf]) for s in skels]).reshape(-1, NUM_JOINTS, 4),
-        np.array([s.n_views for s in skels]).reshape(-1, NUM_JOINTS),
-        _SKJ,
-    )
-
-
-def _decode_snapshot(sensor_id: int, ts: int, payload: bytes) -> SnapshotMessage:
-    if len(payload) < 4:
-        raise MalformedPayloadError("snapshot payload shorter than voxel count")
-    (n,) = struct.unpack_from("<I", payload)
-    off = 4 + n * _voxel_dtype.itemsize
-    if len(payload) < off + 1:
-        raise MalformedPayloadError("truncated snapshot voxel block")
-    rec = np.frombuffer(payload, dtype=_voxel_dtype, count=n, offset=4)
-    ids, present, joints = _decode_persons(payload, off, _SKJ)
-    vals = joints["f"].astype(np.float64)
-    if not np.isfinite(vals).all():
-        raise MalformedPayloadError("skeleton positions and confidences must be finite")
-    pos = np.where(present[..., None], vals[..., :3], np.nan)
-    n_views = joints["b"].astype(np.int64)
-    return SnapshotMessage(
-        ts,
-        rec["ixyz"].astype(np.int32).reshape(n, 3),
-        rec["occ"].copy(),
-        rec["cls"].copy(),
-        rec["prob"].copy(),
-        [Skeleton3D(pid, ts, pos[p], vals[p, :, 3], n_views[p], present[p])
-         for p, pid in enumerate(ids.tolist())],
-    )
 
 
 def encode(msg) -> bytes:
@@ -346,8 +286,6 @@ def encode(msg) -> bytes:
         mt, sid, ts, payload = MSG_POSE, p.sensor_id, p.timestamp_us, _encode_pose(msg)
     elif isinstance(msg, FeedbackMessage):
         mt, sid, ts, payload = MSG_FEEDBACK, msg.sensor_id, msg.timestamp_us, _encode_feedback(msg)
-    elif isinstance(msg, SnapshotMessage):
-        mt, sid, ts, payload = MSG_SNAPSHOT, 0, msg.timestamp_us, _encode_snapshot(msg)
     else:
         raise TypeError(f"cannot encode {type(msg).__name__}")
     if len(payload) > MAX_PAYLOAD:
@@ -360,7 +298,6 @@ _DECODERS = {
     MSG_CLOUD: _decode_cloud,
     MSG_POSE: _decode_pose,
     MSG_FEEDBACK: _decode_feedback,
-    MSG_SNAPSHOT: _decode_snapshot,
 }
 
 
@@ -422,7 +359,3 @@ class StreamDecoder:
         finally:
             del self._buf[:off]
         return out
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)

@@ -93,12 +93,6 @@ class ClassSet:
                 h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
         return h
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            for i, name in enumerate(self.names):
-                r, g, b = self.colors[i]
-                f.write(f"{i} {name} {r} {g} {b}\n")
-
     @classmethod
     def load(cls, path) -> "ClassSet":
         names, colors = [], []

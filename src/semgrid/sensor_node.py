@@ -36,14 +36,13 @@ class SensorConfig:
     calib: CameraCalib
     pose_rate_hz: float = 30.0
     cloud_rate_hz: float = 1.0
-    detector_period_s: float = 1.0
     has_depth: bool = True
     use_feedback: bool = True
     use_occlusion: bool = True
     kappa_fb: float = KAPPA_FB
 
     def __post_init__(self):
-        if self.pose_rate_hz <= 0 or self.cloud_rate_hz <= 0 or self.detector_period_s <= 0:
+        if self.pose_rate_hz <= 0 or self.cloud_rate_hz <= 0:
             raise ValueError("rates must be positive")
         if self.cloud_rate_hz > self.pose_rate_hz:
             raise ValueError("cloud rate must not exceed pose rate")
@@ -60,6 +59,9 @@ def load_sensor_config(path) -> SensorConfig:
     if "sensor" not in cp:
         raise ValueError(f"{path}: missing [sensor] section")
     s = cp["sensor"]
+    for key in ("sensor_id", "calib_file"):
+        if key not in s:
+            raise ValueError(f"{path}: [sensor] section lacks {key}")
     sensor_id = s.getint("sensor_id")
     calibs = load_calibs(Path(path).parent / s["calib_file"])
     if sensor_id not in calibs:
@@ -69,7 +71,6 @@ def load_sensor_config(path) -> SensorConfig:
         calib=calibs[sensor_id],
         pose_rate_hz=s.getfloat("pose_rate_hz", fallback=30.0),
         cloud_rate_hz=s.getfloat("cloud_rate_hz", fallback=1.0),
-        detector_period_s=s.getfloat("detector_period_s", fallback=1.0),
         has_depth=s.getboolean("has_depth", fallback=True),
         use_feedback=s.getboolean("use_feedback", fallback=True),
         use_occlusion=s.getboolean("use_occlusion", fallback=True),
@@ -77,9 +78,10 @@ def load_sensor_config(path) -> SensorConfig:
     )
 
 
-_PATCH_DU, _PATCH_DV = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3))
-_PATCH_DU = _PATCH_DU.ravel()
-_PATCH_DV = _PATCH_DV.ravel()
+# (du, dv) pixel offsets of the 5x5 depth patch around a keypoint
+_PATCH_OFFSETS = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3)),
+                          axis=-1).reshape(-1, 2)
+_PATCH_DU, _PATCH_DV = _PATCH_OFFSETS.T
 
 
 def estimate_keypoint_depths(depth: DepthImage, uvs: np.ndarray,
@@ -131,6 +133,12 @@ class FramePlan:
         """(K,2) pixel of every present joint, person by person."""
         ps = self.pose_set
         return ps.keypoints[ps.present][:, :2]
+
+    @property
+    def patch_pixels(self) -> np.ndarray:
+        """(col, row) pixels of the depth patches estimate_keypoint_depths
+        reads around uv, patch by patch."""
+        return (self.uv.astype(np.int64)[:, None, :] + _PATCH_OFFSETS).reshape(-1, 2)
 
 
 def _feedback_keypoints(fp: FeedbackPose, kappa_fb: float) -> np.ndarray:

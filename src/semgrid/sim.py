@@ -17,7 +17,7 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, AblationFlags, Backend
-from .geometry import CameraCalib, project, row_norms, save_calibs, unpack_voxel_keys
+from .geometry import CameraCalib, project, save_calibs, unpack_voxel_keys
 from .pose import NUM_JOINTS, format_skeleton_log
 from .semantics import ClassSet
 from .sensor_node import SensorConfig, SensorNode
@@ -84,7 +84,6 @@ class SimResult:
     nodes: list[SensorNode]
     skeleton_log: list[str] = field(default_factory=list)
     reproj_records: list[ReprojRecord] = field(default_factory=list)
-    pose3d_errors_m: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
 
     def stats(self) -> dict:
@@ -105,8 +104,6 @@ class SimResult:
             out["mean_reproj_px"] = float(
                 np.mean([r.error_px for r in self.reproj_records])
             )
-        if self.pose3d_errors_m:
-            out["mean_pose3d_m"] = float(np.mean(self.pose3d_errors_m))
         return out
 
 
@@ -140,23 +137,6 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
     return [ReprojRecord(now_us, s, p, j, e, f) for s, p, j, e, f in zip(
         sid_of[front].tolist(), pid_of[front].tolist(), joint[front].tolist(),
         errs[front].tolist(), fb[front].tolist())]
-
-
-def _pose3d_errors(backend: Backend, scene, t_s: float) -> list[float]:
-    """Per-joint distance of fused skeletons to the nearest ground-truth
-    person (by centroid)."""
-    if not backend.skeletons or not scene.persons:
-        return []
-    gt = np.stack([p.joints_at(t_s) for p in scene.persons])
-    gt_cent = gt.mean(axis=1)
-    errs = []
-    for skel in backend.skeletons:
-        c = skel.centroid()
-        if c is None:
-            continue
-        pi = int(np.argmin(np.linalg.norm(gt_cent - c, axis=1)))
-        errs.extend(row_norms(skel.pos[skel.present] - gt[pi, skel.present]).tolist())
-    return errs
 
 
 class ObservationCache:
@@ -252,7 +232,7 @@ def sensor_frames(scene, nodes: list[SensorNode], config: SimConfig, frame_idx: 
     # depth is rendered only in the patches the sensors will read
     plans = [node.plan_frame(obs, now_us) for node, obs in zip(nodes, all_obs)]
     depth_requests = [
-        (calib, synthworld.patch_pixels(plan.uv) if node.config.has_depth else [])
+        (calib, plan.patch_pixels if node.config.has_depth else [])
         for node, calib, plan in zip(nodes, calibs, plans)
     ]
     if obs_cache is not None:
@@ -277,13 +257,9 @@ def sensor_frames(scene, nodes: list[SensorNode], config: SimConfig, frame_idx: 
 
 
 def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
-             config: SimConfig, class_set: ClassSet | None = None,
-             collect_3d: bool = False,
-             obs_cache: ObservationCache | None = None) -> SimResult:
+             config: SimConfig, obs_cache: ObservationCache | None = None) -> SimResult:
     t_start = time.perf_counter()
-    if class_set is None:
-        class_set = ClassSet()
-    fingerprint = class_set.fingerprint()
+    fingerprint = ClassSet().fingerprint()
     flags = AblationFlags.parse(config.ablation)
 
     vmap = VoxelMap()
@@ -333,8 +309,6 @@ def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
         if backend.skeletons:
             result.skeleton_log.append(format_skeleton_log(backend.skeletons))
             result.reproj_records.extend(_reproj_errors(backend, now_us))
-            if collect_3d:
-                result.pose3d_errors_m.extend(_pose3d_errors(backend, scene, now_us / 1e6))
 
     result.wall_time_s = time.perf_counter() - t_start
     return result
@@ -343,7 +317,7 @@ def simulate(scene: synthworld.GroundTruthScene, calibs: list[CameraCalib],
 # -- run directories -------------------------------------------------------------
 
 
-def write_run_dir(out_dir, result: SimResult, scene_path=None) -> Path:
+def write_run_dir(out_dir, result: SimResult) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     synthworld.save_scene(out / "scene.ini", result.scene)

@@ -563,23 +563,6 @@ def render_depth_sparse_many(scene: GroundTruthScene, requests, t_s: float,
     return images
 
 
-def _patch_offsets(half: int) -> np.ndarray:
-    span = np.arange(-half, half + 1)
-    du, dv = np.meshgrid(span, span)
-    return np.stack([du.ravel(), dv.ravel()], axis=1)
-
-
-_PATCH_OFFSETS_5X5 = _patch_offsets(2)
-
-
-def patch_pixels(uvs, half: int = 2) -> np.ndarray:
-    """(col, row) integer pixels of the (2*half+1)^2 patches around the
-    given (u, v) keypoint coordinates."""
-    uvs = np.asarray(uvs, dtype=np.float64).reshape(-1, 2)
-    offsets = _PATCH_OFFSETS_5X5 if half == 2 else _patch_offsets(half)
-    return (uvs.astype(np.int64)[:, None, :] + offsets).reshape(-1, 2)
-
-
 def render_segmentation(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
                         label_noise: float = 0.0, frame_idx: int = 0,
                         class_image: np.ndarray | None = None) -> SegmentationMask:

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from semgrid.geometry import CameraCalib
 from semgrid.pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, Skeleton3D
+from semgrid.protocol import PoseMessage, encode
 
 settings.register_profile(
     "suite",
@@ -75,3 +76,17 @@ def skeleton(person_id: int, ts: int, joints: dict):
     for j, (p, c, n) in joints.items():
         pos[j], conf[j], n_views[j], present[j] = p, c, n, True
     return Skeleton3D(person_id, ts, pos, conf, n_views, present)
+
+
+def assert_stream_drained(decoder) -> None:
+    """Nothing pends in a StreamDecoder: one more valid frame decodes to
+    exactly itself."""
+    frame = encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5)})])))
+    assert [encode(m) for m in decoder.feed(frame)] == [frame]
+
+
+def class_file_text(class_set) -> str:
+    """A class-set file for ClassSet.load: one 'index name r g b' line
+    per class."""
+    return "".join(f"{i} {name} {r} {g} {b}\n"
+                   for i, (name, (r, g, b)) in enumerate(zip(class_set.names, class_set.colors)))

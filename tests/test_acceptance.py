@@ -22,7 +22,7 @@ from semgrid.semantics import NUM_CLASSES, PERSON_CLASS, fuse_rows, log_softmax_
 from semgrid.sensor_node import SensorConfig, SensorNode
 from semgrid.sim import ObservationCache, SimConfig, simulate
 from semgrid.voxmap import L_FREE, L_OCC, OCCLUSION_K, VoxelMap
-from tests.conftest import feedback_pose, make_ring_calibs, pose_set
+from tests.conftest import assert_stream_drained, feedback_pose, make_ring_calibs, pose_set
 from tests.oracles import from_probs, map_cell, project, triangulate_joint
 from tests.test_protocol import corrupt_cases
 
@@ -362,17 +362,8 @@ class TestProtocolRobustness:
                                      int(rng.integers(0, 2**40)),
                                      RIG[int(rng.integers(0, 4))],
                                      int(rng.integers(0, 2**63)))
-            else:  # snapshot
-                n_v = int(rng.integers(0, 10))
-                yield protocol.SnapshotMessage(
-                    int(rng.integers(0, 2**40)),
-                    rng.integers(-500, 500, size=(n_v, 3)).astype(np.int32),
-                    rng.normal(size=n_v).astype(np.float32),
-                    rng.integers(0, NUM_CLASSES, size=n_v).astype(np.uint8),
-                    rng.random(size=n_v).astype(np.float32), [])
 
-    @pytest.mark.parametrize("kind", ("pose", "feedback", "cloud", "hello",
-                                      "snapshot"))
+    @pytest.mark.parametrize("kind", ("pose", "feedback", "cloud", "hello"))
     def test_round_trips_bit_exact(self, kind):
         rng = np.random.default_rng(hash(kind) % 2**32)
         for msg in self._random_messages(kind, rng, self.N_PER_TYPE):
@@ -386,7 +377,7 @@ class TestProtocolRobustness:
 
     def test_chunk_boundary_fuzzing(self):
         rng = np.random.default_rng(7)
-        msgs = [m for kind in ("pose", "feedback", "cloud", "hello", "snapshot")
+        msgs = [m for kind in ("pose", "feedback", "cloud", "hello")
                 for m in self._random_messages(kind, rng, 10)]
         stream = b"".join(protocol.encode(m) for m in msgs)
         for _ in range(50):
@@ -398,7 +389,7 @@ class TestProtocolRobustness:
             for cut in list(cuts) + [len(stream)]:
                 out.extend(dec.feed(stream[start:cut]))
                 start = cut
-            assert dec.pending_bytes == 0
+            assert_stream_drained(dec)
             assert len(out) == len(msgs)
             for a, b in zip(msgs, out):
                 assert protocol.encode(a) == protocol.encode(b)

@@ -93,12 +93,10 @@ class TestHandshake:
             b.on_message(protocol.CloudMessage(cloud), now_us=0)
 
     def test_unexpected_message_type_refused(self):
+        # FEEDBACK flows from the backend to sensors, never the other way
         b = backend_with_sensors(1)
-        snap = protocol.SnapshotMessage(
-            0, np.zeros((0, 3), np.int32), np.zeros(0, np.float32),
-            np.zeros(0, np.uint8), np.zeros(0, np.float32), [])
         with pytest.raises(HandshakeError):
-            b.on_message(snap, now_us=0)
+            b.on_message(protocol.FeedbackMessage(0, 0), now_us=0)
 
 
 class TestIngest:
@@ -219,28 +217,6 @@ class TestTick:
             b.tick(now_us=t)
             ids.append(b.skeletons[0].person_id)
         assert len(set(ids)) == 1
-
-
-class TestSnapshot:
-    def test_snapshot_period(self):
-        b = backend_with_sensors(1)
-        assert b.maybe_snapshot(0) is not None
-        assert b.maybe_snapshot(500_000) is None
-        assert b.maybe_snapshot(1_000_000) is not None
-
-    def test_snapshot_roundtrips(self):
-        b = backend_with_sensors(1)
-        calib = CALIBS[0]
-        scores = np.zeros((1, NUM_CLASSES))
-        scores[0, 5] = 12.0
-        cloud = SemanticCloud(0, 0, np.array([[0.0, 0.0, 2.0]]),
-                              log_softmax_rows(scores))
-        b.on_message(protocol.CloudMessage(cloud), now_us=0)
-        snap = b.snapshot(123)
-        wire = protocol.encode(snap)
-        out = protocol.decode(wire)
-        assert np.array_equal(out.voxel_indices, snap.voxel_indices)
-        assert len(snap.voxel_indices) == len(b.vmap.occupied_arrays()[0])
 
 
 class FakeClock:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semgrid.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from semgrid.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, backend_main, main
 from semgrid.geometry import pack_voxel_keys
 from semgrid.ply import read_ply, write_ply
 
@@ -45,6 +45,47 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "eval-reproj", str(tmp_path / "nope"))
         assert code == EXIT_DATA
         assert "error" in err
+
+
+def copy_run(short_run, run, names=("meta.json", "scene.ini", "reproj.log", "map.ply")):
+    run.mkdir()
+    for name in names:
+        (run / name).write_bytes((short_run / name).read_bytes())
+    return run
+
+
+class TestMalformedRunFiles:
+    """Each bad input ends a command with exit code 2 and a one-line error."""
+
+    @pytest.mark.parametrize("command,meta,named", [
+        ("eval-reproj", "[1, 2]", "not a JSON object"),
+        ("eval-reproj", "{}", "seed"),
+        ("eval-reproj", '{"seed": 3}', "ablation"),
+        ("eval-map", '"text"', "not a JSON object"),
+        ("eval-map", '{"seed": 3, "ablation": "none"}', "duration_s"),
+    ], ids=["reproj-list", "reproj-empty", "reproj-no-ablation", "map-string", "map-no-duration"])
+    def test_bad_meta_is_data_error(self, short_run, tmp_path, capsys, command, meta, named):
+        run = copy_run(short_run, tmp_path / "run")
+        (run / "meta.json").write_text(meta)
+        code, _, err = run_cli(capsys, command, str(run))
+        assert code == EXIT_DATA
+        assert err.count("\n") == 1 and "meta.json" in err and named in err
+
+    @pytest.mark.parametrize("command", ["eval-map", "export-map", "backend"])
+    def test_unsupported_ply_property_is_data_error(self, short_run, tmp_path, capsys,
+                                                    command):
+        run = copy_run(short_run, tmp_path / "run", ("meta.json", "scene.ini"))
+        (run / "map.ply").write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty short x\n"
+            b"property float y\nproperty float z\nend_header\n" + bytes(10))
+        if command == "backend":
+            code = backend_main(["--listen", "127.0.0.1:0", "--prior", str(run / "map.ply"),
+                                 "--duration", "0"])
+            err = capsys.readouterr().err
+        else:
+            code, _, err = run_cli(capsys, command, str(run))
+        assert code == EXIT_DATA
+        assert err.count("\n") == 1 and "property short x" in err
 
 
 class TestSimulate:

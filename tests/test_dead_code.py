@@ -1,5 +1,6 @@
 """Dead-code guard: every public module-level function and class of
-src/semgrid is used by the program itself.
+src/semgrid, and every public method and property of its public
+classes, is used by the program itself.
 
 A use is a reference from src/ (other than the definition), from
 scripts/, or a [project.scripts] entry point.  References from tests/
@@ -18,12 +19,19 @@ SRC = ROOT / "src" / "semgrid"
 
 
 def public_definitions() -> list[tuple[str, str]]:
-    """('module.py', name) of every public module-level def and class."""
-    return [(path.name, node.name)
-            for path in sorted(SRC.glob("*.py"))
-            for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """('module.py', name) of every public module-level def and class,
+    and ('module.py', 'Class.name') of every public method and property
+    of a public class."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(path.name, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
 
 
 def referenced_names(paths) -> set[str]:
@@ -50,7 +58,8 @@ def entry_point_names() -> set[str]:
 def unused_definitions() -> list[str]:
     used = (referenced_names([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
             | entry_point_names())
-    return [f"{module}:{name}" for module, name in public_definitions() if name not in used]
+    return [f"{module}:{name}" for module, name in public_definitions()
+            if name.rpartition(".")[2] not in used]
 
 
 def test_every_public_definition_is_used_by_the_program():
@@ -61,4 +70,7 @@ def test_guard_sees_definitions_and_entry_points():
     defs = public_definitions()
     assert ("cloud.py", "fuse_semantics") in defs
     assert ("voxmap.py", "VoxelMap") in defs
+    assert ("voxmap.py", "VoxelMap.integrate_cloud") in defs  # a method
+    assert ("sensor_node.py", "FramePlan.uv") in defs  # a property
+    assert ("semantics.py", "ClassSet.load") in defs  # a classmethod
     assert {"main", "sensor_node_main", "backend_main"} <= entry_point_names()

@@ -22,15 +22,15 @@ from semgrid.protocol import (
     Hello,
     PoseMessage,
     ProtocolError,
-    SnapshotMessage,
     StreamDecoder,
+    UnknownMessageTypeError,
     decode,
     dequantize_probs,
     encode,
     quantize_probs,
 )
 from semgrid.semantics import NUM_CLASSES
-from tests.conftest import feedback_pose, make_ring_calibs, pose_set, skeleton
+from tests.conftest import assert_stream_drained, feedback_pose, make_ring_calibs, pose_set
 
 CALIBS = make_ring_calibs()
 
@@ -101,33 +101,8 @@ def hello_messages(draw):
     )
 
 
-@st.composite
-def snapshot_messages(draw):
-    n = draw(st.integers(0, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    joints3d = st.tuples(  # position, conf, n_views
-        st.tuples(f32, f32, f32).map(
-            lambda t: np.array(t, dtype=np.float32).astype(np.float64)),
-        conf32,
-        st.integers(0, 255),
-    )
-    ts = draw(st.integers(0, 2**63 - 1))
-    skels = [
-        skeleton(draw(uint), ts, draw(joint_slots(joints3d)))
-        for _ in range(draw(st.integers(0, 2)))
-    ]
-    return SnapshotMessage(
-        ts,
-        rng.integers(-1000, 1000, size=(n, 3)).astype(np.int32),
-        rng.normal(size=n).astype(np.float32),
-        rng.integers(0, NUM_CLASSES, size=n).astype(np.uint8),
-        rng.random(size=n).astype(np.float32),
-        skels,
-    )
-
-
 any_message = st.one_of(hello_messages(), pose_messages(), feedback_messages(),
-                        cloud_messages(), snapshot_messages())
+                        cloud_messages())
 
 
 class TestRoundTrip:
@@ -205,7 +180,7 @@ class TestStreamDecoder:
         out = []
         for piece in pieces:
             out.extend(dec.feed(piece.tobytes()))
-        assert dec.pending_bytes == 0
+        assert_stream_drained(dec)
         assert len(out) == len(msgs)
         for a, b in zip(msgs, out):
             assert encode(a) == encode(b)
@@ -232,9 +207,8 @@ class TestStreamDecoder:
         wire = encode(PoseMessage(PoseSet2p5D(1, 2)))
         dec = StreamDecoder()
         assert dec.feed(wire[:5]) == []
-        assert dec.pending_bytes == 5
-        out = dec.feed(wire[5:])
-        assert len(out) == 1
+        assert [encode(m) for m in dec.feed(wire[5:])] == [wire]
+        assert_stream_drained(dec)
 
 
 def corrupt_cases():
@@ -303,6 +277,14 @@ class TestMalformedInput:
         except ProtocolError:
             pass
 
+    def test_type_5_is_unassigned(self):
+        payload = struct.pack("<I", 0) + b"\x00"
+        frame = protocol._HEADER.pack(MAGIC, 5, 0, 0, len(payload)) + payload
+        with pytest.raises(UnknownMessageTypeError):
+            decode(frame)
+        with pytest.raises(UnknownMessageTypeError):
+            StreamDecoder().feed(frame)
+
     def test_stream_decoder_raises_on_garbage(self):
         dec = StreamDecoder()
         with pytest.raises(ProtocolError):
@@ -319,17 +301,12 @@ def cloud_frame(position) -> bytes:
 
 
 def hostile_frames() -> dict[str, bytes]:
-    """Well-framed POSE, FEEDBACK, SNAPSHOT and CLOUD messages whose
+    """Well-framed POSE, FEEDBACK and CLOUD messages whose
     records carry values no sensor or backend produces."""
     nan, inf = math.nan, math.inf
 
     def pose(kp):
         return encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5), 3: kp})])))
-
-    def snapshot(pos, conf):
-        empty = np.zeros((0, 3), np.int32), np.zeros(0, np.float32), \
-            np.zeros(0, np.uint8), np.zeros(0, np.float32)
-        return encode(SnapshotMessage(3, *empty, [skeleton(4, 3, {2: (pos, conf, 2)})]))
 
     return {
         "pose nan u": pose((nan, 2.0, 0.5)),
@@ -348,8 +325,6 @@ def hostile_frames() -> dict[str, bytes]:
             feedback_pose(1, 5, 2, {4: (nan, 2.0, 7.0, False)})])),
         "feedback inf v": encode(FeedbackMessage(1, 2, [
             feedback_pose(1, 5, 2, {4: (1.0, -inf, 0.5, True)})])),
-        "snapshot nan position": snapshot([nan, 0.0, 1.0], 0.5),
-        "snapshot inf conf": snapshot([0.0, 0.0, 1.0], inf),
         "cloud nan position": cloud_frame([nan, 0.0, 1.0]),
         "cloud -inf position": cloud_frame([0.0, -inf, 1.0]),
     }
@@ -402,9 +377,9 @@ class TestGoldenFrames:
     """The hex dumps of PROTOCOL.md decode to the values its prose states
     and re-encode to the same bytes."""
 
-    def test_all_five_present_and_reencode_bit_exact(self):
+    def test_all_four_present_and_reencode_bit_exact(self):
         frames = golden_frames()
-        assert set(frames) == {"HELLO", "CLOUD", "POSE", "FEEDBACK", "SNAPSHOT"}
+        assert set(frames) == {"HELLO", "CLOUD", "POSE", "FEEDBACK"}
         for name, frame in frames.items():
             assert encode(decode(frame)) == frame, name
 
@@ -444,16 +419,3 @@ class TestGoldenFrames:
         assert np.flatnonzero(fp.present).tolist() == [0]
         assert fp.uvc[0].tolist() == [101.0, 52.0, 0.875]
         assert fp.occluded[0]
-
-    def test_snapshot(self):
-        msg = decode(golden_frames()["SNAPSHOT"])
-        assert msg.timestamp_us == 3_000_000
-        assert msg.voxel_indices.tolist() == [[10, -4, 7]]
-        assert msg.voxel_occupancy.tolist() == [1.25]
-        assert msg.voxel_classes.tolist() == [2]
-        assert msg.voxel_probs.tolist() == [0.75]
-        (skel,) = msg.skeletons
-        assert skel.person_id == 12
-        assert np.flatnonzero(skel.present).tolist() == [0]
-        assert skel.pos[0].tolist() == [1.0, 2.0, 1.5]
-        assert (skel.conf[0], skel.n_views[0]) == (0.875, 3)

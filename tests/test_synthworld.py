@@ -5,7 +5,9 @@ from semgrid import synthworld
 from semgrid.geometry import unpack_voxel_keys
 from semgrid.pose import BONES, NUM_JOINTS
 from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS
+from semgrid.sensor_node import FramePlan
 from semgrid.voxmap import VoxelMap
+from tests.conftest import pose_set
 from tests.oracles import project, render_depth_sparse, visible_joints
 
 
@@ -15,6 +17,12 @@ def small_scene(seed=1, n_persons=2):
 
 def rig(scene):
     return synthworld.make_camera_rig(scene)
+
+
+def patch_pixels(uvs) -> np.ndarray:
+    """The pixels a sensor reads depth at around keypoints at `uvs`."""
+    ps = pose_set(0, 0, [(0, {j: (u, v, 0.9) for j, (u, v) in enumerate(uvs)})])
+    return FramePlan([], 0, {}, ps).patch_pixels
 
 
 class TestDeterminism:
@@ -228,7 +236,7 @@ class TestDepthRendering:
     def test_sparse_many_matches_single(self):
         scene = small_scene(7)
         calibs = rig(scene)[:2]
-        pixels = synthworld.patch_pixels([(20.5, 30.5), (100.2, 80.9)])
+        pixels = patch_pixels([(20.5, 30.5), (100.2, 80.9)])
         many = synthworld.render_depth_sparse_many(
             scene, [(c, pixels) for c in calibs], 2.0, frame_idx=4)
         for calib, got in zip(calibs, many):
