@@ -166,16 +166,16 @@ class Backend:
         self.last_associations = {skel.person_id: group for skel, group in fused}
         if not self.flags.send_feedback:
             return {}
-        out: dict[int, protocol.FeedbackMessage] = {}
-        for sid, state in self.sensors.items():
-            # prediction horizon: measured uplink delay plus one fusion
-            # cycle — feedback produced now is consumed with the sensor's
-            # next frame at the earliest
-            delay = (state.delay_s or 0.0) + 1.0 / self.tick_rate_hz
-            out[sid] = protocol.FeedbackMessage(sid, now_us, make_feedback(
-                self.skeletons, state.calib, self.vmap, delay,
-                compute_occlusion=self.flags.occlusion_flags))
-        return out
+        # prediction horizon: measured uplink delay plus one fusion cycle —
+        # feedback produced now is consumed with the sensor's next frame at
+        # the earliest
+        states = self.sensors.values()
+        feedback = make_feedback(
+            self.skeletons, [st.calib for st in states], self.vmap,
+            [(st.delay_s or 0.0) + 1.0 / self.tick_rate_hz for st in states],
+            compute_occlusion=self.flags.occlusion_flags)
+        return {sid: protocol.FeedbackMessage(sid, now_us, *rows)
+                for sid, rows in zip(self.sensors, feedback)}
 
 
 # -- standalone TCP service -----------------------------------------------------

@@ -128,8 +128,9 @@ def _load_reproj_records(run: Path) -> list[ReprojRecord]:
     return records
 
 
-def _load_meta(run: Path, *keys: str) -> dict:
-    """The run's meta.json, a JSON object holding at least `keys`."""
+def _load_meta(run: Path, **types) -> dict:
+    """The run's meta.json, a JSON object holding at least the keys of
+    `types`, each of its type."""
     meta = run / "meta.json"
     if not meta.is_file():
         raise DataError(f"{run}: missing meta.json")
@@ -139,9 +140,13 @@ def _load_meta(run: Path, *keys: str) -> dict:
         raise DataError(f"{meta}: {e}") from e
     if not isinstance(out, dict):
         raise DataError(f"{meta}: not a JSON object")
-    missing = [key for key in keys if key not in out]
+    missing = [key for key in types if key not in out]
     if missing:
         raise DataError(f"{meta}: missing {', '.join(missing)}")
+    for key, kind in types.items():
+        # JSON true and false are bools, which Python counts as ints
+        if isinstance(out[key], bool) or not isinstance(out[key], kind):
+            raise DataError(f"{meta}: {key} has the wrong type {type(out[key]).__name__}")
     return out
 
 
@@ -154,7 +159,7 @@ def cmd_eval_reproj(args) -> int:
     seeds = set()
     for run_dir in args.run_dirs:
         run = Path(run_dir)
-        meta = _load_meta(run, "seed", "ablation")
+        meta = _load_meta(run, seed=int, ablation=str)
         seeds.add(meta["seed"])
         table = reproj_table(_load_reproj_records(run))
         rows.append((meta["ablation"], table))
@@ -218,7 +223,7 @@ def _iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_eval_map(args) -> int:
     run = Path(args.run_dir)
-    meta = _load_meta(run, "duration_s")
+    meta = _load_meta(run, duration_s=(int, float))
     scene_path = run / "scene.ini"
     if not scene_path.is_file():
         raise DataError(f"{run}: missing scene.ini")

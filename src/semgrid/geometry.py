@@ -101,9 +101,10 @@ def project(calib: CameraCalib, pc: np.ndarray):
 
 
 def _bres_walk(origin: np.ndarray, tg: np.ndarray):
-    """Bresenham walk of rays from one origin voxel to many targets: per
-    cell its ray, dominant step count and side-axis advances, plus the
-    per-ray axis layout.
+    """Bresenham walk of rays from origin voxels to target voxels (N,3),
+    origin one voxel (3,) or one per ray (N,3): per cell its ray,
+    dominant step count and side-axis advances, plus the per-ray axis
+    layout.
 
     Each ray is the 26-connected line of max(|dx|,|dy|,|dz|) + 1 cells,
     origin first, target last, stepping along the dominant axis (the
@@ -153,16 +154,19 @@ def _bres_walk(origin: np.ndarray, tg: np.ndarray):
 
 
 def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
-    """Bresenham rays (see _bres_walk) from one origin voxel to many target
-    voxels, as packed voxel keys with the ray of each (every ray's keys
-    contiguous, origin first, target last).
+    """Bresenham rays (see _bres_walk) to many target voxels (N,3), as
+    packed voxel keys with the ray of each (every ray's keys contiguous,
+    origin first, target last).  origin broadcasts against the targets:
+    one voxel (3,) for all rays, or one per ray (N,3).
 
     The packed key is linear in the three components, so each cell's key
-    is origin's key plus the axis advances times fixed per-axis weights —
-    the (M,3) cell array and the separate packing pass never materialize.
+    is its origin's key plus the axis advances times fixed per-axis
+    weights — the (M,3) cell array and the separate packing pass never
+    materialize.
     """
-    origin = np.asarray(origin, dtype=np.int64).reshape(3)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
+    origin = np.asarray(origin, dtype=np.int64)
+    np.broadcast_shapes(origin.shape, tg.shape)  # raises for another shape
     if len(tg) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
     _check_packable(origin)
@@ -175,7 +179,8 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
     # axis's per-ray key increment, summed in place
     keys = (s0 * weights[dom])[ray_id]
     keys *= k
-    keys += pack_voxel_keys(origin[None, :])[0]
+    origin_keys = pack_voxel_keys(origin)  # one key, or one per ray
+    keys += origin_keys if len(origin_keys) == 1 else origin_keys[ray_id]
     for steps, axis_sign, axis in ((adv1, s1, rest[:, 0]), (adv2, s2, rest[:, 1])):
         steps *= (axis_sign * weights[axis])[ray_id]
         keys += steps

@@ -63,15 +63,17 @@ def read_ply(path) -> dict[str, np.ndarray]:
         if not parts:
             continue
         if parts[0] == "format":
-            if parts[1] == "ascii":
+            if parts[1:2] == ["ascii"]:
                 binary = False
-            elif parts[1] == "binary_little_endian":
+            elif parts[1:2] == ["binary_little_endian"]:
                 binary = True
             else:
-                raise ValueError(f"{path}: unsupported PLY format {parts[1]}")
+                raise ValueError(f"{path}: unsupported PLY format line {line.strip()!r}")
         elif parts[0] == "element":
-            if parts[1] != "vertex":
+            if parts[1:2] != ["vertex"]:
                 raise ValueError(f"{path}: only vertex elements supported")
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise ValueError(f"{path}: malformed PLY element line {line.strip()!r}")
             n = int(parts[2])
         elif parts[0] == "property":
             if parts[1:2] == ["list"]:

@@ -11,8 +11,9 @@ boolean masks, from the sensor over the wire to the backend and back:
 - PoseSet2p5D, one sensor frame of P persons: person_ids (P,), keypoints
   (P,17,5) float64 with the columns u, v, confidence, depth and depth
   sigma, and the masks present and from_feedback (P,17).
-- FeedbackPose, one fused person as one sensor should see it: uvc (17,3)
-  with u, v and confidence, and the masks present and occluded (17,).
+- feedback for one sensor, the fused persons as it should see them
+  (protocol.FeedbackMessage): person_ids (P,), uvc (P,17,3) with u, v
+  and confidence, and the masks present and occluded (P,17).
 - Skeleton3D, one fused person: pos (17,3), conf (17,), n_views (17,)
   int and vel (17,3), with the masks present and has_vel (17,); has_vel
   is set only where present is.
@@ -63,6 +64,7 @@ VEL_MAX = 4.0  # m/s, cap on per-joint velocity estimates
 ALPHA_VEL = 0.3  # EMA factor for per-joint velocity smoothing
 TRACK_GATE = 0.8  # m, cross-frame nearest-centroid identity gate
 BONE_WINDOW = 15  # bone-length samples behind each running median
+TRACK_STALE_S = 2.0  # s unmatched before a track is retired (backend.STALE_S)
 
 
 def _check_shapes(obj, **shapes) -> None:
@@ -113,22 +115,6 @@ class Skeleton3D:
 
     def centroid(self) -> np.ndarray | None:
         return self.pos[self.present].mean(axis=0) if self.present.any() else None
-
-
-@dataclass
-class FeedbackPose:
-    """One fused person reprojected for one sensor (layout above)."""
-
-    sensor_id: int
-    person_id: int
-    timestamp_us: int
-    uvc: np.ndarray
-    present: np.ndarray
-    occluded: np.ndarray
-
-    def __post_init__(self):
-        _check_shapes(self, uvc=(NUM_JOINTS, 3), present=(NUM_JOINTS,),
-                      occluded=(NUM_JOINTS,))
 
 
 # -- association ---------------------------------------------------------------
@@ -514,35 +500,49 @@ def _predicted(pos, conf, vel, has_vel, dt_s: float, tau_conf: float):
 
 def make_feedback(
     skels: list[Skeleton3D],
-    calib: CameraCalib,
+    calibs: list[CameraCalib],
     vmap,
-    delay_s: float,
-    k: int = 2,
+    delays_s: list[float],
     compute_occlusion: bool = True,
-) -> list[FeedbackPose]:
-    """Per-sensor reprojection of predicted skeletons with occlusion flags.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Reprojection of the predicted skeletons into every camera, with
+    occlusion flags: camera i sees them delays_s[i] ahead.
 
-    Joints behind the camera or off-image are omitted; persons with no
-    visible joint are dropped entirely.  All joints of all persons are
-    predicted, projected and occlusion-tested in one batch.
+    Returns, per camera, (person_ids (P,), uvc (P,17,3), present (P,17),
+    occluded (P,17)) of the persons with a joint in its image, in
+    skeleton order; joints behind the camera or off-image are absent.
+    The skeletons are stacked once, then predicted and projected per
+    camera, and the joints of all cameras are occlusion-tested in one
+    query with one origin per joint.
     """
-    if not skels:
-        return []
-    pos, conf = _predicted(*(np.stack([getattr(s, name) for s in skels])
-                             for name in ("pos", "conf", "vel", "has_vel")), delay_s, TAU_CONF)
-    present = np.stack([s.present for s in skels])  # (S,17)
-    uv, _, in_image = project(calib, calib.world_to_cam(pos))
-    ok = present & in_image
-    occluded = np.zeros(ok.shape, dtype=bool)
-    if compute_occlusion and vmap is not None and ok.any():
-        # one occlusion query for the joints of all persons at once
-        occluded[ok] = vmap.is_occluded_many(calib.center, pos[ok], k=k)
-    uvc = np.where(ok[..., None], np.concatenate([uv, conf[..., None]], axis=-1), 0.0)
-    return [
-        FeedbackPose(calib.sensor_id, skel.person_id, skel.timestamp_us, uvc_s, ok_s, occ_s)
-        for skel, uvc_s, ok_s, occ_s in zip(skels, uvc, ok, occluded)
-        if ok_s.any()
-    ]
+    n = len(skels)
+    stacked = [np.array([getattr(s, name) for s in skels], dtype=dt).reshape(
+                   (n, NUM_JOINTS) + shape)
+               for name, dt, shape in (("pos", float, (3,)), ("conf", float, ()),
+                                       ("vel", float, (3,)), ("has_vel", bool, ()),
+                                       ("present", bool, ()))]
+    present = stacked.pop()
+    ids = np.array([s.person_id for s in skels], dtype=np.int64)
+    views = []  # (conf, uv, ok, occluded) per camera
+    targets = []  # the joints to occlusion-test, camera by camera
+    for calib, delay in zip(calibs, delays_s):
+        pos, conf = _predicted(*stacked, delay, TAU_CONF)
+        uv, _, in_image = project(calib, calib.world_to_cam(pos))
+        ok = present & in_image
+        views.append((conf, uv, ok, np.zeros(ok.shape, dtype=bool)))
+        targets.append(pos[ok])
+    counts = [len(t) for t in targets]
+    if compute_occlusion and vmap is not None and sum(counts):
+        origins = np.repeat([calib.center for calib in calibs], counts, axis=0)
+        flags = vmap.is_occluded_many(origins, np.concatenate(targets))
+        for (_, _, ok, occluded), part in zip(views, np.split(flags, np.cumsum(counts)[:-1])):
+            occluded[ok] = part
+    out = []
+    for conf, uv, ok, occluded in views:
+        uvc = np.where(ok[..., None], np.concatenate([uv, conf[..., None]], axis=-1), 0.0)
+        keep = ok.any(axis=1)
+        out.append((ids[keep], uvc[keep], ok[keep], occluded[keep]))
+    return out
 
 
 def update_delay(current: float | None, measured: float, alpha: float = ALPHA_DELAY) -> float:
@@ -563,15 +563,24 @@ class SkeletonTracker:
 
     The tracker keeps each person's last refined skeleton, and a (bones,
     window) ring buffer of bone lengths with one write position and fill
-    count per bone."""
+    count per bone.  A track left unmatched for more than TRACK_STALE_S
+    of update time is retired with all its state, so the state is bounded
+    by the persons seen in that window; its id is never issued again."""
 
     def __init__(self):
         self._next_id = 0
+        self._clock_s = 0.0  # the sum of every update's dt_s
         self._prev: dict[int, Skeleton3D] = {}
         self._centroids: dict[int, np.ndarray] = {}  # of the _prev entries
         self._bones: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._matched_s: dict[int, float] = {}  # clock of each track's last match
 
     def update(self, raw_skeletons: list[Skeleton3D], dt_s: float) -> list[Skeleton3D]:
+        self._clock_s += dt_s
+        for pid, t in list(self._matched_s.items()):
+            if self._clock_s - t > TRACK_STALE_S:
+                for state in (self._prev, self._centroids, self._bones, self._matched_s):
+                    del state[pid]
         prev_ids = list(self._centroids)
         prev_cent = np.array(list(self._centroids.values())).reshape(-1, 3)
         candidates = []
@@ -599,6 +608,7 @@ class SkeletonTracker:
             self._record_bones(pid, out)
             self._prev[pid] = out
             self._centroids[pid] = out.centroid()
+            self._matched_s[pid] = self._clock_s
             refined.append(out)
         return refined
 

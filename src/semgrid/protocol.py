@@ -17,7 +17,7 @@ import numpy as np
 
 from .cloud import SemanticCloud
 from .geometry import CameraCalib
-from .pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D
+from .pose import NUM_JOINTS, PoseSet2p5D, _check_shapes
 from .semantics import NUM_CLASSES, PROB_FLOOR
 
 MAGIC = b"SES1"
@@ -77,9 +77,21 @@ class PoseMessage:
 
 @dataclass
 class FeedbackMessage:
+    """The backend's complete current feedback for one sensor: the fused
+    persons as that sensor should see them, one row per person (the
+    layout of pose.py).  It replaces the sensor's previous feedback."""
+
     sensor_id: int
     timestamp_us: int
-    poses: list[FeedbackPose] = field(default_factory=list)
+    person_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    uvc: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS, 3)))
+    present: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=bool))
+    occluded: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=bool))
+
+    def __post_init__(self):
+        n = len(self.person_ids)
+        _check_shapes(self, uvc=(n, NUM_JOINTS, 3), present=(n, NUM_JOINTS),
+                      occluded=(n, NUM_JOINTS))
 
 
 def quantize_probs(probs: np.ndarray) -> np.ndarray:
@@ -250,14 +262,7 @@ def _decode_pose(sensor_id: int, ts: int, payload: bytes) -> PoseMessage:
 
 
 def _encode_feedback(msg: FeedbackMessage) -> bytes:
-    poses = msg.poses
-    return _encode_persons(
-        [p.person_id for p in poses],
-        np.array([p.present for p in poses], dtype=bool).reshape(-1, NUM_JOINTS),
-        np.array([p.uvc for p in poses]).reshape(-1, NUM_JOINTS, 3),
-        np.array([p.occluded for p in poses], dtype=bool).reshape(-1, NUM_JOINTS),
-        _FBJ,
-    )
+    return _encode_persons(msg.person_ids.tolist(), msg.present, msg.uvc, msg.occluded, _FBJ)
 
 
 def _decode_feedback(sensor_id: int, ts: int, payload: bytes) -> FeedbackMessage:
@@ -267,11 +272,7 @@ def _decode_feedback(sensor_id: int, ts: int, payload: bytes) -> FeedbackMessage
     uvc = rec["f"].astype(np.float64)
     if not np.isfinite(uvc).all():
         raise MalformedPayloadError("feedback u, v, confidence must be finite")
-    occluded = rec["b"] == 1
-    return FeedbackMessage(sensor_id, ts, [
-        FeedbackPose(sensor_id, pid, ts, uvc[p], present[p], occluded[p])
-        for p, pid in enumerate(ids.tolist())
-    ])
+    return FeedbackMessage(sensor_id, ts, ids, uvc, present, rec["b"] == 1)
 
 
 def encode(msg) -> bytes:

@@ -2,15 +2,14 @@
 
 Consumes synthetic observations (the CNN stand-ins), runs the local
 pipeline — 2.5D keypoint estimation at the pose rate, semantic cloud
-construction at the cloud rate — merges backend feedback into the local
-pose model, and emits wire-protocol frames.
+construction at the cloud rate — completes the local pose model from the
+backend's newest feedback, and emits wire-protocol frames.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,12 +20,13 @@ from . import cloud as cloudmod
 from . import protocol
 from .cloud import DepthImage, DetectionSet, SegmentationMask, SemanticCloud
 from .geometry import CameraCalib, load_calibs
-from .pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, update_delay
+from .pose import NUM_JOINTS, PoseSet2p5D, update_delay
 
 KAPPA_FB = 0.35  # confidence of feedback-sourced joints, below the
 # backend's triangulation gate so they never feed back into fusion
 FEEDBACK_MATCH_PX = 30.0
 FEEDBACK_PERSON_ID_BASE = 1000
+FEEDBACK_TTL_US = 500_000  # feedback not refreshed for this long is dropped
 SEND_QUEUE_LIMIT = 64
 
 
@@ -125,7 +125,7 @@ class FramePlan:
 
     persons: list
     feedback_version: int
-    live_feedback: dict[int, FeedbackPose]
+    live_feedback: protocol.FeedbackMessage | None
     pose_set: PoseSet2p5D
 
     @property
@@ -141,11 +141,6 @@ class FramePlan:
         return (self.uv.astype(np.int64)[:, None, :] + _PATCH_OFFSETS).reshape(-1, 2)
 
 
-def _feedback_keypoints(fp: FeedbackPose, kappa_fb: float) -> np.ndarray:
-    """(17,3) u, v and confidence of keypoints taken from feedback."""
-    return np.column_stack([fp.uvc[:, :2], np.full(NUM_JOINTS, kappa_fb)])
-
-
 class SensorNode:
     """State machine of one edge sensor; driven by the orchestrator.
 
@@ -156,7 +151,7 @@ class SensorNode:
     def __init__(self, config: SensorConfig, class_fingerprint: int):
         self.config = config
         self.class_fingerprint = class_fingerprint
-        self.latest_feedback: dict[int, FeedbackPose] = {}
+        self.latest_feedback: protocol.FeedbackMessage | None = None
         self.feedback_delay_s: float | None = None
         self._queue: deque[tuple[int, bytes]] = deque()
         self._last_pose_ts = -1
@@ -196,36 +191,36 @@ class SensorNode:
         self.stats["feedback_received"] += 1
         measured = max((now_us - msg.timestamp_us) / 1e6, 0.0)
         self.feedback_delay_s = update_delay(self.feedback_delay_s, measured)
-        for fp in msg.poses:
-            self.latest_feedback[fp.person_id] = fp
+        # a message is the backend's complete current set: persons it no
+        # longer sends are gone
+        self.latest_feedback = msg
         self._feedback_version += 1
 
     # -- pose path ---------------------------------------------------------
 
     @staticmethod
-    def _match_feedback(persons: list, feedback: dict[int, FeedbackPose]) -> dict[int, FeedbackPose]:
-        """Associate feedback poses to local detections by mean pixel
-        distance over shared joints; returns local_id -> feedback."""
-        matches: dict[int, FeedbackPose] = {}
-        used: set[int] = set()
-        for obs in persons:
-            best = None
-            best_d = FEEDBACK_MATCH_PX
-            for pid, fp in feedback.items():
-                if pid in used:
-                    continue
-                shared = obs.present & fp.present
-                n = int(np.count_nonzero(shared))
-                if n >= 3:
-                    d = obs.uvc[shared, :2] - fp.uvc[shared, :2]
-                    mean_d = sum(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())) / n
-                    if mean_d < best_d:
-                        best_d = mean_d
-                        best = pid
-            if best is not None:
-                used.add(best)
-                matches[obs.local_id] = feedback[best]
-        return matches
+    def _match_feedback(uvc: np.ndarray, present: np.ndarray,
+                        feedback: protocol.FeedbackMessage) -> np.ndarray:
+        """Associate feedback persons to local detections (uvc (O,17,3),
+        present (O,17)) by mean pixel distance over at least 3 shared
+        joints, below FEEDBACK_MATCH_PX: detection by detection, the
+        nearest feedback person not yet taken (the first of equals).
+        Returns the feedback row of each detection, -1 for none."""
+        shared = present[:, None] & feedback.present  # (O,F,17)
+        n = shared.sum(axis=-1)
+        d = uvc[:, None, :, :2] - feedback.uvc[..., :2]
+        # summed joint by joint in order, as a scalar loop adds them
+        total = np.cumsum(np.where(shared, np.hypot(d[..., 0], d[..., 1]), 0.0), axis=-1)
+        mean = total[..., -1] / np.maximum(n, 1)
+        cost = np.where((n >= 3) & (mean < FEEDBACK_MATCH_PX), mean, np.inf)
+        rows = np.full(len(uvc), -1)
+        if cost.size:
+            for o in range(len(uvc)):
+                f = int(np.argmin(cost[o]))
+                if cost[o, f] < np.inf:
+                    rows[o] = f
+                    cost[:, f] = np.inf
+        return rows
 
     def plan_frame(self, persons: list, timestamp_us: int) -> FramePlan:
         """Decide, without changing any state, which keypoint every output
@@ -240,40 +235,36 @@ class SensorNode:
         carry confidence kappa_fb and from_feedback set.
         """
         cfg = self.config
-        # feedback that has gone stale (no refresh for half a second) is dropped
-        live = {
-            pid: fp
-            for pid, fp in self.latest_feedback.items()
-            if timestamp_us - fp.timestamp_us <= 500_000
-        }
-        matches = self._match_feedback(persons, live) if cfg.use_feedback else {}
-        rows = []  # (person id, present, u v conf, from feedback) per output person
-        for obs in persons:
-            fp = matches.get(obs.local_id)
-            if fp is None:
-                rows.append((obs.local_id, obs.present, obs.uvc, np.zeros(NUM_JOINTS, dtype=bool)))
-                continue
-            fb = fp.present & (~obs.present | (cfg.use_occlusion & fp.occluded))
-            rows.append((obs.local_id, obs.present | fb,
-                         np.where(fb[:, None], _feedback_keypoints(fp, cfg.kappa_fb), obs.uvc),
-                         fb))
-        if cfg.use_occlusion:
-            # persons present only in feedback (fully occluded locally) are
-            # added back; without occlusion information the sensor cannot
-            # distinguish an absent person from an occluded one
-            matched = {id(fp) for fp in matches.values()}
-            for pid, fp in live.items():
-                if id(fp) not in matched and fp.present.any():
-                    rows.append((FEEDBACK_PERSON_ID_BASE + pid, fp.present,
-                                 _feedback_keypoints(fp, cfg.kappa_fb), fp.present))
-        ids, present, uvc, fb = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
-        present = np.array(present, dtype=bool).reshape(-1, NUM_JOINTS)
-        keypoints = np.full((len(ids), NUM_JOINTS, 5), np.nan)
-        keypoints[..., :3] = np.where(present[..., None],
-                                      np.array(uvc).reshape(-1, NUM_JOINTS, 3), 0.0)
-        pose_set = PoseSet2p5D(cfg.sensor_id, timestamp_us, np.array(ids, dtype=np.int64),
-                               keypoints, present,
-                               np.array(fb, dtype=bool).reshape(-1, NUM_JOINTS))
+        live = self.latest_feedback
+        if live is not None and timestamp_us - live.timestamp_us > FEEDBACK_TTL_US:
+            live = None
+        ids = np.array([obs.local_id for obs in persons], dtype=np.int64)
+        uvc = np.array([obs.uvc for obs in persons], dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
+        present = np.array([obs.present for obs in persons], dtype=bool).reshape(-1, NUM_JOINTS)
+        from_fb = np.zeros(present.shape, dtype=bool)
+        if live is not None:
+            fb_uvc = live.uvc.copy()
+            fb_uvc[..., 2] = cfg.kappa_fb
+            row = (self._match_feedback(uvc, present, live) if cfg.use_feedback
+                   else np.full(len(ids), -1))
+            hit, fb = row >= 0, row[row >= 0]
+            from_fb[hit] = live.present[fb] & (~present[hit]
+                                               | (cfg.use_occlusion & live.occluded[fb]))
+            present = present | from_fb
+            uvc[from_fb] = fb_uvc[fb][from_fb[hit]]
+            if cfg.use_occlusion:
+                # persons present only in feedback (fully occluded locally) are
+                # added back; without occlusion information the sensor cannot
+                # distinguish an absent person from an occluded one
+                add = live.present.any(axis=1)
+                add[fb] = False
+                ids = np.concatenate([ids, FEEDBACK_PERSON_ID_BASE + live.person_ids[add]])
+                uvc = np.concatenate([uvc, fb_uvc[add]])
+                present = np.concatenate([present, live.present[add]])
+                from_fb = np.concatenate([from_fb, live.present[add]])
+        keypoints = np.full(present.shape + (5,), np.nan)
+        keypoints[..., :3] = np.where(present[..., None], uvc, 0.0)
+        pose_set = PoseSet2p5D(cfg.sensor_id, timestamp_us, ids, keypoints, present, from_fb)
         return FramePlan(persons, self._feedback_version, live, pose_set)
 
     def process_frame(self, persons: list, depth: DepthImage | None,

@@ -188,20 +188,22 @@ class VoxelMap:
         return stats
 
     def is_occluded_many(self, from_world, targets_world: np.ndarray, k: int = OCCLUSION_K) -> np.ndarray:
-        """True for each target whose ray from the origin crosses at least
+        """True for each target whose ray from its origin crosses at least
         k occupied cells strictly between the endpoint voxels.  Endpoint
-        voxels never count."""
+        voxels never count.  from_world is one origin (3,) for all
+        targets or one per target (N,3)."""
         targets = np.asarray(targets_world, dtype=np.float64).reshape(-1, 3)
         n = len(targets)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        origin_idx = voxel_indices_of(from_world, self._resolution)
         target_idx = voxel_indices_of(targets, self._resolution)
-        all_keys, ray_id = bresenham3d_keys(origin_idx[0], target_idx)
+        origin_idx = np.broadcast_to(voxel_indices_of(from_world, self._resolution),
+                                     target_idx.shape)
+        all_keys, ray_id = bresenham3d_keys(origin_idx, target_idx)
         # a walk visits each cell once, so its endpoint voxels are exactly
-        # the cells equal to the origin or to its target
-        end_keys = pack_voxel_keys(np.concatenate([origin_idx, target_idx]))
-        interior = (all_keys != end_keys[0]) & (all_keys != end_keys[1:][ray_id])
+        # the cells equal to its origin or to its target
+        interior = ((all_keys != pack_voxel_keys(origin_idx)[ray_id])
+                    & (all_keys != pack_voxel_keys(target_idx)[ray_id]))
         if not interior.any():
             return np.zeros(n, dtype=bool)
         occ_keys = self._occ_keys

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from semgrid.geometry import CameraCalib
-from semgrid.pose import NUM_JOINTS, FeedbackPose, PoseSet2p5D, Skeleton3D
-from semgrid.protocol import PoseMessage, encode
+from semgrid.pose import NUM_JOINTS, PoseSet2p5D, Skeleton3D
+from semgrid.protocol import FeedbackMessage, PoseMessage, encode
 
 settings.register_profile(
     "suite",
@@ -57,14 +57,17 @@ def pose_set(sensor_id: int, ts: int, persons=()):
     return PoseSet2p5D(sensor_id, ts, ids, kp, present, from_feedback)
 
 
-def feedback_pose(sensor_id: int, person_id: int, ts: int, joints: dict):
-    """FeedbackPose from {joint: (u, v, conf, occluded)}."""
-    uvc = np.zeros((NUM_JOINTS, 3))
-    present = np.zeros(NUM_JOINTS, dtype=bool)
-    occluded = np.zeros(NUM_JOINTS, dtype=bool)
-    for j, (u, v, conf, occ) in joints.items():
-        uvc[j], present[j], occluded[j] = (u, v, conf), True, occ
-    return FeedbackPose(sensor_id, person_id, ts, uvc, present, occluded)
+def feedback_message(sensor_id: int, ts: int, persons=()):
+    """FeedbackMessage from (person id, {joint: (u, v, conf, occluded)})
+    pairs."""
+    uvc = np.zeros((len(persons), NUM_JOINTS, 3))
+    present = np.zeros((len(persons), NUM_JOINTS), dtype=bool)
+    occluded = np.zeros_like(present)
+    for i, (_, joints) in enumerate(persons):
+        for j, (u, v, conf, occ) in joints.items():
+            uvc[i, j], present[i, j], occluded[i, j] = (u, v, conf), True, occ
+    ids = np.array([pid for pid, _ in persons], dtype=np.int64)
+    return FeedbackMessage(sensor_id, ts, ids, uvc, present, occluded)
 
 
 def skeleton(person_id: int, ts: int, joints: dict):

@@ -2,7 +2,8 @@
 of semgrid against: scalar ones, one point, keypoint, ray or camera at a
 time, written for clarity rather than speed, and per-group forms of
 association and triangulation (one candidate loop per group and member,
-one solve per group), which the batched ones must match bit for bit.
+one solve per group) and the per-camera form of feedback, which the
+batched ones must match bit for bit.
 Also the readers tests use to look at one voxel-map cell."""
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from semgrid.geometry import (
     CameraCalib,
     pack_voxel_keys,
 )
+from semgrid.geometry import project as project_camera_frame
 from semgrid.pose import (
     CONF_MIN,
     MIN_RAY_ANGLE_DEG,
@@ -34,7 +36,7 @@ from semgrid.pose import (
     triangulate_points,
 )
 from semgrid.semantics import PROB_FLOOR
-from semgrid.sensor_node import estimate_keypoint_depths
+from semgrid.sensor_node import FEEDBACK_MATCH_PX, estimate_keypoint_depths
 from semgrid.voxmap import VoxelMap
 
 _EPS_Z = 1e-6
@@ -286,6 +288,28 @@ def estimate_keypoint_depth(depth, u: float, v: float,
     return float(med[0]), float(sigma[0])
 
 
+def match_feedback(uvc: np.ndarray, present: np.ndarray, feedback) -> np.ndarray:
+    """SensorNode._match_feedback as a loop over detections and feedback
+    persons, each mean distance a scalar sum over the shared joints in
+    joint order.  The distances come from np.hypot, as in the batched
+    form: math.hypot differs from it in the last bit for some inputs."""
+    rows = np.full(len(uvc), -1)
+    for o in range(len(uvc)):
+        best, best_d = -1, FEEDBACK_MATCH_PX
+        for f in range(len(feedback.person_ids)):
+            if f in rows:
+                continue
+            shared = present[o] & feedback.present[f]
+            n = int(np.count_nonzero(shared))
+            if n >= 3:
+                d = uvc[o, shared, :2] - feedback.uvc[f, shared, :2]
+                mean_d = sum(float(np.hypot(dx, dy)) for dx, dy in d.tolist()) / n
+                if mean_d < best_d:
+                    best, best_d = f, mean_d
+        rows[o] = best
+    return rows
+
+
 def triangulate_joint(
     observations: list[tuple[CameraCalib, float, float, float]],
     tau_tri: float = TAU_TRI,
@@ -318,6 +342,29 @@ def predict(skel: Skeleton3D, dt_s: float, tau_conf: float = TAU_CONF) -> Skelet
     pos, conf = _predicted(skel.pos, skel.conf, skel.vel, skel.has_vel, dt_s, tau_conf)
     return dataclasses.replace(skel, timestamp_us=skel.timestamp_us + int(round(dt_s * 1e6)),
                                pos=pos, conf=conf)
+
+
+def make_feedback_one(skels: list[Skeleton3D], calib: CameraCalib, vmap, delay_s: float,
+                      compute_occlusion: bool = True):
+    """pose.make_feedback for one camera, as the backend built it sensor
+    by sensor: its own prediction of the stacked skeletons and its own
+    occlusion query from the camera centre.  Returns (person_ids, uvc,
+    present, occluded)."""
+    if not skels:
+        return (np.empty(0, dtype=np.int64), np.empty((0, NUM_JOINTS, 3)),
+                np.empty((0, NUM_JOINTS), dtype=bool), np.empty((0, NUM_JOINTS), dtype=bool))
+    pos, conf = _predicted(*(np.stack([getattr(s, name) for s in skels])
+                             for name in ("pos", "conf", "vel", "has_vel")), delay_s, TAU_CONF)
+    present = np.stack([s.present for s in skels])
+    uv, _, in_image = project_camera_frame(calib, calib.world_to_cam(pos))
+    ok = present & in_image
+    occluded = np.zeros(ok.shape, dtype=bool)
+    if compute_occlusion and vmap is not None and ok.any():
+        occluded[ok] = vmap.is_occluded_many(calib.center, pos[ok])
+    uvc = np.where(ok[..., None], np.concatenate([uv, conf[..., None]], axis=-1), 0.0)
+    keep = ok.any(axis=1)
+    ids = np.array([s.person_id for s in skels], dtype=np.int64)
+    return ids[keep], uvc[keep], ok[keep], occluded[keep]
 
 
 def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: bool,

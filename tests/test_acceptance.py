@@ -3,8 +3,8 @@
 Each test class checks one externally visible guarantee of the pipeline:
 ablation ordering of the closed feedback loop, the probabilistic fusion
 algebra, triangulation accuracy, map update semantics, occlusion-aware
-feedback, wire-protocol robustness, message rates, and the integration
-performance budget.
+feedback without ghost persons, wire-protocol robustness, message rates,
+and the integration performance budget.
 """
 
 import time
@@ -19,10 +19,10 @@ from semgrid.cloud import SemanticCloud
 from semgrid.geometry import CameraCalib, voxel_indices_of
 from semgrid.pose import NUM_JOINTS, PoseSet2p5D
 from semgrid.semantics import NUM_CLASSES, PERSON_CLASS, fuse_rows, log_softmax_rows
-from semgrid.sensor_node import SensorConfig, SensorNode
+from semgrid.sensor_node import FEEDBACK_PERSON_ID_BASE, SensorConfig, SensorNode
 from semgrid.sim import ObservationCache, SimConfig, simulate
 from semgrid.voxmap import L_FREE, L_OCC, OCCLUSION_K, VoxelMap
-from tests.conftest import assert_stream_drained, feedback_pose, make_ring_calibs, pose_set
+from tests.conftest import assert_stream_drained, feedback_message, make_ring_calibs, pose_set
 from tests.oracles import from_probs, map_cell, project, triangulate_joint
 from tests.test_protocol import corrupt_cases
 
@@ -62,6 +62,30 @@ class TestAblationOrdering:
         assert med["fb"] > med["fb-occ"], med
         assert med["fb-occ-depth"] <= med["fb-occ"] + 0.05, med
         assert elapsed < 120.0, f"ablation sweep took {elapsed:.1f} s"
+
+
+class TestCrowdFeedback:
+    """Feedback completes the persons a sensor sees; it does not multiply
+    them.  Each FEEDBACK message replaces the last, so a track id the
+    backend has since dropped is not sent back uplink as a person seen
+    only in feedback (18.2 such persons per view when messages merged)."""
+
+    def test_few_feedback_only_persons_per_view(self, monkeypatch):
+        views = []
+        pose_tick = SensorNode.pose_tick
+
+        def recording(node, *args, **kwargs):
+            views.append(pose_tick(node, *args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(SensorNode, "pose_tick", recording)
+        scene = synthworld.make_default_scene(seed=1, n_persons=8)
+        simulate(scene, synthworld.make_camera_rig(scene), SimConfig(
+            duration_s=3.0, ablation="fb-occ-depth", integrate_clouds=False,
+            map_source="structure"))
+        assert len(views) == 4 * 90
+        feedback_only = [np.count_nonzero(v.person_ids >= FEEDBACK_PERSON_ID_BASE) for v in views]
+        assert np.mean(feedback_only) <= 2.0
 
 
 class TestFusionAlgebra:
@@ -293,8 +317,8 @@ class TestOcclusionFeedback:
 
         # and the feedback itself carries the occlusion flags for camera 0
         assert pending_fb is not None
-        flags = [occ for fp in pending_fb.poses for occ in fp.occluded[fp.present].tolist()]
-        assert flags and all(flags)
+        flags = pending_fb.occluded[pending_fb.present]
+        assert flags.size and flags.all()
 
 
 class _KeypointObs:
@@ -335,7 +359,7 @@ class TestProtocolRobustness:
                     pose_set(int(rng.integers(0, 16)),
                              int(rng.integers(0, 2**40)), persons))
             elif kind == "feedback":
-                poses = []
+                persons = []
                 for pid in range(rng.integers(0, 3)):
                     joints = {}
                     for j in rng.choice(NUM_JOINTS, size=rng.integers(0, 5),
@@ -345,9 +369,9 @@ class TestProtocolRobustness:
                             float(rng.uniform(0, 480)),
                             float(rng.uniform(0, 1)),
                             bool(rng.random() < 0.5))
-                    poses.append(feedback_pose(0, pid, 0, joints))
-                yield protocol.FeedbackMessage(
-                    int(rng.integers(0, 16)), int(rng.integers(0, 2**40)), poses)
+                    persons.append((pid, joints))
+                yield feedback_message(
+                    int(rng.integers(0, 16)), int(rng.integers(0, 2**40)), persons)
             elif kind == "cloud":
                 n_pts = int(rng.integers(0, 10))
                 pos = rng.uniform(-10, 10, size=(n_pts, 3)).astype(np.float32)

@@ -166,7 +166,7 @@ class TestTick:
         out = b.tick(now_us=1_000_000)
         assert b.skeletons == []
         assert set(out) == {0, 1}  # feedback channel exists, just empty
-        assert all(msg.poses == [] for msg in out.values())
+        assert all(len(msg.person_ids) == 0 for msg in out.values())
 
     def test_feedback_off_for_none_ablation(self):
         b = backend_with_sensors(2, ablation="none")
@@ -186,11 +186,11 @@ class TestTick:
         assert np.abs(skel.pos[0] - point).max() <= 1e-6
         assert skel.person_id in b.last_associations
         assert len(b.last_associations[skel.person_id]) == 4
-        fb = out[0].poses
-        assert len(fb) == 1
+        fb = out[0]
+        assert fb.person_ids.tolist() == [skel.person_id]
         uvd = project(CALIBS[0], point)
-        assert fb[0].present[0]
-        assert abs(fb[0].uvc[0, 0] - uvd[0]) <= 1.0
+        assert fb.present[0, 0]
+        assert abs(fb.uvc[0, 0, 0] - uvd[0]) <= 1.0
 
     def test_occlusion_flags_cleared_for_fb_ablation(self):
         b = backend_with_sensors(4, ablation="fb")
@@ -200,9 +200,9 @@ class TestTick:
             b.on_message(protocol.PoseMessage(
                 pose_set_for_point(point, sid, t - 5_000)), t)
         out = b.tick(now_us=t)
+        assert any(len(msg.person_ids) for msg in out.values())
         for msg in out.values():
-            for fp in msg.poses:
-                assert not fp.occluded[fp.present].any()
+            assert not msg.occluded[msg.present].any()
 
     def test_track_id_stable_across_ticks(self):
         b = backend_with_sensors(4)

@@ -63,7 +63,12 @@ class TestMalformedRunFiles:
         ("eval-reproj", '{"seed": 3}', "ablation"),
         ("eval-map", '"text"', "not a JSON object"),
         ("eval-map", '{"seed": 3, "ablation": "none"}', "duration_s"),
-    ], ids=["reproj-list", "reproj-empty", "reproj-no-ablation", "map-string", "map-no-duration"])
+        ("eval-reproj", '{"seed": 3, "ablation": 7}', "ablation"),
+        ("eval-reproj", '{"seed": [3], "ablation": "none"}', "seed"),
+        ("eval-reproj", '{"seed": true, "ablation": "none"}', "seed"),
+        ("eval-map", '{"duration_s": "2.0"}', "duration_s"),
+    ], ids=["reproj-list", "reproj-empty", "reproj-no-ablation", "map-string", "map-no-duration",
+            "reproj-int-ablation", "reproj-list-seed", "reproj-bool-seed", "map-string-duration"])
     def test_bad_meta_is_data_error(self, short_run, tmp_path, capsys, command, meta, named):
         run = copy_run(short_run, tmp_path / "run")
         (run / "meta.json").write_text(meta)
@@ -86,6 +91,20 @@ class TestMalformedRunFiles:
             code, _, err = run_cli(capsys, command, str(run))
         assert code == EXIT_DATA
         assert err.count("\n") == 1 and "property short x" in err
+
+    @pytest.mark.parametrize("command", ["eval-map", "export-map"])
+    @pytest.mark.parametrize("line", ["element vertex", "element", "format",
+                                      "element vertex many"])
+    def test_malformed_ply_header_is_data_error(self, short_run, tmp_path, capsys,
+                                                command, line):
+        run = copy_run(short_run, tmp_path / "run", ("meta.json", "scene.ini"))
+        header = ["ply", "format binary_little_endian 1.0", "element vertex 1",
+                  "property float x", "property float y", "property float z", "end_header"]
+        header[2 if line.startswith("element") else 1] = line
+        (run / "map.ply").write_bytes(("\n".join(header) + "\n").encode() + bytes(12))
+        code, _, err = run_cli(capsys, command, str(run))
+        assert code == EXIT_DATA
+        assert err.count("\n") == 1 and "map.ply" in err
 
 
 class TestSimulate:

@@ -145,6 +145,17 @@ class TestBresenham:
         assert np.array_equal(rid_a, rid_b)
         assert np.array_equal(keys, pack_voxel_keys(cells))
 
+    @given(st.lists(st.tuples(cells3, cells3), min_size=1, max_size=30))
+    def test_origin_per_ray_equals_one_call_per_origin(self, rays):
+        origins, targets = (np.array(c) for c in zip(*rays))
+        keys, ray_id = bresenham3d_keys(origins, targets)
+        for i, (origin, target) in enumerate(rays):
+            want, _ = bresenham3d_keys(np.array(origin), np.array([target]))
+            assert np.array_equal(keys[ray_id == i], want)
+        assert np.array_equal(np.diff(ray_id), np.diff(ray_id).clip(0, 1))  # rays in order
+        with pytest.raises(ValueError):  # neither one origin nor one per ray
+            bresenham3d_keys(origins[:1].repeat(2, axis=0), targets.repeat(3, axis=0))
+
     def test_keys_at_index_extremes(self):
         # rays across the whole packable range give the largest numerators
         # of the walk's closed form (about 2**43); short rays at the edges

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from semgrid.pose import (
     NUM_JOINTS,
     TAU_EPI,
     TAU_TRI,
+    TRACK_STALE_S,
     VEL_MAX,
-    FeedbackPose,
     PoseSet2p5D,
     Skeleton3D,
     SkeletonTracker,
@@ -558,43 +559,111 @@ class TestRefineAndPredict:
             predict(skeleton_with({0: [0, 0, 1.0]}), -0.1)
 
 
+def feedback_one(skels, calib, vmap, delay_s):
+    """make_feedback's rows for one camera."""
+    return make_feedback(skels, [calib], vmap, [delay_s])[0]
+
+
+def _looking_away(calib: CameraCalib, sensor_id: int) -> CameraCalib:
+    """A camera at calib's centre facing the other way."""
+    R = calib.rotation * [-1.0, 1.0, -1.0]  # right and forward flipped, det stays +1
+    return CameraCalib(sensor_id, calib.width, calib.height, calib.fx, calib.fy,
+                       calib.cx, calib.cy, R, calib.translation)
+
+
+# two voxels thick between camera 0 of the ring and the middle of the room,
+# so joints there are occluded from camera 0 and seen from the others
+_WALL = np.array([[x, y, z] for x in (2.05, 2.15) for y in np.arange(-0.5, 0.55, 0.1)
+                  for z in np.arange(0.5, 2.05, 0.1)])
+_FEEDBACK_MAP = VoxelMap()
+_FEEDBACK_MAP.load_prior(_WALL)
+_FEEDBACK_CALIBS = make_ring_calibs() + [_looking_away(make_ring_calibs()[0], 4)]
+
+
+@st.composite
+def feedback_skeletons(draw):
+    """Up to 4 skeletons of random joints around the room's middle, some
+    moving, with distinct ids."""
+    skels = []
+    for pid in draw(st.lists(st.integers(0, 2**31), max_size=4, unique=True)):
+        joints = draw(st.dictionaries(
+            st.integers(0, NUM_JOINTS - 1),
+            st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5), st.floats(0.0, 2.5),
+                      st.floats(0.05, 1.0), st.booleans()),
+            min_size=1, max_size=8))
+        skel = skeleton(pid, 0, {j: ((x, y, z), c, 2) for j, (x, y, z, c, _) in joints.items()})
+        for j, (*_, moving) in joints.items():
+            if moving:
+                with_velocity(skel, j, draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3)))
+        skels.append(skel)
+    return skels
+
+
 class TestFeedback:
     def test_projection_and_no_occlusion(self):
         calib = make_ring_calibs()[0]
         p = np.array([0.0, 0.0, 1.0])
-        fps = make_feedback([skeleton_with({0: p})], calib, VoxelMap(), 0.0)
-        assert len(fps) == 1
-        assert fps[0].present[0]
-        fu, fv, _ = fps[0].uvc[0]
+        ids, uvc, present, occluded = feedback_one([skeleton_with({0: p})], calib,
+                                                   VoxelMap(), 0.0)
+        assert ids.tolist() == [0]
+        assert present[0, 0]
+        fu, fv, _ = uvc[0, 0]
         u, v, _ = project(calib, p)
         assert abs(fu - u) <= 1e-9 and abs(fv - v) <= 1e-9
-        assert not fps[0].occluded[0]
+        assert not occluded[0, 0]
 
     def test_occlusion_flag_behind_wall(self):
         calib = make_ring_calibs()[0]  # at (4, 0, 2) looking at origin
         p = np.array([0.0, 0.0, 1.0])
-        vmap = VoxelMap()
-        # a slab of occupied voxels between camera and target
-        ys, zs = np.meshgrid(np.arange(-0.5, 0.55, 0.1),
-                             np.arange(0.5, 2.05, 0.1))
-        wall = np.column_stack([np.full(ys.size, 2.05), ys.ravel(), zs.ravel()])
-        wall = np.vstack([wall, wall + [0.1, 0, 0]])  # two voxels thick (k=2)
-        vmap.load_prior(wall)
-        fps = make_feedback([skeleton_with({0: p})], calib, vmap, 0.0)
-        assert fps[0].present[0] and fps[0].occluded[0]
+        # a slab of occupied voxels between camera and target, two voxels
+        # thick (k=2)
+        _, _, present, occluded = feedback_one([skeleton_with({0: p})], calib,
+                                               _FEEDBACK_MAP, 0.0)
+        assert present[0, 0] and occluded[0, 0]
 
     def test_behind_camera_dropped(self):
         calib = make_ring_calibs()[0]  # looks towards origin from (4,0,2)
         p = calib.translation + calib.rotation[:, 2] * -2.0  # behind
-        fps = make_feedback([skeleton_with({0: p})], calib, VoxelMap(), 0.0)
-        assert fps == []
+        ids, uvc, present, occluded = feedback_one([skeleton_with({0: p})], calib,
+                                                   VoxelMap(), 0.0)
+        assert len(ids) == 0
+        assert (uvc.shape, present.shape, occluded.shape) == (
+            (0, NUM_JOINTS, 3), (0, NUM_JOINTS), (0, NUM_JOINTS))
 
     def test_delay_prediction_applied(self):
         calib = make_ring_calibs()[0]
         skel = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, [0.0, 1.0, 0.0])
-        still = make_feedback([skel], calib, VoxelMap(), 0.0)[0].uvc[0]
-        moved = make_feedback([skel], calib, VoxelMap(), 0.2)[0].uvc[0]
+        still = feedback_one([skel], calib, VoxelMap(), 0.0)[1][0, 0]
+        moved = feedback_one([skel], calib, VoxelMap(), 0.2)[1][0, 0]
         assert abs(moved[0] - still[0]) > 1.0  # the sideways motion shows up
+
+    @given(feedback_skeletons(),
+           st.lists(st.floats(0.0, 0.5), min_size=len(_FEEDBACK_CALIBS),
+                    max_size=len(_FEEDBACK_CALIBS)),
+           st.sampled_from(["map", "off", "no map"]))
+    @settings(max_examples=60)
+    def test_batched_equals_per_camera(self, skels, delays, occlusion):
+        """One call for all cameras equals the per-camera reference bit for
+        bit: no skeletons, a camera that sees none of them (the last one
+        looks away), occlusion off or without a map, and a delay per
+        camera."""
+        vmap = None if occlusion == "no map" else _FEEDBACK_MAP
+        got = make_feedback(skels, _FEEDBACK_CALIBS, vmap, delays,
+                            compute_occlusion=occlusion != "off")
+        assert len(got) == len(_FEEDBACK_CALIBS)
+        for calib, delay, rows in zip(_FEEDBACK_CALIBS, delays, got):
+            want = oracles.make_feedback_one(skels, calib, vmap, delay,
+                                             compute_occlusion=occlusion != "off")
+            for a, b in zip(rows, want):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert len(got[-1][0]) == 0  # the camera looking away sees no one
+
+    def test_occlusion_differs_between_cameras(self):
+        # the wall hides the middle of the room from camera 0 only, so one
+        # batched query must keep each joint's own origin
+        skel = skeleton_with({0: [0.0, 0.0, 1.0]})
+        rows = make_feedback([skel], _FEEDBACK_CALIBS[:4], _FEEDBACK_MAP, [0.0] * 4)
+        assert [bool(occ[0, 0]) for _, _, _, occ in rows] == [True, False, False, False]
 
 
 class TestTrackerAndLog:
@@ -618,6 +687,31 @@ class TestTrackerAndLog:
         second = tracker.update([skeleton_with({0: [5.0, 0.0, 1.0]})], 1 / 30)
         assert second[0].person_id != first[0].person_id
 
+    def test_stale_tracks_retired(self):
+        # A stays; B leaves for 1.5 s at a time and keeps its id; C leaves
+        # for 4.7 s at a time and comes back under a new one
+        tracker = SkeletonTracker()
+        dt = 1 / 30
+        assert TRACK_STALE_S == 2.0  # the backend's STALE_S
+        recent = deque(maxlen=int(round(TRACK_STALE_S / dt)) + 1)  # ids of this window
+        ids = {"A": set(), "B": set(), "C": set()}
+        for k in range(900):
+            here = {"A": [0.0, 0.0, 1.0]}
+            if (k // 45) % 2 == 0:
+                here["B"] = [3.0, 0.0, 1.0]
+            if k % 150 < 10:
+                here["C"] = [-3.0, 0.0, 1.0]
+            out = tracker.update([skeleton_with({0: p}) for p in here.values()], dt)
+            for skel in out:  # in match order, told apart by where they stand
+                ids["CAB"[int(np.sign(skel.pos[0, 0])) + 1]].add(skel.person_id)
+            recent.append({skel.person_id for skel in out})
+            window = set().union(*recent)
+            for state in (tracker._prev, tracker._centroids, tracker._bones):
+                assert set(state) <= window
+        assert len(ids["A"]) == len(ids["B"]) == 1
+        assert len(ids["C"]) == 6  # one id per return
+        assert set(tracker._prev) == ids["A"] | ids["B"]  # C's last visit ended 4.7 s ago
+
     def test_update_delay_ema(self):
         assert update_delay(None, 0.1) == 0.1
         d = update_delay(0.1, 0.2, alpha=0.5)
@@ -638,8 +732,9 @@ class TestTrackerAndLog:
             Skeleton3D(0, 0, np.zeros((short, 3)), np.zeros(short),
                        np.zeros(short, dtype=int), np.ones(short, dtype=bool))
         with pytest.raises(ValueError):
-            FeedbackPose(0, 0, 0, np.zeros((3, 3)), np.ones(3, dtype=bool),
-                         np.zeros(3, dtype=bool))
+            protocol.FeedbackMessage(0, 0, np.zeros(1, dtype=np.int64), np.zeros((1, short, 3)),
+                                     np.ones((1, short), dtype=bool),
+                                     np.zeros((1, short), dtype=bool))
         with pytest.raises(ValueError):
             PoseSet2p5D(0, 0, np.zeros(1, dtype=np.int64), np.zeros((1, short, 5)),
                         np.ones((1, short), dtype=bool), np.zeros((1, short), dtype=bool))

@@ -18,7 +18,6 @@ from semgrid.protocol import (
     MSG_POSE,
     CloudMessage,
     MalformedPayloadError,
-    FeedbackMessage,
     Hello,
     PoseMessage,
     ProtocolError,
@@ -30,7 +29,7 @@ from semgrid.protocol import (
     quantize_probs,
 )
 from semgrid.semantics import NUM_CLASSES
-from tests.conftest import assert_stream_drained, feedback_pose, make_ring_calibs, pose_set
+from tests.conftest import assert_stream_drained, feedback_message, make_ring_calibs, pose_set
 
 CALIBS = make_ring_calibs()
 
@@ -72,11 +71,11 @@ def feedback_messages(draw):
     sid = draw(st.integers(0, 65535))
     ts = draw(st.integers(0, 2**63 - 1))
     joints = st.tuples(f32, f32, conf32, st.booleans())  # u, v, conf, occluded
-    poses = [
-        feedback_pose(sid, draw(uint), ts, draw(joint_slots(joints)))
+    persons = [
+        (draw(uint), draw(joint_slots(joints)))
         for _ in range(draw(st.integers(0, 3)))
     ]
-    return FeedbackMessage(sid, ts, poses)
+    return feedback_message(sid, ts, persons)
 
 
 @st.composite
@@ -321,10 +320,10 @@ def hostile_frames() -> dict[str, bytes]:
         "pose depth zero sigma": pose((1.0, 2.0, 0.5, 2.0, 0.0)),
         "pose inf depth": pose((1.0, 2.0, 0.5, inf, 0.1)),
         "pose negative depth": pose((1.0, 2.0, 0.5, -2.0, 0.1)),
-        "feedback nan u, conf 7": encode(FeedbackMessage(1, 2, [
-            feedback_pose(1, 5, 2, {4: (nan, 2.0, 7.0, False)})])),
-        "feedback inf v": encode(FeedbackMessage(1, 2, [
-            feedback_pose(1, 5, 2, {4: (1.0, -inf, 0.5, True)})])),
+        "feedback nan u, conf 7": encode(feedback_message(1, 2, [
+            (5, {4: (nan, 2.0, 7.0, False)})])),
+        "feedback inf v": encode(feedback_message(1, 2, [
+            (5, {4: (1.0, -inf, 0.5, True)})])),
         "cloud nan position": cloud_frame([nan, 0.0, 1.0]),
         "cloud -inf position": cloud_frame([0.0, -inf, 1.0]),
     }
@@ -413,9 +412,8 @@ class TestGoldenFrames:
 
     def test_feedback(self):
         msg = decode(golden_frames()["FEEDBACK"])
-        assert (msg.sensor_id, msg.timestamp_us, len(msg.poses)) == (3, 1_733_333, 1)
-        fp = msg.poses[0]
-        assert fp.person_id == 12
-        assert np.flatnonzero(fp.present).tolist() == [0]
-        assert fp.uvc[0].tolist() == [101.0, 52.0, 0.875]
-        assert fp.occluded[0]
+        assert (msg.sensor_id, msg.timestamp_us) == (3, 1_733_333)
+        assert msg.person_ids.tolist() == [12]
+        assert np.flatnonzero(msg.present[0]).tolist() == [0]
+        assert msg.uvc[0, 0].tolist() == [101.0, 52.0, 0.875]
+        assert msg.occluded[0].tolist() == [j == 0 for j in range(NUM_JOINTS)]

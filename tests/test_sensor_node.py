@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semgrid import protocol, synthworld
 from semgrid.cloud import DepthImage
 from semgrid.geometry import save_calibs
-from semgrid.pose import NUM_JOINTS, CONF_MIN, FeedbackPose
+from semgrid.pose import NUM_JOINTS, CONF_MIN
 from semgrid.sensor_node import (
     FEEDBACK_PERSON_ID_BASE,
     KAPPA_FB,
@@ -17,7 +19,7 @@ from semgrid.sensor_node import (
 from semgrid.synthworld import PersonObservation
 from tests import conftest
 from tests.conftest import make_ring_calibs
-from tests.oracles import estimate_keypoint_depth, render_depth_sparse
+from tests.oracles import estimate_keypoint_depth, match_feedback, render_depth_sparse
 
 CALIB = make_ring_calibs(1, width=64, height_px=48, f_px=40.0,
                          depth_noise_sigma=0.02)[0]
@@ -36,10 +38,12 @@ def obs_of(local_id, joints: dict) -> PersonObservation:
     return PersonObservation(local_id, uvc, present, np.zeros(NUM_JOINTS, dtype=bool))
 
 
-def feedback_pose(person_id, joints: dict, ts=0) -> FeedbackPose:
-    """Feedback to CALIB's sensor from {joint: (u, v, occluded)}."""
-    return conftest.feedback_pose(CALIB.sensor_id, person_id, ts,
-                                  {j: (u, v, 0.8, occ) for j, (u, v, occ) in joints.items()})
+def feedback(persons, ts=0) -> protocol.FeedbackMessage:
+    """Feedback to CALIB's sensor from (person id, {joint: (u, v,
+    occluded)}) pairs."""
+    return conftest.feedback_message(CALIB.sensor_id, ts, [
+        (pid, {j: (u, v, 0.8, occ) for j, (u, v, occ) in joints.items()})
+        for pid, joints in persons])
 
 
 def node(**overrides) -> SensorNode:
@@ -160,9 +164,8 @@ class TestConfig:
 class TestFeedbackMerge:
     def test_missing_joint_completed(self):
         n = node()
-        n.latest_feedback[7] = feedback_pose(
-            7, {0: (10.0, 10.0, False), 1: (12.0, 10.0, False),
-                2: (14.0, 10.0, False), 3: (30.0, 30.0, False)})
+        n.handle_feedback(feedback([(7, {0: (10.0, 10.0, False), 1: (12.0, 10.0, False),
+                                   2: (14.0, 10.0, False), 3: (30.0, 30.0, False)})]), 0)
         obs = obs_of(0, {0: (10.5, 10.2, 0.9), 1: (12.1, 9.8, 0.9),
                          2: (13.9, 10.1, 0.9)})
         ps = n.process_frame([obs], None, 1000)
@@ -178,9 +181,8 @@ class TestFeedbackMerge:
 
     def test_occlusion_flag_overrides_local(self):
         n = node()
-        n.latest_feedback[7] = feedback_pose(
-            7, {0: (10.0, 10.0, True), 1: (12.0, 10.0, False),
-                2: (14.0, 10.0, False)})
+        n.handle_feedback(feedback([(7, {0: (10.0, 10.0, True), 1: (12.0, 10.0, False),
+                                   2: (14.0, 10.0, False)})]), 0)
         obs = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
                          2: (14.0, 10.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
@@ -190,9 +192,8 @@ class TestFeedbackMerge:
 
     def test_occlusion_replacement_gated(self):
         n = node(use_occlusion=False)
-        n.latest_feedback[7] = feedback_pose(
-            7, {0: (10.0, 10.0, True), 1: (12.0, 10.0, False),
-                2: (14.0, 10.0, False)})
+        n.handle_feedback(feedback([(7, {0: (10.0, 10.0, True), 1: (12.0, 10.0, False),
+                                   2: (14.0, 10.0, False)})]), 0)
         obs = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
                          2: (14.0, 10.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
@@ -200,15 +201,14 @@ class TestFeedbackMerge:
 
     def test_feedback_disabled(self):
         n = node(use_feedback=False)
-        n.latest_feedback[7] = feedback_pose(7, {3: (30.0, 30.0, False)})
+        n.handle_feedback(feedback([(7, {3: (30.0, 30.0, False)})]), 0)
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
         assert not ps.present[0, 3]
 
     def test_hidden_person_appended(self):
         n = node()
-        n.latest_feedback[9] = feedback_pose(
-            9, {j: (20.0 + j, 20.0, True) for j in range(5)})
+        n.handle_feedback(feedback([(9, {j: (20.0 + j, 20.0, True) for j in range(5)})]), 0)
         ps = n.process_frame([], None, 1000)
         assert ps.person_ids.tolist() == [FEEDBACK_PERSON_ID_BASE + 9]
         for j in range(5):
@@ -218,23 +218,55 @@ class TestFeedbackMerge:
 
     def test_hidden_person_gated_on_occlusion(self):
         n = node(use_occlusion=False)
-        n.latest_feedback[9] = feedback_pose(9, {0: (20.0, 20.0, True)})
+        n.handle_feedback(feedback([(9, {0: (20.0, 20.0, True)})]), 0)
         ps = n.process_frame([], None, 1000)
         assert len(ps.person_ids) == 0
 
+    def test_message_without_an_id_removes_it(self):
+        # each message is the backend's complete current set, so a person
+        # it no longer sends is not sent back uplink as feedback
+        n = node()
+        n.handle_feedback(feedback([(7, {0: (20.0, 20.0, True)}),
+                                    (9, {0: (40.0, 20.0, True)})]), 0)
+        n.handle_feedback(feedback([(9, {0: (41.0, 20.0, True)})], ts=33_000), 33_000)
+        ps = n.process_frame([], None, 40_000)
+        assert ps.person_ids.tolist() == [FEEDBACK_PERSON_ID_BASE + 9]
+        assert ps.keypoints[0, 0, 0] == 41.0
+        n.handle_feedback(feedback([], ts=66_000), 66_000)
+        assert len(n.process_frame([], None, 70_000).person_ids) == 0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 5), st.booleans())
+    def test_matching_equals_loop(self, seed, n_obs, n_fb, duplicate):
+        # persons a few pixels apart, so that distances fall on both sides
+        # of the gate and several feedback persons compete for a detection;
+        # a duplicated feedback row makes exact ties
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(0, 60, size=(3, 1, 2))
+        uvc = np.zeros((n_obs, NUM_JOINTS, 3))
+        uvc[..., :2] = centres[rng.integers(0, 3, n_obs)] + rng.normal(0, 8, (n_obs, NUM_JOINTS, 2))
+        persons = [(pid, {j: (*(centres[rng.integers(0, 3), 0] + rng.normal(0, 8, 2)),
+                              0.8, False)
+                          for j in np.flatnonzero(rng.random(NUM_JOINTS) < 0.6).tolist()})
+                   for pid in range(n_fb)]
+        if duplicate and persons:
+            persons.insert(int(rng.integers(0, len(persons))), persons[-1])
+        fb = conftest.feedback_message(CALIB.sensor_id, 0, persons)
+        present = rng.random((n_obs, NUM_JOINTS)) < 0.6
+        assert (SensorNode._match_feedback(uvc, present, fb).tolist()
+                == match_feedback(uvc, present, fb).tolist())
+
     def test_stale_feedback_dropped(self):
         n = node()
-        n.latest_feedback[9] = feedback_pose(9, {0: (20.0, 20.0, True)}, ts=0)
+        n.handle_feedback(feedback([(9, {0: (20.0, 20.0, True)})], ts=0), 0)
         ps = n.process_frame([], None, 600_000)
         assert len(ps.person_ids) == 0
-        assert n.latest_feedback == {}
+        assert n.latest_feedback is None
 
     def test_far_feedback_not_matched(self):
         n = node()
-        n.latest_feedback[7] = feedback_pose(
-            7, {0: (10.0, 10.0, False), 1: (12.0, 10.0, False),
-                2: (14.0, 10.0, False), 3: (30.0, 30.0, False)},
-            ts=1000)
+        n.handle_feedback(feedback([(7, {0: (10.0, 10.0, False), 1: (12.0, 10.0, False),
+                                   2: (14.0, 10.0, False), 3: (30.0, 30.0, False)})],
+                                   ts=1000), 1000)
         obs = obs_of(0, {0: (50.0, 45.0, 0.9), 1: (52.0, 45.0, 0.9),
                          2: (54.0, 45.0, 0.9)})
         ps = n.process_frame([obs], None, 1000)
@@ -268,15 +300,14 @@ class TestFramePlan:
     rendered only in the patches around them gives the same pose set."""
 
     def _feedback(self, obs, sensor_id, ts):
-        poses = []
+        persons = []
         for o in obs:
             joints = {j: (kp[0] + 3.0, kp[1] - 2.0, 0.5, j % 3 == 0)
                       for j, kp in enumerate(o.uvc.tolist()) if o.present[j]}
             joints.setdefault(0, (50.0, 50.0, 0.5, False))
-            poses.append(conftest.feedback_pose(sensor_id, 10 + o.local_id, ts, joints))
-        hidden = {j: (20.0 + j, 30.0, 0.5, True) for j in range(NUM_JOINTS)}
-        poses.append(conftest.feedback_pose(sensor_id, 99, ts, hidden))
-        return protocol.FeedbackMessage(sensor_id, ts, poses)
+            persons.append((10 + o.local_id, joints))
+        persons.append((99, {j: (20.0 + j, 30.0, 0.5, True) for j in range(NUM_JOINTS)}))
+        return conftest.feedback_message(sensor_id, ts, persons)
 
     @pytest.mark.parametrize("flags", [{}, {"use_occlusion": False},
                                        {"use_feedback": False, "use_occlusion": False}])
@@ -299,7 +330,8 @@ class TestFramePlan:
         got = nodes[1].process_frame(obs, sparse, now, plan=plan)
         assert (protocol.encode(protocol.PoseMessage(got))
                 == protocol.encode(protocol.PoseMessage(expected)))
-        assert nodes[1].latest_feedback.keys() == nodes[0].latest_feedback.keys()
+        assert (nodes[1].latest_feedback.person_ids.tolist()
+                == nodes[0].latest_feedback.person_ids.tolist() == [10, 11, 99])
 
     def test_patch_pixels_are_the_5x5_around_each_joint(self):
         plan = node().plan_frame([obs_of(0, {3: (10.7, 20.2, 0.9), 5: (3.0, 4.9, 0.9)})], 0)
@@ -313,7 +345,7 @@ class TestFramePlan:
         plan = n.plan_frame(obs, 1000)
         with pytest.raises(ValueError):
             n.process_frame(obs, None, 2000, plan=plan)
-        n.handle_feedback(protocol.FeedbackMessage(CALIB.sensor_id, 0, []), 1000)
+        n.handle_feedback(protocol.FeedbackMessage(CALIB.sensor_id, 0), 1000)
         with pytest.raises(ValueError):
             n.process_frame(obs, None, 1000, plan=plan)
         n.process_frame(obs, None, 1000, plan=n.plan_frame(obs, 1000))
@@ -322,11 +354,10 @@ class TestFramePlan:
 class TestTransport:
     def test_handle_feedback_updates_delay_and_store(self):
         n = node()
-        msg = protocol.FeedbackMessage(0, 1_000_000, [
-            feedback_pose(3, {0: (5.0, 5.0, False)}, ts=1_000_000)])
+        msg = feedback([(3, {0: (5.0, 5.0, False)})], ts=1_000_000)
         n.handle_feedback(msg, now_us=1_200_000)
         assert n.feedback_delay_s == pytest.approx(0.2)
-        assert 3 in n.latest_feedback
+        assert n.latest_feedback is msg
         n.handle_feedback(msg, now_us=1_100_000)
         assert n.feedback_delay_s == pytest.approx(0.9 * 0.2 + 0.1 * 0.1)
 
