@@ -2,8 +2,9 @@
 of semgrid against: scalar ones, one point, keypoint, ray or camera at a
 time, written for clarity rather than speed, and per-group forms of
 association and triangulation (one candidate loop per group and member,
-one solve per group) and the per-camera form of feedback, which the
-batched ones must match bit for bit.
+one solve per group), the per-camera form of feedback and the dense
+form of the person-capsule cast, which the batched ones must match bit
+for bit.
 Also the readers tests use to look at one voxel-map cell."""
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from semgrid.pose import (
     _view_arrays,
     triangulate_points,
 )
-from semgrid.semantics import PROB_FLOOR
+from semgrid.semantics import PERSON_CLASS, PROB_FLOOR
 from semgrid.sensor_node import FEEDBACK_MATCH_PX, estimate_keypoint_depths
 from semgrid.voxmap import VoxelMap
 
@@ -507,11 +508,49 @@ def triangulate_group(pose_sets: dict[int, PoseSet2p5D], groups: list[list[tuple
 # -- synthetic world -----------------------------------------------------------
 
 
+def sphere_test_dense(capsules, blocks, dirs) -> np.ndarray:
+    """(N,M) bool: the bounding-sphere test of synthworld._cast_persons
+    run on every (ray, capsule) pair, one (N,M) array per term."""
+    p0s, p1s, rs = capsules
+    centers = 0.5 * (p0s + p1s)
+    radii = 0.5 * np.sqrt(synthworld._rowdot(p1s - p0s, p1s - p0s)) + rs
+    block_origins = np.array([calib.center for calib, _ in blocks], dtype=np.float64)
+    block = np.repeat(np.arange(len(blocks)), [n for _, n in blocks])
+    offset = block_origins[:, None, :] - centers
+    dots = (dirs[:, 0:1] * centers[:, 0] + dirs[:, 1:2] * centers[:, 1]
+            + dirs[:, 2:3] * centers[:, 2])
+    B = 2 * (synthworld._rowdot(dirs, block_origins[block])[:, None] - dots)
+    C = (np.einsum("bmj,bmj->bm", offset, offset) - radii * radii)[block]
+    disc = B * B - 4 * synthworld._rowdot(dirs, dirs)[:, None] * C
+    return (disc >= 0) & ((B < 0) | (C < 0))
+
+
+def cast_persons_dense(capsules, blocks, dirs, best_t, best_c, blocked=None):
+    """synthworld._cast_persons with the bounding-sphere test run densely."""
+    if capsules is None or len(dirs) == 0:
+        return best_t, best_c
+    cand = sphere_test_dense(capsules, blocks, dirs)
+    if blocked is not None:
+        cand &= ~blocked
+    rays, caps = np.nonzero(cand)
+    if len(rays) == 0:
+        return best_t, best_c
+    p0s, p1s, rs = capsules
+    origins = np.repeat([calib.center for calib, _ in blocks], [n for _, n in blocks], axis=0)
+    t = synthworld._ray_capsule_pairs(origins[rays], dirs[rays], p0s[caps], p1s[caps],
+                                      rs[caps])
+    nearest = np.full(len(dirs), np.inf)
+    np.minimum.at(nearest, rays, t)
+    hit = nearest < best_t
+    best_t[hit] = nearest[hit]
+    best_c[hit] = PERSON_CLASS
+    return best_t, best_c
+
+
 def render_depth_sparse(scene, calib: CameraCalib, t_s: float, pixels: np.ndarray,
-                        frame_idx: int = 0, noise: bool = True):
+                        frame_idx: int = 0):
     """render_depth_sparse_many for one camera."""
-    return synthworld.render_depth_sparse_many(scene, [(calib, pixels)], t_s, frame_idx,
-                                               noise)[0]
+    return synthworld.render_depth_sparse_many(scene, [(calib, pixels)], t_s, frame_idx)[0]
 
 
 def visible_joints(scene, calib: CameraCalib, t_s: float) -> np.ndarray:

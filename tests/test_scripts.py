@@ -9,7 +9,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_benchmark_scripts_run():
-    for args in (["bench_cloud.py", "--repeat", "1"],
+    for args in (["bench_cast.py", "--repeat", "1"],
+                 ["bench_cloud.py", "--repeat", "1"],
                  ["bench_map.py", "--points", "5000", "--cells", "10000", "--repeat", "1"],
                  ["bench_tick.py", "--repeat", "1"]):
         proc = subprocess.run([sys.executable, str(SCRIPTS / args[0]), *args[1:]],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS
 from semgrid.sensor_node import FramePlan
 from semgrid.voxmap import VoxelMap
 from tests.conftest import pose_set
-from tests.oracles import project, render_depth_sparse, visible_joints
+from tests.oracles import (
+    cast_persons_dense,
+    project,
+    render_depth_sparse,
+    sphere_test_dense,
+    visible_joints,
+)
 
 
 def small_scene(seed=1, n_persons=2):
@@ -174,15 +182,14 @@ class TestVisibilityAgainstMap:
         assert agree / total >= 0.95
 
 
-def _uncached_static_depth(scene, calib, t_s):
-    """Static-structure depth image cast from scratch, no cache involved."""
+def _uncached_static_hits(scene, calib, t_s):
+    """Per-pixel hit parameters against the static structure, cast from
+    scratch, no cache involved."""
     uu, vv = np.meshgrid(np.arange(calib.width), np.arange(calib.height))
     dirs = np.stack([(uu.ravel() - calib.cx) / calib.fx,
                      (vv.ravel() - calib.cy) / calib.fy,
                      np.ones(uu.size)], axis=1) @ calib.rotation.T
-    t, _ = synthworld._cast(scene, t_s, calib.center, dirs, include_persons=False)
-    depth = np.where(np.isfinite(t) & (t <= synthworld.MAX_RANGE), t, 0.0)
-    return depth.reshape(calib.height, calib.width)
+    return synthworld._cast_static(scene, t_s, calib.center, dirs)[0]
 
 
 class TestCachesFollowContent:
@@ -196,8 +203,8 @@ class TestCachesFollowContent:
             # a new rig each round, shifted so no camera repeats, and
             # dropped before the next one is built
             calib = synthworld.make_camera_rig(scene, inset=0.3 + 0.01 * i)[i % 4]
-            depth, _ = synthworld.render_frame(scene, calib, 0.0, include_persons=False)
-            stale += not np.array_equal(depth, _uncached_static_depth(scene, calib, 0.0))
+            t, _ = synthworld._static_cast(scene, calib, 0.0)
+            stale += not np.array_equal(t, _uncached_static_hits(scene, calib, 0.0))
             del calib
         assert stale == 0
 
@@ -216,6 +223,159 @@ class TestCachesFollowContent:
             stale += not np.array_equal(noisy, expected)
             del scene
         assert stale == 0
+
+
+def pixel_rays(calib) -> np.ndarray:
+    return synthworld._pixel_dirs_cam(calib) @ calib.rotation.T
+
+
+def assert_cast_matches_dense(capsules, blocks, dirs, best_t=None, best_c=None,
+                              blocked=None) -> tuple:
+    """Assert that the person cast gives the dense cast's bits and that
+    its cull selects every pair the sphere test passes, each once; return
+    the (N,M) selection and sphere-test passes."""
+    if best_t is None:
+        best_t = np.full(len(dirs), np.inf)
+        best_c = np.full(len(dirs), synthworld.NO_CLASS, dtype=np.int64)
+    got = synthworld._cast_persons(capsules, blocks, dirs, best_t.copy(), best_c.copy(),
+                                   blocked)
+    expected = cast_persons_dense(capsules, blocks, dirs, best_t.copy(), best_c.copy(),
+                                  blocked)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    if capsules is None or len(dirs) == 0:
+        return None, None
+    rays, caps = synthworld._cull_pairs(*synthworld._bounding_spheres(capsules), blocks, dirs)
+    selected = np.zeros((len(dirs), len(capsules[2])), dtype=bool)
+    selected[rays, caps] = True
+    assert np.count_nonzero(selected) == len(rays)
+    passed = sphere_test_dense(capsules, blocks, dirs)
+    assert not (passed & ~selected).any()
+    return selected, passed
+
+
+def moved(calib, translation, rotation=None):
+    return dataclasses.replace(calib, translation=np.asarray(translation, dtype=np.float64),
+                               rotation=calib.rotation if rotation is None else rotation)
+
+
+class TestPersonCastMatchesDense:
+    """The culled person cast gives the bits of the sphere test run on
+    every (ray, capsule) pair, whatever the rays and the camera."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_frames_from_every_camera(self, seed):
+        scene = small_scene(seed, n_persons=8)
+        t_s = 1.3 * seed
+        capsules = synthworld._scene_capsules(scene, t_s)
+        hits = 0
+        for calib in rig(scene):
+            t, cls = synthworld._static_cast(scene, calib, t_s)
+            selected, _ = assert_cast_matches_dense(capsules, [(calib, len(t))],
+                                                    pixel_rays(calib), t.copy(), cls.copy())
+            assert selected.mean() < 0.05
+            hits += np.count_nonzero(synthworld.render_frame(scene, calib, t_s)[1]
+                                     == PERSON_CLASS)
+        assert hits > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_patches_of_all_cameras(self, seed):
+        scene = small_scene(seed, n_persons=8)
+        t_s = 1.3 * seed
+        blocks, dirs = [], []
+        for i, calib in enumerate(rig(scene)):
+            # the third camera reads no depth this frame
+            obs = [] if i == 2 else synthworld.render_keypoints(scene, calib, t_s)
+            pixels = [patch_pixels(o.uvc[o.present, :2]) for o in obs]
+            flat = synthworld.flat_pixel_indices(calib, np.concatenate(pixels) if obs else [])
+            blocks.append((calib, len(flat)))
+            dirs.append(synthworld._pixel_dirs_cam(calib)[flat] @ calib.rotation.T)
+        assert_cast_matches_dense(synthworld._scene_capsules(scene, t_s), blocks,
+                                  np.concatenate(dirs))
+
+    # at 2 persons the pairs are too few to cull, so all are selected
+    @pytest.mark.parametrize("seed, persons", [(1, 8), (2, 8), (3, 8), (1, 2)])
+    def test_joint_rays_with_own_capsules_blocked(self, seed, persons):
+        scene = small_scene(seed, n_persons=persons)
+        t_s = 1.3 * seed
+        calibs = rig(scene)
+        flat = np.stack([p.joints_at(t_s) for p in scene.persons]).reshape(-1, 3)
+        origins = np.repeat([c.center for c in calibs], len(flat), axis=0)
+        dirs = np.concatenate([flat - c.center for c in calibs])
+        t, cls = synthworld._cast_static(scene, t_s, origins, dirs)
+        blocked = np.tile(synthworld._self_blocked(persons), (len(calibs), 1))
+        assert_cast_matches_dense(synthworld._scene_capsules(scene, t_s),
+                                  [(c, len(flat)) for c in calibs], dirs, t, cls, blocked)
+
+    def _scene(self):
+        scene = small_scene(1, n_persons=8)
+        capsules = synthworld._scene_capsules(scene, 2.0)
+        centers, radii = synthworld._bounding_spheres(capsules)
+        return rig(scene)[0], capsules, centers, radii
+
+    def test_camera_inside_a_bounding_sphere(self):
+        calib, capsules, centers, radii = self._scene()
+        for m in (0, 1, 13):  # torso, head, a shin
+            inside = moved(calib, centers[m] + 0.3 * radii[m] * calib.rotation[:, 1])
+            _, passed = assert_cast_matches_dense(
+                capsules, [(inside, calib.width * calib.height)], pixel_rays(inside))
+            assert passed[:, m].all()
+
+    @pytest.mark.parametrize("depth", [0.0, 0.5, 0.99, 1.01])
+    def test_capsule_straddling_the_camera_plane(self, depth):
+        calib, capsules, centers, radii = self._scene()
+        m = 0
+        # the sphere's centre at (1.5 R, 0, depth R) in the camera frame
+        beside = moved(calib, centers[m] - radii[m] * (1.5 * calib.rotation[:, 0]
+                                                       + depth * calib.rotation[:, 2]))
+        # the frame, a fan of rays across the sphere on both sides of the
+        # plane and its mirror image, and rays to points all over the
+        # sphere just inside it
+        side = calib.rotation[:, 0] + np.linspace(-1, 1, 201)[:, None] * calib.rotation[:, 2]
+        unit = np.random.default_rng(0).standard_normal((500, 3))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        inside = centers[m] + 0.999 * radii[m] * unit - beside.center
+        dirs = np.concatenate([pixel_rays(beside), side, -side, inside])
+        _, passed = assert_cast_matches_dense(capsules, [(beside, len(dirs))], dirs)
+        assert passed[:, m].any()
+
+    def test_rays_behind_the_camera(self):
+        calib, capsules, centers, radii = self._scene()
+        dirs = pixel_rays(calib)
+        # rays away from the persons, then a camera turned away from them
+        # whose backward rays reach them
+        assert_cast_matches_dense(capsules, [(calib, 2 * len(dirs))],
+                                  np.concatenate([dirs, -dirs]))
+        turned = moved(calib, calib.translation, calib.rotation * (-1.0, 1.0, -1.0))
+        t = np.full(len(dirs), np.inf)
+        c = np.full(len(dirs), synthworld.NO_CLASS, dtype=np.int64)
+        synthworld._cast_persons(capsules, [(turned, len(dirs))], dirs, t, c)
+        assert np.count_nonzero(c == PERSON_CLASS) > 100
+        assert_cast_matches_dense(capsules, [(turned, len(dirs))], dirs)
+
+    def test_rays_grazing_the_spheres(self):
+        calib, capsules, centers, radii = self._scene()
+        for cam in (calib, moved(calib, calib.translation + (2.0, 1.5, -1.0))):
+            axis = centers - cam.center
+            dist = np.linalg.norm(axis, axis=1)
+            e1 = np.cross(axis, (0.0, 0.0, 1.0))
+            e1 /= np.linalg.norm(e1, axis=1)[:, None]
+            e2 = np.cross(axis / dist[:, None], e1)
+            # points at which rays from the camera are tangent to the
+            # sphere, scaled by 1 + tiny steps either side
+            reach = radii * dist / np.sqrt(dist ** 2 - radii ** 2)
+            angle = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+            scale = 1 + np.array([-1e-3, -1e-9, -1e-12, -1e-15, 0, 1e-15, 1e-12, 1e-9, 1e-3])
+            ring = np.cos(angle)[:, None, None] * e1 + np.sin(angle)[:, None, None] * e2
+            dirs = (axis + (scale[:, None, None, None] * reach[:, None] * ring)).reshape(-1, 3)
+            _, passed = assert_cast_matches_dense(capsules, [(cam, len(dirs))], dirs)
+            assert passed.any() and not passed.all()
+
+    def test_no_persons_or_no_rays(self):
+        calib, capsules, _, _ = self._scene()
+        assert_cast_matches_dense(None, [(calib, 5)], pixel_rays(calib)[:5])
+        assert_cast_matches_dense(capsules, [(calib, 0)], np.empty((0, 3)))
+        assert_cast_matches_dense(capsules, [(calib, 0), (calib, 0)], np.empty((0, 3)))
 
 
 class TestDepthRendering:
