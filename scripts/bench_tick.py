@@ -8,11 +8,13 @@ horizon.  It then replays each unit's ticks through the functions the
 backend calls: association, triangulation, the tracker and the one
 feedback call for all sensors, timing each stage of each tick, best of
 --repeat in process CPU time (each repeat replays the unit from a fresh
-tracker).  It prints the persons per view with how many of them a sensor
-knows only from feedback (a rise there means ghost persons), and the
-median over the ticks per stage and of the whole tick.  The 33 ms tick
-budget is a real-time target (30 Hz); exceeding it prints a warning but
-does not fail, since the time depends on the host.
+tracker).  It prints, per unit, the ids the tracker issued and the tracks
+still alive at its end (id churn shows as many more ids than persons),
+then the persons per view with how many of them a sensor knows only from
+feedback (a rise there means ghost persons), and the median over the
+ticks per stage and of the whole tick.  The 33 ms tick budget is a
+real-time target (30 Hz); exceeding it prints a warning but does not
+fail, since the time depends on the host.
 """
 
 import argparse
@@ -57,8 +59,9 @@ def capture_unit(seed: int) -> tuple[backend.Backend, list[tuple]]:
     return result.backend, ticks
 
 
-def replay_unit(be: backend.Backend, ticks: list[tuple]) -> np.ndarray:
-    """Process CPU ms of each stage of each tick, (ticks, stages)."""
+def replay_unit(be: backend.Backend, ticks: list[tuple]) -> tuple[np.ndarray, SkeletonTracker]:
+    """Process CPU ms of each stage of each tick, (ticks, stages), and the
+    tracker at the end of the unit."""
     tracker = SkeletonTracker()
     calibs = {sid: st.calib for sid, st in be.sensors.items()}
     cameras = list(calibs.values())
@@ -69,15 +72,15 @@ def replay_unit(be: backend.Backend, ticks: list[tuple]) -> np.ndarray:
         t0 = clock()
         groups = backend.associate(views, calibs, use_depth=be.flags.depth_association)
         t1 = clock()
-        skels = backend.triangulate_group(selected, groups, calibs, now_us)
+        raw, _ = backend.triangulate_group(selected, groups, calibs, now_us)
         t2 = clock()
-        fused = tracker.update([s for s in skels if s is not None], 1.0 / be.tick_rate_hz)
+        fused = tracker.update(raw, 1.0 / be.tick_rate_hz)
         t3 = clock()
         backend.make_feedback(fused, cameras, be.vmap, horizon,
                               compute_occlusion=be.flags.occlusion_flags)
         t4 = clock()
         ms[k] = np.diff([t0, t1, t2, t3, t4]) * 1e3
-    return ms
+    return ms, tracker
 
 
 def main() -> int:
@@ -86,9 +89,14 @@ def main() -> int:
     args = ap.parse_args()
 
     units = [capture_unit(seed) for seed in SEEDS]
-    per_tick = np.concatenate([
-        np.min([replay_unit(be, ticks) for _ in range(args.repeat)], axis=0)
-        for be, ticks in units])
+    best = []
+    for seed, (be, ticks) in zip(SEEDS, units):
+        runs = [replay_unit(be, ticks) for _ in range(args.repeat)]
+        best.append(np.min([ms for ms, _ in runs], axis=0))
+        tracker = runs[-1][1]
+        print(f"seed {seed}: {tracker.next_id} ids issued, {len(tracker.track_ids)} tracks "
+              f"alive after {len(ticks)} ticks")
+    per_tick = np.concatenate(best)
     views = [len(sel) for _, ticks in units for _, sel, _ in ticks]
     ids = [ps.person_ids for _, ticks in units for _, sel, _ in ticks for ps in sel.values()]
     persons = [len(i) for i in ids]

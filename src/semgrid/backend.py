@@ -22,7 +22,7 @@ from . import protocol
 from .geometry import CameraCalib, VoxelRangeError
 from .pose import (
     PoseSet2p5D,
-    Skeleton3D,
+    SkeletonSet,
     SkeletonTracker,
     associate,
     make_feedback,
@@ -80,7 +80,7 @@ class Backend:
         self.tick_rate_hz = tick_rate_hz
         self.sensors: dict[int, _SensorState] = {}
         self.tracker = SkeletonTracker()
-        self.skeletons: list[Skeleton3D] = []
+        self.skeletons = SkeletonSet(0)
         self.last_views: dict[int, PoseSet2p5D] = {}
         self.last_associations: dict[int, list[tuple[int, int]]] = {}
         self.stats = {"poses_received": 0, "clouds_received": 0, "ticks": 0,
@@ -153,17 +153,17 @@ class Backend:
         self.stats["ticks"] += 1
         selected = self.sync_window_select(now_us)
         calibs = {sid: st.calib for sid, st in self.sensors.items()}
-        fused: list[tuple[Skeleton3D, list[tuple[int, int]]]] = []  # (raw skeleton, group)
+        raw, groups = SkeletonSet(now_us), []  # the raw skeletons and the group of each
         if selected:
-            groups = associate(list(selected.values()), calibs,
-                               use_depth=self.flags.depth_association)
-            skels = triangulate_group(selected, groups, calibs, now_us)
-            fused = [(skel, group) for skel, group in zip(skels, groups) if skel is not None]
-        self.skeletons = self.tracker.update([skel for skel, _ in fused], 1.0 / self.tick_rate_hz)
+            found = associate(list(selected.values()), calibs,
+                              use_depth=self.flags.depth_association)
+            raw, group_of = triangulate_group(selected, found, calibs, now_us)
+            groups = [found[g] for g in group_of.tolist()]
+        self.skeletons = self.tracker.update(raw, 1.0 / self.tick_rate_hz)
         # the tracker stamps final person ids onto the raw skeletons, so
         # the 2D-observation groups can be tied to fused identities
         self.last_views = selected
-        self.last_associations = {skel.person_id: group for skel, group in fused}
+        self.last_associations = dict(zip(raw.person_ids.tolist(), groups))
         if not self.flags.send_feedback:
             return {}
         # prediction horizon: measured uplink delay plus one fusion cycle —

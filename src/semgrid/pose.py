@@ -14,9 +14,9 @@ boolean masks, from the sensor over the wire to the backend and back:
 - feedback for one sensor, the fused persons as it should see them
   (protocol.FeedbackMessage): person_ids (P,), uvc (P,17,3) with u, v
   and confidence, and the masks present and occluded (P,17).
-- Skeleton3D, one fused person: pos (17,3), conf (17,), n_views (17,)
-  int and vel (17,3), with the masks present and has_vel (17,); has_vel
-  is set only where present is.
+- SkeletonSet, the P fused persons of one tick: person_ids (P,), pos
+  (P,17,3), conf (P,17), n_views (P,17) int and vel (P,17,3), with the
+  masks present and has_vel (P,17); has_vel is set only where present is.
 
 An absent entry holds 0 in u, v, confidence and n_views and NaN in depth,
 sigma, pos and vel; a present keypoint without a depth estimate has NaN
@@ -97,30 +97,39 @@ class PoseSet2p5D:
 
 
 @dataclass
-class Skeleton3D:
-    """One fused 3D person (layout above)."""
+class SkeletonSet:
+    """The fused 3D persons of one tick (layout above)."""
 
-    person_id: int
     timestamp_us: int
-    pos: np.ndarray
-    conf: np.ndarray
-    n_views: np.ndarray
-    present: np.ndarray
-    vel: np.ndarray = field(default_factory=lambda: np.full((NUM_JOINTS, 3), np.nan))
-    has_vel: np.ndarray = field(default_factory=lambda: np.zeros(NUM_JOINTS, dtype=bool))
+    person_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    pos: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS, 3)))
+    conf: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS)))
+    n_views: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=np.int64))
+    present: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=bool))
+    vel: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS, 3)))
+    has_vel: np.ndarray = field(default_factory=lambda: np.empty((0, NUM_JOINTS), dtype=bool))
 
     def __post_init__(self):
-        _check_shapes(self, pos=(NUM_JOINTS, 3), conf=(NUM_JOINTS,), n_views=(NUM_JOINTS,),
-                      present=(NUM_JOINTS,), vel=(NUM_JOINTS, 3), has_vel=(NUM_JOINTS,))
+        n = len(self.person_ids)
+        _check_shapes(self, pos=(n, NUM_JOINTS, 3), conf=(n, NUM_JOINTS),
+                      n_views=(n, NUM_JOINTS), present=(n, NUM_JOINTS),
+                      vel=(n, NUM_JOINTS, 3), has_vel=(n, NUM_JOINTS))
 
-    def centroid(self) -> np.ndarray | None:
-        return self.pos[self.present].mean(axis=0) if self.present.any() else None
+    def __len__(self) -> int:
+        return len(self.person_ids)
+
+
+def _centroids(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Mean of each skeleton's present joints, (P,3), summed in joint
+    order as pos[present].mean(axis=0) sums one skeleton's."""
+    return (np.where(present[..., None], pos, 0.0).sum(axis=1)
+            / present.sum(axis=1)[:, None])
 
 
 # -- association ---------------------------------------------------------------
 
 
-def _view_arrays(views: list[PoseSet2p5D], conf_min: float):
+def _view_arrays(views: list[PoseSet2p5D]):
     """Keypoints of V views padded with NaN to the most persons P of any
     view and at least one, (V,P,17,5), and usable (V,P,17): the confident
     keypoints not sourced from feedback, which association and
@@ -132,7 +141,7 @@ def _view_arrays(views: list[PoseSet2p5D], conf_min: float):
         n = len(v.person_ids)
         kp[i, :n] = v.keypoints
         usable[i, :n] = v.present & ~v.from_feedback
-    usable &= kp[..., 2] >= conf_min
+    usable &= kp[..., 2] >= CONF_MIN
     return kp, usable
 
 
@@ -180,10 +189,12 @@ def _pt_seg_dists(pts, a, b) -> np.ndarray:
         return np.hypot(ap[..., 0] - s * ab[..., 0], ap[..., 1] - s * ab[..., 1])
 
 
-def _pair_costs(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: bool,
-                gate: float, conf_min: float) -> np.ndarray:
-    """Cost of every person pair of every view pair a < b, stacked over
-    the upper triangle in np.triu_indices order, (E,P,P) with E = V(V-1)/2:
+def _pair_costs(kp: np.ndarray, usable: np.ndarray, calibs: list[CameraCalib],
+                use_depth: bool) -> np.ndarray:
+    """Cost of every person pair of every view pair a < b of V views'
+    keypoints kp (V,P,17,5) and their usable mask (V,P,17), as
+    _view_arrays gives them, stacked over the upper triangle in
+    np.triu_indices order, (E,P,P) with E = V(V-1)/2:
     entry [e, i, q] of the pair (a, b) is the mean distance of person q's
     usable keypoints in view b to the epipolar lines of person i's same
     joints in view a, over the joints both have; inf when they share none
@@ -191,12 +202,11 @@ def _pair_costs(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: 
 
     With use_depth, a keypoint of a that has a local depth restricts its
     epipolar line to the projection of the depth interval +- 2 sigma: a
-    b keypoint farther than gate from that segment is no correspondence,
+    b keypoint farther than TAU_EPI from that segment is no correspondence,
     and one within it costs its distance to the segment."""
-    kp, usable = _view_arrays(views, conf_min)
     uv = np.where(usable[..., None], kp[..., :2], 0.0)
     K, K_inv, R, t = _camera_matrices(calibs)
-    ia, ib = np.triu_indices(len(views), 1)
+    ia, ib = np.triu_indices(len(calibs), 1)
     # fundamental matrices F of the pairs: the image in b of pixel x of
     # a's ray at unit depth is M x, and its line joins the epipole e =
     # (a's centre seen from b), so the line is [e]x M x
@@ -238,39 +248,42 @@ def _pair_costs(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: 
         ds = _pt_seg_dists(ub, seg0[:, :, None], seg1[:, :, None])
         checked = shared & (have_d[ia] & front)[:, :, None]
         # correspondences outside the interval are dropped
-        shared &= ~(checked & (ds > gate))
+        shared &= ~(checked & (ds > TAU_EPI))
         d = np.where(checked, ds, d)
     counts = shared.sum(axis=-1)
     sums = np.where(shared, d, 0.0).sum(axis=-1)
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
 
 
-def associate(
-    views: list[PoseSet2p5D],
-    calibs: dict[int, CameraCalib],
-    use_depth: bool = False,
-    tau_epi: float = TAU_EPI,
-    conf_min: float = CONF_MIN,
-) -> list[list[tuple[int, int]]]:
+def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
+              use_depth: bool = False) -> list[list[tuple[int, int]]]:
     """Greedy iterative cross-view grouping of person detections, one
     view per sensor.
 
     Views are visited in sensor-id order; each person of the incoming
-    view joins the cheapest existing group with cost <= tau_epi (one
+    view joins the cheapest existing group with cost <= TAU_EPI (one
     person per group per view; ties go to the lower group, then the
     lower person), otherwise starts a new group.  A group's cost to a
-    person is the least pair cost over the group's members.  Returns
-    groups of (sensor_id, local_person_id) in sensor-id order.
+    person is the least pair cost over the group's members.  A person
+    without a usable keypoint could only ever form a group of its own,
+    of which no joint can be placed, so it is left out before the costs
+    are sized.  Returns groups of (sensor_id, local_person_id) in
+    sensor-id order.
     """
     if not views:
         return []
     ordered = sorted(views, key=lambda v: v.sensor_id)
-    cost = _pair_costs(ordered, [calibs[v.sensor_id] for v in ordered], use_depth,
-                       tau_epi, conf_min)
+    kp, usable = _view_arrays(ordered)
+    # the persons left in, moved to the front of their view in order
+    keep = usable.any(axis=-1)
+    counts = keep.sum(axis=1)
+    at = (np.arange(len(ordered))[:, None],
+          np.argsort(~keep, axis=1, kind="stable")[:, :max(1, counts.max())])
+    cost = _pair_costs(kp[at], usable[at], [calibs[v.sensor_id] for v in ordered], use_depth)
     n_v = len(ordered)
     pair = np.zeros((n_v, n_v), dtype=np.intp)
     pair[np.triu_indices(n_v, 1)] = np.arange(len(cost))
-    counts = [len(v.person_ids) for v in ordered]
+    counts = counts.tolist()
     # person row of each group in each view, -1 where it has none
     members = np.full((sum(counts), n_v), -1)
     n_g = 0
@@ -280,7 +293,7 @@ def associate(
             rows = members[:n_g, :ib]
             best = np.where((rows >= 0)[..., None],
                             cost[pair[:ib, ib], np.maximum(rows, 0), :nb], np.inf).min(axis=1)
-            gi, q = np.nonzero(best <= tau_epi)
+            gi, q = np.nonzero(best <= TAU_EPI)
             order = np.argsort(best[gi, q], kind="stable")
             taken = [False] * n_g
             for g, p in zip(gi[order].tolist(), q[order].tolist()):
@@ -290,7 +303,8 @@ def associate(
         new = [p for p in range(nb) if not joined[p]]
         members[n_g:n_g + len(new), ib] = new
         n_g += len(new)
-    ids = [(v.sensor_id, v.person_ids.tolist()) for v in ordered]
+    ids = [(v.sensor_id, v.person_ids[k[:len(v.person_ids)]].tolist())
+           for v, k in zip(ordered, keep)]
     return [
         [(ids[ia][0], ids[ia][1][row]) for ia, row in enumerate(group) if row >= 0]
         for group in members[:n_g].tolist()
@@ -300,14 +314,8 @@ def associate(
 # -- triangulation -------------------------------------------------------------
 
 
-def triangulate_points(
-    calibs: list[CameraCalib],
-    uv: np.ndarray,
-    conf: np.ndarray,
-    seen: np.ndarray,
-    tau_tri: float = TAU_TRI,
-    min_angle_deg: float = MIN_RAY_ANGLE_DEG,
-):
+def triangulate_points(calibs: list[CameraCalib], uv: np.ndarray, conf: np.ndarray,
+                       seen: np.ndarray):
     """Confidence-weighted linear triangulation of J points from V views.
 
     calibs: the V cameras; uv (V,J,2) pixels, conf (V,J) confidences and
@@ -316,9 +324,9 @@ def triangulate_points(
     (J,3,3) normal-equation system, weighted by squared confidence, and
     solved in one batched np.linalg.solve.  Returns (positions (J,3), mean reprojection
     residual px (J,), ok (J,)); ok is False when fewer than two views see
-    the point, all its rays are within min_angle_deg of each other, the
-    system is singular, the point lies behind a camera that sees it, or
-    the residual exceeds tau_tri.
+    the point, all its rays are within MIN_RAY_ANGLE_DEG of each other,
+    the system is singular, the point lies behind a camera that sees it,
+    or the residual exceeds TAU_TRI.
     """
     seen = np.asarray(seen, dtype=bool)
     n_views, n_pts = seen.shape
@@ -359,10 +367,10 @@ def triangulate_points(
     res = np.where(seen, err, 0.0).sum(axis=0) / np.maximum(n_seen, 1)
     ok = (
         (n_seen >= 2)
-        & (min_cos <= math.cos(math.radians(min_angle_deg)))
+        & (min_cos <= math.cos(math.radians(MIN_RAY_ANGLE_DEG)))
         & solvable
         & ~(seen & ~front).any(axis=0)
-        & (res <= tau_tri)
+        & (res <= TAU_TRI)
     )
     return x, res, ok
 
@@ -372,10 +380,10 @@ def triangulate_group(
     groups: list[list[tuple[int, int]]],
     calibs: dict[int, CameraCalib],
     timestamp_us: int,
-    conf_min: float = CONF_MIN,
-) -> list[Skeleton3D | None]:
-    """Skeletons of one tick's association groups, one per group; None
-    for a group of which no joint can be placed.
+) -> tuple[SkeletonSet, np.ndarray]:
+    """Skeletons of one tick's association groups, with person id -1, and
+    the group of each row: one row per group of which a joint can be
+    placed, in group order.
 
     A joint's keypoints are the group's confident ones not sourced from
     feedback; groups with none are dropped first.  Joints seen so by two
@@ -386,8 +394,6 @@ def triangulate_group(
     local depth (n_views = 1, half the confidence).  A member whose person
     id its view lacks is skipped; of repeated ids the first row counts.
     """
-    if not groups:
-        return []
     sids = sorted(pose_sets)
     views = [pose_sets[sid] for sid in sids]
     first_row = [{pid: row for row, pid in reversed(list(enumerate(v.person_ids.tolist())))}
@@ -397,7 +403,7 @@ def triangulate_group(
         for sid, pid in group:
             i = sids.index(sid)
             rows[g, i] = first_row[i].get(pid, -1)
-    kp, usable = _view_arrays(views, conf_min)
+    kp, usable = _view_arrays(views)
     member = rows >= 0
     at = (np.arange(len(views)), np.maximum(rows, 0))
     seen = usable[at] & member[..., None]  # (G,V,17)
@@ -432,61 +438,14 @@ def triangulate_group(
                    (v - K[:, 1, 2]) / K[:, 1, 1] * depth, depth], axis=-1)
     pos[g, j] = (pc[:, None] @ R.transpose(0, 2, 1))[:, 0] + t
     joint_conf[g, j], n_views[g, j] = c * 0.5, 1
-    out: list[Skeleton3D | None] = [None] * len(groups)
-    for k in np.flatnonzero(n_views.any(axis=1)).tolist():
-        out[keep[k]] = Skeleton3D(-1, timestamp_us, pos[k], joint_conf[k], n_views[k],
-                                  n_views[k] > 0)
-    return out
+    k = n_views.any(axis=1)
+    pos, joint_conf, n_views = pos[k], joint_conf[k], n_views[k]
+    return SkeletonSet(timestamp_us, np.full(len(pos), -1, dtype=np.int64), pos, joint_conf,
+                       n_views, n_views > 0, np.full(pos.shape, np.nan),
+                       np.zeros(n_views.shape, dtype=bool)), keep[k]
 
 
-# -- temporal refinement, prediction, feedback ---------------------------------
-
-
-def refine_skeleton(
-    raw: Skeleton3D,
-    prev: Skeleton3D | None,
-    dt_s: float = 1.0 / 30.0,
-    bone_ref: np.ndarray | None = None,
-) -> Skeleton3D:
-    """Exponential smoothing against prev plus bone-length outlier gating.
-
-    Joints whose adjacent bone deviates more than 50% from the reference
-    (running median) length are demoted to low confidence; velocities are
-    finite differences against prev.
-    """
-    present = raw.present
-    if not present.any():
-        raise ValueError("skeleton must have at least one joint")
-    pos = raw.pos.copy()
-    vel = np.zeros((NUM_JOINTS, 3))  # a joint seen for the first time starts at rest
-    if prev is not None:
-        both = present & prev.present
-        smooth = ALPHA_POS * raw.pos + (1 - ALPHA_POS) * prev.pos
-        pos[both] = smooth[both]
-        step = (smooth - prev.pos) / max(dt_s, 1e-9)
-        speed = row_norms(step)
-        # a finite-difference spike beyond plausible human motion is
-        # triangulation noise, not movement
-        fast = both & (speed > VEL_MAX)
-        step[fast] *= (VEL_MAX / speed[fast])[:, None]
-        blend = both & prev.has_vel
-        step[blend] = ALPHA_VEL * step[blend] + (1 - ALPHA_VEL) * prev.vel[blend]
-        vel[both] = step[both]
-    conf = raw.conf
-    if bone_ref is not None:
-        lengths = row_norms(pos[_BONE_J0] - pos[_BONE_J1])
-        with np.errstate(invalid="ignore"):
-            bad = (
-                np.isfinite(bone_ref) & (bone_ref > 0) & present[_BONE_J0] & present[_BONE_J1]
-                & (np.abs(lengths - bone_ref) > BONE_DEV_MAX * bone_ref)
-            )
-        # demote the outer joint of the bone (larger joint index is
-        # further from the torso in the COCO ordering)
-        demote = np.zeros(NUM_JOINTS, dtype=bool)
-        demote[np.maximum(_BONE_J0, _BONE_J1)[bad]] = True
-        conf = np.where(demote, conf * 0.1, conf)
-    return Skeleton3D(raw.person_id, raw.timestamp_us, pos, conf, raw.n_views, present,
-                      vel, present.copy())
+# -- prediction, feedback ------------------------------------------------------
 
 
 def _predicted(pos, conf, vel, has_vel, dt_s: float, tau_conf: float):
@@ -499,7 +458,7 @@ def _predicted(pos, conf, vel, has_vel, dt_s: float, tau_conf: float):
 
 
 def make_feedback(
-    skels: list[Skeleton3D],
+    skels: SkeletonSet,
     calibs: list[CameraCalib],
     vmap,
     delays_s: list[float],
@@ -511,24 +470,16 @@ def make_feedback(
     Returns, per camera, (person_ids (P,), uvc (P,17,3), present (P,17),
     occluded (P,17)) of the persons with a joint in its image, in
     skeleton order; joints behind the camera or off-image are absent.
-    The skeletons are stacked once, then predicted and projected per
-    camera, and the joints of all cameras are occlusion-tested in one
-    query with one origin per joint.
+    The skeletons are predicted and projected per camera, and the joints
+    of all cameras are occlusion-tested in one query with one origin per
+    joint.
     """
-    n = len(skels)
-    stacked = [np.array([getattr(s, name) for s in skels], dtype=dt).reshape(
-                   (n, NUM_JOINTS) + shape)
-               for name, dt, shape in (("pos", float, (3,)), ("conf", float, ()),
-                                       ("vel", float, (3,)), ("has_vel", bool, ()),
-                                       ("present", bool, ()))]
-    present = stacked.pop()
-    ids = np.array([s.person_id for s in skels], dtype=np.int64)
     views = []  # (conf, uv, ok, occluded) per camera
     targets = []  # the joints to occlusion-test, camera by camera
     for calib, delay in zip(calibs, delays_s):
-        pos, conf = _predicted(*stacked, delay, TAU_CONF)
+        pos, conf = _predicted(skels.pos, skels.conf, skels.vel, skels.has_vel, delay, TAU_CONF)
         uv, _, in_image = project(calib, calib.world_to_cam(pos))
-        ok = present & in_image
+        ok = skels.present & in_image
         views.append((conf, uv, ok, np.zeros(ok.shape, dtype=bool)))
         targets.append(pos[ok])
     counts = [len(t) for t in targets]
@@ -541,112 +492,153 @@ def make_feedback(
     for conf, uv, ok, occluded in views:
         uvc = np.where(ok[..., None], np.concatenate([uv, conf[..., None]], axis=-1), 0.0)
         keep = ok.any(axis=1)
-        out.append((ids[keep], uvc[keep], ok[keep], occluded[keep]))
+        out.append((skels.person_ids[keep], uvc[keep], ok[keep], occluded[keep]))
     return out
 
 
-def update_delay(current: float | None, measured: float, alpha: float = ALPHA_DELAY) -> float:
+def update_delay(current: float | None, measured: float) -> float:
     """Exponential moving average of the feedback loop delay."""
     if measured < 0:
         raise ValueError("measured delay must be non-negative")
     if current is None:
         return measured
-    return (1 - alpha) * current + alpha * measured
+    return (1 - ALPHA_DELAY) * current + ALPHA_DELAY * measured
 
 
-# -- cross-frame identity ------------------------------------------------------
+# -- cross-frame identity, temporal refinement ---------------------------------
 
 
 class SkeletonTracker:
     """Stable person ids by nearest-centroid matching, plus per-person
     smoothing state and running median bone lengths.
 
-    The tracker keeps each person's last refined skeleton, and a (bones,
-    window) ring buffer of bone lengths with one write position and fill
-    count per bone.  A track left unmatched for more than TRACK_STALE_S
-    of update time is retired with all its state, so the state is bounded
-    by the persons seen in that window; its id is never issued again."""
+    Each live track is one slot of a set of arrays, in order of birth:
+    its id, its last refined skeleton (which has a velocity at each of
+    its joints), that skeleton's centroid, a (bones, window) ring buffer
+    of bone lengths with one write position and fill count per bone, and
+    the update clock of its last match.  A track left unmatched for more
+    than TRACK_STALE_S of update time is retired with its slot, so the
+    state is bounded by the persons seen in that window; its id is never
+    issued again."""
+
+    _SLOTS = ("track_ids", "_pos", "_vel", "_present", "_centroids", "_bones", "_heads",
+              "_counts", "_matched_s")
 
     def __init__(self):
-        self._next_id = 0
+        self.next_id = 0  # the number of ids issued
         self._clock_s = 0.0  # the sum of every update's dt_s
-        self._prev: dict[int, Skeleton3D] = {}
-        self._centroids: dict[int, np.ndarray] = {}  # of the _prev entries
-        self._bones: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._matched_s: dict[int, float] = {}  # clock of each track's last match
+        self.track_ids = np.empty(0, dtype=np.int64)
+        self._pos = np.empty((0, NUM_JOINTS, 3))
+        self._vel = np.empty((0, NUM_JOINTS, 3))
+        self._present = np.empty((0, NUM_JOINTS), dtype=bool)
+        self._centroids = np.empty((0, 3))
+        self._bones = np.empty((0, len(BONES), BONE_WINDOW))
+        self._heads = np.empty((0, len(BONES)), dtype=np.int64)
+        self._counts = np.empty((0, len(BONES)), dtype=np.int64)
+        self._matched_s = np.empty(0)
 
-    def update(self, raw_skeletons: list[Skeleton3D], dt_s: float) -> list[Skeleton3D]:
+    def _resize(self, keep: np.ndarray, n_new: int) -> None:
+        """Keep the slots keep lists, in order, and append n_new blank
+        ones: NaN in float arrays (unfilled bone lengths sort last), 0 or
+        False in the others."""
+        if len(keep) == len(self.track_ids) and not n_new:
+            return
+        for name in self._SLOTS:
+            kept = getattr(self, name)[keep]
+            blank = np.full((n_new,) + kept.shape[1:], np.nan if kept.dtype.kind == "f" else 0,
+                            kept.dtype)
+            setattr(self, name, np.concatenate([kept, blank]))
+
+    def update(self, raw: SkeletonSet, dt_s: float) -> SkeletonSet:
+        """Refined skeletons of raw's rows that have a joint, in stable
+        order of their distance to the nearest track centroid (TRACK_GATE
+        for a row none is strictly within it).  A row continues that track
+        unless an earlier row took it; any other row opens a new track
+        with the next id.  The ids are also written into raw.person_ids.
+
+        Refinement is exponential smoothing against the track's last
+        skeleton, finite-difference velocities (capped at VEL_MAX, then
+        smoothed) and bone-length gating: a joint whose bone to a joint
+        nearer the torso deviates more than BONE_DEV_MAX from the bone's
+        running median length is demoted to a tenth of its confidence."""
         self._clock_s += dt_s
-        for pid, t in list(self._matched_s.items()):
-            if self._clock_s - t > TRACK_STALE_S:
-                for state in (self._prev, self._centroids, self._bones, self._matched_s):
-                    del state[pid]
-        prev_ids = list(self._centroids)
-        prev_cent = np.array(list(self._centroids.values())).reshape(-1, 3)
-        candidates = []
-        for skel in raw_skeletons:
-            c = skel.centroid()
-            if c is None:
-                continue
-            best_id, best_d = None, TRACK_GATE
-            if prev_ids:
-                dists = row_norms(c - prev_cent)
-                i = int(np.argmin(dists))  # first of equal minima, as dict order
-                if dists[i] < best_d:
-                    best_id, best_d = prev_ids[i], float(dists[i])
-            candidates.append((skel, best_id, best_d))
-        candidates.sort(key=lambda x: x[2])
-        assigned: set[int] = set()
-        refined = []
-        for skel, pid, _ in candidates:
-            if pid is None or pid in assigned:
-                pid = self._next_id
-                self._next_id += 1
-            assigned.add(pid)
-            skel.person_id = pid
-            out = refine_skeleton(skel, self._prev.get(pid), dt_s, self._bone_reference(pid))
-            self._record_bones(pid, out)
-            self._prev[pid] = out
-            self._centroids[pid] = out.centroid()
-            self._matched_s[pid] = self._clock_s
-            refined.append(out)
-        return refined
+        live = np.flatnonzero(~(self._clock_s - self._matched_s > TRACK_STALE_S))
+        n_tracks = len(live)
+        rows = np.flatnonzero(raw.present.any(axis=1))
+        slot = np.full(len(rows), -1)  # among the live slots
+        dist = np.full(len(rows), TRACK_GATE)
+        if n_tracks:
+            d = row_norms(_centroids(raw.pos[rows], raw.present[rows])[:, None]
+                          - self._centroids[live])
+            nearest = d.argmin(axis=1)  # the first of equal minima, in slot order
+            d = d[np.arange(len(rows)), nearest]
+            near = d < TRACK_GATE
+            slot[near], dist[near] = nearest[near], d[near]
+        order = np.argsort(dist, kind="stable")
+        rows, slot = rows[order], slot[order]
+        first = np.zeros(len(rows), dtype=bool)
+        matched = np.flatnonzero(slot >= 0)
+        first[matched[np.unique(slot[matched], return_index=True)[1]]] = True
+        born = np.flatnonzero(~first)
+        slot[born] = n_tracks + np.arange(len(born))
+        self._resize(live, len(born))
+        self.track_ids[slot[born]] = self.next_id + np.arange(len(born))
+        self.next_id += len(born)
 
-    def _bone_reference(self, pid: int) -> np.ndarray | None:
-        """Median of each bone's recorded lengths; NaN below 3 samples."""
-        hist = self._bones.get(pid)
-        if hist is None:
-            return None
-        values, _, count = hist
-        svals = np.sort(values, axis=1)  # NaN (unfilled) sorts last
-        rows = np.arange(len(BONES))
+        present, raw_pos = raw.present[rows], raw.pos[rows]
+        prev_pos = self._pos[slot]
+        both = present & self._present[slot]  # False throughout a new track
+        smooth = ALPHA_POS * raw_pos + (1 - ALPHA_POS) * prev_pos
+        pos = np.where(both[..., None], smooth, raw_pos)
+        step = (smooth - prev_pos) / max(dt_s, 1e-9)
+        speed = row_norms(step)
+        # a finite-difference spike beyond plausible human motion is
+        # triangulation noise, not movement
+        fast = both & (speed > VEL_MAX)
+        step[fast] *= (VEL_MAX / speed[fast])[:, None]
+        # a joint seen for the first time starts at rest
+        vel = np.where(both[..., None], ALPHA_VEL * step + (1 - ALPHA_VEL) * self._vel[slot], 0.0)
+
+        # running median of each bone's recorded lengths, NaN below 3
+        # samples; unfilled entries are NaN and sort last
+        lengths = row_norms(pos[:, _BONE_J0] - pos[:, _BONE_J1])
+        ends = present[:, _BONE_J0] & present[:, _BONE_J1]
+        svals = np.sort(self._bones[slot], axis=-1)
+        count = self._counts[slot]
         c = np.maximum(count, 1)
-        med = 0.5 * (svals[rows, (c - 1) // 2] + svals[rows, c // 2])
-        return np.where(count >= 3, med, np.nan)
+        at = (np.arange(len(slot))[:, None], np.arange(len(BONES)))
+        ref = np.where(count >= 3, 0.5 * (svals[at + ((c - 1) // 2,)] + svals[at + (c // 2,)]),
+                       np.nan)
+        with np.errstate(invalid="ignore"):
+            bad = (np.isfinite(ref) & (ref > 0) & ends
+                   & (np.abs(lengths - ref) > BONE_DEV_MAX * ref))
+        # demote the outer joint of the bone (larger joint index is
+        # further from the torso in the COCO ordering)
+        demote = np.zeros(present.shape, dtype=bool)
+        k, b = np.nonzero(bad)
+        demote[k, np.maximum(_BONE_J0, _BONE_J1)[b]] = True
+        conf = np.where(demote, raw.conf[rows] * 0.1, raw.conf[rows])
 
-    def _record_bones(self, pid: int, skel: Skeleton3D) -> None:
-        hist = self._bones.get(pid)
-        if hist is None:
-            hist = (np.full((len(BONES), BONE_WINDOW), np.nan),
-                    np.zeros(len(BONES), dtype=np.int64),
-                    np.zeros(len(BONES), dtype=np.int64))
-            self._bones[pid] = hist
-        values, head, count = hist
-        have = np.nonzero(skel.present[_BONE_J0] & skel.present[_BONE_J1])[0]
-        values[have, head[have]] = row_norms(skel.pos[_BONE_J0[have]] - skel.pos[_BONE_J1[have]])
-        head[have] = (head[have] + 1) % BONE_WINDOW
-        count[have] = np.minimum(count[have] + 1, BONE_WINDOW)
+        k, b = np.nonzero(ends)
+        at = (slot[k], b)
+        self._bones[at + (self._heads[at],)] = lengths[k, b]
+        self._heads[at] = (self._heads[at] + 1) % BONE_WINDOW
+        self._counts[at] = np.minimum(self._counts[at] + 1, BONE_WINDOW)
+        self._pos[slot], self._vel[slot] = pos, vel
+        self._present[slot] = present
+        self._centroids[slot] = _centroids(pos, present)
+        self._matched_s[slot] = self._clock_s
+        ids = self.track_ids[slot]
+        raw.person_ids[rows] = ids
+        return SkeletonSet(raw.timestamp_us, ids, pos, conf, raw.n_views[rows], present, vel,
+                           present.copy())
 
 
-def format_skeleton_log(skels: list[Skeleton3D]) -> str:
+def format_skeleton_log(skels: SkeletonSet) -> str:
     """Newline-delimited `timestamp person_id joint x y z conf n_views`."""
-    lines = []
-    for skel in skels:
-        pos, conf, n_views = skel.pos.tolist(), skel.conf.tolist(), skel.n_views.tolist()
-        for j in np.flatnonzero(skel.present).tolist():
-            x, y, z = pos[j]
-            lines.append(
-                f"{skel.timestamp_us} {skel.person_id} {j} "
-                f"{x:.6f} {y:.6f} {z:.6f} {conf[j]:.4f} {n_views[j]}"
-            )
+    k, j = np.nonzero(skels.present)
+    lines = [f"{skels.timestamp_us} {pid} {jj} {x:.6f} {y:.6f} {z:.6f} {c:.4f} {n}"
+             for pid, jj, (x, y, z), c, n in zip(
+                 skels.person_ids[k].tolist(), j.tolist(), skels.pos[k, j].tolist(),
+                 skels.conf[k, j].tolist(), skels.n_views[k, j].tolist())]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -111,18 +111,20 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
     """Distance between each sensor's emitted 2D joints and the
     reprojection of the fused skeleton they were associated with, one
     projection per sensor; records in skeleton order, then view order."""
-    pairs = []  # (sensor, skeleton, view, view row) per associated view
-    for skel in backend.skeletons:
-        for sid, local_pid in backend.last_associations.get(skel.person_id, ()):
+    skels = backend.skeletons
+    pairs = []  # (sensor, skeleton row, view, view row) per associated view
+    for k, pid in enumerate(skels.person_ids.tolist()):
+        for sid, local_pid in backend.last_associations.get(pid, ()):
             view = backend.last_views.get(sid)
             row = None if view is None else view.row_of(local_pid)
             if row is not None:
-                pairs.append((sid, skel, view, row))
+                pairs.append((sid, k, view, row))
     if not pairs:
         return []
-    both = np.stack([skel.present & view.present[row] for _, skel, view, row in pairs])
+    ks = [k for _, k, _, _ in pairs]
+    both = skels.present[ks] & np.stack([view.present[row] for _, _, view, row in pairs])
     pair, joint = np.nonzero(both)
-    pos = np.stack([skel.pos for _, skel, _, _ in pairs])[pair, joint]
+    pos = skels.pos[ks][pair, joint]
     kps = np.stack([view.keypoints[row] for _, _, view, row in pairs])[pair, joint]
     fb = np.stack([view.from_feedback[row] for _, _, view, row in pairs])[pair, joint]
     sid_of = np.array([sid for sid, _, _, _ in pairs])[pair]
@@ -133,7 +135,7 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
         calib = backend.sensors[sid].calib
         uv[at], front[at], _ = project(calib, calib.world_to_cam(pos[at]))
     errs = np.hypot(kps[:, 0] - uv[:, 0], kps[:, 1] - uv[:, 1])
-    pid_of = np.array([skel.person_id for _, skel, _, _ in pairs])[pair]
+    pid_of = skels.person_ids[ks][pair]
     return [ReprojRecord(now_us, s, p, j, e, f) for s, p, j, e, f in zip(
         sid_of[front].tolist(), pid_of[front].tolist(), joint[front].tolist(),
         errs[front].tolist(), fb[front].tolist())]

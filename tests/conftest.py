@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from semgrid.geometry import CameraCalib
-from semgrid.pose import NUM_JOINTS, PoseSet2p5D, Skeleton3D
+from semgrid.pose import NUM_JOINTS, PoseSet2p5D, SkeletonSet
 from semgrid.protocol import FeedbackMessage, PoseMessage, encode
 
 settings.register_profile(
@@ -70,15 +70,19 @@ def feedback_message(sensor_id: int, ts: int, persons=()):
     return FeedbackMessage(sensor_id, ts, ids, uvc, present, occluded)
 
 
-def skeleton(person_id: int, ts: int, joints: dict):
-    """Skeleton3D from {joint: (position, conf, n_views)}, no velocities."""
-    pos = np.full((NUM_JOINTS, 3), np.nan)
-    conf = np.zeros(NUM_JOINTS)
-    n_views = np.zeros(NUM_JOINTS, dtype=np.int64)
-    present = np.zeros(NUM_JOINTS, dtype=bool)
-    for j, (p, c, n) in joints.items():
-        pos[j], conf[j], n_views[j], present[j] = p, c, n, True
-    return Skeleton3D(person_id, ts, pos, conf, n_views, present)
+def skeletons(ts: int, persons=()):
+    """SkeletonSet from (person id, {joint: (position, conf, n_views)})
+    pairs, no velocities."""
+    pos = np.full((len(persons), NUM_JOINTS, 3), np.nan)
+    conf = np.zeros((len(persons), NUM_JOINTS))
+    n_views = np.zeros((len(persons), NUM_JOINTS), dtype=np.int64)
+    present = np.zeros((len(persons), NUM_JOINTS), dtype=bool)
+    for i, (_, joints) in enumerate(persons):
+        for j, (p, c, n) in joints.items():
+            pos[i, j], conf[i, j], n_views[i, j], present[i, j] = p, c, n, True
+    ids = np.array([pid for pid, _ in persons], dtype=np.int64)
+    return SkeletonSet(ts, ids, pos, conf, n_views, present, np.full(pos.shape, np.nan),
+                       np.zeros(present.shape, dtype=bool))
 
 
 def assert_stream_drained(decoder) -> None:

@@ -2,15 +2,16 @@
 of semgrid against: scalar ones, one point, keypoint, ray or camera at a
 time, written for clarity rather than speed, and per-group forms of
 association and triangulation (one candidate loop per group and member,
-one solve per group), the per-camera form of feedback and the dense
-form of the person-capsule cast, which the batched ones must match bit
-for bit.
+one solve per group), the per-camera form of feedback, the per-skeleton
+form of the tracker and the dense form of the person-capsule cast, which
+the batched ones must match bit for bit.
 Also the readers tests use to look at one voxel-map cell."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,19 +22,28 @@ from semgrid.geometry import (
 )
 from semgrid.geometry import project as project_camera_frame
 from semgrid.pose import (
+    _BONE_J0,
+    _BONE_J1,
+    ALPHA_POS,
+    ALPHA_VEL,
+    BONE_DEV_MAX,
+    BONE_WINDOW,
+    BONES,
     CONF_MIN,
-    MIN_RAY_ANGLE_DEG,
     NUM_JOINTS,
     TAU_EPI,
     TAU_CONF,
-    TAU_TRI,
+    TRACK_GATE,
+    TRACK_STALE_S,
+    VEL_MAX,
     PoseSet2p5D,
-    Skeleton3D,
+    SkeletonSet,
     _camera_matrices,
     _clip_project_segments,
     _predicted,
     _pt_seg_dists,
     _view_arrays,
+    row_norms,
     triangulate_points,
 )
 from semgrid.semantics import PERSON_CLASS, PROB_FLOOR
@@ -311,11 +321,7 @@ def match_feedback(uvc: np.ndarray, present: np.ndarray, feedback) -> np.ndarray
     return rows
 
 
-def triangulate_joint(
-    observations: list[tuple[CameraCalib, float, float, float]],
-    tau_tri: float = TAU_TRI,
-    min_angle_deg: float = MIN_RAY_ANGLE_DEG,
-):
+def triangulate_joint(observations: list[tuple[CameraCalib, float, float, float]]):
     """triangulate_points for a single joint.
 
     observations: (calib, u, v, confidence) per view.  Returns (position,
@@ -327,13 +333,174 @@ def triangulate_joint(
     calibs = [o[0] for o in observations]
     uv = np.array([(o[1], o[2]) for o in observations], dtype=np.float64)
     conf = np.array([o[3] for o in observations], dtype=np.float64)
-    pos, res, ok = triangulate_points(
-        calibs, uv[:, None, :], conf[:, None], np.ones((len(calibs), 1), dtype=bool),
-        tau_tri, min_angle_deg,
-    )
+    pos, res, ok = triangulate_points(calibs, uv[:, None, :], conf[:, None],
+                                      np.ones((len(calibs), 1), dtype=bool))
     if not ok[0]:
         return None
     return pos[0], float(res[0])
+
+
+@dataclass
+class Skeleton3D:
+    """One fused 3D person, a row of pose.SkeletonSet: pos (17,3), conf
+    (17,), n_views (17,) int and vel (17,3), with the masks present and
+    has_vel (17,)."""
+
+    person_id: int
+    timestamp_us: int
+    pos: np.ndarray
+    conf: np.ndarray
+    n_views: np.ndarray
+    present: np.ndarray
+    vel: np.ndarray = field(default_factory=lambda: np.full((NUM_JOINTS, 3), np.nan))
+    has_vel: np.ndarray = field(default_factory=lambda: np.zeros(NUM_JOINTS, dtype=bool))
+
+    def centroid(self) -> np.ndarray | None:
+        return self.pos[self.present].mean(axis=0) if self.present.any() else None
+
+
+_SKELETON_ARRAYS = ("pos", "conf", "n_views", "present", "vel", "has_vel")
+
+
+def skeleton_rows(skels: SkeletonSet) -> list[Skeleton3D]:
+    """The rows of a SkeletonSet as Skeleton3D copies."""
+    return [Skeleton3D(pid, skels.timestamp_us,
+                       *(getattr(skels, name)[k].copy() for name in _SKELETON_ARRAYS))
+            for k, pid in enumerate(skels.person_ids.tolist())]
+
+
+def skeleton_set(skels: list[Skeleton3D], timestamp_us: int) -> SkeletonSet:
+    """Skeleton3D rows stacked into a SkeletonSet."""
+    n = len(skels)
+    return SkeletonSet(timestamp_us, np.array([s.person_id for s in skels], dtype=np.int64),
+                       *(np.array([getattr(s, name) for s in skels], dtype=dtype).reshape(
+                           (n, NUM_JOINTS) + shape)
+                         for name, dtype, shape in (
+                             ("pos", float, (3,)), ("conf", float, ()), ("n_views", np.int64, ()),
+                             ("present", bool, ()), ("vel", float, (3,)),
+                             ("has_vel", bool, ()))))
+
+
+def refine_skeleton(raw: Skeleton3D, prev: Skeleton3D | None, dt_s: float = 1.0 / 30.0,
+                    bone_ref: np.ndarray | None = None) -> Skeleton3D:
+    """The refinement of pose.SkeletonTracker for one skeleton:
+    exponential smoothing against prev plus bone-length outlier gating.
+
+    Joints whose adjacent bone deviates more than 50% from the reference
+    (running median) length are demoted to low confidence; velocities are
+    finite differences against prev.
+    """
+    present = raw.present
+    if not present.any():
+        raise ValueError("skeleton must have at least one joint")
+    pos = raw.pos.copy()
+    vel = np.zeros((NUM_JOINTS, 3))  # a joint seen for the first time starts at rest
+    if prev is not None:
+        both = present & prev.present
+        smooth = ALPHA_POS * raw.pos + (1 - ALPHA_POS) * prev.pos
+        pos[both] = smooth[both]
+        step = (smooth - prev.pos) / max(dt_s, 1e-9)
+        speed = row_norms(step)
+        fast = both & (speed > VEL_MAX)
+        step[fast] *= (VEL_MAX / speed[fast])[:, None]
+        blend = both & prev.has_vel
+        step[blend] = ALPHA_VEL * step[blend] + (1 - ALPHA_VEL) * prev.vel[blend]
+        vel[both] = step[both]
+    conf = raw.conf
+    if bone_ref is not None:
+        lengths = row_norms(pos[_BONE_J0] - pos[_BONE_J1])
+        with np.errstate(invalid="ignore"):
+            bad = (
+                np.isfinite(bone_ref) & (bone_ref > 0) & present[_BONE_J0] & present[_BONE_J1]
+                & (np.abs(lengths - bone_ref) > BONE_DEV_MAX * bone_ref)
+            )
+        demote = np.zeros(NUM_JOINTS, dtype=bool)
+        demote[np.maximum(_BONE_J0, _BONE_J1)[bad]] = True
+        conf = np.where(demote, conf * 0.1, conf)
+    return Skeleton3D(raw.person_id, raw.timestamp_us, pos, conf, raw.n_views, present,
+                      vel, present.copy())
+
+
+class SkeletonTracker:
+    """pose.SkeletonTracker one skeleton at a time, its state in dicts
+    keyed by person id (in order of birth): a linear scan for each
+    skeleton's nearest track, then refine_skeleton per skeleton in order
+    of that distance."""
+
+    def __init__(self):
+        self.next_id = 0
+        self._clock_s = 0.0
+        self._prev: dict[int, Skeleton3D] = {}
+        self._centroids: dict[int, np.ndarray] = {}
+        self._bones: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._matched_s: dict[int, float] = {}
+
+    @property
+    def track_ids(self) -> np.ndarray:
+        return np.array(list(self._prev), dtype=np.int64)
+
+    def update(self, raw: SkeletonSet, dt_s: float) -> SkeletonSet:
+        self._clock_s += dt_s
+        for pid, t in list(self._matched_s.items()):
+            if self._clock_s - t > TRACK_STALE_S:
+                for state in (self._prev, self._centroids, self._bones, self._matched_s):
+                    del state[pid]
+        prev_ids = list(self._centroids)
+        prev_cent = np.array(list(self._centroids.values())).reshape(-1, 3)
+        candidates = []
+        skels = skeleton_rows(raw)
+        for row, skel in enumerate(skels):
+            c = skel.centroid()
+            if c is None:
+                continue
+            best_id, best_d = None, TRACK_GATE
+            if prev_ids:
+                dists = row_norms(c - prev_cent)
+                i = int(np.argmin(dists))  # first of equal minima, as dict order
+                if dists[i] < best_d:
+                    best_id, best_d = prev_ids[i], float(dists[i])
+            candidates.append((row, skel, best_id, best_d))
+        candidates.sort(key=lambda x: x[3])
+        assigned: set[int] = set()
+        refined = []
+        for row, skel, pid, _ in candidates:
+            if pid is None or pid in assigned:
+                pid = self.next_id
+                self.next_id += 1
+            assigned.add(pid)
+            skel.person_id = raw.person_ids[row] = pid
+            out = refine_skeleton(skel, self._prev.get(pid), dt_s, self._bone_reference(pid))
+            self._record_bones(pid, out)
+            self._prev[pid] = out
+            self._centroids[pid] = out.centroid()
+            self._matched_s[pid] = self._clock_s
+            refined.append(out)
+        return skeleton_set(refined, raw.timestamp_us)
+
+    def _bone_reference(self, pid: int) -> np.ndarray | None:
+        """Median of each bone's recorded lengths; NaN below 3 samples."""
+        hist = self._bones.get(pid)
+        if hist is None:
+            return None
+        values, _, count = hist
+        svals = np.sort(values, axis=1)  # NaN (unfilled) sorts last
+        rows = np.arange(len(BONES))
+        c = np.maximum(count, 1)
+        med = 0.5 * (svals[rows, (c - 1) // 2] + svals[rows, c // 2])
+        return np.where(count >= 3, med, np.nan)
+
+    def _record_bones(self, pid: int, skel: Skeleton3D) -> None:
+        hist = self._bones.get(pid)
+        if hist is None:
+            hist = (np.full((len(BONES), BONE_WINDOW), np.nan),
+                    np.zeros(len(BONES), dtype=np.int64),
+                    np.zeros(len(BONES), dtype=np.int64))
+            self._bones[pid] = hist
+        values, head, count = hist
+        have = np.nonzero(skel.present[_BONE_J0] & skel.present[_BONE_J1])[0]
+        values[have, head[have]] = row_norms(skel.pos[_BONE_J0[have]] - skel.pos[_BONE_J1[have]])
+        head[have] = (head[have] + 1) % BONE_WINDOW
+        count[have] = np.minimum(count[have] + 1, BONE_WINDOW)
 
 
 def predict(skel: Skeleton3D, dt_s: float, tau_conf: float = TAU_CONF) -> Skeleton3D:
@@ -368,12 +535,12 @@ def make_feedback_one(skels: list[Skeleton3D], calib: CameraCalib, vmap, delay_s
     return ids[keep], uvc[keep], ok[keep], occluded[keep]
 
 
-def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_depth: bool,
-                    gate: float, conf_min: float) -> np.ndarray:
+def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib],
+                    use_depth: bool) -> np.ndarray:
     """pose._pair_costs over every ordered view pair, a == b included:
     (V,V,P,P), entry [a, b, i, q] the cost of person i of view a and
     person q of view b."""
-    kp, usable = _view_arrays(views, conf_min)
+    kp, usable = _view_arrays(views)
     uv = np.where(usable[..., None], kp[..., :2], 0.0)
     depth, sigma = kp[..., 3], kp[..., 4]
     K, K_inv, R, t = _camera_matrices(calibs)
@@ -411,7 +578,7 @@ def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_dep
         seg0, seg1, front = _clip_project_segments(K[None, :, None, None], *ends)
         ds = _pt_seg_dists(ub, seg0[:, :, :, None], seg1[:, :, :, None])
         checked = shared & (have_d[:, None] & front)[:, :, :, None]
-        shared &= ~(checked & (ds > gate))
+        shared &= ~(checked & (ds > TAU_EPI))
         d = np.where(checked, ds, d)
     counts = shared.sum(axis=-1)
     sums = np.where(shared, d, 0.0).sum(axis=-1)
@@ -419,15 +586,15 @@ def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib], use_dep
 
 
 def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
-              use_depth: bool = False, tau_epi: float = TAU_EPI,
-              conf_min: float = CONF_MIN) -> list[list[tuple[int, int]]]:
+              use_depth: bool = False) -> list[list[tuple[int, int]]]:
     """pose.associate with one candidate list per view, built group by
-    group, member by member and person by person."""
+    group, member by member and person by person, over the costs of
+    every person; a person without a usable keypoint starts no group."""
     if not views:
         return []
     ordered = sorted(views, key=lambda v: v.sensor_id)
-    cost = pair_costs_full(ordered, [calibs[v.sensor_id] for v in ordered], use_depth,
-                           tau_epi, conf_min)
+    cost = pair_costs_full(ordered, [calibs[v.sensor_id] for v in ordered], use_depth)
+    usable = _view_arrays(ordered)[1].any(axis=-1)
     groups: list[dict[int, int]] = []  # view index -> person row
     for ib, v in enumerate(ordered):
         nb = len(v.person_ids)
@@ -439,7 +606,7 @@ def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
             for ia, row in group.items():
                 best = np.minimum(best, cost[ia, ib, row, :nb])
             for q in range(nb):
-                if best[q] <= tau_epi:
+                if best[q] <= TAU_EPI:
                     candidates.append((float(best[q]), gi, q))
         candidates.sort()
         taken_groups: set[int] = set()
@@ -451,7 +618,7 @@ def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
             taken_groups.add(gi)
             taken_persons.add(q)
         for q in range(nb):
-            if q not in taken_persons:
+            if q not in taken_persons and usable[ib, q]:
                 groups.append({ib: q})
     return [
         sorted((ordered[ia].sensor_id, int(ordered[ia].person_ids[row]))
@@ -461,8 +628,7 @@ def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
 
 
 def triangulate_one_group(pose_sets: dict[int, PoseSet2p5D], group: list[tuple[int, int]],
-                          calibs: dict[int, CameraCalib], timestamp_us: int,
-                          conf_min: float = CONF_MIN) -> Skeleton3D | None:
+                          calibs: dict[int, CameraCalib], timestamp_us: int) -> Skeleton3D | None:
     """pose.triangulate_group for one group: one triangulate_points call
     over the group's own views, one back-projection per single-view
     joint."""
@@ -478,7 +644,7 @@ def triangulate_one_group(pose_sets: dict[int, PoseSet2p5D], group: list[tuple[i
         return None
     kp = np.stack(keypoints)  # (V,17,5)
     conf = kp[:, :, 2]
-    seen = np.stack(seen) & (conf >= conf_min)
+    seen = np.stack(seen) & (conf >= CONF_MIN)
     n_seen = seen.sum(axis=0)
     skel = Skeleton3D(-1, timestamp_us, np.full((NUM_JOINTS, 3), np.nan), np.zeros(NUM_JOINTS),
                       np.zeros(NUM_JOINTS, dtype=np.int64), np.zeros(NUM_JOINTS, dtype=bool))
@@ -498,11 +664,11 @@ def triangulate_one_group(pose_sets: dict[int, PoseSet2p5D], group: list[tuple[i
 
 
 def triangulate_group(pose_sets: dict[int, PoseSet2p5D], groups: list[list[tuple[int, int]]],
-                      calibs: dict[int, CameraCalib], timestamp_us: int,
-                      conf_min: float = CONF_MIN) -> list[Skeleton3D | None]:
+                      calibs: dict[int, CameraCalib], timestamp_us: int):
     """pose.triangulate_group one group at a time."""
-    return [triangulate_one_group(pose_sets, group, calibs, timestamp_us, conf_min)
-            for group in groups]
+    skels = [triangulate_one_group(pose_sets, group, calibs, timestamp_us) for group in groups]
+    at = [g for g, skel in enumerate(skels) if skel is not None]
+    return skeleton_set([skels[g] for g in at], timestamp_us), np.array(at, dtype=np.intp)
 
 
 # -- synthetic world -----------------------------------------------------------

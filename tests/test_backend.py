@@ -164,7 +164,7 @@ class TestTick:
     def test_no_views_no_skeletons(self):
         b = backend_with_sensors(2)
         out = b.tick(now_us=1_000_000)
-        assert b.skeletons == []
+        assert len(b.skeletons) == 0
         assert set(out) == {0, 1}  # feedback channel exists, just empty
         assert all(len(msg.person_ids) == 0 for msg in out.values())
 
@@ -180,14 +180,14 @@ class TestTick:
             b.on_message(protocol.PoseMessage(
                 pose_set_for_point(point, sid, t - 5_000)), t)
         out = b.tick(now_us=t)
-        assert len(b.skeletons) == 1
-        skel = b.skeletons[0]
-        assert skel.present[0]
-        assert np.abs(skel.pos[0] - point).max() <= 1e-6
-        assert skel.person_id in b.last_associations
-        assert len(b.last_associations[skel.person_id]) == 4
+        skels = b.skeletons
+        assert len(skels) == 1
+        assert skels.present[0, 0]
+        assert np.abs(skels.pos[0, 0] - point).max() <= 1e-6
+        pid = int(skels.person_ids[0])
+        assert len(b.last_associations[pid]) == 4
         fb = out[0]
-        assert fb.person_ids.tolist() == [skel.person_id]
+        assert fb.person_ids.tolist() == [pid]
         uvd = project(CALIBS[0], point)
         assert fb.present[0, 0]
         assert abs(fb.uvc[0, 0, 0] - uvd[0]) <= 1.0
@@ -215,7 +215,7 @@ class TestTick:
                     pose_set_for_point(point + [0.01 * k, 0, 0], sid,
                                        t - 5_000)), t)
             b.tick(now_us=t)
-            ids.append(b.skeletons[0].person_id)
+            ids.append(int(b.skeletons.person_ids[0]))
         assert len(set(ids)) == 1
 
 
@@ -358,7 +358,8 @@ class TestTickMatchesOracles:
     def test_eight_person_sim_matches_per_group_fusion(self, monkeypatch):
         """A seed-1 8-person 20-tick simulate gives the same skeleton log
         and feedback bytes with the batched fusion as with the
-        per-group association and triangulation of tests/oracles.py."""
+        per-group association and triangulation and the per-skeleton
+        tracker of tests/oracles.py."""
         encode = protocol.encode
 
         def run():
@@ -379,6 +380,7 @@ class TestTickMatchesOracles:
         log, feedback = run()
         monkeypatch.setattr(backend_mod, "associate", oracles.associate)
         monkeypatch.setattr(backend_mod, "triangulate_group", oracles.triangulate_group)
+        monkeypatch.setattr(backend_mod, "SkeletonTracker", oracles.SkeletonTracker)
         ref_log, ref_feedback = run()
         assert len(log) == 20 and len(feedback) == 4 * 20
         assert log == ref_log

@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import deque
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semgrid import protocol
+from semgrid import protocol, synthworld
 from semgrid.geometry import CameraCalib
 from semgrid.pose import (
+    ALPHA_DELAY,
     ALPHA_POS,
     ALPHA_VEL,
     BONES,
@@ -17,23 +19,25 @@ from semgrid.pose import (
     NUM_JOINTS,
     TAU_EPI,
     TAU_TRI,
+    TRACK_GATE,
     TRACK_STALE_S,
     VEL_MAX,
     PoseSet2p5D,
-    Skeleton3D,
+    SkeletonSet,
     SkeletonTracker,
     associate,
     format_skeleton_log,
     make_feedback,
-    refine_skeleton,
     triangulate_group,
     triangulate_points,
     update_delay,
     _pair_costs,
+    _view_arrays,
 )
+from semgrid.sim import SimConfig, simulate
 from semgrid.voxmap import VoxelMap
 from tests import oracles
-from tests.conftest import make_ring_calibs, pose_set, skeleton
+from tests.conftest import make_ring_calibs, pose_set, skeletons
 from tests.oracles import (
     backproject,
     epipolar_line,
@@ -61,13 +65,27 @@ def observations_of(point, calibs, conf=0.9, noise=None, rng=None):
 
 
 def skeleton_with(joint_positions: dict[int, np.ndarray], ts=0,
-                  conf=0.9) -> Skeleton3D:
-    return skeleton(0, ts, {j: (p, conf, 2) for j, p in joint_positions.items()})
+                  conf=0.9) -> SkeletonSet:
+    """One skeleton, id 0, of the given joints."""
+    return skeletons(ts, [(0, {j: (p, conf, 2) for j, p in joint_positions.items()})])
 
 
-def with_velocity(skel: Skeleton3D, j: int, vel) -> Skeleton3D:
-    skel.vel[j], skel.has_vel[j] = vel, True
-    return skel
+def at_points(*points) -> SkeletonSet:
+    """One single-joint skeleton at each point, ids not yet issued."""
+    return skeletons(0, [(-1, {0: (p, 0.9, 2)}) for p in points])
+
+
+def with_velocity(skels: SkeletonSet, j: int, vel, row: int = 0) -> SkeletonSet:
+    skels.vel[row, j], skels.has_vel[row, j] = vel, True
+    return skels
+
+
+def assert_same_skeletons(got: SkeletonSet, want: SkeletonSet) -> None:
+    """Equal bit for bit: every array's dtype, shape and bytes."""
+    assert got.timestamp_us == want.timestamp_us
+    for name in ("person_ids", "pos", "conf", "n_views", "present", "vel", "has_vel"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 class TestTriangulateJoint:
@@ -183,9 +201,8 @@ class TestAssociate:
         calibs = make_ring_calibs()
         views = self._views([np.array([0.0, 0.0, 1.2])], calibs,
                             conf=CONF_MIN / 2)
-        groups = associate(views, {c.sensor_id: c for c in calibs})
-        # without usable joints every detection stays its own group
-        assert all(len(g) == 1 for g in groups)
+        # without usable joints a detection forms no group, not even its own
+        assert associate(views, {c.sensor_id: c for c in calibs}) == []
 
     def test_empty(self):
         assert associate([], {}) == []
@@ -214,7 +231,7 @@ class TestAssociate:
                 views.append(pose_set(calib.sensor_id, 0, persons))
             if not any(len(v.person_ids) for v in views):
                 continue
-            cost = _pair_costs(views, calibs, use_depth, TAU_EPI, CONF_MIN)
+            cost = _pair_costs(*_view_arrays(views), calibs, use_depth)
             # the pairs a < b that association reads, in np.triu_indices order
             pairs = list(zip(*np.triu_indices(len(views), 1)))
             assert len(cost) == len(pairs)
@@ -237,23 +254,23 @@ class TestTriangulateGroup:
         for calib in calibs[:2]:
             u, v, _ = project(calib, p)
             persons[calib.sensor_id] = pose_set(calib.sensor_id, 0, [(0, {7: (u, v, 0.8)})])
-        skel, = triangulate_group(persons, [[(0, 0), (1, 0)]],
-                                  {c.sensor_id: c for c in calibs}, 123)
-        assert skel is not None
-        assert skel.present[7]
-        assert np.linalg.norm(skel.pos[7] - p) <= 1e-6
-        assert skel.n_views[7] == 2
+        skels, group_of = triangulate_group(persons, [[(0, 0), (1, 0)]],
+                                            {c.sensor_id: c for c in calibs}, 123)
+        assert group_of.tolist() == [0] and skels.person_ids.tolist() == [-1]
+        assert skels.present[0, 7]
+        assert np.linalg.norm(skels.pos[0, 7] - p) <= 1e-6
+        assert skels.n_views[0, 7] == 2
 
     def test_single_depth_view_backprojects(self):
         calib = make_ring_calibs()[0]
         p = np.array([0.1, -0.2, 1.4])
         u, v, depth = project(calib, p)
         persons = {0: pose_set(0, 0, [(0, {0: (u, v, 0.8, depth, 0.05)})])}
-        skel, = triangulate_group(persons, [[(0, 0)]], {0: calib}, 0)
-        assert skel is not None
-        assert skel.present[0]
-        assert np.linalg.norm(skel.pos[0] - p) <= 1e-9
-        assert skel.n_views[0] == 1
+        skels, group_of = triangulate_group(persons, [[(0, 0)]], {0: calib}, 0)
+        assert group_of.tolist() == [0]
+        assert skels.present[0, 0]
+        assert np.linalg.norm(skels.pos[0, 0] - p) <= 1e-9
+        assert skels.n_views[0, 0] == 1
 
     def test_feedback_joints_excluded(self):
         calibs = make_ring_calibs()
@@ -263,8 +280,14 @@ class TestTriangulateGroup:
             u, v, _ = project(calib, p)
             persons[calib.sensor_id] = pose_set(
                 calib.sensor_id, 0, [(0, {7: (u, v, 0.8, None, None, True)})])
-        assert triangulate_group(persons, [[(0, 0), (1, 0)]],
-                                 {c.sensor_id: c for c in calibs}, 0) == [None]
+        skels, group_of = triangulate_group(persons, [[(0, 0), (1, 0)]],
+                                            {c.sensor_id: c for c in calibs}, 0)
+        assert len(skels) == 0 and group_of.tolist() == []
+
+    def test_no_groups(self):
+        skels, group_of = triangulate_group({0: pose_set(0, 0)}, [], {0: make_ring_calibs()[0]}, 5)
+        assert_same_skeletons(skels, SkeletonSet(5))
+        assert group_of.tolist() == []
 
 
 def reference_triangulate_joint(observations, tau_tri=TAU_TRI,
@@ -384,16 +407,16 @@ class TestBatchedTriangulation:
             ref, reasons = reference_triangulate_group(persons, by_id)
             reasons_seen.update(reasons)
             pose_sets = {sid: pose_set(sid, 0, [(0, joints)]) for sid, joints in persons.items()}
-            skel, = triangulate_group(pose_sets, [[(sid, 0) for sid in persons]], by_id, 0)
-            got = np.zeros(NUM_JOINTS, dtype=bool) if skel is None else skel.present
+            skels, _ = triangulate_group(pose_sets, [[(sid, 0) for sid in persons]], by_id, 0)
+            got = skels.present[0] if len(skels) else np.zeros(NUM_JOINTS, dtype=bool)
             for j in range(NUM_JOINTS):
                 if ref[j] is None:
                     assert not got[j], (j, reasons[j])
                     continue
                 assert got[j], j
                 pos, n_views = ref[j]
-                assert skel.n_views[j] == n_views
-                assert np.abs(skel.pos[j] - pos).max() <= 1e-9
+                assert skels.n_views[0, j] == n_views
+                assert np.abs(skels.pos[0, j] - pos).max() <= 1e-9
         # every gate was exercised
         assert {"single", "views", "parallel", "behind", "residual", None} <= reasons_seen
 
@@ -494,69 +517,72 @@ class TestBatchedFusionMatchesOracles:
         views, calibs = tick
         by_id = {c.sensor_id: c for c in calibs}
         ordered = sorted(views, key=lambda v: v.sensor_id)
-        cost = _pair_costs(ordered, calibs, use_depth, TAU_EPI, CONF_MIN)
-        full = oracles.pair_costs_full(ordered, calibs, use_depth, TAU_EPI, CONF_MIN)
+        cost = _pair_costs(*_view_arrays(ordered), calibs, use_depth)
+        full = oracles.pair_costs_full(ordered, calibs, use_depth)
         a, b = np.triu_indices(len(views), 1)
         assert cost.tobytes() == full[a, b].tobytes()
 
+        # the oracle sizes its costs by every person, and skips the ones
+        # without a usable keypoint only when it opens groups
         groups = associate(views, by_id, use_depth)
         assert groups == oracles.associate(views, by_id, use_depth)
+        keep = _view_arrays(views)[1].any(axis=-1)
+        usable = {(v.sensor_id, pid) for v, k in zip(views, keep)
+                  for pid in v.person_ids[k[:len(v.person_ids)]].tolist()}
+        assert all(member in usable for group in groups for member in group)
         # plus a member missing from its view, alone and beside a real one
         groups += [[(ordered[0].sensor_id, -1)]] + [g + [(-1, -1)] for g in groups[:1]]
         by_id[-1] = calibs[0]
         pose_sets = {v.sensor_id: v for v in views}
         pose_sets[-1] = pose_set(-1, 0)
-        got = triangulate_group(pose_sets, groups, by_id, 7)
-        want = oracles.triangulate_group(pose_sets, groups, by_id, 7)
-        assert len(got) == len(want) == len(groups)
-        for g, w in zip(got, want):
-            assert (g is None) == (w is None)
-            if g is not None:
-                for name in ("pos", "conf", "n_views", "present", "vel", "has_vel"):
-                    x, y = getattr(g, name), getattr(w, name)
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-                assert (g.person_id, g.timestamp_us) == (w.person_id, w.timestamp_us)
+        got, got_groups = triangulate_group(pose_sets, groups, by_id, 7)
+        want, want_groups = oracles.triangulate_group(pose_sets, groups, by_id, 7)
+        assert got_groups.tolist() == want_groups.tolist()
+        assert_same_skeletons(got, want)
+
+
+def track(*frames, dt=0.1) -> list[SkeletonSet]:
+    """A fresh tracker's output for each frame of one skeleton's joints."""
+    tracker = SkeletonTracker()
+    return [tracker.update(skeleton_with(joints), dt) for joints in frames]
 
 
 class TestRefineAndPredict:
     def test_position_ema(self):
-        prev = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, np.zeros(3))
-        raw = skeleton_with({0: [0.1, 0.0, 1.0]})
-        out = refine_skeleton(raw, prev, dt_s=0.1)
-        expected = ALPHA_POS * 0.1
-        assert abs(out.pos[0, 0] - expected) <= 1e-12
+        first, out = track({0: [0.0, 0.0, 1.0]}, {0: [0.1, 0.0, 1.0]})
+        assert out.person_ids.tolist() == first.person_ids.tolist()
+        assert abs(out.pos[0, 0, 0] - ALPHA_POS * 0.1) <= 1e-12
 
     def test_velocity_capped(self):
-        prev = skeleton_with({0: [0.0, 0.0, 1.0]})
-        assert not prev.has_vel[0]
-        raw = skeleton_with({0: [5.0, 0.0, 1.0]})  # 17 m in one frame
-        out = refine_skeleton(raw, prev, dt_s=0.1)
-        assert np.linalg.norm(out.vel[0]) <= VEL_MAX + 1e-9
+        first, out = track({0: [0.0, 0.0, 1.0]}, {0: [0.7, 0.0, 1.0]}, dt=0.01)  # 70 m/s
+        assert out.person_ids.tolist() == first.person_ids.tolist()
+        assert 0 < np.linalg.norm(out.vel[0, 0]) <= ALPHA_VEL * VEL_MAX + 1e-9
 
     def test_velocity_ema(self):
-        prev = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, [1.0, 0.0, 0.0])
-        raw = skeleton_with({0: [0.0, 0.0, 1.0]})  # EMA pulls toward zero
-        out = refine_skeleton(raw, prev, dt_s=0.1)
-        expected = (1 - ALPHA_VEL) * 1.0
-        assert abs(out.vel[0, 0] - expected) <= 1e-9
+        _, mid, out = track({0: [0.0, 0.0, 1.0]}, {0: [0.1, 0.0, 1.0]}, {0: [0.1, 0.0, 1.0]})
+        step = (out.pos[0, 0] - mid.pos[0, 0]) / 0.1
+        expected = ALPHA_VEL * step + (1 - ALPHA_VEL) * mid.vel[0, 0]
+        assert mid.has_vel[0, 0] and np.abs(out.vel[0, 0] - expected).max() <= 1e-12
 
     def test_bone_outlier_demoted(self):
         j0, j1 = BONES[0]
-        raw = skeleton_with({j0: [0.0, 0.0, 1.0], j1: [0.0, 0.0, 2.0]})
-        ref = np.full(len(BONES), np.nan)
-        ref[0] = 0.25  # observed length 1.0 deviates far beyond 50%
-        out = refine_skeleton(raw, None, bone_ref=ref)
-        assert out.conf[max(j0, j1)] < 0.2
+        usual = {j0: [0.0, 0.0, 1.0], j1: [0.0, 0.0, 1.25]}
+        # three samples of 0.25 m make the running median; the fourth
+        # frame stretches the bone to 1 m, 0.51 m after smoothing
+        *_, out = track(usual, usual, usual, {j0: [0.0, 0.0, 1.0], j1: [0.0, 0.0, 2.0]})
+        assert out.conf[0, max(j0, j1)] < 0.2
+        assert out.conf[0, min(j0, j1)] == 0.9
 
     def test_predict_advances_and_decays(self):
-        skel = with_velocity(skeleton_with({0: [1.0, 2.0, 1.0]}, conf=0.8), 0, [0.5, 0.0, 0.0])
+        skel, = oracles.skeleton_rows(
+            with_velocity(skeleton_with({0: [1.0, 2.0, 1.0]}, conf=0.8), 0, [0.5, 0.0, 0.0]))
         out = predict(skel, 0.2)
         assert np.abs(out.pos[0] - [1.1, 2.0, 1.0]).max() <= 1e-12
         assert out.conf[0] < 0.8
 
     def test_predict_rejects_negative_dt(self):
         with pytest.raises(ValueError):
-            predict(skeleton_with({0: [0, 0, 1.0]}), -0.1)
+            predict(oracles.skeleton_rows(skeleton_with({0: [0, 0, 1.0]}))[0], -0.1)
 
 
 def feedback_one(skels, calib, vmap, delay_s):
@@ -584,18 +610,19 @@ _FEEDBACK_CALIBS = make_ring_calibs() + [_looking_away(make_ring_calibs()[0], 4)
 def feedback_skeletons(draw):
     """Up to 4 skeletons of random joints around the room's middle, some
     moving, with distinct ids."""
-    skels = []
+    persons = []
     for pid in draw(st.lists(st.integers(0, 2**31), max_size=4, unique=True)):
-        joints = draw(st.dictionaries(
+        persons.append((pid, draw(st.dictionaries(
             st.integers(0, NUM_JOINTS - 1),
             st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5), st.floats(0.0, 2.5),
                       st.floats(0.05, 1.0), st.booleans()),
-            min_size=1, max_size=8))
-        skel = skeleton(pid, 0, {j: ((x, y, z), c, 2) for j, (x, y, z, c, _) in joints.items()})
+            min_size=1, max_size=8))))
+    skels = skeletons(0, [(pid, {j: ((x, y, z), c, 2) for j, (x, y, z, c, _) in joints.items()})
+                          for pid, joints in persons])
+    for row, (_, joints) in enumerate(persons):
         for j, (*_, moving) in joints.items():
             if moving:
-                with_velocity(skel, j, draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3)))
-        skels.append(skel)
+                with_velocity(skels, j, draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3)), row)
     return skels
 
 
@@ -603,7 +630,7 @@ class TestFeedback:
     def test_projection_and_no_occlusion(self):
         calib = make_ring_calibs()[0]
         p = np.array([0.0, 0.0, 1.0])
-        ids, uvc, present, occluded = feedback_one([skeleton_with({0: p})], calib,
+        ids, uvc, present, occluded = feedback_one(skeleton_with({0: p}), calib,
                                                    VoxelMap(), 0.0)
         assert ids.tolist() == [0]
         assert present[0, 0]
@@ -617,14 +644,14 @@ class TestFeedback:
         p = np.array([0.0, 0.0, 1.0])
         # a slab of occupied voxels between camera and target, two voxels
         # thick (k=2)
-        _, _, present, occluded = feedback_one([skeleton_with({0: p})], calib,
+        _, _, present, occluded = feedback_one(skeleton_with({0: p}), calib,
                                                _FEEDBACK_MAP, 0.0)
         assert present[0, 0] and occluded[0, 0]
 
     def test_behind_camera_dropped(self):
         calib = make_ring_calibs()[0]  # looks towards origin from (4,0,2)
         p = calib.translation + calib.rotation[:, 2] * -2.0  # behind
-        ids, uvc, present, occluded = feedback_one([skeleton_with({0: p})], calib,
+        ids, uvc, present, occluded = feedback_one(skeleton_with({0: p}), calib,
                                                    VoxelMap(), 0.0)
         assert len(ids) == 0
         assert (uvc.shape, present.shape, occluded.shape) == (
@@ -633,8 +660,8 @@ class TestFeedback:
     def test_delay_prediction_applied(self):
         calib = make_ring_calibs()[0]
         skel = with_velocity(skeleton_with({0: [0.0, 0.0, 1.0]}), 0, [0.0, 1.0, 0.0])
-        still = feedback_one([skel], calib, VoxelMap(), 0.0)[1][0, 0]
-        moved = feedback_one([skel], calib, VoxelMap(), 0.2)[1][0, 0]
+        still = feedback_one(skel, calib, VoxelMap(), 0.0)[1][0, 0]
+        moved = feedback_one(skel, calib, VoxelMap(), 0.2)[1][0, 0]
         assert abs(moved[0] - still[0]) > 1.0  # the sideways motion shows up
 
     @given(feedback_skeletons(),
@@ -652,7 +679,7 @@ class TestFeedback:
                             compute_occlusion=occlusion != "off")
         assert len(got) == len(_FEEDBACK_CALIBS)
         for calib, delay, rows in zip(_FEEDBACK_CALIBS, delays, got):
-            want = oracles.make_feedback_one(skels, calib, vmap, delay,
+            want = oracles.make_feedback_one(oracles.skeleton_rows(skels), calib, vmap, delay,
                                              compute_occlusion=occlusion != "off")
             for a, b in zip(rows, want):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -662,30 +689,24 @@ class TestFeedback:
         # the wall hides the middle of the room from camera 0 only, so one
         # batched query must keep each joint's own origin
         skel = skeleton_with({0: [0.0, 0.0, 1.0]})
-        rows = make_feedback([skel], _FEEDBACK_CALIBS[:4], _FEEDBACK_MAP, [0.0] * 4)
+        rows = make_feedback(skel, _FEEDBACK_CALIBS[:4], _FEEDBACK_MAP, [0.0] * 4)
         assert [bool(occ[0, 0]) for _, _, _, occ in rows] == [True, False, False, False]
 
 
 class TestTrackerAndLog:
     def test_stable_ids(self):
         tracker = SkeletonTracker()
-        a0 = skeleton_with({0: [0.0, 0.0, 1.0]})
-        b0 = skeleton_with({0: [2.0, 0.0, 1.0]})
-        first = tracker.update([a0, b0], 1 / 30)
-        ids = {tuple(np.round(s.pos[0], 1))[0]: s.person_id
-               for s in first}
-        a1 = skeleton_with({0: [0.05, 0.0, 1.0]})
-        b1 = skeleton_with({0: [2.05, 0.0, 1.0]})
-        second = tracker.update([b1, a1], 1 / 30)
-        for s in second:
-            x = s.pos[0, 0]
-            assert s.person_id == ids[0.0 if x < 1 else 2.0]
+        first = tracker.update(at_points([0.0, 0.0, 1.0], [2.0, 0.0, 1.0]), 1 / 30)
+        ids = dict(zip(first.pos[:, 0, 0].tolist(), first.person_ids.tolist()))
+        second = tracker.update(at_points([2.05, 0.0, 1.0], [0.05, 0.0, 1.0]), 1 / 30)
+        for x, pid in zip(second.pos[:, 0, 0].tolist(), second.person_ids.tolist()):
+            assert pid == ids[0.0 if x < 1 else 2.0]
 
     def test_new_id_outside_gate(self):
         tracker = SkeletonTracker()
-        first = tracker.update([skeleton_with({0: [0.0, 0.0, 1.0]})], 1 / 30)
-        second = tracker.update([skeleton_with({0: [5.0, 0.0, 1.0]})], 1 / 30)
-        assert second[0].person_id != first[0].person_id
+        first = tracker.update(at_points([0.0, 0.0, 1.0]), 1 / 30)
+        second = tracker.update(at_points([5.0, 0.0, 1.0]), 1 / 30)
+        assert second.person_ids[0] != first.person_ids[0]
 
     def test_stale_tracks_retired(self):
         # A stays; B leaves for 1.5 s at a time and keeps its id; C leaves
@@ -701,36 +722,40 @@ class TestTrackerAndLog:
                 here["B"] = [3.0, 0.0, 1.0]
             if k % 150 < 10:
                 here["C"] = [-3.0, 0.0, 1.0]
-            out = tracker.update([skeleton_with({0: p}) for p in here.values()], dt)
-            for skel in out:  # in match order, told apart by where they stand
-                ids["CAB"[int(np.sign(skel.pos[0, 0])) + 1]].add(skel.person_id)
-            recent.append({skel.person_id for skel in out})
-            window = set().union(*recent)
-            for state in (tracker._prev, tracker._centroids, tracker._bones):
-                assert set(state) <= window
+            out = tracker.update(at_points(*here.values()), dt)
+            # in match order, told apart by where they stand
+            for x, pid in zip(out.pos[:, 0, 0].tolist(), out.person_ids.tolist()):
+                ids["CAB"[int(np.sign(x)) + 1]].add(pid)
+            recent.append(set(out.person_ids.tolist()))
+            assert set(tracker.track_ids.tolist()) <= set().union(*recent)
         assert len(ids["A"]) == len(ids["B"]) == 1
         assert len(ids["C"]) == 6  # one id per return
-        assert set(tracker._prev) == ids["A"] | ids["B"]  # C's last visit ended 4.7 s ago
+        assert tracker.next_id == 8
+        assert set(tracker.track_ids.tolist()) == ids["A"] | ids["B"]  # C's visit ended 4.7 s ago
 
     def test_update_delay_ema(self):
         assert update_delay(None, 0.1) == 0.1
-        d = update_delay(0.1, 0.2, alpha=0.5)
-        assert abs(d - 0.15) <= 1e-12
+        d = update_delay(0.1, 0.2)
+        assert abs(d - ((1 - ALPHA_DELAY) * 0.1 + ALPHA_DELAY * 0.2)) <= 1e-15
         with pytest.raises(ValueError):
             update_delay(0.1, -0.1)
 
     def test_format_skeleton_log(self):
-        skel = skeleton_with({3: [1.0, 2.0, 3.0]}, ts=42)
-        skel.person_id = 7
-        line = format_skeleton_log([skel])
-        assert line == "42 7 3 1.000000 2.000000 3.000000 0.9000 2\n"
-        assert format_skeleton_log([]) == ""
+        skels = skeletons(42, [(7, {3: ([1.0, 2.0, 3.0], 0.9, 2)}),
+                               (5, {1: ([0.5, 0.0, 1.0], 0.25, 1), 0: ([0.0, 0.0, 1.0], 0.5, 3)})])
+        assert format_skeleton_log(skels) == (
+            "42 7 3 1.000000 2.000000 3.000000 0.9000 2\n"
+            "42 5 0 0.000000 0.000000 1.000000 0.5000 3\n"
+            "42 5 1 0.500000 0.000000 1.000000 0.2500 1\n")
+        assert format_skeleton_log(SkeletonSet(0)) == ""
 
     def test_skeleton_slot_validation(self):
         short = NUM_JOINTS - 1
         with pytest.raises(ValueError):
-            Skeleton3D(0, 0, np.zeros((short, 3)), np.zeros(short),
-                       np.zeros(short, dtype=int), np.ones(short, dtype=bool))
+            SkeletonSet(0, np.zeros(1, dtype=np.int64), np.zeros((1, short, 3)),
+                        np.zeros((1, short)), np.zeros((1, short), dtype=int),
+                        np.ones((1, short), dtype=bool), np.zeros((1, short, 3)),
+                        np.zeros((1, short), dtype=bool))
         with pytest.raises(ValueError):
             protocol.FeedbackMessage(0, 0, np.zeros(1, dtype=np.int64), np.zeros((1, short, 3)),
                                      np.ones((1, short), dtype=bool),
@@ -744,3 +769,137 @@ class TestTrackerAndLog:
             wire = protocol.encode(protocol.PoseMessage(pose_set(0, 0, [(0, {0: kp})])))
             with pytest.raises(protocol.MalformedPayloadError):
                 protocol.decode(wire)
+
+
+# where the persons of tracker_runs start, 0.2 m apart, so that distances
+# tie, two skeletons fall nearest one track, and a skeleton stands
+# exactly TRACK_GATE from a track born at a lattice point
+_LATTICE = (-0.8, -0.4, -0.2, 0.0, 0.2, 0.4, 0.8, 1.6)
+
+
+@st.composite
+def tracker_runs(draw):
+    """(dt_s, SkeletonSet) updates of one tracker.  Up to 5 persons stand
+    at lattice points and step 0.2 m now and then; each is a single
+    joint, a pair of joints, a body whose joints are partly absent (NaN)
+    and some far off (bone-length outliers), or has no joint at all, and
+    is seen in about three updates of four.  Steps are dyadic, so a track
+    can be unmatched for exactly TRACK_STALE_S, and steps of 2 and 2.5 s
+    retire tracks, whose persons come back under new ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cast = [[np.array([draw(st.sampled_from(_LATTICE)), draw(st.sampled_from(_LATTICE)), 1.0]),
+             draw(st.sampled_from(["joint", "pair", "body", "none"])),
+             rng.normal(scale=0.3, size=(NUM_JOINTS, 3))]
+            for _ in range(draw(st.integers(1, 5)))]
+    updates = []
+    for _ in range(draw(st.integers(1, 20))):
+        dt = draw(st.sampled_from([1 / 32, 1 / 8, 3 / 4, 2.0, 5 / 2]))
+        persons = []
+        for person in cast:
+            person[0] = person[0] + [0.2 * draw(st.integers(-1, 1)), 0.0, 0.0]
+            at, kind, body = person
+            if not draw(st.integers(0, 3)):
+                continue
+            joints = {}
+            if kind == "joint":
+                joints = {draw(st.integers(0, NUM_JOINTS - 1)): at}
+            elif kind == "pair":
+                joints = {5: at - [0.1, 0.0, 0.0], 6: at + [0.1, 0.0, 0.0]}
+            elif kind == "body":
+                jitter = rng.normal(scale=0.02, size=(NUM_JOINTS, 3))
+                jitter[rng.random(NUM_JOINTS) < 0.15] *= rng.uniform(1.0, 30.0)
+                joints = {j: at + body[j] + jitter[j]
+                          for j in np.flatnonzero(rng.random(NUM_JOINTS) < 0.7).tolist()}
+            persons.append((-1, {j: (p, float(rng.uniform(0.2, 1.0)), int(rng.integers(1, 4)))
+                                 for j, p in joints.items()}))
+        order = draw(st.permutations(range(len(persons))))
+        updates.append((dt, skeletons(int(rng.integers(0, 2**40)), [persons[i] for i in order])))
+    return updates
+
+
+def replay_trackers(updates) -> None:
+    """Run the columnar tracker and the per-skeleton oracle on the same
+    updates; every output, every id written back into the input and the
+    live tracks match bit for bit."""
+    tracker, oracle = SkeletonTracker(), oracles.SkeletonTracker()
+    for dt, raw in updates:
+        raw, twin = copy.deepcopy(raw), copy.deepcopy(raw)
+        assert_same_skeletons(tracker.update(raw, dt), oracle.update(twin, dt))
+        assert raw.person_ids.tobytes() == twin.person_ids.tobytes()
+        assert tracker.track_ids.tolist() == oracle.track_ids.tolist()
+        assert tracker.next_id == oracle.next_id
+
+
+@pytest.fixture(scope="module")
+def crowd_updates():
+    """The tracker inputs of the seed 1-3 units of the benchmark's
+    crowd-8p workload (8 persons, 4 sensors, 20 ticks, poses only)."""
+    units = []
+    real = SkeletonTracker.update
+
+    def spy(tracker, raw, dt_s):
+        units[-1].append((dt_s, copy.deepcopy(raw)))
+        return real(tracker, raw, dt_s)
+
+    SkeletonTracker.update = spy
+    try:
+        for seed in (1, 2, 3):
+            units.append([])
+            scene = synthworld.make_default_scene(seed=seed, n_persons=8)
+            simulate(scene, synthworld.make_camera_rig(scene), SimConfig(
+                duration_s=20 / 30, integrate_clouds=False, map_source="structure"))
+    finally:
+        SkeletonTracker.update = real
+    return units
+
+
+class TestColumnarTrackerMatchesOracle:
+    """SkeletonTracker against the per-skeleton tracker of tests/oracles.py."""
+
+    @given(tracker_runs())
+    @settings(max_examples=200)
+    def test_bit_for_bit(self, updates):
+        replay_trackers(updates)
+
+    @pytest.mark.parametrize("tracks, points, want", [
+        # two skeletons nearest one track, equally far: the first keeps it
+        ([[0.2, 0.0, 1.0]], [[0.0, 0.0, 1.0], [0.4, 0.0, 1.0]], [0, 1]),
+        # equal distances to two tracks: the first born wins
+        ([[-0.4, 0.0, 1.0], [0.4, 0.0, 1.0]], [[0.0, 0.0, 1.0]], [0]),
+        # exactly TRACK_GATE away is outside the gate
+        ([[0.0, 0.0, 1.0]], [[TRACK_GATE, 0.0, 1.0]], [1]),
+        # nearer skeletons are matched first, whatever their input order
+        ([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0]], [[0.4, 0.0, 1.0], [2.2, 0.0, 1.0], [0.2, 0.0, 1.0]],
+         [2, 1, 0]),
+    ])
+    def test_named_cases(self, tracks, points, want):
+        """want: the ids written into the input rows."""
+        replay_trackers([(1 / 30, at_points(*tracks)), (1 / 30, at_points(*points))])
+        tracker = SkeletonTracker()
+        tracker.update(at_points(*tracks), 1 / 30)
+        raw = at_points(*points)
+        out = tracker.update(raw, 1 / 30)
+        assert raw.person_ids.tolist() == want
+        assert sorted(out.person_ids.tolist()) == sorted(want)
+
+    def test_absent_skeleton_skipped(self):
+        raw = skeletons(0, [(-1, {}), (-1, {2: ([0.0, 0.0, 1.0], 0.9, 2)})])
+        out = SkeletonTracker().update(raw, 1 / 30)
+        assert out.person_ids.tolist() == [0] and raw.person_ids.tolist() == [-1, 0]
+        replay_trackers([(1 / 30, skeletons(0, [(-1, {}), (-1, {2: ([0.0, 0.0, 1.0], 0.9, 2)})]))])
+
+    def test_retirement_and_rebirth(self):
+        tracker = SkeletonTracker()
+        first = tracker.update(at_points([0.0, 0.0, 1.0]), 1 / 30)
+        tracker.update(SkeletonSet(0), TRACK_STALE_S)  # unmatched for exactly the limit: kept
+        assert tracker.track_ids.tolist() == first.person_ids.tolist()
+        tracker.update(SkeletonSet(0), 0.1)
+        assert tracker.track_ids.tolist() == []
+        assert tracker.update(at_points([0.0, 0.0, 1.0]), 1 / 30).person_ids.tolist() == [1]
+        replay_trackers([(1 / 30, at_points([0.0, 0.0, 1.0])), (TRACK_STALE_S, SkeletonSet(0)),
+                         (0.1, SkeletonSet(0)), (1 / 30, at_points([0.0, 0.0, 1.0]))])
+
+    def test_crowd_units(self, crowd_updates):
+        for updates in crowd_updates:
+            assert len(updates) == 20 and sum(len(raw) for _, raw in updates) > 100
+            replay_trackers(updates)
