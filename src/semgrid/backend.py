@@ -18,6 +18,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import protocol
 from .geometry import CameraCalib, VoxelRangeError
 from .pose import (
@@ -81,8 +83,10 @@ class Backend:
         self.sensors: dict[int, _SensorState] = {}
         self.tracker = SkeletonTracker()
         self.skeletons = SkeletonSet(0)
-        self.last_views: dict[int, PoseSet2p5D] = {}
-        self.last_associations: dict[int, list[tuple[int, int]]] = {}
+        # the last tick's views in sensor-id order, and the person row in
+        # each of them of every fused skeleton (-1 where it has none)
+        self.last_views: list[PoseSet2p5D] = []
+        self.last_rows = np.empty((0, 0), dtype=np.int64)
         self.stats = {"poses_received": 0, "clouds_received": 0, "ticks": 0,
                       "handshakes": 0}
 
@@ -149,21 +153,23 @@ class Backend:
 
     def tick(self, now_us: int) -> dict[int, protocol.FeedbackMessage]:
         """One fusion cycle: gather -> associate -> triangulate -> track,
-        then build per-sensor feedback (empty dict when feedback is off)."""
+        then build per-sensor feedback (empty dict when feedback is off).
+        Association groups are (G,V) person rows of the views sorted by
+        sensor id; those of the fused skeletons are kept in last_rows."""
         self.stats["ticks"] += 1
-        selected = self.sync_window_select(now_us)
+        views = sorted(self.sync_window_select(now_us).values(), key=lambda v: v.sensor_id)
         calibs = {sid: st.calib for sid, st in self.sensors.items()}
-        raw, groups = SkeletonSet(now_us), []  # the raw skeletons and the group of each
-        if selected:
-            found = associate(list(selected.values()), calibs,
-                              use_depth=self.flags.depth_association)
-            raw, group_of = triangulate_group(selected, found, calibs, now_us)
-            groups = [found[g] for g in group_of.tolist()]
+        # the raw skeletons and the rows of the group of each
+        raw, rows = SkeletonSet(now_us), np.empty((0, len(views)), dtype=np.int64)
+        if views:
+            rows = associate(views, calibs, use_depth=self.flags.depth_association)
+            raw, group_of = triangulate_group(views, rows, calibs, now_us)
+            rows = rows[group_of]
         self.skeletons = self.tracker.update(raw, 1.0 / self.tick_rate_hz)
         # the tracker stamps final person ids onto the raw skeletons, so
-        # the 2D-observation groups can be tied to fused identities
-        self.last_views = selected
-        self.last_associations = dict(zip(raw.person_ids.tolist(), groups))
+        # the fused skeletons can be tied to their groups
+        self.last_views = views
+        self.last_rows = rows[(self.skeletons.person_ids[:, None] == raw.person_ids).nonzero()[1]]
         if not self.flags.send_feedback:
             return {}
         # prediction horizon: measured uplink delay plus one fusion cycle —
@@ -229,19 +235,18 @@ class _SensorConnection(socketserver.BaseRequestHandler):
 
 
 def serve(backend: Backend, host: str, port: int, clock_us,
-          stop_event: threading.Event | None = None,
-          tick_sleep_s: float | None = None) -> None:
+          stop_event: threading.Event | None = None) -> None:
     """Run the backend as a TCP service until stop_event is set.
 
     clock_us: zero-argument callable returning the current time in us.
     Feedback frames are pushed to each connected sensor every tick.
-    Ticks start on a monotonic deadline every tick_sleep_s; a tick that
-    overruns its period is followed at once by the next, and the missed
-    deadlines are dropped rather than run in a burst.  On return no frame
-    reaches the backend any more and every sensor connection is shut down.
+    Ticks start on a monotonic deadline every 1 / backend.tick_rate_hz;
+    a tick that overruns its period is followed at once by the next, and
+    the missed deadlines are dropped rather than run in a burst.  On
+    return no frame reaches the backend any more and every sensor
+    connection is shut down.
     """
-    if tick_sleep_s is None:
-        tick_sleep_s = 1.0 / backend.tick_rate_hz
+    period_s = 1.0 / backend.tick_rate_hz
     server = socketserver.ThreadingTCPServer((host, port), _SensorConnection,
                                              bind_and_activate=True)
     server.daemon_threads = True
@@ -269,7 +274,7 @@ def serve(backend: Backend, host: str, port: int, clock_us,
                 except OSError:
                     server.connections.pop(sid, None)  # type: ignore[attr-defined]
             t = time.monotonic()
-            deadline = max(deadline + tick_sleep_s, t)
+            deadline = max(deadline + period_s, t)
             time.sleep(deadline - t)
     finally:
         server.shutdown()

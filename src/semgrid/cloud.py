@@ -149,12 +149,12 @@ def depth_to_points(depth: DepthImage, calib: CameraCalib) -> np.ndarray:
     return pts
 
 
-def voxel_downsample(points: np.ndarray, resolution: float = CLOUD_VOXEL_RES) -> np.ndarray:
-    """Centroid of the points in every occupied grid cell."""
+def voxel_downsample(points: np.ndarray) -> np.ndarray:
+    """Centroid of the points in every occupied CLOUD_VOXEL_RES cell."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         return pts
-    keys = pack_voxel_keys(voxel_indices_of(pts, resolution))
+    keys = pack_voxel_keys(voxel_indices_of(pts, CLOUD_VOXEL_RES))
     uniq, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, minlength=len(uniq)).astype(np.float64)
     out = np.empty((len(uniq), 3))
@@ -163,10 +163,9 @@ def voxel_downsample(points: np.ndarray, resolution: float = CLOUD_VOXEL_RES) ->
     return out
 
 
-def statistical_outlier_filter(
-    points: np.ndarray, k: int = OUTLIER_K, stddev_mult: float = OUTLIER_STDDEV_MULT
-) -> np.ndarray:
-    """Drop points whose mean k-NN distance exceeds mean + mult * stddev."""
+def statistical_outlier_filter(points: np.ndarray, k: int = OUTLIER_K) -> np.ndarray:
+    """Drop points whose mean k-NN distance exceeds mean +
+    OUTLIER_STDDEV_MULT * stddev."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -176,7 +175,7 @@ def statistical_outlier_filter(
         raise ValueError("points must be finite")
     dists = _knn_distances(pts, k + 1)
     mean_d = dists[:, 1:].mean(axis=1)
-    thresh = mean_d.mean() + stddev_mult * mean_d.std()
+    thresh = mean_d.mean() + OUTLIER_STDDEV_MULT * mean_d.std()
     return pts[mean_d <= thresh]
 
 
@@ -275,11 +274,10 @@ def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
 
 def remove_ground_and_cluster(
     points_world: np.ndarray,
-    floor_z: float = FLOOR_Z,
     cluster_dist: float = CLUSTER_DIST,
     min_cluster: int = MIN_CLUSTER,
 ) -> list[np.ndarray]:
-    """Euclidean clusters of above-ground points, as original-index arrays:
+    """Euclidean clusters of the points above FLOOR_Z, as original-index arrays:
     the connected components of the graph that joins every two points at
     most cluster_dist apart, in the order of their lowest index, each in
     ascending index order, without those smaller than min_cluster.
@@ -298,7 +296,7 @@ def remove_ground_and_cluster(
     if cluster_dist <= 0:
         raise ValueError("cluster_dist must be positive")
     pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
-    above = np.nonzero(pts[:, 2] > floor_z)[0]
+    above = np.nonzero(pts[:, 2] > FLOOR_Z)[0]
     if len(above) == 0:
         return []
     order, starts, run_lo, run_hi = _cell_grid(

@@ -56,6 +56,7 @@ TAU_EPI = 20.0  # px, association gate
 TAU_TRI = 15.0  # px, triangulation residual gate
 MIN_RAY_ANGLE_DEG = 2.0
 CONF_MIN = 0.4  # keypoints below this stay out of association/triangulation
+CLIP_Z = 1e-6  # m, depth segments are clipped to the camera-frame z > CLIP_Z
 ALPHA_POS = 0.35
 ALPHA_DELAY = 0.1
 TAU_CONF = 1.0  # s, confidence decay constant for prediction
@@ -89,11 +90,6 @@ class PoseSet2p5D:
         n = len(self.person_ids)
         _check_shapes(self, keypoints=(n, NUM_JOINTS, 5), present=(n, NUM_JOINTS),
                       from_feedback=(n, NUM_JOINTS))
-
-    def row_of(self, person_id: int) -> int | None:
-        """Row of the first person with this id; None when there is none."""
-        hit = np.flatnonzero(self.person_ids == person_id)
-        return int(hit[0]) if len(hit) else None
 
 
 @dataclass
@@ -156,22 +152,22 @@ def _camera_matrices(calibs: list[CameraCalib]):
     return K, K_inv, R, t
 
 
-def _clip_project_segments(K, p0, p1, eps: float = 1e-6):
+def _clip_project_segments(K, p0, p1):
     """Project camera-frame 3D segments (...,3) to pixel endpoints (...,2)
-    with intrinsics K (broadcast to (...,3,3)), clipping to z > eps; the
-    mask is False where a segment lies entirely behind the camera."""
+    with intrinsics K (broadcast to (...,3,3)), clipping to z > CLIP_Z;
+    the mask is False where a segment lies entirely behind the camera."""
     z0 = p0[..., 2]
     z1 = p1[..., 2]
-    front = (z0 > eps) | (z1 > eps)
+    front = (z0 > CLIP_Z) | (z1 > CLIP_Z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        clip0 = front & (z0 <= eps)
-        clip1 = front & ~clip0 & (z1 <= eps)
-        s0 = np.where(clip0, (eps - z0) / (z1 - z0), 0.0)[..., None]
-        s1 = np.where(clip1, (eps - z1) / (z0 - z1), 0.0)[..., None]
+        clip0 = front & (z0 <= CLIP_Z)
+        clip1 = front & ~clip0 & (z1 <= CLIP_Z)
+        s0 = np.where(clip0, (CLIP_Z - z0) / (z1 - z0), 0.0)[..., None]
+        s1 = np.where(clip1, (CLIP_Z - z1) / (z0 - z1), 0.0)[..., None]
         q0 = np.where(clip0[..., None], p0 + s0 * (p1 - p0), p0)
         q1 = np.where(clip1[..., None], p1 + s1 * (p0 - p1), p1)
-        z0 = np.where(clip0, eps, np.where(front, z0, 1.0))[..., None]
-        z1 = np.where(clip1, eps, np.where(front, z1, 1.0))[..., None]
+        z0 = np.where(clip0, CLIP_Z, np.where(front, z0, 1.0))[..., None]
+        z1 = np.where(clip1, CLIP_Z, np.where(front, z1, 1.0))[..., None]
         f = K[..., [0, 1], [0, 1]]
         c = K[..., [0, 1], [2, 2]]
         return c + f * q0[..., :2] / z0, c + f * q1[..., :2] / z1, front
@@ -190,11 +186,11 @@ def _pt_seg_dists(pts, a, b) -> np.ndarray:
 
 
 def _pair_costs(kp: np.ndarray, usable: np.ndarray, calibs: list[CameraCalib],
-                use_depth: bool) -> np.ndarray:
-    """Cost of every person pair of every view pair a < b of V views'
-    keypoints kp (V,P,17,5) and their usable mask (V,P,17), as
-    _view_arrays gives them, stacked over the upper triangle in
-    np.triu_indices order, (E,P,P) with E = V(V-1)/2:
+                pairs: tuple[np.ndarray, np.ndarray], use_depth: bool) -> np.ndarray:
+    """Cost of every person pair of the view pairs (a, b) in pairs, the
+    index arrays of the upper triangle in np.triu_indices order, of V
+    views' keypoints kp (V,P,17,5) and their usable mask (V,P,17), as
+    _view_arrays gives them, (E,P,P) with E = V(V-1)/2:
     entry [e, i, q] of the pair (a, b) is the mean distance of person q's
     usable keypoints in view b to the epipolar lines of person i's same
     joints in view a, over the joints both have; inf when they share none
@@ -206,7 +202,7 @@ def _pair_costs(kp: np.ndarray, usable: np.ndarray, calibs: list[CameraCalib],
     and one within it costs its distance to the segment."""
     uv = np.where(usable[..., None], kp[..., :2], 0.0)
     K, K_inv, R, t = _camera_matrices(calibs)
-    ia, ib = np.triu_indices(len(calibs), 1)
+    ia, ib = pairs
     # fundamental matrices F of the pairs: the image in b of pixel x of
     # a's ray at unit depth is M x, and its line joins the epipole e =
     # (a's centre seen from b), so the line is [e]x M x
@@ -256,35 +252,37 @@ def _pair_costs(kp: np.ndarray, usable: np.ndarray, calibs: list[CameraCalib],
 
 
 def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
-              use_depth: bool = False) -> list[list[tuple[int, int]]]:
-    """Greedy iterative cross-view grouping of person detections, one
-    view per sensor.
+              use_depth: bool = False) -> np.ndarray:
+    """Greedy iterative cross-view grouping of the person detections of V
+    views in sensor-id order, one view per sensor.
 
-    Views are visited in sensor-id order; each person of the incoming
-    view joins the cheapest existing group with cost <= TAU_EPI (one
-    person per group per view; ties go to the lower group, then the
-    lower person), otherwise starts a new group.  A group's cost to a
-    person is the least pair cost over the group's members.  A person
-    without a usable keypoint could only ever form a group of its own,
-    of which no joint can be placed, so it is left out before the costs
-    are sized.  Returns groups of (sensor_id, local_person_id) in
-    sensor-id order.
+    Views are visited in order; each person of the incoming view joins
+    the cheapest existing group with cost <= TAU_EPI (one person per
+    group per view; ties go to the lower group, then the lower person),
+    otherwise starts a new group.  A group's cost to a person is the
+    least pair cost over the group's members.  A person without a usable
+    keypoint could only ever form a group of its own, of which no joint
+    can be placed, so it is left out before the costs are sized.
+    Returns the groups in order of creation as a (G,V) matrix of person
+    rows, one column per view, -1 where a group has no person in a view.
     """
     if not views:
-        return []
-    ordered = sorted(views, key=lambda v: v.sensor_id)
-    kp, usable = _view_arrays(ordered)
+        return np.empty((0, 0), dtype=np.int64)
+    n_v = len(views)
+    r = np.arange(n_v)
+    kp, usable = _view_arrays(views)
     # the persons left in, moved to the front of their view in order
     keep = usable.any(axis=-1)
     counts = keep.sum(axis=1)
-    at = (np.arange(len(ordered))[:, None],
-          np.argsort(~keep, axis=1, kind="stable")[:, :max(1, counts.max())])
-    cost = _pair_costs(kp[at], usable[at], [calibs[v.sensor_id] for v in ordered], use_depth)
-    n_v = len(ordered)
+    kept_rows = np.argsort(~keep, axis=1, kind="stable")[:, :max(1, counts.max())]
+    at = (r[:, None], kept_rows)
+    pairs = np.nonzero(np.less.outer(r, r))  # the pairs a < b in np.triu_indices order
+    cost = _pair_costs(kp[at], usable[at], [calibs[v.sensor_id] for v in views], pairs,
+                       use_depth)
     pair = np.zeros((n_v, n_v), dtype=np.intp)
-    pair[np.triu_indices(n_v, 1)] = np.arange(len(cost))
+    pair[pairs] = np.arange(len(cost))
     counts = counts.tolist()
-    # person row of each group in each view, -1 where it has none
+    # kept person of each group in each view, -1 where it has none
     members = np.full((sum(counts), n_v), -1)
     n_g = 0
     for ib, nb in enumerate(counts):
@@ -303,12 +301,8 @@ def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
         new = [p for p in range(nb) if not joined[p]]
         members[n_g:n_g + len(new), ib] = new
         n_g += len(new)
-    ids = [(v.sensor_id, v.person_ids[k[:len(v.person_ids)]].tolist())
-           for v, k in zip(ordered, keep)]
-    return [
-        [(ids[ia][0], ids[ia][1][row]) for ia, row in enumerate(group) if row >= 0]
-        for group in members[:n_g].tolist()
-    ]
+    members = members[:n_g]
+    return np.where(members >= 0, kept_rows[r, np.maximum(members, 0)], -1)
 
 
 # -- triangulation -------------------------------------------------------------
@@ -376,8 +370,8 @@ def triangulate_points(calibs: list[CameraCalib], uv: np.ndarray, conf: np.ndarr
 
 
 def triangulate_group(
-    pose_sets: dict[int, PoseSet2p5D],
-    groups: list[list[tuple[int, int]]],
+    views: list[PoseSet2p5D],
+    rows: np.ndarray,
     calibs: dict[int, CameraCalib],
     timestamp_us: int,
 ) -> tuple[SkeletonSet, np.ndarray]:
@@ -385,24 +379,17 @@ def triangulate_group(
     the group of each row: one row per group of which a joint can be
     placed, in group order.
 
-    A joint's keypoints are the group's confident ones not sourced from
-    feedback; groups with none are dropped first.  Joints seen so by two
-    or more views are triangulated in one triangulate_points call per set
-    of member views (padding a group with other views would change the
-    rounding of the BLAS product that forms the normal equations), one
-    seen so by a single depth-capable view is back-projected from its
-    local depth (n_views = 1, half the confidence).  A member whose person
-    id its view lacks is skipped; of repeated ids the first row counts.
+    views are the tick's views in sensor-id order and rows the groups as
+    associate gives them, (G,V) person rows with -1 where a group has no
+    person in a view.  A joint's keypoints are the group's confident ones
+    not sourced from feedback; groups with none are dropped first.  Joints
+    seen so by two or more views are triangulated in one
+    triangulate_points call per set of member views (padding a group with
+    other views would change the rounding of the BLAS product that forms
+    the normal equations), one seen so by a single depth-capable view is
+    back-projected from its local depth (n_views = 1, half the
+    confidence).
     """
-    sids = sorted(pose_sets)
-    views = [pose_sets[sid] for sid in sids]
-    first_row = [{pid: row for row, pid in reversed(list(enumerate(v.person_ids.tolist())))}
-                 for v in views]
-    rows = np.full((len(groups), len(views)), -1)
-    for g, group in enumerate(groups):
-        for sid, pid in group:
-            i = sids.index(sid)
-            rows[g, i] = first_row[i].get(pid, -1)
     kp, usable = _view_arrays(views)
     member = rows >= 0
     at = (np.arange(len(views)), np.maximum(rows, 0))
@@ -413,7 +400,7 @@ def triangulate_group(
     n_seen = seen.sum(axis=1)  # (G,17)
     pos = np.full(n_seen.shape + (3,), np.nan)
     n_views = np.zeros(n_seen.shape, dtype=np.int64)
-    tick_calibs = [calibs[sid] for sid in sids]
+    tick_calibs = [calibs[v.sensor_id] for v in views]
     multi = n_seen >= 2
     by_views: dict[bytes, list[int]] = {}
     for k in np.flatnonzero(multi.any(axis=1)).tolist():

@@ -110,24 +110,21 @@ class SimResult:
 def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
     """Distance between each sensor's emitted 2D joints and the
     reprojection of the fused skeleton they were associated with, one
-    projection per sensor; records in skeleton order, then view order."""
-    skels = backend.skeletons
-    pairs = []  # (sensor, skeleton row, view, view row) per associated view
-    for k, pid in enumerate(skels.person_ids.tolist()):
-        for sid, local_pid in backend.last_associations.get(pid, ()):
-            view = backend.last_views.get(sid)
-            row = None if view is None else view.row_of(local_pid)
-            if row is not None:
-                pairs.append((sid, k, view, row))
-    if not pairs:
+    projection per sensor: backend.last_rows holds each fused skeleton's
+    person row in each of backend.last_views, -1 where it has none.
+    Records in skeleton order, then view order."""
+    skels, views, rows = backend.skeletons, backend.last_views, backend.last_rows
+    ks, vs = np.nonzero(rows >= 0)  # (skeleton, view) pairs
+    if not len(ks):
         return []
-    ks = [k for _, k, _, _ in pairs]
-    both = skels.present[ks] & np.stack([view.present[row] for _, _, view, row in pairs])
-    pair, joint = np.nonzero(both)
-    pos = skels.pos[ks][pair, joint]
-    kps = np.stack([view.keypoints[row] for _, _, view, row in pairs])[pair, joint]
-    fb = np.stack([view.from_feedback[row] for _, _, view, row in pairs])[pair, joint]
-    sid_of = np.array([sid for sid, _, _, _ in pairs])[pair]
+    # each pair's person among the stacked persons of all views
+    flat = np.cumsum([0] + [len(v.person_ids) for v in views])[vs] + rows[ks, vs]
+    present, kps, fb = (np.concatenate([getattr(v, name) for v in views])[flat]
+                        for name in ("present", "keypoints", "from_feedback"))
+    pair, joint = np.nonzero(skels.present[ks] & present)
+    pos = skels.pos[ks[pair], joint]
+    kps, fb = kps[pair, joint], fb[pair, joint]
+    sid_of = np.array([v.sensor_id for v in views])[vs[pair]]
     uv = np.empty((len(pos), 2))
     front = np.empty(len(pos), dtype=bool)
     for sid in np.unique(sid_of).tolist():
@@ -135,7 +132,7 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
         calib = backend.sensors[sid].calib
         uv[at], front[at], _ = project(calib, calib.world_to_cam(pos[at]))
     errs = np.hypot(kps[:, 0] - uv[:, 0], kps[:, 1] - uv[:, 1])
-    pid_of = skels.person_ids[ks][pair]
+    pid_of = skels.person_ids[ks[pair]]
     return [ReprojRecord(now_us, s, p, j, e, f) for s, p, j, e, f in zip(
         sid_of[front].tolist(), pid_of[front].tolist(), joint[front].tolist(),
         errs[front].tolist(), fb[front].tolist())]

@@ -15,12 +15,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import DepthImage, Detection, DetectionSet, SegmentationMask
-from .geometry import CameraCalib, pack_voxel_keys, project
+from .geometry import CameraCalib, pack_voxel_keys, project, unpack_voxel_keys
 from .semantics import FLOOR_CLASS, NUM_CLASSES, PERSON_CLASS
 from .pose import NUM_JOINTS
+from .voxmap import MAP_RESOLUTION
 
 NO_CLASS = 255
 MAX_RANGE = 12.0
+
+# the cameras of make_camera_rig
+RIG_WIDTH_PX = 160
+RIG_HEIGHT_PX = 120
+RIG_F_PX = 130.0
+RIG_CAM_Z = 2.5  # m, mounting height
+RIG_DEPTH_NOISE_SIGMA = 0.02  # m, depth noise sigma at 4 m
 
 # default observation-noise knobs; chosen so the feedback ablations are
 # resolvable above noise at room scale
@@ -856,18 +864,19 @@ def structure_class_of_keys(scene: GroundTruthScene, t_s: float, keys: np.ndarra
     return classes
 
 
-def prior_map_points(scene: GroundTruthScene, resolution: float = 0.10) -> np.ndarray:
-    """Voxel-center points of walls and floor (the 'empty building')."""
+def prior_map_points(scene: GroundTruthScene) -> np.ndarray:
+    """Voxel-center points of walls and floor (the 'empty building') on
+    the map's grid."""
     keys = []
     for b in scene.wall_boxes():
-        keys.append(box_shell_keys(b.min_corner, b.max_corner, resolution))
+        keys.append(box_shell_keys(b.min_corner, b.max_corner, MAP_RESOLUTION))
     x = np.arange(
-        int(np.floor(scene.room_min[0] / resolution)),
-        int(np.floor(scene.room_max[0] / resolution)) + 1,
+        int(np.floor(scene.room_min[0] / MAP_RESOLUTION)),
+        int(np.floor(scene.room_max[0] / MAP_RESOLUTION)) + 1,
     )
     y = np.arange(
-        int(np.floor(scene.room_min[1] / resolution)),
-        int(np.floor(scene.room_max[1] / resolution)) + 1,
+        int(np.floor(scene.room_min[1] / MAP_RESOLUTION)),
+        int(np.floor(scene.room_max[1] / MAP_RESOLUTION)) + 1,
     )
     gx, gy = np.meshgrid(x, y, indexing="ij")
     keys.append(
@@ -875,18 +884,15 @@ def prior_map_points(scene: GroundTruthScene, resolution: float = 0.10) -> np.nd
             np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size, dtype=np.int64)], axis=1)
         )
     )
-    from .geometry import unpack_voxel_keys
-
     idx = unpack_voxel_keys(np.unique(np.concatenate(keys)))
-    return (idx + 0.5) * resolution
+    return (idx + 0.5) * MAP_RESOLUTION
 
 
 # -- scene configuration -------------------------------------------------------
 
 
-def make_camera_rig(scene: GroundTruthScene, n: int = 4, width: int = 160,
-                    height: int = 120, f_px: float = 130.0, cam_height: float = 2.5,
-                    depth_noise_sigma: float = 0.02, inset: float = 0.4) -> list[CameraCalib]:
+def make_camera_rig(scene: GroundTruthScene, n: int = 4,
+                    inset: float = 0.4) -> list[CameraCalib]:
     """Cameras near the room corners, facing down towards the center."""
     x0, y0, _ = scene.room_min
     x1, y1, _ = scene.room_max
@@ -896,7 +902,7 @@ def make_camera_rig(scene: GroundTruthScene, n: int = 4, width: int = 160,
     calibs = []
     for sid in range(n):
         cx, cy = corners[sid % 4]
-        pos = np.array([cx, cy, cam_height])
+        pos = np.array([cx, cy, RIG_CAM_Z])
         fwd = target - pos
         fwd = fwd / np.linalg.norm(fwd)
         up_world = np.array([0.0, 0.0, 1.0])
@@ -905,8 +911,8 @@ def make_camera_rig(scene: GroundTruthScene, n: int = 4, width: int = 160,
         down = np.cross(fwd, right)
         R = np.stack([right, down, fwd], axis=1)
         calibs.append(
-            CameraCalib(sid, width, height, f_px, f_px, width / 2, height / 2,
-                        R, pos, depth_noise_sigma)
+            CameraCalib(sid, RIG_WIDTH_PX, RIG_HEIGHT_PX, RIG_F_PX, RIG_F_PX,
+                        RIG_WIDTH_PX / 2, RIG_HEIGHT_PX / 2, R, pos, RIG_DEPTH_NOISE_SIGMA)
         )
     return calibs
 

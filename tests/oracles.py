@@ -586,17 +586,16 @@ def pair_costs_full(views: list[PoseSet2p5D], calibs: list[CameraCalib],
 
 
 def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
-              use_depth: bool = False) -> list[list[tuple[int, int]]]:
+              use_depth: bool = False) -> np.ndarray:
     """pose.associate with one candidate list per view, built group by
     group, member by member and person by person, over the costs of
     every person; a person without a usable keypoint starts no group."""
     if not views:
-        return []
-    ordered = sorted(views, key=lambda v: v.sensor_id)
-    cost = pair_costs_full(ordered, [calibs[v.sensor_id] for v in ordered], use_depth)
-    usable = _view_arrays(ordered)[1].any(axis=-1)
+        return np.empty((0, 0), dtype=np.int64)
+    cost = pair_costs_full(views, [calibs[v.sensor_id] for v in views], use_depth)
+    usable = _view_arrays(views)[1].any(axis=-1)
     groups: list[dict[int, int]] = []  # view index -> person row
-    for ib, v in enumerate(ordered):
+    for ib, v in enumerate(views):
         nb = len(v.person_ids)
         if nb == 0:
             continue
@@ -620,36 +619,29 @@ def associate(views: list[PoseSet2p5D], calibs: dict[int, CameraCalib],
         for q in range(nb):
             if q not in taken_persons and usable[ib, q]:
                 groups.append({ib: q})
-    return [
-        sorted((ordered[ia].sensor_id, int(ordered[ia].person_ids[row]))
-               for ia, row in group.items())
-        for group in groups
-    ]
+    rows = np.full((len(groups), len(views)), -1, dtype=np.int64)
+    for g, group in enumerate(groups):
+        for ia, row in group.items():
+            rows[g, ia] = row
+    return rows
 
 
-def triangulate_one_group(pose_sets: dict[int, PoseSet2p5D], group: list[tuple[int, int]],
+def triangulate_one_group(views: list[PoseSet2p5D], group: np.ndarray,
                           calibs: dict[int, CameraCalib], timestamp_us: int) -> Skeleton3D | None:
-    """pose.triangulate_group for one group: one triangulate_points call
-    over the group's own views, one back-projection per single-view
-    joint."""
-    sids, keypoints, seen = [], [], []
-    for sid, local_id in group:
-        ps = pose_sets[sid]
-        row = ps.row_of(local_id)
-        if row is not None:
-            sids.append(sid)
-            keypoints.append(ps.keypoints[row])
-            seen.append(ps.present[row] & ~ps.from_feedback[row])
-    if not sids:
-        return None
-    kp = np.stack(keypoints)  # (V,17,5)
+    """pose.triangulate_group for one group, its person row in each view
+    (-1 for none): one triangulate_points call over the group's own
+    views, one back-projection per single-view joint."""
+    members = [(v, row) for v, row in zip(views, group.tolist()) if row >= 0]
+    kp = np.stack([v.keypoints[row] for v, row in members])  # (V,17,5)
     conf = kp[:, :, 2]
-    seen = np.stack(seen) & (conf >= CONF_MIN)
+    seen = np.stack([v.present[row] & ~v.from_feedback[row] for v, row in members])
+    seen &= conf >= CONF_MIN
     n_seen = seen.sum(axis=0)
+    member_calibs = [calibs[v.sensor_id] for v, _ in members]
     skel = Skeleton3D(-1, timestamp_us, np.full((NUM_JOINTS, 3), np.nan), np.zeros(NUM_JOINTS),
                       np.zeros(NUM_JOINTS, dtype=np.int64), np.zeros(NUM_JOINTS, dtype=bool))
     if (n_seen >= 2).any():
-        pos, _, ok = triangulate_points([calibs[sid] for sid in sids], kp[:, :, :2], conf, seen)
+        pos, _, ok = triangulate_points(member_calibs, kp[:, :, :2], conf, seen)
         skel.pos[ok] = pos[ok]
         skel.conf[ok] = (np.where(seen, conf, 0.0).sum(axis=0) / np.maximum(n_seen, 1))[ok]
         skel.n_views[ok] = n_seen[ok]
@@ -658,15 +650,15 @@ def triangulate_one_group(pose_sets: dict[int, PoseSet2p5D], group: list[tuple[i
         i = int(np.argmax(seen[:, j]))
         u, v, c, depth = kp[i, j, :4].tolist()
         if depth == depth:  # not NaN
-            skel.pos[j] = backproject(calibs[sids[i]], u, v, depth)
+            skel.pos[j] = backproject(member_calibs[i], u, v, depth)
             skel.conf[j], skel.n_views[j], skel.present[j] = c * 0.5, 1, True
     return skel if skel.present.any() else None
 
 
-def triangulate_group(pose_sets: dict[int, PoseSet2p5D], groups: list[list[tuple[int, int]]],
+def triangulate_group(views: list[PoseSet2p5D], rows: np.ndarray,
                       calibs: dict[int, CameraCalib], timestamp_us: int):
     """pose.triangulate_group one group at a time."""
-    skels = [triangulate_one_group(pose_sets, group, calibs, timestamp_us) for group in groups]
+    skels = [triangulate_one_group(views, group, calibs, timestamp_us) for group in rows]
     at = [g for g, skel in enumerate(skels) if skel is not None]
     return skeleton_set([skels[g] for g in at], timestamp_us), np.array(at, dtype=np.intp)
 

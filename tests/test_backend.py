@@ -40,14 +40,23 @@ def backend_with_sensors(n=4, **kw) -> Backend:
     return b
 
 
-def pose_set_for_point(point, sensor_id, ts, local_id=0) -> PoseSet2p5D:
-    """One person whose first three joints observe `point` exactly."""
+def pose_set_for_points(points, sensor_id, ts, local_ids=None) -> PoseSet2p5D:
+    """One person per point (ids 0, 1, ... unless given), whose first
+    three joints observe the point exactly."""
     calib = CALIBS[sensor_id]
-    joints = {}
-    for j in range(3):
-        uvd = project(calib, np.asarray(point) + [0.0, 0.0, 0.05 * j])
-        joints[j] = (uvd[0], uvd[1], 0.9)
-    return pose_set(sensor_id, ts, [(local_id, joints)])
+    persons = []
+    for k, point in enumerate(points):
+        joints = {}
+        for j in range(3):
+            uvd = project(calib, np.asarray(point) + [0.0, 0.0, 0.05 * j])
+            joints[j] = (uvd[0], uvd[1], 0.9)
+        persons.append((k if local_ids is None else local_ids[k], joints))
+    return pose_set(sensor_id, ts, persons)
+
+
+def pose_set_for_point(point, sensor_id, ts) -> PoseSet2p5D:
+    """One person whose first three joints observe `point` exactly."""
+    return pose_set_for_points([point], sensor_id, ts)
 
 
 class TestAblationFlags:
@@ -185,7 +194,8 @@ class TestTick:
         assert skels.present[0, 0]
         assert np.abs(skels.pos[0, 0] - point).max() <= 1e-6
         pid = int(skels.person_ids[0])
-        assert len(b.last_associations[pid]) == 4
+        assert [v.sensor_id for v in b.last_views] == [0, 1, 2, 3]
+        assert b.last_rows.tolist() == [[0, 0, 0, 0]]
         fb = out[0]
         assert fb.person_ids.tolist() == [pid]
         uvd = project(CALIBS[0], point)
@@ -203,6 +213,23 @@ class TestTick:
         assert any(len(msg.person_ids) for msg in out.values())
         for msg in out.values():
             assert not msg.occluded[msg.present].any()
+
+    def test_repeated_person_id_in_a_view(self):
+        """Person ids need not be unique within a frame: view 0 sends two
+        persons both as id 7, and both are still fused from all 4 views."""
+        b = backend_with_sensors(4)
+        t = 1_000_000
+        points = [np.array([-0.8, 0.0, 1.2]), np.array([0.9, 0.3, 1.2])]
+        for sid in range(4):
+            b.on_message(protocol.PoseMessage(pose_set_for_points(
+                points, sid, t - 5_000, [7, 7] if sid == 0 else None)), t)
+        b.tick(now_us=t)
+        assert len(b.skeletons) == 2
+        assert (b.last_rows >= 0).sum(axis=1).tolist() == [4, 4]
+        assert sorted(b.last_rows[:, 0].tolist()) == [0, 1]
+        found = b.skeletons.pos[:, 0]
+        for p in points:
+            assert np.abs(found - p).max(axis=1).min() <= 1e-6
 
     def test_track_id_stable_across_ticks(self):
         b = backend_with_sensors(4)
@@ -240,9 +267,10 @@ class TestServeSchedule:
     def test_sleeps_fill_the_period_and_skip_missed_deadlines(self, monkeypatch):
         clock = FakeClock()
         monkeypatch.setattr(backend_mod, "time", clock)
-        period = 1.0 / 30
+        rate_hz = 25.0
+        period = 1.0 / rate_hz
         works = [0.010, 0.005, 0.050, 0.020, 0.0]
-        b = backend_with_sensors(0)
+        b = backend_with_sensors(0, tick_rate_hz=rate_hz)
         stop = threading.Event()
         ticks = []
 
@@ -254,8 +282,7 @@ class TestServeSchedule:
             return {}
 
         b.tick = tick
-        backend_mod.serve(b, "127.0.0.1", 0, lambda: int(clock.t * 1e6), stop,
-                          tick_sleep_s=period)
+        backend_mod.serve(b, "127.0.0.1", 0, lambda: int(clock.t * 1e6), stop)
         # the overrun tick (50 ms) is followed at once by the next, which
         # starts a new deadline grid: no burst of catch-up ticks
         expected = [period - 0.010, period - 0.005, 0.0, period - 0.020, period]

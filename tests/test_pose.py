@@ -191,21 +191,20 @@ class TestAssociate:
         calibs = make_ring_calibs()
         people = [np.array([-0.8, 0.0, 1.2]), np.array([0.9, 0.3, 1.2])]
         views = self._views(people, calibs)
-        groups = associate(views, {c.sensor_id: c for c in calibs})
-        assert len(groups) == 2
-        for group in groups:
-            assert len(group) == 4
-            assert len({pid for _, pid in group}) == 1  # same person everywhere
+        rows = associate(views, {c.sensor_id: c for c in calibs})
+        assert rows.shape == (2, 4) and (rows >= 0).all()
+        for group in rows.tolist():  # the same person everywhere
+            assert len({int(v.person_ids[row]) for v, row in zip(views, group)}) == 1
 
     def test_low_confidence_not_grouped(self):
         calibs = make_ring_calibs()
         views = self._views([np.array([0.0, 0.0, 1.2])], calibs,
                             conf=CONF_MIN / 2)
         # without usable joints a detection forms no group, not even its own
-        assert associate(views, {c.sensor_id: c for c in calibs}) == []
+        assert associate(views, {c.sensor_id: c for c in calibs}).shape == (0, 4)
 
     def test_empty(self):
-        assert associate([], {}) == []
+        assert associate([], {}).shape == (0, 0)
 
     @pytest.mark.parametrize("use_depth", [False, True])
     def test_pair_costs_match_reference(self, use_depth):
@@ -231,9 +230,10 @@ class TestAssociate:
                 views.append(pose_set(calib.sensor_id, 0, persons))
             if not any(len(v.person_ids) for v in views):
                 continue
-            cost = _pair_costs(*_view_arrays(views), calibs, use_depth)
             # the pairs a < b that association reads, in np.triu_indices order
-            pairs = list(zip(*np.triu_indices(len(views), 1)))
+            upper = np.triu_indices(len(views), 1)
+            cost = _pair_costs(*_view_arrays(views), calibs, upper, use_depth)
+            pairs = list(zip(*upper))
             assert len(cost) == len(pairs)
             for got, (a, b) in zip(cost, pairs):
                 va, ca, vb, cb = views[a], calibs[a], views[b], calibs[b]
@@ -254,7 +254,7 @@ class TestTriangulateGroup:
         for calib in calibs[:2]:
             u, v, _ = project(calib, p)
             persons[calib.sensor_id] = pose_set(calib.sensor_id, 0, [(0, {7: (u, v, 0.8)})])
-        skels, group_of = triangulate_group(persons, [[(0, 0), (1, 0)]],
+        skels, group_of = triangulate_group(list(persons.values()), np.array([[0, 0]]),
                                             {c.sensor_id: c for c in calibs}, 123)
         assert group_of.tolist() == [0] and skels.person_ids.tolist() == [-1]
         assert skels.present[0, 7]
@@ -265,8 +265,8 @@ class TestTriangulateGroup:
         calib = make_ring_calibs()[0]
         p = np.array([0.1, -0.2, 1.4])
         u, v, depth = project(calib, p)
-        persons = {0: pose_set(0, 0, [(0, {0: (u, v, 0.8, depth, 0.05)})])}
-        skels, group_of = triangulate_group(persons, [[(0, 0)]], {0: calib}, 0)
+        views = [pose_set(0, 0, [(0, {0: (u, v, 0.8, depth, 0.05)})])]
+        skels, group_of = triangulate_group(views, np.array([[0]]), {0: calib}, 0)
         assert group_of.tolist() == [0]
         assert skels.present[0, 0]
         assert np.linalg.norm(skels.pos[0, 0] - p) <= 1e-9
@@ -280,12 +280,13 @@ class TestTriangulateGroup:
             u, v, _ = project(calib, p)
             persons[calib.sensor_id] = pose_set(
                 calib.sensor_id, 0, [(0, {7: (u, v, 0.8, None, None, True)})])
-        skels, group_of = triangulate_group(persons, [[(0, 0), (1, 0)]],
+        skels, group_of = triangulate_group(list(persons.values()), np.array([[0, 0]]),
                                             {c.sensor_id: c for c in calibs}, 0)
         assert len(skels) == 0 and group_of.tolist() == []
 
     def test_no_groups(self):
-        skels, group_of = triangulate_group({0: pose_set(0, 0)}, [], {0: make_ring_calibs()[0]}, 5)
+        skels, group_of = triangulate_group([pose_set(0, 0)], np.empty((0, 1), dtype=np.int64),
+                                            {0: make_ring_calibs()[0]}, 5)
         assert_same_skeletons(skels, SkeletonSet(5))
         assert group_of.tolist() == []
 
@@ -406,8 +407,8 @@ class TestBatchedTriangulation:
             persons = _random_group(rng, calibs, int(rng.integers(1, 5)))
             ref, reasons = reference_triangulate_group(persons, by_id)
             reasons_seen.update(reasons)
-            pose_sets = {sid: pose_set(sid, 0, [(0, joints)]) for sid, joints in persons.items()}
-            skels, _ = triangulate_group(pose_sets, [[(sid, 0) for sid in persons]], by_id, 0)
+            views = [pose_set(sid, 0, [(0, joints)]) for sid, joints in persons.items()]
+            skels, _ = triangulate_group(views, np.zeros((1, len(views)), dtype=np.int64), by_id, 0)
             got = skels.present[0] if len(skels) else np.zeros(NUM_JOINTS, dtype=bool)
             for j in range(NUM_JOINTS):
                 if ref[j] is None:
@@ -516,27 +517,29 @@ class TestBatchedFusionMatchesOracles:
     def test_bit_for_bit(self, tick, use_depth):
         views, calibs = tick
         by_id = {c.sensor_id: c for c in calibs}
-        ordered = sorted(views, key=lambda v: v.sensor_id)
-        cost = _pair_costs(*_view_arrays(ordered), calibs, use_depth)
-        full = oracles.pair_costs_full(ordered, calibs, use_depth)
-        a, b = np.triu_indices(len(views), 1)
-        assert cost.tobytes() == full[a, b].tobytes()
+        views = sorted(views, key=lambda v: v.sensor_id)
+        upper = np.triu_indices(len(views), 1)
+        cost = _pair_costs(*_view_arrays(views), calibs, upper, use_depth)
+        full = oracles.pair_costs_full(views, calibs, use_depth)
+        assert cost.tobytes() == full[upper].tobytes()
 
         # the oracle sizes its costs by every person, and skips the ones
         # without a usable keypoint only when it opens groups
-        groups = associate(views, by_id, use_depth)
-        assert groups == oracles.associate(views, by_id, use_depth)
-        keep = _view_arrays(views)[1].any(axis=-1)
-        usable = {(v.sensor_id, pid) for v, k in zip(views, keep)
-                  for pid in v.person_ids[k[:len(v.person_ids)]].tolist()}
-        assert all(member in usable for group in groups for member in group)
-        # plus a member missing from its view, alone and beside a real one
-        groups += [[(ordered[0].sensor_id, -1)]] + [g + [(-1, -1)] for g in groups[:1]]
-        by_id[-1] = calibs[0]
-        pose_sets = {v.sensor_id: v for v in views}
-        pose_sets[-1] = pose_set(-1, 0)
-        got, got_groups = triangulate_group(pose_sets, groups, by_id, 7)
-        want, want_groups = oracles.triangulate_group(pose_sets, groups, by_id, 7)
+        rows = associate(views, by_id, use_depth)
+        want_rows = oracles.associate(views, by_id, use_depth)
+        assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+        assert np.array_equal(rows, want_rows)
+        # every row is in range, every group has a member, no view row is
+        # in two groups and every member has a usable keypoint
+        counts = np.array([len(v.person_ids) for v in views])
+        assert ((rows >= -1) & (rows < counts)).all()
+        member = rows >= 0
+        assert member.any(axis=1).all()
+        view, row = np.nonzero(member)[1], rows[member]
+        assert len(set(zip(view.tolist(), row.tolist()))) == len(row)
+        assert _view_arrays(views)[1].any(axis=-1)[view, row].all()
+        got, got_groups = triangulate_group(views, rows, by_id, 7)
+        want, want_groups = oracles.triangulate_group(views, rows, by_id, 7)
         assert got_groups.tolist() == want_groups.tolist()
         assert_same_skeletons(got, want)
 
