@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Benchmark the synthetic world's person-capsule cast, caller by caller.
+"""Benchmark the synthetic world's ray casts, caller by caller.
 
 Runs one seed-1 unit shaped like each of the benchmark's workloads
 (`crowd-8p`: 8 persons, poses only, 20 ticks at 30 Hz; `default-30hz`:
 2 persons, clouds at 1 Hz, 2 s) and keeps every
-`synthworld._cast_persons` call with its inputs, labelled by the
-synthworld function that made it.  It then replays each call through the
-dense sphere test of `tests/oracles.py` (every ray against every
-capsule) and through the program's culled one, best of --repeat each, in
-process CPU time, and checks that both give the same bits.  Per workload
-and caller it prints the calls, the ms per call of each form and the
-(ray, capsule) pairs per call: all of them (what the dense test
-evaluates), those the cull selects and those that pass the sphere test.
+`synthworld._cast_persons` and `synthworld._cast_static` call with its
+inputs, labelled by the synthworld function that made it (for the static
+cast, `_static_cast` is a full frame missing its cache).  It then
+replays each call, best of --repeat, in process CPU time, and checks
+that every form gives the same bits:
+
+- person cast: the dense form of `tests/oracles.py` (the sphere test on
+  every (ray, capsule) pair, the capsule terms per pair), and the
+  program with every pair selected and with the cull forced on; the
+  program itself takes the first below `_CULL_MIN_PAIRS` pairs and the
+  second from there, so the crossover of these two columns sets it.
+  Also the (ray, capsule) pairs per call: all of them, those the cull
+  selects and those that pass the sphere test.
+- static cast: the all-boxes-at-once form of `tests/oracles.py` and the
+  program's box-by-box one, with the rays per call.
 """
 
 import argparse
@@ -27,7 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from semgrid import synthworld  # noqa: E402
 from semgrid.sim import SimConfig, simulate  # noqa: E402
-from tests.oracles import cast_persons_dense, sphere_test_dense  # noqa: E402
+from tests.oracles import cast_persons_dense, cast_static_dense, sphere_test_dense  # noqa: E402
 
 SEED = 1
 UNITS = {
@@ -37,37 +44,62 @@ UNITS = {
 }
 
 
-def capture_unit(persons: int, config: SimConfig) -> list[tuple]:
-    """(caller, arguments) of every person cast of one unit; the hit
-    arrays are copied as they were before the call."""
-    calls = []
-    real = synthworld._cast_persons
+def capture_unit(persons: int, config: SimConfig) -> tuple[list, list]:
+    """(caller, arguments) of every person and every static cast of one
+    unit; the person cast's hit arrays are copied as they were before
+    the call."""
+    persons_calls, static_calls = [], []
+    real_persons, real_static = synthworld._cast_persons, synthworld._cast_static
 
-    def cast(capsules, blocks, dirs, best_t, best_c, blocked=None):
-        calls.append((sys._getframe(1).f_code.co_name,
-                      (capsules, blocks, dirs.copy(), best_t.copy(), best_c.copy(), blocked)))
-        return real(capsules, blocks, dirs, best_t, best_c, blocked)
+    def cast_persons(capsules, blocks, dirs, best_t, best_c, blocked=None):
+        persons_calls.append((sys._getframe(1).f_code.co_name,
+                              (capsules, blocks, dirs.copy(), best_t.copy(), best_c.copy(),
+                               blocked)))
+        return real_persons(capsules, blocks, dirs, best_t, best_c, blocked)
 
-    synthworld._cast_persons = cast
+    def cast_static(scene, t_s, origins, dirs):
+        static_calls.append((sys._getframe(1).f_code.co_name, (scene, t_s, origins, dirs)))
+        return real_static(scene, t_s, origins, dirs)
+
+    synthworld._cast_persons, synthworld._cast_static = cast_persons, cast_static
     try:
         scene = synthworld.make_default_scene(seed=SEED, n_persons=persons)
         simulate(scene, synthworld.make_camera_rig(scene), config)
     finally:
-        synthworld._cast_persons = real
-    return [call for call in calls if call[1][0] is not None and len(call[1][2])]
+        synthworld._cast_persons, synthworld._cast_static = real_persons, real_static
+    return ([call for call in persons_calls if call[1][0] is not None and len(call[1][2])],
+            static_calls)
 
 
 def best_ms(fn, args, repeat: int) -> tuple[float, tuple]:
-    """Best process CPU ms of fn over fresh copies of the hit arrays."""
-    capsules, blocks, dirs, best_t, best_c, blocked = args
+    """Best process CPU ms of fn(*args), and its output."""
     times = []
     for _ in range(repeat):
-        t, c = best_t.copy(), best_c.copy()
         t0 = time.process_time()
-        fn(capsules, blocks, dirs, t, c, blocked)
+        out = fn(*args)
         times.append(time.process_time() - t0)
-        out = (t, c)
     return 1e3 * min(times), out
+
+
+def cast_persons_with(min_pairs: int):
+    """synthworld._cast_persons on fresh copies of the hit arrays, with
+    _CULL_MIN_PAIRS set to min_pairs."""
+    def cast(capsules, blocks, dirs, best_t, best_c, blocked):
+        saved, synthworld._CULL_MIN_PAIRS = synthworld._CULL_MIN_PAIRS, min_pairs
+        try:
+            return synthworld._cast_persons(capsules, blocks, dirs, best_t.copy(),
+                                            best_c.copy(), blocked)
+        finally:
+            synthworld._CULL_MIN_PAIRS = saved
+    return cast
+
+
+def dense_persons(capsules, blocks, dirs, best_t, best_c, blocked):
+    return cast_persons_dense(capsules, blocks, dirs, best_t.copy(), best_c.copy(), blocked)
+
+
+def same_bits(outs) -> bool:
+    return all(np.array_equal(a, b) for out in outs[1:] for a, b in zip(outs[0], out))
 
 
 def main() -> int:
@@ -76,32 +108,45 @@ def main() -> int:
     args = ap.parse_args()
 
     print(f"seed {SEED}; ms per call best of {args.repeat}, process CPU time; "
-          "pairs per call")
-    print(f"{'workload':13s} {'caller':25s} {'calls':>5s} {'dense ms':>9s} "
-          f"{'culled ms':>9s} {'dense pairs':>11s} {'selected':>9s} {'passed':>8s}")
+          "pairs or rays per call")
+    person_forms = (dense_persons, cast_persons_with(sys.maxsize), cast_persons_with(0))
     mismatched = 0
     for name, (persons, config) in UNITS.items():
-        rows = defaultdict(lambda: np.zeros(6))
-        for caller, call in capture_unit(persons, config):
+        persons_calls, static_calls = capture_unit(persons, config)
+        rows = defaultdict(lambda: np.zeros(7))
+        for caller, call in persons_calls:
             capsules, blocks, dirs, _, _, blocked = call
-            dense_ms, dense_out = best_ms(cast_persons_dense, call, args.repeat)
-            culled_ms, culled_out = best_ms(synthworld._cast_persons, call, args.repeat)
-            mismatched += not all(np.array_equal(a, b) for a, b in zip(dense_out, culled_out))
-            selected = synthworld._cull_pairs(*synthworld._bounding_spheres(capsules),
-                                              blocks, dirs)[0]
+            timed = [best_ms(form, call, args.repeat) for form in person_forms]
+            mismatched += not same_bits([out for _, out in timed])
+            selected = np.broadcast(*synthworld._cull_pairs(
+                *synthworld._bounding_spheres(capsules), blocks, dirs)).size
             passed = sphere_test_dense(capsules, blocks, dirs)
             if blocked is not None:
                 passed &= ~blocked
-            rows[caller] += (1, dense_ms, culled_ms, passed.size, len(selected),
+            rows[caller] += (1, *(ms for ms, _ in timed), passed.size, selected,
                              np.count_nonzero(passed))
+        print(f"\n{name}: person cast")
+        print(f"{'caller':25s} {'calls':>5s} {'dense ms':>9s} {'all ms':>9s} "
+              f"{'culled ms':>9s} {'pairs':>9s} {'selected':>9s} {'passed':>8s}")
         for caller, (calls, *per) in sorted(rows.items()):
-            dense_ms, culled_ms, pairs, selected, passed = np.divide(per, calls)
-            print(f"{name:13s} {caller:25s} {calls:5.0f} {dense_ms:9.2f} {culled_ms:9.2f} "
-                  f"{pairs:11.0f} {selected:9.0f} {passed:8.0f}")
+            dense_ms, all_ms, culled_ms, pairs, selected, passed = np.divide(per, calls)
+            print(f"{caller:25s} {calls:5.0f} {dense_ms:9.2f} {all_ms:9.2f} {culled_ms:9.2f} "
+                  f"{pairs:9.0f} {selected:9.0f} {passed:8.0f}")
+        rows = defaultdict(lambda: np.zeros(4))
+        for caller, call in static_calls:
+            timed = [best_ms(form, call, args.repeat)
+                     for form in (cast_static_dense, synthworld._cast_static)]
+            mismatched += not same_bits([out for _, out in timed])
+            rows[caller] += (1, *(ms for ms, _ in timed), len(call[3]))
+        print(f"\n{name}: static cast")
+        print(f"{'caller':25s} {'calls':>5s} {'dense ms':>9s} {'boxwise ms':>10s} {'rays':>9s}")
+        for caller, (calls, *per) in sorted(rows.items()):
+            dense_ms, boxwise_ms, rays = np.divide(per, calls)
+            print(f"{caller:25s} {calls:5.0f} {dense_ms:9.2f} {boxwise_ms:10.2f} {rays:9.0f}")
     if mismatched:
-        print(f"ERROR: {mismatched} casts differ from the dense cast")
+        print(f"\nERROR: {mismatched} casts differ between their forms")
         return 1
-    print("every culled cast equals the dense cast bit for bit")
+    print("\nevery form of every cast gives the same bits")
     return 0
 
 

@@ -233,28 +233,28 @@ def _ray_boxes(origins, dirs, boxes_at):
     """Nearest-hit parameter and class per ray against AABBs.
 
     origins are (3,) or (N,3) and dirs (N,3), unnormalized; returned t
-    in dir units.  All boxes are slab-tested at once; on equal hit
-    parameters the earlier box wins.
+    in dir units.  Slab test (Kay & Kajiya 1986), box by box on all rays
+    with the axes as rows: fmax/fmin skip the NaN slab of a ray that lies
+    in a face's plane (Williams et al. 2005).  On equal hit parameters
+    the earlier box wins.
     """
     n = len(dirs)
-    if not boxes_at or n == 0:
-        return np.full(n, np.inf), np.full(n, NO_CLASS, dtype=np.int64)
-    bmin = np.array([b[0] for b in boxes_at])  # (B,3)
-    bmax = np.array([b[1] for b in boxes_at])
-    classes = np.array([b[2] for b in boxes_at], dtype=np.int64)
-    origins = np.asarray(origins).reshape(-1, 1, 3)
+    best_t = np.full(n, np.inf)
+    best_c = np.full(n, NO_CLASS, dtype=np.int64)
+    origins = np.ascontiguousarray(np.asarray(origins).reshape(-1, 3).T)  # (3,1) or (3,N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = (1.0 / dirs)[:, None, :]
-        t1 = (bmin - origins) * inv  # (N,B,3)
-        t2 = (bmax - origins) * inv
-        tmin = np.nanmax(np.minimum(t1, t2), axis=2)
-        tmax = np.nanmin(np.maximum(t1, t2), axis=2)
-    t = np.where(tmin > 1e-9, tmin, tmax)
-    hit = (tmax >= np.maximum(tmin, 1e-9)) & (t > 1e-9)
-    t = np.where(hit, t, np.inf)
-    first = np.argmin(t, axis=1)
-    best_t = t[np.arange(n), first]
-    best_c = np.where(np.isfinite(best_t), classes[first], NO_CLASS)
+        inv = 1.0 / np.ascontiguousarray(dirs.T)
+        for bmin, bmax, cls in boxes_at:
+            t1 = (bmin[:, None] - origins) * inv
+            t2 = (bmax[:, None] - origins) * inv
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
+            tmin = np.fmax(np.fmax(lo[0], lo[1]), lo[2])
+            tmax = np.fmin(np.fmin(hi[0], hi[1]), hi[2])
+            t = np.where(tmin > 1e-9, tmin, tmax)
+            hit = (tmax >= np.maximum(tmin, 1e-9)) & (t > 1e-9) & (t < best_t)
+            best_t[hit] = t[hit]
+            best_c[hit] = cls
     return best_t, best_c
 
 
@@ -279,47 +279,57 @@ def _ray_floor(origins, dirs, room_min, room_max):
 
 
 def _dots(a, b):
-    """Row-wise dot products of K pairs of 3-vectors, (K,3) each.
+    """Dot products of broadcast pairs of 3-vectors, (...,3) each.
 
     Spelled out per component, in the order x, y, z, rather than as a
     matmul, so a pair's value does not depend on which other pairs share
     the call."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _rowdot(a, b):
     return np.einsum("kj,kj->k", a, b)
 
 
-def _ray_capsule_pairs(origins, dirs, p0, p1, r):
-    """Nearest hit parameter of ray k against capsule k, for K (ray,
-    capsule) pairs given as (K,3) rows; np.inf marks a miss.
+def _ray_capsule_pairs(capsules, origins, at, caps, dirs, dd):
+    """Nearest hit parameter of K (ray, capsule) pairs; np.inf marks a miss.
 
-    Solves the quadratic of the cylinder body (clamped to the segment)
-    and of both end-cap spheres."""
-    axis = p1 - p0
+    Pair k is the ray from origins[at[k]] along dirs[k] (K,3), with
+    dd[k] = |dirs[k]|^2, against capsule caps[k] of capsules
+    (_scene_capsules output).  Solves the quadratic of the cylinder body
+    (clamped to the segment) and of both end-cap spheres.  The terms of a
+    capsule and of an (origin, capsule) pair are computed once and
+    gathered; each comes from the expression and operands it would have
+    per pair, as in tests/oracles.ray_capsule_pairs_per_pair."""
+    p0s, p1s, rs = capsules
+    n_o = len(origins)
+    axis = p1s - p0s
     aa = _rowdot(axis, axis)
     has_body = aa > 1e-12
     aa_safe = np.where(has_body, aa, 1.0)
-    m = origins - p0
-    da = _rowdot(dirs, axis) / aa_safe
-    ma = _rowdot(m, axis) / aa_safe
+    rr = np.tile(rs * rs, n_o)
+    # (origin, capsule) terms, origin-major
+    m0 = (origins[:, None] - p0s).reshape(-1, 3)
+    m1 = (origins[:, None] - p1s).reshape(-1, 3)
+    axis_o = np.tile(axis, (n_o, 1))
+    ma = _rowdot(m0, axis_o) / np.tile(aa_safe, n_o)
+    mn = m0 - ma[:, None] * axis_o
+    om = at * len(rs) + caps
+    axis = axis.take(caps, axis=0)
+    da = _rowdot(dirs, axis) / aa_safe[caps]
     dn = dirs - da[:, None] * axis
-    mn = m - ma[:, None] * axis
-    rr = r * r
     A = _rowdot(dn, dn)
-    B = 2 * _rowdot(dn, mn)
-    disc = B * B - 4 * A * (_rowdot(mn, mn) - rr)
-    ok = (disc >= 0) & (A > 1e-14) & has_body
+    B = 2 * _rowdot(dn, mn.take(om, axis=0))
+    disc = B * B - 4 * A * (_rowdot(mn, mn) - rr)[om]
+    ok = (disc >= 0) & (A > 1e-14) & has_body[caps]
     t = (-B - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2 * A, 1.0)
-    s = ma + t * da
+    s = ma[om] + t * da
     best = np.where(ok & (t > 1e-9) & (s >= 0.0) & (s <= 1.0), t, np.inf)
-    A = _rowdot(dirs, dirs)
-    for mm in (m, origins - p1):
-        B = 2 * _rowdot(mm, dirs)
-        disc = B * B - 4 * A * (_rowdot(mm, mm) - rr)
-        ok = (disc >= 0) & (A > 1e-14)
-        t = (-B - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2 * A, 1.0)
+    for mm in (m0, m1):
+        B = 2 * _rowdot(mm.take(om, axis=0), dirs)
+        disc = B * B - 4 * dd * (_rowdot(mm, mm) - rr)[om]
+        ok = (disc >= 0) & (dd > 1e-14)
+        t = (-B - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2 * dd, 1.0)
         best = np.minimum(best, np.where(ok & (t > 1e-9), t, np.inf))
     return best
 
@@ -337,11 +347,12 @@ def _scene_capsules(scene: GroundTruthScene, t_s: float):
 # side is less than _CULL_NEAR m in front of the camera plane are tested
 # against every ray of their camera; the others only against the rays in
 # their image box, widened by _CULL_MARGIN_PX against rounding.  Below
-# _CULL_MIN_PAIRS (ray, capsule) pairs every pair is selected: there the
-# cull's fixed cost (about 0.3 ms) exceeds the pairs' sphere tests.
+# _CULL_MIN_PAIRS (ray, capsule) pairs the sphere test runs on every pair
+# as (N,M) arrays instead: scripts/bench_cast.py puts the crossover of
+# the two near 48k pairs for keypoint patches, above it for joint rays.
 _CULL_NEAR = 1e-3
 _CULL_MARGIN_PX = 1.0
-_CULL_MIN_PAIRS = 1 << 14
+_CULL_MIN_PAIRS = 3 << 14
 
 
 def _runs(lo, hi):
@@ -364,7 +375,8 @@ def _bounding_spheres(capsules):
 
 def _cull_pairs(centers, radii, blocks, dirs):
     """(ray, capsule) pairs whose bounding-sphere test can pass, as
-    (rays, caps) index arrays: a superset of the pairs it accepts.
+    (rays, caps) index arrays: a superset of the pairs it accepts, or
+    every pair as (N,1) and (M,) arrays below _CULL_MIN_PAIRS.
 
     Rays start at their block's camera centre.  A ray can only touch a
     sphere wholly in front of the camera plane at a point whose image is
@@ -377,8 +389,7 @@ def _cull_pairs(centers, radii, blocks, dirs):
     that point behind the camera plane.
     """
     if len(dirs) * len(centers) < _CULL_MIN_PAIRS:
-        return (np.repeat(np.arange(len(dirs)), len(centers)),
-                np.tile(np.arange(len(centers)), len(dirs)))
+        return np.arange(len(dirs))[:, None], np.arange(len(centers))
     counts = np.array([n for _, n in blocks])
     start = np.cumsum(counts) - counts
     focal, centre, size = np.array([
@@ -434,7 +445,6 @@ def _cast_persons(capsules, blocks, dirs, best_t, best_c, blocked=None):
     """
     if capsules is None or len(dirs) == 0:
         return best_t, best_c
-    p0s, p1s, rs = capsules
     centers, radii = _bounding_spheres(capsules)
     block_origins = np.array([calib.center for calib, _ in blocks], dtype=np.float64)
     block = np.repeat(np.arange(len(blocks)), [n for _, n in blocks])
@@ -445,20 +455,20 @@ def _cast_persons(capsules, blocks, dirs, best_t, best_c, blocked=None):
     # towards the sphere or starts inside it.  (K,3) rows are gathered
     # with take, several times faster than fancy indexing.
     offset = block_origins[:, None, :] - centers  # (blocks, M, 3)
-    C = (np.einsum("bmj,bmj->bm", offset, offset) - radii * radii)[block[rays], caps]
+    C = (np.einsum("bmj,bmj->bm", offset, offset) - radii * radii).take(
+        block[rays] * len(radii) + caps)
     pair_dirs = dirs.take(rays, axis=0)
     B = 2 * (_rowdot(dirs, origins)[rays] - _dots(pair_dirs, centers.take(caps, axis=0)))
-    disc = B * B - 4 * _rowdot(dirs, dirs)[rays] * C
+    dd = _rowdot(dirs, dirs)
+    disc = B * B - 4 * dd[rays] * C
     cand = (disc >= 0) & ((B < 0) | (C < 0))
     if blocked is not None:
-        cand &= ~blocked[rays, caps]
-    keep = np.flatnonzero(cand)
-    if len(keep) == 0:
+        cand &= ~blocked.take(rays * len(radii) + caps)
+    rays, caps = (np.broadcast_to(i, cand.shape)[cand] for i in (rays, caps))
+    if len(rays) == 0:
         return best_t, best_c
-    rays = rays[keep]
-    caps = caps[keep]
-    t = _ray_capsule_pairs(origins.take(rays, axis=0), pair_dirs.take(keep, axis=0),
-                           p0s.take(caps, axis=0), p1s.take(caps, axis=0), rs[caps])
+    t = _ray_capsule_pairs(capsules, block_origins, block[rays], caps,
+                           dirs.take(rays, axis=0), dd[rays])
     nearest = np.full(len(dirs), np.inf)
     np.minimum.at(nearest, rays, t)
     hit = nearest < best_t

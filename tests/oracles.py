@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ from semgrid.pose import (
     row_norms,
     triangulate_points,
 )
-from semgrid.semantics import PERSON_CLASS, PROB_FLOOR
+from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS, PROB_FLOOR
 from semgrid.sensor_node import FEEDBACK_MATCH_PX, estimate_keypoint_depths
 from semgrid.voxmap import VoxelMap
 
@@ -666,6 +667,42 @@ def triangulate_group(views: list[PoseSet2p5D], rows: np.ndarray,
 # -- synthetic world -----------------------------------------------------------
 
 
+def ray_boxes_dense(origins, dirs, boxes_at):
+    """synthworld._ray_boxes with every box slab-tested at once, on
+    (N,B,3) arrays, and NaN slabs skipped by nanmax/nanmin."""
+    n = len(dirs)
+    if not boxes_at or n == 0:
+        return np.full(n, np.inf), np.full(n, synthworld.NO_CLASS, dtype=np.int64)
+    bmin = np.array([b[0] for b in boxes_at])  # (B,3)
+    bmax = np.array([b[1] for b in boxes_at])
+    classes = np.array([b[2] for b in boxes_at], dtype=np.int64)
+    origins = np.asarray(origins).reshape(-1, 1, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = (1.0 / dirs)[:, None, :]
+        t1 = (bmin - origins) * inv  # (N,B,3)
+        t2 = (bmax - origins) * inv
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slabs
+            tmin = np.nanmax(np.minimum(t1, t2), axis=2)
+            tmax = np.nanmin(np.maximum(t1, t2), axis=2)
+    t = np.where(tmin > 1e-9, tmin, tmax)
+    hit = (tmax >= np.maximum(tmin, 1e-9)) & (t > 1e-9)
+    t = np.where(hit, t, np.inf)
+    first = np.argmin(t, axis=1)
+    best_t = t[np.arange(n), first]
+    best_c = np.where(np.isfinite(best_t), classes[first], synthworld.NO_CLASS)
+    return best_t, best_c
+
+
+def cast_static_dense(scene, t_s: float, origins, dirs):
+    """synthworld._cast_static with the boxes tested by ray_boxes_dense."""
+    boxes_at = [(*b.corners_at(t_s), b.class_idx) for b in scene.all_boxes()]
+    best_t, best_c = ray_boxes_dense(origins, dirs, boxes_at)
+    tf = synthworld._ray_floor(origins, dirs, scene.room_min, scene.room_max)
+    floor_hit = tf < best_t
+    return np.where(floor_hit, tf, best_t), np.where(floor_hit, FLOOR_CLASS, best_c)
+
+
 def sphere_test_dense(capsules, blocks, dirs) -> np.ndarray:
     """(N,M) bool: the bounding-sphere test of synthworld._cast_persons
     run on every (ray, capsule) pair, one (N,M) array per term."""
@@ -683,6 +720,37 @@ def sphere_test_dense(capsules, blocks, dirs) -> np.ndarray:
     return (disc >= 0) & ((B < 0) | (C < 0))
 
 
+def ray_capsule_pairs_per_pair(origins, dirs, p0, p1, r):
+    """synthworld._ray_capsule_pairs with every term computed per pair:
+    ray k from origins[k] along dirs[k] against the capsule p0[k], p1[k],
+    r[k], all given as (K,3) or (K,) rows."""
+    axis = p1 - p0
+    aa = synthworld._rowdot(axis, axis)
+    has_body = aa > 1e-12
+    aa_safe = np.where(has_body, aa, 1.0)
+    m = origins - p0
+    da = synthworld._rowdot(dirs, axis) / aa_safe
+    ma = synthworld._rowdot(m, axis) / aa_safe
+    dn = dirs - da[:, None] * axis
+    mn = m - ma[:, None] * axis
+    rr = r * r
+    A = synthworld._rowdot(dn, dn)
+    B = 2 * synthworld._rowdot(dn, mn)
+    disc = B * B - 4 * A * (synthworld._rowdot(mn, mn) - rr)
+    ok = (disc >= 0) & (A > 1e-14) & has_body
+    t = (-B - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2 * A, 1.0)
+    s = ma + t * da
+    best = np.where(ok & (t > 1e-9) & (s >= 0.0) & (s <= 1.0), t, np.inf)
+    A = synthworld._rowdot(dirs, dirs)
+    for mm in (m, origins - p1):
+        B = 2 * synthworld._rowdot(mm, dirs)
+        disc = B * B - 4 * A * (synthworld._rowdot(mm, mm) - rr)
+        ok = (disc >= 0) & (A > 1e-14)
+        t = (-B - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2 * A, 1.0)
+        best = np.minimum(best, np.where(ok & (t > 1e-9), t, np.inf))
+    return best
+
+
 def cast_persons_dense(capsules, blocks, dirs, best_t, best_c, blocked=None):
     """synthworld._cast_persons with the bounding-sphere test run densely."""
     if capsules is None or len(dirs) == 0:
@@ -695,8 +763,7 @@ def cast_persons_dense(capsules, blocks, dirs, best_t, best_c, blocked=None):
         return best_t, best_c
     p0s, p1s, rs = capsules
     origins = np.repeat([calib.center for calib, _ in blocks], [n for _, n in blocks], axis=0)
-    t = synthworld._ray_capsule_pairs(origins[rays], dirs[rays], p0s[caps], p1s[caps],
-                                      rs[caps])
+    t = ray_capsule_pairs_per_pair(origins[rays], dirs[rays], p0s[caps], p1s[caps], rs[caps])
     nearest = np.full(len(dirs), np.inf)
     np.minimum.at(nearest, rays, t)
     hit = nearest < best_t

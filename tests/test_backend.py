@@ -4,6 +4,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from semgrid import backend as backend_mod
 from semgrid import protocol, synthworld
@@ -15,7 +18,8 @@ from semgrid.backend import (
     HandshakeError,
 )
 from semgrid.cloud import SemanticCloud
-from semgrid.pose import PoseSet2p5D
+from semgrid.geometry import VoxelRangeError
+from semgrid.pose import TRACK_STALE_S, PoseSet2p5D
 from semgrid.semantics import NUM_CLASSES, log_softmax_rows
 from semgrid.sim import SimConfig, simulate
 from tests import oracles
@@ -412,3 +416,105 @@ class TestTickMatchesOracles:
         assert len(log) == 20 and len(feedback) == 4 * 20
         assert log == ref_log
         assert feedback == ref_feedback
+
+
+# the refusals the live service turns into a log line and a closed
+# connection (_SensorConnection.handle); anything else is a defect
+REFUSALS = (HandshakeError, protocol.ProtocolError, VoxelRangeError)
+SENSOR_IDS = st.integers(0, 3)
+
+
+class BackendMachine(RuleBasedStateMachine):
+    """Interleaved HELLO, POSE and CLOUD frames, malformed frames and
+    reconnects from up to four sensors, and fusion ticks, driven through
+    one stream decoder per connection as the live service drives them."""
+
+    def __init__(self):
+        super().__init__()
+        self.backend = Backend(FP)
+        self.links: dict[int, protocol.StreamDecoder] = {}
+        self.now_us = 0
+
+    def send(self, sid: int, data: bytes) -> None:
+        link = self.links.setdefault(sid, protocol.StreamDecoder())
+        try:
+            msgs = link.feed(data)
+            while msgs:
+                for msg in msgs:
+                    self.backend.on_message(msg, self.now_us)
+                msgs = link.feed(b"")
+        except REFUSALS:
+            del self.links[sid]  # the service closes a refused connection
+
+    def pose_frame(self, sid: int, points, lag_us: int) -> bytes:
+        ps = pose_set_for_points(points, sid, max(self.now_us - lag_us, 0))
+        return protocol.encode(protocol.PoseMessage(ps))
+
+    @initialize(sids=st.sets(SENSOR_IDS))
+    def connect(self, sids):
+        for sid in sids:
+            self.hello(sid, "ok")
+
+    @rule(sid=SENSOR_IDS, fault=st.sampled_from(["ok", "ok", "version", "fingerprint"]),
+          reconnect=st.booleans())
+    def hello(self, sid, fault, reconnect=False):
+        if reconnect:
+            self.links.pop(sid, None)  # a partial frame goes with the connection
+        h = protocol.Hello(sid, self.now_us, CALIBS[sid], FP + (fault == "fingerprint"))
+        h.protocol_version += fault == "version"
+        self.send(sid, protocol.encode(h))
+
+    @rule(sids=st.sets(SENSOR_IDS, min_size=1), lag_us=st.sampled_from([0, 0, 10_000, 40_000]),
+          points=st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 2, st.floats(0.3, 1.8)),
+                          min_size=1, max_size=3))
+    def poses(self, sids, lag_us, points):
+        """The same persons seen by each of the sensors."""
+        for sid in sids:
+            self.send(sid, self.pose_frame(sid, points, lag_us))
+
+    @rule(sid=SENSOR_IDS, n=st.integers(0, 40), seed=st.integers(0, 2**16))
+    def cloud(self, sid, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform((-2.0, -1.5, 0.5), (2.0, 1.5, 6.0), (n, 3))  # camera frame
+        cloud = SemanticCloud(sid, self.now_us, pts,
+                              log_softmax_rows(rng.normal(0, 3, (n, NUM_CLASSES))))
+        self.send(sid, protocol.encode(protocol.CloudMessage(cloud)))
+
+    @rule(sid=SENSOR_IDS, kind=st.sampled_from(["flip", "cut", "junk"]), data=st.data())
+    def malformed(self, sid, kind, data):
+        frame = bytearray(self.pose_frame(sid, [(0.2, -0.3, 1.0)], 0))
+        if kind == "flip":
+            at = data.draw(st.integers(0, len(frame) - 1))
+            frame[at] ^= data.draw(st.integers(1, 255))
+        elif kind == "cut":  # a frame cut short, then a whole one
+            frame = frame[:data.draw(st.integers(1, len(frame) - 1))] + frame
+        else:
+            frame = data.draw(st.binary(min_size=1, max_size=64))
+        self.send(sid, bytes(frame))
+
+    # the tracker's clock counts ticks, so a track goes stale only after
+    # TRACK_STALE_S worth of them
+    @rule(n=st.sampled_from([1] * 9 + [int(TRACK_STALE_S * 32)]),
+          dt_us=st.one_of(st.just(33_333), st.just(33_333), st.integers(0, 3_000_000)))
+    def ticks(self, n, dt_us):
+        """n ticks, after each of which the clock moves on."""
+        for _ in range(n):
+            for msg in self.backend.tick(self.now_us).values():
+                protocol.decode(protocol.encode(msg))
+            self.now_us += dt_us
+
+    @invariant()
+    def state_is_bounded(self):
+        b = self.backend
+        assert all(len(s.pose_buffer) <= s.pose_buffer.maxlen for s in b.sensors.values())
+        tracker = b.tracker
+        assert all(len(getattr(tracker, name)) == len(tracker.track_ids)
+                   for name in tracker._SLOTS)
+        # every track was matched within the stale window of update time
+        assert (tracker._clock_s - tracker._matched_s <= TRACK_STALE_S).all()
+        assert len(b.skeletons) <= len(tracker.track_ids)
+        assert b.last_rows.shape == (len(b.skeletons), len(b.last_views))
+
+
+TestBackendMachine = BackendMachine.TestCase
+TestBackendMachine.settings = settings(max_examples=50, stateful_step_count=40)

@@ -13,6 +13,8 @@ from tests.conftest import pose_set
 from tests.oracles import (
     cast_persons_dense,
     project,
+    ray_boxes_dense,
+    ray_capsule_pairs_per_pair,
     render_depth_sparse,
     sphere_test_dense,
     visible_joints,
@@ -248,7 +250,7 @@ def assert_cast_matches_dense(capsules, blocks, dirs, best_t=None, best_c=None,
     rays, caps = synthworld._cull_pairs(*synthworld._bounding_spheres(capsules), blocks, dirs)
     selected = np.zeros((len(dirs), len(capsules[2])), dtype=bool)
     selected[rays, caps] = True
-    assert np.count_nonzero(selected) == len(rays)
+    assert np.count_nonzero(selected) == np.broadcast(rays, caps).size
     passed = sphere_test_dense(capsules, blocks, dirs)
     assert not (passed & ~selected).any()
     return selected, passed
@@ -376,6 +378,179 @@ class TestPersonCastMatchesDense:
         assert_cast_matches_dense(None, [(calib, 5)], pixel_rays(calib)[:5])
         assert_cast_matches_dense(capsules, [(calib, 0)], np.empty((0, 3)))
         assert_cast_matches_dense(capsules, [(calib, 0), (calib, 0)], np.empty((0, 3)))
+
+
+def boxes_at(scene, t_s) -> list:
+    return [(*b.corners_at(t_s), b.class_idx) for b in scene.all_boxes()]
+
+
+def assert_boxes_match_dense(origins, dirs, boxes) -> tuple:
+    """Assert that the box-by-box slab test gives the bits of the
+    all-boxes-at-once one; return its (t, class)."""
+    got = synthworld._ray_boxes(origins, dirs, boxes)
+    expected = ray_boxes_dense(origins, dirs, boxes)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    return got
+
+
+# a unit box and the coordinates of its faces, centre and outside
+_UNIT_BOX = (np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0]), 4)
+_COORDS = (0.0, 1.0, 1.5, 2.0, 3.0)
+
+
+class TestStaticCastMatchesDense:
+    """The static cast, slab-testing one box at a time, gives the bits of
+    the test of every box at once, whatever the rays."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_frames_before_and_after_box_moves(self, seed):
+        scene = small_scene(seed, n_persons=0)
+        for i, offset in ((0, (0.6, 0.4, 0.0)), (3, (-0.5, 0.0, 0.3))):
+            scene.boxes[i] = dataclasses.replace(scene.boxes[i], move_time_s=1.0,
+                                                 move_offset=offset)
+        moved_pixels = 0
+        for calib in rig(scene):
+            before = assert_boxes_match_dense(calib.center, pixel_rays(calib), boxes_at(scene, 0.0))
+            after = assert_boxes_match_dense(calib.center, pixel_rays(calib), boxes_at(scene, 2.0))
+            moved_pixels += np.count_nonzero(before[0] != after[0])
+        assert moved_pixels > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_joint_rays_with_one_origin_per_ray(self, seed):
+        scene = small_scene(seed, n_persons=8)
+        t_s = 1.3 * seed
+        calibs = rig(scene)
+        flat = np.stack([p.joints_at(t_s) for p in scene.persons]).reshape(-1, 3)
+        origins = np.repeat([c.center for c in calibs], len(flat), axis=0)
+        dirs = np.concatenate([flat - c.center for c in calibs])
+        t, _ = assert_boxes_match_dense(origins, dirs, boxes_at(scene, t_s))
+        assert np.isfinite(t).any() and not np.isfinite(t).all()
+
+    def test_axis_parallel_rays_from_faces_and_inside(self):
+        # every origin on the grid of face, centre and outside coordinates
+        # along every direction with components in -1, 0, 1: zero components
+        # give inf slabs, or NaN ones where the origin lies in a face's plane
+        grid = np.stack(np.meshgrid(_COORDS, _COORDS, _COORDS, indexing="ij"), -1).reshape(-1, 3)
+        steps = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        origins = np.repeat(grid, len(steps), axis=0)
+        dirs = np.tile(steps, (len(grid), 1))
+        for scale in (1.0, 0.37):
+            t, cls = assert_boxes_match_dense(origins, scale * dirs, [_UNIT_BOX])
+            assert (cls == 4).any() and (cls == synthworld.NO_CLASS).any()
+        for origin in ((1.0, 1.5, 1.5), (1.5, 1.5, 1.5), (2.0, 2.0, 2.0)):
+            assert_boxes_match_dense(np.array(origin), steps, [_UNIT_BOX])
+
+    def test_rays_grazing_edges(self):
+        rng = np.random.default_rng(0)
+        bmin, bmax, _ = _UNIT_BOX
+        # points on the 12 edges, from origins all around the box, and rays
+        # scaled by 1 + tiny steps either side
+        t = rng.random((12, 1))
+        corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+        pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)
+                 if np.abs(corners[a] - corners[b]).sum() == 1]
+        edge = np.array([corners[a] + t[i] * (corners[b] - corners[a])
+                         for i, (a, b) in enumerate(pairs)]) + bmin
+        origins = rng.uniform(-1.0, 4.0, (40, 3))
+        scale = 1 + np.array([-1e-6, -1e-12, -1e-15, 0, 1e-15, 1e-12, 1e-6])
+        dirs = (scale[:, None, None, None] * (edge[None, :] - origins[:, None])[None]).reshape(-1, 3)
+        at = np.broadcast_to(origins[None, :, None], (len(scale), 40, 12, 3)).reshape(-1, 3)
+        _, cls = assert_boxes_match_dense(at, dirs, [_UNIT_BOX])
+        assert (cls == 4).any() and (cls == synthworld.NO_CLASS).any()
+        # along an edge, and along a face, from outside
+        along = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert_boxes_match_dense(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.5]]), along, [_UNIT_BOX])
+
+    def test_equal_entry_the_earlier_box_wins(self):
+        front = (np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.0, 1.0]), 4)
+        deep = (np.array([1.0, 0.0, 0.0]), np.array([3.0, 2.0, 2.0]), 5)
+        dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.1, 0.2], [2.0, 0.5, 0.5]])
+        for boxes in ([front, deep], [deep, front]):
+            t, cls = assert_boxes_match_dense(np.array([0.0, 0.5, 0.5]), dirs, boxes)
+            assert np.array_equal(t, [1.0, 1.0, 0.5])
+            assert (cls == boxes[0][2]).all()
+
+    def test_no_boxes_or_no_rays(self):
+        scene = small_scene(1, n_persons=0)
+        calib = rig(scene)[0]
+        t, cls = assert_boxes_match_dense(calib.center, pixel_rays(calib), [])
+        assert np.isinf(t).all() and (cls == synthworld.NO_CLASS).all()
+        assert_boxes_match_dense(calib.center, np.empty((0, 3)), boxes_at(scene, 0.0))
+        assert_boxes_match_dense(np.empty((0, 3)), np.empty((0, 3)), boxes_at(scene, 0.0))
+
+
+def assert_capsule_pairs_match(capsules, origins, at, caps, dirs) -> np.ndarray:
+    """Assert that the capsule quadratics with their capsule and (origin,
+    capsule) terms gathered give the bits of the per-pair form."""
+    p0s, p1s, rs = capsules
+    got = synthworld._ray_capsule_pairs(capsules, origins, at, caps, dirs,
+                                        synthworld._rowdot(dirs, dirs))
+    assert np.array_equal(got, ray_capsule_pairs_per_pair(
+        origins[at], dirs, p0s[caps], p1s[caps], rs[caps]))
+    return got
+
+
+def all_pairs(n_rays: int, n_caps: int) -> tuple:
+    return np.repeat(np.arange(n_rays), n_caps), np.tile(np.arange(n_caps), n_rays)
+
+
+class TestCapsulePairsMatchPerPair:
+    """The capsule quadratics give the bits of their per-pair form."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_pair_of_frames_from_every_camera(self, seed):
+        scene = small_scene(seed, n_persons=8)
+        capsules = synthworld._scene_capsules(scene, 1.3 * seed)
+        calibs = rig(scene)
+        # every 7th pixel of each camera against every capsule
+        dirs = [pixel_rays(calib)[seed::7] for calib in calibs]
+        rays, caps = all_pairs(sum(map(len, dirs)), len(capsules[2]))
+        block = np.repeat(np.arange(len(calibs)), list(map(len, dirs)))
+        t = assert_capsule_pairs_match(capsules, np.array([c.center for c in calibs]),
+                                       block[rays], caps, np.concatenate(dirs)[rays])
+        assert np.isfinite(t).sum() > 1000
+
+    def _capsules(self):
+        # a body, a sphere (zero-length axis) and an axis below the body
+        # threshold
+        p0s = np.array([[1.0, 1.0, 0.5], [3.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
+        p1s = np.array([[1.0, 1.0, 1.5], [3.0, 1.0, 1.0], [1.0, 3.0, 1.0 + 1e-7]])
+        return p0s, p1s, np.array([0.2, 0.3, 0.25])
+
+    def test_zero_length_axes_and_origins_inside(self):
+        capsules = self._capsules()
+        p0s, p1s, rs = capsules
+        unit = np.random.default_rng(1).standard_normal((300, 3))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        # rays in all directions from the capsules' ends, from inside the
+        # body and a cap of the first, and from outside
+        origins = np.concatenate([p0s, p1s, [[1.0, 1.0, 1.0], [1.05, 1.0, 1.55],
+                                             [0.0, 0.0, 0.0], [2.0, 2.0, 3.0]]])
+        rays, caps = all_pairs(len(origins) * len(unit), len(rs))
+        at = rays // len(unit)
+        t = assert_capsule_pairs_match(capsules, origins, at, caps, unit[rays % len(unit)])
+        assert np.isfinite(t).any() and not np.isfinite(t).all()
+
+    def test_tangent_rays(self):
+        capsules = self._capsules()
+        p0s, p1s, rs = capsules
+        # rays perpendicular to the (vertical) axes, at the radius times
+        # 1 + tiny steps from the middle and the top end: tangent to the
+        # body and to the end caps
+        scale = 1 + np.array([-1e-9, -1e-15, 0, 1e-15, 1e-9])
+        origins, dirs = [], []
+        for c in range(len(rs)):
+            for end in (0.5 * (p0s[c] + p1s[c]), p1s[c]):
+                for offset in ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)):
+                    for d in ((1.0, 0.0, 0.0), (0.7, 0.0, 0.35)):
+                        reach = end + rs[c] * scale[:, None] * offset
+                        origins.append(reach - 2.0 * np.array(d))
+                        dirs.append(np.broadcast_to(d, reach.shape))
+        origins, dirs = np.concatenate(origins), np.concatenate(dirs)
+        rays, caps = all_pairs(len(dirs), len(rs))
+        t = assert_capsule_pairs_match(capsules, origins, rays, caps, dirs[rays])
+        assert np.isfinite(t).any() and not np.isfinite(t).all()
 
 
 class TestDepthRendering:
