@@ -100,91 +100,89 @@ def project(calib: CameraCalib, pc: np.ndarray):
     return uv, front, in_image
 
 
-def _bres_walk(origin: np.ndarray, tg: np.ndarray):
-    """Bresenham walk of rays from origin voxels to target voxels (N,3),
-    origin one voxel (3,) or one per ray (N,3): per cell its ray,
-    dominant step count and side-axis advances, plus the per-ray axis
-    layout.
+def bresenham3d_walk(origin: np.ndarray, tg: np.ndarray, weights: np.ndarray, base,
+                     k_lo: np.ndarray, k_hi: np.ndarray):
+    """Cells k_lo[i] <= k < k_hi[i] of the Bresenham rays from origin voxels
+    (one (3,), or one per ray (N,3)) to target voxels tg (N,3), as (values,
+    ray_id), each ray's values contiguous and in walk order.  A cell's value
+    is base (one, or one per ray) plus weights (3,) times its offset from
+    the origin: its packed key for KEY_WEIGHTS and the origin's key, its
+    flat index for a grid's strides and the origin's index in the grid.
+    Values take the weights' dtype while d0 < 2**15 (int32 wraps, so a
+    value within its range comes out exact).
 
-    Each ray is the 26-connected line of max(|dx|,|dy|,|dz|) + 1 cells,
-    origin first, target last, stepping along the dominant axis (the
-    lowest index among equal maxima); an error term of exactly zero does
-    not trigger a side step, so exact midpoints advance the dominant axis
-    only."""
-    n = len(tg)
+    Each ray is the 26-connected line of d0 + 1 cells, d0 = max(|dx|,|dy|,
+    |dz|), origin (k = 0) first, target (k = d0) last, stepping along the
+    dominant axis (the lowest index among equal maxima); an error term of
+    exactly zero does not trigger a side step, so exact midpoints advance
+    the dominant axis only."""
     delta = tg - origin
     d = np.abs(delta)
     s = np.sign(delta)
-    # dominant axis = lowest index among maxima
-    dom = np.where(
-        (d[:, 0] >= d[:, 1]) & (d[:, 0] >= d[:, 2]),
-        0,
-        np.where(d[:, 1] >= d[:, 2], 1, 2),
-    )
-    rest = np.array([[1, 2], [0, 2], [0, 1]])[dom]  # (N,2)
-    idx = np.arange(n)
+    dom = np.argmax(d, axis=1)  # the first of equal maxima
+    idx = np.arange(len(tg))
     d0 = d[idx, dom]
-    d1 = d[idx, rest[:, 0]]
-    d2 = d[idx, rest[:, 1]]
-    s0 = s[idx, dom]
-    s1 = s[idx, rest[:, 0]]
-    s2 = s[idx, rest[:, 1]]
-    lengths = d0 + 1
-    total = int(lengths.sum())
+    dtype = weights.dtype if d0.max(initial=0) < 1 << 15 else np.int64  # 2*d0**2 must fit
+    lengths = np.maximum(k_hi - k_lo, 0)
+
+    def per_cell(per_ray):
+        return np.repeat(np.asarray(per_ray, dtype=dtype), lengths)
+
     ray_id = np.repeat(idx, lengths)
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    k = np.arange(total, dtype=np.int64) - offsets[ray_id]
+    k = np.arange(len(ray_id), dtype=dtype)
+    k -= per_cell(np.cumsum(lengths) - lengths - k_lo)
     # closed form of the error-accumulation walk: after k dominant steps
-    # the side axis has advanced floor((2*d*k + d0 - 1) / (2*d0)) cells,
-    # which reproduces the strict "error > 0" tie rule exactly; a ray of
-    # one cell (d0 = 0) advances 0.  Computed in place, one temporary per
-    # side axis
-    bias = np.maximum(d0 - 1, 0)[ray_id]
-    den = (2 * np.maximum(d0, 1))[ray_id]
+    # an axis has advanced floor((2*d*k + d0 - 1) / (2*d0)) cells, which
+    # reproduces the strict "error > 0" tie rule exactly (and is k on the
+    # dominant axis); a ray of one cell (d0 = 0) advances 0
+    values = per_cell(base) if np.size(base) > 1 else np.full(len(k), base, dtype=dtype)
+    for axis in np.array([[1, 2], [0, 2], [0, 1]])[dom].T:
+        steps = per_cell(2 * d[idx, axis])
+        steps *= k
+        steps += per_cell(np.maximum(d0 - 1, 0))
+        steps //= per_cell(2 * np.maximum(d0, 1))
+        steps *= per_cell(s[idx, axis] * weights[axis])
+        values += steps
+    k *= per_cell(s[idx, dom] * weights[dom])
+    values += k
+    return values, ray_id
 
-    def advance(d_side):
-        num = (2 * d_side)[ray_id]
-        num *= k
-        num += bias
-        num //= den
-        return num
 
-    adv1, adv2 = advance(d1), advance(d2)
-    return ray_id, k, adv1, adv2, dom, s0, s1, s2
+def clip_walk_to_box(origin: np.ndarray, tg: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     k_lo: np.ndarray, k_hi: np.ndarray):
+    """Narrow each ray's k-range [k_lo, k_hi) of bresenham3d_walk to its
+    cells in the box lo <= cell <= hi.  Every axis is monotone along a walk,
+    so they are one k-interval, found per axis in closed form: an axis has
+    advanced m cells from k = ceil((2*d0*m - d0 + 1) / (2*d)) on."""
+    delta = tg - origin
+    d = np.abs(delta)
+    d0 = d.max(axis=1, keepdims=True)
+    # the box bounds each axis's advance to [least, most]
+    least = np.where(delta < 0, origin - hi, lo - origin)
+    most = np.where(delta < 0, origin - lo, hi - origin)
+    two_d = 2 * np.maximum(d, 1)
+    first = (2 * d0 * least - d0 + two_d) // two_d
+    stop = (2 * d0 * (most + 1) - d0 + two_d) // two_d
+    # an axis the ray does not move along is in the box for every k or none
+    still = d == 0
+    first[still] = np.where(least > 0, k_hi[:, None], 0)[still]
+    stop[still] = np.where(most < 0, 0, k_hi[:, None])[still]
+    return np.maximum(k_lo, first.max(axis=1)), np.minimum(k_hi, stop.min(axis=1))
 
 
 def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
-    """Bresenham rays (see _bres_walk) to many target voxels (N,3), as
-    packed voxel keys with the ray of each (every ray's keys contiguous,
+    """Bresenham rays (see bresenham3d_walk) to many target voxels (N,3),
+    as packed voxel keys with the ray of each (every ray's keys contiguous,
     origin first, target last).  origin broadcasts against the targets:
-    one voxel (3,) for all rays, or one per ray (N,3).
-
-    The packed key is linear in the three components, so each cell's key
-    is its origin's key plus the axis advances times fixed per-axis
-    weights — the (M,3) cell array and the separate packing pass never
-    materialize.
-    """
+    one voxel (3,) for all rays, or one per ray (N,3)."""
     tg = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
     origin = np.asarray(origin, dtype=np.int64)
     np.broadcast_shapes(origin.shape, tg.shape)  # raises for another shape
-    if len(tg) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
     _check_packable(origin)
     _check_packable(tg)
-    ray_id, k, adv1, adv2, dom, s0, s1, s2 = _bres_walk(origin, tg)
-    weights = np.array([1 << (2 * _KEY_BITS), 1 << _KEY_BITS, 1],
-                       dtype=np.int64)
-    rest = np.array([[1, 2], [0, 2], [0, 1]])[dom]
-    # key = origin's key + the steps along each walk axis times that
-    # axis's per-ray key increment, summed in place
-    keys = (s0 * weights[dom])[ray_id]
-    keys *= k
-    origin_keys = pack_voxel_keys(origin)  # one key, or one per ray
-    keys += origin_keys if len(origin_keys) == 1 else origin_keys[ray_id]
-    for steps, axis_sign, axis in ((adv1, s1, rest[:, 0]), (adv2, s2, rest[:, 1])):
-        steps *= (axis_sign * weights[axis])[ray_id]
-        keys += steps
-    return keys, ray_id
+    d0 = np.abs(tg - origin).max(axis=1)
+    return bresenham3d_walk(origin, tg, KEY_WEIGHTS, pack_voxel_keys(origin),
+                            np.zeros_like(d0), d0 + 1)
 
 
 # Voxel indices are packed into a single int64 key (21 bits per signed
@@ -192,6 +190,8 @@ def bresenham3d_keys(origin: np.ndarray, targets: np.ndarray):
 _KEY_BIAS = 1 << 20
 _KEY_BITS = 21
 _KEY_MASK = (1 << _KEY_BITS) - 1
+# a packed key is linear in the index: its per-axis weights
+KEY_WEIGHTS = np.array([1 << (2 * _KEY_BITS), 1 << _KEY_BITS, 1], dtype=np.int64)
 
 
 class VoxelRangeError(ValueError):
@@ -220,12 +220,16 @@ def pack_voxel_keys(indices: np.ndarray) -> np.ndarray:
     )
 
 
+def key_components(keys: np.ndarray):
+    """The x, y and z voxel indices of packed int64 keys (N,), each (N,)."""
+    return ((keys >> (2 * _KEY_BITS)) - _KEY_BIAS, ((keys >> _KEY_BITS) & _KEY_MASK) - _KEY_BIAS,
+            (keys & _KEY_MASK) - _KEY_BIAS)
+
+
 def unpack_voxel_keys(keys: np.ndarray) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64).reshape(-1)
     out = np.empty((len(keys), 3), dtype=np.int64)
-    out[:, 0] = (keys >> (2 * _KEY_BITS)) - _KEY_BIAS
-    out[:, 1] = ((keys >> _KEY_BITS) & _KEY_MASK) - _KEY_BIAS
-    out[:, 2] = (keys & _KEY_MASK) - _KEY_BIAS
+    out[:, 0], out[:, 1], out[:, 2] = key_components(keys)
     return out
 
 

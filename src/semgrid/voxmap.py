@@ -4,8 +4,10 @@ Cells are addressed by packed integer voxel keys and stored columnar
 (log-odds, class log-probabilities, bookkeeping) so whole clouds can be
 integrated with array arithmetic.  A sorted key column with the row of
 each key indexes the cells, so lookups are binary searches and new cells
-are merged in one batch.  Occupancy follows the additive log-odds model;
-semantics fuse multiplicatively per Bayes' rule.
+are merged in one batch.  Every write also publishes the occupied keys,
+and a uint8 grid of them over their box for occlusion queries (none over
+GRID_MAX_CELLS), each replaced whole.  Occupancy follows the additive
+log-odds model; semantics fuse multiplicatively per Bayes' rule.
 Single-writer / multi-reader: integrate_cloud requires exclusive access.
 """
 
@@ -17,8 +19,12 @@ import numpy as np
 
 from . import ply, semantics
 from .geometry import (
+    KEY_WEIGHTS,
     CameraCalib,
     bresenham3d_keys,
+    bresenham3d_walk,
+    clip_walk_to_box,
+    key_components,
     pack_voxel_keys,
     unpack_voxel_keys,
     voxel_indices_of,
@@ -32,6 +38,8 @@ L_MIN = -2.0
 L_MAX = 3.5
 L_PRIOR_OCC = 1.0
 OCCLUSION_K = 2
+# cells of the largest occupancy grid; a larger map searches its sorted keys
+GRID_MAX_CELLS = 1 << 24
 
 SOURCE_PRIOR = 0
 SOURCE_OBSERVED = 1
@@ -59,9 +67,8 @@ class VoxelMap:
         # index: every key in increasing order, and the row holding it
         self._sorted_keys = np.zeros(0, dtype=np.int64)
         self._sorted_rows = np.zeros(0, dtype=np.int64)
-        # the occupied keys of the index, which occlusion queries search:
-        # far fewer than all cells, so the search stays in cache
-        self._occ_keys = np.zeros(0, dtype=np.int64)
+        # _occ_keys, the occupied keys, and _occ_grid, their (grid, lo, strides)
+        self._index_occupied()
 
     @property
     def resolution(self) -> float:
@@ -112,9 +119,28 @@ class VoxelMap:
             self._n += m
         return rows
 
-    def _index_occupied(self) -> None:
-        """Refresh the occupied keys after a write."""
-        self._occ_keys = self._sorted_keys[self._log_odds[self._sorted_rows] > 0]
+    def _index_occupied(self, flipped=None) -> None:
+        """Refresh the occupied keys and their grid after a write (from the rows
+        that flipped, if given), each replaced whole: a reader sees one state."""
+        keys = self._sorted_keys[self._log_odds[self._sorted_rows] > 0]
+        if flipped is not None and self._occ_grid is not None:
+            grid, lo, strides = self._occ_grid
+            idx = unpack_voxel_keys(self._keys[flipped]) - lo
+            if (idx >= 0).all() and (idx < grid.shape).all():  # the box holds them
+                grid = grid.copy()
+                grid[tuple(idx.T)] = self._log_odds[flipped] > 0
+                self._occ_keys, self._occ_grid = keys, (grid, lo, strides)
+                return
+        x, y, z = key_components(keys)  # bit fields: no (N,3) array, no matmul
+        lo = np.array([f.min() if len(keys) else 0 for f in (x, y, z)])
+        shape = np.array([f.max() + 1 if len(keys) else 0 for f in (x, y, z)]) - lo
+        grid = None
+        if shape.prod(dtype=float) <= GRID_MAX_CELLS:  # a float product cannot overflow
+            grid = np.zeros(shape, dtype=np.uint8)
+            strides = np.array(grid.strides, dtype=np.int32)  # uint8: element strides
+            grid.reshape(-1)[(x - lo[0]) * strides[0] + (y - lo[1]) * strides[1] + z - lo[2]] = 1
+            grid = (grid, lo, strides)
+        self._occ_keys, self._occ_grid = keys, grid
 
     def load_prior(self, prior_points: np.ndarray) -> int:
         """Seed an empty map: one occupied, uniformly-classed cell per
@@ -162,19 +188,19 @@ class VoxelMap:
 
         ts = int(cloud.timestamp_us)
         free = rows[~is_end]
-        if len(free):
-            before = self._log_odds[free]
-            after = np.clip(before + L_FREE, L_MIN, L_MAX)
-            crossed = (before > 0) & (after <= 0)
-            self._log_odds[free] = after
-            if crossed.any():
-                self._log_p[free[crossed]] = -np.log(NUM_CLASSES)
-                stats.freed = int(crossed.sum())
-            self._last_update[free] = ts
-            self._source[free] = SOURCE_OBSERVED
+        before = self._log_odds[free]
+        after = np.clip(before + L_FREE, L_MIN, L_MAX)
+        self._log_odds[free] = after
+        freed = free[(before > 0) & (after <= 0)]
+        self._log_p[freed] = -np.log(NUM_CLASSES)
+        stats.freed = len(freed)
+        self._last_update[free] = ts
+        self._source[free] = SOURCE_OBSERVED
 
         end = rows[is_end]
-        self._log_odds[end] = np.clip(self._log_odds[end] + L_OCC, L_MIN, L_MAX)
+        before = self._log_odds[end]
+        self._log_odds[end] = np.clip(before + L_OCC, L_MIN, L_MAX)
+        occupied = end[(before <= 0) & (self._log_odds[end] > 0)]
         # bincount adds each voxel's points in input order, so the sums
         # are those of a sequential loop to the last bit
         sums = np.stack([np.bincount(inv, weights=log_p_pts[:, c], minlength=len(uniq_end))
@@ -184,34 +210,44 @@ class VoxelMap:
         self._source[end] = SOURCE_OBSERVED
         stats.occupied_updates = len(uniq_end)
         stats.semantic_fused = int(keep.sum())
-        self._index_occupied()
+        self._index_occupied(np.concatenate([freed, occupied]))
         return stats
 
     def is_occluded_many(self, from_world, targets_world: np.ndarray, k: int = OCCLUSION_K) -> np.ndarray:
         """True for each target whose ray from its origin crosses at least
-        k occupied cells strictly between the endpoint voxels.  Endpoint
-        voxels never count.  from_world is one origin (3,) for all
+        k >= 1 occupied cells strictly between the endpoint voxels.
+        Endpoint voxels never count.  from_world is one origin (3,) for all
         targets or one per target (N,3)."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
         targets = np.asarray(targets_world, dtype=np.float64).reshape(-1, 3)
-        n = len(targets)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
         target_idx = voxel_indices_of(targets, self._resolution)
         origin_idx = np.broadcast_to(voxel_indices_of(from_world, self._resolution),
                                      target_idx.shape)
-        all_keys, ray_id = bresenham3d_keys(origin_idx, target_idx)
-        # a walk visits each cell once, so its endpoint voxels are exactly
-        # the cells equal to its origin or to its target
-        interior = ((all_keys != pack_voxel_keys(origin_idx)[ray_id])
-                    & (all_keys != pack_voxel_keys(target_idx)[ray_id]))
-        if not interior.any():
-            return np.zeros(n, dtype=bool)
-        occ_keys = self._occ_keys
-        if len(occ_keys) == 0:
-            return np.zeros(n, dtype=bool)
-        keys = all_keys[interior]
-        occ = occ_keys[np.minimum(np.searchsorted(occ_keys, keys), len(occ_keys) - 1)] == keys
-        counts = np.bincount(ray_id[interior], weights=occ.astype(np.float64), minlength=n)
+        k_hi = np.abs(target_idx - origin_idx).max(axis=1)
+        k_lo = np.ones_like(k_hi)  # each walk's interior: k = 1 ... d0 - 1
+        occ = self._occ_grid  # one map state, whatever write comes next
+        if occ is None:
+            keys, _ = bresenham3d_walk(origin_idx, target_idx, KEY_WEIGHTS,
+                                       pack_voxel_keys(origin_idx), k_lo, k_hi)
+            hits = np.isin(keys, self._occ_keys)
+        else:
+            grid, lo, strides = occ
+            hi = lo + grid.shape - 1
+            # cells outside the box are free; a walk between two in it stays in it
+            ends = np.stack([origin_idx, target_idx], axis=1)
+            out = ((ends < lo) | (ends > hi)).any(axis=(1, 2))
+            if out.any():
+                k_lo[out], k_hi[out] = clip_walk_to_box(origin_idx[out], target_idx[out], lo, hi,
+                                                        k_lo[out], k_hi[out])
+            cells, _ = bresenham3d_walk(origin_idx, target_idx, strides,
+                                        ((origin_idx - lo) * strides).sum(axis=1), k_lo, k_hi)
+            hits = grid.reshape(-1)[cells]
+        lengths = np.maximum(k_hi - k_lo, 0)
+        walked = lengths > 0
+        counts = np.zeros(len(targets), dtype=np.intp)
+        counts[walked] = np.add.reduceat(hits, (np.cumsum(lengths) - lengths)[walked],
+                                         dtype=np.intp)
         return counts >= k
 
     def occupied_arrays(self):

@@ -8,6 +8,8 @@ from semgrid.geometry import (
     CameraCalib,
     VoxelRangeError,
     bresenham3d_keys,
+    bresenham3d_walk,
+    clip_walk_to_box,
     load_calibs,
     pack_voxel_keys,
     save_calibs,
@@ -27,6 +29,10 @@ from tests.oracles import (
 
 coords = st.integers(min_value=-60, max_value=60)
 cells3 = st.tuples(coords, coords, coords)
+# cells within 40 of a corner of the packable range
+EDGE = (1 << 20) - 1
+edge_coords = st.one_of(st.integers(-EDGE, -EDGE + 40), st.integers(EDGE - 40, EDGE))
+edge_cells3 = st.tuples(edge_coords, edge_coords, edge_coords)
 
 
 def naive_bresenham(a, b):
@@ -171,6 +177,45 @@ class TestBresenham:
         a, b = (m, -m, m), (m - (1 << 17), 5 - m, m - 54321)
         cells, _ = bresenham3d_many(np.array(a), np.array([b]))
         assert [tuple(c) for c in cells.tolist()] == bresenham3d(a, b)
+
+    @given(edge_cells3, st.lists(st.tuples(*[st.integers(-40, 40)] * 3), min_size=1, max_size=10))
+    def test_keys_at_range_extremes_match_scalar(self, origin, offsets):
+        targets = np.clip(np.array(origin) + offsets, -EDGE, EDGE)
+        keys, ray_id = bresenham3d_keys(np.array(origin), targets)
+        for i, t in enumerate(targets.tolist()):
+            want = pack_voxel_keys(np.array(bresenham3d(origin, tuple(t))))
+            assert np.array_equal(keys[ray_id == i], want)
+
+    @given(st.lists(st.tuples(cells3, cells3), min_size=1, max_size=20),
+           cells3, st.tuples(*[st.integers(-1, 50)] * 3))
+    def test_clip_keeps_exactly_the_cells_in_the_box(self, rays, lo, size):
+        origins, targets = (np.array(c) for c in zip(*rays))
+        lo = np.array(lo)
+        hi = lo + size  # a size of -1 is an empty box
+        d0 = np.abs(targets - origins).max(axis=1)
+        k_lo, k_hi = clip_walk_to_box(origins, targets, lo, hi, np.ones_like(d0), d0)
+        keys, ray_id = bresenham3d_walk(origins, targets, geometry.KEY_WEIGHTS,
+                                        pack_voxel_keys(origins), k_lo, k_hi)
+        for i, (a, b) in enumerate(rays):
+            cells = np.array(bresenham3d(a, b))[1:-1]
+            inside = cells[((cells >= lo) & (cells <= hi)).all(axis=1)]
+            assert np.array_equal(keys[ray_id == i], pack_voxel_keys(inside))
+
+    @given(st.lists(st.tuples(*[st.integers(-40000, 40000)] * 3), min_size=1, max_size=5),
+           st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=5, max_size=5))
+    def test_int32_strides_match_int64(self, origins, targets):
+        # a 256**3 grid: offsets from far origins times its strides overflow
+        # int32 (rays of d0 >= 2**15 are walked in int64 instead), yet every
+        # cell in the box comes out exact
+        origins, targets = np.array(origins), np.array(targets[:len(origins)])
+        strides = np.array([1 << 16, 1 << 8, 1])
+        d0 = np.abs(targets - origins).max(axis=1)
+        k_lo, k_hi = clip_walk_to_box(origins, targets, 0, 255, np.zeros_like(d0), d0 + 1)
+        got, rid_a = bresenham3d_walk(origins, targets, strides.astype(np.int32),
+                                      origins @ strides, k_lo, k_hi)
+        want, rid_b = bresenham3d_walk(origins, targets, strides, origins @ strides, k_lo, k_hi)
+        assert np.array_equal(rid_a, rid_b) and np.array_equal(got, want)
+        assert np.array_equal(got[np.cumsum(k_hi - k_lo) - 1], targets @ strides)
 
 
 class TestProjection:

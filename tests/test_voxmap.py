@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semgrid.cloud import SemanticCloud
 from semgrid.geometry import (
@@ -282,6 +284,16 @@ class TestOcclusion:
         for i, t in enumerate(targets):
             assert batch[i] == is_occluded(vmap, origin, t)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # every path rejects it: an empty map, a ray with no interior cell
+        # and a ray through occupied cells alike
+        origin, target = [0.05, 0.05, 0.05], [1.55, 0.05, 0.05]
+        for vmap in (VoxelMap(), self._map_with_blockers([0.5, 0.9])):
+            for to in (origin, target):
+                with pytest.raises(ValueError):
+                    vmap.is_occluded_many(origin, [to], k=k)
+
     def test_free_cells_do_not_block(self):
         vmap = VoxelMap()
         calib = forward_calib()
@@ -289,6 +301,66 @@ class TestOcclusion:
         # cells must not count as blockers
         vmap.integrate_cloud(cloud_of([[0.05, 0.05, 3.05]], 6, calib), calib)
         assert not occluded(vmap, [0.05, 0.05, 0.05], [0.05, 0.05, 2.55])
+
+
+cell = st.tuples(*[st.integers(-6, 18)] * 3)
+
+
+class TestOcclusionMatchesScalar:
+    """is_occluded_many against the scalar reference on random maps whose
+    occupied box (cells 0 ... 12 per axis) the rays start in, end in,
+    cross, enter, leave or graze."""
+
+    # a second cluster ~1 km away puts the occupied box over the grid's
+    # cap, so queries search the sorted keys instead
+    FAR = np.array([[600.05, 600.05, 500.05]])
+
+    @given(occupied=st.lists(st.tuples(*[st.integers(0, 12)] * 3), min_size=1, max_size=80),
+           rays=st.lists(st.tuples(cell, cell), min_size=1, max_size=20),
+           one_origin=st.booleans(), k=st.sampled_from([1, 2, 3]), far=st.booleans())
+    def test_matches_scalar(self, occupied, rays, one_origin, k, far):
+        vmap = VoxelMap()
+        centers = (np.array(occupied) + 0.5) * RES
+        vmap.load_prior(np.vstack([centers, self.FAR]) if far else centers)
+        assert (vmap._occ_grid is None) == far
+        origins = (np.array([a for a, _ in rays]) + 0.3) * RES
+        if one_origin:
+            origins = origins[:1].repeat(len(rays), axis=0)
+        # the last target shares its origin's voxel
+        targets = (np.array([b for _, b in rays[:-1]] + [rays[-1][0]]) + 0.7) * RES
+        got = vmap.is_occluded_many(origins[0] if one_origin else origins, targets, k=k)
+        assert got.tolist() == [is_occluded(vmap, a, b, k) for a, b in zip(origins, targets)]
+        assert vmap.is_occluded_many(origins[0], np.zeros((0, 3)), k=k).shape == (0,)
+
+
+class TestPublishedGrid:
+    def test_freeing_a_blocker_changes_the_next_answer(self):
+        vmap = VoxelMap()
+        vmap.load_prior(np.array([[1.05, 0.05, 1.05], [1.55, 0.05, 1.05]]))
+        origin, target = [0.05, 0.05, 1.05], [2.05, 0.05, 1.05]
+        assert occluded(vmap, origin, target)
+        # a camera below the nearer blocker sees a wall above it, so its
+        # rays cross that blocker's cell until it is free
+        calib = forward_calib((1.0, 0.0, 0.0))
+        wall = cloud_of([[1.05, 0.05, 2.05]], 6, calib)
+        while map_cell(vmap, (10, 0, 10))[0] > 0:
+            assert occluded(vmap, origin, target)
+            vmap.integrate_cloud(wall, calib)
+        assert not occluded(vmap, origin, target)
+        assert occluded(vmap, origin, target, k=1)
+
+    def test_taken_grid_unchanged_by_a_write(self):
+        vmap = VoxelMap()
+        vmap.load_prior(np.array([[0.05, 0.05, 1.05], [0.35, 0.05, 2.55]]))
+        calib = forward_calib()
+        # the first cloud's endpoint lies in the occupied box, so the grid
+        # is updated from the cells that flipped; the second grows the box
+        for point in ([0.05, 0.05, 2.05], [1.05, 0.05, 1.55]):
+            taken = vmap._occ_grid
+            copies = [a.copy() for a in taken]
+            vmap.integrate_cloud(cloud_of([point], 6, calib), calib)
+            assert vmap._occ_grid is not taken
+            assert all(np.array_equal(a, b) for a, b in zip(taken, copies))
 
 
 class TestSnapshotAndExport:
@@ -356,6 +428,10 @@ class TestMatchesDictReference:
         assert (np.diff(keys) > 0).all()
         assert np.array_equal(vmap._keys[rows], keys)
         assert np.array_equal(vmap._occ_keys, keys[vmap._log_odds[rows] > 0])
+        grid, lo, strides = vmap._occ_grid
+        # C order of the box is packed-key order
+        assert np.array_equal(pack_voxel_keys(np.argwhere(grid) + lo), vmap._occ_keys)
+        assert grid.dtype == np.uint8 and tuple(strides) == grid.strides
 
     def test_random_sequences(self):
         reached = dict(crossed_zero=0, prior_freed=0, person_only=0,
