@@ -38,7 +38,7 @@ L_MIN = -2.0
 L_MAX = 3.5
 L_PRIOR_OCC = 1.0
 OCCLUSION_K = 2
-# cells of the largest occupancy grid; a larger map searches its sorted keys
+# cells of the largest occupancy grid (16 MB); a larger map searches its sorted keys
 GRID_MAX_CELLS = 1 << 24
 
 SOURCE_PRIOR = 0
@@ -230,16 +230,16 @@ class VoxelMap:
         if occ is None:
             keys, _ = bresenham3d_walk(origin_idx, target_idx, KEY_WEIGHTS,
                                        pack_voxel_keys(origin_idx), k_lo, k_hi)
-            hits = np.isin(keys, self._occ_keys)
+            occ_keys = self._occ_keys
+            hits = np.zeros(len(keys), dtype=bool)
+            if len(occ_keys):
+                at = np.minimum(np.searchsorted(occ_keys, keys), len(occ_keys) - 1)
+                hits = occ_keys[at] == keys
         else:
             grid, lo, strides = occ
-            hi = lo + grid.shape - 1
-            # cells outside the box are free; a walk between two in it stays in it
-            ends = np.stack([origin_idx, target_idx], axis=1)
-            out = ((ends < lo) | (ends > hi)).any(axis=(1, 2))
-            if out.any():
-                k_lo[out], k_hi[out] = clip_walk_to_box(origin_idx[out], target_idx[out], lo, hi,
-                                                        k_lo[out], k_hi[out])
+            # cells outside the box are free, so each walk is clipped to it
+            k_lo, k_hi = clip_walk_to_box(origin_idx, target_idx, lo, lo + grid.shape - 1,
+                                          k_lo, k_hi)
             cells, _ = bresenham3d_walk(origin_idx, target_idx, strides,
                                         ((origin_idx - lo) * strides).sum(axis=1), k_lo, k_hi)
             hits = grid.reshape(-1)[cells]
