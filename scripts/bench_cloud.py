@@ -10,13 +10,17 @@ of --repeat in process CPU time.  It prints the median over the clouds
 per stage and the outlier filter's time per cloud.  Then it replays
 `VoxelMap.integrate_cloud` for the 8 clouds, in order, into a map loaded
 with the sim's prior, --repeat times, and prints the median over the
-clouds of each cloud's best time.  The filter's 50 ms and the
-clustering's 20 ms budgets are real-time targets; exceeding one prints a
-warning but does not fail, since the time depends on the host.
+clouds of each cloud's best time.  After the stages and after the
+integration it prints the process's peak resident set size so far,
+which includes the sim unit that captured the inputs.  The filter's
+50 ms and the clustering's 20 ms budgets are real-time targets;
+exceeding one prints a warning but does not fail, since the time
+depends on the host.
 """
 
 import argparse
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -59,6 +63,11 @@ def capture_inputs() -> tuple[list[tuple], list[tuple], np.ndarray]:
         SensorNode.build_semantic_cloud = real_build
         VoxelMap.integrate_cloud = real_integrate
     return inputs, integrated, synthworld.prior_map_points(scene)
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (ru_maxrss is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def best_ms(fn, repeat: int):
@@ -128,6 +137,7 @@ def main() -> int:
               f"(range {min(times):.1f}-{max(times):.1f})")
     total = [sum(c[name] for name in stages) for c in per_cloud]
     print(f"{'all stages':28s} median {np.median(total):7.1f} ms")
+    print(f"process peak RSS after the stages {peak_rss_mb():.1f} MB")
 
     filt = [c["statistical_outlier_filter"] for c in per_cloud]
     print("statistical_outlier_filter per cloud: "
@@ -139,6 +149,7 @@ def main() -> int:
     print(f"integrate_cloud, {len(times)} clouds in order into the prior map, "
           f"best of {args.repeat}: median {np.median(times):.1f} ms "
           f"(range {min(times):.1f}-{max(times):.1f})")
+    print(f"process peak RSS after integration {peak_rss_mb():.1f} MB")
     return 0
 
 

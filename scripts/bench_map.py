@@ -2,7 +2,8 @@
 """Benchmark the voxel map: loading a one-million-cell prior, then
 integrating one 50k-point semantic cloud into that map.
 
-Each is timed best of --repeat.  The 100 ms integration budget is a
+Each is timed best of --repeat, and the process's peak resident set
+size so far is printed after each.  The 100 ms integration budget is a
 real-time target (one cloud per sensor per second, four sensors, with
 headroom); the 0.5 s prior budget keeps start-up short.  Exceeding
 either prints a warning but does not fail, since wall time depends on
@@ -10,6 +11,7 @@ the host.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -46,10 +48,16 @@ def build_inputs(seed: int, n_points: int, n_cells: int):
     return prior, cloud, calib
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (ru_maxrss is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def report(name: str, times: list[float]) -> None:
     best = min(times)
     print(f"{name}: best {best:.1f} ms over {len(times)} runs "
-          f"(all: {', '.join(f'{t:.1f}' for t in times)})")
+          f"(all: {', '.join(f'{t:.1f}' for t in times)}), "
+          f"process peak RSS {peak_rss_mb():.1f} MB")
     budget = BUDGET_MS[name]
     if best > budget:
         print(f"WARNING: {name} best time {best:.1f} ms exceeds the "

@@ -173,8 +173,7 @@ def statistical_outlier_filter(points: np.ndarray, k: int = OUTLIER_K) -> np.nda
         return pts
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    dists = _knn_distances(pts, k + 1)
-    mean_d = dists[:, 1:].mean(axis=1)
+    mean_d = _knn_means(pts, k + 1)
     thresh = mean_d.mean() + OUTLIER_STDDEV_MULT * mean_d.std()
     return pts[mean_d <= thresh]
 
@@ -212,9 +211,9 @@ def _cell_grid(keys: np.ndarray, reach: int, forward: bool = False):
     return order, np.r_[first, len(keys)], run_lo, run_hi
 
 
-def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
-    """Sorted distances from every point to its kk nearest points, itself
-    included: the distances of cKDTree(pts).query(pts, kk), bit for bit.
+def _knn_means(pts: np.ndarray, kk: int) -> np.ndarray:
+    """Mean distance from every point to its kk - 1 nearest other points:
+    cKDTree(pts).query(pts, kk)[0][:, 1:].mean(axis=1), bit for bit.
 
     Points are binned into cubic tiles of edge s = CLOUD_VOXEL_RES *
     sqrt(kk), which hold about kk points of a downsampled surface.  A
@@ -226,14 +225,15 @@ def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
     accept a wrong one.  Rows that fail (sparse regions, tile corners) and
     clouds beyond the packable tile range are asked of a cKDTree.  cdist
     sums squared differences in x, y, z order and takes the root, as
-    cKDTree does, so both give the same bits.
+    cKDTree does, so both give the same bits; each row's sum runs over one
+    contiguous run of them and is divided by kk - 1 as mean divides it.
     """
     n = len(pts)
     s = CLOUD_VOXEL_RES * math.sqrt(kk)
     try:
         idx = voxel_indices_of(pts, s)
     except VoxelRangeError:
-        return cKDTree(pts).query(pts, k=kk)[0]
+        return cKDTree(pts).query(pts, k=kk)[0][:, 1:].mean(axis=1)
     order, starts, run_lo, run_hi = _cell_grid(pack_voxel_keys(idx), 1)
     spts = pts[order]
     # the 27 tiles around a tile are 9 runs of consecutive sorted points,
@@ -245,7 +245,8 @@ def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
     cand_ptr = np.r_[0, run_end[8::9]]
     n_cand = np.diff(cand_ptr)
 
-    out = np.full((n, kk), np.inf)
+    sums = np.empty(n)  # of each row's kk - 1 nearest distances, averaged at the end
+    kth = np.full(n, np.inf)  # the kk-th distance of each row a tile answered
     busy = np.flatnonzero((n_cand >= kk) & (n_cand <= _KNN_BLOCK))
     starts = starts.tolist()
     for t, c0, c1 in zip(busy.tolist(), cand_ptr[busy].tolist(), cand_ptr[busy + 1].tolist()):
@@ -255,21 +256,22 @@ def _knn_distances(pts: np.ndarray, kk: int) -> np.ndarray:
             r1 = min(r0 + step, starts[t + 1])
             d2 = cdist(spts[r0:r1], cpts, "sqeuclidean")
             d2.partition(kk - 1, axis=1)
-            d2 = d2[:, :kk]
-            d2.sort(axis=1)
-            np.sqrt(d2, out=out[r0:r1])
+            d = d2[:, :kk]
+            d.sort(axis=1)
+            np.sqrt(d, out=d)
+            np.add.reduce(d[:, 1:], axis=1, out=sums[r0:r1])
+            kth[r0:r1] = d[:, -1]
 
     # covers the rounding of distances, which grows with the coordinates,
     # and the binning's snap, which moves tile faces by 1e-9 of an edge
     slack = 2e-9 * (s + np.abs(pts).max())
     scell = idx[order] * s
     face = np.minimum(spts - scell, scell + s - spts).min(axis=1)
-    redo = np.flatnonzero(~(out[:, -1] < s + face - slack))
+    redo = np.flatnonzero(~(kth < s + face - slack))
     if len(redo):
-        out[redo] = cKDTree(pts).query(spts[redo], k=kk)[0]
-    dists = np.empty_like(out)
-    dists[order] = out
-    return dists
+        sums[redo] = np.add.reduce(cKDTree(pts).query(spts[redo], k=kk)[0][:, 1:], axis=1)
+    sums[order] = sums / (kk - 1)  # the sum over the count: the bits of mean
+    return sums
 
 
 def remove_ground_and_cluster(

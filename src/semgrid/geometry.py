@@ -66,14 +66,22 @@ _BIN_SNAP = 1e-9
 def voxel_indices_of(points: np.ndarray, resolution: float) -> np.ndarray:
     """Vectorized binning of an (N,3) point array to (N,3) int64 indices;
     raises VoxelRangeError for a point outside the packable range."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    idx = np.floor(pts / resolution + _BIN_SNAP)
+    idx = _voxel_bins(points, resolution)
     # checked before the cast: NaN and huge values have no int64 index
     if not (np.abs(idx) < _KEY_BIAS).all():
         raise VoxelRangeError("point outside the packable voxel range")
     return idx.astype(np.int64)
+
+
+def voxel_indexable(points: np.ndarray, resolution: float) -> np.ndarray:
+    """For each point of an (N,3) array, whether voxel_indices_of bins it."""
+    return (np.abs(_voxel_bins(points, resolution)) < _KEY_BIAS).all(axis=1)
+
+
+def _voxel_bins(points: np.ndarray, resolution: float) -> np.ndarray:
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    return np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / resolution + _BIN_SNAP)
 
 
 def project(calib: CameraCalib, pc: np.ndarray):
@@ -108,8 +116,8 @@ def bresenham3d_walk(origin: np.ndarray, tg: np.ndarray, weights: np.ndarray, ba
     is base (one, or one per ray) plus weights (3,) times its offset from
     the origin: its packed key for KEY_WEIGHTS and the origin's key, its
     flat index for a grid's strides and the origin's index in the grid.
-    Values take the weights' dtype while d0 < 2**15 (int32 wraps, so a
-    value within its range comes out exact).
+    Values take the weights' dtype, and the step arithmetic int32, while
+    d0 < 2**15 (int32 wraps, so a value within its range comes out exact).
 
     Each ray is the 26-connected line of d0 + 1 cells, d0 = max(|dx|,|dy|,
     |dz|), origin (k = 0) first, target (k = d0) last, stepping along the
@@ -122,30 +130,28 @@ def bresenham3d_walk(origin: np.ndarray, tg: np.ndarray, weights: np.ndarray, ba
     dom = np.argmax(d, axis=1)  # the first of equal maxima
     idx = np.arange(len(tg))
     d0 = d[idx, dom]
-    dtype = weights.dtype if d0.max(initial=0) < 1 << 15 else np.int64  # 2*d0**2 must fit
+    step_t = np.int32 if d0.max(initial=0) < 1 << 15 else np.int64  # 2*d0**2 must fit
+    value_t = np.promote_types(weights.dtype, step_t)
     lengths = np.maximum(k_hi - k_lo, 0)
 
-    def per_cell(per_ray):
+    def per_cell(per_ray, dtype=step_t):
         return np.repeat(np.asarray(per_ray, dtype=dtype), lengths)
 
-    ray_id = np.repeat(idx, lengths)
-    k = np.arange(len(ray_id), dtype=dtype)
+    k = np.arange(lengths.sum(), dtype=step_t)
     k -= per_cell(np.cumsum(lengths) - lengths - k_lo)
     # closed form of the error-accumulation walk: after k dominant steps
     # an axis has advanced floor((2*d*k + d0 - 1) / (2*d0)) cells, which
     # reproduces the strict "error > 0" tie rule exactly (and is k on the
     # dominant axis); a ray of one cell (d0 = 0) advances 0
-    values = per_cell(base) if np.size(base) > 1 else np.full(len(k), base, dtype=dtype)
+    values = per_cell(base, value_t) if np.size(base) > 1 else np.full(len(k), base, value_t)
     for axis in np.array([[1, 2], [0, 2], [0, 1]])[dom].T:
         steps = per_cell(2 * d[idx, axis])
         steps *= k
         steps += per_cell(np.maximum(d0 - 1, 0))
         steps //= per_cell(2 * np.maximum(d0, 1))
-        steps *= per_cell(s[idx, axis] * weights[axis])
-        values += steps
-    k *= per_cell(s[idx, dom] * weights[dom])
-    values += k
-    return values, ray_id
+        values += steps * per_cell(s[idx, axis] * weights[axis], value_t)
+    values += k * per_cell(s[idx, dom] * weights[dom], value_t)
+    return values, np.repeat(idx, lengths)
 
 
 def clip_walk_to_box(origin: np.ndarray, tg: np.ndarray, lo: np.ndarray, hi: np.ndarray,

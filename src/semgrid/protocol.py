@@ -98,18 +98,19 @@ def quantize_probs(probs: np.ndarray) -> np.ndarray:
     """Sum-preserving u16 quantization: rows sum to exactly 65535.
 
     Largest-remainder rounding keeps each entry within 1/65535 of the
-    input, so decoding never needs a lossy renormalization step.
+    input, so decoding never needs a lossy renormalization step.  A row's
+    remainder r goes to its r largest fractions, of equal ones the leftmost.
     """
     p = np.asarray(probs, dtype=np.float64).reshape(-1, NUM_CLASSES)
     scaled = p * 65535.0
     q = np.floor(scaled).astype(np.int64)
-    remainder = (65535 - q.sum(axis=-1)).astype(np.int64)
+    remainder = 65535 - q.sum(axis=-1)
     frac = scaled - q
-    order = np.argsort(-frac, axis=-1, kind="stable")
-    bump = np.arange(p.shape[-1])[None, :] < remainder[:, None]
-    out = q.copy()
-    np.put_along_axis(out, order, np.take_along_axis(q, order, -1) + bump, -1)
-    return out.astype(np.uint16)
+    at = np.clip(NUM_CLASSES - remainder, 0, NUM_CLASSES - 1)  # r <= 0: the largest, none bumped
+    cut = np.sort(frac, axis=-1)[np.arange(len(p)), at, None]  # the r-th largest fraction
+    above, ties = frac > cut, frac == cut
+    q += above | (ties & (np.cumsum(ties, axis=-1) <= (remainder - above.sum(axis=-1))[:, None]))
+    return q.astype(np.uint16)
 
 
 def dequantize_probs(q: np.ndarray) -> np.ndarray:

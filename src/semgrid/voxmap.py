@@ -1,13 +1,14 @@
 """Allocentric sparse semantic occupancy map.
 
 Cells are addressed by packed integer voxel keys and stored columnar
-(log-odds, class log-probabilities, bookkeeping) so whole clouds can be
-integrated with array arithmetic.  A sorted key column with the row of
-each key indexes the cells, so lookups are binary searches and new cells
-are merged in one batch.  Every write also publishes the occupied keys,
-and a uint8 grid of them over their box for occlusion queries (none over
-GRID_MAX_CELLS), each replaced whole.  Occupancy follows the additive
-log-odds model; semantics fuse multiplicatively per Bayes' rule.
+(log-odds, class slot, bookkeeping) so whole clouds can be integrated with
+array arithmetic; only cells observed as endpoints hold a slot, and with it
+a class log-probability row (slot -1 is the uniform row).  A sorted key
+column with the row of each key indexes the cells, so lookups are binary
+searches and new cells are merged in one batch.  Every write also publishes
+the occupied keys, and a uint8 grid of them over their box for occlusion
+queries (none over GRID_MAX_CELLS), each replaced whole.  Occupancy follows
+the additive log-odds model; semantics fuse multiplicatively per Bayes' rule.
 Single-writer / multi-reader: integrate_cloud requires exclusive access.
 """
 
@@ -21,12 +22,14 @@ from . import ply, semantics
 from .geometry import (
     KEY_WEIGHTS,
     CameraCalib,
+    VoxelRangeError,
     bresenham3d_keys,
     bresenham3d_walk,
     clip_walk_to_box,
     key_components,
     pack_voxel_keys,
     unpack_voxel_keys,
+    voxel_indexable,
     voxel_indices_of,
 )
 from .semantics import NUM_CLASSES, PERSON_CLASS
@@ -60,10 +63,12 @@ class VoxelMap:
         cap = 1024
         self._keys = np.zeros(cap, dtype=np.int64)
         self._log_odds = np.zeros(cap)
-        self._log_p = np.zeros((cap, NUM_CLASSES))
+        self._slot = np.zeros(cap, dtype=np.int32)
         self._last_update = np.zeros(cap, dtype=np.int64)
         self._source = np.zeros(cap, dtype=np.uint8)
         self._n = 0
+        self._log_p = np.zeros((cap, NUM_CLASSES))  # the rows of slots 0 ... _n_slots - 1
+        self._n_slots = 0
         # index: every key in increasing order, and the row holding it
         self._sorted_keys = np.zeros(0, dtype=np.int64)
         self._sorted_rows = np.zeros(0, dtype=np.int64)
@@ -77,16 +82,10 @@ class VoxelMap:
     def __len__(self) -> int:
         return self._n
 
-    def _grow(self, need: int) -> None:
-        cap = len(self._keys)
-        if self._n + need <= cap:
-            return
-        new_cap = max(cap * 2, self._n + need)
-        self._keys = np.resize(self._keys, new_cap)
-        self._log_odds = np.resize(self._log_odds, new_cap)
-        self._log_p = np.resize(self._log_p, (new_cap, NUM_CLASSES))
-        self._last_update = np.resize(self._last_update, new_cap)
-        self._source = np.resize(self._source, new_cap)
+    def _class_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The class log-probability rows (len(rows), C) of cells."""
+        slots = self._slot[rows][:, None]  # -1 reads the last row, which np.where drops
+        return np.where(slots < 0, -np.log(NUM_CLASSES), self._log_p[slots[:, 0]])
 
     def _locate(self, keys: np.ndarray):
         """Index positions of packed keys, and their rows (-1 where the
@@ -106,12 +105,13 @@ class VoxelMap:
         new = rows < 0
         m = int(new.sum())
         if m:
-            self._grow(m)
+            for name in ("_keys", "_log_odds", "_slot", "_last_update", "_source"):
+                setattr(self, name, _grown(getattr(self, name), self._n, self._n + m))
             fresh = slice(self._n, self._n + m)
             rows[new] = np.arange(self._n, self._n + m)
             self._keys[fresh] = keys[new]
             self._log_odds[fresh] = 0.0
-            self._log_p[fresh] = -np.log(NUM_CLASSES)
+            self._slot[fresh] = -1
             self._last_update[fresh] = 0
             self._source[fresh] = SOURCE_OBSERVED
             self._sorted_keys = np.insert(self._sorted_keys, pos[new], keys[new])
@@ -192,12 +192,18 @@ class VoxelMap:
         after = np.clip(before + L_FREE, L_MIN, L_MAX)
         self._log_odds[free] = after
         freed = free[(before > 0) & (after <= 0)]
-        self._log_p[freed] = -np.log(NUM_CLASSES)
+        slots = self._slot[freed]
+        self._log_p[slots[slots >= 0]] = -np.log(NUM_CLASSES)
         stats.freed = len(freed)
         self._last_update[free] = ts
         self._source[free] = SOURCE_OBSERVED
 
         end = rows[is_end]
+        new = end[self._slot[end] < 0]  # these take the next slots, with the uniform row
+        self._log_p = _grown(self._log_p, self._n_slots, self._n_slots + len(new))
+        self._log_p[self._n_slots:self._n_slots + len(new)] = -np.log(NUM_CLASSES)
+        self._slot[new] = np.arange(self._n_slots, self._n_slots + len(new))
+        self._n_slots += len(new)
         before = self._log_odds[end]
         self._log_odds[end] = np.clip(before + L_OCC, L_MIN, L_MAX)
         occupied = end[(before <= 0) & (self._log_odds[end] > 0)]
@@ -205,7 +211,7 @@ class VoxelMap:
         # are those of a sequential loop to the last bit
         sums = np.stack([np.bincount(inv, weights=log_p_pts[:, c], minlength=len(uniq_end))
                          for c in range(NUM_CLASSES)], axis=1)
-        self._log_p[end] = semantics.fuse_rows(self._log_p[end], sums)
+        self._log_p[self._slot[end]] = semantics.fuse_rows(self._log_p[self._slot[end]], sums)
         self._last_update[end] = ts
         self._source[end] = SOURCE_OBSERVED
         stats.occupied_updates = len(uniq_end)
@@ -214,16 +220,21 @@ class VoxelMap:
         return stats
 
     def is_occluded_many(self, from_world, targets_world: np.ndarray, k: int = OCCLUSION_K) -> np.ndarray:
-        """True for each target whose ray from its origin crosses at least
-        k >= 1 occupied cells strictly between the endpoint voxels.
-        Endpoint voxels never count.  from_world is one origin (3,) for all
-        targets or one per target (N,3)."""
+        """True for each target whose ray from its origin crosses at least k >= 1
+        occupied cells strictly between the endpoint voxels (a ray with an end
+        the map cannot index crosses none).  from_world is one origin (3,) for
+        all targets or one per target (N,3)."""
         if k < 1:
             raise ValueError("k must be at least 1")
         targets = np.asarray(targets_world, dtype=np.float64).reshape(-1, 3)
-        target_idx = voxel_indices_of(targets, self._resolution)
-        origin_idx = np.broadcast_to(voxel_indices_of(from_world, self._resolution),
-                                     target_idx.shape)
+        origins, res = np.broadcast_to(from_world, targets.shape), self._resolution
+        try:
+            target_idx, origin_idx = voxel_indices_of(targets, res), voxel_indices_of(origins, res)
+        except VoxelRangeError:  # some ray has an end the map cannot index
+            ok = voxel_indexable(targets, res) & voxel_indexable(origins, res)
+            flags = np.zeros(len(targets), dtype=bool)
+            flags[ok] = self.is_occluded_many(origins[ok], targets[ok], k)
+            return flags
         k_hi = np.abs(target_idx - origin_idx).max(axis=1)
         k_lo = np.ones_like(k_hi)  # each walk's interior: k = 1 ... d0 - 1
         occ = self._occ_grid  # one map state, whatever write comes next
@@ -255,8 +266,9 @@ class VoxelMap:
         cells in lexicographic index order, which is packed key order."""
         occ = self._sorted_rows[self._log_odds[self._sorted_rows] > 0]
         idx = unpack_voxel_keys(self._keys[occ])
-        classes = np.argmax(self._log_p[occ], axis=1)
-        probs = np.exp(self._log_p[occ, classes])
+        log_p = self._class_rows(occ)
+        classes = np.argmax(log_p, axis=1)
+        probs = np.exp(log_p[np.arange(len(occ)), classes])
         return idx, self._log_odds[occ], classes, probs, self._source[occ]
 
     def export_ply(self, path) -> None:
@@ -276,6 +288,15 @@ class VoxelMap:
                 "prob": probs.astype(np.float32),
             },
         )
+
+
+def _grown(a: np.ndarray, n: int, need: int) -> np.ndarray:
+    """a if it has need rows, else a larger empty array (only a's first n rows touched)."""
+    if need <= len(a):
+        return a
+    out = np.empty((max(2 * len(a), need),) + a.shape[1:], dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:

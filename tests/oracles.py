@@ -5,7 +5,9 @@ association and triangulation (one candidate loop per group and member,
 one solve per group), the per-camera form of feedback, the per-skeleton
 form of the tracker and the dense form of the person-capsule cast, which
 the batched ones must match bit for bit.
-Also the readers tests use to look at one voxel-map cell."""
+Also the readers tests use to look at one voxel-map cell, and the dense
+form of the map's class rows, one per cell, that its slot table must
+match."""
 
 from __future__ import annotations
 
@@ -19,7 +21,10 @@ import numpy as np
 from semgrid import synthworld
 from semgrid.geometry import (
     CameraCalib,
+    bresenham3d_keys,
     pack_voxel_keys,
+    unpack_voxel_keys,
+    voxel_indices_of,
 )
 from semgrid.geometry import project as project_camera_frame
 from semgrid.pose import (
@@ -47,9 +52,17 @@ from semgrid.pose import (
     row_norms,
     triangulate_points,
 )
-from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS, PROB_FLOOR
+from semgrid.semantics import FLOOR_CLASS, NUM_CLASSES, PERSON_CLASS, PROB_FLOOR, fuse_rows
 from semgrid.sensor_node import FEEDBACK_MATCH_PX, estimate_keypoint_depths
-from semgrid.voxmap import VoxelMap
+from semgrid.voxmap import (
+    L_FREE,
+    L_MAX,
+    L_MIN,
+    L_OCC,
+    L_PRIOR_OCC,
+    MAP_RESOLUTION,
+    VoxelMap,
+)
 
 _EPS_Z = 1e-6
 
@@ -273,8 +286,58 @@ def sorted_state(vmap: VoxelMap):
     n = vmap._n
     order = np.argsort(vmap._keys[:n])
     return (vmap._keys[:n][order], vmap._log_odds[:n][order],
-            vmap._log_p[:n][order], vmap._last_update[:n][order],
+            vmap._class_rows(order), vmap._last_update[:n][order],
             vmap._source[:n][order])
+
+
+class DenseRowMap:
+    """A voxel map's class rows in dense form: one row per cell, uniform
+    when the cell is made, reset to uniform when a cloud frees the cell,
+    and fused at every endpoint with one fuse_rows call per cloud.  Cells
+    are in packed-key order; log-odds are kept only to tell which cells a
+    cloud frees."""
+
+    def __init__(self, resolution: float = MAP_RESOLUTION):
+        self.resolution = resolution
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.log_odds = np.zeros(0)
+        self.log_p = np.zeros((0, NUM_CLASSES))
+
+    def _rows_for(self, keys: np.ndarray) -> np.ndarray:
+        """Rows of sorted distinct keys; missing cells are inserted."""
+        new = ~np.isin(keys, self.keys)
+        pos = np.searchsorted(self.keys, keys[new])
+        self.keys = np.insert(self.keys, pos, keys[new])
+        self.log_odds = np.insert(self.log_odds, pos, 0.0)
+        self.log_p = np.insert(self.log_p, pos, -np.log(NUM_CLASSES), axis=0)
+        return np.searchsorted(self.keys, keys)
+
+    def load_prior(self, points) -> None:
+        keys = np.unique(pack_voxel_keys(voxel_indices_of(points, self.resolution)))
+        rows = self._rows_for(keys)  # before self.log_odds is read: it replaces it
+        self.log_odds[rows] = L_PRIOR_OCC
+
+    def integrate_cloud(self, cloud, calib: CameraCalib) -> None:
+        keep = cloud.argmax_classes() != PERSON_CLASS
+        if not keep.any():
+            return
+        pts = calib.cam_to_world(cloud.positions)[keep]
+        end_keys, inv = np.unique(pack_voxel_keys(voxel_indices_of(pts, self.resolution)),
+                                  return_inverse=True)
+        origin = voxel_indices_of(calib.center[None], self.resolution)[0]
+        cells = np.unique(bresenham3d_keys(origin, unpack_voxel_keys(end_keys))[0])
+        rows = self._rows_for(cells)
+        is_end = np.isin(cells, end_keys)
+        free = rows[~is_end]
+        before = self.log_odds[free]
+        self.log_odds[free] = np.clip(before + L_FREE, L_MIN, L_MAX)
+        self.log_p[free[(before > 0) & (self.log_odds[free] <= 0)]] = -np.log(NUM_CLASSES)
+        end = rows[is_end]  # in end_keys order
+        self.log_odds[end] = np.clip(self.log_odds[end] + L_OCC, L_MIN, L_MAX)
+        sums = np.stack([np.bincount(inv, weights=cloud.log_probs[keep][:, c],
+                                     minlength=len(end_keys)) for c in range(NUM_CLASSES)],
+                        axis=1)
+        self.log_p[end] = fuse_rows(self.log_p[end], sums)
 
 
 def map_cell(vmap: VoxelMap, idx):
@@ -286,6 +349,25 @@ def map_cell(vmap: VoxelMap, idx):
     if i == len(keys) or keys[i] != key:
         return None
     return tuple(col[i] for col in cols)
+
+
+# -- protocol ------------------------------------------------------------------
+
+
+def quantize_probs(probs: np.ndarray) -> np.ndarray:
+    """protocol.quantize_probs by a stable sort of each row's fractions,
+    largest first: the first `remainder` entries in that order get one
+    more count."""
+    p = np.asarray(probs, dtype=np.float64).reshape(-1, NUM_CLASSES)
+    scaled = p * 65535.0
+    q = np.floor(scaled).astype(np.int64)
+    remainder = (65535 - q.sum(axis=-1)).astype(np.int64)
+    frac = scaled - q
+    order = np.argsort(-frac, axis=-1, kind="stable")
+    bump = np.arange(p.shape[-1])[None, :] < remainder[:, None]
+    out = q.copy()
+    np.put_along_axis(out, order, np.take_along_axis(q, order, -1) + bump, -1)
+    return out.astype(np.uint16)
 
 
 # -- sensor, pose --------------------------------------------------------------

@@ -193,13 +193,13 @@ class TestMapBehaviors:
         calib = _forward_calib()
         n = vmap._n
         before = (vmap._keys[:n].copy(), vmap._log_odds[:n].copy(),
-                  vmap._log_p[:n].copy())
+                  vmap._class_rows(np.arange(n)))
         pts = [[0.05 + 0.1 * i, 0.05, 1.55] for i in range(10)]
         stats = vmap.integrate_cloud(_cloud_of(pts, PERSON_CLASS, calib), calib)
         assert stats.occupied_updates == 0
         assert stats.freed == 0
         assert stats.semantic_fused == 0
-        after = (vmap._keys[:n], vmap._log_odds[:n], vmap._log_p[:n])
+        after = (vmap._keys[:n], vmap._log_odds[:n], vmap._class_rows(np.arange(n)))
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
         assert vmap._n == n

@@ -418,6 +418,37 @@ class TestTickMatchesOracles:
         assert feedback == ref_feedback
 
 
+class TestUnindexableJoints:
+    """A buffered POSE whose joint lies beyond what the map can index is
+    fused, and the joint is never flagged occluded: the tick never raises."""
+
+    def tick_after(self, msg):
+        b = backend_with_sensors(1)
+        b.on_message(msg, 0)
+        out = b.tick(0)
+        (person,) = b.skeletons.pos
+        return person, out[0]
+
+    def test_realigned_cut_frame(self):
+        # a one-person POSE cut to its first 83 bytes, then sent whole: the
+        # decoder realigns the bytes into a valid POSE whose joint 2 has
+        # depth 8.475e11 m and sigma 1.1e-42, back-projected to about -8e11 m
+        frame = protocol.encode(protocol.PoseMessage(
+            pose_set_for_points([(0.2, -0.3, 1.0)], 0, 0)))
+        (msg,) = protocol.StreamDecoder().feed(frame[:83] + frame)
+        assert np.isclose(msg.pose_set.keypoints[0, 2, 3], 8.475e11, rtol=1e-3)
+        person, feedback = self.tick_after(msg)
+        assert np.abs(person[2]).max() > 1e11
+        assert feedback.present[0, 2] and not feedback.occluded.any()
+
+    def test_depth_of_1e12_m(self):
+        uvd = project(CALIBS[0], np.array([0.2, -0.3, 1.0]))
+        ps = pose_set(0, 0, [(0, {j: (uvd[0], uvd[1], 0.9, 1e12, 0.05) for j in range(3)})])
+        person, feedback = self.tick_after(protocol.PoseMessage(ps))
+        assert np.abs(person[:3]).max() > 1e11
+        assert feedback.present[0, :3].all() and not feedback.occluded.any()
+
+
 # the refusals the live service turns into a log line and a closed
 # connection (_SensorConnection.handle); anything else is a defect
 REFUSALS = (HandshakeError, protocol.ProtocolError, VoxelRangeError)

@@ -210,10 +210,11 @@ class TestOutlierFilterMatchesReference:
         want = reference_outlier_filter(pts, k=k)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-        if len(pts) > k:
-            # the distance rows themselves, so that the mean sums in the same order
-            dists = cloud_mod._knn_distances(pts, k + 1)
-            assert np.array_equal(dists, cKDTree(pts).query(pts, k=k + 1)[0])
+        if len(pts):
+            # the means themselves, also where the filter passes the points
+            # through (n <= k: the tree's missing neighbours are inf)
+            means = cloud_mod._knn_means(pts, k + 1)
+            assert np.array_equal(means, cKDTree(pts).query(pts, k=k + 1)[0][:, 1:].mean(axis=1))
 
     @pytest.mark.parametrize("k", [1, 10, 50])
     def test_random_clouds(self, monkeypatch, k):

@@ -29,6 +29,7 @@ from semgrid.protocol import (
     quantize_probs,
 )
 from semgrid.semantics import NUM_CLASSES
+from tests import oracles
 from tests.conftest import assert_stream_drained, feedback_message, make_ring_calibs, pose_set
 
 CALIBS = make_ring_calibs()
@@ -146,6 +147,24 @@ class TestQuantization:
         q = quantize_probs(p)
         assert np.all(q.sum(axis=1) == 65535)
         assert np.abs(q / 65535.0 - p).max() <= 1.0 / 65535
+
+    @given(rows=st.lists(st.one_of(
+        st.integers(0, NUM_CLASSES - 1).map(lambda c: np.eye(NUM_CLASSES)[c]),  # one-hot
+        st.just(np.full(NUM_CLASSES, 1 / NUM_CLASSES)),  # 15 tied fractions
+        # m equal entries: ties at the cut
+        st.lists(st.integers(0, NUM_CLASSES - 1), min_size=1, unique=True).map(
+            lambda at: np.bincount(at, minlength=NUM_CLASSES) / len(at)),
+        # whole counts: the floors already sum to 65535, a remainder of 0
+        st.lists(st.integers(0, 65535), min_size=NUM_CLASSES - 1, max_size=NUM_CLASSES - 1).map(
+            lambda c: np.diff(np.r_[0, np.sort(c), 65535]) / 65535.0),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: np.random.default_rng(seed).dirichlet(np.full(NUM_CLASSES, 0.3)))),
+        min_size=1, max_size=20))
+    def test_matches_stable_sort_rule(self, rows):
+        p = np.array(rows)
+        q = quantize_probs(p)
+        assert np.array_equal(q, oracles.quantize_probs(p))
+        assert (q.sum(axis=1) == 65535).all()
 
     def test_dequantize_normalized(self):
         q = np.zeros((1, NUM_CLASSES), dtype=np.uint16)

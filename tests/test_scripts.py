@@ -17,3 +17,5 @@ def test_benchmark_scripts_run():
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, (args, proc.stderr)
         assert "ms" in proc.stdout, args
+        if args[0] in ("bench_cloud.py", "bench_map.py"):
+            assert "peak RSS" in proc.stdout, args

@@ -28,7 +28,7 @@ from semgrid.voxmap import (
     SOURCE_PRIOR,
     VoxelMap,
 )
-from tests.oracles import bresenham3d, map_cell, sorted_state
+from tests.oracles import DenseRowMap, bresenham3d, map_cell, sorted_state
 
 RES = 0.10
 
@@ -50,7 +50,7 @@ def cloud_of(points_world, class_idx, calib, ts=0) -> SemanticCloud:
 def full_state(vmap: VoxelMap):
     n = vmap._n
     return (vmap._keys[:n].copy(), vmap._log_odds[:n].copy(),
-            vmap._log_p[:n].copy())
+            vmap._class_rows(np.arange(n)))
 
 
 def is_occluded(vmap: VoxelMap, from_world, to_world, k: int = OCCLUSION_K) -> bool:
@@ -361,6 +361,74 @@ class TestPublishedGrid:
             vmap.integrate_cloud(cloud_of([point], 6, calib), calib)
             assert vmap._occ_grid is not taken
             assert all(np.array_equal(a, b) for a, b in zip(taken, copies))
+
+
+# voxels around the optical axis of forward_calib, so rays cross each other's ends
+near_axis = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(2, 7))
+
+
+class TestSlotTable:
+    """Class rows only for cells that were an endpoint, equal bit for bit
+    to the dense rows of DenseRowMap."""
+
+    @staticmethod
+    def check(vmap, ref, ever_end):
+        n = len(vmap)
+        keys, log_odds, log_p = sorted_state(vmap)[:3]
+        assert np.array_equal(keys, ref.keys)
+        assert np.array_equal(log_odds, ref.log_odds)
+        assert np.array_equal(log_p, ref.log_p)
+        assert vmap._n_slots <= len(ever_end)
+        # crossed cells and prior cells that were never an endpoint hold no row
+        never = ~np.isin(vmap._keys[:n], list(ever_end))
+        assert (vmap._slot[:n][never] == -1).all()
+
+    @given(prior=st.lists(near_axis, max_size=12),
+           clouds=st.lists(st.tuples(st.lists(st.tuples(near_axis, st.integers(0, NUM_CLASSES - 1)),
+                                              min_size=1, max_size=12),
+                                     st.booleans()), min_size=1, max_size=10),
+           seed=st.integers(0, 2**16))
+    def test_rows_match_dense_reference(self, prior, clouds, seed):
+        rng = np.random.default_rng(seed)
+        calib = forward_calib()
+        vmap, ref = VoxelMap(), DenseRowMap()
+        if prior:
+            centers = (np.array(prior) + 0.5) * RES
+            vmap.load_prior(centers)
+            ref.load_prior(centers)
+        ever_end = set()
+        for t, (points, person_only) in enumerate(clouds):
+            cells = np.array([c for c, _ in points])
+            classes = np.array([PERSON_CLASS if person_only else k for _, k in points])
+            scores = rng.normal(scale=3.0, size=(len(cells), NUM_CLASSES))
+            scores[np.arange(len(cells)), classes] += 20.0
+            pts = (cells + rng.uniform(0.1, 0.9, cells.shape)) * RES
+            cloud = SemanticCloud(0, t + 1, calib.world_to_cam(pts), log_softmax_rows(scores))
+            vmap.integrate_cloud(cloud, calib)
+            ref.integrate_cloud(cloud, calib)
+            ever_end.update(pack_voxel_keys(cells[cloud.argmax_classes() != PERSON_CLASS]).tolist())
+            self.check(vmap, ref, ever_end)
+
+    def test_freed_cell_keeps_its_slot(self):
+        calib = forward_calib()
+        vmap, ref = VoxelMap(), DenseRowMap()
+        near, prior, far = [0.05, 0.05, 1.05], [0.05, 0.05, 1.55], [0.05, 0.05, 2.05]
+        vmap.load_prior(np.array([prior]))
+        ref.load_prior(np.array([prior]))
+        ever_end = set()
+        # the far surface frees the near cell and the prior cell, then both are hit
+        for i, (point, cls) in enumerate([(near, 4)] + [(far, 6)] * 3 + [(near, 5), (prior, 7)]):
+            cloud = cloud_of([point], cls, calib)
+            vmap.integrate_cloud(cloud, calib)
+            ref.integrate_cloud(cloud, calib)
+            ever_end.add(int(pack_voxel_keys(voxel_indices_of(np.array(point), RES))[0]))
+            self.check(vmap, ref, ever_end)
+            if i == 3:
+                log_odds, log_p, _, _ = map_cell(vmap, (0, 0, 10))
+                assert log_odds <= 0 and (log_p == -np.log(NUM_CLASSES)).all()
+        assert vmap._n_slots == 3
+        assert np.argmax(map_cell(vmap, (0, 0, 10))[1]) == 5
+        assert np.argmax(map_cell(vmap, (0, 0, 15))[1]) == 7
 
 
 class TestSnapshotAndExport:
