@@ -15,8 +15,10 @@ that every form gives the same bits:
   program with every pair selected and with the cull forced on; the
   program itself takes the first below `_CULL_MIN_PAIRS` pairs and the
   second from there, so the crossover of these two columns sets it.
-  Also the (ray, capsule) pairs per call: all of them, those the cull
-  selects and those that pass the sphere test.
+  Also the time of the forced cull alone (`_cull_pairs`), and the
+  (ray, capsule) pairs per call: all of them, those the cull selects,
+  those of the selection that pass the sphere test (the pairs the
+  capsule quadratics run on) and those whose quadratics hit.
 - static cast: the all-boxes-at-once form of `tests/oracles.py` and the
   program's box-by-box one, with the rays per call.
 """
@@ -34,7 +36,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from semgrid import synthworld  # noqa: E402
 from semgrid.sim import SimConfig, simulate  # noqa: E402
-from tests.oracles import cast_persons_dense, cast_static_dense, sphere_test_dense  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    capsule_hits_dense, cast_persons_dense, cast_static_dense, sphere_test_dense)
 
 SEED = 1
 UNITS = {
@@ -94,6 +97,15 @@ def cast_persons_with(min_pairs: int):
     return cast
 
 
+def cull_forced(capsules, blocks, dirs, best_t, best_c, blocked):
+    """synthworld._cull_pairs with the cull on whatever the pair count."""
+    saved, synthworld._CULL_MIN_PAIRS = synthworld._CULL_MIN_PAIRS, 0
+    try:
+        return list(synthworld._cull_pairs(capsules, blocks, dirs))
+    finally:
+        synthworld._CULL_MIN_PAIRS = saved
+
+
 def dense_persons(capsules, blocks, dirs, best_t, best_c, blocked):
     return cast_persons_dense(capsules, blocks, dirs, best_t.copy(), best_c.copy(), blocked)
 
@@ -113,25 +125,32 @@ def main() -> int:
     mismatched = 0
     for name, (persons, config) in UNITS.items():
         persons_calls, static_calls = capture_unit(persons, config)
-        rows = defaultdict(lambda: np.zeros(7))
+        rows = defaultdict(lambda: np.zeros(9))
         for caller, call in persons_calls:
             capsules, blocks, dirs, _, _, blocked = call
             timed = [best_ms(form, call, args.repeat) for form in person_forms]
             mismatched += not same_bits([out for _, out in timed])
-            selected = np.broadcast(*synthworld._cull_pairs(
-                *synthworld._bounding_spheres(capsules), blocks, dirs)).size
-            passed = sphere_test_dense(capsules, blocks, dirs)
+            cull_ms, chunks = best_ms(cull_forced, call, args.repeat)
+            selected = np.zeros((len(dirs), len(capsules[2])), dtype=bool)
+            for rays, caps in chunks:
+                selected[rays, caps] = True
+            passed = sphere_test_dense(capsules, blocks, dirs) & selected
             if blocked is not None:
                 passed &= ~blocked
-            rows[caller] += (1, *(ms for ms, _ in timed), passed.size, selected,
-                             np.count_nonzero(passed))
+            hits = np.isfinite(capsule_hits_dense(capsules, blocks, dirs, blocked))
+            mismatched += bool((hits & ~selected).any())
+            rows[caller] += (1, *(ms for ms, _ in timed), cull_ms, selected.size,
+                             np.count_nonzero(selected), np.count_nonzero(passed),
+                             np.count_nonzero(hits))
         print(f"\n{name}: person cast")
         print(f"{'caller':25s} {'calls':>5s} {'dense ms':>9s} {'all ms':>9s} "
-              f"{'culled ms':>9s} {'pairs':>9s} {'selected':>9s} {'passed':>8s}")
+              f"{'culled ms':>9s} {'cull ms':>8s} {'pairs':>9s} {'selected':>9s} "
+              f"{'passed':>8s} {'hit':>7s}")
         for caller, (calls, *per) in sorted(rows.items()):
-            dense_ms, all_ms, culled_ms, pairs, selected, passed = np.divide(per, calls)
+            dense_ms, all_ms, culled_ms, cull_ms, pairs, selected, passed, hit = \
+                np.divide(per, calls)
             print(f"{caller:25s} {calls:5.0f} {dense_ms:9.2f} {all_ms:9.2f} {culled_ms:9.2f} "
-                  f"{pairs:9.0f} {selected:9.0f} {passed:8.0f}")
+                  f"{cull_ms:8.2f} {pairs:9.0f} {selected:9.0f} {passed:8.0f} {hit:7.0f}")
         rows = defaultdict(lambda: np.zeros(4))
         for caller, call in static_calls:
             timed = [best_ms(form, call, args.repeat)
@@ -144,9 +163,9 @@ def main() -> int:
             dense_ms, boxwise_ms, rays = np.divide(per, calls)
             print(f"{caller:25s} {calls:5.0f} {dense_ms:9.2f} {boxwise_ms:10.2f} {rays:9.0f}")
     if mismatched:
-        print(f"\nERROR: {mismatched} casts differ between their forms")
+        print(f"\nERROR: {mismatched} casts differ between their forms or miss a hit pair")
         return 1
-    print("\nevery form of every cast gives the same bits")
+    print("\nevery form of every cast gives the same bits; every cull keeps every hit pair")
     return 0
 
 

@@ -28,6 +28,10 @@ FEEDBACK_MATCH_PX = 30.0
 FEEDBACK_PERSON_ID_BASE = 1000
 FEEDBACK_TTL_US = 500_000  # feedback not refreshed for this long is dropped
 SEND_QUEUE_LIMIT = 64
+# m, the least depth sigma a POSE frame carries: protocol requires sigma
+# > 0, and a constant patch or one valid pixel has zero spread, which a
+# camera calibrated with no depth noise would send as is
+MIN_DEPTH_SIGMA = 1e-3
 
 
 @dataclass
@@ -288,7 +292,7 @@ class SensorNode:
         if self.config.has_depth and depth is not None and ps.present.any():
             # NaN depth and sigma where a patch has no valid pixel
             keypoints[ps.present, 3:] = np.column_stack(estimate_keypoint_depths(
-                depth, plan.uv, self.config.calib.depth_noise_sigma))
+                depth, plan.uv, max(self.config.calib.depth_noise_sigma, MIN_DEPTH_SIGMA)))
         return dataclasses.replace(ps, keypoints=keypoints)
 
     def pose_tick(self, persons: list, depth: DepthImage | None,

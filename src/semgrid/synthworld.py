@@ -343,16 +343,30 @@ def _scene_capsules(scene: GroundTruthScene, t_s: float):
     return tuple(np.concatenate(part) for part in zip(*caps))
 
 
-# The broad phase of the person cast (_cull_pairs): spheres whose near
-# side is less than _CULL_NEAR m in front of the camera plane are tested
-# against every ray of their camera; the others only against the rays in
-# their image box, widened by _CULL_MARGIN_PX against rounding.  Below
-# _CULL_MIN_PAIRS (ray, capsule) pairs the sphere test runs on every pair
-# as (N,M) arrays instead: scripts/bench_cast.py puts the crossover of
-# the two near 48k pairs for keypoint patches, above it for joint rays.
+# The broad phase of the person cast (_cull_pairs): a capsule whose near
+# side is less than _CULL_NEAR m in front of the camera plane is tested
+# against every ray of its camera; any other only against the rays whose
+# image lies in its stadium, the points within rho of its projected axis.
+# A point q of the capsule is s + u, s on the axis and |u| <= r; in the
+# camera frame its image is s/s_z + (u s_z - s u_z)/(s_z q_z), and
+# |u s_z - s u_z| = |e_z x (u x s)| <= r |s|, with |s| at most the
+# larger of the ends' distances (the norm is convex on the segment),
+# s_z >= z_min and q_z >= z_min - r.  So every image of the capsule lies
+# within rho = f_max r max|p| / (z_min (z_min - r)) pixels of the
+# projected axis (Mara & McGuire 2013 bound a projected sphere the same
+# way).  rho is widened by _CULL_MARGIN_PX against rounding: float64
+# loses about 1e-15 of a coordinate, and the room-scale points at least
+# _CULL_NEAR in front of the plane have images within about 1e7 px of
+# the centre.  Below _CULL_MIN_PAIRS (ray, capsule) pairs every pair
+# is selected: scripts/bench_cast.py puts the crossover of the two forms
+# there.  The selected pairs are cast _CAST_CHUNK at a time, which keeps
+# a call's temporaries small: cast in one go, the fresh pages of the
+# temporaries took about a third of a crowd's keypoint-patch cast on a
+# 2-vCPU VM.
 _CULL_NEAR = 1e-3
-_CULL_MARGIN_PX = 1.0
+_CULL_MARGIN_PX = 0.01
 _CULL_MIN_PAIRS = 3 << 14
+_CAST_CHUNK = 8192
 
 
 def _runs(lo, hi):
@@ -364,7 +378,7 @@ def _runs(lo, hi):
 def _cell(x, size):
     """Pixel cell of image coordinates x, from 0 to size + 1: cells 1 to
     size are the image's, 0 and size + 1 take everything off either side."""
-    return np.clip(np.floor(x), -1, size).astype(np.int64) + 1
+    return np.minimum(np.maximum(np.floor(x), -1), size).astype(np.int64) + 1
 
 
 def _bounding_spheres(capsules):
@@ -373,61 +387,102 @@ def _bounding_spheres(capsules):
     return 0.5 * (p0s + p1s), 0.5 * np.sqrt(_rowdot(p1s - p0s, p1s - p0s)) + rs
 
 
-def _cull_pairs(centers, radii, blocks, dirs):
-    """(ray, capsule) pairs whose bounding-sphere test can pass, as
-    (rays, caps) index arrays: a superset of the pairs it accepts, or
-    every pair as (N,1) and (M,) arrays below _CULL_MIN_PAIRS.
+def _cull_pairs(capsules, blocks, dirs):
+    """(ray, capsule) pairs on which the capsule can be hit: a superset of
+    the pairs whose capsule quadratics hit, yielded as (rays, caps) index
+    arrays, each pair once, in chunks of about _CAST_CHUNK pairs (or of a
+    block's rays for one capsule); below _CULL_MIN_PAIRS every pair at
+    once, as (N,1) and (M,) arrays.
 
-    Rays start at their block's camera centre.  A ray can only touch a
-    sphere wholly in front of the camera plane at a point whose image is
-    the ray's own image position, and that lies inside the projection of
-    the sphere's camera-aligned bounding cube.  So the rays in front of
-    the plane are sorted by the pixel cell of their direction (block,
-    row, column), and such a sphere takes, row by row of its widened
-    box, the run of rays keyed between its columns.  A sphere not wholly
-    in front takes every ray of the block: only it can be reached by rays
-    that point behind the camera plane.
+    Rays start at their block's camera centre.  A ray can only hit a
+    capsule wholly in front of the camera plane at a point whose image is
+    the ray's own image position, and that lies in the capsule's stadium
+    (see _CULL_NEAR).  So the rays in front of the plane are sorted by
+    the pixel cell of their image (block, column, row), and such a
+    capsule takes, column by column of its stadium, the run of rays keyed
+    within rho of the y-range of its projected axis clipped to the column
+    widened by rho (a point of the stadium in the column is within rho of
+    an axis point in that widened column), and of those the rays whose
+    image is within rho of the projected axis.  Columns, not rows: the
+    people of these scenes stand, so a stadium spans fewer columns than
+    rows.  A capsule not wholly in front takes every ray of the block:
+    only it can be reached by rays that point behind the camera plane.
     """
-    if len(dirs) * len(centers) < _CULL_MIN_PAIRS:
-        return np.arange(len(dirs))[:, None], np.arange(len(centers))
+    p0s, p1s, rs = capsules
+    if len(dirs) * len(rs) < _CULL_MIN_PAIRS:
+        yield np.arange(len(dirs))[:, None], np.arange(len(rs))
+        return
     counts = np.array([n for _, n in blocks])
     start = np.cumsum(counts) - counts
     focal, centre, size = np.array([
         ((calib.fx, calib.fy), (calib.cx, calib.cy), (calib.width, calib.height))
         for calib, _ in blocks]).transpose(1, 0, 2)  # (blocks, 2) each, x then y
-    width, height = size.max(axis=0).astype(np.int64) + 2
-    dc = np.concatenate([dirs[s:s + n] @ calib.rotation  # camera frame
-                         for (calib, n), s in zip(blocks, start.tolist())])
-    ahead = dc[:, 2] > 0
-    cell = _cell(np.repeat(centre, counts, axis=0) + np.repeat(focal, counts, axis=0)
-                 * dc[:, :2] / np.where(ahead, dc[:, 2], 1.0)[:, None],
-                 np.repeat(size, counts, axis=0))
-    block = np.repeat(np.arange(len(blocks)), counts)
-    keys = np.where(ahead, (block * height + cell[:, 1]) * width + cell[:, 0], -1)
+    columns, rows = size.max(axis=0).astype(np.int64) + 2
+    # fx x + cx z, fy y + cy z and z of the camera-frame directions
+    image = np.concatenate([np.array(
+        [[calib.fx, 0.0, calib.cx], [0.0, calib.fy, calib.cy], [0.0, 0.0, 1.0]])
+        @ calib.rotation.T @ dirs[s:s + n].T for (calib, n), s in zip(blocks, start.tolist())],
+        axis=1)
+    ahead = image[2] > 0
+    x, y = image[:2] / np.where(ahead, image[2], 1.0)
+    width, height = np.repeat(size, counts, axis=0).T
+    keys = np.where(ahead, (np.repeat(np.arange(len(blocks)) * columns, counts)
+                            + _cell(x, width)) * rows + _cell(y, height), -1)
+    order = np.argsort(keys)
     origins = np.array([calib.center for calib, _ in blocks])
     rot = np.array([calib.rotation for calib, _ in blocks])
-    cam = np.einsum("bmj,bjk->bmk", centers - origins[:, None], rot)  # (blocks, M, 3)
-    front = cam[:, :, 2] - radii > _CULL_NEAR
+    # both axis ends in every camera's frame, (blocks, M, end, 3)
+    ends = np.einsum("bmej,bjk->bmek", np.stack([p0s, p1s], axis=1)
+                     - origins[:, None, None], rot)
+    z_min = ends[..., 2].min(axis=2)
+    front = z_min - rs > _CULL_NEAR
     b, m = np.nonzero(front)
-    r = radii[m, None] * (-1.0, 1.0)
-    # image x and y of the cube's corners, (F, x/y, X/Y -+ R, Z -+ R)
-    corners = (centre[b, :, None, None] + focal[b, :, None, None]
-               * (cam[b, m, :2, None] + r[:, None])[..., None]
-               / (cam[b, m, 2:3] + r)[:, None, None])
-    lo = _cell(corners.min(axis=(2, 3)) - _CULL_MARGIN_PX, size[b])
-    hi = _cell(corners.max(axis=(2, 3)) + _CULL_MARGIN_PX, size[b])
-    rows = hi[:, 1] + 1 - lo[:, 1]
-    row = (np.repeat(b * height, rows) + _runs(lo[:, 1], hi[:, 1] + 1)) * width
-    order = np.argsort(keys)
+    ends, z_min, r = ends[b, m], z_min[b, m], rs[m]
+    rho = (focal[b].max(axis=1) * r * np.sqrt(_dots(ends, ends).max(axis=1))
+           / (z_min * (z_min - r)) + _CULL_MARGIN_PX)
+    uv = centre[b, None] + focal[b, None] * ends[..., :2] / ends[..., 2:]  # (F, end, x/y)
+    # the projected axis a + s d, 0 <= s <= 1, and its stadium's columns
+    (ax, ay), (dx, dy) = uv[:, 0].T, (uv[:, 1] - uv[:, 0]).T
+    x_lo = _cell(np.minimum(ax, ax + dx) - rho, size[b, 0])
+    x_hi = _cell(np.maximum(ax, ax + dx) + rho, size[b, 0])
+    col = _runs(x_lo, x_hi + 1)
+    f = np.repeat(np.arange(len(b)), x_hi + 1 - x_lo)
+    # the column's band of image x, unbounded for the off-image cells,
+    # widened by rho, as a range of the axis parameter
+    band = np.stack([np.where(col > 0, col - 1.0, -np.inf),
+                     np.where(col <= size[b[f], 0], col, np.inf)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (band + [-rho[f], rho[f]] - ax[f]) / dx[f]
+    upright = dx[f] == 0
+    s = np.clip([np.where(upright, 0.0, np.fmin(*s)), np.where(upright, 1.0, np.fmax(*s))], 0, 1)
+    y_axis = ay[f] + s * dy[f]
+    key = (b[f] * columns + col) * rows
     # keys are integers, so the run of keys lo to hi is [lo, hi + 1)
-    first, last = np.searchsorted(keys[order], row + np.repeat([lo[:, 0], hi[:, 0] + 1], rows,
-                                                               axis=1))
-    near_b, near_m = np.nonzero(~front)
-    rays = np.concatenate([order[_runs(first, last)],
-                           _runs(start[near_b], start[near_b] + counts[near_b])])
-    caps = np.concatenate([np.repeat(np.repeat(m, rows), last - first),
-                           np.repeat(near_m, counts[near_b])])
-    return rays, caps
+    first, last = np.searchsorted(keys[order], [
+        key + _cell(y_axis.min(axis=0) - rho[f], size[b[f], 1]),
+        key + _cell(y_axis.max(axis=0) + rho[f], size[b[f], 1]) + 1])
+    dd = dx * dx + dy * dy
+    inv = 1.0 / np.where(dd > 0, dd, np.inf)
+    rr = rho * rho
+    # the runs' pairs, a chunk of runs at a time, and of those the rays
+    # whose image is within rho of the projected axis
+    pairs = last - first
+    bounds = np.unique(np.searchsorted(
+        np.cumsum(pairs), np.arange(_CAST_CHUNK, pairs.sum(), _CAST_CHUNK), "right")).tolist()
+    for lo, hi in zip([0, *bounds], [*bounds, len(pairs)]):
+        rays = order[_runs(first[lo:hi], last[lo:hi])]
+        pf = np.repeat(f[lo:hi], pairs[lo:hi])
+        px = x.take(rays) - ax.take(pf)
+        py = y.take(rays) - ay.take(pf)
+        pdx, pdy = dx.take(pf), dy.take(pf)
+        along = np.minimum(np.maximum((px * pdx + py * pdy) * inv.take(pf), 0.0), 1.0)
+        px -= along * pdx
+        py -= along * pdy
+        inside = px * px + py * py <= rr.take(pf)
+        yield rays[inside], m.take(pf[inside])
+    for near_b, near_m in zip(*np.nonzero(~front)):
+        rays = np.arange(start[near_b], start[near_b] + counts[near_b])
+        yield rays, np.full(len(rays), near_m)
 
 
 def _cast_persons(capsules, blocks, dirs, best_t, best_c, blocked=None):
@@ -437,40 +492,39 @@ def _cast_persons(capsules, blocks, dirs, best_t, best_c, blocked=None):
     each run of consecutive rays cast from one camera's centre.
     blocked: optional (N,M) bool, True where capsule m must not block
     ray n.  Each capsule's bounding sphere is tested on the (ray,
-    capsule) pairs _cull_pairs selects, and the capsule quadratics run
-    only on the pairs that pass.  Every value is computed per ray or per
-    pair, never summed across them, so a ray's result does not depend on
-    which other rays or pairs share the call, nor on the cull: it is the
-    result of testing the sphere against every ray.
+    capsule) pairs _cull_pairs selects, chunk by chunk, and the capsule
+    quadratics run only on the pairs that pass.  Every value is computed
+    per ray or per pair, never summed across them, so a ray's result
+    does not depend on which other rays or pairs share the call or a
+    chunk, nor on the cull, which keeps every pair whose quadratics hit:
+    it is the result of testing the sphere against every ray.
     """
     if capsules is None or len(dirs) == 0:
         return best_t, best_c
     centers, radii = _bounding_spheres(capsules)
     block_origins = np.array([calib.center for calib, _ in blocks], dtype=np.float64)
-    block = np.repeat(np.arange(len(blocks)), [n for _, n in blocks])
-    origins = block_origins[block]  # (N,3)
-    rays, caps = _cull_pairs(centers, radii, blocks, dirs)
+    counts = [n for _, n in blocks]
+    block = np.repeat(np.arange(len(blocks)), counts)
     # sphere test: t^2 |d|^2 + 2 t d.(o - c) + |o - c|^2 - R^2 has a
     # positive root where the discriminant is >= 0 and the ray points
     # towards the sphere or starts inside it.  (K,3) rows are gathered
     # with take, several times faster than fancy indexing.
     offset = block_origins[:, None, :] - centers  # (blocks, M, 3)
-    C = (np.einsum("bmj,bmj->bm", offset, offset) - radii * radii).take(
-        block[rays] * len(radii) + caps)
-    pair_dirs = dirs.take(rays, axis=0)
-    B = 2 * (_rowdot(dirs, origins)[rays] - _dots(pair_dirs, centers.take(caps, axis=0)))
+    C_all = (np.einsum("bmj,bmj->bm", offset, offset) - radii * radii).ravel()
+    od = _rowdot(dirs, np.repeat(block_origins, counts, axis=0))
     dd = _rowdot(dirs, dirs)
-    disc = B * B - 4 * dd[rays] * C
-    cand = (disc >= 0) & ((B < 0) | (C < 0))
-    if blocked is not None:
-        cand &= ~blocked.take(rays * len(radii) + caps)
-    rays, caps = (np.broadcast_to(i, cand.shape)[cand] for i in (rays, caps))
-    if len(rays) == 0:
-        return best_t, best_c
-    t = _ray_capsule_pairs(capsules, block_origins, block[rays], caps,
-                           dirs.take(rays, axis=0), dd[rays])
     nearest = np.full(len(dirs), np.inf)
-    np.minimum.at(nearest, rays, t)
+    for rays, caps in _cull_pairs(capsules, blocks, dirs):
+        C = C_all.take(block[rays] * len(radii) + caps)
+        B = 2 * (od[rays] - _dots(dirs.take(rays, axis=0), centers.take(caps, axis=0)))
+        disc = B * B - 4 * dd[rays] * C
+        cand = (disc >= 0) & ((B < 0) | (C < 0))
+        if blocked is not None:
+            cand &= ~blocked.take(rays * len(radii) + caps)
+        rays, caps = (np.broadcast_to(i, cand.shape)[cand] for i in (rays, caps))
+        if len(rays):
+            np.minimum.at(nearest, rays, _ray_capsule_pairs(
+                capsules, block_origins, block[rays], caps, dirs.take(rays, axis=0), dd[rays]))
     hit = nearest < best_t
     best_t[hit] = nearest[hit]
     best_c[hit] = PERSON_CLASS
@@ -696,24 +750,17 @@ def _project_box_to_image(calib: CameraCalib, bmin, bmax):
     return (float(u0), float(v0), float(u1), float(v1))
 
 
-def _visible_fraction(scene, calib, t_s, samples: np.ndarray, skip_person=None) -> float:
-    """Share of the samples the camera sees; skip_person's own capsules
-    never block."""
-    dirs = samples - calib.center
-    blocked = None
-    if skip_person is not None:
-        owner = np.repeat(np.arange(len(scene.persons)), len(_CAPSULE_JOINTS))
-        blocked = np.broadcast_to(owner == skip_person, (len(dirs), len(owner)))
-    t, cls = _cast_static(scene, t_s, calib.center, dirs)
-    _cast_persons(_scene_capsules(scene, t_s), [(calib, len(dirs))], dirs, t, cls, blocked)
-    return float(np.mean(t > 0.98))
-
-
 def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
                       frame_idx: int = 0) -> DetectionSet:
-    """Ground-truth 2D boxes of sufficiently visible objects and persons."""
+    """Ground-truth 2D boxes of sufficiently visible objects and persons.
+
+    An object is visible when the camera sees at least 30 % of its
+    samples: a box's centre and top centre, a person's joints, which the
+    person's own capsules never block.  The samples of every object in
+    the image are cast at once."""
     rng = scene_rng(scene, calib.sensor_id, frame_idx, _STREAM_DETECTIONS)
-    dets = []
+    # (class, 2D box, samples, person whose capsules do not block them)
+    candidates = []
     for b in scene.boxes:
         bmin, bmax = b.corners_at(t_s)
         box2d = _project_box_to_image(calib, bmin, bmax)
@@ -722,10 +769,7 @@ def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
         center = 0.5 * (bmin + bmax)
         top = center.copy()
         top[2] = bmax[2]
-        samples = np.vstack([center[None, :], top[None, :]])
-        if _visible_fraction(scene, calib, t_s, samples) < 0.3:
-            continue
-        dets.append(Detection(b.class_idx, float(rng.uniform(0.6, 0.95)), box2d))
+        candidates.append((b.class_idx, box2d, np.vstack([center, top]), -1))
     for pi, person in enumerate(scene.persons):
         joints = person.joints_at(t_s)
         uv, front, _ = project(calib, calib.world_to_cam(joints))
@@ -736,12 +780,20 @@ def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
         v0, v1 = np.clip([vs.min() - 3, vs.max() + 8], 0, calib.height - 1)
         if u1 - u0 < 2 or v1 - v0 < 2:
             continue
-        if _visible_fraction(scene, calib, t_s, joints, pi) < 0.3:
-            continue
-        dets.append(
-            Detection(PERSON_CLASS, float(rng.uniform(0.6, 0.95)), (u0, v0, u1, v1))
-        )
-    return DetectionSet(dets)
+        candidates.append((PERSON_CLASS, (u0, v0, u1, v1), joints, pi))
+    if not candidates:
+        return DetectionSet([])
+    counts = [len(samples) for _, _, samples, _ in candidates]
+    dirs = np.concatenate([samples for _, _, samples, _ in candidates]) - calib.center
+    owner = np.repeat([pi for _, _, _, pi in candidates], counts)
+    t, cls = _cast_static(scene, t_s, calib.center, dirs)
+    capsule_owner = np.repeat(np.arange(len(scene.persons)), len(_CAPSULE_JOINTS))
+    _cast_persons(_scene_capsules(scene, t_s), [(calib, len(dirs))], dirs, t, cls,
+                  owner[:, None] == capsule_owner)
+    seen = np.split(t > 0.98, np.cumsum(counts)[:-1])
+    return DetectionSet([Detection(class_idx, float(rng.uniform(0.6, 0.95)), box2d)
+                         for (class_idx, box2d, _, _), s in zip(candidates, seen)
+                         if np.mean(s) >= 0.3])
 
 
 # (joint, capsule): the capsule contains the joint
@@ -802,30 +854,29 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
     if noise_px < 0:
         raise ValueError("noise_px must be non-negative")
     rng = scene_rng(scene, calib.sensor_id, frame_idx, _STREAM_KEYPOINTS)
+    if not scene.persons:
+        return []
     if vis is None:
         vis = visible_joints_many(scene, [calib], t_s)[0]
-    observations = []
-    for pi, person in enumerate(scene.persons):
-        joints = person.joints_at(t_s)
-        uv, _, in_img = project(calib, calib.world_to_cam(joints))
-        # fixed-shape draws keep the rng stream aligned across configs
-        draws = rng.random((NUM_JOINTS, 2))
-        nudge = rng.standard_normal((NUM_JOINTS, 2))
-        visible = vis[pi]
-        # occluded joints fail with probability p_occ_fail: half of the
-        # failures are dropped, the rest displaced by the large error
-        fail = ~visible & (draws[:, 0] < p_occ_fail)
-        keep = in_img & np.where(visible, draws[:, 0] >= miss_rate, ~fail | (draws[:, 1] >= 0.5))
-        err = np.where(fail, OCC_ERROR_PX, noise_px)
-        u = np.clip(uv[:, 0] + err * nudge[:, 0], 0, calib.width - 1e-3)
-        v = np.clip(uv[:, 1] + err * nudge[:, 1], 0, calib.height - 1e-3)
-        # occluded estimates score low, as a pose CNN's would; the top of
-        # the range still leaks past downstream gates
-        conf = np.where(visible, 0.55 + 0.4 * draws[:, 1], 0.15 + 0.3 * draws[:, 1] * draws[:, 0])
-        if keep.any():
-            uvc = np.where(keep[:, None], np.column_stack([u, v, conf]), 0.0)
-            observations.append(PersonObservation(pi, uvc, keep, vis[pi]))
-    return observations
+    joints = np.stack([person.joints_at(t_s) for person in scene.persons])
+    uv, _, in_img = project(calib, calib.world_to_cam(joints))
+    # fixed-shape draws, person after person, keep the rng stream aligned
+    # across configs
+    draws, nudge = np.array([(rng.random((NUM_JOINTS, 2)), rng.standard_normal((NUM_JOINTS, 2)))
+                             for _ in scene.persons]).transpose(1, 0, 2, 3)
+    # occluded joints fail with probability p_occ_fail: half of the
+    # failures are dropped, the rest displaced by the large error
+    fail = ~vis & (draws[..., 0] < p_occ_fail)
+    keep = in_img & np.where(vis, draws[..., 0] >= miss_rate, ~fail | (draws[..., 1] >= 0.5))
+    err = np.where(fail, OCC_ERROR_PX, noise_px)
+    u = np.clip(uv[..., 0] + err * nudge[..., 0], 0, calib.width - 1e-3)
+    v = np.clip(uv[..., 1] + err * nudge[..., 1], 0, calib.height - 1e-3)
+    # occluded estimates score low, as a pose CNN's would; the top of
+    # the range still leaks past downstream gates
+    conf = np.where(vis, 0.55 + 0.4 * draws[..., 1], 0.15 + 0.3 * draws[..., 1] * draws[..., 0])
+    uvc = np.where(keep[..., None], np.stack([u, v, conf], axis=-1), 0.0)
+    return [PersonObservation(pi, uvc[pi], keep[pi], vis[pi])
+            for pi in np.flatnonzero(keep.any(axis=1)).tolist()]
 
 
 def box_shell_keys(bmin, bmax, resolution: float) -> np.ndarray:

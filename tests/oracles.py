@@ -833,21 +833,27 @@ def ray_capsule_pairs_per_pair(origins, dirs, p0, p1, r):
     return best
 
 
-def cast_persons_dense(capsules, blocks, dirs, best_t, best_c, blocked=None):
-    """synthworld._cast_persons with the bounding-sphere test run densely."""
-    if capsules is None or len(dirs) == 0:
-        return best_t, best_c
+def capsule_hits_dense(capsules, blocks, dirs, blocked=None) -> np.ndarray:
+    """(N,M) hit parameter of every (ray, capsule) pair that passes the
+    bounding-sphere test and is not blocked; np.inf for the others and
+    for the pairs whose capsule quadratics miss."""
     cand = sphere_test_dense(capsules, blocks, dirs)
     if blocked is not None:
         cand &= ~blocked
     rays, caps = np.nonzero(cand)
-    if len(rays) == 0:
-        return best_t, best_c
     p0s, p1s, rs = capsules
     origins = np.repeat([calib.center for calib, _ in blocks], [n for _, n in blocks], axis=0)
-    t = ray_capsule_pairs_per_pair(origins[rays], dirs[rays], p0s[caps], p1s[caps], rs[caps])
-    nearest = np.full(len(dirs), np.inf)
-    np.minimum.at(nearest, rays, t)
+    t = np.full(cand.shape, np.inf)
+    t[rays, caps] = ray_capsule_pairs_per_pair(origins[rays], dirs[rays], p0s[caps], p1s[caps],
+                                               rs[caps])
+    return t
+
+
+def cast_persons_dense(capsules, blocks, dirs, best_t, best_c, blocked=None):
+    """synthworld._cast_persons with the bounding-sphere test run densely."""
+    if capsules is None or len(dirs) == 0:
+        return best_t, best_c
+    nearest = capsule_hits_dense(capsules, blocks, dirs, blocked).min(axis=1)
     hit = nearest < best_t
     best_t[hit] = nearest[hit]
     best_c[hit] = PERSON_CLASS

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from semgrid.pose import NUM_JOINTS, CONF_MIN
 from semgrid.sensor_node import (
     FEEDBACK_PERSON_ID_BASE,
     KAPPA_FB,
+    MIN_DEPTH_SIGMA,
     SEND_QUEUE_LIMIT,
     SensorConfig,
     SensorNode,
@@ -104,6 +107,26 @@ class TestDepthEstimation:
     def test_empty_input(self):
         d, s = estimate_keypoint_depths(depth_image(np.ones((4, 4))), [])
         assert len(d) == 0 and len(s) == 0
+
+
+class TestZeroDepthNoise:
+    """A camera calibrated without depth noise sends POSE frames that
+    decode: a constant patch and a patch with one valid pixel have zero
+    spread, and the sensor sends MIN_DEPTH_SIGMA for them."""
+
+    def test_zero_spread_patches_decode(self):
+        calib = dataclasses.replace(CALIB, depth_noise_sigma=0.0)
+        n = SensorNode(SensorConfig(sensor_id=calib.sensor_id, calib=calib),
+                       class_fingerprint=42)
+        constant = np.full((calib.height, calib.width), 2.0)
+        lone = np.zeros_like(constant)
+        lone[20, 30] = 3.0  # the only valid pixel of the patch around (30, 20)
+        for ts, (img, depth) in enumerate(((constant, 2.0), (lone, 3.0))):
+            n.pose_tick([obs_of(0, {5: (30.0, 20.0, 0.9)})], depth_image(img), ts)
+            (frame,) = n.pop_frames()
+            keypoints = protocol.decode(frame).pose_set.keypoints
+            assert keypoints[0, 5, 3] == depth
+            assert keypoints[0, 5, 4] == np.float32(MIN_DEPTH_SIGMA)
 
 
 class TestConfig:

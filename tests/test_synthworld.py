@@ -1,16 +1,20 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semgrid import synthworld
-from semgrid.geometry import unpack_voxel_keys
+from semgrid.geometry import CameraCalib, unpack_voxel_keys
 from semgrid.pose import BONES, NUM_JOINTS
 from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS
 from semgrid.sensor_node import FramePlan
 from semgrid.voxmap import VoxelMap
 from tests.conftest import pose_set
 from tests.oracles import (
+    capsule_hits_dense,
     cast_persons_dense,
     project,
     ray_boxes_dense,
@@ -234,8 +238,9 @@ def pixel_rays(calib) -> np.ndarray:
 def assert_cast_matches_dense(capsules, blocks, dirs, best_t=None, best_c=None,
                               blocked=None) -> tuple:
     """Assert that the person cast gives the dense cast's bits and that
-    its cull selects every pair the sphere test passes, each once; return
-    the (N,M) selection and sphere-test passes."""
+    its cull selects, each once, every pair that passes the sphere test
+    and whose capsule quadratics hit: the pairs the bits depend on.
+    Return the (N,M) selection, sphere-test passes and hits."""
     if best_t is None:
         best_t = np.full(len(dirs), np.inf)
         best_c = np.full(len(dirs), synthworld.NO_CLASS, dtype=np.int64)
@@ -246,14 +251,15 @@ def assert_cast_matches_dense(capsules, blocks, dirs, best_t=None, best_c=None,
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     if capsules is None or len(dirs) == 0:
-        return None, None
-    rays, caps = synthworld._cull_pairs(*synthworld._bounding_spheres(capsules), blocks, dirs)
-    selected = np.zeros((len(dirs), len(capsules[2])), dtype=bool)
-    selected[rays, caps] = True
-    assert np.count_nonzero(selected) == np.broadcast(rays, caps).size
-    passed = sphere_test_dense(capsules, blocks, dirs)
-    assert not (passed & ~selected).any()
-    return selected, passed
+        return None, None, None
+    times = np.zeros((len(dirs), len(capsules[2])), dtype=np.int64)
+    for rays, caps in synthworld._cull_pairs(capsules, blocks, dirs):
+        np.add.at(times, (rays, caps), 1)
+    assert times.max(initial=0) <= 1
+    selected = times == 1
+    hits = np.isfinite(capsule_hits_dense(capsules, blocks, dirs, blocked))
+    assert not (hits & ~selected).any()
+    return selected, sphere_test_dense(capsules, blocks, dirs), hits
 
 
 def moved(calib, translation, rotation=None):
@@ -273,7 +279,7 @@ class TestPersonCastMatchesDense:
         hits = 0
         for calib in rig(scene):
             t, cls = synthworld._static_cast(scene, calib, t_s)
-            selected, _ = assert_cast_matches_dense(capsules, [(calib, len(t))],
+            selected, _, _ = assert_cast_matches_dense(capsules, [(calib, len(t))],
                                                     pixel_rays(calib), t.copy(), cls.copy())
             assert selected.mean() < 0.05
             hits += np.count_nonzero(synthworld.render_frame(scene, calib, t_s)[1]
@@ -319,7 +325,7 @@ class TestPersonCastMatchesDense:
         calib, capsules, centers, radii = self._scene()
         for m in (0, 1, 13):  # torso, head, a shin
             inside = moved(calib, centers[m] + 0.3 * radii[m] * calib.rotation[:, 1])
-            _, passed = assert_cast_matches_dense(
+            _, passed, _ = assert_cast_matches_dense(
                 capsules, [(inside, calib.width * calib.height)], pixel_rays(inside))
             assert passed[:, m].all()
 
@@ -338,7 +344,7 @@ class TestPersonCastMatchesDense:
         unit /= np.linalg.norm(unit, axis=1)[:, None]
         inside = centers[m] + 0.999 * radii[m] * unit - beside.center
         dirs = np.concatenate([pixel_rays(beside), side, -side, inside])
-        _, passed = assert_cast_matches_dense(capsules, [(beside, len(dirs))], dirs)
+        _, passed, _ = assert_cast_matches_dense(capsules, [(beside, len(dirs))], dirs)
         assert passed[:, m].any()
 
     def test_rays_behind_the_camera(self):
@@ -370,7 +376,7 @@ class TestPersonCastMatchesDense:
             scale = 1 + np.array([-1e-3, -1e-9, -1e-12, -1e-15, 0, 1e-15, 1e-12, 1e-9, 1e-3])
             ring = np.cos(angle)[:, None, None] * e1 + np.sin(angle)[:, None, None] * e2
             dirs = (axis + (scale[:, None, None, None] * reach[:, None] * ring)).reshape(-1, 3)
-            _, passed = assert_cast_matches_dense(capsules, [(cam, len(dirs))], dirs)
+            _, passed, _ = assert_cast_matches_dense(capsules, [(cam, len(dirs))], dirs)
             assert passed.any() and not passed.all()
 
     def test_no_persons_or_no_rays(self):
@@ -378,6 +384,84 @@ class TestPersonCastMatchesDense:
         assert_cast_matches_dense(None, [(calib, 5)], pixel_rays(calib)[:5])
         assert_cast_matches_dense(capsules, [(calib, 0)], np.empty((0, 3)))
         assert_cast_matches_dense(capsules, [(calib, 0), (calib, 0)], np.empty((0, 3)))
+
+
+# where a random capsule sits relative to the camera
+_PLACEMENTS = ("front", "border", "end-on", "inside", "straddling", "behind")
+
+
+def unit_rows(rng, n) -> np.ndarray:
+    u = rng.standard_normal((n, 3))
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
+@st.composite
+def capsule_casts(draw):
+    """A small random camera, capsules placed in its frame as drawn from
+    _PLACEMENTS (bones seen end-on and spheres included), and rays: every
+    pixel's, their reverse, rays to points on and just off the capsules'
+    surfaces and rays tangent to their end spheres, in one or two blocks.
+    Returns (capsules, blocks, dirs)."""
+    placements = draw(st.lists(st.sampled_from(_PLACEMENTS), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    width, height = 32, 24
+    calib = CameraCalib(0, width, height, *rng.uniform(15, 60, 2),
+                        *rng.uniform((12, 8), (20, 16)), q * np.sign(np.linalg.det(q)),
+                        rng.uniform(-2, 2, 3))
+    ends = []
+    for placement in placements:
+        r = rng.uniform(0.01, 0.3)
+        axis = unit_rows(rng, 1)[0] * rng.choice([0.0, rng.uniform(0.05, 1.0)])
+        u, v = rng.uniform((-4, -4), (width + 4, height + 4))
+        if placement == "border":
+            u = rng.choice([-0.5, 0.0, 0.5, width - 0.5, width, width + 0.5])
+        p0 = np.array([(u - calib.cx) / calib.fx, (v - calib.cy) / calib.fy, 1.0])
+        p0 *= rng.uniform(0.05, 6.0)
+        if placement == "end-on":
+            axis = p0 / np.linalg.norm(p0) * rng.uniform(0.05, 1.0) * rng.choice([-1, 1])
+        elif placement == "inside":
+            p0 = -rng.uniform(0, 1) * axis + 0.9 * r * unit_rows(rng, 1)[0]
+        elif placement == "straddling":
+            p0[2] = rng.uniform(-r, r + 2e-3)
+        elif placement == "behind":
+            p0[2] *= -1
+        ends.append((p0, p0 + axis, r))
+    p0s, p1s, rs = (np.array(part) for part in zip(*ends))
+    capsules = (calib.cam_to_world(p0s), calib.cam_to_world(p1s), rs)
+    dirs = [pixel_rays(calib)]
+    dirs.append(-dirs[0])
+    for p0, p1, r in zip(*capsules):
+        # points on the surface, and scaled just off it either way
+        s = p0 + rng.uniform(0, 1, (40, 1)) * (p1 - p0) + r * unit_rows(rng, 40)
+        dirs.append((s - calib.center) * rng.choice([1 - 1e-9, 1.0, 1 + 1e-9], (40, 1)))
+        for end in (p0, p1):
+            axis = end - calib.center
+            dist = np.linalg.norm(axis)
+            if dist > r * 1.01:
+                e1 = np.cross(axis, unit_rows(rng, 1)[0])
+                e1 /= np.linalg.norm(e1)
+                e2 = np.cross(axis / dist, e1)
+                angle = rng.uniform(0, 2 * np.pi, (12, 1))
+                reach = r * dist / np.sqrt(dist ** 2 - r ** 2)
+                dirs.append(axis + reach * (np.cos(angle) * e1 + np.sin(angle) * e2)
+                            * rng.choice([1 - 1e-12, 1.0, 1 + 1e-12], (12, 1)))
+    dirs = np.concatenate(dirs)
+    split = draw(st.integers(0, len(dirs)))
+    return capsules, [(calib, split), (calib, len(dirs) - split)], dirs
+
+
+class TestCullKeepsHitPairs:
+    """Property: with the cull forced on and the pairs cast in small
+    chunks, the cull keeps every pair whose capsule quadratics hit and
+    the cast gives the dense cast's bits, wherever the capsules are."""
+
+    @settings(max_examples=60)
+    @given(capsule_casts())
+    def test_random_capsules(self, cast):
+        with mock.patch.object(synthworld, "_CULL_MIN_PAIRS", 0), \
+                mock.patch.object(synthworld, "_CAST_CHUNK", 97):
+            assert_cast_matches_dense(*cast)
 
 
 def boxes_at(scene, t_s) -> list:
