@@ -8,7 +8,9 @@ only in what the backend feeds back.  The defaults are the workload of
 tests/test_acceptance.py::TestAblationOrdering.  The total wall time is
 printed with the part spent in the synthetic-world renderer (the test
 harness) on its own line: the time of outermost calls into synthworld's
-public functions, which the simulator reaches through the module.
+public functions, which the simulator reaches through the module.  Per
+ablation it also prints the depth pixels the harness cast: those the
+sensors read that the observation cache did not hold yet.
 """
 
 import argparse
@@ -64,6 +66,21 @@ class HarnessTimer:
         return timed
 
 
+class PixelCounter:
+    """Counts the depth pixels asked of synthworld.sparse_pixel_depths_many,
+    the cast behind every sensor's depth patches."""
+
+    def __init__(self):
+        self.pixels = 0
+        cast = synthworld.sparse_pixel_depths_many
+
+        def counted(scene, requests, *args, **kwargs):
+            self.pixels += sum(len(pixels) for _, pixels in requests)
+            return cast(scene, requests, *args, **kwargs)
+
+        synthworld.sparse_pixel_depths_many = counted
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
@@ -77,7 +94,9 @@ def main() -> int:
 
     t0 = time.perf_counter()
     harness = HarnessTimer()
+    counter = PixelCounter()
     averages: dict[str, list[float]] = {a: [] for a in ABLATIONS}
+    cast = dict.fromkeys(ABLATIONS, 0)
     tables: dict[str, dict[str, float]] = {}
     for seed in args.seeds:
         scene = synthworld.make_default_scene(seed=seed,
@@ -92,7 +111,9 @@ def main() -> int:
                 integrate_clouds=False,
                 map_source="structure",
             )
+            before = counter.pixels
             result = simulate(scene, calibs, config, obs_cache=cache)
+            cast[ablation] += counter.pixels - before
             table = reproj_table(result.reproj_records)
             averages[ablation].append(table["Avg"])
             tables[ablation] = table
@@ -117,6 +138,11 @@ def main() -> int:
     print(f"median Avg over {len(args.seeds)} seeds:")
     for ablation in ABLATIONS:
         print(f"  {ablation:<13} {statistics.median(averages[ablation]):.4f}")
+    print()
+    print(f"depth pixels cast by the harness, over {len(args.seeds)} seeds "
+          "(later ablations reuse the cache):")
+    for ablation in ABLATIONS:
+        print(f"  {ablation:<13} {cast[ablation]:>11,}")
     total = time.perf_counter() - t0
     print(f"total wall time: {total:.1f} s")
     print(f"  synthworld (harness): {harness.total_s:.1f} s")

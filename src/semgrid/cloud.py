@@ -20,10 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from . import semantics
 from .geometry import (
@@ -227,13 +223,20 @@ def _knn_means(pts: np.ndarray, kk: int) -> np.ndarray:
     sums squared differences in x, y, z order and takes the root, as
     cKDTree does, so both give the same bits; each row's sum runs over one
     contiguous run of them and is divided by kk - 1 as mean divides it.
+    The fallback trees skip balancing and node compaction, which change
+    their layout but not a query's distances.
     """
+    # imported here so that processes which build no cloud never load scipy
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
+
     n = len(pts)
     s = CLOUD_VOXEL_RES * math.sqrt(kk)
     try:
         idx = voxel_indices_of(pts, s)
     except VoxelRangeError:
-        return cKDTree(pts).query(pts, k=kk)[0][:, 1:].mean(axis=1)
+        return cKDTree(pts, balanced_tree=False, compact_nodes=False).query(
+            pts, k=kk)[0][:, 1:].mean(axis=1)
     order, starts, run_lo, run_hi = _cell_grid(pack_voxel_keys(idx), 1)
     spts = pts[order]
     # the 27 tiles around a tile are 9 runs of consecutive sorted points,
@@ -269,7 +272,8 @@ def _knn_means(pts: np.ndarray, kk: int) -> np.ndarray:
     face = np.minimum(spts - scell, scell + s - spts).min(axis=1)
     redo = np.flatnonzero(~(kth < s + face - slack))
     if len(redo):
-        sums[redo] = np.add.reduce(cKDTree(pts).query(spts[redo], k=kk)[0][:, 1:], axis=1)
+        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        sums[redo] = np.add.reduce(tree.query(spts[redo], k=kk)[0][:, 1:], axis=1)
     sums[order] = sums / (kk - 1)  # the sum over the count: the bits of mean
     return sums
 
@@ -361,6 +365,10 @@ def _sq_dist(xyz: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _components(n: int, edges: list[tuple[np.ndarray, np.ndarray]]):
     """(count, labels) of the connected components of n nodes joined by
     the (a, b) edge arrays."""
+    # imported here so that processes which build no cloud never load scipy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     a = np.concatenate([e[0] for e in edges])
     b = np.concatenate([e[1] for e in edges])
     return connected_components(coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)),

@@ -20,8 +20,9 @@ boolean masks, from the sensor over the wire to the backend and back:
 
 An absent entry holds 0 in u, v, confidence and n_views and NaN in depth,
 sigma, pos and vel; a present keypoint without a depth estimate has NaN
-depth and sigma.  Readers select entries by the masks, never by these
-fill values.
+depth and sigma; sensors estimate depth only for the joints the backend
+can fuse (PoseSet2p5D.fusable), the only ones whose depth it reads.
+Readers select entries by the masks, never by these fill values.
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ class PoseSet2p5D:
         _check_shapes(self, keypoints=(n, NUM_JOINTS, 5), present=(n, NUM_JOINTS),
                       from_feedback=(n, NUM_JOINTS))
 
+    @property
+    def fusable(self) -> np.ndarray:
+        """(P,17) the joints the backend can fuse, the only ones whose depth
+        it reads: present, not sourced from feedback, and confident by
+        CONF_MIN.  The confidence is compared as the backend sees it,
+        rounded to float32 on the wire, so a sensor asks this of its frame
+        before encoding and gets the backend's answer."""
+        conf = self.keypoints[..., 2].astype(np.float32).astype(np.float64)
+        return self.present & ~self.from_feedback & (conf >= CONF_MIN)
+
 
 @dataclass
 class SkeletonSet:
@@ -127,17 +138,15 @@ def _centroids(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 def _view_arrays(views: list[PoseSet2p5D]):
     """Keypoints of V views padded with NaN to the most persons P of any
-    view and at least one, (V,P,17,5), and usable (V,P,17): the confident
-    keypoints not sourced from feedback, which association and
-    triangulation read."""
+    view and at least one, (V,P,17,5), and usable (V,P,17): the fusable
+    keypoints, which association and triangulation read."""
     n_p = max([1] + [len(v.person_ids) for v in views])
     kp = np.full((len(views), n_p, NUM_JOINTS, 5), np.nan)
     usable = np.zeros((len(views), n_p, NUM_JOINTS), dtype=bool)
     for i, v in enumerate(views):
         n = len(v.person_ids)
         kp[i, :n] = v.keypoints
-        usable[i, :n] = v.present & ~v.from_feedback
-    usable &= kp[..., 2] >= CONF_MIN
+        usable[i, :n] = v.fusable
     return kp, usable
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -124,19 +124,24 @@ def estimate_keypoint_depths(depth: DepthImage, uvs: np.ndarray,
 @dataclass
 class FramePlan:
     """What process_frame builds for one frame before depth is known: the
-    frame's pose set with depth and sigma still NaN.  The depth of every
-    present joint is read in the patch around its (u, v)."""
+    frame's pose set with depth and sigma still NaN, and the joints whose
+    depth is read in the patch around their (u, v): those the backend can
+    fuse (PoseSet2p5D.fusable).  Every other present joint keeps NaN depth
+    and sigma, since the backend never reads them."""
 
     persons: list
     feedback_version: int
     live_feedback: protocol.FeedbackMessage | None
     pose_set: PoseSet2p5D
+    measured: np.ndarray = field(init=False)  # (P,17) pose_set.fusable
+
+    def __post_init__(self):
+        self.measured = self.pose_set.fusable
 
     @property
     def uv(self) -> np.ndarray:
-        """(K,2) pixel of every present joint, person by person."""
-        ps = self.pose_set
-        return ps.keypoints[ps.present][:, :2]
+        """(K,2) pixel of every measured joint, person by person."""
+        return self.pose_set.keypoints[self.measured][:, :2]
 
     @property
     def patch_pixels(self) -> np.ndarray:
@@ -289,9 +294,9 @@ class SensorNode:
         self.latest_feedback = plan.live_feedback
         ps = plan.pose_set
         keypoints = ps.keypoints.copy()
-        if self.config.has_depth and depth is not None and ps.present.any():
+        if self.config.has_depth and depth is not None and plan.measured.any():
             # NaN depth and sigma where a patch has no valid pixel
-            keypoints[ps.present, 3:] = np.column_stack(estimate_keypoint_depths(
+            keypoints[plan.measured, 3:] = np.column_stack(estimate_keypoint_depths(
                 depth, plan.uv, max(self.config.calib.depth_noise_sigma, MIN_DEPTH_SIGMA)))
         return dataclasses.replace(ps, keypoints=keypoints)
 

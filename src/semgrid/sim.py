@@ -143,8 +143,10 @@ class ObservationCache:
     noise-config) combination, shared across runs that differ only in
     ablation.  Observations are ablation-independent, so re-running the
     same seed for another ablation can reuse keypoints and already-rendered
-    depth pixels; only depth patches around feedback-specific pixels
-    still have to be cast."""
+    depth pixels.  Sensors read depth only for joints the backend can
+    fuse, all of them local detections, so no patch is cast for a
+    feedback-sourced joint, and after a run without feedback the later
+    ablations of the seed cast nothing new."""
 
     def __init__(self):
         self.keypoints: dict[tuple[int, int], list] = {}

@@ -1,10 +1,11 @@
+import dataclasses
 import logging
 import socket
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -19,7 +20,7 @@ from semgrid.backend import (
 )
 from semgrid.cloud import SemanticCloud
 from semgrid.geometry import VoxelRangeError
-from semgrid.pose import TRACK_STALE_S, PoseSet2p5D
+from semgrid.pose import CONF_MIN, NUM_JOINTS, TRACK_STALE_S, PoseSet2p5D
 from semgrid.semantics import NUM_CLASSES, log_softmax_rows
 from semgrid.sim import SimConfig, simulate
 from tests import oracles
@@ -447,6 +448,71 @@ class TestUnindexableJoints:
         person, feedback = self.tick_after(protocol.PoseMessage(ps))
         assert np.abs(person[:3]).max() > 1e11
         assert feedback.present[0, :3].all() and not feedback.occluded.any()
+
+
+# confidences at CONF_MIN's edge: float32(CONF_MIN) and the float32 steps
+# either side of it, and the float64 just below CONF_MIN, which the wire
+# rounds up to float32(CONF_MIN)
+_F32_MIN = np.float32(CONF_MIN)
+EDGE_CONFS = [float(np.nextafter(_F32_MIN, np.float32(0))), float(_F32_MIN),
+              float(np.nextafter(_F32_MIN, np.float32(1))), float(np.nextafter(CONF_MIN, 0.0))]
+CONFS = st.sampled_from([0.0, 0.2, 0.35, 0.39, 0.41, 0.9, 1.0] + EDGE_CONFS)
+ODD_DEPTHS = st.one_of(st.just(float("nan")), st.floats(1e-3, 1e3))
+
+
+class TestUnfusableDepthIgnored:
+    """The backend reads a joint's depth only where PoseSet2p5D.fusable
+    holds, so depth and sigma on feedback-sourced joints and on joints
+    below CONF_MIN change nothing: a tick's skeletons and feedback are the
+    same bits with any values there as with NaN."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), ablation=st.sampled_from(ABLATIONS))
+    def test_tick_unchanged(self, data, ablation):
+        t = 1_000_000
+        points = [np.array([-0.5, 0.2, 1.0]), np.array([0.6, -0.3, 1.1])]
+        # a small cloud of joints around each person's point
+        spread = np.linspace(-0.2, 0.2, NUM_JOINTS)[:, None] * [1.0, 0.5, 2.0]
+        frames = []
+        for sid in range(4):
+            persons = []
+            for k, point in enumerate(points):
+                joints = {}
+                for j in range(NUM_JOINTS):
+                    if not data.draw(st.booleans()):
+                        continue
+                    u, v, z = project(CALIBS[sid], point + spread[j])
+                    du, dv = data.draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)))
+                    joints[j] = (u + du, v + dv, data.draw(CONFS), z, 0.02,
+                                 data.draw(st.booleans()))
+                persons.append((k, joints))
+            # the backend's own view of the frame, confidences rounded
+            (msg,) = protocol.StreamDecoder().feed(protocol.encode(
+                protocol.PoseMessage(pose_set(sid, t - 5_000, persons))))
+            frames.append(msg.pose_set)
+        ignored = [ps.present & ~ps.fusable for ps in frames]
+        counts = [int(m.sum()) for m in ignored]
+        odd = data.draw(st.lists(st.tuples(st.floats(), st.floats()),
+                                 min_size=sum(counts), max_size=sum(counts)))
+        odd = np.split(np.array(odd, dtype=np.float64).reshape(-1, 2), np.cumsum(counts)[:-1])
+
+        def tick(fills):
+            b = backend_with_sensors(4, ablation=ablation)
+            for ps, mask, fill in zip(frames, ignored, fills):
+                kp = ps.keypoints.copy()
+                kp[mask, 3:] = fill
+                b.on_message(protocol.PoseMessage(dataclasses.replace(ps, keypoints=kp)), t)
+            out = b.tick(now_us=t)
+            skels = b.skeletons
+            return ([a.tobytes() for a in (skels.person_ids, skels.pos, skels.conf,
+                                           skels.n_views, skels.present)],
+                    [protocol.encode(out[sid]) for sid in sorted(out)])
+
+        expected = tick([np.nan] * len(frames))
+        # values no frame can carry (inf, negative, 1e308) overflow in the
+        # entries that are computed for the whole array and never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert tick(odd) == expected
 
 
 # the refusals the live service turns into a log line and a closed

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
@@ -150,13 +156,14 @@ class TestOutlierFilter:
 
 class RowCounter:
     """Counts the rows the filter's k-NN answers from tiles (cdist) and
-    from its cKDTree fallback."""
+    from its cKDTree fallback.  The filter imports both from scipy when
+    it runs, so they are patched there."""
 
     def __init__(self, monkeypatch):
         self.tile_rows = 0
         self.tree_rows = 0
         counter = self
-        real_cdist = cloud_mod.cdist
+        real_cdist = scipy.spatial.distance.cdist
 
         def cdist(a, b, metric):
             counter.tile_rows += len(a)
@@ -167,8 +174,8 @@ class RowCounter:
                 counter.tree_rows += len(x)
                 return super().query(x, *args, **kwargs)
 
-        monkeypatch.setattr(cloud_mod, "cdist", cdist)
-        monkeypatch.setattr(cloud_mod, "cKDTree", Tree)
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", cdist)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
 
     def reset(self):
         self.tile_rows = self.tree_rows = 0
@@ -468,3 +475,34 @@ class TestDetection:
             Detection(0, 1.0, (0, 0, 1, 1))
         with pytest.raises(ValueError):
             Detection(0, 0.0, (0, 0, 1, 1))
+
+
+# run in a fresh interpreter, which has loaded nothing of scipy yet
+SCIPY_PROBE = """
+import sys
+from semgrid import backend, cli, protocol, sensor_node, sim, synthworld
+
+def loaded():
+    return sorted(m for m in ("scipy.sparse", "scipy.spatial") if m in sys.modules)
+
+assert loaded() == [], loaded()
+scene = synthworld.make_default_scene(seed=1, n_persons=2)
+calibs = synthworld.make_camera_rig(scene)
+sim.simulate(scene, calibs, sim.SimConfig(duration_s=0.2, integrate_clouds=False,
+                                          map_source="structure"))
+assert loaded() == [], loaded()
+# one tick of one sensor, which builds its first cloud
+sim.simulate(scene, calibs[:1], sim.SimConfig(duration_s=1 / 30))
+assert loaded() == ["scipy.sparse", "scipy.spatial"], loaded()
+"""
+
+
+def test_scipy_loads_only_where_clouds_are_built():
+    """Importing the service modules and a pose-only simulate load neither
+    scipy.spatial nor scipy.sparse; the first cloud loads both."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

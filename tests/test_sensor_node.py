@@ -362,6 +362,41 @@ class TestFramePlan:
                     for dv in range(-2, 3) for du in range(-2, 3)]
         assert plan.patch_pixels.tolist() == [list(p) for p in expected]
 
+    def test_depth_only_for_fusable_joints(self):
+        """The sensor measures depth, 25 pixels each, for exactly the
+        joints the backend can fuse, as the backend will see them after
+        the wire rounds their confidence to float32, and sends NaN depth
+        and sigma for every other present joint."""
+        f32_min = np.float32(CONF_MIN)
+        confs = [0.9, float(f32_min), np.nextafter(CONF_MIN, 0.0),  # rounds up to f32_min
+                 float(np.nextafter(f32_min, np.float32(0))), 0.39, 0.1, 1.0, CONF_MIN]
+        fusable = [True, True, True, False, False, False, True, True]
+        local = {j: (8.0 + 3 * j, 20.0, c) for j, c in enumerate(confs)}
+        n = node()
+        # feedback matches the local person and adds joints 8-11, and
+        # brings a person seen only in feedback
+        n.handle_feedback(feedback([
+            (5, {j: (8.0 + 3 * j, 20.0, False) for j in range(12)}),
+            (6, {j: (10.0 + 2 * j, 35.0, False) for j in range(4)})]), 0)
+        persons = [obs_of(0, local)]
+        plan = n.plan_frame(persons, 1000)
+        ps = plan.pose_set
+        assert ps.present.sum() == 8 + 4 + 4 and ps.from_feedback.sum() == 4 + 4
+        expected = np.zeros(ps.present.shape, dtype=bool)
+        expected[0, :8] = fusable
+        assert (plan.measured == expected).all()
+        assert len(plan.patch_pixels) == 25 * sum(fusable)
+        assert plan.patch_pixels.tolist() == [
+            [int(u) + du, int(v) + dv] for (u, v, _), fus in zip(local.values(), fusable)
+            if fus for dv in range(-2, 3) for du in range(-2, 3)]
+        img = np.full((CALIB.height, CALIB.width), 2.0)
+        sent = n.process_frame(persons, depth_image(img), 1000, plan=plan)
+        depth = sent.keypoints[..., 3:]
+        assert np.isfinite(depth[expected]).all()
+        assert np.isnan(depth[ps.present & ~expected]).all()
+        (msg,) = protocol.StreamDecoder().feed(protocol.encode(protocol.PoseMessage(sent)))
+        assert (msg.pose_set.fusable == expected).all()
+
     def test_plan_for_another_frame_rejected(self):
         n = node()
         obs = [obs_of(0, {3: (10.0, 10.0, 0.9)})]
