@@ -26,7 +26,13 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, Backend, serve
-from .geometry import VoxelRangeError, load_calibs, pack_voxel_keys, voxel_indices_of
+from .geometry import (
+    KEY_WEIGHTS,
+    VoxelRangeError,
+    load_calibs,
+    pack_voxel_keys,
+    voxel_indices_of,
+)
 from .ply import read_ply, read_xyz, write_ply
 from .semantics import NUM_CLASSES, ClassSet
 from .sensor_node import SensorNode, load_sensor_config
@@ -221,6 +227,32 @@ def _iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else float("nan")
 
 
+# the packed-key offsets of a voxel's 3x3x3 block
+_BLOCK_OFFSETS = np.array(np.meshgrid(*[[-1, 0, 1]] * 3)).reshape(3, -1).T @ KEY_WEIGHTS
+
+
+def _near(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """For each packed key, whether a key of sorted `other` lies in its
+    3x3x3 block.  A packed field of a valid index is never 0, and one step
+    off the packable range leaves a 0 field (or a negative key), so no
+    offset key aliases a voxel that is not a neighbour."""
+    if len(other) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    cand = keys[:, None] + _BLOCK_OFFSETS
+    at = np.minimum(np.searchsorted(other, cand), len(other) - 1)
+    return (other[at] == cand).any(axis=1)
+
+
+def _tolerance_scores(map_keys: np.ndarray, gt_keys: np.ndarray) -> tuple[float, float, float]:
+    """Precision, recall and F-score at a one-voxel tolerance of sorted,
+    distinct packed keys: a map voxel is correct when a true voxel lies in
+    its 3x3x3 block, a true voxel is found when a map voxel lies in its."""
+    precision = float(_near(map_keys, gt_keys).mean()) if len(map_keys) else float("nan")
+    recall = float(_near(gt_keys, map_keys).mean()) if len(gt_keys) else float("nan")
+    f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f_score
+
+
 def cmd_eval_map(args) -> int:
     run = Path(args.run_dir)
     meta = _load_meta(run, duration_s=(int, float))
@@ -239,6 +271,10 @@ def cmd_eval_map(args) -> int:
     print(f"map voxels:           {len(map_keys)}")
     print(f"ground-truth voxels:  {len(gt_keys)}")
     print(f"occupancy IoU:        {_iou(map_keys, gt_keys):.4f}")
+    precision, recall, f_score = _tolerance_scores(map_keys, gt_keys)
+    print(f"precision (1 voxel):  {precision:.4f}")
+    print(f"recall (1 voxel):     {recall:.4f}")
+    print(f"F-score (1 voxel):    {f_score:.4f}")
 
     common, i_map, i_gt = np.intersect1d(map_keys, gt_keys,
                                          return_indices=True)

@@ -198,6 +198,57 @@ class TestEvalMap:
         iou = len(np.intersect1d(map_keys, gt)) / len(np.union1d(map_keys, gt))
         assert f"occupancy IoU:        {iou:.4f}" in stdout
 
+    def test_tolerance_scores_printed(self, short_run, capsys):
+        from semgrid.cli import MAP_RESOLUTION, _load_map_keys, _tolerance_scores
+        from semgrid.synthworld import load_scene, structure_voxel_keys
+        code, stdout, _ = run_cli(capsys, "eval-map", str(short_run))
+        assert code == EXIT_OK
+        duration = json.loads((short_run / "meta.json").read_text())["duration_s"]
+        gt = structure_voxel_keys(load_scene(short_run / "scene.ini"), duration,
+                                  MAP_RESOLUTION)
+        p, r, f = _tolerance_scores(_load_map_keys(short_run)[0], gt)
+        assert 0.9 < p <= 1 and 0.5 < r <= 1
+        assert f"precision (1 voxel):  {p:.4f}" in stdout
+        assert f"recall (1 voxel):     {r:.4f}" in stdout
+        assert f"F-score (1 voxel):    {f:.4f}" in stdout
+
+    def test_tolerance_forgives_one_voxel_not_two(self):
+        from semgrid.cli import _iou, _tolerance_scores
+        from semgrid.synthworld import box_shell_keys
+        # a one-voxel-thick box is all shell: shifted by one voxel across
+        # it, no voxel is shared, yet each lies next to the other
+        wall = box_shell_keys([0.0, -1.0, 0.0], [0.1, 1.0, 2.0], 0.1)
+        shifted = box_shell_keys([0.1, -1.0, 0.0], [0.2, 1.0, 2.0], 0.1)
+        assert _iou(shifted, wall) == 0.0
+        assert _tolerance_scores(shifted, wall) == (1.0, 1.0, 1.0)
+        # a hollow box shifted by one voxel on every axis
+        box = box_shell_keys([0.0, 0.0, 0.0], [0.8, 0.6, 0.5], 0.1)
+        moved = box_shell_keys([0.1, 0.1, 0.1], [0.9, 0.7, 0.6], 0.1)
+        assert _tolerance_scores(moved, box) == (1.0, 1.0, 1.0)
+        # a voxel two cells off the wall is wrong, and finds nothing
+        far = pack_voxel_keys(np.array([[-2, 0, 5]]))
+        with_far = np.sort(np.r_[shifted, far])
+        p, r, _ = _tolerance_scores(with_far, wall)
+        assert p == len(shifted) / len(with_far) and r == 1.0
+        p, r, _ = _tolerance_scores(far, wall)
+        assert p == 0.0 and r == 0.0
+        near = pack_voxel_keys(np.array([[-1, 0, 5]]))
+        assert _tolerance_scores(near, wall)[0] == 1.0
+
+    def test_tolerance_at_the_packable_edge(self):
+        from semgrid.cli import _tolerance_scores
+        # one step past the edge of a packed field must not wrap onto a
+        # voxel at the other end of the range
+        top = (1 << 20) - 1
+        for axis in range(3):
+            a = np.zeros((1, 3), dtype=np.int64)
+            b = np.zeros((1, 3), dtype=np.int64)
+            a[0, axis], b[0, axis] = top, -top
+            ka, kb = pack_voxel_keys(a), pack_voxel_keys(b)
+            assert _tolerance_scores(ka, kb)[:2] == (0.0, 0.0)
+            assert _tolerance_scores(kb, ka)[:2] == (0.0, 0.0)
+        assert np.isnan(_tolerance_scores(np.empty(0, np.int64), ka)[0])
+
     @pytest.mark.parametrize("bad", [np.nan, 1e30])
     def test_unbinnable_centre_is_data_error(self, short_run, tmp_path, capsys, bad):
         run = tmp_path / "bad_map"
