@@ -13,7 +13,7 @@ with the sim's prior, --repeat times, and prints the median over the
 clouds of each cloud's best time.  After the stages and after the
 integration it prints the process's peak resident set size so far,
 which includes the sim unit that captured the inputs.  The filter's
-50 ms and the clustering's 20 ms budgets are real-time targets;
+25 ms and the clustering's 20 ms budgets are real-time targets;
 exceeding one prints a warning but does not fail, since the time
 depends on the host.
 """
@@ -35,7 +35,7 @@ from semgrid.sim import SimConfig, simulate  # noqa: E402
 from semgrid.voxmap import VoxelMap  # noqa: E402
 
 SEED = 1
-BUDGET_MS = {"statistical_outlier_filter": 50.0, "remove_ground_and_cluster": 20.0}
+BUDGET_MS = {"statistical_outlier_filter": 25.0, "remove_ground_and_cluster": 20.0}
 
 
 def capture_inputs() -> tuple[list[tuple], list[tuple], np.ndarray]:

@@ -26,13 +26,7 @@ import numpy as np
 
 from . import protocol, synthworld
 from .backend import ABLATIONS, Backend, serve
-from .geometry import (
-    KEY_WEIGHTS,
-    VoxelRangeError,
-    load_calibs,
-    pack_voxel_keys,
-    voxel_indices_of,
-)
+from .geometry import KEY_WEIGHTS, VoxelRangeError, load_calibs, pack_voxel_keys, voxel_indices_of
 from .ply import read_ply, read_xyz, write_ply
 from .semantics import NUM_CLASSES, ClassSet
 from .sensor_node import SensorNode, load_sensor_config

@@ -5,24 +5,25 @@ outliers, clusters the above-ground points and attaches a class
 distribution to every point by sampling the segmentation mask and fusing
 overlapping detections.
 
-The outlier filter's k-NN and the clustering run on one cell grid
-(`_cell_grid`): points sorted by packed cell key, with the runs of
-occupied cells around each cell.  The filter takes its candidates from
-the 27 tiles around a point's tile and checks them against a bound.  The
-clustering is exact grid DBSCAN with minPts = 1: its cells are small
+The outlier filter and the clustering run on one cell grid
+(`_cell_grid`): points sorted by cell key, with the runs of occupied
+cells around each cell.  The filter counts the points in the 5x5x5 block
+of cells around each point, from the run bounds alone, and drops the
+points whose count lies more than a standard deviation below the mean.
+The clustering is exact grid DBSCAN with minPts = 1: its cells are small
 enough to be cliques, so only neighbour cells still in different
 components need their point pairs tested.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import semantics
 from .geometry import (
+    KEY_WEIGHTS,
     CameraCalib,
     VoxelRangeError,
     pack_voxel_keys,
@@ -32,14 +33,11 @@ from .geometry import (
 from .semantics import NUM_CLASSES
 
 CLOUD_VOXEL_RES = 0.05
-OUTLIER_K = 50
 OUTLIER_STDDEV_MULT = 1.0
 CLUSTER_DIST = 0.25
 MIN_CLUSTER = 10
 FLOOR_Z = 0.10
 NMS_IOU = 0.5
-# the largest distance block the outlier filter's k-NN holds at once (8 MB)
-_KNN_BLOCK = 1 << 20
 # the most point pairs clustering tests at once
 _PAIR_BLOCK = 1 << 20
 
@@ -159,123 +157,86 @@ def voxel_downsample(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def statistical_outlier_filter(points: np.ndarray, k: int = OUTLIER_K) -> np.ndarray:
-    """Drop points whose mean k-NN distance exceeds mean +
-    OUTLIER_STDDEV_MULT * stddev."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) <= k:
-        return pts
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    mean_d = _knn_means(pts, k + 1)
-    thresh = mean_d.mean() + OUTLIER_STDDEV_MULT * mean_d.std()
-    return pts[mean_d <= thresh]
+def statistical_outlier_filter(points: np.ndarray) -> np.ndarray:
+    """Drop the points of sparse neighbourhoods: statistical outlier
+    removal with a voxel count for the mean neighbour distance.
 
-
-def _cell_grid(keys: np.ndarray, reach: int, forward: bool = False):
-    """Points sorted by packed cell key, and the occupied cells around
-    every occupied cell.
-
-    Returns (order, starts, run_lo, run_hi).  `order` sorts the keys,
-    stably, so the points of a cell keep their index order;
-    starts[c]:starts[c + 1] are the sorted positions of occupied cell c.
-    The cells within +-reach of c on every axis lie in (2*reach + 1)**2
-    x-y columns, each a run of 2*reach + 1 consecutive keys: occupied
-    cells run_lo[c, j]:run_hi[c, j] are the j-th column's, columns in
-    (dx, dy) order.  With forward, only the cells after c: keys sort like
-    cells, so those are c's own column after c and the columns after it.
-    A run is a key range, so at the edge of the packable range it may
-    take in cells that are not neighbours; callers test real distances,
-    so such cells cost time only.
+    A point's count is the number of points whose CLOUD_VOXEL_RES cell
+    lies in the 5x5x5 block of cells around its own, itself included.  A
+    point is kept when its count is at least the counts' mean minus
+    OUTLIER_STDDEV_MULT standard deviations, so equal counts keep every
+    point.  The block is symmetric, so each cell counts the points of the
+    neighbour cells after it, and adds its own points to those cells: a
+    range add over their runs, one difference array for all.  Raises
+    VoxelRangeError for a point beyond the packable cell range.
     """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(pts) == 0:
+        return pts
+    order, starts, run_lo, run_hi = _cell_grid(
+        voxel_indices_of(pts, CLOUD_VOXEL_RES), 2, forward=True)
+    size = np.diff(starts)
+    after = (starts[run_hi] - starts[run_lo]).sum(axis=1)
+    # integer sums in float64, exact far beyond any cloud's point count
+    added = np.repeat(size.astype(np.float64), run_lo.shape[1])
+    edge = len(size) + 1
+    before = np.cumsum(np.bincount(run_lo.ravel(), added, edge)
+                       - np.bincount(run_hi.ravel(), added, edge))[:-1]
+    counts = np.empty(len(pts), dtype=np.intp)
+    counts[order] = np.repeat(size + after + before.astype(np.intp), size)
+    return pts[counts >= counts.mean() - OUTLIER_STDDEV_MULT * counts.std()]
+
+
+def _cell_grid(idx: np.ndarray, reach: int, forward: bool = False):
+    """Points sorted by cell, and the occupied cells around every
+    occupied cell.
+
+    idx holds the points' (N,3) cell indices.  Returns (order, starts,
+    run_lo, run_hi).  `order` sorts the points by cell, stably, so the
+    points of a cell keep their index order; starts[c]:starts[c + 1] are
+    the sorted positions of occupied cell c.  The cells within +-reach of
+    c on every axis lie in (2*reach + 1)**2 x-y columns, each a run of
+    2*reach + 1 consecutive cell keys: occupied cells run_lo[c, j]:run_hi[c, j]
+    are the j-th column's, columns in (dx, dy) order.  With forward, only
+    the cells after c: keys sort like cells, so those are c's own column
+    after c and the columns after it.  A cell's key packs its index less
+    the cloud's lowest, with reach spare cells below and above on every
+    axis, so no run wraps onto cells at the far side of the cloud; a cloud
+    that spans more cells than that leaves raises VoxelRangeError.
+    """
+    rel = idx - (idx.min(axis=0) - reach)
+    if rel.max() + reach >= KEY_WEIGHTS[1]:
+        raise VoxelRangeError("cloud spans more cells than a cell key holds")
+    keys = rel @ KEY_WEIGHTS
     order = np.argsort(keys, kind="stable")
     skeys = keys[order]
     first = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
     ckeys = skeys[first]
     off = range(-reach, reach + 1)
-    cols = np.array([(dx, dy, 0) for dx in off for dy in off])
+    cols = np.array([(dx, dy, 0) for dx in off for dy in off]) @ KEY_WEIGHTS
     if forward:
         cols = cols[len(cols) // 2:]
-    # one column's keys at a time are sorted, which searchsorted is fastest on
-    mid = (pack_voxel_keys(cols) - pack_voxel_keys(np.zeros((1, 3))))[:, None] + ckeys
-    run_lo = np.searchsorted(ckeys, mid - reach, "left").T
-    run_hi = np.searchsorted(ckeys, mid + reach, "right").T
+    run_lo = np.empty((len(cols), len(ckeys)), dtype=np.intp)
+    run_hi = np.empty_like(run_lo)
+    for j, col in enumerate(cols.tolist()):
+        run_lo[j] = _ranks(ckeys, ckeys + (col - reach), right=False)
+        run_hi[j] = _ranks(ckeys, ckeys + (col + reach), right=True)
     if forward:
-        run_lo[:, 0] = np.arange(1, len(ckeys) + 1)
-    return order, np.r_[first, len(keys)], run_lo, run_hi
+        run_lo[0] = np.arange(1, len(ckeys) + 1)
+    return order, np.r_[first, len(keys)], run_lo.T, run_hi.T
 
 
-def _knn_means(pts: np.ndarray, kk: int) -> np.ndarray:
-    """Mean distance from every point to its kk - 1 nearest other points:
-    cKDTree(pts).query(pts, kk)[0][:, 1:].mean(axis=1), bit for bit.
-
-    Points are binned into cubic tiles of edge s = CLOUD_VOXEL_RES *
-    sqrt(kk), which hold about kk points of a downsampled surface.  A
-    point's candidates are the points of the 27 tiles around its own; every
-    other point is farther than s plus the point's distance to its own
-    tile's faces.  So the kk smallest candidate distances are the true ones
-    when the largest of them is below that bound; the bound carries a slack
-    for rounding, which can only send a row to the cKDTree fallback, never
-    accept a wrong one.  Rows that fail (sparse regions, tile corners) and
-    clouds beyond the packable tile range are asked of a cKDTree.  cdist
-    sums squared differences in x, y, z order and takes the root, as
-    cKDTree does, so both give the same bits; each row's sum runs over one
-    contiguous run of them and is divided by kk - 1 as mean divides it.
-    The fallback trees skip balancing and node compaction, which change
-    their layout but not a query's distances.
-    """
-    # imported here so that processes which build no cloud never load scipy
-    from scipy.spatial import cKDTree
-    from scipy.spatial.distance import cdist
-
-    n = len(pts)
-    s = CLOUD_VOXEL_RES * math.sqrt(kk)
-    try:
-        idx = voxel_indices_of(pts, s)
-    except VoxelRangeError:
-        return cKDTree(pts, balanced_tree=False, compact_nodes=False).query(
-            pts, k=kk)[0][:, 1:].mean(axis=1)
-    order, starts, run_lo, run_hi = _cell_grid(pack_voxel_keys(idx), 1)
-    spts = pts[order]
-    # the 27 tiles around a tile are 9 runs of consecutive sorted points,
-    # joined in a CSR index of candidates per tile
-    run_lo = starts[run_lo].ravel()
-    run_len = starts[run_hi].ravel() - run_lo
-    run_end = np.cumsum(run_len)
-    cand = np.arange(run_end[-1]) + np.repeat(run_lo - (run_end - run_len), run_len)
-    cand_ptr = np.r_[0, run_end[8::9]]
-    n_cand = np.diff(cand_ptr)
-
-    sums = np.empty(n)  # of each row's kk - 1 nearest distances, averaged at the end
-    kth = np.full(n, np.inf)  # the kk-th distance of each row a tile answered
-    busy = np.flatnonzero((n_cand >= kk) & (n_cand <= _KNN_BLOCK))
-    starts = starts.tolist()
-    for t, c0, c1 in zip(busy.tolist(), cand_ptr[busy].tolist(), cand_ptr[busy + 1].tolist()):
-        cpts = spts.take(cand[c0:c1], axis=0)
-        step = _KNN_BLOCK // (c1 - c0)
-        for r0 in range(starts[t], starts[t + 1], step):
-            r1 = min(r0 + step, starts[t + 1])
-            d2 = cdist(spts[r0:r1], cpts, "sqeuclidean")
-            d2.partition(kk - 1, axis=1)
-            d = d2[:, :kk]
-            d.sort(axis=1)
-            np.sqrt(d, out=d)
-            np.add.reduce(d[:, 1:], axis=1, out=sums[r0:r1])
-            kth[r0:r1] = d[:, -1]
-
-    # covers the rounding of distances, which grows with the coordinates,
-    # and the binning's snap, which moves tile faces by 1e-9 of an edge
-    slack = 2e-9 * (s + np.abs(pts).max())
-    scell = idx[order] * s
-    face = np.minimum(spts - scell, scell + s - spts).min(axis=1)
-    redo = np.flatnonzero(~(kth < s + face - slack))
-    if len(redo):
-        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-        sums[redo] = np.add.reduce(tree.query(spts[redo], k=kk)[0][:, 1:], axis=1)
-    sums[order] = sums / (kk - 1)  # the sum over the count: the bits of mean
-    return sums
+def _ranks(cells: np.ndarray, needles: np.ndarray, right: bool) -> np.ndarray:
+    """np.searchsorted(cells, needles, "right" if right else "left") for
+    sorted needles, by one stable merge sort of both (faster than a
+    binary search per needle): equal keys keep their concatenation order,
+    so needles sort after the cells they equal (right) or before them."""
+    n = len(needles)
+    if right:
+        merged = np.argsort(np.concatenate([cells, needles]), kind="stable")
+        return np.flatnonzero(merged >= len(cells)) - np.arange(n)
+    merged = np.argsort(np.concatenate([needles, cells]), kind="stable")
+    return np.flatnonzero(merged < n) - np.arange(n)
 
 
 def remove_ground_and_cluster(
@@ -306,7 +267,7 @@ def remove_ground_and_cluster(
     if len(above) == 0:
         return []
     order, starts, run_lo, run_hi = _cell_grid(
-        pack_voxel_keys(voxel_indices_of(pts[above], 0.55 * cluster_dist)), 2, forward=True)
+        voxel_indices_of(pts[above], 0.55 * cluster_dist), 2, forward=True)
     # the sorted points' coordinates, one row per axis
     xyz = pts[above[order]].T.copy()
     n_cell = len(starts) - 1

@@ -122,7 +122,14 @@ class VoxelMap:
     def _index_occupied(self, flipped=None) -> None:
         """Refresh the occupied keys and their grid after a write (from the rows
         that flipped, if given), each replaced whole: a reader sees one state."""
-        keys = self._sorted_keys[self._log_odds[self._sorted_rows] > 0]
+        if flipped is None:
+            keys = self._sorted_keys[self._log_odds[self._sorted_rows] > 0]
+        else:  # the freed keys leave the sorted occupied keys, the newly occupied join
+            now = self._log_odds[flipped] > 0
+            occ = self._occ_keys
+            keys = np.delete(occ, np.searchsorted(occ, self._keys[flipped[~now]]))
+            joined = np.sort(self._keys[flipped[now]])
+            keys = np.insert(keys, np.searchsorted(keys, joined), joined)
         if flipped is not None and self._occ_grid is not None:
             grid, lo, strides = self._occ_grid
             idx = unpack_voxel_keys(self._keys[flipped]) - lo

@@ -5,13 +5,14 @@ association and triangulation (one candidate loop per group and member,
 one solve per group), the per-camera form of feedback, the per-skeleton
 form of the tracker and the dense form of the person-capsule cast, which
 the batched ones must match bit for bit.
-Also the readers tests use to look at one voxel-map cell, and the dense
+Also the readers tests use to look at one voxel-map cell, the dense
 form of the map's class rows, one per cell, that its slot table must
-match."""
+match, and the cloud outlier filter offset by offset."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semgrid import synthworld
+from semgrid.cloud import CLOUD_VOXEL_RES, OUTLIER_STDDEV_MULT
 from semgrid.geometry import (
+    _KEY_BIAS,
     CameraCalib,
     bresenham3d_keys,
     pack_voxel_keys,
@@ -259,6 +262,33 @@ def bresenham3d_many(origin: np.ndarray, targets: np.ndarray):
         cells.append(c)
         ray_ids.append(np.full(d0 + 1, i, dtype=np.intp))
     return np.concatenate(cells), np.concatenate(ray_ids)
+
+
+# -- cloud ---------------------------------------------------------------------
+
+
+def count_outlier_filter(points: np.ndarray) -> np.ndarray:
+    """The voxel-count outlier filter offset by offset: a point's count
+    sums, over the 125 offsets within 2 cells on every axis, the points
+    of the offset cell, looked up by packed key among the occupied cells
+    (an offset cell beyond the packable range holds none); a point is kept
+    when its count is at least the counts' mean minus OUTLIER_STDDEV_MULT
+    standard deviations."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(pts) == 0:
+        return pts
+    keys, cell_of, size = np.unique(pack_voxel_keys(voxel_indices_of(pts, CLOUD_VOXEL_RES)),
+                                    return_inverse=True, return_counts=True)
+    cells = unpack_voxel_keys(keys)
+    block = np.zeros(len(keys), dtype=np.intp)
+    for offset in itertools.product(range(-2, 3), repeat=3):
+        near = cells + offset
+        packable = (np.abs(near) < _KEY_BIAS).all(axis=1)
+        near_keys = pack_voxel_keys(near[packable])
+        at = np.minimum(np.searchsorted(keys, near_keys), len(keys) - 1)
+        block[packable] += np.where(keys[at] == near_keys, size[at], 0)
+    counts = block[cell_of]
+    return pts[counts >= counts.mean() - OUTLIER_STDDEV_MULT * counts.std()]
 
 
 # -- semantics, voxel map -----------------------------------------------------

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.spatial.distance
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
@@ -18,8 +17,6 @@ from semgrid.cloud import (
     CLOUD_VOXEL_RES,
     CLUSTER_DIST,
     FLOOR_Z,
-    OUTLIER_K,
-    OUTLIER_STDDEV_MULT,
     DepthImage,
     Detection,
     DetectionSet,
@@ -32,24 +29,11 @@ from semgrid.cloud import (
     statistical_outlier_filter,
     voxel_downsample,
 )
-from semgrid.geometry import pack_voxel_keys, voxel_indices_of
+from semgrid.geometry import VoxelRangeError, pack_voxel_keys, voxel_indices_of
 from semgrid.semantics import NUM_CLASSES, PERSON_CLASS, uniform_rows
 from semgrid.sim import SimConfig, simulate
 from tests.conftest import make_ring_calibs
-
-
-def reference_outlier_filter(points, k=OUTLIER_K, stddev_mult=OUTLIER_STDDEV_MULT):
-    """The outlier filter with one cKDTree k-NN query per point: the
-    reference the tiled k-NN must match bit for bit."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) <= k:
-        return pts
-    dists, _ = cKDTree(pts).query(pts, k=k + 1)
-    mean_d = dists[:, 1:].mean(axis=1)
-    thresh = mean_d.mean() + stddev_mult * mean_d.std()
-    return pts[mean_d <= thresh]
+from tests.oracles import count_outlier_filter
 
 
 def reference_clusters(points_world, floor_z=FLOOR_Z, cluster_dist=0.25, min_cluster=10):
@@ -138,47 +122,64 @@ class TestOutlierFilter:
         rng = np.random.default_rng(0)
         dense = rng.normal(scale=0.05, size=(200, 3))
         outlier = np.array([[5.0, 5.0, 5.0]])
-        kept = statistical_outlier_filter(np.vstack([dense, outlier]), k=10)
+        kept = statistical_outlier_filter(np.vstack([dense, outlier]))
         assert len(kept) < 201
         assert not np.any(np.all(np.isclose(kept, outlier), axis=1))
 
     def test_small_input_passthrough(self):
+        # two lone points have equal counts, and equal counts keep every point
         pts = np.array([[0, 0, 0], [1, 1, 1.0]])
-        assert np.array_equal(statistical_outlier_filter(pts, k=10), pts)
+        assert np.array_equal(statistical_outlier_filter(pts), pts)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_equal_counts_keep_every_point(self):
+        # counts of 1, of 4 (one point per cell of a 2 x 2 patch), and of
+        # 3 x 3 x 3 = 27 points in one cell: the standard deviation is 0
+        lone = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        patch = (np.mgrid[0:2, 0:2, 0:1].reshape(3, -1).T + 0.5) * CLOUD_VOXEL_RES
+        blob = np.full((27, 3), 0.52) + np.arange(27)[:, None] * 1e-4
+        for pts in (lone, patch, blob, np.array([[3.0, -2.0, 7.0]])):
+            assert np.array_equal(statistical_outlier_filter(pts), pts)
+
+    def test_lone_point_dropped_and_dense_plane_kept_whole(self):
+        # a 20 x 20 plane, one point per cell, among 100 lone points a metre
+        # apart: the plane's corners count 9, the lone points 1
+        plane = (np.mgrid[0:20, 0:20, 0:1].reshape(3, -1).T + 0.5) * CLOUD_VOXEL_RES
+        lone = np.mgrid[0:10, 0:10, 2:3].reshape(3, -1).T + 0.01
+        pts = np.vstack([plane, lone])
+        assert np.array_equal(statistical_outlier_filter(pts), plane)
+        assert np.array_equal(count_outlier_filter(pts), plane)
+
+    def test_empty(self):
+        out = statistical_outlier_filter(np.empty((0, 3)))
+        assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e16])
     def test_non_finite_rejected(self, bad):
         pts = np.random.default_rng(0).normal(size=(60, 3))
         pts[17, 1] = bad
-        with pytest.raises(ValueError):
-            statistical_outlier_filter(pts, k=10)
+        with pytest.raises(VoxelRangeError):
+            statistical_outlier_filter(pts)
+
+    def test_cloud_spanning_the_packable_range(self):
+        # cells of index +-(2**20 - 1) are the packable range's ends; a
+        # cloud's keys need 2 spare cells beyond its extent on each side
+        top = (1 << 20) - 1
+        for spare in (3, 2):
+            idx = np.array([[0, -top + spare, 0], [0, top, 0]])
+            pts = (idx + 0.5) * CLOUD_VOXEL_RES
+            if spare == 3:
+                assert np.array_equal(statistical_outlier_filter(pts), pts)
+            else:
+                with pytest.raises(VoxelRangeError):
+                    statistical_outlier_filter(pts)
 
 
-class RowCounter:
-    """Counts the rows the filter's k-NN answers from tiles (cdist) and
-    from its cKDTree fallback.  The filter imports both from scipy when
-    it runs, so they are patched there."""
-
-    def __init__(self, monkeypatch):
-        self.tile_rows = 0
-        self.tree_rows = 0
-        counter = self
-        real_cdist = scipy.spatial.distance.cdist
-
-        def cdist(a, b, metric):
-            counter.tile_rows += len(a)
-            return real_cdist(a, b, metric)
-
-        class Tree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                counter.tree_rows += len(x)
-                return super().query(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial.distance, "cdist", cdist)
-        monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
-
-    def reset(self):
-        self.tile_rows = self.tree_rows = 0
+def per_cell(pts: np.ndarray, count: int) -> np.ndarray:
+    """count points for each of pts: pts, then copies moved a little up
+    each axis, so most stay in their cell (several points per cell, as in
+    a cloud that was not downsampled) and some cross into the next."""
+    step = 0.5 * CLOUD_VOXEL_RES / count
+    return np.vstack([pts + j * step for j in range(count)])
 
 
 @pytest.fixture(scope="module")
@@ -210,102 +211,57 @@ def sim_clouds(sim_captures):
 
 
 class TestOutlierFilterMatchesReference:
-    """The tiled k-NN keeps exactly the points the cKDTree filter keeps."""
+    """The filter keeps exactly the points the offset-by-offset count
+    filter keeps; the parameter is the number of points per input point
+    (per_cell)."""
 
-    def check(self, pts, k):
-        got = statistical_outlier_filter(pts, k=k)
-        want = reference_outlier_filter(pts, k=k)
+    def check(self, pts):
+        got = statistical_outlier_filter(pts)
+        want = count_outlier_filter(pts)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-        if len(pts):
-            # the means themselves, also where the filter passes the points
-            # through (n <= k: the tree's missing neighbours are inf)
-            means = cloud_mod._knn_means(pts, k + 1)
-            assert np.array_equal(means, cKDTree(pts).query(pts, k=k + 1)[0][:, 1:].mean(axis=1))
+        return got
 
-    @pytest.mark.parametrize("k", [1, 10, 50])
-    def test_random_clouds(self, monkeypatch, k):
-        rows = RowCounter(monkeypatch)
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            for scale in (0.05, 0.3, 1.0, 4.0, 1e3):
-                pts = rng.normal(size=(1500, 3)) * scale + rng.uniform(-50, 50, 3)
-                self.check(pts, k)
-        assert rows.tile_rows > 0 and rows.tree_rows > 0
+    @pytest.mark.parametrize("count", [1, 10, 50])
+    @given(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7), st.integers(-7, 7),
+                              st.sampled_from([0.0, 0.25, 0.5, 0.999])),
+                    min_size=1, max_size=120),
+           st.sampled_from([0.0, -3.3, 1e3, 5.2e4, -5.2e4]))
+    def test_random_clouds(self, count, raw, shift):
+        # integer cells, with fractions that put points on cell faces and
+        # corners; shifts up to the packable range's ends (+-52,428 m)
+        cells = np.array(raw, dtype=np.float64)
+        pts = (cells[:, :3] + cells[:, 3:]) * CLOUD_VOXEL_RES + shift
+        self.check(per_cell(pts, count))
 
-    @pytest.mark.parametrize("k", [1, 10, 50])
-    def test_lattice_ties(self, monkeypatch, k):
-        # points on a 5 cm lattice give many equal distances, and lattice
-        # steps of a tile edge put points exactly on tile faces
-        rows = RowCounter(monkeypatch)
-        s = CLOUD_VOXEL_RES * np.sqrt(k + 1)
-        for step in (CLOUD_VOXEL_RES, s / 2, s):
-            grid = np.mgrid[0:11, 0:11, 0:11].reshape(3, -1).T * step
-            self.check(grid, k)
-            self.check(grid - 5 * step, k)
-        assert rows.tile_rows > 0
+    @pytest.mark.parametrize("count", [1, 10, 50])
+    def test_lattice_ties(self, count):
+        # lattice steps of a cell put points on cell faces; a step of two
+        # and three cells leaves neighbours at the block's edge and beyond
+        for step in (1, 2, 3):
+            grid = np.mgrid[0:11, 0:11, 0:11].reshape(3, -1).T * step * CLOUD_VOXEL_RES
+            for pts in (grid, grid - 5 * step * CLOUD_VOXEL_RES, grid[::7], grid[::3]):
+                self.check(per_cell(pts, count))
 
-    @pytest.mark.parametrize("k", [1, 10, 50])
-    def test_planes_and_lines(self, monkeypatch, k):
-        rows = RowCounter(monkeypatch)
+    @pytest.mark.parametrize("count", [1, 10, 50])
+    def test_planes_and_lines(self, count):
         rng = np.random.default_rng(7)
         plane = np.column_stack([rng.uniform(0, 3, 4000), rng.uniform(0, 3, 4000),
                                  np.full(4000, 1.25)])
         tilted = plane @ np.array([[1, 0, 0], [0, 0.6, 0.8], [0, -0.8, 0.6]])
         line = np.outer(np.arange(800) * CLOUD_VOXEL_RES, [0.6, 0.0, 0.8])
-        for pts in (plane, tilted, line, line + rng.normal(scale=0.01, size=line.shape)):
-            self.check(pts, k)
-        assert rows.tile_rows > 0
+        scattered = rng.uniform(-5, 5, size=(300, 3))
+        for pts in (plane, tilted, line, line + rng.normal(scale=0.01, size=line.shape),
+                    np.vstack([plane, scattered])):
+            kept = self.check(per_cell(pts, count))
+            assert 0 < len(kept) < count * len(pts)
 
-    @pytest.mark.parametrize("k", [1, 10, 50])
-    def test_sparse_clouds_take_the_fallback(self, monkeypatch, k):
-        rows = RowCounter(monkeypatch)
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(0, 40, size=(400, 3))
-        self.check(pts, k)
-        assert rows.tile_rows == 0 and rows.tree_rows > 0
-        # a dense blob next to sparse outliers: both paths in one call
-        rows.reset()
-        mixed = np.vstack([rng.normal(scale=0.2, size=(2000, 3)), pts])
-        self.check(mixed, k)
-        assert rows.tile_rows > 0 and rows.tree_rows >= len(pts)
-
-    @pytest.mark.parametrize("k", [1, 10, 50])
-    def test_sizes_around_k(self, k):
-        rng = np.random.default_rng(k)
-        for n in (1, k, k + 1, k + 2):
-            pts = rng.normal(scale=0.1, size=(n, 3))
-            self.check(pts, k)
-        assert np.array_equal(statistical_outlier_filter(np.empty((0, 3)), k=k),
-                              np.empty((0, 3)))
-
-    def test_grid_too_large_for_tile_keys(self, monkeypatch):
-        rows = RowCounter(monkeypatch)
-        rng = np.random.default_rng(5)
-        pts = rng.normal(size=(300, 3))
-        pts[:100] += 1e16
-        pts[100:200, 1] -= 1e16
-        self.check(pts, 10)
-        assert rows.tile_rows == 0 and rows.tree_rows > 0
-
-    def test_row_blocks(self, monkeypatch):
-        # a tiny block bound splits tiles into row blocks and sends tiles
-        # with more candidates than one block holds to the fallback
-        rows = RowCounter(monkeypatch)
-        rng = np.random.default_rng(2)
-        pts = rng.normal(scale=0.3, size=(3000, 3))
-        for block in (4000, 400):
-            monkeypatch.setattr(cloud_mod, "_KNN_BLOCK", block)
-            self.check(pts, 10)
-        assert rows.tile_rows > 0 and rows.tree_rows > 0
-
-    @pytest.mark.parametrize("k", [1, 10, 50])
-    def test_sim_clouds(self, monkeypatch, sim_clouds, k):
+    @pytest.mark.parametrize("count", [1, 10, 50])
+    def test_sim_clouds(self, sim_clouds, count):
         assert len(sim_clouds) == 8 and all(len(c) > 1000 for c in sim_clouds)
-        rows = RowCounter(monkeypatch)
-        for pts in sim_clouds:
-            self.check(pts, k)
-        assert rows.tile_rows > 0 and rows.tree_rows > 0
+        for pts in sim_clouds if count == 1 else sim_clouds[::4]:
+            kept = self.check(per_cell(pts, count))
+            assert 0.5 * count * len(pts) < len(kept) < count * len(pts)
 
 
 class TestClustering:
@@ -493,13 +449,14 @@ sim.simulate(scene, calibs, sim.SimConfig(duration_s=0.2, integrate_clouds=False
 assert loaded() == [], loaded()
 # one tick of one sensor, which builds its first cloud
 sim.simulate(scene, calibs[:1], sim.SimConfig(duration_s=1 / 30))
-assert loaded() == ["scipy.sparse", "scipy.spatial"], loaded()
+assert loaded() == ["scipy.sparse"], loaded()
 """
 
 
 def test_scipy_loads_only_where_clouds_are_built():
     """Importing the service modules and a pose-only simulate load neither
-    scipy.spatial nor scipy.sparse; the first cloud loads both."""
+    scipy.spatial nor scipy.sparse; the first cloud loads scipy.sparse
+    (clustering's connected components) and never scipy.spatial."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -431,6 +431,41 @@ class TestSlotTable:
         assert np.argmax(map_cell(vmap, (0, 0, 15))[1]) == 7
 
 
+class TestOccupiedIndex:
+    """The occupied keys, merged from the rows each write flips, equal
+    their full recomputation after every write."""
+
+    @given(prior=st.lists(near_axis, max_size=12),
+           clouds=st.lists(st.lists(near_axis, min_size=1, max_size=12), min_size=1, max_size=12),
+           seed=st.integers(0, 2**16))
+    def test_merged_keys_match_recomputation(self, prior, clouds, seed):
+        rng = np.random.default_rng(seed)
+        calib = forward_calib()
+        vmap = VoxelMap()
+        if prior:
+            vmap.load_prior((np.array(prior) + 0.5) * RES)
+        for t, cells in enumerate(clouds):
+            pts = (np.array(cells) + rng.uniform(0.1, 0.9, (len(cells), 3))) * RES
+            vmap.integrate_cloud(cloud_of(pts, 1, calib, t + 1), calib)
+            rows = vmap._sorted_rows
+            assert np.array_equal(vmap._occ_keys, vmap._sorted_keys[vmap._log_odds[rows] > 0])
+
+    def test_cells_flip_both_ways(self):
+        # a wall, a nearer wall that joins the index, then the far wall
+        # again, whose rays free the near wall's cells: they leave it
+        calib = forward_calib()
+        far = np.column_stack([np.linspace(-0.3, 0.3, 7), np.zeros(7), np.full(7, 1.05)])
+        near = far * 0.5  # on the rays to the far wall
+        vmap = VoxelMap()
+        sizes = []
+        for t, wall in enumerate([far] * 2 + [near] * 2 + [far] * 6):
+            vmap.integrate_cloud(cloud_of(wall, 1, calib, t + 1), calib)
+            rows = vmap._sorted_rows
+            assert np.array_equal(vmap._occ_keys, vmap._sorted_keys[vmap._log_odds[rows] > 0])
+            sizes.append(len(vmap._occ_keys))
+        assert sizes[1] < sizes[3] and sizes[-1] < sizes[3]
+
+
 class TestSnapshotAndExport:
     def test_snapshot_sorted_and_occupied_only(self):
         vmap = VoxelMap()
