@@ -168,7 +168,8 @@ def statistical_outlier_filter(points: np.ndarray) -> np.ndarray:
     point.  The block is symmetric, so each cell counts the points of the
     neighbour cells after it, and adds its own points to those cells: a
     range add over their runs, one difference array for all.  Raises
-    VoxelRangeError for a point beyond the packable cell range.
+    VoxelRangeError for a point beyond the packable cell range, and for a
+    cloud that spans almost all of it (see _cell_grid).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
@@ -179,9 +180,8 @@ def statistical_outlier_filter(points: np.ndarray) -> np.ndarray:
     after = (starts[run_hi] - starts[run_lo]).sum(axis=1)
     # integer sums in float64, exact far beyond any cloud's point count
     added = np.repeat(size.astype(np.float64), run_lo.shape[1])
-    edge = len(size) + 1
-    before = np.cumsum(np.bincount(run_lo.ravel(), added, edge)
-                       - np.bincount(run_hi.ravel(), added, edge))[:-1]
+    before = np.cumsum(np.bincount(run_lo.ravel(), added, len(starts))
+                       - np.bincount(run_hi.ravel(), added, len(starts)))[:-1]
     counts = np.empty(len(pts), dtype=np.intp)
     counts[order] = np.repeat(size + after + before.astype(np.intp), size)
     return pts[counts >= counts.mean() - OUTLIER_STDDEV_MULT * counts.std()]
@@ -219,24 +219,21 @@ def _cell_grid(idx: np.ndarray, reach: int, forward: bool = False):
     run_lo = np.empty((len(cols), len(ckeys)), dtype=np.intp)
     run_hi = np.empty_like(run_lo)
     for j, col in enumerate(cols.tolist()):
-        run_lo[j] = _ranks(ckeys, ckeys + (col - reach), right=False)
-        run_hi[j] = _ranks(ckeys, ckeys + (col + reach), right=True)
-    if forward:
-        run_lo[0] = np.arange(1, len(ckeys) + 1)
+        if forward and j == 0:  # c's own column, after c
+            run_lo[j] = np.arange(1, len(ckeys) + 1)
+        else:
+            run_lo[j] = _ranks(ckeys, ckeys + (col - reach))
+        run_hi[j] = _ranks(ckeys, ckeys + (col + reach + 1))
     return order, np.r_[first, len(keys)], run_lo.T, run_hi.T
 
 
-def _ranks(cells: np.ndarray, needles: np.ndarray, right: bool) -> np.ndarray:
-    """np.searchsorted(cells, needles, "right" if right else "left") for
-    sorted needles, by one stable merge sort of both (faster than a
-    binary search per needle): equal keys keep their concatenation order,
-    so needles sort after the cells they equal (right) or before them."""
-    n = len(needles)
-    if right:
-        merged = np.argsort(np.concatenate([cells, needles]), kind="stable")
-        return np.flatnonzero(merged >= len(cells)) - np.arange(n)
+def _ranks(cells: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cells, needles) for sorted needles, by one stable
+    merge sort of both, faster than a binary search per needle: equal keys
+    keep their concatenation order, so needles sort before the cells they
+    equal."""
     merged = np.argsort(np.concatenate([needles, cells]), kind="stable")
-    return np.flatnonzero(merged < n) - np.arange(n)
+    return np.flatnonzero(merged < len(needles)) - np.arange(len(needles))
 
 
 def remove_ground_and_cluster(
