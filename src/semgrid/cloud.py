@@ -174,8 +174,7 @@ def statistical_outlier_filter(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         return pts
-    order, starts, run_lo, run_hi = _cell_grid(
-        voxel_indices_of(pts, CLOUD_VOXEL_RES), 2, forward=True)
+    order, starts, run_lo, run_hi = _cell_grid(voxel_indices_of(pts, CLOUD_VOXEL_RES), 2)
     size = np.diff(starts)
     after = (starts[run_hi] - starts[run_lo]).sum(axis=1)
     # integer sums in float64, exact far beyond any cloud's point count
@@ -187,25 +186,25 @@ def statistical_outlier_filter(points: np.ndarray) -> np.ndarray:
     return pts[counts >= counts.mean() - OUTLIER_STDDEV_MULT * counts.std()]
 
 
-def _cell_grid(idx: np.ndarray, reach: int, forward: bool = False):
-    """Points sorted by cell, and the occupied cells around every
-    occupied cell.
+def _cell_grid(idx: np.ndarray, reach: int):
+    """Points sorted by cell, and the occupied cells after every occupied
+    cell within +-reach of it on every axis.
 
     idx holds the points' (N,3) cell indices.  Returns (order, starts,
     run_lo, run_hi).  `order` sorts the points by cell, stably, so the
     points of a cell keep their index order; starts[c]:starts[c + 1] are
-    the sorted positions of occupied cell c.  The cells within +-reach of
-    c on every axis lie in (2*reach + 1)**2 x-y columns, each a run of
-    2*reach + 1 consecutive cell keys: occupied cells run_lo[c, j]:run_hi[c, j]
-    are the j-th column's, columns in (dx, dy) order.  With forward, only
-    the cells after c: keys sort like cells, so those are c's own column
-    after c and the columns after it.  A cell's key packs its index less
-    the cloud's lowest, with reach spare cells below and above on every
-    axis, so no run wraps onto cells at the far side of the cloud; a cloud
-    that spans more cells than that leaves raises VoxelRangeError.
+    the sorted positions of occupied cell c.  Keys sort like cells, x
+    first, so the cells after c are those of its own x-y column after c
+    and of the columns after that one; each column is a run of
+    2*reach + 1 consecutive cell keys, and occupied cells
+    run_lo[c, j]:run_hi[c, j] are the j-th column's, columns in (dx, dy)
+    order from c's own.  A cell's key packs its index less the cloud's
+    lowest, with reach spare cells below and above on every axis, so no
+    run wraps onto cells at the far side of the cloud; a cloud that spans
+    more cells than that leaves raises VoxelRangeError.
     """
     rel = idx - (idx.min(axis=0) - reach)
-    if rel.max() + reach >= KEY_WEIGHTS[1]:
+    if rel.max() + reach >= KEY_WEIGHTS[1]:  # a key's field holds 0 ... KEY_WEIGHTS[1] - 1
         raise VoxelRangeError("cloud spans more cells than a cell key holds")
     keys = rel @ KEY_WEIGHTS
     order = np.argsort(keys, kind="stable")
@@ -213,15 +212,12 @@ def _cell_grid(idx: np.ndarray, reach: int, forward: bool = False):
     first = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
     ckeys = skeys[first]
     off = range(-reach, reach + 1)
-    cols = np.array([(dx, dy, 0) for dx in off for dy in off]) @ KEY_WEIGHTS
-    if forward:
-        cols = cols[len(cols) // 2:]
+    cols = np.array([(dx, dy, 0) for dx in off for dy in off])[len(off) ** 2 // 2:] @ KEY_WEIGHTS
     run_lo = np.empty((len(cols), len(ckeys)), dtype=np.intp)
     run_hi = np.empty_like(run_lo)
+    run_lo[0] = np.arange(1, len(ckeys) + 1)  # in c's own column, the cells after c
     for j, col in enumerate(cols.tolist()):
-        if forward and j == 0:  # c's own column, after c
-            run_lo[j] = np.arange(1, len(ckeys) + 1)
-        else:
+        if j:
             run_lo[j] = _ranks(ckeys, ckeys + (col - reach))
         run_hi[j] = _ranks(ckeys, ckeys + (col + reach + 1))
     return order, np.r_[first, len(keys)], run_lo.T, run_hi.T
@@ -264,7 +260,7 @@ def remove_ground_and_cluster(
     if len(above) == 0:
         return []
     order, starts, run_lo, run_hi = _cell_grid(
-        voxel_indices_of(pts[above], 0.55 * cluster_dist), 2, forward=True)
+        voxel_indices_of(pts[above], 0.55 * cluster_dist), 2)
     # the sorted points' coordinates, one row per axis
     xyz = pts[above[order]].T.copy()
     n_cell = len(starts) - 1
