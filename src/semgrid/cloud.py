@@ -12,7 +12,8 @@ of cells around each point, from the run bounds alone, and drops the
 points whose count lies more than a standard deviation below the mean.
 The clustering is exact grid DBSCAN with minPts = 1: its cells are small
 enough to be cliques, so only neighbour cells still in different
-components need their point pairs tested.
+components need their point pairs tested.  The components come from a
+hook-and-jump labelling in numpy, so the pipeline needs no scipy.
 """
 
 from __future__ import annotations
@@ -318,15 +319,28 @@ def _sq_dist(xyz: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _components(n: int, edges: list[tuple[np.ndarray, np.ndarray]]):
     """(count, labels) of the connected components of n nodes joined by
-    the (a, b) edge arrays."""
-    # imported here so that processes which build no cloud never load scipy
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    the (a, b) edge arrays, labels dense in 0 .. count - 1.
 
+    Hook and jump, after Shiloach & Vishkin (1982): every node points at
+    a lower or equal node, and a root at itself.  Each round keeps the
+    edges whose roots still differ, hooks the larger root of each under
+    the smaller, then jumps pointers until every node points at its root.
+    """
     a = np.concatenate([e[0] for e in edges])
     b = np.concatenate([e[1] for e in edges])
-    return connected_components(coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)),
-                                directed=False)
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    roots, labels = np.unique(root, return_inverse=True)
+    return len(roots), labels
 
 
 def _bilinear_rows(scores: np.ndarray, uv: np.ndarray) -> np.ndarray:

@@ -23,6 +23,9 @@ from .semantics import NUM_CLASSES, PROB_FLOOR
 MAGIC = b"SES1"
 PROTOCOL_VERSION = 1
 MAX_PAYLOAD = 64 * 1024 * 1024
+# largest POSE depth a frame may carry, meters: far beyond any RGB-D
+# range, far inside the map's index range
+MAX_DEPTH_M = 1000.0
 
 MSG_HELLO = 1
 MSG_CLOUD = 2
@@ -258,6 +261,8 @@ def _decode_pose(sensor_id: int, ts: int, payload: bytes) -> PoseMessage:
     depth_sigma = vals[~np.isnan(vals[:, 3]), 3:]
     if not (np.isfinite(depth_sigma) & (depth_sigma > 0)).all():
         raise MalformedPayloadError("a depth needs finite depth > 0 and finite sigma > 0")
+    if (depth_sigma[:, 0] > MAX_DEPTH_M).any():
+        raise MalformedPayloadError(f"depth beyond {MAX_DEPTH_M:g} m")
     kp[..., 3:] = np.where(np.isnan(kp[..., 3:4]) | ~present[..., None], np.nan, kp[..., 3:])
     return PoseMessage(PoseSet2p5D(sensor_id, ts, ids, kp, present, rec["b"] == 1))
 

@@ -421,7 +421,8 @@ class TestTickMatchesOracles:
 
 class TestUnindexableJoints:
     """A buffered POSE whose joint lies beyond what the map can index is
-    fused, and the joint is never flagged occluded: the tick never raises."""
+    fused, and the joint is never flagged occluded: the tick never raises.
+    The decoder refuses such a depth off the wire."""
 
     def tick_after(self, msg):
         b = backend_with_sensors(1)
@@ -430,17 +431,17 @@ class TestUnindexableJoints:
         (person,) = b.skeletons.pos
         return person, out[0]
 
-    def test_realigned_cut_frame(self):
+    def test_realigned_cut_frame(self, monkeypatch):
         # a one-person POSE cut to its first 83 bytes, then sent whole: the
-        # decoder realigns the bytes into a valid POSE whose joint 2 has
-        # depth 8.475e11 m and sigma 1.1e-42, back-projected to about -8e11 m
+        # stream realigns the bytes into a POSE whose joint 2 has depth
+        # 8.475e11 m and sigma 1.1e-42, beyond MAX_DEPTH_M
         frame = protocol.encode(protocol.PoseMessage(
             pose_set_for_points([(0.2, -0.3, 1.0)], 0, 0)))
+        with pytest.raises(protocol.MalformedPayloadError, match="depth beyond"):
+            protocol.StreamDecoder().feed(frame[:83] + frame)
+        monkeypatch.setattr(protocol, "MAX_DEPTH_M", np.inf)
         (msg,) = protocol.StreamDecoder().feed(frame[:83] + frame)
         assert np.isclose(msg.pose_set.keypoints[0, 2, 3], 8.475e11, rtol=1e-3)
-        person, feedback = self.tick_after(msg)
-        assert np.abs(person[2]).max() > 1e11
-        assert feedback.present[0, 2] and not feedback.occluded.any()
 
     def test_depth_of_1e12_m(self):
         uvd = project(CALIBS[0], np.array([0.2, -0.3, 1.0]))

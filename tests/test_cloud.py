@@ -367,6 +367,67 @@ class TestGridClusteringMatchesReference:
             assert_same_clusters(pts, min_cluster=1)
 
 
+def assert_components_match_scipy(n, edges):
+    """_components finds scipy's partition of the n nodes, labelled
+    densely 0 .. count - 1."""
+    count, labels = cloud_mod._components(n, edges)
+    a = np.concatenate([e[0] for e in edges])
+    b = np.concatenate([e[1] for e in edges])
+    want_count, want = connected_components(
+        coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)
+    assert count == want_count
+    assert labels.shape == (n,) and np.array_equal(np.unique(labels), np.arange(count))
+    # one pair of labels per component: the same partition
+    assert len(set(zip(labels.tolist(), want.tolist()))) == count
+
+
+def oriented(rng, a, b):
+    """The edges (a, b), each turned round with probability one half."""
+    flip = rng.random(len(a)) < 0.5
+    return np.where(flip, b, a), np.where(flip, a, b)
+
+
+class TestComponentsMatchScipy:
+    """The hook-and-jump labelling gives the components of scipy's
+    connected_components."""
+
+    @given(st.data())
+    def test_random_graphs(self, data):
+        n = data.draw(st.integers(1, 60))
+        node = st.integers(0, n - 1)
+        ab = np.array(data.draw(st.lists(st.tuples(node, node), max_size=150)),
+                      dtype=np.intp).reshape(-1, 2)
+        cut = data.draw(st.integers(0, len(ab)))
+        # nodes past the last one the edges can name
+        n_isolated = data.draw(st.integers(0, 5))
+        assert_components_match_scipy(n + n_isolated, [(ab[:cut, 0], ab[:cut, 1]),
+                                                       (ab[cut:, 0], ab[cut:, 1])])
+
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), min_size=1, max_size=40),
+           st.lists(st.integers(0, 29), min_size=1, max_size=10))
+    def test_duplicate_and_self_edges(self, pairs, loops):
+        ab = np.array(pairs, dtype=np.intp)
+        a = np.concatenate([ab[:, 0], ab[:, 1], ab[:, 0], loops])
+        b = np.concatenate([ab[:, 1], ab[:, 0], ab[:, 1], loops])
+        assert_components_match_scipy(30, [(a, b), (ab[:, 1], ab[:, 0])])
+
+    @given(st.integers(2, 3000), st.sampled_from([0.0, 0.001, 0.1]), st.integers(0, 2**32 - 1))
+    def test_shuffled_paths(self, n, drop, seed):
+        # a path through the nodes in random order, a few of its edges cut
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        keep = rng.random(n - 1) >= drop
+        assert_components_match_scipy(n, [oriented(rng, order[:-1][keep], order[1:][keep])])
+
+    @given(st.integers(1, 2000), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_stars(self, n, n_stars, seed):
+        rng = np.random.default_rng(seed)
+        nodes = rng.permutation(n)
+        hubs, leaves = nodes[:n_stars], nodes[n_stars:]
+        assert_components_match_scipy(
+            n, [oriented(rng, hubs[rng.integers(0, len(hubs), len(leaves))], leaves)])
+
+
 class TestFuseSemantics:
     def _setup(self):
         calib = make_ring_calibs(1, width=40, height_px=30, f_px=30.0)[0]
@@ -433,33 +494,27 @@ class TestDetection:
             Detection(0, 0.0, (0, 0, 1, 1))
 
 
-# run in a fresh interpreter, which has loaded nothing of scipy yet
-SCIPY_PROBE = """
-import sys
-from semgrid import backend, cli, protocol, sensor_node, sim, synthworld
+# run in a fresh interpreter: a one-sensor semgrid simulate that builds a cloud
+NO_SCIPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from semgrid import backend, cli, cloud, protocol, sensor_node, sim, synthworld, voxmap
 
-def loaded():
-    return sorted(m for m in ("scipy.sparse", "scipy.spatial") if m in sys.modules)
-
-assert loaded() == [], loaded()
-scene = synthworld.make_default_scene(seed=1, n_persons=2)
-calibs = synthworld.make_camera_rig(scene)
-sim.simulate(scene, calibs, sim.SimConfig(duration_s=0.2, integrate_clouds=False,
-                                          map_source="structure"))
-assert loaded() == [], loaded()
-# one tick of one sensor, which builds its first cloud
-sim.simulate(scene, calibs[:1], sim.SimConfig(duration_s=1 / 30))
-assert loaded() == ["scipy.sparse"], loaded()
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["simulate", "--out", out, "--sensors", "1", "--duration", "0.04"]) == 0
+    stats = json.loads((Path(out) / "stats.json").read_text())
+assert stats["clouds_received"] >= 1, stats
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
 """
 
 
-def test_scipy_loads_only_where_clouds_are_built():
-    """Importing the service modules and a pose-only simulate load neither
-    scipy.spatial nor scipy.sparse; the first cloud loads scipy.sparse
-    (clustering's connected components) and never scipy.spatial."""
+def test_no_scipy_at_run_time():
+    """Importing the program's modules and a simulate run that builds,
+    clusters and integrates a cloud load no scipy module at all."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

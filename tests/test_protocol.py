@@ -15,6 +15,7 @@ from semgrid.geometry import VoxelRangeError
 from semgrid.pose import NUM_JOINTS, PoseSet2p5D
 from semgrid.protocol import (
     MAGIC,
+    MAX_DEPTH_M,
     MSG_POSE,
     CloudMessage,
     MalformedPayloadError,
@@ -339,6 +340,9 @@ def hostile_frames() -> dict[str, bytes]:
         "pose depth zero sigma": pose((1.0, 2.0, 0.5, 2.0, 0.0)),
         "pose inf depth": pose((1.0, 2.0, 0.5, inf, 0.1)),
         "pose negative depth": pose((1.0, 2.0, 0.5, -2.0, 0.1)),
+        "pose depth just beyond MAX_DEPTH_M": pose(
+            (1.0, 2.0, 0.5, float(np.nextafter(np.float32(MAX_DEPTH_M), np.float32(np.inf))), 0.1)),
+        "pose depth 1e12": pose((1.0, 2.0, 0.5, 1e12, 0.1)),
         "feedback nan u, conf 7": encode(feedback_message(1, 2, [
             (5, {4: (nan, 2.0, 7.0, False)})])),
         "feedback inf v": encode(feedback_message(1, 2, [
@@ -369,12 +373,15 @@ class TestHostileRecords:
         assert len(b.vmap) == 0 and b.stats["clouds_received"] == 0
 
     def test_valid_edges_accepted(self):
-        # confidence 0 and 1, and a keypoint without depth, are valid
+        # confidence 0 and 1, a depth of MAX_DEPTH_M, and a keypoint
+        # without depth, are valid
         ps = pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.0), 1: (1.0, 2.0, 1.0, 0.5, 0.01),
-                                  2: (3.0, 4.0, 0.5, None, None, True)})])
+                                  2: (3.0, 4.0, 0.5, None, None, True),
+                                  3: (1.0, 2.0, 0.5, MAX_DEPTH_M, 0.1)})])
         out = decode(encode(PoseMessage(ps))).pose_set
         assert np.array_equal(out.present, ps.present)
         assert np.isnan(out.keypoints[0, 2, 3:]).all()
+        assert out.keypoints[0, 3, 3] == MAX_DEPTH_M
 
 
 PROTOCOL_MD = Path(__file__).resolve().parent.parent / "PROTOCOL.md"
