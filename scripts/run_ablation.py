@@ -9,8 +9,9 @@ tests/test_acceptance.py::TestAblationOrdering.  The total wall time is
 printed with the part spent in the synthetic-world renderer (the test
 harness) on its own line: the time of outermost calls into synthworld's
 public functions, which the simulator reaches through the module.  Per
-ablation it also prints the depth pixels the harness cast: those the
-sensors read that the observation cache did not hold yet.
+ablation it also prints the depth pixels the harness cast.  Every
+ablation asks for the same pixels of a frame, so the first one casts
+them all and the cache serves the later ones.
 """
 
 import argparse

@@ -446,10 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as e:
-        print(f"semgrid {args.command}: error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as e:
+    except (DataError, OSError, ValueError) as e:
         print(f"semgrid {args.command}: error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -248,8 +248,8 @@ def remove_ground_and_cluster(
     every cell is a clique; cells more than 2 apart on an axis are more
     than cluster_dist apart, so a cell can join only the cells within +-2.
     Neighbour cells are joined in three steps: one representative point
-    pair per cell pair, the components of that cell graph, then every
-    point pair of the cell pairs still in different components.  Two
+    pair per cell pair, the components of that cell graph, then the
+    components of those components that a point pair joins.  Two
     points join when their squared coordinate differences, summed in x,
     y, z order, are at most cluster_dist**2, as in cKDTree.query_pairs.
     Raises VoxelRangeError for a point beyond the packable cell range.
@@ -275,12 +275,12 @@ def remove_ground_and_cluster(
     r2 = cluster_dist * cluster_dist
     # a cell's first point stands for it
     hit = _sq_dist(xyz, starts[a], starts[b]) <= r2
-    edges = [(a[hit], b[hit])]
-    _, comp = _components(n_cell, edges)
+    n_comp, comp = _components(n_cell, [(a[hit], b[hit])])
     open_pairs = comp[a] != comp[b]
     a, b = a[open_pairs], b[open_pairs]
     # every point pair of those, in blocks of about _PAIR_BLOCK pairs
     work = size[a] * size[b]
+    joined = np.zeros(len(a), dtype=bool)
     cuts = np.searchsorted(np.cumsum(work), np.arange(0, work.sum(), _PAIR_BLOCK), "right")
     for i0, i1 in zip(cuts.tolist(), cuts[1:].tolist() + [len(a)]):
         w = work[i0:i1]
@@ -288,8 +288,11 @@ def remove_ground_and_cluster(
         t = np.arange(len(pair)) - np.repeat(np.cumsum(w) - w, w)
         nb = size[b[pair]]
         near = _sq_dist(xyz, starts[a[pair]] + t // nb, starts[b[pair]] + t % nb) <= r2
-        edges.append((a[pair[near]], b[pair[near]]))
-    n_comp, comp = _components(n_cell, edges)
+        joined[pair[near]] = True
+    if joined.any():
+        # the cell pairs a point pair joins, over the components so far
+        n_comp, merged = _components(n_comp, [(comp[a[joined]], comp[b[joined]])])
+        comp = merged[comp]
     # number the components by their lowest member; a cell's first sorted
     # point is its lowest
     low = np.full(n_comp, len(above))

@@ -36,13 +36,6 @@ from .geometry import CameraCalib, project, row_norms
 
 NUM_JOINTS = 17
 
-JOINT_NAMES = (
-    "nose", "left_eye", "right_eye", "left_ear", "right_ear",
-    "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
-    "left_wrist", "right_wrist", "left_hip", "right_hip",
-    "left_knee", "right_knee", "left_ankle", "right_ankle",
-)
-
 BONES = (
     (5, 7), (7, 9), (6, 8), (8, 10),
     (11, 13), (13, 15), (12, 14), (14, 16),

@@ -9,9 +9,8 @@ backend's newest feedback, and emits wire-protocol frames.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,6 @@ class SensorConfig:
     has_depth: bool = True
     use_feedback: bool = True
     use_occlusion: bool = True
-    kappa_fb: float = KAPPA_FB
 
     def __post_init__(self):
         if self.pose_rate_hz <= 0 or self.cloud_rate_hz <= 0:
@@ -78,14 +76,11 @@ def load_sensor_config(path) -> SensorConfig:
         has_depth=s.getboolean("has_depth", fallback=True),
         use_feedback=s.getboolean("use_feedback", fallback=True),
         use_occlusion=s.getboolean("use_occlusion", fallback=True),
-        kappa_fb=s.getfloat("kappa_fb", fallback=KAPPA_FB),
     )
 
 
-# (du, dv) pixel offsets of the 5x5 depth patch around a keypoint
-_PATCH_OFFSETS = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3)),
-                          axis=-1).reshape(-1, 2)
-_PATCH_DU, _PATCH_DV = _PATCH_OFFSETS.T
+# pixel offsets (du, dv) of the 5x5 depth patch around a keypoint, row by row
+_PATCH_DU, _PATCH_DV = (g.ravel() for g in np.meshgrid(np.arange(-2, 3), np.arange(-2, 3)))
 
 
 def estimate_keypoint_depths(depth: DepthImage, uvs: np.ndarray,
@@ -121,33 +116,32 @@ def estimate_keypoint_depths(depth: DepthImage, uvs: np.ndarray,
     return med, np.maximum(mad, sigma_floor)
 
 
-@dataclass
-class FramePlan:
-    """What process_frame builds for one frame before depth is known: the
-    frame's pose set with depth and sigma still NaN, and the joints whose
-    depth is read in the patch around their (u, v): those the backend can
-    fuse (PoseSet2p5D.fusable).  Every other present joint keeps NaN depth
-    and sigma, since the backend never reads them."""
+def _observed(persons: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ids (P,), uvc (P,17,3) and present (P,17) of keypoint observations:
+    objects with local_id, a (17,3) u, v, conf array uvc and a (17,)
+    present mask."""
+    return (np.array([obs.local_id for obs in persons], dtype=np.int64),
+            np.array([obs.uvc for obs in persons], dtype=np.float64).reshape(-1, NUM_JOINTS, 3),
+            np.array([obs.present for obs in persons], dtype=bool).reshape(-1, NUM_JOINTS))
 
-    persons: list
-    feedback_version: int
-    live_feedback: protocol.FeedbackMessage | None
-    pose_set: PoseSet2p5D
-    measured: np.ndarray = field(init=False)  # (P,17) pose_set.fusable
 
-    def __post_init__(self):
-        self.measured = self.pose_set.fusable
+def _pose_set(sensor_id: int, timestamp_us: int, ids: np.ndarray, uvc: np.ndarray,
+              present: np.ndarray, from_fb: np.ndarray) -> PoseSet2p5D:
+    """A frame's pose set of these keypoints, depth and sigma still NaN."""
+    keypoints = np.full(present.shape + (5,), np.nan)
+    keypoints[..., :3] = np.where(present[..., None], uvc, 0.0)
+    return PoseSet2p5D(sensor_id, timestamp_us, ids, keypoints, present, from_fb)
 
-    @property
-    def uv(self) -> np.ndarray:
-        """(K,2) pixel of every measured joint, person by person."""
-        return self.pose_set.keypoints[self.measured][:, :2]
 
-    @property
-    def patch_pixels(self) -> np.ndarray:
-        """(col, row) pixels of the depth patches estimate_keypoint_depths
-        reads around uv, patch by patch."""
-        return (self.uv.astype(np.int64)[:, None, :] + _PATCH_OFFSETS).reshape(-1, 2)
+def patch_pixels(persons: list) -> np.ndarray:
+    """(col, row) pixels of the 5x5 depth patches around the joints that
+    PoseSet2p5D.fusable keeps of the frame of `persons` without feedback,
+    patch by patch.  Feedback only replaces local joints or adds its own,
+    and fusable excludes both, so these patches hold every pixel a sensor
+    reads of the frame (see SensorNode.process_frame)."""
+    ps = _pose_set(0, 0, *_observed(persons), np.zeros((len(persons), NUM_JOINTS), dtype=bool))
+    u, v = ps.keypoints[ps.fusable][:, :2].astype(np.int64).T
+    return np.stack([(u[:, None] + _PATCH_DU).ravel(), (v[:, None] + _PATCH_DV).ravel()], axis=1)
 
 
 class SensorNode:
@@ -164,7 +158,6 @@ class SensorNode:
         self.feedback_delay_s: float | None = None
         self._queue: deque[tuple[int, bytes]] = deque()
         self._last_pose_ts = -1
-        self._feedback_version = 0  # bumped on every feedback message
         self.stats = {"pose_sent": 0, "cloud_sent": 0, "clouds_dropped": 0,
                       "feedback_received": 0}
 
@@ -203,7 +196,6 @@ class SensorNode:
         # a message is the backend's complete current set: persons it no
         # longer sends are gone
         self.latest_feedback = msg
-        self._feedback_version += 1
 
     # -- pose path ---------------------------------------------------------
 
@@ -231,29 +223,32 @@ class SensorNode:
                     cost[:, f] = np.inf
         return rows
 
-    def plan_frame(self, persons: list, timestamp_us: int) -> FramePlan:
-        """Decide, without changing any state, which keypoint every output
-        joint slot of this frame takes and where its depth is read.
+    def process_frame(self, persons: list, depth: DepthImage | None,
+                      timestamp_us: int) -> PoseSet2p5D:
+        """Local 2.5D pose model for one tick.
 
-        persons: keypoint observations (objects with local_id, a (17,3)
-        u, v, conf array uvc and a (17,) present mask).  With feedback
+        persons: keypoint observations (see _observed).  With feedback
         enabled, missing joints are completed from the backend's
         reprojections; with occlusion handling, occlusion-flagged local
         detections are discarded and replaced as well, and persons seen
         only in feedback are appended.  Feedback-sourced joints always
-        carry confidence kappa_fb and from_feedback set.
+        carry confidence KAPPA_FB and from_feedback set.  Depth is read in
+        the patch around each joint the backend can fuse
+        (PoseSet2p5D.fusable); every other present joint keeps NaN depth
+        and sigma, since the backend never reads them.
         """
+        if timestamp_us < self._last_pose_ts:
+            raise ValueError("observation timestamps must be monotonic")
+        self._last_pose_ts = timestamp_us
         cfg = self.config
         live = self.latest_feedback
         if live is not None and timestamp_us - live.timestamp_us > FEEDBACK_TTL_US:
-            live = None
-        ids = np.array([obs.local_id for obs in persons], dtype=np.int64)
-        uvc = np.array([obs.uvc for obs in persons], dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
-        present = np.array([obs.present for obs in persons], dtype=bool).reshape(-1, NUM_JOINTS)
+            live = self.latest_feedback = None
+        ids, uvc, present = _observed(persons)
         from_fb = np.zeros(present.shape, dtype=bool)
         if live is not None:
             fb_uvc = live.uvc.copy()
-            fb_uvc[..., 2] = cfg.kappa_fb
+            fb_uvc[..., 2] = KAPPA_FB
             row = (self._match_feedback(uvc, present, live) if cfg.use_feedback
                    else np.full(len(ids), -1))
             hit, fb = row >= 0, row[row >= 0]
@@ -271,38 +266,18 @@ class SensorNode:
                 uvc = np.concatenate([uvc, fb_uvc[add]])
                 present = np.concatenate([present, live.present[add]])
                 from_fb = np.concatenate([from_fb, live.present[add]])
-        keypoints = np.full(present.shape + (5,), np.nan)
-        keypoints[..., :3] = np.where(present[..., None], uvc, 0.0)
-        pose_set = PoseSet2p5D(cfg.sensor_id, timestamp_us, ids, keypoints, present, from_fb)
-        return FramePlan(persons, self._feedback_version, live, pose_set)
-
-    def process_frame(self, persons: list, depth: DepthImage | None,
-                      timestamp_us: int, plan: FramePlan | None = None) -> PoseSet2p5D:
-        """Local 2.5D pose model for one tick (see plan_frame).
-
-        plan: plan_frame's result for these persons at this timestamp, if
-        the caller already made it (to render depth only where it is read).
-        """
-        if timestamp_us < self._last_pose_ts:
-            raise ValueError("observation timestamps must be monotonic")
-        if plan is None:
-            plan = self.plan_frame(persons, timestamp_us)
-        elif (plan.persons is not persons or plan.pose_set.timestamp_us != timestamp_us
-              or plan.feedback_version != self._feedback_version):
-            raise ValueError("frame plan was made for another frame or feedback state")
-        self._last_pose_ts = timestamp_us
-        self.latest_feedback = plan.live_feedback
-        ps = plan.pose_set
-        keypoints = ps.keypoints.copy()
-        if self.config.has_depth and depth is not None and plan.measured.any():
+        ps = _pose_set(cfg.sensor_id, timestamp_us, ids, uvc, present, from_fb)
+        measured = ps.fusable
+        if cfg.has_depth and depth is not None and measured.any():
             # NaN depth and sigma where a patch has no valid pixel
-            keypoints[plan.measured, 3:] = np.column_stack(estimate_keypoint_depths(
-                depth, plan.uv, max(self.config.calib.depth_noise_sigma, MIN_DEPTH_SIGMA)))
-        return dataclasses.replace(ps, keypoints=keypoints)
+            ps.keypoints[measured, 3:] = np.column_stack(estimate_keypoint_depths(
+                depth, ps.keypoints[measured][:, :2],
+                max(cfg.calib.depth_noise_sigma, MIN_DEPTH_SIGMA)))
+        return ps
 
     def pose_tick(self, persons: list, depth: DepthImage | None,
-                  timestamp_us: int, plan: FramePlan | None = None) -> PoseSet2p5D:
-        pose_set = self.process_frame(persons, depth, timestamp_us, plan)
+                  timestamp_us: int) -> PoseSet2p5D:
+        pose_set = self.process_frame(persons, depth, timestamp_us)
         frame = protocol.encode(protocol.PoseMessage(pose_set))
         self._enqueue(protocol.MSG_POSE, frame)
         self.stats["pose_sent"] += 1

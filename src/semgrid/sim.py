@@ -20,7 +20,7 @@ from .backend import ABLATIONS, AblationFlags, Backend
 from .geometry import CameraCalib, project, save_calibs, unpack_voxel_keys
 from .pose import NUM_JOINTS, format_skeleton_log
 from .semantics import ClassSet
-from .sensor_node import SensorConfig, SensorNode
+from .sensor_node import SensorConfig, SensorNode, patch_pixels
 from .voxmap import VoxelMap
 
 # joint grouping for the reported error tables: COCO indices per class
@@ -141,17 +141,15 @@ def _reproj_errors(backend: Backend, now_us: int) -> list[ReprojRecord]:
 class ObservationCache:
     """Memo for the synthetic observations of one (scene, calibs, rate,
     noise-config) combination, shared across runs that differ only in
-    ablation.  Observations are ablation-independent, so re-running the
-    same seed for another ablation can reuse keypoints and already-rendered
-    depth pixels.  Sensors read depth only for joints the backend can
-    fuse, all of them local detections, so no patch is cast for a
-    feedback-sourced joint, and after a run without feedback the later
-    ablations of the seed cast nothing new."""
+    ablation.  Observations are ablation-independent, and sensors ask for
+    depth only in the patches sensor_node.patch_pixels picks from them, so
+    every run of the seed asks for the same pixels of a frame: the first
+    run casts them, and the later ablations of the seed cast nothing."""
 
     def __init__(self):
         self.keypoints: dict[tuple[int, int], list] = {}
-        # (camera index, frame) -> (sorted flat pixel keys, depth values)
-        self.depth: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # frame -> each camera's depth values at its requested pixels
+        self.depth: dict[int, list[np.ndarray]] = {}
 
 
 def _observe_keypoints(scene, calibs, config: SimConfig, frame_idx: int, t_s: float,
@@ -179,37 +177,18 @@ def _observe_keypoints(scene, calibs, config: SimConfig, frame_idx: int, t_s: fl
     return all_obs
 
 
-_NO_KEYS = np.empty(0, dtype=np.int64)
-_NO_VALS = np.empty(0)
-
-
 def _cached_depth_images(cache: ObservationCache, scene, requests, t_s: float,
                          frame_idx: int) -> list:
-    """render_depth_sparse_many through the per-pixel depth memo: pixels
-    not yet in the memo are cast for all cameras in one call."""
-    flats = [synthworld.flat_pixel_indices(calib, pixels) for calib, pixels in requests]
-    memo = []
-    misses = []
-    for ci, ((calib, _), flat) in enumerate(zip(requests, flats)):
-        keys, vals = cache.depth.get((ci, frame_idx), (_NO_KEYS, _NO_VALS))
-        pos = np.minimum(np.searchsorted(keys, flat), max(len(keys) - 1, 0))
-        hit = keys[pos] == flat if len(keys) else np.zeros(len(flat), dtype=bool)
-        memo.append((keys, vals))
-        misses.append((calib, flat[~hit]))
-    cast = synthworld.sparse_pixel_depths_many(scene, misses, t_s, frame_idx)
+    """render_depth_sparse_many through the depth memo: a frame's first
+    request is cast for all cameras in one call, a repeated one from the
+    memo."""
+    flats = [(calib, synthworld.flat_pixel_indices(calib, pixels)) for calib, pixels in requests]
+    if frame_idx not in cache.depth:
+        cache.depth[frame_idx] = synthworld.sparse_pixel_depths_many(scene, flats, t_s, frame_idx)
     images = []
-    for ci, ((calib, missing), (keys, vals), new_vals, flat) in enumerate(
-            zip(misses, memo, cast, flats)):
-        if len(missing):
-            keys = np.concatenate([keys, missing])
-            vals = np.concatenate([vals, new_vals])
-            order = np.argsort(keys)
-            keys = keys[order]
-            vals = vals[order]
-            cache.depth[(ci, frame_idx)] = (keys, vals)
+    for (calib, flat), vals in zip(flats, cache.depth[frame_idx]):
         img = np.zeros(calib.height * calib.width)
-        if len(flat):
-            img[flat] = vals[np.searchsorted(keys, flat)]
+        img[flat] = vals
         images.append(
             synthworld.DepthImage(
                 calib.width, calib.height, img.reshape(calib.height, calib.width),
@@ -230,20 +209,17 @@ def sensor_frames(scene, nodes: list[SensorNode], config: SimConfig, frame_idx: 
     t_s = int(round(frame_idx * (1e6 / config.pose_rate_hz))) / 1e6
     calibs = [node.config.calib for node in nodes]
     all_obs = _observe_keypoints(scene, calibs, config, frame_idx, t_s, obs_cache)
-    # depth is rendered only in the patches the sensors will read
-    plans = [node.plan_frame(obs, now_us) for node, obs in zip(nodes, all_obs)]
-    depth_requests = [
-        (calib, plan.patch_pixels if node.config.has_depth else [])
-        for node, calib, plan in zip(nodes, calibs, plans)
-    ]
+    # depth is rendered only in the patches the sensors can read
+    depth_requests = [(calib, patch_pixels(obs) if node.config.has_depth else [])
+                      for node, calib, obs in zip(nodes, calibs, all_obs)]
     if obs_cache is not None:
         depth_images = _cached_depth_images(obs_cache, scene, depth_requests, t_s, frame_idx)
     else:
         depth_images = synthworld.render_depth_sparse_many(
             scene, depth_requests, t_s, frame_idx=frame_idx)
-    for node, calib, obs, depth, plan in zip(nodes, calibs, all_obs, depth_images, plans):
+    for node, calib, obs, depth in zip(nodes, calibs, all_obs, depth_images):
         cfg = node.config
-        node.pose_tick(obs, depth if cfg.has_depth else None, now_us, plan=plan)
+        node.pose_tick(obs, depth if cfg.has_depth else None, now_us)
         cloud_every = max(int(round(cfg.pose_rate_hz / cfg.cloud_rate_hz)), 1)
         if config.integrate_clouds and cfg.has_depth and frame_idx % cloud_every == 0:
             depth_full, class_img = synthworld.render_frame(scene, calib, t_s)

@@ -64,7 +64,6 @@ class VoxelMap:
         self._keys = np.zeros(cap, dtype=np.int64)
         self._log_odds = np.zeros(cap)
         self._slot = np.zeros(cap, dtype=np.int32)
-        self._last_update = np.zeros(cap, dtype=np.int64)
         self._source = np.zeros(cap, dtype=np.uint8)
         self._n = 0
         self._log_p = np.zeros((cap, NUM_CLASSES))  # the rows of slots 0 ... _n_slots - 1
@@ -105,14 +104,13 @@ class VoxelMap:
         new = rows < 0
         m = int(new.sum())
         if m:
-            for name in ("_keys", "_log_odds", "_slot", "_last_update", "_source"):
+            for name in ("_keys", "_log_odds", "_slot", "_source"):
                 setattr(self, name, _grown(getattr(self, name), self._n, self._n + m))
             fresh = slice(self._n, self._n + m)
             rows[new] = np.arange(self._n, self._n + m)
             self._keys[fresh] = keys[new]
             self._log_odds[fresh] = 0.0
             self._slot[fresh] = -1
-            self._last_update[fresh] = 0
             self._source[fresh] = SOURCE_OBSERVED
             self._sorted_keys = np.insert(self._sorted_keys, pos[new], keys[new])
             self._sorted_rows = np.insert(self._sorted_rows, pos[new], rows[new])
@@ -193,7 +191,6 @@ class VoxelMap:
         is_end = np.zeros(len(cells), dtype=bool)
         is_end[np.searchsorted(cells, uniq_end)] = True
 
-        ts = int(cloud.timestamp_us)
         free = rows[~is_end]
         before = self._log_odds[free]
         after = np.clip(before + L_FREE, L_MIN, L_MAX)
@@ -202,7 +199,6 @@ class VoxelMap:
         slots = self._slot[freed]
         self._log_p[slots[slots >= 0]] = -np.log(NUM_CLASSES)
         stats.freed = len(freed)
-        self._last_update[free] = ts
         self._source[free] = SOURCE_OBSERVED
 
         end = rows[is_end]
@@ -219,7 +215,6 @@ class VoxelMap:
         sums = np.stack([np.bincount(inv, weights=log_p_pts[:, c], minlength=len(uniq_end))
                          for c in range(NUM_CLASSES)], axis=1)
         self._log_p[self._slot[end]] = semantics.fuse_rows(self._log_p[self._slot[end]], sums)
-        self._last_update[end] = ts
         self._source[end] = SOURCE_OBSERVED
         stats.occupied_updates = len(uniq_end)
         stats.semantic_fused = int(keep.sum())

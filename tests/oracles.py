@@ -312,12 +312,11 @@ def bayes_fuse(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
 
 def sorted_state(vmap: VoxelMap):
     """The map's cells as columns in packed-key order: (keys, log_odds,
-    log_p (N,C), last_update, source)."""
+    log_p (N,C), source)."""
     n = vmap._n
     order = np.argsort(vmap._keys[:n])
     return (vmap._keys[:n][order], vmap._log_odds[:n][order],
-            vmap._class_rows(order), vmap._last_update[:n][order],
-            vmap._source[:n][order])
+            vmap._class_rows(order), vmap._source[:n][order])
 
 
 class DenseRowMap:
@@ -371,7 +370,7 @@ class DenseRowMap:
 
 
 def map_cell(vmap: VoxelMap, idx):
-    """(log_odds, log_p, last_update, source) of the cell at voxel index
+    """(log_odds, log_p, source) of the cell at voxel index
     idx, read from sorted_state; None when the map has no such cell."""
     keys, *cols = sorted_state(vmap)
     key = pack_voxel_keys(np.array([idx]))[0]

@@ -224,7 +224,7 @@ class TestMapBehaviors:
             vmap.integrate_cloud(_cloud_of(wall, 6, calib, ts=10 + t), calib)
         freed = uniform = 0
         for i in old_idx:
-            log_odds, log_p, _, _ = map_cell(vmap, i)
+            log_odds, log_p, _ = map_cell(vmap, i)
             if log_odds <= 0:
                 freed += 1
                 if np.allclose(np.exp(log_p), 1.0 / NUM_CLASSES):

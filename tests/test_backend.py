@@ -458,7 +458,6 @@ _F32_MIN = np.float32(CONF_MIN)
 EDGE_CONFS = [float(np.nextafter(_F32_MIN, np.float32(0))), float(_F32_MIN),
               float(np.nextafter(_F32_MIN, np.float32(1))), float(np.nextafter(CONF_MIN, 0.0))]
 CONFS = st.sampled_from([0.0, 0.2, 0.35, 0.39, 0.41, 0.9, 1.0] + EDGE_CONFS)
-ODD_DEPTHS = st.one_of(st.just(float("nan")), st.floats(1e-3, 1e3))
 
 
 class TestUnfusableDepthIgnored:

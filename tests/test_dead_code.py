@@ -1,6 +1,6 @@
-"""Dead-code guard: every public module-level function and class of
-src/semgrid, and every public method and property of its public
-classes, is used by the program itself.
+"""Dead-code guard: every public module-level function, class and
+UPPER_CASE constant of src/semgrid, and every public method and property
+of its public classes, is used by the program itself.
 
 A use is a reference from src/ (other than the definition), from
 scripts/, or a [project.scripts] entry point.  References from tests/
@@ -19,12 +19,16 @@ SRC = ROOT / "src" / "semgrid"
 
 
 def public_definitions() -> list[tuple[str, str]]:
-    """('module.py', name) of every public module-level def and class,
-    and ('module.py', 'Class.name') of every public method and property
-    of a public class."""
+    """('module.py', name) of every public module-level def, class and
+    UPPER_CASE constant, and ('module.py', 'Class.name') of every public
+    method and property of a public class."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                       else node.targets if isinstance(node, ast.Assign) else [])
+            out += [(path.name, t.id) for t in targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             out.append((path.name, node.name))
@@ -35,11 +39,12 @@ def public_definitions() -> list[tuple[str, str]]:
 
 
 def referenced_names(paths) -> set[str]:
-    """Names loaded, read as attributes or imported in the given files."""
+    """Names read, read as attributes or imported in the given files; a
+    name that is only assigned is not read."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -71,6 +76,13 @@ def test_guard_sees_definitions_and_entry_points():
     assert ("cloud.py", "fuse_semantics") in defs
     assert ("voxmap.py", "VoxelMap") in defs
     assert ("voxmap.py", "VoxelMap.integrate_cloud") in defs  # a method
-    assert ("sensor_node.py", "FramePlan.uv") in defs  # a property
+    assert ("pose.py", "PoseSet2p5D.fusable") in defs  # a property
+    assert ("pose.py", "CONF_MIN") in defs  # a constant
     assert ("semantics.py", "ClassSet.load") in defs  # a classmethod
     assert {"main", "sensor_node_main", "backend_main"} <= entry_point_names()
+
+
+def test_guard_counts_reads_not_assignments(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("A = 1\nB = A\n")
+    assert referenced_names([module]) == {"A"}

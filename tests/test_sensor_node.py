@@ -18,6 +18,7 @@ from semgrid.sensor_node import (
     SensorNode,
     estimate_keypoint_depths,
     load_sensor_config,
+    patch_pixels,
 )
 from semgrid.synthworld import PersonObservation
 from tests import conftest
@@ -145,7 +146,6 @@ class TestConfig:
             "pose_rate_hz = 15\n"
             "cloud_rate_hz = 0.5\n"
             "has_depth = false\n"
-            "kappa_fb = 0.2\n"
         )
         # calib_file is relative to the INI file, not the working directory
         (tmp_path / "elsewhere").mkdir()
@@ -155,7 +155,6 @@ class TestConfig:
         assert cfg.cloud_rate_hz == 0.5
         assert cfg.has_depth is False
         assert cfg.use_feedback is True
-        assert cfg.kappa_fb == 0.2
         assert cfg.calib.fx == CALIB.fx
 
     def test_load_errors(self, tmp_path):
@@ -319,8 +318,9 @@ class TestFeedbackMerge:
 
 
 class TestFramePlan:
-    """plan_frame names every pixel process_frame reads, so a depth image
-    rendered only in the patches around them gives the same pose set."""
+    """patch_pixels plans a frame's depth from its observations alone: it
+    names every pixel process_frame reads, whatever the feedback, so a
+    depth image rendered only in those patches gives the same pose set."""
 
     def _feedback(self, obs, sensor_id, ts):
         persons = []
@@ -345,22 +345,22 @@ class TestFramePlan:
                  for _ in range(2)]
         for n in nodes:
             n.handle_feedback(self._feedback(obs, calib.sensor_id, now - 100_000), now)
-        plan = nodes[1].plan_frame(obs, now)
-        sparse = render_depth_sparse(
-            scene, calib, t_s, plan.patch_pixels, frame_idx=frame)
+        sparse = render_depth_sparse(scene, calib, t_s, patch_pixels(obs), frame_idx=frame)
         assert np.count_nonzero(sparse.depth) < np.count_nonzero(full.depth)
         expected = nodes[0].process_frame(obs, full, now)
-        got = nodes[1].process_frame(obs, sparse, now, plan=plan)
+        got = nodes[1].process_frame(obs, sparse, now)
         assert (protocol.encode(protocol.PoseMessage(got))
                 == protocol.encode(protocol.PoseMessage(expected)))
+        # with occlusion handling, feedback replaces joints in the patches
+        assert got.from_feedback[:len(obs)].any() == flags.get("use_occlusion", True)
         assert (nodes[1].latest_feedback.person_ids.tolist()
                 == nodes[0].latest_feedback.person_ids.tolist() == [10, 11, 99])
 
     def test_patch_pixels_are_the_5x5_around_each_joint(self):
-        plan = node().plan_frame([obs_of(0, {3: (10.7, 20.2, 0.9), 5: (3.0, 4.9, 0.9)})], 0)
+        pixels = patch_pixels([obs_of(0, {3: (10.7, 20.2, 0.9), 5: (3.0, 4.9, 0.9)})])
         expected = [(u + du, v + dv) for u, v in ((10, 20), (3, 4))
                     for dv in range(-2, 3) for du in range(-2, 3)]
-        assert plan.patch_pixels.tolist() == [list(p) for p in expected]
+        assert pixels.tolist() == [list(p) for p in expected]
 
     def test_depth_only_for_fusable_joints(self):
         """The sensor measures depth, 25 pixels each, for exactly the
@@ -379,34 +379,22 @@ class TestFramePlan:
             (5, {j: (8.0 + 3 * j, 20.0, False) for j in range(12)}),
             (6, {j: (10.0 + 2 * j, 35.0, False) for j in range(4)})]), 0)
         persons = [obs_of(0, local)]
-        plan = n.plan_frame(persons, 1000)
-        ps = plan.pose_set
-        assert ps.present.sum() == 8 + 4 + 4 and ps.from_feedback.sum() == 4 + 4
-        expected = np.zeros(ps.present.shape, dtype=bool)
-        expected[0, :8] = fusable
-        assert (plan.measured == expected).all()
-        assert len(plan.patch_pixels) == 25 * sum(fusable)
-        assert plan.patch_pixels.tolist() == [
+        pixels = patch_pixels(persons)
+        assert len(pixels) == 25 * sum(fusable)
+        assert pixels.tolist() == [
             [int(u) + du, int(v) + dv] for (u, v, _), fus in zip(local.values(), fusable)
             if fus for dv in range(-2, 3) for du in range(-2, 3)]
         img = np.full((CALIB.height, CALIB.width), 2.0)
-        sent = n.process_frame(persons, depth_image(img), 1000, plan=plan)
+        sent = n.process_frame(persons, depth_image(img), 1000)
+        assert sent.present.sum() == 8 + 4 + 4 and sent.from_feedback.sum() == 4 + 4
+        expected = np.zeros(sent.present.shape, dtype=bool)
+        expected[0, :8] = fusable
+        assert (sent.fusable == expected).all()
         depth = sent.keypoints[..., 3:]
         assert np.isfinite(depth[expected]).all()
-        assert np.isnan(depth[ps.present & ~expected]).all()
+        assert np.isnan(depth[sent.present & ~expected]).all()
         (msg,) = protocol.StreamDecoder().feed(protocol.encode(protocol.PoseMessage(sent)))
         assert (msg.pose_set.fusable == expected).all()
-
-    def test_plan_for_another_frame_rejected(self):
-        n = node()
-        obs = [obs_of(0, {3: (10.0, 10.0, 0.9)})]
-        plan = n.plan_frame(obs, 1000)
-        with pytest.raises(ValueError):
-            n.process_frame(obs, None, 2000, plan=plan)
-        n.handle_feedback(protocol.FeedbackMessage(CALIB.sensor_id, 0), 1000)
-        with pytest.raises(ValueError):
-            n.process_frame(obs, None, 1000, plan=plan)
-        n.process_frame(obs, None, 1000, plan=n.plan_frame(obs, 1000))
 
 
 class TestTransport:

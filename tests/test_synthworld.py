@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semgrid import synthworld
+from semgrid import sensor_node, synthworld
 from semgrid.geometry import CameraCalib, unpack_voxel_keys
 from semgrid.pose import BONES, NUM_JOINTS
 from semgrid.semantics import FLOOR_CLASS, PERSON_CLASS
-from semgrid.sensor_node import FramePlan
 from semgrid.voxmap import VoxelMap
-from tests.conftest import pose_set
 from tests.oracles import (
     capsule_hits_dense,
     cast_persons_dense,
@@ -34,9 +32,12 @@ def rig(scene):
 
 
 def patch_pixels(uvs) -> np.ndarray:
-    """The pixels a sensor reads depth at around keypoints at `uvs`."""
-    ps = pose_set(0, 0, [(0, {j: (u, v, 0.9) for j, (u, v) in enumerate(uvs)})])
-    return FramePlan([], 0, {}, ps).patch_pixels
+    """The pixels a sensor reads depth at around confident keypoints at
+    `uvs`, at most 17."""
+    uvc = np.zeros((NUM_JOINTS, 3))
+    uvc[:len(uvs)] = [(u, v, 0.9) for u, v in uvs]
+    present = np.arange(NUM_JOINTS) < len(uvs)
+    return sensor_node.patch_pixels([synthworld.PersonObservation(0, uvc, present, present)])
 
 
 class TestDeterminism:

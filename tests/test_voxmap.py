@@ -77,18 +77,18 @@ class DictVoxelMap:
 
     def __init__(self, resolution: float = RES):
         self.resolution = resolution
-        self.cells = {}  # key -> [log_odds, log_p, last_update, source]
+        self.cells = {}  # key -> [log_odds, log_p, source]
 
     def _cell(self, key: int) -> list:
         if key not in self.cells:
             self.cells[key] = [0.0, np.full(NUM_CLASSES, -np.log(NUM_CLASSES)),
-                               0, SOURCE_OBSERVED]
+                               SOURCE_OBSERVED]
         return self.cells[key]
 
     def load_prior(self, points) -> None:
         for key in pack_voxel_keys(voxel_indices_of(points, self.resolution)).tolist():
             cell = self._cell(key)
-            cell[0], cell[3] = L_PRIOR_OCC, SOURCE_PRIOR
+            cell[0], cell[2] = L_PRIOR_OCC, SOURCE_PRIOR
 
     def integrate_cloud(self, cloud, calib) -> int:
         """Returns the number of cells freed to uniform."""
@@ -103,7 +103,6 @@ class DictVoxelMap:
         for key in sums:
             end = unpack_voxel_keys(np.array([key]))[0].tolist()
             crossed.update(pack_voxel_keys(np.array(bresenham3d(origin, end))).tolist())
-        ts = int(cloud.timestamp_us)
         freed = 0
         for key in crossed - sums.keys():
             cell = self._cell(key)
@@ -112,20 +111,19 @@ class DictVoxelMap:
             if before > 0 and cell[0] <= 0:
                 cell[1] = np.full(NUM_CLASSES, -np.log(NUM_CLASSES))
                 freed += 1
-            cell[2], cell[3] = ts, SOURCE_OBSERVED
+            cell[2] = SOURCE_OBSERVED
         for key, log_p in sums.items():
             cell = self._cell(key)
             cell[0] = min(max(cell[0] + L_OCC, L_MIN), L_MAX)
             cell[1] = fuse_rows(cell[1][None], log_p[None])[0]
-            cell[2], cell[3] = ts, SOURCE_OBSERVED
+            cell[2] = SOURCE_OBSERVED
         return freed
 
     def state(self):
         keys = sorted(self.cells)
         cols = list(zip(*(self.cells[k] for k in keys)))
         return (np.array(keys, dtype=np.int64), np.array(cols[0]),
-                np.array(cols[1]), np.array(cols[2], dtype=np.int64),
-                np.array(cols[3], dtype=np.uint8))
+                np.array(cols[1]), np.array(cols[2], dtype=np.uint8))
 
 
 class TestBasics:
@@ -139,7 +137,7 @@ class TestBasics:
         vmap = VoxelMap()
         n = vmap.load_prior(np.array([[0.05, 0.05, 0.05], [0.35, 0.05, 0.05]]))
         assert n == 2 and len(vmap) == 2
-        log_odds, log_p, _, source = map_cell(vmap, (0, 0, 0))
+        log_odds, log_p, source = map_cell(vmap, (0, 0, 0))
         assert log_odds == L_PRIOR_OCC
         assert source == SOURCE_PRIOR
         assert np.allclose(np.exp(log_p), 1.0 / NUM_CLASSES)
@@ -235,7 +233,7 @@ class TestMovingObject:
 
         freed = uniform = 0
         for i in old_idx:
-            log_odds, log_p, _, _ = map_cell(vmap, i)
+            log_odds, log_p, _ = map_cell(vmap, i)
             if log_odds <= 0:
                 freed += 1
                 if np.allclose(np.exp(log_p), 1.0 / NUM_CLASSES):
@@ -424,7 +422,7 @@ class TestSlotTable:
             ever_end.add(int(pack_voxel_keys(voxel_indices_of(np.array(point), RES))[0]))
             self.check(vmap, ref, ever_end)
             if i == 3:
-                log_odds, log_p, _, _ = map_cell(vmap, (0, 0, 10))
+                log_odds, log_p, _ = map_cell(vmap, (0, 0, 10))
                 assert log_odds <= 0 and (log_p == -np.log(NUM_CLASSES)).all()
         assert vmap._n_slots == 3
         assert np.argmax(map_cell(vmap, (0, 0, 10))[1]) == 5
