@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import socket
 import socketserver
 import threading
@@ -76,6 +77,8 @@ class _SensorState:
 class Backend:
     def __init__(self, class_fingerprint: int, ablation: str = "fb-occ-depth",
                  vmap: VoxelMap | None = None, tick_rate_hz: float = TICK_RATE_HZ):
+        if not (math.isfinite(tick_rate_hz) and tick_rate_hz > 0):
+            raise ValueError("tick rate must be finite and positive")
         self.class_fingerprint = class_fingerprint
         self.flags = AblationFlags.parse(ablation)
         self.vmap = vmap if vmap is not None else VoxelMap()

@@ -18,7 +18,7 @@ hook-and-jump labelling in numpy, so the pipeline needs no scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,24 +110,15 @@ class Detection:
     class_idx: int
     score: float
     box: tuple[float, float, float, float]  # u0, v0, u1, v1
-    modality: str = "rgb"
 
     def __post_init__(self):
         if not 0 <= self.class_idx < NUM_CLASSES:
             raise ValueError("detection class index out of range")
         if not 0.0 < self.score < 1.0:
             raise ValueError("detection score must lie in (0, 1)")
-        if self.modality not in ("rgb", "thermal"):
-            raise ValueError("modality must be rgb or thermal")
         u0, v0, u1, v1 = self.box
         if not (u0 <= u1 and v0 <= v1):
             raise ValueError("malformed detection box")
-
-
-@dataclass
-class DetectionSet:
-    detections: list[Detection] = field(default_factory=list)
-    thermal_calib: CameraCalib | None = None
 
 
 def depth_to_points(depth: DepthImage, calib: CameraCalib) -> np.ndarray:
@@ -383,105 +374,26 @@ def _box_iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _point_in_detection(points_cam, uv_color, det: Detection, dets: DetectionSet, calib):
-    """Per-point membership mask for a detection box.
+def nms_detections(dets: list[Detection]) -> list[Detection]:
+    """Same-class non-maximum suppression on the boxes.
 
-    Thermal boxes live in the thermal image; a point belongs to one when
-    its own 3D position (known from its depth) projects inside the thermal
-    box.  RGB boxes are tested against the color-image projection.
+    Detection by falling score (the earlier of equal scores first), one
+    is suppressed when its box overlaps a kept box of its class with IoU
+    above NMS_IOU.  The kept detections come back in input order.
     """
-    if det.modality == "rgb":
-        u0, v0, u1, v1 = det.box
-        return (
-            (uv_color[:, 0] >= u0)
-            & (uv_color[:, 0] <= u1)
-            & (uv_color[:, 1] >= v0)
-            & (uv_color[:, 1] <= v1)
-        )
-    if dets.thermal_calib is None:
-        raise ValueError("thermal detection without thermal calibration")
-    tc = dets.thermal_calib
-    uv_t, _, in_image = project(tc, tc.world_to_cam(calib.cam_to_world(points_cam)))
-    u0, v0, u1, v1 = det.box
-    return (
-        in_image
-        & (uv_t[:, 0] >= u0)
-        & (uv_t[:, 0] <= u1)
-        & (uv_t[:, 1] >= v0)
-        & (uv_t[:, 1] <= v1)
-    )
-
-
-def map_thermal_box(det: Detection, dets: DetectionSet, calib: CameraCalib, depth: float):
-    """Map a thermal box into the color image at a representative depth."""
-    tc = dets.thermal_calib
-    if tc is None:
-        raise ValueError("thermal detection without thermal calibration")
-    u0, v0, u1, v1 = det.box
-    corners = [(u0, v0), (u1, v0), (u0, v1), (u1, v1)]
-    us, vs = [], []
-    for u, v in corners:
-        pw = tc.cam_to_world(
-            np.array([(u - tc.cx) / tc.fx * depth, (v - tc.cy) / tc.fy * depth, depth])
-        )
-        uv, front, _ = project(calib, calib.world_to_cam(pw))
-        if not front:
-            return None
-        us.append(uv[0])
-        vs.append(uv[1])
-    return (min(us), min(vs), max(us), max(vs))
-
-
-def nms_detections(
-    points_cam: np.ndarray,
-    uv_color: np.ndarray,
-    calib: CameraCalib,
-    dets: DetectionSet,
-    iou_thresh: float = NMS_IOU,
-) -> list[Detection]:
-    """Suppress cross-modality duplicates after mapping thermal boxes.
-
-    Thermal boxes are mapped into the color image at the median depth of
-    the points they cover, then standard same-class NMS runs on the
-    shared frame.
-    """
-    mapped: list[tuple[Detection, tuple | None]] = []
-    for det in dets.detections:
-        if det.modality == "rgb":
-            mapped.append((det, det.box))
-        else:
-            inside = _point_in_detection(points_cam, uv_color, det, dets, calib)
-            if inside.any():
-                z_med = float(np.median(points_cam[inside, 2]))
-            else:
-                z_med = 2.0
-            mapped.append((det, map_thermal_box(det, dets, calib, z_med)))
-    order = sorted(range(len(mapped)), key=lambda i: -mapped[i][0].score)
     keep: list[int] = []
-    for i in order:
-        det_i, box_i = mapped[i]
-        dup = False
-        for j in keep:
-            det_j, box_j = mapped[j]
-            if (
-                det_i.class_idx == det_j.class_idx
-                and box_i is not None
-                and box_j is not None
-                and _box_iou(box_i, box_j) > iou_thresh
-            ):
-                dup = True
-                break
-        if not dup:
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        if not any(dets[i].class_idx == dets[j].class_idx
+                   and _box_iou(dets[i].box, dets[j].box) > NMS_IOU for j in keep):
             keep.append(i)
-    keep.sort()
-    return [mapped[i][0] for i in keep]
+    return [dets[i] for i in sorted(keep)]
 
 
 def fuse_semantics(
     points_cam: np.ndarray,
     calib: CameraCalib,
     mask: SegmentationMask,
-    dets: DetectionSet,
+    dets: list[Detection],
     clusters: list[np.ndarray],
     sensor_id: int = 0,
     timestamp_us: int = 0,
@@ -505,10 +417,10 @@ def fuse_semantics(
     clustered = np.zeros(n, dtype=bool)
     for members in clusters:
         clustered[members] = True
-    active = nms_detections(pts, uv, calib, dets, NMS_IOU) if dets.detections else []
-    for det in active:
-        in_box = _point_in_detection(pts, uv, det, dets, calib)
-        sel = in_box & clustered & inside
+    for det in nms_detections(dets):
+        u0, v0, u1, v1 = det.box
+        sel = (clustered & inside & (uv[:, 0] >= u0) & (uv[:, 0] <= u1)
+               & (uv[:, 1] >= v0) & (uv[:, 1] <= v1))
         if not sel.any():
             continue
         det_row = semantics.detection_row(det.class_idx, det.score)

@@ -1,14 +1,16 @@
 """Simulated smart edge sensor.
 
-Consumes synthetic observations (the CNN stand-ins), runs the local
-pipeline — 2.5D keypoint estimation at the pose rate, semantic cloud
-construction at the cloud rate — completes the local pose model from the
-backend's newest feedback, and emits wire-protocol frames.
+Consumes the outputs of the CNN stand-ins (a keypoint frame as a
+PoseSet2p5D, depth images, segmentation masks and detection lists),
+runs the local pipeline — 2.5D keypoint estimation at the pose rate,
+semantic cloud construction at the cloud rate — completes the local pose
+model from the backend's newest feedback, and emits wire-protocol frames.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +19,9 @@ import numpy as np
 
 from . import cloud as cloudmod
 from . import protocol
-from .cloud import DepthImage, DetectionSet, SegmentationMask, SemanticCloud
+from .cloud import DepthImage, Detection, SegmentationMask, SemanticCloud
 from .geometry import CameraCalib, load_calibs
-from .pose import NUM_JOINTS, PoseSet2p5D, update_delay
+from .pose import PoseSet2p5D, update_delay
 
 KAPPA_FB = 0.35  # confidence of feedback-sourced joints, below the
 # backend's triangulation gate so they never feed back into fusion
@@ -44,8 +46,8 @@ class SensorConfig:
     use_occlusion: bool = True
 
     def __post_init__(self):
-        if self.pose_rate_hz <= 0 or self.cloud_rate_hz <= 0:
-            raise ValueError("rates must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in (self.pose_rate_hz, self.cloud_rate_hz)):
+            raise ValueError("rates must be finite and positive")
         if self.cloud_rate_hz > self.pose_rate_hz:
             raise ValueError("cloud rate must not exceed pose rate")
 
@@ -116,31 +118,13 @@ def estimate_keypoint_depths(depth: DepthImage, uvs: np.ndarray,
     return med, np.maximum(mad, sigma_floor)
 
 
-def _observed(persons: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ids (P,), uvc (P,17,3) and present (P,17) of keypoint observations:
-    objects with local_id, a (17,3) u, v, conf array uvc and a (17,)
-    present mask."""
-    return (np.array([obs.local_id for obs in persons], dtype=np.int64),
-            np.array([obs.uvc for obs in persons], dtype=np.float64).reshape(-1, NUM_JOINTS, 3),
-            np.array([obs.present for obs in persons], dtype=bool).reshape(-1, NUM_JOINTS))
-
-
-def _pose_set(sensor_id: int, timestamp_us: int, ids: np.ndarray, uvc: np.ndarray,
-              present: np.ndarray, from_fb: np.ndarray) -> PoseSet2p5D:
-    """A frame's pose set of these keypoints, depth and sigma still NaN."""
-    keypoints = np.full(present.shape + (5,), np.nan)
-    keypoints[..., :3] = np.where(present[..., None], uvc, 0.0)
-    return PoseSet2p5D(sensor_id, timestamp_us, ids, keypoints, present, from_fb)
-
-
-def patch_pixels(persons: list) -> np.ndarray:
+def patch_pixels(frame: PoseSet2p5D) -> np.ndarray:
     """(col, row) pixels of the 5x5 depth patches around the joints that
-    PoseSet2p5D.fusable keeps of the frame of `persons` without feedback,
-    patch by patch.  Feedback only replaces local joints or adds its own,
-    and fusable excludes both, so these patches hold every pixel a sensor
-    reads of the frame (see SensorNode.process_frame)."""
-    ps = _pose_set(0, 0, *_observed(persons), np.zeros((len(persons), NUM_JOINTS), dtype=bool))
-    u, v = ps.keypoints[ps.fusable][:, :2].astype(np.int64).T
+    PoseSet2p5D.fusable keeps of a keypoint frame (render_keypoints'
+    form), patch by patch.  Feedback only replaces local joints or adds
+    its own, and fusable excludes both, so these patches hold every pixel
+    a sensor reads of the frame (see SensorNode.process_frame)."""
+    u, v = frame.keypoints[frame.fusable][:, :2].astype(np.int64).T
     return np.stack([(u[:, None] + _PATCH_DU).ravel(), (v[:, None] + _PATCH_DV).ravel()], axis=1)
 
 
@@ -223,19 +207,21 @@ class SensorNode:
                     cost[:, f] = np.inf
         return rows
 
-    def process_frame(self, persons: list, depth: DepthImage | None,
+    def process_frame(self, frame: PoseSet2p5D, depth: DepthImage | None,
                       timestamp_us: int) -> PoseSet2p5D:
-        """Local 2.5D pose model for one tick.
+        """Local 2.5D pose model for one tick, stamped timestamp_us.
 
-        persons: keypoint observations (see _observed).  With feedback
-        enabled, missing joints are completed from the backend's
-        reprojections; with occlusion handling, occlusion-flagged local
-        detections are discarded and replaced as well, and persons seen
-        only in feedback are appended.  Feedback-sourced joints always
-        carry confidence KAPPA_FB and from_feedback set.  Depth is read in
-        the patch around each joint the backend can fuse
-        (PoseSet2p5D.fusable); every other present joint keeps NaN depth
-        and sigma, since the backend never reads them.
+        frame: the keypoint CNN's output (render_keypoints' form), left
+        unchanged, since the sweep's observation cache shares it across
+        runs.  With feedback enabled, missing joints are completed from
+        the backend's reprojections; with occlusion handling,
+        occlusion-flagged local detections are discarded and replaced as
+        well, and persons seen only in feedback are appended.
+        Feedback-sourced joints always carry confidence KAPPA_FB and
+        from_feedback set.  Depth is read in the patch around each joint
+        the backend can fuse (PoseSet2p5D.fusable); every other present
+        joint keeps NaN depth and sigma, since the backend never reads
+        them.
         """
         if timestamp_us < self._last_pose_ts:
             raise ValueError("observation timestamps must be monotonic")
@@ -244,7 +230,8 @@ class SensorNode:
         live = self.latest_feedback
         if live is not None and timestamp_us - live.timestamp_us > FEEDBACK_TTL_US:
             live = self.latest_feedback = None
-        ids, uvc, present = _observed(persons)
+        ids, uvc, present = (frame.person_ids.copy(), frame.keypoints[..., :3].copy(),
+                             frame.present.copy())
         from_fb = np.zeros(present.shape, dtype=bool)
         if live is not None:
             fb_uvc = live.uvc.copy()
@@ -266,7 +253,9 @@ class SensorNode:
                 uvc = np.concatenate([uvc, fb_uvc[add]])
                 present = np.concatenate([present, live.present[add]])
                 from_fb = np.concatenate([from_fb, live.present[add]])
-        ps = _pose_set(cfg.sensor_id, timestamp_us, ids, uvc, present, from_fb)
+        keypoints = np.full(present.shape + (5,), np.nan)
+        keypoints[..., :3] = np.where(present[..., None], uvc, 0.0)
+        ps = PoseSet2p5D(cfg.sensor_id, timestamp_us, ids, keypoints, present, from_fb)
         measured = ps.fusable
         if cfg.has_depth and depth is not None and measured.any():
             # NaN depth and sigma where a patch has no valid pixel
@@ -275,18 +264,17 @@ class SensorNode:
                 max(cfg.calib.depth_noise_sigma, MIN_DEPTH_SIGMA)))
         return ps
 
-    def pose_tick(self, persons: list, depth: DepthImage | None,
+    def pose_tick(self, frame: PoseSet2p5D, depth: DepthImage | None,
                   timestamp_us: int) -> PoseSet2p5D:
-        pose_set = self.process_frame(persons, depth, timestamp_us)
-        frame = protocol.encode(protocol.PoseMessage(pose_set))
-        self._enqueue(protocol.MSG_POSE, frame)
+        pose_set = self.process_frame(frame, depth, timestamp_us)
+        self._enqueue(protocol.MSG_POSE, protocol.encode(protocol.PoseMessage(pose_set)))
         self.stats["pose_sent"] += 1
         return pose_set
 
     # -- cloud path --------------------------------------------------------
 
     def build_semantic_cloud(self, depth: DepthImage, mask: SegmentationMask,
-                             dets: DetectionSet, timestamp_us: int) -> SemanticCloud:
+                             dets: list[Detection], timestamp_us: int) -> SemanticCloud:
         """Back-project, downsample, filter, cluster and semantically
         label one depth frame (the full local cloud pipeline)."""
         if not self.config.has_depth:
@@ -302,7 +290,7 @@ class SensorNode:
         )
 
     def cloud_tick(self, depth: DepthImage, mask: SegmentationMask,
-                   dets: DetectionSet, timestamp_us: int) -> SemanticCloud:
+                   dets: list[Detection], timestamp_us: int) -> SemanticCloud:
         cloud = self.build_semantic_cloud(depth, mask, dets, timestamp_us)
         frame = protocol.encode(protocol.CloudMessage(cloud))
         self._enqueue(protocol.MSG_CLOUD, frame)

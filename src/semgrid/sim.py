@@ -9,6 +9,7 @@ with one tick of transport delay on the feedback direction.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from . import protocol, synthworld
 from .backend import ABLATIONS, AblationFlags, Backend
 from .geometry import CameraCalib, project, save_calibs, unpack_voxel_keys
-from .pose import NUM_JOINTS, format_skeleton_log
+from .pose import NUM_JOINTS, PoseSet2p5D, format_skeleton_log
 from .semantics import ClassSet
 from .sensor_node import SensorConfig, SensorNode, patch_pixels
 from .voxmap import VoxelMap
@@ -62,8 +63,8 @@ class SimConfig:
             )
         if self.map_source not in ("prior", "structure", "none"):
             raise ValueError("map_source must be prior|structure|none")
-        if self.duration_s < 0:
-            raise ValueError("duration must be non-negative")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValueError("duration must be finite and non-negative")
 
 
 @dataclass
@@ -144,18 +145,21 @@ class ObservationCache:
     ablation.  Observations are ablation-independent, and sensors ask for
     depth only in the patches sensor_node.patch_pixels picks from them, so
     every run of the seed asks for the same pixels of a frame: the first
-    run casts them, and the later ablations of the seed cast nothing."""
+    run casts them, and the later ablations of the seed cast nothing.
+    Sensors leave the cached keypoint frames unchanged (see
+    SensorNode.process_frame)."""
 
     def __init__(self):
-        self.keypoints: dict[tuple[int, int], list] = {}
+        # (camera, frame) -> the camera's keypoint frame
+        self.keypoints: dict[tuple[int, int], PoseSet2p5D] = {}
         # frame -> each camera's depth values at its requested pixels
         self.depth: dict[int, list[np.ndarray]] = {}
 
 
 def _observe_keypoints(scene, calibs, config: SimConfig, frame_idx: int, t_s: float,
-                       obs_cache: ObservationCache | None) -> list:
-    """Every camera's keypoint observations of one frame, through the
-    observation cache when there is one."""
+                       obs_cache: ObservationCache | None) -> list[PoseSet2p5D]:
+    """The keypoint frame (render_keypoints) of every camera at frame
+    frame_idx, through the observation cache when there is one."""
     if obs_cache is not None and all(
             (ci, frame_idx) in obs_cache.keypoints for ci in range(len(calibs))):
         return [obs_cache.keypoints[(ci, frame_idx)] for ci in range(len(calibs))]

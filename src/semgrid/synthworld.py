@@ -2,8 +2,9 @@
 
 Stands in for the real CNNs: renders depth/class images by ray casting
 against axis-aligned boxes and per-bone person capsules, produces noisy
-2D keypoints with occlusion failure modes, segmentation masks and
-detection boxes.  Everything is a pure function of (scene, time, seed).
+2D keypoints with occlusion failure modes (a sensor's PoseSet2p5D
+frame), segmentation masks and detection boxes (a list of Detection).
+Everything is a pure function of (scene, time, seed).
 """
 
 from __future__ import annotations
@@ -14,14 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import DepthImage, Detection, DetectionSet, SegmentationMask
+from .cloud import DepthImage, Detection, SegmentationMask
 from .geometry import CameraCalib, pack_voxel_keys, project, unpack_voxel_keys
 from .semantics import FLOOR_CLASS, NUM_CLASSES, PERSON_CLASS
-from .pose import NUM_JOINTS
+from .pose import NUM_JOINTS, PoseSet2p5D
 from .voxmap import MAP_RESOLUTION
 
 NO_CLASS = 255
 MAX_RANGE = 12.0
+
+# the room's walls, shells of this thickness around it
+WALL_CLASS = 2  # "wall" in the default class set
+WALL_THICKNESS = 0.10  # m
 
 # the cameras of make_camera_rig
 RIG_WIDTH_PX = 160
@@ -190,8 +195,6 @@ class GroundTruthScene:
     boxes: list[SceneBox] = field(default_factory=list)
     persons: list[PersonAnimator] = field(default_factory=list)
     rng_seed: int = 0
-    wall_class: int = 2
-    wall_thickness: float = 0.10
     # per-camera static casts (see _static_cast), owned by this scene
     _static_casts: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
@@ -209,8 +212,7 @@ class GroundTruthScene:
         x0, y0, _ = self.room_min
         x1, y1, _ = self.room_max
         h = self.room_max[2]
-        th = self.wall_thickness
-        wc = self.wall_class
+        th, wc = WALL_THICKNESS, WALL_CLASS
         return [
             SceneBox(wc, (x0 - th, y0 - th, 0), (x1 + th, y0, h)),
             SceneBox(wc, (x0 - th, y1, 0), (x1 + th, y1 + th, h)),
@@ -751,7 +753,7 @@ def _project_box_to_image(calib: CameraCalib, bmin, bmax):
 
 
 def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
-                      frame_idx: int = 0) -> DetectionSet:
+                      frame_idx: int = 0) -> list[Detection]:
     """Ground-truth 2D boxes of sufficiently visible objects and persons.
 
     An object is visible when the camera sees at least 30 % of its
@@ -782,7 +784,7 @@ def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
             continue
         candidates.append((PERSON_CLASS, (u0, v0, u1, v1), joints, pi))
     if not candidates:
-        return DetectionSet([])
+        return []
     counts = [len(samples) for _, _, samples, _ in candidates]
     dirs = np.concatenate([samples for _, _, samples, _ in candidates]) - calib.center
     owner = np.repeat([pi for _, _, _, pi in candidates], counts)
@@ -791,9 +793,8 @@ def render_detections(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
     _cast_persons(_scene_capsules(scene, t_s), [(calib, len(dirs))], dirs, t, cls,
                   owner[:, None] == capsule_owner)
     seen = np.split(t > 0.98, np.cumsum(counts)[:-1])
-    return DetectionSet([Detection(class_idx, float(rng.uniform(0.6, 0.95)), box2d)
-                         for (class_idx, box2d, _, _), s in zip(candidates, seen)
-                         if np.mean(s) >= 0.3])
+    return [Detection(class_idx, float(rng.uniform(0.6, 0.95)), box2d)
+            for (class_idx, box2d, _, _), s in zip(candidates, seen) if np.mean(s) >= 0.3]
 
 
 # (joint, capsule): the capsule contains the joint
@@ -831,31 +832,27 @@ def visible_joints_many(scene: GroundTruthScene, calibs: list[CameraCalib],
     return (in_img & (t.reshape(n_c, n_rays) > 0.98)).reshape(n_c, n_p, NUM_JOINTS)
 
 
-@dataclass
-class PersonObservation:
-    local_id: int
-    uvc: np.ndarray  # (17,3) u, v, confidence; zero where absent
-    present: np.ndarray  # (17,) bool
-    gt_visible: np.ndarray  # (17,) bool
-
-
 def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
                      noise_px: float = KEYPOINT_NOISE_PX,
                      miss_rate: float = MISS_RATE,
                      p_occ_fail: float = P_OCC_FAIL,
                      frame_idx: int = 0,
-                     vis: np.ndarray | None = None) -> list[PersonObservation]:
+                     vis: np.ndarray | None = None) -> PoseSet2p5D:
     """Noisy 2D keypoints standing in for the pose-estimation CNN.
 
     Visible joints get isotropic Gaussian noise; occluded joints fail
     with probability p_occ_fail (dropped or displaced by a large error,
     emulating pose collapse towards the visible side) and always carry
-    lower confidence."""
+    lower confidence.  Returns the camera's frame at t_s: the persons
+    with a keypoint, by scene index, with u, v and confidence where
+    present and 0 elsewhere, NaN depth and sigma, and no joint from
+    feedback."""
     if noise_px < 0:
         raise ValueError("noise_px must be non-negative")
     rng = scene_rng(scene, calib.sensor_id, frame_idx, _STREAM_KEYPOINTS)
+    timestamp_us = int(round(t_s * 1e6))
     if not scene.persons:
-        return []
+        return PoseSet2p5D(calib.sensor_id, timestamp_us)
     if vis is None:
         vis = visible_joints_many(scene, [calib], t_s)[0]
     joints = np.stack([person.joints_at(t_s) for person in scene.persons])
@@ -874,9 +871,12 @@ def render_keypoints(scene: GroundTruthScene, calib: CameraCalib, t_s: float,
     # occluded estimates score low, as a pose CNN's would; the top of
     # the range still leaks past downstream gates
     conf = np.where(vis, 0.55 + 0.4 * draws[..., 1], 0.15 + 0.3 * draws[..., 1] * draws[..., 0])
-    uvc = np.where(keep[..., None], np.stack([u, v, conf], axis=-1), 0.0)
-    return [PersonObservation(pi, uvc[pi], keep[pi], vis[pi])
-            for pi in np.flatnonzero(keep.any(axis=1)).tolist()]
+    ids = np.flatnonzero(keep.any(axis=1))
+    keep = keep[ids]
+    keypoints = np.full(keep.shape + (5,), np.nan)
+    keypoints[..., :3] = np.where(keep[..., None], np.stack([u, v, conf], axis=-1)[ids], 0.0)
+    return PoseSet2p5D(calib.sensor_id, timestamp_us, ids, keypoints, keep,
+                       np.zeros(keep.shape, dtype=bool))
 
 
 def box_shell_keys(bmin, bmax, resolution: float) -> np.ndarray:
@@ -892,30 +892,26 @@ def box_shell_keys(bmin, bmax, resolution: float) -> np.ndarray:
     return pack_voxel_keys(idx[~interior])
 
 
-def structure_voxel_keys(scene: GroundTruthScene, t_s: float,
-                         resolution: float = 0.10) -> np.ndarray:
-    """Voxelization of walls, floor and boxes (surface shells)."""
-    keys = []
-    for b in scene.all_boxes():
-        bmin, bmax = b.corners_at(t_s)
-        keys.append(box_shell_keys(bmin, bmax, resolution))
-    # floor layer, one voxel thick at z index 0
-    x = np.arange(
-        int(np.floor(scene.room_min[0] / resolution)),
-        int(np.floor(scene.room_max[0] / resolution)) + 1,
-    )
-    y = np.arange(
-        int(np.floor(scene.room_min[1] / resolution)),
-        int(np.floor(scene.room_max[1] / resolution)) + 1,
-    )
+def _structure_keys(scene: GroundTruthScene, boxes: list[SceneBox], t_s: float,
+                    resolution: float) -> np.ndarray:
+    """Sorted unique packed keys of the floor layer, one voxel thick at z
+    index 0, and of the surface shells of boxes at t_s."""
+    x, y = (np.arange(int(np.floor(scene.room_min[i] / resolution)),
+                      int(np.floor(scene.room_max[i] / resolution)) + 1) for i in range(2))
     gx, gy = np.meshgrid(x, y, indexing="ij")
-    floor_idx = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size, dtype=np.int64)], axis=1)
-    keys.append(pack_voxel_keys(floor_idx))
-    return np.unique(np.concatenate(keys))
+    floor = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size, dtype=np.int64)], axis=1)
+    return np.unique(np.concatenate([*(box_shell_keys(*b.corners_at(t_s), resolution)
+                                       for b in boxes), pack_voxel_keys(floor)]))
+
+
+def structure_voxel_keys(scene: GroundTruthScene, t_s: float,
+                         resolution: float = MAP_RESOLUTION) -> np.ndarray:
+    """Voxelization of walls, floor and boxes (surface shells)."""
+    return _structure_keys(scene, scene.all_boxes(), t_s, resolution)
 
 
 def structure_class_of_keys(scene: GroundTruthScene, t_s: float, keys: np.ndarray,
-                            resolution: float = 0.10) -> np.ndarray:
+                            resolution: float = MAP_RESOLUTION) -> np.ndarray:
     """Ground-truth class per packed voxel key (boxes override floor)."""
     classes = np.full(len(keys), FLOOR_CLASS, dtype=np.int64)
     for b in scene.all_boxes():
@@ -928,25 +924,8 @@ def structure_class_of_keys(scene: GroundTruthScene, t_s: float, keys: np.ndarra
 def prior_map_points(scene: GroundTruthScene) -> np.ndarray:
     """Voxel-center points of walls and floor (the 'empty building') on
     the map's grid."""
-    keys = []
-    for b in scene.wall_boxes():
-        keys.append(box_shell_keys(b.min_corner, b.max_corner, MAP_RESOLUTION))
-    x = np.arange(
-        int(np.floor(scene.room_min[0] / MAP_RESOLUTION)),
-        int(np.floor(scene.room_max[0] / MAP_RESOLUTION)) + 1,
-    )
-    y = np.arange(
-        int(np.floor(scene.room_min[1] / MAP_RESOLUTION)),
-        int(np.floor(scene.room_max[1] / MAP_RESOLUTION)) + 1,
-    )
-    gx, gy = np.meshgrid(x, y, indexing="ij")
-    keys.append(
-        pack_voxel_keys(
-            np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size, dtype=np.int64)], axis=1)
-        )
-    )
-    idx = unpack_voxel_keys(np.unique(np.concatenate(keys)))
-    return (idx + 0.5) * MAP_RESOLUTION
+    keys = _structure_keys(scene, scene.wall_boxes(), 0.0, MAP_RESOLUTION)
+    return (unpack_voxel_keys(keys) + 0.5) * MAP_RESOLUTION
 
 
 # -- scene configuration -------------------------------------------------------

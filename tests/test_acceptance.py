@@ -295,11 +295,9 @@ class TestOcclusionFeedback:
                 node0.handle_feedback(pending_fb, now)
             joints = self._joints_at(tick)
             occluded0 = tick >= self.ONSET
-            obs0 = [] if occluded0 else [
-                _KeypointObs(0, self._pose_set(0, joints, now))
-            ]
-            ps0 = node0.process_frame(
-                [o.as_observation() for o in obs0], None, now)
+            obs0 = _KeypointObs(pose_set(0, now) if occluded0
+                                else self._pose_set(0, joints, now))
+            ps0 = node0.process_frame(obs0.as_observation(), None, now)
             backend.on_message(protocol.PoseMessage(PoseSet2p5D(
                 0, now, ps0.person_ids, ps0.keypoints, ps0.present, ps0.from_feedback)), now)
             for sid in (1, 2, 3):
@@ -322,17 +320,13 @@ class TestOcclusionFeedback:
 
 
 class _KeypointObs:
-    """Adapter turning a wire pose set back into keypoint observations."""
+    """Adapter handing a wire pose set to a sensor as its keypoint frame."""
 
-    def __init__(self, local_id, pose_set):
-        self.local_id = local_id
+    def __init__(self, pose_set):
         self.pose_set = pose_set
 
     def as_observation(self):
-        ps = self.pose_set
-        return synthworld.PersonObservation(
-            self.local_id, np.where(ps.present[0, :, None], ps.keypoints[0, :, :3], 0.0),
-            ps.present[0].copy(), np.ones(NUM_JOINTS, dtype=bool))
+        return self.pose_set
 
 
 class TestProtocolRobustness:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from semgrid.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, backend_main, main
-from semgrid.geometry import pack_voxel_keys
+from semgrid import synthworld
+from semgrid.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, backend_main, main, sensor_node_main
+from semgrid.geometry import pack_voxel_keys, save_calibs
 from semgrid.ply import read_ply, write_ply
 
 
@@ -105,6 +106,50 @@ class TestMalformedRunFiles:
         code, _, err = run_cli(capsys, command, str(run))
         assert code == EXIT_DATA
         assert err.count("\n") == 1 and "map.ply" in err
+
+
+class TestRatesAndDurations:
+    """A rate that is not finite and positive, or a duration that is not
+    finite and non-negative, ends a command with exit code 2 and a
+    one-line error, not a traceback."""
+
+    @staticmethod
+    def _refused(code, err, named):
+        assert code == EXIT_DATA
+        assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--pose-rate", "inf"), ("--pose-rate", "nan"), ("--pose-rate", "0"),
+        ("--pose-rate", "-5"), ("--cloud-rate", "inf"), ("--cloud-rate", "nan"),
+        ("--cloud-rate", "0"), ("--duration", "inf"), ("--duration", "nan"),
+        ("--duration", "-1"),
+    ])
+    def test_simulate(self, tmp_path, capsys, option, value):
+        # a short run, should the value be taken
+        args = {"--duration": "0.1", option: value}
+        code, _, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "run"),
+                               *(f"{k}={v}" for k, v in args.items()))
+        self._refused(code, err, "duration" if option == "--duration" else "rate")
+
+    @pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])
+    def test_backend_tick_rate(self, capsys, value):
+        code = backend_main(["--listen", "127.0.0.1:0", f"--tick-rate={value}",
+                             "--duration", "0"])
+        self._refused(code, capsys.readouterr().err, "tick rate")
+
+    @pytest.mark.parametrize("key,value", [("pose_rate_hz", "nan"), ("pose_rate_hz", "inf"),
+                                           ("cloud_rate_hz", "nan"), ("cloud_rate_hz", "-1")])
+    def test_sensor_node_config_rates(self, tmp_path, capsys, key, value):
+        scene = synthworld.make_default_scene()
+        synthworld.save_scene(tmp_path / "scene.ini", scene)
+        calib = synthworld.make_camera_rig(scene)[0]
+        save_calibs(tmp_path / "calibs.txt", [calib])
+        (tmp_path / "sensor.ini").write_text(
+            f"[sensor]\nsensor_id = {calib.sensor_id}\ncalib_file = calibs.txt\n"
+            f"scene_file = scene.ini\n{key} = {value}\n")
+        code = sensor_node_main(["--config", str(tmp_path / "sensor.ini"),
+                                 "--backend", "127.0.0.1:9", "--duration", "0"])
+        self._refused(code, capsys.readouterr().err, "rates")
 
 
 class TestSimulate:

@@ -19,7 +19,6 @@ from semgrid.cloud import (
     FLOOR_Z,
     DepthImage,
     Detection,
-    DetectionSet,
     SegmentationMask,
     SemanticCloud,
     depth_to_points,
@@ -438,7 +437,7 @@ class TestFuseSemantics:
     def test_mask_only(self):
         calib, mask = self._setup()
         pts = np.array([[0.0, 0.0, 2.0], [0.1, 0.0, 2.0]])
-        cloud = fuse_semantics(pts, calib, mask, DetectionSet(), [])
+        cloud = fuse_semantics(pts, calib, mask, [], [])
         assert list(cloud.argmax_classes()) == [2, 2]
 
     def test_detection_overrides_in_cluster(self):
@@ -447,7 +446,7 @@ class TestFuseSemantics:
         det = Detection(PERSON_CLASS, 0.95,
                         (calib.cx - 5, calib.cy - 5, calib.cx + 5, calib.cy + 5))
         # only point 0 projects into the box and only point 0 is clustered
-        cloud = fuse_semantics(pts, calib, mask, DetectionSet([det]),
+        cloud = fuse_semantics(pts, calib, mask, [det],
                                [np.array([0])])
         assert cloud.argmax_classes()[0] == PERSON_CLASS
         assert cloud.argmax_classes()[1] == 2
@@ -456,24 +455,33 @@ class TestFuseSemantics:
         calib, mask = self._setup()
         pts = np.array([[0.0, 0.0, 2.0]])
         det = Detection(PERSON_CLASS, 0.95, (0, 0, calib.width, calib.height))
-        cloud = fuse_semantics(pts, calib, mask, DetectionSet([det]), [])
+        cloud = fuse_semantics(pts, calib, mask, [det], [])
         assert cloud.argmax_classes()[0] == 2
 
     def test_point_behind_camera_stays_uniform(self):
         calib, mask = self._setup()
         cloud = fuse_semantics(np.array([[0.0, 0.0, -1.0]]), calib, mask,
-                               DetectionSet(), [])
+                               [], [])
         assert np.allclose(np.exp(cloud.log_probs[0]), 1.0 / NUM_CLASSES)
 
     def test_nms_drops_duplicate(self):
-        calib, _ = self._setup()
         box = (10.0, 10.0, 30.0, 25.0)
         strong = Detection(3, 0.9, box)
         weak = Detection(3, 0.6, (11.0, 11.0, 31.0, 26.0))
         other = Detection(4, 0.6, box)  # different class survives
-        kept = nms_detections(np.empty((0, 3)), np.empty((0, 2)), calib,
-                              DetectionSet([strong, weak, other]))
+        kept = nms_detections([strong, weak, other])
         assert strong in kept and other in kept and weak not in kept
+
+    def test_nms_order_and_ties(self):
+        """Suppression runs by falling score, the earlier of equal scores
+        first, and the kept detections keep their input order."""
+        box, near = (10.0, 10.0, 30.0, 25.0), (11.0, 11.0, 31.0, 26.0)
+        first, second = Detection(3, 0.7, box), Detection(3, 0.7, near)
+        low, high = Detection(5, 0.6, box), Detection(5, 0.8, near)
+        apart = Detection(3, 0.65, (50.0, 50.0, 60.0, 60.0))
+        kept = nms_detections([low, first, apart, second, high])
+        assert kept == [first, apart, high]
+        assert nms_detections([]) == []
 
 
 class TestCloudContainer:

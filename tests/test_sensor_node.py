@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semgrid import protocol, synthworld
 from semgrid.cloud import DepthImage
 from semgrid.geometry import save_calibs
-from semgrid.pose import NUM_JOINTS, CONF_MIN
+from semgrid.pose import NUM_JOINTS, CONF_MIN, PoseSet2p5D
 from semgrid.sensor_node import (
     FEEDBACK_PERSON_ID_BASE,
     KAPPA_FB,
@@ -20,7 +20,6 @@ from semgrid.sensor_node import (
     load_sensor_config,
     patch_pixels,
 )
-from semgrid.synthworld import PersonObservation
 from tests import conftest
 from tests.conftest import make_ring_calibs
 from tests.oracles import estimate_keypoint_depth, match_feedback, render_depth_sparse
@@ -33,13 +32,12 @@ def depth_image(values: np.ndarray) -> DepthImage:
     return DepthImage(values.shape[1], values.shape[0], values)
 
 
-def obs_of(local_id, joints: dict) -> PersonObservation:
-    uvc = np.zeros((NUM_JOINTS, 3))
-    present = np.zeros(NUM_JOINTS, dtype=bool)
-    for j, kp in joints.items():
-        uvc[j] = kp
-        present[j] = True
-    return PersonObservation(local_id, uvc, present, np.zeros(NUM_JOINTS, dtype=bool))
+def obs_of(local_id, joints: dict) -> PoseSet2p5D:
+    """A keypoint frame of one person, {joint: (u, v, conf)}."""
+    return conftest.pose_set(CALIB.sensor_id, 0, [(local_id, joints)])
+
+
+NO_OBS = conftest.pose_set(CALIB.sensor_id, 0)  # a keypoint frame without persons
 
 
 def feedback(persons, ts=0) -> protocol.FeedbackMessage:
@@ -123,7 +121,7 @@ class TestZeroDepthNoise:
         lone = np.zeros_like(constant)
         lone[20, 30] = 3.0  # the only valid pixel of the patch around (30, 20)
         for ts, (img, depth) in enumerate(((constant, 2.0), (lone, 3.0))):
-            n.pose_tick([obs_of(0, {5: (30.0, 20.0, 0.9)})], depth_image(img), ts)
+            n.pose_tick(obs_of(0, {5: (30.0, 20.0, 0.9)}), depth_image(img), ts)
             (frame,) = n.pop_frames()
             keypoints = protocol.decode(frame).pose_set.keypoints
             assert keypoints[0, 5, 3] == depth
@@ -134,6 +132,10 @@ class TestConfig:
     def test_rates_validated(self):
         with pytest.raises(ValueError):
             SensorConfig(0, CALIB, pose_rate_hz=0.0)
+        for rate in (-1.0, float("nan"), float("inf")):
+            for key in ("pose_rate_hz", "cloud_rate_hz"):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    SensorConfig(0, CALIB, **{key: rate})
         with pytest.raises(ValueError):
             SensorConfig(0, CALIB, cloud_rate_hz=40.0, pose_rate_hz=30.0)
 
@@ -190,7 +192,7 @@ class TestFeedbackMerge:
                                    2: (14.0, 10.0, False), 3: (30.0, 30.0, False)})]), 0)
         obs = obs_of(0, {0: (10.5, 10.2, 0.9), 1: (12.1, 9.8, 0.9),
                          2: (13.9, 10.1, 0.9)})
-        ps = n.process_frame([obs], None, 1000)
+        ps = n.process_frame(obs, None, 1000)
         assert ps.present[0, 3]
         u, v, conf = ps.keypoints[0, 3, :3]
         assert u == 30.0 and v == 30.0
@@ -207,7 +209,7 @@ class TestFeedbackMerge:
                                    2: (14.0, 10.0, False)})]), 0)
         obs = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
                          2: (14.0, 10.0, 0.9)})
-        ps = n.process_frame([obs], None, 1000)
+        ps = n.process_frame(obs, None, 1000)
         assert ps.present[0, 0]
         assert ps.keypoints[0, 0, 0] == 10.0 and ps.keypoints[0, 0, 2] == KAPPA_FB
         assert ps.from_feedback[0, 0]
@@ -218,20 +220,20 @@ class TestFeedbackMerge:
                                    2: (14.0, 10.0, False)})]), 0)
         obs = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
                          2: (14.0, 10.0, 0.9)})
-        ps = n.process_frame([obs], None, 1000)
+        ps = n.process_frame(obs, None, 1000)
         assert ps.present[0, 0] and ps.keypoints[0, 0, 0] == 35.0
 
     def test_feedback_disabled(self):
         n = node(use_feedback=False)
         n.handle_feedback(feedback([(7, {3: (30.0, 30.0, False)})]), 0)
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
-        ps = n.process_frame([obs], None, 1000)
+        ps = n.process_frame(obs, None, 1000)
         assert not ps.present[0, 3]
 
     def test_hidden_person_appended(self):
         n = node()
         n.handle_feedback(feedback([(9, {j: (20.0 + j, 20.0, True) for j in range(5)})]), 0)
-        ps = n.process_frame([], None, 1000)
+        ps = n.process_frame(NO_OBS, None, 1000)
         assert ps.person_ids.tolist() == [FEEDBACK_PERSON_ID_BASE + 9]
         for j in range(5):
             assert ps.present[0, j]
@@ -241,7 +243,7 @@ class TestFeedbackMerge:
     def test_hidden_person_gated_on_occlusion(self):
         n = node(use_occlusion=False)
         n.handle_feedback(feedback([(9, {0: (20.0, 20.0, True)})]), 0)
-        ps = n.process_frame([], None, 1000)
+        ps = n.process_frame(NO_OBS, None, 1000)
         assert len(ps.person_ids) == 0
 
     def test_message_without_an_id_removes_it(self):
@@ -251,11 +253,11 @@ class TestFeedbackMerge:
         n.handle_feedback(feedback([(7, {0: (20.0, 20.0, True)}),
                                     (9, {0: (40.0, 20.0, True)})]), 0)
         n.handle_feedback(feedback([(9, {0: (41.0, 20.0, True)})], ts=33_000), 33_000)
-        ps = n.process_frame([], None, 40_000)
+        ps = n.process_frame(NO_OBS, None, 40_000)
         assert ps.person_ids.tolist() == [FEEDBACK_PERSON_ID_BASE + 9]
         assert ps.keypoints[0, 0, 0] == 41.0
         n.handle_feedback(feedback([], ts=66_000), 66_000)
-        assert len(n.process_frame([], None, 70_000).person_ids) == 0
+        assert len(n.process_frame(NO_OBS, None, 70_000).person_ids) == 0
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 5), st.booleans())
     def test_matching_equals_loop(self, seed, n_obs, n_fb, duplicate):
@@ -280,7 +282,7 @@ class TestFeedbackMerge:
     def test_stale_feedback_dropped(self):
         n = node()
         n.handle_feedback(feedback([(9, {0: (20.0, 20.0, True)})], ts=0), 0)
-        ps = n.process_frame([], None, 600_000)
+        ps = n.process_frame(NO_OBS, None, 600_000)
         assert len(ps.person_ids) == 0
         assert n.latest_feedback is None
 
@@ -291,20 +293,44 @@ class TestFeedbackMerge:
                                    ts=1000), 1000)
         obs = obs_of(0, {0: (50.0, 45.0, 0.9), 1: (52.0, 45.0, 0.9),
                          2: (54.0, 45.0, 0.9)})
-        ps = n.process_frame([obs], None, 1000)
+        ps = n.process_frame(obs, None, 1000)
         assert not ps.present[0, 3]
+
+    def test_frame_left_unchanged(self):
+        """process_frame writes only to copies: the sweep's observation
+        cache hands one keypoint frame to the runs of every ablation."""
+        img = depth_image(np.full((CALIB.height, CALIB.width), 2.0))
+        fields = ("person_ids", "keypoints", "present", "from_feedback")
+        for n in (node(), node(use_feedback=False, use_occlusion=False)):
+            n.handle_feedback(feedback([
+                (7, {0: (10.0, 10.0, True), 1: (12.0, 10.0, False), 2: (14.0, 10.0, False),
+                     3: (30.0, 30.0, False)}),
+                (9, {j: (40.0 + j, 20.0, True) for j in range(5)})]), 0)
+            frame = obs_of(0, {0: (35.0, 10.0, 0.9), 1: (12.0, 10.0, 0.9),
+                               2: (14.0, 10.0, 0.9)})
+            before = {name: getattr(frame, name).copy() for name in fields}
+            for ts in (1000, 2000):
+                ps = n.process_frame(frame, img, ts)
+                if n.config.use_feedback:
+                    # joint 0 replaced, joint 3 completed, person 9 appended
+                    assert ps.from_feedback[0, [0, 3]].all()
+                    assert ps.person_ids.tolist() == [0, FEEDBACK_PERSON_ID_BASE + 9]
+                for name in fields:
+                    assert np.array_equal(getattr(frame, name), before[name], equal_nan=True)
+                    assert not any(np.shares_memory(getattr(ps, name), getattr(frame, other))
+                                   for other in fields)
 
     def test_monotonic_timestamps_enforced(self):
         n = node()
-        n.process_frame([], None, 1000)
+        n.process_frame(NO_OBS, None, 1000)
         with pytest.raises(ValueError):
-            n.process_frame([], None, 999)
+            n.process_frame(NO_OBS, None, 999)
 
     def test_depth_attached_from_image(self):
         n = node()
         img = np.full((CALIB.height, CALIB.width), 2.0)
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
-        ps = n.process_frame([obs], depth_image(img), 1000)
+        ps = n.process_frame(obs, depth_image(img), 1000)
         assert ps.present[0, 0]
         assert ps.keypoints[0, 0, 3] == 2.0
         assert ps.keypoints[0, 0, 4] == CALIB.depth_noise_sigma
@@ -313,7 +339,7 @@ class TestFeedbackMerge:
         n = node(has_depth=False)
         img = np.full((CALIB.height, CALIB.width), 2.0)
         obs = obs_of(0, {0: (10.0, 10.0, 0.9)})
-        ps = n.process_frame([obs], depth_image(img), 1000)
+        ps = n.process_frame(obs, depth_image(img), 1000)
         assert ps.present[0, 0] and np.isnan(ps.keypoints[0, 0, 3:]).all()
 
 
@@ -324,11 +350,11 @@ class TestFramePlan:
 
     def _feedback(self, obs, sensor_id, ts):
         persons = []
-        for o in obs:
+        for pid, kps, present in zip(obs.person_ids.tolist(), obs.keypoints.tolist(), obs.present):
             joints = {j: (kp[0] + 3.0, kp[1] - 2.0, 0.5, j % 3 == 0)
-                      for j, kp in enumerate(o.uvc.tolist()) if o.present[j]}
+                      for j, kp in enumerate(kps) if present[j]}
             joints.setdefault(0, (50.0, 50.0, 0.5, False))
-            persons.append((10 + o.local_id, joints))
+            persons.append((10 + pid, joints))
         persons.append((99, {j: (20.0 + j, 30.0, 0.5, True) for j in range(NUM_JOINTS)}))
         return conftest.feedback_message(sensor_id, ts, persons)
 
@@ -339,7 +365,7 @@ class TestFramePlan:
         calib = synthworld.make_camera_rig(scene)[1]
         t_s, frame, now = 2.0, 12, 2_000_000
         obs = synthworld.render_keypoints(scene, calib, t_s, frame_idx=frame)
-        assert obs
+        assert len(obs.person_ids)
         full = synthworld.render_depth(scene, calib, t_s, frame_idx=frame)
         nodes = [SensorNode(SensorConfig(sensor_id=calib.sensor_id, calib=calib, **flags), 42)
                  for _ in range(2)]
@@ -352,12 +378,12 @@ class TestFramePlan:
         assert (protocol.encode(protocol.PoseMessage(got))
                 == protocol.encode(protocol.PoseMessage(expected)))
         # with occlusion handling, feedback replaces joints in the patches
-        assert got.from_feedback[:len(obs)].any() == flags.get("use_occlusion", True)
+        assert got.from_feedback[:len(obs.person_ids)].any() == flags.get("use_occlusion", True)
         assert (nodes[1].latest_feedback.person_ids.tolist()
                 == nodes[0].latest_feedback.person_ids.tolist() == [10, 11, 99])
 
     def test_patch_pixels_are_the_5x5_around_each_joint(self):
-        pixels = patch_pixels([obs_of(0, {3: (10.7, 20.2, 0.9), 5: (3.0, 4.9, 0.9)})])
+        pixels = patch_pixels(obs_of(0, {3: (10.7, 20.2, 0.9), 5: (3.0, 4.9, 0.9)}))
         expected = [(u + du, v + dv) for u, v in ((10, 20), (3, 4))
                     for dv in range(-2, 3) for du in range(-2, 3)]
         assert pixels.tolist() == [list(p) for p in expected]
@@ -378,14 +404,14 @@ class TestFramePlan:
         n.handle_feedback(feedback([
             (5, {j: (8.0 + 3 * j, 20.0, False) for j in range(12)}),
             (6, {j: (10.0 + 2 * j, 35.0, False) for j in range(4)})]), 0)
-        persons = [obs_of(0, local)]
-        pixels = patch_pixels(persons)
+        frame = obs_of(0, local)
+        pixels = patch_pixels(frame)
         assert len(pixels) == 25 * sum(fusable)
         assert pixels.tolist() == [
             [int(u) + du, int(v) + dv] for (u, v, _), fus in zip(local.values(), fusable)
             if fus for dv in range(-2, 3) for du in range(-2, 3)]
         img = np.full((CALIB.height, CALIB.width), 2.0)
-        sent = n.process_frame(persons, depth_image(img), 1000)
+        sent = n.process_frame(frame, depth_image(img), 1000)
         assert sent.present.sum() == 8 + 4 + 4 and sent.from_feedback.sum() == 4 + 4
         expected = np.zeros(sent.present.shape, dtype=bool)
         expected[0, :8] = fusable
@@ -410,15 +436,15 @@ class TestTransport:
     def test_queue_drops_oldest_cloud_first(self):
         n = node()
         for i in range(SEND_QUEUE_LIMIT - 1):
-            n.pose_tick([], None, i)
-        from semgrid.cloud import DetectionSet, SegmentationMask
+            n.pose_tick(NO_OBS, None, i)
+        from semgrid.cloud import SegmentationMask
         from semgrid.semantics import NUM_CLASSES
         img = np.zeros((CALIB.height, CALIB.width))
         mask = SegmentationMask(
             np.zeros((CALIB.height, CALIB.width, NUM_CLASSES)))
-        n.cloud_tick(depth_image(img), mask, DetectionSet(), 100)
+        n.cloud_tick(depth_image(img), mask, [], 100)
         assert len(n._queue) == SEND_QUEUE_LIMIT
-        n.pose_tick([], None, 200)  # overflow: the cloud goes first
+        n.pose_tick(NO_OBS, None, 200)  # overflow: the cloud goes first
         assert len(n._queue) == SEND_QUEUE_LIMIT
         assert n.stats["clouds_dropped"] == 1
         types = [t for t, _ in n._queue]
@@ -427,7 +453,7 @@ class TestTransport:
     def test_poses_never_dropped(self):
         n = node()
         for i in range(SEND_QUEUE_LIMIT + 10):
-            n.pose_tick([], None, i)
+            n.pose_tick(NO_OBS, None, i)
         assert len(n.pop_frames()) == SEND_QUEUE_LIMIT + 10
         assert n.stats["pose_sent"] == SEND_QUEUE_LIMIT + 10
 
@@ -440,6 +466,6 @@ class TestTransport:
 
     def test_pop_frames_clears(self):
         n = node()
-        n.pose_tick([], None, 0)
+        n.pose_tick(NO_OBS, None, 0)
         assert len(n.pop_frames()) == 1
         assert n.pop_frames() == []

@@ -21,6 +21,7 @@ from tests.oracles import (
     sphere_test_dense,
     visible_joints,
 )
+from tests.conftest import pose_set
 
 
 def small_scene(seed=1, n_persons=2):
@@ -34,10 +35,8 @@ def rig(scene):
 def patch_pixels(uvs) -> np.ndarray:
     """The pixels a sensor reads depth at around confident keypoints at
     `uvs`, at most 17."""
-    uvc = np.zeros((NUM_JOINTS, 3))
-    uvc[:len(uvs)] = [(u, v, 0.9) for u, v in uvs]
-    present = np.arange(NUM_JOINTS) < len(uvs)
-    return sensor_node.patch_pixels([synthworld.PersonObservation(0, uvc, present, present)])
+    return sensor_node.patch_pixels(
+        pose_set(0, 0, [(0, {j: (u, v, 0.9) for j, (u, v) in enumerate(uvs)})]))
 
 
 class TestDeterminism:
@@ -66,10 +65,9 @@ class TestDeterminism:
         calib = rig(scene)[0]
         a = synthworld.render_keypoints(scene, calib, 2.0, frame_idx=3)
         b = synthworld.render_keypoints(small_scene(4), calib, 2.0, frame_idx=3)
-        assert len(a) == len(b)
-        for oa, ob in zip(a, b):
-            assert np.array_equal(oa.present, ob.present)
-            assert np.array_equal(oa.uvc, ob.uvc)
+        assert np.array_equal(a.person_ids, b.person_ids)
+        assert np.array_equal(a.present, b.present)
+        assert np.array_equal(a.keypoints, b.keypoints, equal_nan=True)
 
 
 class TestPersonAnimator:
@@ -102,6 +100,23 @@ class TestPersonAnimator:
 
 
 class TestKeypointNoise:
+    def test_frame_form(self):
+        """A camera's keypoint frame: the persons with a keypoint, by scene
+        index; u, v and confidence where present and 0 elsewhere; NaN
+        depth and sigma; nothing from feedback."""
+        scene = small_scene(5, n_persons=3)
+        calib = rig(scene)[1]
+        ps = synthworld.render_keypoints(scene, calib, 2.5, frame_idx=15)
+        assert (ps.sensor_id, ps.timestamp_us) == (calib.sensor_id, 2_500_000)
+        ids = ps.person_ids.tolist()
+        assert ids and ids == sorted(set(ids)) and set(ids) <= {0, 1, 2}
+        assert ps.present.any(axis=1).all()
+        assert (ps.keypoints[~ps.present][:, :3] == 0).all()
+        assert (ps.keypoints[ps.present][:, 2] > 0).all()
+        assert np.isnan(ps.keypoints[..., 3:]).all() and not ps.from_feedback.any()
+        empty = synthworld.render_keypoints(dataclasses.replace(scene, persons=[]), calib, 2.5)
+        assert len(empty.person_ids) == 0 and empty.keypoints.shape == (0, NUM_JOINTS, 5)
+
     def test_visible_rmse_matches_sigma(self):
         scene = small_scene(5)
         calib = rig(scene)[0]
@@ -109,12 +124,12 @@ class TestKeypointNoise:
         for i in range(120):
             t = i / 6.0
             vis = visible_joints(scene, calib, t)
-            obs = synthworld.render_keypoints(scene, calib, t, frame_idx=i,
-                                              vis=vis)
-            for o in obs:
-                joints = scene.persons[o.local_id].joints_at(t)
-                for j, kp in enumerate(o.uvc):
-                    if not o.present[j] or not o.gt_visible[j]:
+            ps = synthworld.render_keypoints(scene, calib, t, frame_idx=i,
+                                             vis=vis)
+            for pid, kps, present in zip(ps.person_ids, ps.keypoints, ps.present):
+                joints = scene.persons[pid].joints_at(t)
+                for j, kp in enumerate(kps):
+                    if not present[j] or not vis[pid, j]:
                         continue
                     uvd = project(calib, joints[j])
                     if uvd is None:
@@ -132,13 +147,13 @@ class TestKeypointNoise:
         scene = small_scene(5)
         calib = rig(scene)[0]
         vis = visible_joints(scene, calib, 1.0)
-        obs = synthworld.render_keypoints(scene, calib, 1.0, noise_px=0.0,
-                                          miss_rate=0.0, p_occ_fail=0.0,
-                                          frame_idx=0, vis=vis)
-        for o in obs:
-            joints = scene.persons[o.local_id].joints_at(1.0)
-            for j, kp in enumerate(o.uvc):
-                if not o.present[j] or not o.gt_visible[j]:
+        ps = synthworld.render_keypoints(scene, calib, 1.0, noise_px=0.0,
+                                         miss_rate=0.0, p_occ_fail=0.0,
+                                         frame_idx=0, vis=vis)
+        for pid, kps, present in zip(ps.person_ids, ps.keypoints, ps.present):
+            joints = scene.persons[pid].joints_at(1.0)
+            for j, kp in enumerate(kps):
+                if not present[j] or not vis[pid, j]:
                     continue
                 uvd = project(calib, joints[j])
                 if 1 < uvd[0] < calib.width - 1 and 1 < uvd[1] < calib.height - 1:
@@ -152,12 +167,12 @@ class TestKeypointNoise:
         for i in range(60):
             t = i / 6.0
             vis = visible_joints(scene, calib, t)
-            for o in synthworld.render_keypoints(scene, calib, t, frame_idx=i,
-                                                 vis=vis):
-                for j, kp in enumerate(o.uvc):
-                    if not o.present[j]:
+            ps = synthworld.render_keypoints(scene, calib, t, frame_idx=i, vis=vis)
+            for pid, kps, present in zip(ps.person_ids, ps.keypoints, ps.present):
+                for j, kp in enumerate(kps):
+                    if not present[j]:
                         continue
-                    (occ_confs, vis_confs)[int(o.gt_visible[j])].append(kp[2])
+                    (occ_confs, vis_confs)[int(vis[pid, j])].append(kp[2])
         assert vis_confs and occ_confs
         assert min(vis_confs) >= 0.55
         assert max(occ_confs) < 0.55
@@ -294,9 +309,10 @@ class TestPersonCastMatchesDense:
         blocks, dirs = [], []
         for i, calib in enumerate(rig(scene)):
             # the third camera reads no depth this frame
-            obs = [] if i == 2 else synthworld.render_keypoints(scene, calib, t_s)
-            pixels = [patch_pixels(o.uvc[o.present, :2]) for o in obs]
-            flat = synthworld.flat_pixel_indices(calib, np.concatenate(pixels) if obs else [])
+            ps = synthworld.render_keypoints(scene, calib, t_s)
+            pixels = [] if i == 2 else [patch_pixels(kps[present, :2])
+                                        for kps, present in zip(ps.keypoints, ps.present)]
+            flat = synthworld.flat_pixel_indices(calib, np.concatenate(pixels) if pixels else [])
             blocks.append((calib, len(flat)))
             dirs.append(synthworld._pixel_dirs_cam(calib)[flat] @ calib.rotation.T)
         assert_cast_matches_dense(synthworld._scene_capsules(scene, t_s), blocks,
@@ -705,7 +721,7 @@ class TestSegmentationAndDetections:
         scene = small_scene()
         calib = rig(scene)[0]
         dets = synthworld.render_detections(scene, calib, 0.0, frame_idx=0)
-        classes = {d.class_idx for d in dets.detections}
+        classes = {d.class_idx for d in dets}
         assert PERSON_CLASS in classes
 
 
