@@ -10,8 +10,11 @@ of --repeat in process CPU time.  It prints the median over the clouds
 per stage and the outlier filter's time per cloud.  Then it replays
 `VoxelMap.integrate_cloud` for the 8 clouds, in order, into a map loaded
 with the sim's prior, --repeat times, and prints the median over the
-clouds of each cloud's best time.  After the stages and after the
-integration it prints the process's peak resident set size so far,
+clouds of each cloud's best time.  For each of those clouds it then
+prints its CLOUD frame's bytes, its distinct class rows (the palette of
+the frame) and the best of --repeat encode and decode times, in process
+CPU time.  After the stages and after the integration it prints the
+process's peak resident set size so far,
 which includes the sim unit that captured the inputs.  The filter's
 25 ms and the clustering's 20 ms budgets are real-time targets;
 exceeding one prints a warning but does not fail, since the time
@@ -29,7 +32,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from semgrid import cloud, synthworld  # noqa: E402
+from semgrid import cloud, protocol, synthworld  # noqa: E402
 from semgrid.sensor_node import SensorNode  # noqa: E402
 from semgrid.sim import SimConfig, simulate  # noqa: E402
 from semgrid.voxmap import VoxelMap  # noqa: E402
@@ -110,6 +113,19 @@ def time_integration(integrated, prior, repeat: int) -> list[float]:
     return best
 
 
+def time_codec(integrated, repeat: int) -> list[tuple[int, int, float, float]]:
+    """(frame bytes, distinct class rows, best encode ms, best decode ms)
+    of each integrated cloud's CLOUD frame."""
+    out = []
+    for cld, _ in integrated:
+        msg = protocol.CloudMessage(cld)
+        frame, enc = best_ms(lambda: protocol.encode(msg), repeat)
+        _, dec = best_ms(lambda: protocol.decode(frame), repeat)
+        rows = np.unique(protocol.quantize_probs(np.exp(cld.log_probs)), axis=0)
+        out.append((len(frame), len(rows), enc, dec))
+    return out
+
+
 def check_budget(name: str, times: list[float]) -> None:
     med = float(np.median(times))
     budget = BUDGET_MS[name]
@@ -150,6 +166,10 @@ def main() -> int:
           f"best of {args.repeat}: median {np.median(times):.1f} ms "
           f"(range {min(times):.1f}-{max(times):.1f})")
     print(f"process peak RSS after integration {peak_rss_mb():.1f} MB")
+
+    for i, (size, rows, enc, dec) in enumerate(time_codec(integrated, args.repeat)):
+        print(f"CLOUD frame {i}: {size} B, {rows} distinct class rows, "
+              f"encode {enc:.2f} ms, decode {dec:.2f} ms (best of {args.repeat})")
     return 0
 
 

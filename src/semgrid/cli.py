@@ -15,6 +15,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import select
 import socket
 import sys
@@ -461,6 +462,12 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _check_duration(duration_s: float | None) -> None:
+    """A service's --duration is unset or finite and > 0."""
+    if duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0):
+        raise DataError(f"duration must be finite and > 0 s, got {duration_s}")
+
+
 def _run_sensor_node(cfg, scene, addr, duration_s, class_set) -> SensorNode:
     """Render the scene for one sensor at its pose rate and stream the
     node's frames to the backend, with the simulator's harness settings."""
@@ -523,6 +530,7 @@ def sensor_node_main(argv=None) -> int:
             raise DataError(f"no --scene given and no scene_file in {args.config}")
         scene = synthworld.load_scene(args.scene or Path(args.config).parent / scene_file)
         class_set = ClassSet.load(args.classes) if args.classes else ClassSet()
+        _check_duration(args.duration)
         node = _run_sensor_node(cfg, scene, addr, args.duration, class_set)
         print(f"sensor {cfg.sensor_id}: {json.dumps(node.stats)}")
     except KeyboardInterrupt:
@@ -564,6 +572,7 @@ def backend_main(argv=None) -> int:
                           tick_rate_hz=args.tick_rate)
 
         stop = threading.Event()
+        _check_duration(args.duration)
         if args.duration is not None:
             threading.Timer(args.duration, stop.set).start()
         try:

@@ -2,8 +2,11 @@
 
 Frame layout (all integers little-endian):
 
-    magic 'SES1' | msg_type u8 | sensor_id u16 | timestamp_us u64 |
-    payload_len u32 | payload
+    magic 'SES2' | msg_type u8 | sensor_id u16 | timestamp_us u64 |
+    payload_len u32 | crc32 u32 | payload
+
+The CRC32 (zlib's) covers the header from msg_type to payload_len, then
+the payload.
 
 See PROTOCOL.md for the payload layouts and hex-dump examples.
 """
@@ -11,6 +14,7 @@ See PROTOCOL.md for the payload layouts and hex-dump examples.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +24,8 @@ from .geometry import CameraCalib
 from .pose import NUM_JOINTS, PoseSet2p5D, _check_shapes
 from .semantics import NUM_CLASSES, PROB_FLOOR
 
-MAGIC = b"SES1"
-PROTOCOL_VERSION = 1
+MAGIC = b"SES2"
+PROTOCOL_VERSION = 2
 MAX_PAYLOAD = 64 * 1024 * 1024
 # largest POSE depth a frame may carry, meters: far beyond any RGB-D
 # range, far inside the map's index range
@@ -32,7 +36,9 @@ MSG_CLOUD = 2
 MSG_POSE = 3
 MSG_FEEDBACK = 4
 
-_HEADER = struct.Struct("<4sBHQI")
+_HEADER = struct.Struct("<4sBHQII")
+_CHECKED = struct.Struct("<BHQI")  # the header fields the CRC covers, after the magic
+_CRC_AT = 4 + _CHECKED.size
 
 
 class ProtocolError(Exception):
@@ -56,6 +62,10 @@ class LengthMismatchError(ProtocolError):
 
 
 class MalformedPayloadError(ProtocolError):
+    pass
+
+
+class ChecksumError(ProtocolError):
     pass
 
 
@@ -160,101 +170,147 @@ def _decode_hello(sensor_id: int, ts: int, payload: bytes) -> Hello:
     return Hello(sensor_id, ts, calib, fp, version)
 
 
-_cloud_point_dtype = np.dtype(
-    [("xyz", "<f4", (3,)), ("q", "<u2", (NUM_CLASSES,))]
-)
+# distinct odd 64-bit multipliers, one per column, that hash a row's bits
+_ROW_MIX = (np.arange(NUM_CLASSES, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C16)
+            | np.uint64(1))
+
+
+def _first_appearance(keys: np.ndarray, order: np.ndarray):
+    """Group the rows of keys (N,k) by a stable sort `order` that puts
+    equal rows next to each other: a row in that order joins the group of
+    the row before it when the two are equal, else starts a group.
+    Returns the first row of each group, the groups in order of first
+    appearance, and each row's group."""
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    first = order[new]  # the stable order leads each run with its first row
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = rank[np.cumsum(new) - 1]
+    return first[by_first], group
+
+
+def _palette(log_probs: np.ndarray):
+    """The distinct quantized rows of a cloud's log-probabilities in order
+    of first appearance, and each point's index among them.
+
+    The float rows are grouped first in the order of a hash of their bits.
+    Equal rows share a hash and distinct rows never share a group; a hash
+    collision can only split a group.  Only each group's first row is
+    quantized, which is row-wise, so the bits are those of quantizing
+    every row.  The quantized rows are then grouped exactly, sorted
+    column by column."""
+    bits = np.ascontiguousarray(log_probs).view(np.uint64)
+    rows, group = _first_appearance(bits, np.argsort((bits * _ROW_MIX).sum(axis=1),
+                                                     kind="stable"))
+    q = quantize_probs(np.exp(log_probs[rows]))
+    words = q.view("<u8")  # a row's 16 u16 as 4 u64
+    pal, pal_of = _first_appearance(words, np.lexsort(words.T))
+    return q[pal], pal_of[group]
+
+
+_CLOUD_COUNTS = struct.Struct("<II")  # points, palette rows
+_PALETTE_ROW = 2 * NUM_CLASSES  # bytes
+
+
+def _cloud_records(n_palette: int) -> np.dtype:
+    """A CLOUD point record: position and palette index, u16 when every
+    index fits."""
+    return np.dtype([("xyz", "<f4", (3,)),
+                     ("i", "<u2" if n_palette <= 1 << 16 else "<u4")])
 
 
 def _encode_cloud(msg: CloudMessage) -> bytes:
     cloud = msg.cloud
     n = len(cloud)
-    rec = np.empty(n, dtype=_cloud_point_dtype)
-    rec["xyz"] = cloud.positions.astype(np.float32)
-    rec["q"] = quantize_probs(np.exp(cloud.log_probs)) if n else 0
-    return struct.pack("<I", n) + rec.tobytes()
+    palette, index = _palette(cloud.log_probs) if n else (np.empty((0, NUM_CLASSES), "<u2"), 0)
+    rec = np.empty(n, dtype=_cloud_records(len(palette)))
+    rec["xyz"] = cloud.positions
+    rec["i"] = index
+    return b"".join([_CLOUD_COUNTS.pack(n, len(palette)), palette.tobytes(), rec.tobytes()])
 
 
 def _decode_cloud(sensor_id: int, ts: int, payload: bytes) -> CloudMessage:
-    if len(payload) < 4:
-        raise MalformedPayloadError("cloud payload shorter than point count")
-    (n,) = struct.unpack_from("<I", payload)
-    expect = 4 + n * _cloud_point_dtype.itemsize
+    if len(payload) < _CLOUD_COUNTS.size:
+        raise MalformedPayloadError("cloud payload shorter than its counts")
+    n, m = _CLOUD_COUNTS.unpack_from(payload)
+    if m > n or (n and not m):
+        raise MalformedPayloadError(f"{m} palette rows for {n} points")
+    dtype = _cloud_records(m)
+    expect = _CLOUD_COUNTS.size + m * _PALETTE_ROW + n * dtype.itemsize
     if len(payload) != expect:
-        raise MalformedPayloadError(
-            f"cloud payload size {len(payload)} != expected {expect}"
-        )
-    rec = np.frombuffer(payload, dtype=_cloud_point_dtype, count=n, offset=4)
+        raise MalformedPayloadError(f"cloud payload size {len(payload)} != expected {expect}")
+    palette = np.frombuffer(payload, "<u2", m * NUM_CLASSES, _CLOUD_COUNTS.size)
+    rec = np.frombuffer(payload, dtype, n, _CLOUD_COUNTS.size + m * _PALETTE_ROW)
     positions = rec["xyz"].astype(np.float64)
     if not np.isfinite(positions).all():
         raise MalformedPayloadError("cloud positions must be finite")
-    log_p = dequantize_probs(rec["q"]) if n else np.empty((0, NUM_CLASSES))
+    if n and rec["i"].max() >= m:
+        raise MalformedPayloadError(f"palette index beyond {m} rows")
+    log_p = dequantize_probs(palette.reshape(m, NUM_CLASSES))[rec["i"]]
     return CloudMessage(SemanticCloud(sensor_id, ts, positions, log_p))
 
 
-_PERSON = struct.Struct("<II")
 _JOINT_BITS = 1 << np.arange(NUM_JOINTS, dtype=np.int64)
-# joint records, packed: f32 values and a u8
-_KP = np.dtype([("f", "<f4", (5,)), ("b", "u1")])  # <5fB: u v conf depth sigma | from feedback
-_FBJ = np.dtype([("f", "<f4", (3,)), ("b", "u1")])  # <3fB: u v conf | occluded
+# a person's row of the POSE and FEEDBACK table: id, joints present, flags
+_PERSON = np.dtype([("id", "<u4"), ("present", "<u4"), ("flags", "<u4")])
+_POSE_VALUES = 5  # u v conf depth sigma per present joint; flag: from feedback
+_FEEDBACK_VALUES = 3  # u v conf per present joint; flag: occluded
 
 
-def _encode_persons(ids, present: np.ndarray, values: np.ndarray, flags: np.ndarray,
-                    dtype: np.dtype) -> bytes:
-    """u8 person count, then per person its (id, joint mask) header and
-    the records of its present joints in joint order, one tobytes call
-    per person.  present (P,17); values (P,17,k) and flags (P,17) fill
-    the records."""
+def _encode_persons(ids: np.ndarray, present: np.ndarray, values: np.ndarray,
+                    flags: np.ndarray) -> bytes:
+    """u8 person count, the person table, then the f32 values (P,17,k) of
+    every present joint in (person, joint) order.  present and flags
+    (P,17) become bit masks; a flag counts only on a present joint."""
     if len(ids) > 255:
         raise ValueError("at most 255 persons per message")
-    rec = np.empty(present.shape, dtype=dtype)
-    rec["f"] = values
-    rec["b"] = flags
-    masks = (present * _JOINT_BITS).sum(axis=1).tolist()
-    parts = [struct.pack("<B", len(ids))]
-    for pid, mask, r, p in zip(ids, masks, rec, present):
-        parts += [_PERSON.pack(pid, mask), r[p].tobytes()]
-    return b"".join(parts)
+    if len(ids) and not 0 <= ids.min() <= ids.max() <= 0xFFFFFFFF:
+        raise ValueError("person ids must fit in u32")
+    table = np.empty(len(ids), dtype=_PERSON)
+    table["id"] = ids
+    table["present"] = present @ _JOINT_BITS
+    table["flags"] = (present & flags) @ _JOINT_BITS
+    return b"".join([bytes([len(ids)]), table.tobytes(), values[present].astype("<f4").tobytes()])
 
 
-def _decode_persons(payload: bytes, dtype: np.dtype):
-    """Inverse of _encode_persons: ids (P,) int64, present (P,17) and
-    records (P,17) of dtype, zero where a joint is absent."""
+def _decode_persons(payload: bytes, k: int):
+    """Inverse of _encode_persons: ids (P,) int64, present and flags
+    (P,17) bool, and values (P,17,k) float64, zero where a joint is
+    absent."""
     if not payload:
         raise MalformedPayloadError("payload ends before the person count")
     count = payload[0]
-    off = 1
-    ids = np.empty(count, dtype=np.int64)
-    present = np.zeros((count, NUM_JOINTS), dtype=bool)
-    rec = np.zeros((count, NUM_JOINTS), dtype=dtype)
-    for p in range(count):
-        if off + _PERSON.size > len(payload):
-            raise MalformedPayloadError("truncated person header")
-        ids[p], mask = _PERSON.unpack_from(payload, off)
-        off += _PERSON.size
-        if mask >> NUM_JOINTS:
-            raise MalformedPayloadError("joint mask has bits beyond joint count")
-        n = mask.bit_count()
-        if off + n * dtype.itemsize > len(payload):
-            raise MalformedPayloadError("truncated joint record")
-        present[p] = (mask & _JOINT_BITS) != 0
-        rec[p, present[p]] = np.frombuffer(payload, dtype=dtype, count=n, offset=off)
-        off += n * dtype.itemsize
-    if off != len(payload):
-        raise MalformedPayloadError("trailing bytes after last person")
-    return ids, present, rec
+    start = 1 + count * _PERSON.itemsize
+    if len(payload) < start:
+        raise MalformedPayloadError("truncated person table")
+    table = np.frombuffer(payload, _PERSON, count, 1)
+    masks = table["present"].astype(np.int64)
+    if (masks >> NUM_JOINTS).any():
+        raise MalformedPayloadError("joint mask has bits beyond joint count")
+    if (table["flags"] & ~table["present"]).any():
+        raise MalformedPayloadError("flag mask has bits outside the joint mask")
+    present = (masks[:, None] & _JOINT_BITS) != 0
+    flags = (table["flags"].astype(np.int64)[:, None] & _JOINT_BITS) != 0
+    n = int(present.sum())
+    if len(payload) != start + 4 * k * n:
+        raise MalformedPayloadError(
+            f"payload size {len(payload)} != {start + 4 * k * n} for {n} joints")
+    values = np.zeros((count, NUM_JOINTS, k))
+    values[present] = np.frombuffer(payload, "<f4", k * n, start).reshape(n, k)
+    return table["id"].astype(np.int64), present, flags, values
 
 
 def _encode_pose(msg: PoseMessage) -> bytes:
     ps = msg.pose_set
-    return _encode_persons(ps.person_ids.tolist(), ps.present, ps.keypoints,
-                           ps.from_feedback, _KP)
+    return _encode_persons(ps.person_ids, ps.present, ps.keypoints, ps.from_feedback)
 
 
 def _decode_pose(sensor_id: int, ts: int, payload: bytes) -> PoseMessage:
-    ids, present, rec = _decode_persons(payload, _KP)
-    if (rec["b"] > 1).any():
-        raise MalformedPayloadError("keypoint flags must be 0 or 1")
-    kp = rec["f"].astype(np.float64)
+    ids, present, from_feedback, kp = _decode_persons(payload, _POSE_VALUES)
     vals = kp[present]
     if not np.isfinite(vals[:, :3]).all() or ((vals[:, 2] < 0) | (vals[:, 2] > 1)).any():
         raise MalformedPayloadError("keypoint u, v, confidence must be finite, confidence in [0, 1]")
@@ -264,21 +320,18 @@ def _decode_pose(sensor_id: int, ts: int, payload: bytes) -> PoseMessage:
     if (depth_sigma[:, 0] > MAX_DEPTH_M).any():
         raise MalformedPayloadError(f"depth beyond {MAX_DEPTH_M:g} m")
     kp[..., 3:] = np.where(np.isnan(kp[..., 3:4]) | ~present[..., None], np.nan, kp[..., 3:])
-    return PoseMessage(PoseSet2p5D(sensor_id, ts, ids, kp, present, rec["b"] == 1))
+    return PoseMessage(PoseSet2p5D(sensor_id, ts, ids, kp, present, from_feedback))
 
 
 def _encode_feedback(msg: FeedbackMessage) -> bytes:
-    return _encode_persons(msg.person_ids.tolist(), msg.present, msg.uvc, msg.occluded, _FBJ)
+    return _encode_persons(msg.person_ids, msg.present, msg.uvc, msg.occluded)
 
 
 def _decode_feedback(sensor_id: int, ts: int, payload: bytes) -> FeedbackMessage:
-    ids, present, rec = _decode_persons(payload, _FBJ)
-    if (rec["b"] > 1).any():
-        raise MalformedPayloadError("occluded flag must be 0 or 1")
-    uvc = rec["f"].astype(np.float64)
+    ids, present, occluded, uvc = _decode_persons(payload, _FEEDBACK_VALUES)
     if not np.isfinite(uvc).all():
         raise MalformedPayloadError("feedback u, v, confidence must be finite")
-    return FeedbackMessage(sensor_id, ts, ids, uvc, present, rec["b"] == 1)
+    return FeedbackMessage(sensor_id, ts, ids, uvc, present, occluded)
 
 
 def encode(msg) -> bytes:
@@ -297,7 +350,14 @@ def encode(msg) -> bytes:
         raise TypeError(f"cannot encode {type(msg).__name__}")
     if len(payload) > MAX_PAYLOAD:
         raise ValueError("payload exceeds 64 MiB limit")
-    return _HEADER.pack(MAGIC, mt, sid, ts, len(payload)) + payload
+    return _frame(mt, sid, ts, payload)
+
+
+def _frame(mt: int, sid: int, ts: int, payload: bytes) -> bytes:
+    """The header for payload, CRC included, then payload."""
+    checked = _CHECKED.pack(mt, sid, ts, len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(checked))
+    return b"".join([MAGIC, checked, struct.pack("<I", crc), payload])
 
 
 _DECODERS = {
@@ -308,20 +368,26 @@ _DECODERS = {
 }
 
 
-def _parse_header(data: bytes):
+def _parse_header(data: bytes) -> int:
+    """The payload length a frame header declares, once its magic, type
+    and length are valid; the CRC is checked with the payload."""
     if len(data) < _HEADER.size:
         raise TruncatedFrameError(f"need {_HEADER.size} header bytes, have {len(data)}")
-    magic, mt, sid, ts, plen = _HEADER.unpack_from(data)
+    magic, mt, _, _, plen, _ = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
     if mt not in _DECODERS:
         raise UnknownMessageTypeError(f"unknown message type {mt}")
     if plen > MAX_PAYLOAD:
         raise LengthMismatchError(f"payload length {plen} exceeds 64 MiB limit")
-    return mt, sid, ts, plen
+    return plen
 
 
-def _decode_payload(mt: int, sid: int, ts: int, payload: bytes):
+def _decode_payload(header: bytes, payload: bytes):
+    """The message of a frame whose header _parse_header accepted."""
+    _, mt, sid, ts, _, crc = _HEADER.unpack(header)
+    if zlib.crc32(payload, zlib.crc32(header[4:_CRC_AT])) != crc:
+        raise ChecksumError(f"CRC32 mismatch in a type {mt} frame of sensor {sid}")
     # a float32 signalling NaN warns when cast; the decoders reject NaN
     with np.errstate(invalid="ignore"):
         return _DECODERS[mt](sid, ts, payload)
@@ -329,12 +395,12 @@ def _decode_payload(mt: int, sid: int, ts: int, payload: bytes):
 
 def decode(data: bytes):
     """Decode exactly one frame; trailing bytes are a length mismatch."""
-    mt, sid, ts, plen = _parse_header(data)
+    plen = _parse_header(data)
     if len(data) < _HEADER.size + plen:
         raise TruncatedFrameError("frame shorter than declared payload length")
     if len(data) != _HEADER.size + plen:
         raise LengthMismatchError("frame longer than declared payload length")
-    return _decode_payload(mt, sid, ts, data[_HEADER.size :])
+    return _decode_payload(data[:_HEADER.size], data[_HEADER.size :])
 
 
 class StreamDecoder:
@@ -354,11 +420,11 @@ class StreamDecoder:
         off = 0
         try:
             while len(self._buf) - off >= _HEADER.size:
-                mt, sid, ts, plen = _parse_header(bytes(self._buf[off : off + _HEADER.size]))
-                end = off + _HEADER.size + plen
+                header = bytes(self._buf[off : off + _HEADER.size])
+                end = off + _HEADER.size + _parse_header(header)
                 if len(self._buf) < end:
                     break
-                out.append(_decode_payload(mt, sid, ts, bytes(self._buf[off + _HEADER.size : end])))
+                out.append(_decode_payload(header, bytes(self._buf[off + _HEADER.size : end])))
                 off = end
         except ProtocolError:
             if not out:

@@ -65,6 +65,12 @@ class SimConfig:
             raise ValueError("map_source must be prior|structure|none")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
             raise ValueError("duration must be finite and non-negative")
+        if not (math.isfinite(self.keypoint_noise_px) and self.keypoint_noise_px >= 0):
+            raise ValueError(f"keypoint noise must be finite and >= 0 px, got {self.keypoint_noise_px}")
+        for name, p in (("miss rate", self.miss_rate), ("p-occ-fail", self.p_occ_fail),
+                        ("label noise", self.label_noise)):
+            if not 0 <= p <= 1:  # NaN too
+                raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
 
 
 @dataclass

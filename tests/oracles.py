@@ -7,13 +7,15 @@ form of the tracker and the dense form of the person-capsule cast, which
 the batched ones must match bit for bit.
 Also the readers tests use to look at one voxel-map cell, the dense
 form of the map's class rows, one per cell, that its slot table must
-match, and the cloud outlier filter offset by offset."""
+match, the cloud outlier filter offset by offset, and the CLOUD, POSE
+and FEEDBACK payloads written a point, person and joint at a time."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -397,6 +399,29 @@ def quantize_probs(probs: np.ndarray) -> np.ndarray:
     out = q.copy()
     np.put_along_axis(out, order, np.take_along_axis(q, order, -1) + bump, -1)
     return out.astype(np.uint16)
+
+
+def cloud_payload(positions: np.ndarray, log_probs: np.ndarray) -> bytes:
+    """protocol._encode_cloud point by point: each row quantized on its
+    own and looked up in a dict of the palette rows so far."""
+    palette: dict[bytes, int] = {}
+    index = [palette.setdefault(quantize_probs(np.exp(row)).tobytes(), len(palette))
+             for row in log_probs]
+    record = "<3fH" if len(palette) <= 1 << 16 else "<3fI"
+    return b"".join([struct.pack("<II", len(index), len(palette)), *palette,
+                     *(struct.pack(record, *xyz, i) for xyz, i in zip(positions, index))])
+
+
+def persons_payload(ids, present: np.ndarray, values: np.ndarray, flags: np.ndarray) -> bytes:
+    """protocol._encode_persons person by person and joint by joint."""
+    def mask(bits) -> int:
+        return sum(1 << j for j in range(NUM_JOINTS) if bits[j])
+
+    table = [struct.pack("<III", pid, mask(pr), mask(pr & fl))
+             for pid, pr, fl in zip(ids, present, flags)]
+    joints = [struct.pack(f"<{values.shape[-1]}f", *values[p, j])
+              for p in range(len(ids)) for j in range(NUM_JOINTS) if present[p, j]]
+    return b"".join([bytes([len(ids)]), *table, *joints])
 
 
 # -- sensor, pose --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -96,6 +97,13 @@ class TestHandshake:
         b = Backend(FP)
         with pytest.raises(HandshakeError):
             b.handshake(hello(0, version=protocol.PROTOCOL_VERSION + 1))
+
+    def test_rejects_version_1_in_a_version_2_frame(self):
+        b = Backend(FP)
+        (msg,) = protocol.StreamDecoder().feed(protocol.encode(hello(0, version=1)))
+        with pytest.raises(HandshakeError, match="protocol version 1 != 2"):
+            b.on_message(msg, 0)
+        assert 0 not in b.sensors
 
     def test_message_before_handshake_refused(self):
         b = Backend(FP)
@@ -369,6 +377,29 @@ class TestConnectionLogging:
         assert "refused sensor 2" in rec.getMessage()
         assert "VoxelRangeError" in rec.getMessage()
 
+    def test_version_1_hello_refused(self, caplog):
+        # a version-1 peer: magic SES1, a 19-byte header without a CRC
+        payload = protocol.encode(hello(2, version=1))[protocol._HEADER.size:]
+        frame = struct.pack("<4sBHQI", b"SES1", protocol.MSG_HELLO, 2, 0, len(payload)) + payload
+        b = Backend(FP)
+        _, records = serve_frames(b, [frame], caplog)
+        assert b.stats["handshakes"] == 0
+        (rec,) = records
+        assert rec.levelno == logging.WARNING
+        msg = rec.getMessage()
+        assert "refused sensor None at ('10.0.0.7', 4242)" in msg
+        assert "BadMagicError" in msg and "SES1" in msg
+
+    def test_checksum_error_logged(self, caplog):
+        good = protocol.encode(protocol.PoseMessage(PoseSet2p5D(2, 0)))
+        bad = good[:7] + bytes([good[7] ^ 1]) + good[8:]  # a timestamp bit
+        b = Backend(FP)
+        server, records = serve_frames(b, [protocol.encode(hello(2)), bad], caplog)
+        assert b.stats["poses_received"] == 0 and server.connections == {}
+        (rec,) = records
+        assert rec.levelno == logging.WARNING
+        assert "refused sensor 2" in rec.getMessage() and "ChecksumError" in rec.getMessage()
+
     def test_protocol_error_logged(self, caplog):
         b = Backend(FP)
         _, records = serve_frames(b, [b"NOPE" + b"\0" * 30], caplog)
@@ -432,16 +463,16 @@ class TestUnindexableJoints:
         return person, out[0]
 
     def test_realigned_cut_frame(self, monkeypatch):
-        # a one-person POSE cut to its first 83 bytes, then sent whole: the
-        # stream realigns the bytes into a POSE whose joint 2 has depth
-        # 8.475e11 m and sigma 1.1e-42, beyond MAX_DEPTH_M
+        # a one-person POSE cut short, then sent whole: without a CRC the
+        # stream would realign the bytes into a POSE of garbage (version 1
+        # gave joint 2 a depth of 8.475e11 m); every cut fails its CRC,
+        # also with the depth bound lifted
         frame = protocol.encode(protocol.PoseMessage(
             pose_set_for_points([(0.2, -0.3, 1.0)], 0, 0)))
-        with pytest.raises(protocol.MalformedPayloadError, match="depth beyond"):
-            protocol.StreamDecoder().feed(frame[:83] + frame)
         monkeypatch.setattr(protocol, "MAX_DEPTH_M", np.inf)
-        (msg,) = protocol.StreamDecoder().feed(frame[:83] + frame)
-        assert np.isclose(msg.pose_set.keypoints[0, 2, 3], 8.475e11, rtol=1e-3)
+        for cut in range(protocol._HEADER.size, len(frame)):
+            with pytest.raises(protocol.ChecksumError):
+                protocol.StreamDecoder().feed(frame[:cut] + frame)
 
     def test_depth_of_1e12_m(self):
         uvd = project(CALIBS[0], np.array([0.2, -0.3, 1.0]))

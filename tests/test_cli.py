@@ -109,9 +109,10 @@ class TestMalformedRunFiles:
 
 
 class TestRatesAndDurations:
-    """A rate that is not finite and positive, or a duration that is not
-    finite and non-negative, ends a command with exit code 2 and a
-    one-line error, not a traceback."""
+    """A rate that is not finite and positive, a simulated duration that is
+    not finite and non-negative, a service duration that is not finite and
+    positive, or a noise setting out of range ends a command with exit
+    code 2 and a one-line error, not a traceback."""
 
     @staticmethod
     def _refused(code, err, named):
@@ -130,6 +131,38 @@ class TestRatesAndDurations:
         code, _, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "run"),
                                *(f"{k}={v}" for k, v in args.items()))
         self._refused(code, err, "duration" if option == "--duration" else "rate")
+
+    @pytest.mark.parametrize("option,value,named", [
+        ("--keypoint-noise", "nan", "keypoint noise"), ("--keypoint-noise", "inf", "keypoint noise"),
+        ("--keypoint-noise", "-1", "keypoint noise"), ("--miss-rate", "5", "miss rate"),
+        ("--miss-rate", "nan", "miss rate"), ("--miss-rate", "-0.5", "miss rate"),
+        ("--p-occ-fail", "1.5", "p-occ-fail"), ("--p-occ-fail", "nan", "p-occ-fail"),
+        ("--label-noise", "nan", "label noise"), ("--label-noise", "2", "label noise"),
+    ])
+    def test_simulate_noise(self, tmp_path, capsys, option, value, named):
+        code, _, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "run"),
+                               "--duration=0.1", f"{option}={value}")
+        self._refused(code, err, named)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_backend_duration(self, capsys, value):
+        code = backend_main(["--listen", "127.0.0.1:0", f"--duration={value}"])
+        self._refused(code, capsys.readouterr().err, "duration")
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_sensor_node_duration(self, tmp_path, capsys, value):
+        # refused before it connects: nothing listens at port 9
+        scene = synthworld.make_default_scene()
+        synthworld.save_scene(tmp_path / "scene.ini", scene)
+        calib = synthworld.make_camera_rig(scene)[0]
+        save_calibs(tmp_path / "calibs.txt", [calib])
+        (tmp_path / "sensor.ini").write_text(
+            f"[sensor]\nsensor_id = {calib.sensor_id}\ncalib_file = calibs.txt\n"
+            f"scene_file = scene.ini\n")
+        code = sensor_node_main(["--config", str(tmp_path / "sensor.ini"),
+                                 "--backend", "127.0.0.1:9", f"--duration={value}"])
+        self._refused(code, capsys.readouterr().err, "duration")
 
     @pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])
     def test_backend_tick_rate(self, capsys, value):

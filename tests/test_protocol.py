@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semgrid import protocol
@@ -16,7 +16,10 @@ from semgrid.pose import NUM_JOINTS, PoseSet2p5D
 from semgrid.protocol import (
     MAGIC,
     MAX_DEPTH_M,
+    MSG_CLOUD,
+    MSG_FEEDBACK,
     MSG_POSE,
+    ChecksumError,
     CloudMessage,
     MalformedPayloadError,
     Hello,
@@ -132,12 +135,114 @@ class TestRoundTrip:
             got = np.exp(out.log_probs)
             assert np.abs(got - orig).max() <= 1.5 / 65535
 
+    @given(st.one_of(pose_messages(), feedback_messages()))
+    def test_person_table_matches_joint_by_joint_form(self, msg):
+        if isinstance(msg, PoseMessage):
+            ps = msg.pose_set
+            rows = ps.person_ids, ps.present, ps.keypoints, ps.from_feedback
+        else:
+            rows = msg.person_ids, msg.present, msg.uvc, msg.occluded
+        assert encode(msg)[protocol._HEADER.size:] == oracles.persons_payload(*rows)
+
     @given(hello_messages())
     def test_hello_calib_exact(self, msg):
         out = decode(encode(msg))
         assert out.class_set_fingerprint == msg.class_set_fingerprint
         assert np.array_equal(out.calib.rotation, msg.calib.rotation)
         assert np.array_equal(out.calib.translation, msg.calib.translation)
+
+
+@st.composite
+def palette_clouds(draw):
+    """0 to 60 points whose rows are drawn from k random rows: few
+    distinct rows, or as many as points."""
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([1, 3, max(n, 1)]))
+    rows = np.log(np.maximum(rng.dirichlet(np.full(NUM_CLASSES, 0.5), size=k), 1e-12))
+    pick = np.arange(n) if k == n else rng.integers(0, k, n)
+    positions = rng.uniform(-10, 10, size=(n, 3))
+    return CloudMessage(SemanticCloud(1, 2, positions, rows[pick]))
+
+
+def palette_size(frame: bytes) -> int:
+    return struct.unpack_from("<I", frame, protocol._HEADER.size + 4)[0]
+
+
+class TestPalette:
+    """CLOUD rows travel as a palette of distinct quantized rows and an
+    index per point, and decode to exactly what per-point quantization
+    gives."""
+
+    @staticmethod
+    def check(msg) -> bytes:
+        cloud = msg.cloud
+        wire = encode(msg)
+        out = decode(wire).cloud
+        assert encode(decode(wire)) == wire
+        assert np.array_equal(out.positions, cloud.positions.astype(np.float32))
+        q = quantize_probs(np.exp(cloud.log_probs))
+        expected = dequantize_probs(q) if len(cloud) else np.empty((0, NUM_CLASSES))
+        assert out.log_probs.shape == expected.shape
+        assert out.log_probs.tobytes() == expected.tobytes()
+        m = palette_size(wire)
+        assert m == (len(np.unique(q, axis=0)) if len(cloud) else 0)
+        width = 2 if m <= 1 << 16 else 4
+        assert len(wire) == protocol._HEADER.size + 8 + 32 * m + (12 + width) * len(cloud)
+        return wire
+
+    @given(palette_clouds())
+    @example(CloudMessage(SemanticCloud(1, 2, np.empty((0, 3)), np.empty((0, NUM_CLASSES)))))
+    @example(CloudMessage(SemanticCloud(1, 2, [[1.0, 2.0, 3.0]],
+                                        np.log(np.full((1, NUM_CLASSES), 1 / NUM_CLASSES)))))
+    def test_round_trip(self, msg):
+        wire = self.check(msg)
+        assert wire[protocol._HEADER.size:] == oracles.cloud_payload(
+            msg.cloud.positions, msg.cloud.log_probs)
+
+    def test_palette_in_order_of_first_appearance(self):
+        rows = np.log(np.eye(NUM_CLASSES) * (1 - 15e-9) + 1e-9)
+        pick = [5, 5, 2, 9, 2, 5, 0]
+        wire = self.check(CloudMessage(SemanticCloud(1, 2, np.zeros((7, 3)), rows[pick])))
+        palette = np.frombuffer(wire, "<u2", 4 * NUM_CLASSES, protocol._HEADER.size + 8)
+        assert palette.reshape(4, NUM_CLASSES).argmax(axis=1).tolist() == [5, 2, 9, 0]
+        index = np.frombuffer(wire, [("xyz", "<f4", 3), ("i", "<u2")], 7,
+                              protocol._HEADER.size + 8 + 4 * 32)["i"]
+        assert index.tolist() == [0, 0, 1, 2, 1, 0, 3]
+
+    def test_float_rows_that_quantize_alike_share_a_row(self):
+        # two float rows one ulp apart quantize to one palette row
+        row = np.log(np.full(NUM_CLASSES, 1 / NUM_CLASSES))
+        rows = np.stack([row, np.nextafter(row, 0)])
+        wire = self.check(CloudMessage(SemanticCloud(1, 2, np.zeros((2, 3)), rows)))
+        assert palette_size(wire) == 1
+
+    @settings(max_examples=20)
+    @given(palette_clouds())
+    def test_hash_collisions_change_no_byte(self, msg):
+        # a hash that sends every row to one bucket groups only runs of
+        # equal rows, so the palette is still exact
+        wire = encode(msg)
+        saved = protocol._ROW_MIX
+        protocol._ROW_MIX = np.zeros_like(saved)
+        try:
+            assert encode(msg) == wire
+        finally:
+            protocol._ROW_MIX = saved
+
+    @settings(max_examples=3)
+    @given(st.sampled_from([1 << 16, (1 << 16) + 1, (1 << 16) + 40]), st.integers(0, 2**32 - 1))
+    def test_u32_index_beyond_65536_rows(self, m, seed):
+        # m distinct quantized rows, then a few repeats, in shuffled order
+        i = np.arange(m)
+        q = np.zeros((m, NUM_CLASSES), dtype=np.int64)
+        q[:, 0], q[:, 1] = i % 60_000, i // 60_000
+        q[:, 2] = 65535 - q[:, 0] - q[:, 1]
+        rng = np.random.default_rng(seed)
+        pick = rng.permutation(np.r_[i, rng.integers(0, m, 10)])
+        rows = dequantize_probs(q.astype(np.uint16))[pick]
+        wire = self.check(CloudMessage(SemanticCloud(1, 2, np.zeros((len(pick), 3)), rows)))
+        assert palette_size(wire) == m
 
 
 class TestQuantization:
@@ -179,7 +284,11 @@ MALFORMED_TAILS = {
     "bad magic": lambda: b"NOPE" + b"\0" * 30,
     "unknown type": lambda: (lambda good: good[:4] + b"\x2a" + good[5:])(
         encode(PoseMessage(PoseSet2p5D(1, 2)))),
-    "oversized length": lambda: protocol._HEADER.pack(MAGIC, MSG_POSE, 0, 0, 1 << 31),
+    "oversized length": lambda: protocol._HEADER.pack(MAGIC, MSG_POSE, 0, 0, 1 << 31, 0),
+    "payload byte flipped": lambda: (lambda good: good[:-1] + bytes([good[-1] ^ 1]))(
+        encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5)})])))),
+    "sensor id flipped": lambda: (lambda good: good[:5] + bytes([good[5] ^ 2]) + good[6:])(
+        encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5)})])))),
     "pose nan u": lambda: hostile_frames()["pose nan u"],
     "cloud nan position": lambda: hostile_frames()["cloud nan position"],
 }
@@ -230,6 +339,24 @@ class TestStreamDecoder:
         assert_stream_drained(dec)
 
 
+def persons_frame(msg_type: int, present: int, flags: int, values) -> bytes:
+    """A POSE or FEEDBACK frame with a valid CRC: one person (id 0) with
+    the given joint and flag masks, then the f32 values."""
+    payload = (struct.pack("<BIII", 1, 0, present, flags)
+               + struct.pack(f"<{len(values)}f", *values))
+    return protocol._frame(msg_type, 1, 2, payload)
+
+
+# a palette row that puts all mass on class 2
+PALETTE_ROW = struct.pack(f"<{NUM_CLASSES}H", *(65535 * (c == 2) for c in range(NUM_CLASSES)))
+
+
+def cloud_payload_frame(n: int, m: int, body: bytes) -> bytes:
+    """A CLOUD frame with a valid CRC that claims n points and m palette
+    rows, then body."""
+    return protocol._frame(MSG_CLOUD, 1, 2, struct.pack("<II", n, m) + body)
+
+
 def corrupt_cases():
     good = encode(PoseMessage(pose_set(1, 2, [(0, {0: (1.0, 2.0, 0.5)})])))
     hello = encode(Hello(0, 0, CALIBS[0], 1234))
@@ -239,30 +366,21 @@ def corrupt_cases():
         "truncated header": good[:10],
         "truncated payload": good[:-3],
         "trailing garbage": good + b"\x00\x00",
-        "bad keypoint flags": good[:-1] + b"\x07",
-        "mask beyond joints": None,  # built below
+        "bad keypoint flags": persons_frame(MSG_POSE, 1, 2, [1.0, 2.0, 0.5, 3.0, 0.1]),
+        "mask beyond joints": persons_frame(MSG_POSE, 1 << NUM_JOINTS, 0, []),
         "hello short payload": hello[: protocol._HEADER.size + 4]
         [:protocol._HEADER.size] + b"\x00\x00\x00\x00",
         "hello bad rotation": None,
         "cloud size mismatch": None,
         "oversized length": good[:15] + struct.pack("<I", 1 << 31) + good[19:],
     }
-    # person header with a joint mask bit 17 set
-    payload = struct.pack("<B", 1) + struct.pack("<II", 0, 1 << NUM_JOINTS)
-    cases["mask beyond joints"] = (
-        protocol._HEADER.pack(MAGIC, MSG_POSE, 0, 0, len(payload)) + payload)
     # hello whose rotation matrix is not orthonormal
     bad_vals = [500.0, 500.0, 320.0, 240.0] + [2.0] * 9 + [0.0, 0.0, 0.0, 0.0]
     payload = struct.pack("<HQHH17d", protocol.PROTOCOL_VERSION, 0, 640, 480,
                           *bad_vals)
-    cases["hello bad rotation"] = (
-        protocol._HEADER.pack(MAGIC, protocol.MSG_HELLO, 0, 0, len(payload))
-        + payload)
+    cases["hello bad rotation"] = protocol._frame(protocol.MSG_HELLO, 0, 0, payload)
     # cloud that claims more points than the payload carries
-    payload = struct.pack("<I", 100) + b"\x00" * 16
-    cases["cloud size mismatch"] = (
-        protocol._HEADER.pack(MAGIC, protocol.MSG_CLOUD, 0, 0, len(payload))
-        + payload)
+    cases["cloud size mismatch"] = cloud_payload_frame(100, 1, PALETTE_ROW + b"\x00" * 14)
     # fix the header length for the truncated/trailing variants so the
     # error surfaces in the payload decoder, not just the length check
     return cases
@@ -297,8 +415,7 @@ class TestMalformedInput:
             pass
 
     def test_type_5_is_unassigned(self):
-        payload = struct.pack("<I", 0) + b"\x00"
-        frame = protocol._HEADER.pack(MAGIC, 5, 0, 0, len(payload)) + payload
+        frame = protocol._frame(5, 0, 0, struct.pack("<I", 0) + b"\x00")
         with pytest.raises(UnknownMessageTypeError):
             decode(frame)
         with pytest.raises(UnknownMessageTypeError):
@@ -349,6 +466,24 @@ def hostile_frames() -> dict[str, bytes]:
             (5, {4: (1.0, -inf, 0.5, True)})])),
         "cloud nan position": cloud_frame([nan, 0.0, 1.0]),
         "cloud -inf position": cloud_frame([0.0, -inf, 1.0]),
+        "cloud index beyond palette": cloud_payload_frame(
+            1, 1, PALETTE_ROW + struct.pack("<3fH", 0.0, 0.0, 1.0, 1)),
+        "cloud points without palette": cloud_payload_frame(
+            1, 0, struct.pack("<3fH", 0.0, 0.0, 1.0, 0)),
+        "cloud more palette rows than points": cloud_payload_frame(
+            1, 2, 2 * PALETTE_ROW + struct.pack("<3fH", 0.0, 0.0, 1.0, 0)),
+        "cloud u32 index for one palette row": cloud_payload_frame(
+            1, 1, PALETTE_ROW + struct.pack("<3fI", 0.0, 0.0, 1.0, 0)),
+        "cloud fewer records than points": cloud_payload_frame(
+            2, 1, PALETTE_ROW + struct.pack("<3fH", 0.0, 0.0, 1.0, 0)),
+        "pose mask beyond joint 16": persons_frame(
+            MSG_POSE, 1 | 1 << NUM_JOINTS, 0, [1.0, 2.0, 0.5, nan, nan] * 2),
+        "pose flag outside joint mask": persons_frame(
+            MSG_POSE, 1, 1 << 3, [1.0, 2.0, 0.5, nan, nan]),
+        "feedback mask beyond joint 16": persons_frame(
+            MSG_FEEDBACK, 1 | 1 << 20, 0, [1.0, 2.0, 0.5] * 2),
+        "feedback flag outside joint mask": persons_frame(
+            MSG_FEEDBACK, 1, 1 | 1 << 16, [1.0, 2.0, 0.5]),
     }
 
 
@@ -398,6 +533,25 @@ def golden_frames() -> dict[str, bytes]:
     return frames
 
 
+class TestChecksum:
+    """The CRC32 covers all of a frame but its magic and the CRC itself."""
+
+    @pytest.mark.parametrize("name", ["HELLO", "CLOUD", "POSE", "FEEDBACK"])
+    def test_every_single_byte_change_refused(self, name):
+        frame = golden_frames()[name]
+        for at in range(len(frame)):
+            for value in range(256):
+                if value == frame[at]:
+                    continue
+                bad = frame[:at] + bytes([value]) + frame[at + 1:]
+                with pytest.raises(ProtocolError) as err:
+                    decode(bad)
+                # sensor id, timestamp, CRC and payload bytes pass every
+                # header check; only the CRC can catch them
+                if 5 <= at < 15 or at >= 19:
+                    assert err.type is ChecksumError, (name, at, value)
+
+
 class TestGoldenFrames:
     """The hex dumps of PROTOCOL.md decode to the values its prose states
     and re-encode to the same bytes."""
@@ -412,7 +566,7 @@ class TestGoldenFrames:
         msg = decode(golden_frames()["HELLO"])
         c = msg.calib
         assert isinstance(msg, Hello)
-        assert (msg.sensor_id, msg.timestamp_us, msg.protocol_version) == (2, 0, 1)
+        assert (msg.sensor_id, msg.timestamp_us, msg.protocol_version) == (2, 0, 2)
         assert msg.class_set_fingerprint == 0x1122334455667788
         assert (c.width, c.height, c.fx, c.fy, c.cx, c.cy) == (160, 120, 130.0, 130.0, 80.0, 60.0)
         assert np.array_equal(c.rotation, np.eye(3))

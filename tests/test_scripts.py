@@ -20,3 +20,5 @@ def test_benchmark_scripts_run():
         assert ("depth pixels cast" if args[0] == "run_ablation.py" else "ms") in proc.stdout, args
         if args[0] in ("bench_cloud.py", "bench_map.py"):
             assert "peak RSS" in proc.stdout, args
+        if args[0] == "bench_cloud.py":
+            assert "CLOUD frame 0:" in proc.stdout and "distinct class rows" in proc.stdout
